@@ -675,6 +675,67 @@ impl sim_core::BusModel for Bus {
             }
         }
     }
+
+    /// The bus accepts the limit-cycle fast-forward when its policy and
+    /// filter do (round-robin, FIFO and fixed priority; no filter or the
+    /// credit filter), its trace only counts, and no flip watcher needs
+    /// individual cycles. State: the transaction in flight, the pending
+    /// and privileged requests, then the policy's and the filter's state.
+    /// Counters: grants and busy cycles per core, grant latency sums per
+    /// core, idle and total cycles. The worst grant latency needs no
+    /// jump: a repeated period repeats latencies already seen.
+    fn limit_cycle_state(&self, now: Cycle, state: &mut Vec<u64>, counters: &mut Vec<u64>) -> bool {
+        state.extend(match self.state {
+            BusState::Idle => [0; 4],
+            BusState::Busy {
+                owner,
+                started,
+                ends_at,
+                kind,
+            } => [
+                owner.index() as u64 + 1,
+                ends_at - now,
+                ends_at - started,
+                kind as u64,
+            ],
+        });
+        self.pending.limit_cycle_state(now, state);
+        state.push(self.privileged.len() as u64);
+        for r in &self.privileged {
+            state.extend(r.limit_cycle_words(now));
+        }
+        let counting = self.trace.limit_cycle_counters(counters);
+        counters.extend(&self.wait.granted);
+        counters.extend(&self.wait.total_wait);
+        counters.extend([self.idle_cycles, self.total_cycles]);
+        counting
+            && self.flip_watch.is_none()
+            && self.policy.limit_cycle_state(state)
+            && self.filter.limit_cycle_state(state)
+    }
+
+    fn limit_cycle_jump(&mut self, periods: u64, shift: Cycle, deltas: &[u64]) {
+        let deltas = self.trace.limit_cycle_jump(periods, shift, deltas);
+        let (granted, waited) = (&mut self.wait.granted, &mut self.wait.total_wait);
+        for (total, d) in granted.iter_mut().chain(waited).zip(deltas) {
+            *total += periods * d;
+        }
+        let rest = &deltas[2 * self.config.n_cores..];
+        self.idle_cycles += periods * rest[0];
+        self.total_cycles += periods * rest[1];
+        if let BusState::Busy {
+            started, ends_at, ..
+        } = &mut self.state
+        {
+            *started += shift;
+            *ends_at += shift;
+        }
+        self.pending.shift_time(shift);
+        for r in &mut self.privileged {
+            r.issued_at += shift;
+        }
+        self.last_cycle = self.last_cycle.map(|t| t + shift);
+    }
 }
 
 #[cfg(test)]

@@ -148,6 +148,13 @@ impl BusRequest {
     pub fn issued_at(&self) -> Cycle {
         self.issued_at
     }
+
+    /// The request as limit-cycle state (see [`Bus`]'s `limit_cycle_state`),
+    /// its issue time as an offset back from `now`.
+    pub(crate) fn limit_cycle_words(&self, now: Cycle) -> [u64; 4] {
+        let (core, age) = (self.core.index() as u64, now.wrapping_sub(self.issued_at));
+        [core, self.duration as u64, age, self.kind as u64]
+    }
 }
 
 /// Errors reported by the bus model.

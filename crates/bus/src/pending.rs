@@ -107,6 +107,21 @@ impl PendingSet {
         out.extend(self.iter().map(Candidate::from));
     }
 
+    /// Appends each core's pending request to `state` for the bus's
+    /// limit-cycle hook (all zero for an empty slot).
+    pub(crate) fn limit_cycle_state(&self, now: Cycle, state: &mut Vec<u64>) {
+        for slot in &self.slots {
+            state.extend(slot.map_or([0; 4], |r| r.limit_cycle_words(now)));
+        }
+    }
+
+    /// Moves every pending request's issue time `shift` cycles later.
+    pub(crate) fn shift_time(&mut self, shift: Cycle) {
+        for req in self.slots.iter_mut().flatten() {
+            req.issued_at += shift;
+        }
+    }
+
     /// Clears all pending requests (used when resetting a platform between
     /// Monte-Carlo runs).
     pub fn clear(&mut self) {

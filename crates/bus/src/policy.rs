@@ -102,6 +102,19 @@ pub trait ArbitrationPolicy: std::fmt::Debug {
         let _ = (candidates, now);
         None
     }
+
+    /// Limit-cycle hook of the bus (see
+    /// [`Bus`](crate::Bus)'s `limit_cycle_state`): appends the policy's
+    /// complete internal state to `state` and returns `true`, promising
+    /// that [`select`] draws no random numbers, ignores `now` and reads
+    /// issue times only to compare them. The default returns `false`,
+    /// which keeps runs under the policy out of the fast-forward.
+    ///
+    /// [`select`]: ArbitrationPolicy::select
+    fn limit_cycle_state(&self, state: &mut Vec<u64>) -> bool {
+        let _ = state;
+        false
+    }
 }
 
 /// How an [`EligibilityFilter`]'s verdicts can evolve over an
@@ -193,6 +206,17 @@ pub trait EligibilityFilter: std::fmt::Debug {
 
     /// Resets internal state for a fresh run.
     fn reset(&mut self) {}
+
+    /// Limit-cycle hook of the bus (see
+    /// [`Bus`](crate::Bus)'s `limit_cycle_state`): appends the filter's
+    /// complete internal state to `state` and returns `true`, promising
+    /// that verdicts and updates never read absolute cycle numbers. The
+    /// default returns `false`, which keeps runs under the filter out of
+    /// the fast-forward.
+    fn limit_cycle_state(&self, state: &mut Vec<u64>) -> bool {
+        let _ = state;
+        false
+    }
 }
 
 /// The identity filter: every pending request is always eligible.
@@ -221,6 +245,10 @@ impl EligibilityFilter for NoFilter {
 
     fn next_eligibility_flip(&self, _now: Cycle, _pending: &PendingSet) -> FilterHorizon {
         FilterHorizon::Static
+    }
+
+    fn limit_cycle_state(&self, _state: &mut Vec<u64>) -> bool {
+        true
     }
 }
 

@@ -290,6 +290,14 @@ impl EligibilityFilter for CreditFilter {
         let mode = self.mode;
         *self = CreditFilter::with_mode(config, mode);
     }
+
+    /// Budgets and latched `COMP` bits are the whole state, and nothing
+    /// here reads the cycle number, so the filter is time-invariant.
+    fn limit_cycle_state(&self, state: &mut Vec<u64>) -> bool {
+        state.extend(self.counters.iter().map(CreditCounter::value));
+        state.extend(self.comp.iter().map(|&c| c as u64));
+        true
+    }
 }
 
 #[cfg(test)]

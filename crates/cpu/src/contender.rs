@@ -95,14 +95,6 @@ impl Contender {
     pub fn reset(&mut self) {
         self.grants = 0;
     }
-
-    /// Sleep horizon for the event-driven engine: after a tick the
-    /// contender always has its one request posted (or in service), so
-    /// only a completion — a bus event — can make it act. `Cycle::MAX`
-    /// means "wake me only at bus events".
-    pub fn wake_at(&self) -> Option<Cycle> {
-        Some(Cycle::MAX)
-    }
 }
 
 /// The open client-side interface: a saturating contender never
@@ -118,8 +110,10 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for Contender {
         Control::Sleep(Cycle::MAX)
     }
 
+    /// After a tick the contender always has its one request posted (or
+    /// in service), so only a completion — a bus event — can make it act.
     fn wake_at(&self) -> Option<Cycle> {
-        Contender::wake_at(self)
+        Some(Cycle::MAX)
     }
 
     fn is_done(&self) -> bool {
@@ -135,6 +129,17 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for Contender {
             completed: self.grants,
             ..Default::default()
         }
+    }
+
+    /// No state of its own (its one request lives on the bus); the grant
+    /// count is its counter.
+    fn limit_cycle_state(&self, _: Cycle, _: &mut Vec<u64>, counters: &mut Vec<u64>) -> bool {
+        counters.push(self.grants);
+        true
+    }
+
+    fn limit_cycle_jump(&mut self, periods: u64, _shift: Cycle, deltas: &[u64]) {
+        self.grants += periods * deltas[0];
     }
 }
 
@@ -213,22 +218,6 @@ impl PeriodicContender {
         self.next_issue = phase;
         self.grants = 0;
     }
-
-    /// Sleep horizon for the event-driven engine: the contender must be
-    /// ticked at its next issue boundary (the issue is *skipped*, not
-    /// deferred, when its previous request is still pending — so the
-    /// boundary matters either way); between boundaries only completions
-    /// can make it act.
-    pub fn wake_at(&self) -> Option<Cycle> {
-        Some(self.next_issue)
-    }
-
-    /// Shifts the contender's only absolute-time state (`next_issue`) by
-    /// `delta` cycles, for engines that fast-forward a detected limit
-    /// cycle arithmetically instead of replaying its ticks.
-    pub fn shift_time(&mut self, delta: Cycle) {
-        self.next_issue += delta;
-    }
 }
 
 /// The open client-side interface: a periodic contender never finishes
@@ -244,8 +233,12 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for PeriodicCont
         Control::Sleep(self.next_issue)
     }
 
+    /// The contender must be ticked at its next issue boundary (the issue
+    /// is *skipped*, not deferred, when its previous request is still
+    /// pending — so the boundary matters either way); between boundaries
+    /// only completions can make it act.
     fn wake_at(&self) -> Option<Cycle> {
-        PeriodicContender::wake_at(self)
+        Some(self.next_issue)
     }
 
     fn is_done(&self) -> bool {
@@ -261,6 +254,18 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for PeriodicCont
             completed: self.grants,
             ..Default::default()
         }
+    }
+
+    /// State: the next issue boundary; counter: the grant count.
+    fn limit_cycle_state(&self, now: Cycle, state: &mut Vec<u64>, counters: &mut Vec<u64>) -> bool {
+        state.push(self.next_issue - now);
+        counters.push(self.grants);
+        true
+    }
+
+    fn limit_cycle_jump(&mut self, periods: u64, shift: Cycle, deltas: &[u64]) {
+        self.next_issue += shift;
+        self.grants += periods * deltas[0];
     }
 }
 

@@ -43,7 +43,6 @@ pub struct FixedRequestTask {
     duration: u32,
     gap: u32,
     state: FixedState,
-    issued: u64,
     completed: u64,
     done_at: Option<Cycle>,
 }
@@ -80,7 +79,6 @@ impl FixedRequestTask {
             state: FixedState::Computing {
                 post_at: gap as Cycle,
             },
-            issued: 0,
             completed: 0,
             done_at: None,
         }
@@ -144,39 +142,10 @@ impl FixedRequestTask {
                             .expect("validated duration"),
                     )
                     .expect("fixed task posts one request at a time");
-                    self.issued += 1;
                     self.state = FixedState::Waiting;
                 }
             }
         }
-    }
-
-    /// Shifts the task's only absolute-time state (the pending `post_at`,
-    /// while computing) by `delta` cycles. Fast-forwarding engines that
-    /// replay a detected limit cycle arithmetically use this to relocate
-    /// the task in time without replaying ticks; counters and `done_at`
-    /// are untouched.
-    pub fn shift_time(&mut self, delta: Cycle) {
-        if let FixedState::Computing { post_at } = &mut self.state {
-            *post_at += delta;
-        }
-    }
-
-    /// Credits `k` further completed (and issued) requests without
-    /// ticking, for engines that fast-forward whole recurring periods.
-    /// The task must stay strictly below `n_requests` completions: the
-    /// final completion has to execute live so `done_at` is observed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` would reach or exceed the final completion.
-    pub fn absorb_completions(&mut self, k: u64) {
-        assert!(
-            self.completed + k < self.n_requests,
-            "the final completion must execute live"
-        );
-        self.completed += k;
-        self.issued += k;
     }
 
     /// Sleep horizon for the event-driven engine: nothing happens until
@@ -194,7 +163,6 @@ impl FixedRequestTask {
         self.state = FixedState::Computing {
             post_at: self.gap as Cycle,
         };
-        self.issued = 0;
         self.completed = 0;
         self.done_at = None;
     }
@@ -238,6 +206,33 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for FixedRequest
             done_at: self.done_at,
             ..Default::default()
         }
+    }
+
+    /// State: the phase, and the next post cycle while computing;
+    /// counter: completed requests.
+    fn limit_cycle_state(&self, now: Cycle, state: &mut Vec<u64>, counters: &mut Vec<u64>) -> bool {
+        state.extend(match self.state {
+            FixedState::Computing { post_at } => [0, post_at - now],
+            FixedState::Waiting => [1, 0],
+            FixedState::Done => [2, 0],
+        });
+        counters.push(self.completed);
+        true
+    }
+
+    /// Stops short of the final completion, which sets `done_at`.
+    fn limit_cycle_bound(&self, deltas: &[u64]) -> u64 {
+        (self.n_requests - self.completed)
+            .saturating_sub(1)
+            .checked_div(deltas[0])
+            .unwrap_or(u64::MAX)
+    }
+
+    fn limit_cycle_jump(&mut self, periods: u64, shift: Cycle, deltas: &[u64]) {
+        if let FixedState::Computing { post_at } = &mut self.state {
+            *post_at += shift;
+        }
+        self.completed += periods * deltas[0];
     }
 }
 

@@ -343,6 +343,18 @@ impl<M: RequestPort + 'static> SimAgent<M, CompletedTransaction> for PortAgent {
     fn stats(&self) -> AgentStats {
         self.0.stats()
     }
+
+    fn limit_cycle_state(&self, now: Cycle, state: &mut Vec<u64>, counters: &mut Vec<u64>) -> bool {
+        self.0.limit_cycle_state(now, state, counters)
+    }
+
+    fn limit_cycle_bound(&self, deltas: &[u64]) -> u64 {
+        self.0.limit_cycle_bound(deltas)
+    }
+
+    fn limit_cycle_jump(&mut self, periods: u64, shift: Cycle, deltas: &[u64]) {
+        self.0.limit_cycle_jump(periods, shift, deltas);
+    }
 }
 
 #[cfg(test)]

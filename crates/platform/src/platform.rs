@@ -12,7 +12,7 @@ use cba_workloads::EembcProfile;
 use sim_core::agent::MemStats;
 use sim_core::lfsr::LfsrBank;
 use sim_core::rng::SimRng;
-use sim_core::{BusModel, CoreId, Cycle, Engine, Probe, Simulation, StopWhen};
+use sim_core::{BusModel, CoreId, Cycle, Probe, Simulation, StopWhen};
 use std::fmt;
 
 /// What one core runs during a run.
@@ -172,43 +172,12 @@ impl fmt::Display for Scenario {
     }
 }
 
-/// Which cycle loop executes a run.
-///
-/// Both produce **bit-identical** results (asserted by the workspace's
-/// property tests); the naive loop exists as the reference implementation
-/// and as the debugging fallback when a fast-path divergence is suspected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum DriveMode {
-    /// The event-horizon fast path ([`sim_core::drive_events`]): skips
-    /// provably uneventful cycle ranges (mid-transaction stretches, idle
-    /// TDMA slots, credit-recovery waits). The default.
-    #[default]
-    Events,
-    /// The per-cycle reference loop ([`sim_core::drive`]): visits every
-    /// cycle. Selectable per scenario (`engine = naive`) or via
-    /// `cba_sim --engine naive`.
-    Naive,
-    /// The continuous-event executor ([`crate::fluid`]): grants and
-    /// completions as a sparse event stream over a de-virtualized model,
-    /// with limit-cycle fast-forward on flat synthetic runs. Selectable
-    /// per scenario (`engine = fluid`) or via `cba_sim --engine fluid`;
-    /// cross-validated against the events engine by the workspace's
-    /// accuracy and differential test suites.
-    Fluid,
-}
-
-/// Renders as the scenario `engine` key's vocabulary (`events`,
-/// `naive`, `fluid`).
-impl fmt::Display for DriveMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            DriveMode::Events => "events",
-            DriveMode::Naive => "naive",
-            DriveMode::Fluid => "fluid",
-        })
-    }
-}
+/// Which cycle loop executes a run: the events engine of
+/// [`Simulation::run`] (the default; `engine = fluid` and `fast` are
+/// accepted as aliases) or the naive per-cycle reference loop, selectable
+/// per scenario (`engine = naive`) or via `cba_sim --engine naive`. Both
+/// produce **bit-identical** results.
+pub use sim_core::Engine as DriveMode;
 
 /// When the run loop stops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -567,9 +536,6 @@ pub fn run_once_with(spec: &RunSpec, seed: u64, registry: &AgentRegistry) -> Run
     if let Err(why) = spec.validate() {
         panic!("invalid run spec: {why}");
     }
-    if spec.drive == DriveMode::Fluid {
-        return crate::fluid::run_fluid(spec, seed, registry);
-    }
     let rng = SimRng::seed_from(seed);
     match &spec.platform.topology {
         None => execute(build_bus(spec, &rng), spec, &rng, registry),
@@ -614,7 +580,7 @@ fn build_bus(spec: &RunSpec, rng: &SimRng) -> Bus {
 /// `WcetEstimation` mode; every other segment arbitrates in operation
 /// mode — contenders on remote clusters never share the TuA's segment, so
 /// the COMP gating applies exactly where the TuA competes.
-pub(crate) fn build_fabric(spec: &RunSpec, topo: &FabricTopology, rng: &SimRng) -> Fabric {
+fn build_fabric(spec: &RunSpec, topo: &FabricTopology, rng: &SimRng) -> Fabric {
     let maxl = spec.platform.latency.max_latency();
     let config = FabricConfig::new(
         topo.clusters,
@@ -723,11 +689,7 @@ fn execute<M: SimModel + 'static>(
             StopCondition::AllDone => StopWhen::AllAgentsDone,
             StopCondition::Horizon(h) => StopWhen::Horizon(h),
         })
-        .engine(match spec.drive {
-            DriveMode::Events => Engine::Events,
-            DriveMode::Naive => Engine::Naive,
-            DriveMode::Fluid => unreachable!("fluid runs dispatch to crate::fluid::run_fluid"),
-        })
+        .engine(spec.drive)
         .max_cycles(spec.max_cycles);
     match spec.windows {
         None => {

@@ -32,7 +32,10 @@
 //!    bit-identical to per-cycle execution;
 //! 4. [`reset`](SimAgent::reset) must restore the agent to a
 //!    fresh-construction state (the workspace's conformance suite asserts
-//!    `reset` ≡ fresh construction for every shipped agent).
+//!    `reset` ≡ fresh construction for every shipped agent);
+//! 5. optionally, the `limit_cycle_*` hooks expose the agent's state so
+//!    the events engine can jump whole periods of a steady run (see
+//!    [`Simulation::run`](crate::Simulation::run)).
 
 use crate::engine::Control;
 use crate::rng::SimRng;
@@ -159,6 +162,37 @@ pub trait SimAgent<P: ?Sized, C = ()> {
     /// A uniform snapshot of the agent's execution statistics.
     fn stats(&self) -> AgentStats {
         AgentStats::default()
+    }
+
+    /// Limit-cycle hook, called after the agent's tick at cycle `now`:
+    /// appends its complete dynamic state to `state` (absolute times as
+    /// offsets from `now`) and its statistics counters to `counters`, then
+    /// returns `true`. Equal states must mean equal future behaviour; the
+    /// contract mirrors
+    /// [`BusModel::limit_cycle_state`](crate::BusModel::limit_cycle_state).
+    /// The default returns `false`: one declining agent keeps the whole
+    /// run out of the fast-forward.
+    fn limit_cycle_state(&self, now: Cycle, state: &mut Vec<u64>, counters: &mut Vec<u64>) -> bool {
+        let _ = (now, state, counters);
+        false
+    }
+
+    /// The most whole periods a limit-cycle jump may skip, given `deltas`,
+    /// the per-period growth of this agent's counters. A finite agent
+    /// stops the jump before its final completion, which must execute live
+    /// so [`done_at`](SimAgent::done_at) and stop conditions stay exact.
+    /// The default sets no bound.
+    fn limit_cycle_bound(&self, deltas: &[u64]) -> u64 {
+        let _ = deltas;
+        u64::MAX
+    }
+
+    /// Applies `periods` repetitions of a detected limit cycle, `shift`
+    /// cycles in all: counters grow by `periods` times their `deltas`, and
+    /// absolute times move `shift` cycles later (see
+    /// [`BusModel::limit_cycle_jump`](crate::BusModel::limit_cycle_jump)).
+    fn limit_cycle_jump(&mut self, periods: u64, shift: Cycle, deltas: &[u64]) {
+        let _ = (periods, shift, deltas);
     }
 }
 

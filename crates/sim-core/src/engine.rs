@@ -1,6 +1,7 @@
 //! The unified cycle-driving engine: one [`BusModel`] trait over every bus
-//! variant, and one [`drive`] loop shared by the platform, the benchmark
-//! harness and the examples.
+//! variant, and one closure drive loop ([`drive_events`], with [`drive`] as
+//! its per-cycle form) shared by the benchmark harness, the tests and the
+//! examples.
 //!
 //! # Why
 //!
@@ -17,9 +18,10 @@
 //!    and per-cycle filter state (credit counters) advances.
 //!
 //! [`BusModel::tick`] bundles the phases for clients that post between
-//! cycles, and [`drive`] owns the `while` loop, the stop condition and the
-//! cycle counter, so a policy × filter × bus-variant scenario is expressed
-//! as *one closure* that posts traffic.
+//! cycles, and [`drive_events`] owns the `while` loop, the stop condition
+//! and the cycle counter, so a policy × filter × bus-variant scenario is
+//! expressed as *one closure* that posts traffic. (Agent-based runs use the
+//! [`Simulation`](crate::Simulation) facade instead.)
 //!
 //! # Example
 //!
@@ -216,6 +218,34 @@ pub trait BusModel {
     fn drain_events(&mut self, sink: &mut dyn FnMut(crate::probe::ModelEvent)) {
         let _ = sink;
     }
+
+    /// Limit-cycle hook of the events engine (see
+    /// [`Simulation::run`](crate::Simulation::run)): appends the model's
+    /// complete dynamic state at the end of executed cycle `now` to
+    /// `state`, every absolute time written as an offset from `now`, and
+    /// its statistics counters (values that only accumulate; the same
+    /// number of them at every call) to `counters`, then returns `true`.
+    ///
+    /// Equal `state` sequences at two cycles must mean the model evolves
+    /// identically from both, given the same client behaviour; counters
+    /// must not influence that evolution. The default returns `false`,
+    /// which keeps every run over the model out of the fast-forward. The
+    /// engine asks once before the first cycle, and an implementation
+    /// that accepts then must accept for the whole run.
+    fn limit_cycle_state(&self, now: Cycle, state: &mut Vec<u64>, counters: &mut Vec<u64>) -> bool {
+        let _ = (now, state, counters);
+        false
+    }
+
+    /// Applies `periods` further repetitions of a detected limit cycle,
+    /// `shift` cycles in all: every counter pushed by
+    /// [`limit_cycle_state`](BusModel::limit_cycle_state) grows by
+    /// `periods` times its entry in `deltas` (its growth over one period,
+    /// in push order), and every absolute time moves `shift` cycles later.
+    /// Only called on models whose `limit_cycle_state` accepted.
+    fn limit_cycle_jump(&mut self, periods: u64, shift: Cycle, deltas: &[u64]) {
+        let _ = (periods, shift, deltas);
+    }
 }
 
 /// Per-cycle verdict returned by the [`drive`] / [`drive_events`]
@@ -254,29 +284,19 @@ pub struct DriveOutcome {
 /// ([`BusModel::end_cycle`]). [`Control::Sleep`] is treated as
 /// [`Control::Continue`]: this is the naive reference loop that
 /// [`drive_events`] must reproduce bit for bit, and the loop to force when
-/// debugging a suspected fast-path divergence.
+/// debugging a suspected fast-path divergence. It is [`drive_events`] with
+/// every sleep verdict turned into `Continue`, so the two share one loop.
 pub fn drive<M: BusModel>(
     bus: &mut M,
     max_cycles: Cycle,
     mut cycle_fn: impl FnMut(&mut M, Cycle, Option<&M::Completion>) -> Control,
 ) -> DriveOutcome {
-    let mut now: Cycle = 0;
-    while now < max_cycles {
-        let completed = bus.begin_cycle(now);
-        let control = cycle_fn(bus, now, completed.as_ref());
-        bus.end_cycle(now);
-        now += 1;
-        if control == Control::Stop {
-            return DriveOutcome {
-                cycles: now,
-                stopped: true,
-            };
+    drive_events(bus, max_cycles, |bus, now, completed| {
+        match cycle_fn(bus, now, completed) {
+            Control::Sleep(_) => Control::Continue,
+            control => control,
         }
-    }
-    DriveOutcome {
-        cycles: now,
-        stopped: false,
-    }
+    })
 }
 
 /// Drives `bus` like [`drive`], but jumps over provably uneventful cycle
@@ -337,20 +357,20 @@ pub fn drive_events<M: BusModel>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    /// Minimal in-crate model for engine tests.
+    /// Minimal in-crate model for engine tests (the `sim` tests share it).
     #[derive(Debug)]
-    struct OneShot {
+    pub(crate) struct OneShot {
         trace: GrantTrace,
-        pending: Option<u32>,
+        pub(crate) pending: Option<u32>,
         busy_until: Option<Cycle>,
-        skipped: u64,
+        pub(crate) skipped: u64,
     }
 
     impl OneShot {
-        fn new() -> Self {
+        pub(crate) fn new() -> Self {
             OneShot {
                 trace: GrantTrace::counting(1),
                 pending: None,

@@ -78,12 +78,15 @@
 //! [`drive_events`](crate::drive_events) **bit for bit** (same cycles
 //! executed, same skip decisions, same stop cycle) while additionally
 //! feeding a [`Probe`]; the workspace's identity tests pin this through
-//! the platform layer.
+//! the platform layer. On top of the event-horizon skips, the events
+//! engine fast-forwards whole periods of runs that settle into a limit
+//! cycle (see [`Simulation::run`]).
 
 use crate::agent::SimAgent;
 use crate::engine::{BusModel, Control, DriveOutcome};
 use crate::probe::{ModelEvent, NoProbe, Probe};
-use crate::Cycle;
+use crate::{CoreId, Cycle};
+use std::iter::zip;
 
 /// A boxed agent driving model `M` (the common currency of
 /// [`SimulationBuilder::agent`]).
@@ -106,24 +109,24 @@ pub enum StopWhen {
 /// Which cycle loop executes the run. [`Engine::Events`] and
 /// [`Engine::Naive`] produce bit-identical results; see
 /// [`drive`](crate::drive) and [`drive_events`](crate::drive_events).
-/// [`Engine::Fluid`] selects the continuous-time approximation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// The event-horizon fast path: skips provably uneventful cycle
-    /// ranges. The default.
+    /// ranges and jumps whole periods of limit cycles. The default.
     #[default]
     Events,
     /// The per-cycle reference loop: visits every cycle.
     Naive,
-    /// The continuous-time fluid backend: pair with a model built for it
-    /// (e.g. [`fluid::FluidBus`](crate::fluid::FluidBus), whose posted
-    /// requests drain concurrently at weight-proportional rates). The
-    /// loop itself runs with event-horizon skipping — for a discrete
-    /// model this engine behaves exactly like [`Engine::Events`]; the
-    /// approximation lives in the model, and higher layers (the
-    /// platform's `DriveMode::Fluid`) substitute their fluid executor
-    /// when this engine is requested.
-    Fluid,
+}
+
+/// Renders as the scenario `engine` key's vocabulary (`events`, `naive`).
+impl std::fmt::Display for Engine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Engine::Events => "events",
+            Engine::Naive => "naive",
+        })
+    }
 }
 
 /// A fully assembled simulation: one model, its agents, a stop
@@ -164,10 +167,30 @@ impl<M: BusModel, P: Probe<M::Completion>> Simulation<M, P> {
     /// are handed to every agent, skipped stretches are absorbed, agents'
     /// sleep horizons bound the fast path's jumps.
     ///
+    /// # Limit-cycle fast-forward
+    ///
+    /// Saturated runs often settle into a **limit cycle**: the whole
+    /// simulation returns to an earlier state, shifted in time, and then
+    /// repeats. At rotation marks (grants of the first core ever granted)
+    /// the events engine samples every component's
+    /// [`limit_cycle_state`](BusModel::limit_cycle_state) and compares it
+    /// with one checkpoint sample (Brent's cycle detection, in O(1)
+    /// memory; once a few dozen samples found no repeat, samples thin out
+    /// so a run that never recurs pays for few). When a sample repeats one
+    /// taken `p` cycles earlier, every component applies `k` whole periods
+    /// at once through [`limit_cycle_jump`](BusModel::limit_cycle_jump),
+    /// `k` as large as keeps the run short of any agent's final completion
+    /// (its [`limit_cycle_bound`](SimAgent::limit_cycle_bound)), of a
+    /// [`StopWhen::Horizon`] stop and of `max_cycles`. The jump runs only
+    /// without an active probe and when the model and every active agent
+    /// accept the hooks, which decline by default. That is decided once
+    /// before the first cycle; a run that declines pays one branch per
+    /// executed cycle.
+    ///
     /// Running consumes the workload: call it once per assembled run
     /// (reset the model and agents before reusing the same `Simulation`).
     pub fn run(&mut self) -> DriveOutcome {
-        let events = self.engine != Engine::Naive;
+        let events = self.engine == Engine::Events;
         let model = &mut self.model;
         let agents = &mut self.agents;
         let probe = &mut self.probe;
@@ -180,6 +203,16 @@ impl<M: BusModel, P: Probe<M::Completion>> Simulation<M, P> {
         let active: Vec<usize> = (0..agents.len())
             .filter(|&i| !agents[i].is_inert())
             .collect();
+        let mut detector = (events && !P::ACTIVE)
+            .then(|| LimitCycles::new(model, agents, &active))
+            .flatten();
+        // A jump may land on any cycle that keeps the run going: before
+        // the horizon stop fires (at cycle h - 1) and before max_cycles.
+        let last_landing = match stop_when {
+            StopWhen::Horizon(h) => h.saturating_sub(2),
+            _ => Cycle::MAX,
+        }
+        .min(max_cycles.saturating_sub(1));
         let mut now: Cycle = 0;
         let mut prev: Option<Cycle> = None;
         let mut stopped = false;
@@ -234,6 +267,19 @@ impl<M: BusModel, P: Probe<M::Completion>> Simulation<M, P> {
                 now += 1;
                 stopped = true;
                 break;
+            }
+            if let (Some(lc), Some(core)) = (&mut detector, granted) {
+                let jumped = lc
+                    .due(core)
+                    .then(|| lc.sample(now, last_landing, model, agents, &active));
+                if let Some(shift) = jumped.flatten() {
+                    // The landing cycle stands in for this one, whole
+                    // periods later; resume stepping right after it.
+                    now += shift;
+                    prev = Some(now);
+                    now += 1;
+                    continue;
+                }
             }
             if events {
                 if let StopWhen::Horizon(h) = stop_when {
@@ -331,6 +377,153 @@ impl<M: BusModel, P: Probe<M::Completion>> Simulation<M, P> {
 fn forward_event<C, P: Probe<C>>(probe: &mut P, event: ModelEvent) {
     match event {
         ModelEvent::CreditFlip { at, core, eligible } => probe.on_credit_flip(at, core, eligible),
+    }
+}
+
+/// Comparisons a checkpoint may serve while every rotation is sampled;
+/// past it each new checkpoint doubles the stride between samples too.
+const DENSE_SAMPLES: u64 = 16;
+
+/// The events engine's limit-cycle detector and jump (see
+/// [`Simulation::run`]). Detection is Brent's algorithm: each sample is
+/// compared with one checkpoint sample, which the current sample
+/// replaces after `budget` comparisons, doubling the budget.
+#[derive(Default)]
+struct LimitCycles {
+    /// The core whose grants mark a rotation: the first core granted.
+    marker: Option<CoreId>,
+    /// Rotations between samples, and those left until the next one.
+    stride: u64,
+    skip: u64,
+    /// The checkpoint's cycle, state and counters.
+    checkpoint: Option<Cycle>,
+    saved_state: Vec<u64>,
+    saved_counters: Vec<u64>,
+    /// Comparisons the checkpoint serves, and those made so far.
+    budget: u64,
+    compared: u64,
+    state: Vec<u64>,
+    counters: Vec<u64>,
+    /// Where each component's counters end: the model's, then each
+    /// active agent's.
+    ends: Vec<usize>,
+}
+
+impl LimitCycles {
+    /// The detector for a run, if the model and every active agent
+    /// accept the limit-cycle hooks.
+    fn new<M: BusModel>(model: &M, agents: &[BoxedAgent<M>], active: &[usize]) -> Option<Self> {
+        let mut lc = LimitCycles {
+            stride: 1,
+            budget: 1,
+            ..Default::default()
+        };
+        lc.collect(0, model, agents, active).then_some(lc)
+    }
+
+    /// Samples every component at the end of cycle `now`; `false` when
+    /// any of them declines.
+    fn collect<M: BusModel>(
+        &mut self,
+        now: Cycle,
+        model: &M,
+        agents: &[BoxedAgent<M>],
+        active: &[usize],
+    ) -> bool {
+        self.state.clear();
+        self.counters.clear();
+        self.ends.clear();
+        let mut accepted = model.limit_cycle_state(now, &mut self.state, &mut self.counters);
+        self.ends.push(self.counters.len());
+        for &i in active {
+            accepted &= agents[i].limit_cycle_state(now, &mut self.state, &mut self.counters);
+            self.ends.push(self.counters.len());
+        }
+        accepted
+    }
+
+    /// Whether a grant to `core` is a rotation mark due for a sample; the
+    /// per-grant cost of the detector, kept inline.
+    #[inline]
+    fn due(&mut self, core: CoreId) -> bool {
+        if *self.marker.get_or_insert(core) != core {
+            return false;
+        }
+        let due = self.skip == 0;
+        self.skip = if due { self.stride - 1 } else { self.skip - 1 };
+        due
+    }
+
+    /// Samples at the end of executed cycle `now`. When the state repeats
+    /// the checkpoint's, jumps as many whole periods as land no later
+    /// than `last_landing` and returns the cycles jumped.
+    fn sample<M: BusModel>(
+        &mut self,
+        now: Cycle,
+        last_landing: Cycle,
+        model: &mut M,
+        agents: &mut [BoxedAgent<M>],
+        active: &[usize],
+    ) -> Option<Cycle> {
+        self.collect(now, model, agents, active);
+        match self.checkpoint {
+            Some(then) if self.state == self.saved_state => self.jump(
+                now - then,
+                last_landing.saturating_sub(now),
+                model,
+                agents,
+                active,
+            ),
+            _ => {
+                self.compared += 1;
+                if self.checkpoint.is_none() || self.compared == self.budget {
+                    std::mem::swap(&mut self.state, &mut self.saved_state);
+                    std::mem::swap(&mut self.counters, &mut self.saved_counters);
+                    self.checkpoint = Some(now);
+                    self.compared = 0;
+                    self.budget *= 2;
+                    if self.budget > DENSE_SAMPLES {
+                        // Later samples must sit whole strides after the
+                        // checkpoint to meet it again.
+                        self.stride *= 2;
+                        self.skip = self.stride - 1;
+                    }
+                }
+                None
+            }
+        }
+    }
+
+    /// Jumps as many whole `period`s as fit in `room` cycles and every
+    /// agent's bound allows; returns the cycles jumped.
+    fn jump<M: BusModel>(
+        &mut self,
+        period: Cycle,
+        room: Cycle,
+        model: &mut M,
+        agents: &mut [BoxedAgent<M>],
+        active: &[usize],
+    ) -> Option<Cycle> {
+        let deltas: Vec<u64> = zip(&self.counters, &self.saved_counters)
+            .map(|(c, b)| c - b)
+            .collect();
+        let of = |k: usize| &deltas[self.ends[k]..self.ends[k + 1]];
+        let mut periods = room / period;
+        for (k, &i) in active.iter().enumerate() {
+            periods = periods.min(agents[i].limit_cycle_bound(of(k)));
+        }
+        if periods == 0 {
+            return None;
+        }
+        let shift = periods * period;
+        model.limit_cycle_jump(periods, shift, &deltas[..self.ends[0]]);
+        for (k, &i) in active.iter().enumerate() {
+            agents[i].limit_cycle_jump(periods, shift, of(k));
+        }
+        // The checkpoint predates the jumped span: detect afresh.
+        self.checkpoint = None;
+        (self.stride, self.skip, self.budget, self.compared) = (1, 0, 1, 0);
+        Some(shift)
     }
 }
 
@@ -434,84 +627,11 @@ impl<M: BusModel, P: Probe<M::Completion>> SimulationBuilder<M, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agent::Idle;
+    use crate::agent::{AgentStats, Idle};
+    use crate::engine::tests::OneShot;
     use crate::rng::SimRng;
     use crate::trace::GrantTrace;
-    use crate::CoreId;
-
-    /// The OneShot toy model from the engine tests, duplicated here to
-    /// keep the modules independent.
-    #[derive(Debug)]
-    struct OneShot {
-        trace: GrantTrace,
-        pending: Option<u32>,
-        busy_until: Option<Cycle>,
-        skipped: u64,
-    }
-
-    impl OneShot {
-        fn new() -> Self {
-            OneShot {
-                trace: GrantTrace::counting(1),
-                pending: None,
-                busy_until: None,
-                skipped: 0,
-            }
-        }
-    }
-
-    impl BusModel for OneShot {
-        type Request = u32;
-        type Completion = Cycle;
-        type Error = &'static str;
-
-        fn begin_cycle(&mut self, now: Cycle) -> Option<Cycle> {
-            if self.busy_until == Some(now) {
-                self.busy_until = None;
-                return Some(now);
-            }
-            None
-        }
-
-        fn post(&mut self, req: u32) -> Result<(), &'static str> {
-            if self.pending.is_some() {
-                return Err("already pending");
-            }
-            self.pending = Some(req);
-            Ok(())
-        }
-
-        fn end_cycle(&mut self, now: Cycle) -> Option<CoreId> {
-            if self.busy_until.is_none() {
-                if let Some(dur) = self.pending.take() {
-                    self.busy_until = Some(now + dur as Cycle);
-                    self.trace.record(now, CoreId::from_index(0), dur);
-                    return Some(CoreId::from_index(0));
-                }
-            }
-            None
-        }
-
-        fn owner(&self) -> Option<CoreId> {
-            self.busy_until.map(|_| CoreId::from_index(0))
-        }
-
-        fn trace(&self) -> &GrantTrace {
-            &self.trace
-        }
-
-        fn next_event(&mut self, now: Cycle) -> Option<Cycle> {
-            match (self.busy_until, self.pending) {
-                (Some(ends_at), _) => Some(ends_at),
-                (None, Some(_)) => Some(now + 1),
-                (None, None) => Some(Cycle::MAX),
-            }
-        }
-
-        fn advance(&mut self, from: Cycle, to: Cycle) {
-            self.skipped += to - from - 1;
-        }
-    }
+    use std::cell::Cell;
 
     /// Posts `n` 7-cycle requests, one per 20-cycle period.
     struct Periodic {
@@ -650,11 +770,11 @@ mod tests {
         finish: Option<Cycle>,
     }
 
-    impl Probe<Cycle> for CountingProbe {
+    impl<C> Probe<C> for CountingProbe {
         fn on_grant(&mut self, _now: Cycle, _core: CoreId) {
             self.grants += 1;
         }
-        fn on_completion(&mut self, _now: Cycle, _c: &Cycle) {
+        fn on_completion(&mut self, _now: Cycle, _c: &C) {
             self.completions += 1;
         }
         fn on_finish(&mut self, total: Cycle) {
@@ -682,5 +802,315 @@ mod tests {
     #[should_panic(expected = "needs a model")]
     fn building_without_a_model_panics() {
         let _ = Simulation::<OneShot>::builder().build();
+    }
+
+    /// A round-robin toy bus that implements the limit-cycle hooks and
+    /// counts the jumps it takes.
+    #[derive(Debug)]
+    struct Ring {
+        trace: GrantTrace,
+        /// Per core: `(duration, issued_at)` of the pending request.
+        pending: Vec<Option<(u32, Cycle)>>,
+        /// `(owner, ends_at)` of the transaction in flight.
+        busy: Option<(CoreId, Cycle)>,
+        cursor: usize,
+        idle: u64,
+        jumps: u64,
+    }
+
+    impl BusModel for Ring {
+        type Request = (CoreId, u32, Cycle);
+        type Completion = CoreId;
+        type Error = ();
+
+        fn begin_cycle(&mut self, now: Cycle) -> Option<CoreId> {
+            let (core, ends_at) = self.busy?;
+            (ends_at == now).then(|| {
+                self.busy = None;
+                core
+            })
+        }
+
+        fn post(&mut self, (core, dur, at): (CoreId, u32, Cycle)) -> Result<(), ()> {
+            self.pending[core.index()] = Some((dur, at));
+            Ok(())
+        }
+
+        fn end_cycle(&mut self, now: Cycle) -> Option<CoreId> {
+            let n = self.pending.len();
+            let next = (0..n)
+                .map(|k| (self.cursor + k) % n)
+                .find(|&i| self.busy.is_none() && self.pending[i].is_some());
+            if self.busy.is_none() && next.is_none() {
+                self.idle += 1;
+            }
+            let i = next?;
+            let (dur, _) = self.pending[i].take().unwrap();
+            let core = CoreId::from_index(i);
+            self.busy = Some((core, now + dur as Cycle));
+            self.trace.record(now, core, dur);
+            self.cursor = (i + 1) % n;
+            Some(core)
+        }
+
+        fn owner(&self) -> Option<CoreId> {
+            self.busy.map(|(core, _)| core)
+        }
+
+        fn trace(&self) -> &GrantTrace {
+            &self.trace
+        }
+
+        fn next_event(&mut self, now: Cycle) -> Option<Cycle> {
+            Some(match self.busy {
+                Some((_, ends_at)) => ends_at,
+                None if self.pending.iter().all(Option::is_none) => Cycle::MAX,
+                None => now + 1,
+            })
+        }
+
+        fn advance(&mut self, from: Cycle, to: Cycle) {
+            if self.busy.is_none() {
+                self.idle += to - from - 1;
+            }
+        }
+
+        fn limit_cycle_state(
+            &self,
+            now: Cycle,
+            state: &mut Vec<u64>,
+            counters: &mut Vec<u64>,
+        ) -> bool {
+            state.extend(match self.busy {
+                Some((core, ends_at)) => [core.index() as u64 + 1, ends_at - now],
+                None => [0, 0],
+            });
+            for slot in &self.pending {
+                state.extend(slot.map_or([0, 0], |(dur, at)| [dur as u64, now - at]));
+            }
+            state.push(self.cursor as u64);
+            self.trace.limit_cycle_counters(counters);
+            counters.push(self.idle);
+            true
+        }
+
+        fn limit_cycle_jump(&mut self, periods: u64, shift: Cycle, deltas: &[u64]) {
+            self.idle += periods * self.trace.limit_cycle_jump(periods, shift, deltas)[0];
+            if let Some((_, ends_at)) = &mut self.busy {
+                *ends_at += shift;
+            }
+            for (_, at) in self.pending.iter_mut().flatten() {
+                *at += shift;
+            }
+            self.jumps += 1;
+        }
+    }
+
+    thread_local! {
+        /// Limit-cycle jumps taken by `Feeder`s on this test's thread.
+        static FEEDER_JUMPS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Posts `dur`-cycle requests, each `gap` cycles after the previous
+    /// one completed; finite when `total` is set. Counts the cycles it
+    /// stalls on the bus, ticked or absorbed.
+    struct Feeder {
+        core: CoreId,
+        dur: u32,
+        gap: Cycle,
+        total: Option<u64>,
+        /// Next post cycle; `None` while waiting on the bus or done.
+        post_at: Option<Cycle>,
+        completed: u64,
+        stalled: u64,
+        done_at: Option<Cycle>,
+        opt_in: bool,
+    }
+
+    impl Feeder {
+        fn new(core: usize, dur: u32, gap: Cycle, total: Option<u64>) -> Self {
+            let core = CoreId::from_index(core);
+            let (post_at, completed, stalled, done_at) = (Some(gap), 0, 0, None);
+            let opt_in = true;
+            Feeder {
+                core,
+                dur,
+                gap,
+                total,
+                post_at,
+                completed,
+                stalled,
+                done_at,
+                opt_in,
+            }
+        }
+
+        fn waiting(&self) -> bool {
+            self.post_at.is_none() && self.done_at.is_none()
+        }
+    }
+
+    impl SimAgent<Ring, CoreId> for Feeder {
+        fn tick(&mut self, now: Cycle, done: Option<&CoreId>, bus: &mut Ring) -> Control {
+            self.stalled += self.waiting() as u64;
+            if done == Some(&self.core) {
+                self.completed += 1;
+                if Some(self.completed) == self.total {
+                    self.done_at = Some(now);
+                } else {
+                    self.post_at = Some(now + self.gap);
+                }
+            }
+            if self.post_at.is_some_and(|t| now >= t) {
+                bus.post((self.core, self.dur, now)).unwrap();
+                self.post_at = None;
+            }
+            Control::Sleep(self.post_at.unwrap_or(Cycle::MAX))
+        }
+
+        fn wake_at(&self) -> Option<Cycle> {
+            Some(self.post_at.unwrap_or(Cycle::MAX))
+        }
+
+        fn is_done(&self) -> bool {
+            self.done_at.is_some()
+        }
+
+        fn done_at(&self) -> Option<Cycle> {
+            self.done_at
+        }
+
+        fn absorb_skipped(&mut self, skipped: u64) {
+            self.stalled += self.waiting() as u64 * skipped;
+        }
+
+        fn reset(&mut self, _rng: &mut SimRng) {}
+
+        fn stats(&self) -> AgentStats {
+            AgentStats {
+                completed: self.completed,
+                bus_stall_cycles: self.stalled,
+                done_at: self.done_at,
+                ..Default::default()
+            }
+        }
+
+        fn limit_cycle_state(
+            &self,
+            now: Cycle,
+            state: &mut Vec<u64>,
+            counters: &mut Vec<u64>,
+        ) -> bool {
+            state.extend(match (self.post_at, self.done_at) {
+                (Some(t), _) => [0, t - now],
+                (None, None) => [1, 0],
+                (None, Some(_)) => [2, 0],
+            });
+            counters.extend([self.completed, self.stalled]);
+            self.opt_in
+        }
+
+        fn limit_cycle_bound(&self, deltas: &[u64]) -> u64 {
+            let left = self
+                .total
+                .map_or(u64::MAX, |n| (n - self.completed).saturating_sub(1));
+            left.checked_div(deltas[0]).unwrap_or(u64::MAX)
+        }
+
+        fn limit_cycle_jump(&mut self, periods: u64, shift: Cycle, deltas: &[u64]) {
+            if let Some(t) = &mut self.post_at {
+                *t += shift;
+            }
+            self.completed += periods * deltas[0];
+            self.stalled += periods * deltas[1];
+            FEEDER_JUMPS.with(|j| j.set(j.get() + 1));
+        }
+    }
+
+    /// A task of `tua` requests (endless for `None`) on core 0 against a
+    /// saturating and a gapped feeder; core 3 is left free.
+    fn ring(engine: Engine, tua: Option<u64>) -> SimulationBuilder<Ring> {
+        let model = Ring {
+            trace: GrantTrace::counting(4),
+            pending: vec![None; 4],
+            busy: None,
+            cursor: 0,
+            idle: 0,
+            jumps: 0,
+        };
+        Simulation::builder()
+            .model(model)
+            .agent(Feeder::new(0, 3, 2, tua))
+            .agent(Feeder::new(1, 5, 0, None))
+            .agent(Idle::new())
+            .agent(Feeder::new(2, 4, 7, None))
+            .stop(StopWhen::AgentDone(0))
+            .engine(engine)
+            .max_cycles(1_000_000)
+    }
+
+    /// Outcome, model counters and every agent's statistics.
+    fn observed<P: Probe<CoreId>>(sim: &Simulation<Ring, P>) -> impl PartialEq + std::fmt::Debug {
+        let model = sim.model();
+        let mut counters = vec![model.idle, model.trace.last_end()];
+        model.trace.limit_cycle_counters(&mut counters);
+        let stats: Vec<AgentStats> = sim.agents().iter().map(|a| a.stats()).collect();
+        (sim.outcome(), counters, stats)
+    }
+
+    /// Runs the builder under both engines and checks the events run
+    /// against the naive one; returns the events run's jumps as counted
+    /// by the model and by the agents.
+    fn jumps_matching_naive(build: impl Fn(Engine) -> SimulationBuilder<Ring>) -> (u64, u64) {
+        FEEDER_JUMPS.with(|j| j.set(0));
+        let naive = build(Engine::Naive).run();
+        assert_eq!(naive.model().jumps + FEEDER_JUMPS.with(Cell::get), 0);
+        let events = build(Engine::Events).run();
+        assert_eq!(observed(&events), observed(&naive));
+        (events.model().jumps, FEEDER_JUMPS.with(Cell::get))
+    }
+
+    #[test]
+    fn limit_cycle_jump_matches_the_naive_loop() {
+        let (model, agents) = jumps_matching_naive(|e| ring(e, Some(400)));
+        assert!(model > 0, "a periodic run must jump");
+        assert_eq!(agents, 3 * model, "every active agent joins every jump");
+    }
+
+    #[test]
+    fn limit_cycle_jump_stays_exact_at_every_horizon_and_limit() {
+        // An endless run ended by a horizon or the safety limit at every
+        // offset into its period (a dozen cycles).
+        for h in 5_000..5_040 {
+            let horizon = |e| ring(e, None).stop(StopWhen::Horizon(h));
+            assert!(jumps_matching_naive(horizon).0 > 0, "horizon {h}");
+            let limit = |e| ring(e, None).max_cycles(h);
+            assert!(jumps_matching_naive(limit).0 > 0, "max_cycles {h}");
+        }
+    }
+
+    #[test]
+    fn an_active_probe_keeps_the_run_out_of_the_jump() {
+        FEEDER_JUMPS.with(|j| j.set(0));
+        let probed = |e| ring(e, Some(400)).observe(CountingProbe::default()).run();
+        let (naive, events) = (probed(Engine::Naive), probed(Engine::Events));
+        assert_eq!(observed(&events), observed(&naive));
+        assert_eq!(events.probe().grants, naive.probe().grants);
+        assert_eq!(events.probe().completions, naive.probe().completions);
+        assert_eq!(events.model().jumps + FEEDER_JUMPS.with(Cell::get), 0);
+    }
+
+    #[test]
+    fn one_declining_agent_keeps_the_run_out_of_the_jump() {
+        let with_core_3 = |opt_in: bool| {
+            move |e| {
+                let mut stubborn = Feeder::new(3, 2, 9, None);
+                stubborn.opt_in = opt_in;
+                ring(e, Some(400)).agent(stubborn)
+            }
+        };
+        assert_eq!(jumps_matching_naive(with_core_3(false)), (0, 0));
+        // The same agent accepting the hooks lets the run jump again.
+        assert!(jumps_matching_naive(with_core_3(true)).0 > 0);
     }
 }

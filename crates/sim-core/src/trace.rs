@@ -120,6 +120,39 @@ impl GrantTrace {
         self.last_end = 0;
     }
 
+    /// Appends the per-core grant counts, then the per-core busy cycles, to
+    /// `counters` — the totals a limit-cycle jump extrapolates (see
+    /// [`BusModel::limit_cycle_state`](crate::BusModel::limit_cycle_state)).
+    /// Returns `false` for a recording trace, whose individual records a
+    /// jump cannot replay.
+    pub fn limit_cycle_counters(&self, counters: &mut Vec<u64>) -> bool {
+        counters.extend(&self.slots);
+        counters.extend(&self.busy_cycles);
+        self.records.is_none()
+    }
+
+    /// Repeats `periods` periods of `shift / periods` cycles each: the
+    /// totals grow by `periods` times their `deltas` (in the order of
+    /// [`GrantTrace::limit_cycle_counters`]), and when the period held a
+    /// grant, the latest grant end moves `shift` cycles later. Returns the
+    /// deltas left over for the caller's own counters.
+    pub fn limit_cycle_jump<'d>(
+        &mut self,
+        periods: u64,
+        shift: Cycle,
+        deltas: &'d [u64],
+    ) -> &'d [u64] {
+        let n = self.slots.len();
+        let totals = self.slots.iter_mut().chain(&mut self.busy_cycles);
+        for (total, d) in totals.zip(deltas) {
+            *total += periods * d;
+        }
+        if deltas[..n].iter().any(|&d| d > 0) {
+            self.last_end += shift;
+        }
+        &deltas[2 * n..]
+    }
+
     /// Grants issued to `core`.
     pub fn slots(&self, core: CoreId) -> u64 {
         self.slots[core.index()]

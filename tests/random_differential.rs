@@ -1,11 +1,8 @@
 //! Randomized differential testing — a seeded scenario generator drives
-//! hundreds of platform/load/policy combinations through all three cycle
-//! engines and cross-checks them:
-//!
-//! * `naive` ≡ `events`, bit-for-bit (the engines implement the same
-//!   discrete protocol; any divergence is a bug, not an approximation);
-//! * `fluid` within the published accuracy envelope (per-core shares
-//!   within 2% absolute, total completion within 5% relative).
+//! hundreds of platform/load/policy combinations through both cycle
+//! engines and cross-checks that `naive` ≡ `events`, bit-for-bit (the
+//! engines implement the same discrete protocol; any divergence is a bug,
+//! not an approximation).
 //!
 //! Every failure message leads with the master seed and the cell index,
 //! so `CBA_DIFF_SEED=<seed> cargo test -q random_differential` reproduces
@@ -31,9 +28,6 @@ use sim_core::rng::SimRng;
 const FLAT_CELLS: usize = 160;
 const FABRIC_CELLS: usize = 48;
 const MEM_CELLS: usize = 48;
-
-const SHARE_TOLERANCE_ABS: f64 = 0.02;
-const COMPLETION_TOLERANCE_REL: f64 = 0.05;
 
 fn master_seed() -> u64 {
     match std::env::var("CBA_DIFF_SEED") {
@@ -159,7 +153,7 @@ fn run_with(spec: &RunSpec, drive: DriveMode, seed: u64) -> RunResult {
     run_once(&s, seed)
 }
 
-/// Cross-checks one generated cell through all three engines. `repro`
+/// Cross-checks one generated cell through both engines. `repro`
 /// identifies the failing cell for reproduction.
 fn check_cell(spec: &RunSpec, seed: u64, repro: &str) {
     let naive = run_with(spec, DriveMode::Naive, seed);
@@ -167,26 +161,6 @@ fn check_cell(spec: &RunSpec, seed: u64, repro: &str) {
     assert_eq!(
         naive, events,
         "{repro}: naive and events engines diverged\nspec: {spec:?}"
-    );
-
-    let fluid = run_with(spec, DriveMode::Fluid, seed);
-    assert_eq!(
-        events.finished, fluid.finished,
-        "{repro}: engines disagree on run completion\nspec: {spec:?}"
-    );
-    for core in 0..events.bus_busy.len() {
-        let want = events.absolute_cycle_share(core);
-        let got = fluid.absolute_cycle_share(core);
-        assert!(
-            (want - got).abs() <= SHARE_TOLERANCE_ABS,
-            "{repro}: core {core} share {want:.4} (events) vs {got:.4} (fluid)\nspec: {spec:?}"
-        );
-    }
-    let want = events.total_cycles as f64;
-    let got = fluid.total_cycles as f64;
-    assert!(
-        (want - got).abs() / want.max(1.0) <= COMPLETION_TOLERANCE_REL,
-        "{repro}: total {want} (events) vs {got} (fluid)\nspec: {spec:?}"
     );
 }
 
@@ -271,9 +245,9 @@ fn gen_mem_spec(rng: &mut SimRng) -> RunSpec {
     spec
 }
 
-/// Memory-agent cells through all three engines: MESI coherence chains,
+/// Memory-agent cells through both engines: MESI coherence chains,
 /// per-core cache hierarchies and the agents' retry loops must agree
-/// bit-for-bit between naive and events and sit inside the fluid envelope.
+/// bit-for-bit between naive and events.
 #[test]
 fn randomized_mem_cells_agree_across_engines() {
     let master = master_seed();
