@@ -35,8 +35,8 @@ pub enum CoreLoad {
         accesses: u64,
     },
     /// A saturating contender: always one `duration`-cycle request posted
-    /// (the WCET-mode contention generator; duration is clamped nowhere —
-    /// it must not exceed the platform MaxL).
+    /// (the WCET-mode contention generator; [`RunSpec::validate`] rejects
+    /// a duration above the platform MaxL).
     Saturating {
         /// Bus hold time per request.
         duration: u32,
@@ -279,6 +279,19 @@ impl RunSpec {
                 self.loads.len()
             ));
         }
+        let maxl = self.platform.latency.max_latency();
+        for (core, load) in self.loads.iter().enumerate() {
+            if let CoreLoad::Saturating { duration }
+            | CoreLoad::Periodic { duration, .. }
+            | CoreLoad::FixedTask { duration, .. } = load
+            {
+                if *duration > maxl {
+                    return Err(format!(
+                        "core {core} load '{load}': duration {duration} exceeds MaxL {maxl}"
+                    ));
+                }
+            }
+        }
         match self.stop {
             StopCondition::TuaDone => {
                 if !self.loads[0].is_finite() {
@@ -363,7 +376,6 @@ impl RunSpec {
             }
         }
         if let Some(topo) = &self.platform.topology {
-            let maxl = self.platform.latency.max_latency();
             if topo.clusters == 0 || topo.cores_per_cluster == 0 {
                 return Err("topology needs at least one cluster and one core each".into());
             }

@@ -200,8 +200,10 @@ impl CellReport {
     /// cross-cluster fairness index for fabric cells.
     ///
     /// Delegates to the same streaming `CellAccumulator` the scenario
-    /// engine folds live runs into, so flag-mode campaigns and grid cells
-    /// share one aggregation path (and one set of numerics).
+    /// engine folds live runs into, so a hand-run [`Campaign`] and a grid
+    /// cell share one aggregation path (and one set of numerics).
+    ///
+    /// [`Campaign`]: crate::Campaign
     pub fn from_campaign(
         labels: Vec<(String, String)>,
         seed: u64,

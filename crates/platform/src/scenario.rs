@@ -13,8 +13,14 @@
 //!   materialized by [`ScenarioDef::expand`] into [`Cell`]s, each with a
 //!   stable per-cell seed derived from the master seed and the axis
 //!   indices;
-//! * [`crate::report::run_scenario`] executes the cells as Monte-Carlo
-//!   [`Campaign`](crate::Campaign)s and aggregates the results.
+//! * [`crate::report::run_scenario`] runs every *(cell × run)* on one
+//!   grid-wide pool and folds each cell's runs into its report row.
+//!
+//! Every key is one entry of the [`KEYS`] table: its section, name and
+//! sweep axis, the one setter that file lines, sweep axes and `cba_sim`
+//! flags all go through ([`ScenarioDef::set`]), and the renderer behind
+//! [`ScenarioDef::render`]. The key lists in error messages and in
+//! `cba_sim`'s usage text are generated from it.
 //!
 //! The format is deliberately not TOML/YAML/JSON: the workspace builds
 //! offline with zero external crates (the same constraint that motivated
@@ -56,7 +62,9 @@ use cba::CreditConfig;
 use cba_bus::PolicyKind;
 use cba_mem::{HierarchyConfig, LatencyModel, MemoryConfig};
 use cba_workloads::{profile_by_name, EembcProfile};
+use std::borrow::Cow;
 use std::fmt;
+use std::str::FromStr;
 
 /// A parse, expansion or execution error, with the scenario-file line
 /// number when one is known.
@@ -103,7 +111,8 @@ pub enum TuaSpec {
     Load(String),
     /// A catalog benchmark profile with optional knob overrides
     /// (`accesses`, `burst`, `gap`, `between`, `p_store`, ...), applied in
-    /// order at build time.
+    /// order at build time. The parser keeps one override per knob, in
+    /// [`KEYS`] order, the order [`ScenarioDef::render`] writes them.
     Profile {
         /// Catalog benchmark name (see `cba_workloads::suite`).
         name: String,
@@ -281,7 +290,7 @@ impl AxisValue {
 /// One sweep axis: a key and the values it takes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Axis {
-    /// Sweep key (see [`SWEEP_KEYS`]).
+    /// Axis name (see [`axes`]).
     pub key: String,
     /// The axis values, in declaration order.
     pub values: Vec<AxisValue>,
@@ -348,15 +357,6 @@ pub struct CheckpointSpec {
     pub run_budget_cycles: Option<u64>,
 }
 
-impl CheckpointSpec {
-    /// True when every key is at its default (the section renders only
-    /// when this is false, keeping pre-checkpoint scenario renders
-    /// byte-identical).
-    pub fn is_default(&self) -> bool {
-        *self == CheckpointSpec::default()
-    }
-}
-
 /// A parsed (or programmatically built) scenario: campaign metadata, the
 /// run template, the sweep axes and the report shape.
 #[derive(Debug, Clone, PartialEq)]
@@ -402,39 +402,6 @@ impl Cell {
     }
 }
 
-/// The sweepable axis keys, in documentation order.
-pub const SWEEP_KEYS: &[&str] = &[
-    "bench",
-    "setup",
-    "scenario",
-    "cores",
-    "policy",
-    "cba",
-    "weights",
-    "caps",
-    "duration",
-    "tua",
-    "fill",
-    "clusters",
-    "bridge_latency",
-    "bridge_depth",
-    "cluster_cba",
-    "backbone_cba",
-    "mem_working_set",
-    "share_frac",
-    "write_frac",
-    "l1_sets",
-    "accesses",
-    "working_set",
-    "p_random",
-    "p_store",
-    "p_atomic",
-    "p_ifetch",
-    "burst",
-    "gap",
-    "between",
-];
-
 impl Default for ScenarioDef {
     fn default() -> Self {
         ScenarioDef {
@@ -451,7 +418,8 @@ impl Default for ScenarioDef {
 }
 
 impl ScenarioDef {
-    /// Parses the scenario-file format.
+    /// Parses the scenario-file format: every `key = value` line goes
+    /// through [`set`](Self::set), every `[sweep]` line declares an axis.
     ///
     /// # Errors
     ///
@@ -459,9 +427,9 @@ impl ScenarioDef {
     /// for unknown sections/keys, malformed values, or duplicate axes.
     pub fn parse(text: &str) -> Result<Self, ScenarioError> {
         let mut def = ScenarioDef::default();
-        let mut section = String::new();
+        let mut section = Cow::Borrowed("");
         for (i, raw_line) in text.lines().enumerate() {
-            let lineno = i + 1;
+            let at = |msg: String| ScenarioError::at(i + 1, msg);
             // Strip comments ('#' to end of line) and whitespace.
             let line = match raw_line.find('#') {
                 Some(pos) => &raw_line[..pos],
@@ -474,423 +442,90 @@ impl ScenarioDef {
             if let Some(name) = line.strip_prefix('[') {
                 let name = name
                     .strip_suffix(']')
-                    .ok_or_else(|| ScenarioError::at(lineno, "unterminated section header"))?
-                    .trim()
-                    .to_ascii_lowercase();
-                match name.as_str() {
-                    "campaign" | "platform" | "tua" | "contenders" | "sweep" | "report"
-                    | "checkpoint" => {
-                        section = name;
-                    }
-                    "topology" => {
-                        def.template.topology.get_or_insert_with(Default::default);
-                        section = name;
-                    }
-                    "memory" => {
-                        def.template.memory.get_or_insert_with(Default::default);
-                        section = name;
-                    }
-                    other => {
-                        return Err(ScenarioError::at(
-                            lineno,
-                            format!(
-                                "unknown section '[{other}]' (expected [campaign], [platform], \
-                                 [topology], [memory], [tua], [contenders], [sweep], [report] or \
-                                 [checkpoint])"
-                            ),
-                        ))
-                    }
+                    .ok_or_else(|| at("unterminated section header".into()))?;
+                let name = lower(name.trim());
+                if !KEYS.iter().any(|k| k.section == name) {
+                    let mut expected: Vec<String> =
+                        sections().iter().map(|s| format!("[{s}]")).collect();
+                    let last = expected.pop().unwrap_or_default();
+                    return Err(at(format!(
+                        "unknown section '[{name}]' (expected {} or {last})",
+                        expected.join(", ")
+                    )));
                 }
+                def.open(&name);
+                section = name;
                 continue;
             }
-            let (key, value) = line.split_once('=').ok_or_else(|| {
-                ScenarioError::at(lineno, format!("expected 'key = value', got '{line}'"))
-            })?;
-            let key = key.trim().to_ascii_lowercase();
+            let (key, value) = line
+                .split_once('=')
+                .ok_or_else(|| at(format!("expected 'key = value', got '{line}'")))?;
+            let key = lower(key.trim());
             let value = value.trim();
             if value.is_empty() {
-                return Err(ScenarioError::at(
-                    lineno,
-                    format!("key '{key}' has no value"),
-                ));
+                return Err(at(format!("key '{key}' has no value")));
             }
-            match section.as_str() {
-                "" => {
-                    return Err(ScenarioError::at(
-                        lineno,
-                        format!("key '{key}' before any [section] header"),
-                    ))
-                }
-                "campaign" => def.parse_campaign_key(&key, value, lineno)?,
-                "platform" => def.parse_platform_key(&key, value, lineno)?,
-                "topology" => def.parse_topology_key(&key, value, lineno)?,
-                "memory" => def.parse_memory_key(&key, value, lineno)?,
-                "tua" => def.parse_tua_key(&key, value, lineno)?,
-                "contenders" => def.parse_contenders_key(&key, value, lineno)?,
-                "sweep" => def.parse_sweep_key(&key, value, lineno)?,
-                "report" => def.parse_report_key(&key, value, lineno)?,
-                "checkpoint" => def.parse_checkpoint_key(&key, value, lineno)?,
-                _ => unreachable!("sections are validated above"),
+            match section.as_ref() {
+                "" => Err(format!("key '{key}' before any [section] header")),
+                "sweep" => def.add_axis(&key, value),
+                _ => def.set(&section, &key, value).map(drop),
             }
+            .map_err(at)?;
         }
         Ok(def)
     }
 
-    fn parse_campaign_key(
-        &mut self,
-        key: &str,
-        value: &str,
-        lineno: usize,
-    ) -> Result<(), ScenarioError> {
-        match key {
-            "name" => self.name = value.to_string(),
-            "runs" => {
-                self.runs = parse_num(value, "runs", lineno)?;
-                if self.runs == 0 {
-                    return Err(ScenarioError::at(lineno, "runs must be positive"));
-                }
-            }
-            "seed" => self.seed = parse_num(value, "seed", lineno)?,
-            "threads" => {
-                let n: usize = parse_num(value, "threads", lineno)?;
-                self.threads = if n == 0 { None } else { Some(n) };
-            }
-            other => {
-                return Err(ScenarioError::at(
-                    lineno,
-                    format!(
-                        "unknown [campaign] key '{other}' (expected name, runs, seed, threads)"
-                    ),
-                ))
-            }
+    /// Sets one key exactly as the line `key = value` under `[section]`
+    /// would, and returns the value's canonical cell label (`RR` for
+    /// `policy = rr`, `H-CBA` for `setup = hcba`, the raw value for most
+    /// keys).
+    ///
+    /// With `section = "sweep"`, `key` names a sweep axis and `value` is
+    /// one of its values, applied the way [`expand`](Self::expand)
+    /// applies a grid point. File lines, sweep axes and `cba_sim` flags
+    /// all reach a key through its one setter in [`KEYS`], so they accept
+    /// the same values and fail with the same messages.
+    ///
+    /// # Errors
+    ///
+    /// An unknown key (the message lists the section's keys) or a value
+    /// the key rejects.
+    pub fn set(&mut self, section: &str, key: &str, value: &str) -> Result<String, String> {
+        let entry = Key::find(section, key)?;
+        if section != "sweep" {
+            self.open(section);
         }
-        Ok(())
+        (entry.set)(self, entry, value)
     }
 
-    fn parse_platform_key(
-        &mut self,
-        key: &str,
-        value: &str,
-        lineno: usize,
-    ) -> Result<(), ScenarioError> {
-        let t = &mut self.template;
-        match key {
-            "cores" => t.cores = parse_num(value, "cores", lineno)?,
-            "policy" => {
-                parse_policy(value).map_err(|e| ScenarioError::at(lineno, e))?;
-                t.policy = value.to_string();
+    /// Creates the optional template a `[topology]` or `[memory]` section
+    /// declares (with every key at its default).
+    fn open(&mut self, section: &str) {
+        match section {
+            "topology" => {
+                self.template.topology.get_or_insert_with(Default::default);
             }
-            "cba" => t.cba = value.to_string(),
-            "caps" => t.caps = Some(value.to_string()),
-            "lfsr" => t.lfsr = parse_switch(value, "lfsr", lineno)?,
-            "engine" => {
-                parse_engine(value).map_err(|e| ScenarioError::at(lineno, e))?;
-                t.engine = value.to_string();
+            "memory" => {
+                self.template.memory.get_or_insert_with(Default::default);
             }
-            other => {
-                return Err(ScenarioError::at(
-                    lineno,
-                    format!(
-                        "unknown [platform] key '{other}' (expected cores, policy, cba, caps, \
-                         lfsr, engine)"
-                    ),
-                ))
-            }
+            _ => {}
         }
-        Ok(())
     }
 
-    fn parse_topology_key(
-        &mut self,
-        key: &str,
-        value: &str,
-        lineno: usize,
-    ) -> Result<(), ScenarioError> {
-        let topo = self
-            .template
-            .topology
-            .as_mut()
-            .expect("[topology] section initializes the template");
-        match key {
-            "clusters" => {
-                topo.clusters = parse_num(value, "clusters", lineno)?;
-                if topo.clusters == 0 {
-                    return Err(ScenarioError::at(lineno, "clusters must be positive"));
-                }
-            }
-            "cores_per_cluster" => {
-                topo.cores_per_cluster = parse_num(value, "cores_per_cluster", lineno)?;
-                if topo.cores_per_cluster == 0 {
-                    return Err(ScenarioError::at(
-                        lineno,
-                        "cores_per_cluster must be positive",
-                    ));
-                }
-            }
-            "bridge_latency" => {
-                topo.bridge_latency = parse_num(value, "bridge_latency", lineno)?;
-                if topo.bridge_latency == 0 {
-                    return Err(ScenarioError::at(
-                        lineno,
-                        "bridge_latency must be at least 1",
-                    ));
-                }
-            }
-            "bridge_depth" => {
-                topo.bridge_depth = parse_num(value, "bridge_depth", lineno)?;
-                if topo.bridge_depth == 0 {
-                    return Err(ScenarioError::at(lineno, "bridge_depth must be at least 1"));
-                }
-            }
-            "cluster_policy" => {
-                parse_policy(value).map_err(|e| ScenarioError::at(lineno, e))?;
-                topo.cluster_policy = Some(value.to_string());
-            }
-            "backbone_policy" => {
-                parse_policy(value).map_err(|e| ScenarioError::at(lineno, e))?;
-                topo.backbone_policy = Some(value.to_string());
-            }
-            "cluster_cba" => topo.cluster_cba = value.to_string(),
-            "cluster_caps" => topo.cluster_caps = Some(value.to_string()),
-            "backbone_cba" => topo.backbone_cba = Some(value.to_string()),
-            "backbone_caps" => topo.backbone_caps = Some(value.to_string()),
-            other => {
-                return Err(ScenarioError::at(
-                    lineno,
-                    format!(
-                        "unknown [topology] key '{other}' (expected clusters, \
-                         cores_per_cluster, bridge_latency, bridge_depth, cluster_policy, \
-                         cluster_cba, cluster_caps, backbone_policy, backbone_cba, \
-                         backbone_caps)"
-                    ),
-                ))
-            }
-        }
-        Ok(())
-    }
-
-    fn parse_memory_key(
-        &mut self,
-        key: &str,
-        value: &str,
-        lineno: usize,
-    ) -> Result<(), ScenarioError> {
-        let mem = self
-            .template
-            .memory
-            .as_mut()
-            .expect("[memory] section initializes the template");
-        let frac = |value: &str, what: &str| -> Result<f64, ScenarioError> {
-            let f: f64 = value.parse().map_err(|_| {
-                ScenarioError::at(lineno, format!("bad fraction '{value}' for '{what}'"))
-            })?;
-            if !(0.0..=1.0).contains(&f) {
-                return Err(ScenarioError::at(
-                    lineno,
-                    format!("{what} must be within [0, 1], got {f}"),
-                ));
-            }
-            Ok(f)
-        };
-        match key {
-            "working_set" => {
-                mem.working_set = parse_num(value, "working_set", lineno)?;
-                if mem.working_set < cba_mem::coherence::SHARED_LINE_BYTES {
-                    return Err(ScenarioError::at(
-                        lineno,
-                        format!(
-                            "working_set must be at least one {}-byte line",
-                            cba_mem::coherence::SHARED_LINE_BYTES
-                        ),
-                    ));
-                }
-            }
-            "accesses" => {
-                mem.accesses = parse_num(value, "accesses", lineno)?;
-                if mem.accesses == 0 {
-                    return Err(ScenarioError::at(lineno, "accesses must be positive"));
-                }
-            }
-            "write_frac" => mem.write_frac = frac(value, "write_frac")?,
-            "share_frac" => mem.share_frac = frac(value, "share_frac")?,
-            "locality" => mem.locality = frac(value, "locality")?,
-            "shared_lines" => {
-                mem.shared_lines = parse_num(value, "shared_lines", lineno)?;
-                if mem.shared_lines == 0 {
-                    return Err(ScenarioError::at(lineno, "shared_lines must be positive"));
-                }
-            }
-            "think" => mem.think = parse_num(value, "think", lineno)?,
-            "l1_sets" => {
-                mem.l1_sets = parse_num(value, "l1_sets", lineno)?;
-            }
-            "l1_ways" => {
-                mem.l1_ways = parse_num(value, "l1_ways", lineno)?;
-            }
-            other => {
-                return Err(ScenarioError::at(
-                    lineno,
-                    format!(
-                        "unknown [memory] key '{other}' (expected working_set, accesses, \
-                         write_frac, share_frac, shared_lines, locality, think, l1_sets, \
-                         l1_ways)"
-                    ),
-                ))
-            }
-        }
-        Ok(())
-    }
-
-    fn parse_tua_key(
-        &mut self,
-        key: &str,
-        value: &str,
-        lineno: usize,
-    ) -> Result<(), ScenarioError> {
-        let t = &mut self.template;
-        match key {
-            "load" => {
-                parse_load_spec(value).map_err(|e| ScenarioError::at(lineno, e))?;
-                t.tua = TuaSpec::Load(value.to_string());
-            }
-            "profile" => {
-                profile_by_name(value).ok_or_else(|| {
-                    ScenarioError::at(lineno, format!("unknown benchmark profile '{value}'"))
-                })?;
-                // Keep overrides set by earlier knob lines.
-                let overrides = match &t.tua {
-                    TuaSpec::Profile { overrides, .. } => overrides.clone(),
-                    _ => Vec::new(),
-                };
-                t.tua = TuaSpec::Profile {
-                    name: value.to_string(),
-                    overrides,
-                };
-            }
-            knob if PROFILE_KNOBS.contains(&knob) => match &mut t.tua {
-                TuaSpec::Profile { overrides, .. } => {
-                    overrides.push((knob.to_string(), value.to_string()));
-                }
-                _ => {
-                    return Err(ScenarioError::at(
-                        lineno,
-                        format!("knob '{knob}' requires 'profile = NAME' first in [tua]"),
-                    ))
-                }
-            },
-            other => {
-                return Err(ScenarioError::at(
-                    lineno,
-                    format!(
-                        "unknown [tua] key '{other}' (expected load, profile, or a profile knob: \
-                         {})",
-                        PROFILE_KNOBS.join(", ")
-                    ),
-                ))
-            }
-        }
-        Ok(())
-    }
-
-    fn parse_contenders_key(
-        &mut self,
-        key: &str,
-        value: &str,
-        lineno: usize,
-    ) -> Result<(), ScenarioError> {
-        let t = &mut self.template;
-        match key {
-            "scenario" => {
-                t.contenders = match value.to_ascii_lowercase().as_str() {
-                    "iso" => ContenderSpec::Isolation,
-                    "con" => ContenderSpec::MaxContention,
-                    "custom" => match &t.contenders {
-                        // `loads =` may already have set the list.
-                        c @ ContenderSpec::Custom(_) => c.clone(),
-                        _ => ContenderSpec::Custom(Vec::new()),
-                    },
-                    other => {
-                        return Err(ScenarioError::at(
-                            lineno,
-                            format!("unknown scenario '{other}' (expected iso, con, custom)"),
-                        ))
-                    }
-                };
-            }
-            "loads" => {
-                let specs: Vec<String> = value.split(',').map(|s| s.trim().to_string()).collect();
-                for s in &specs {
-                    parse_load_spec(s).map_err(|e| ScenarioError::at(lineno, e))?;
-                }
-                t.contenders = ContenderSpec::Custom(specs);
-            }
-            "fill" => {
-                parse_load_spec(value).map_err(|e| ScenarioError::at(lineno, e))?;
-                t.contenders = ContenderSpec::Fill(value.to_string());
-            }
-            "duration" => t.duration = Some(parse_num(value, "duration", lineno)?),
-            "wcet" => {
-                t.wcet = match value.to_ascii_lowercase().as_str() {
-                    "auto" => WcetSpec::Auto,
-                    "on" | "true" => WcetSpec::On,
-                    "off" | "false" => WcetSpec::Off,
-                    other => {
-                        return Err(ScenarioError::at(
-                            lineno,
-                            format!("unknown wcet mode '{other}' (expected auto, on, off)"),
-                        ))
-                    }
-                };
-            }
-            "stop" => {
-                parse_stop(value).map_err(|e| ScenarioError::at(lineno, e))?;
-                t.stop = value.to_string();
-            }
-            "max_cycles" => t.max_cycles = parse_num(value, "max_cycles", lineno)?,
-            "trace" => t.trace = parse_switch(value, "trace", lineno)?,
-            other => {
-                return Err(ScenarioError::at(
-                    lineno,
-                    format!(
-                        "unknown [contenders] key '{other}' (expected scenario, loads, fill, \
-                         duration, wcet, stop, max_cycles, trace)"
-                    ),
-                ))
-            }
-        }
-        Ok(())
-    }
-
-    fn parse_sweep_key(
-        &mut self,
-        key: &str,
-        value: &str,
-        lineno: usize,
-    ) -> Result<(), ScenarioError> {
-        if !SWEEP_KEYS.contains(&key) {
-            return Err(ScenarioError::at(
-                lineno,
-                format!(
-                    "unknown sweep key '{key}' (sweepable keys: {})",
-                    SWEEP_KEYS.join(", ")
-                ),
-            ));
-        }
+    /// Declares the sweep axis of one `[sweep]` line: `key` and its
+    /// comma-separated `values`. The values are applied (and checked) per
+    /// cell by [`expand`](Self::expand).
+    fn add_axis(&mut self, key: &str, values: &str) -> Result<(), String> {
+        Key::find("sweep", key)?;
         if self.axes.iter().any(|a| a.key == key) {
-            return Err(ScenarioError::at(
-                lineno,
-                format!("duplicate sweep axis '{key}'"),
-            ));
+            return Err(format!("duplicate sweep axis '{key}'"));
         }
-        let values: Vec<AxisValue> = value
+        let values: Vec<AxisValue> = values
             .split(',')
             .map(|v| AxisValue::Raw(v.trim().to_string()))
             .collect();
         if values.iter().any(|v| v.raw().is_empty()) {
-            return Err(ScenarioError::at(
-                lineno,
-                format!("sweep axis '{key}' has an empty value"),
-            ));
+            return Err(format!("sweep axis '{key}' has an empty value"));
         }
         self.axes.push(Axis {
             key: key.to_string(),
@@ -899,263 +534,40 @@ impl ScenarioDef {
         Ok(())
     }
 
-    fn parse_report_key(
-        &mut self,
-        key: &str,
-        value: &str,
-        lineno: usize,
-    ) -> Result<(), ScenarioError> {
-        match key {
-            "baseline" => {
-                let mut selector = Vec::new();
-                for pair in value.split(',') {
-                    let (k, v) = pair.trim().split_once('=').ok_or_else(|| {
-                        ScenarioError::at(
-                            lineno,
-                            format!("baseline entry '{}' is not 'axis=value'", pair.trim()),
-                        )
-                    })?;
-                    selector.push((k.trim().to_string(), v.trim().to_string()));
-                }
-                self.report.baseline = selector;
-            }
-            "percentiles" => {
-                let mut qs = Vec::new();
-                for p in value.split(',') {
-                    let pct: f64 = p.trim().parse().map_err(|_| {
-                        ScenarioError::at(lineno, format!("bad percentile '{}'", p.trim()))
-                    })?;
-                    if !(0.0..=100.0).contains(&pct) {
-                        return Err(ScenarioError::at(
-                            lineno,
-                            format!("percentile {pct} outside [0, 100]"),
-                        ));
-                    }
-                    qs.push(pct / 100.0);
-                }
-                self.report.percentiles = qs;
-            }
-            "windows" => {
-                let n: u32 = parse_num(value, "windows", lineno)?;
-                if n == 0 {
-                    return Err(ScenarioError::at(lineno, "windows must be positive"));
-                }
-                self.report.windows = Some(n);
-            }
-            "pwcet" => {
-                let mut ps = Vec::new();
-                for p in value.split(',') {
-                    let prob: f64 = p.trim().parse().map_err(|_| {
-                        ScenarioError::at(lineno, format!("bad pwcet probability '{}'", p.trim()))
-                    })?;
-                    if !(prob > 0.0 && prob < 1.0) {
-                        return Err(ScenarioError::at(
-                            lineno,
-                            format!("pwcet probability {prob} outside (0, 1)"),
-                        ));
-                    }
-                    ps.push(prob);
-                }
-                self.report.pwcet = ps;
-            }
-            other => {
-                return Err(ScenarioError::at(
-                    lineno,
-                    format!(
-                        "unknown [report] key '{other}' (expected baseline, percentiles, windows, pwcet)"
-                    ),
-                ))
-            }
-        }
-        Ok(())
-    }
-
-    fn parse_checkpoint_key(
-        &mut self,
-        key: &str,
-        value: &str,
-        lineno: usize,
-    ) -> Result<(), ScenarioError> {
-        match key {
-            "dir" => self.checkpoint.dir = Some(value.to_string()),
-            "cell_budget_ms" => {
-                let ms: u64 = parse_num(value, "cell_budget_ms", lineno)?;
-                if ms == 0 {
-                    return Err(ScenarioError::at(lineno, "cell_budget_ms must be positive"));
-                }
-                self.checkpoint.cell_budget_ms = Some(ms);
-            }
-            "run_budget_cycles" => {
-                let cycles: u64 = parse_num(value, "run_budget_cycles", lineno)?;
-                if cycles == 0 {
-                    return Err(ScenarioError::at(
-                        lineno,
-                        "run_budget_cycles must be positive",
-                    ));
-                }
-                self.checkpoint.run_budget_cycles = Some(cycles);
-            }
-            other => {
-                return Err(ScenarioError::at(
-                    lineno,
-                    format!(
-                        "unknown [checkpoint] key '{other}' (expected dir, cell_budget_ms, \
-                         run_budget_cycles)"
-                    ),
-                ))
-            }
-        }
-        Ok(())
-    }
-
-    /// Renders the definition back to canonical scenario-file text:
-    /// `parse(render(def)) == def` for any parser-produced definition.
-    /// (Programmatic [`TuaSpec::Inline`] / [`AxisValue::Profile`] values
-    /// render as their catalog names, which is lossy for ad-hoc profiles.)
+    /// Renders the definition back to canonical scenario-file text by
+    /// walking [`KEYS`] in order: `parse(render(def)) == def` for any
+    /// parser-produced definition. (Programmatic [`TuaSpec::Inline`] /
+    /// [`AxisValue::Profile`] values render as their catalog names, which
+    /// is lossy for ad-hoc profiles.)
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let t = &self.template;
-        let _ = writeln!(out, "[campaign]");
-        let _ = writeln!(out, "name = {}", self.name);
-        let _ = writeln!(out, "runs = {}", self.runs);
-        let _ = writeln!(out, "seed = {}", self.seed);
-        let _ = writeln!(out, "threads = {}", self.threads.unwrap_or(0));
-        let _ = writeln!(out, "\n[platform]");
-        let _ = writeln!(out, "cores = {}", t.cores);
-        let _ = writeln!(out, "policy = {}", t.policy);
-        let _ = writeln!(out, "cba = {}", t.cba);
-        if let Some(caps) = &t.caps {
-            let _ = writeln!(out, "caps = {caps}");
-        }
-        let _ = writeln!(out, "lfsr = {}", switch(t.lfsr));
-        let _ = writeln!(out, "engine = {}", t.engine);
-        if let Some(topo) = &t.topology {
-            let _ = writeln!(out, "\n[topology]");
-            let _ = writeln!(out, "clusters = {}", topo.clusters);
-            let _ = writeln!(out, "cores_per_cluster = {}", topo.cores_per_cluster);
-            let _ = writeln!(out, "bridge_latency = {}", topo.bridge_latency);
-            let _ = writeln!(out, "bridge_depth = {}", topo.bridge_depth);
-            if let Some(p) = &topo.cluster_policy {
-                let _ = writeln!(out, "cluster_policy = {p}");
-            }
-            let _ = writeln!(out, "cluster_cba = {}", topo.cluster_cba);
-            if let Some(c) = &topo.cluster_caps {
-                let _ = writeln!(out, "cluster_caps = {c}");
-            }
-            if let Some(p) = &topo.backbone_policy {
-                let _ = writeln!(out, "backbone_policy = {p}");
-            }
-            if let Some(c) = &topo.backbone_cba {
-                let _ = writeln!(out, "backbone_cba = {c}");
-            }
-            if let Some(c) = &topo.backbone_caps {
-                let _ = writeln!(out, "backbone_caps = {c}");
-            }
-        }
-        // Emitted only when configured, so scenarios predating the
-        // [memory] section keep byte-identical canonical renders (and
-        // stable scenario hashes).
-        if let Some(mem) = &t.memory {
-            let _ = writeln!(out, "\n[memory]");
-            let _ = writeln!(out, "working_set = {}", mem.working_set);
-            let _ = writeln!(out, "accesses = {}", mem.accesses);
-            let _ = writeln!(out, "write_frac = {}", mem.write_frac);
-            let _ = writeln!(out, "share_frac = {}", mem.share_frac);
-            let _ = writeln!(out, "shared_lines = {}", mem.shared_lines);
-            let _ = writeln!(out, "locality = {}", mem.locality);
-            let _ = writeln!(out, "think = {}", mem.think);
-            let _ = writeln!(out, "l1_sets = {}", mem.l1_sets);
-            let _ = writeln!(out, "l1_ways = {}", mem.l1_ways);
-        }
-        let _ = writeln!(out, "\n[tua]");
-        match &t.tua {
-            TuaSpec::Load(spec) => {
-                let _ = writeln!(out, "load = {spec}");
-            }
-            TuaSpec::Profile { name, overrides } => {
-                let _ = writeln!(out, "profile = {name}");
-                for (k, v) in overrides {
-                    let _ = writeln!(out, "{k} = {v}");
+        for section in sections() {
+            let mut lines = Vec::new();
+            if section == "sweep" {
+                for axis in &self.axes {
+                    let values: Vec<&str> = axis.values.iter().map(AxisValue::raw).collect();
+                    lines.push(format!("{} = {}", axis.key, values.join(",")));
                 }
             }
-            TuaSpec::Inline(profile) => {
-                let _ = writeln!(out, "profile = {}", profile.name);
+            for k in KEYS.iter().filter(|k| k.section == section) {
+                if let Some(value) = (k.render)(self, k) {
+                    lines.push(format!("{} = {value}", k.name));
+                }
             }
-        }
-        let _ = writeln!(out, "\n[contenders]");
-        match &t.contenders {
-            ContenderSpec::Isolation => {
-                let _ = writeln!(out, "scenario = iso");
+            // A section with nothing to say is left out, so scenarios
+            // predating [topology], [memory] or [checkpoint] keep
+            // byte-identical renders (and scenario hashes, so their
+            // checkpoint journals stay resumable).
+            if lines.is_empty() {
+                continue;
             }
-            ContenderSpec::MaxContention => {
-                let _ = writeln!(out, "scenario = con");
+            if !out.is_empty() {
+                out.push('\n');
             }
-            ContenderSpec::Custom(specs) => {
-                let _ = writeln!(out, "loads = {}", specs.join(","));
-            }
-            ContenderSpec::Fill(spec) => {
-                let _ = writeln!(out, "fill = {spec}");
-            }
-        }
-        if let Some(d) = t.duration {
-            let _ = writeln!(out, "duration = {d}");
-        }
-        let wcet = match t.wcet {
-            WcetSpec::Auto => "auto",
-            WcetSpec::On => "on",
-            WcetSpec::Off => "off",
-        };
-        let _ = writeln!(out, "wcet = {wcet}");
-        let _ = writeln!(out, "stop = {}", t.stop);
-        let _ = writeln!(out, "max_cycles = {}", t.max_cycles);
-        let _ = writeln!(out, "trace = {}", switch(t.trace));
-        if !self.axes.is_empty() {
-            let _ = writeln!(out, "\n[sweep]");
-            for axis in &self.axes {
-                let values: Vec<&str> = axis.values.iter().map(AxisValue::raw).collect();
-                let _ = writeln!(out, "{} = {}", axis.key, values.join(","));
-            }
-        }
-        let _ = writeln!(out, "\n[report]");
-        if let Some(w) = self.report.windows {
-            let _ = writeln!(out, "windows = {w}");
-        }
-        if !self.report.baseline.is_empty() {
-            let pairs: Vec<String> = self
-                .report
-                .baseline
-                .iter()
-                .map(|(k, v)| format!("{k}={v}"))
-                .collect();
-            let _ = writeln!(out, "baseline = {}", pairs.join(","));
-        }
-        let pcts: Vec<String> = self
-            .report
-            .percentiles
-            .iter()
-            .map(|q| format!("{}", q * 100.0))
-            .collect();
-        let _ = writeln!(out, "percentiles = {}", pcts.join(","));
-        // Only when configured: pre-pwcet scenarios keep byte-identical
-        // canonical renders (and scenario hashes, so their checkpoint
-        // journals stay resumable).
-        if !self.report.pwcet.is_empty() {
-            let ps: Vec<String> = self.report.pwcet.iter().map(|p| format!("{p:e}")).collect();
-            let _ = writeln!(out, "pwcet = {}", ps.join(","));
-        }
-        // Emitted only when configured, so scenarios predating the
-        // [checkpoint] section keep byte-identical canonical renders.
-        if !self.checkpoint.is_default() {
-            let _ = writeln!(out, "\n[checkpoint]");
-            if let Some(dir) = &self.checkpoint.dir {
-                let _ = writeln!(out, "dir = {dir}");
-            }
-            if let Some(ms) = self.checkpoint.cell_budget_ms {
-                let _ = writeln!(out, "cell_budget_ms = {ms}");
-            }
-            if let Some(cycles) = self.checkpoint.run_budget_cycles {
-                let _ = writeln!(out, "run_budget_cycles = {cycles}");
+            let _ = writeln!(out, "[{section}]");
+            for line in lines {
+                let _ = writeln!(out, "{line}");
             }
         }
         out
@@ -1208,12 +620,15 @@ impl ScenarioDef {
     }
 
     /// Materializes the cross-product of the sweep axes into run-ready
-    /// [`Cell`]s, in row-major order (last axis varies fastest).
+    /// [`Cell`]s, in row-major order (last axis varies fastest). Each
+    /// cell's axis values go through their keys' setters, as
+    /// [`set`](Self::set)`("sweep", axis, value)` would apply them, on a
+    /// fresh clone of the template.
     ///
     /// # Errors
     ///
     /// Returns the first axis-application or spec-validation error, named
-    /// with the offending cell's labels.
+    /// with the offending axis value or cell labels.
     pub fn expand(&self) -> Result<Vec<Cell>, ScenarioError> {
         for axis in &self.axes {
             if axis.values.is_empty() {
@@ -1225,6 +640,17 @@ impl ScenarioDef {
         }
         let sizes: Vec<usize> = self.axes.iter().map(|a| a.values.len()).collect();
         let total: usize = sizes.iter().product();
+        // Each axis's key is looked up once per grid, not once per cell.
+        let keys: Vec<&Key> = self
+            .axes
+            .iter()
+            .map(|a| Key::find("sweep", &a.key))
+            .collect::<Result<_, _>>()
+            .map_err(ScenarioError::new)?;
+        let mut point = ScenarioDef {
+            axes: Vec::new(),
+            ..self.clone()
+        };
         let mut cells = Vec::with_capacity(total);
         for flat in 0..total {
             let mut indices = vec![0usize; sizes.len()];
@@ -1233,30 +659,37 @@ impl ScenarioDef {
                 indices[k] = rem % sizes[k];
                 rem /= sizes[k];
             }
-            let mut template = self.template.clone();
+            // Axes set template keys only, so a fresh template is a fresh
+            // grid point.
+            point.template = self.template.clone();
             let mut labels = Vec::with_capacity(sizes.len());
-            for (k, axis) in self.axes.iter().enumerate() {
-                let label = apply_axis(&mut template, &axis.key, &axis.values[indices[k]])
-                    .map_err(|e| {
-                        ScenarioError::new(format!(
-                            "axis '{}' value '{}': {e}",
-                            axis.key,
-                            axis.values[indices[k]].raw()
-                        ))
-                    })?;
+            for ((axis, key), &i) in self.axes.iter().zip(&keys).zip(&indices) {
+                let value = &axis.values[i];
+                let label = match value {
+                    AxisValue::Raw(v) => (key.set)(&mut point, key, v),
+                    // Only the benchmark axis takes explicit profiles.
+                    AxisValue::Profile(profile) if axis.key == "bench" => {
+                        point.template.tua = TuaSpec::Inline(profile.clone());
+                        Ok(profile.name.to_string())
+                    }
+                    AxisValue::Profile(_) => {
+                        Err(format!("axis '{}' cannot take a profile value", axis.key))
+                    }
+                }
+                .map_err(|e| {
+                    ScenarioError::new(format!("axis '{}' value '{}': {e}", axis.key, value.raw()))
+                })?;
                 labels.push((axis.key.clone(), label));
             }
-            let mut spec = template.build().map_err(|e| {
+            let cell_error = |e: String| {
                 let cell: Vec<String> = labels.iter().map(|(k, v)| format!("{k}={v}")).collect();
                 ScenarioError::new(format!("cell [{}]: {e}", cell.join(", ")))
-            })?;
+            };
+            let mut spec = point.template.build().map_err(cell_error)?;
             if self.report.windows.is_some() {
                 spec.windows = self.report.windows;
-                spec.validate().map_err(|e| {
-                    let cell: Vec<String> =
-                        labels.iter().map(|(k, v)| format!("{k}={v}")).collect();
-                    ScenarioError::new(format!("cell [{}]: [report] windows: {e}", cell.join(", ")))
-                })?;
+                spec.validate()
+                    .map_err(|e| cell_error(format!("[report] windows: {e}")))?;
             }
             cells.push(Cell {
                 seed: self.cell_seed(&indices),
@@ -1269,54 +702,585 @@ impl ScenarioDef {
     }
 }
 
-fn switch(b: bool) -> &'static str {
-    if b {
-        "on"
-    } else {
-        "off"
+/// Parses one value into a definition and returns its cell label.
+type Setter = fn(&mut ScenarioDef, &Key, &str) -> Result<String, String>;
+
+/// A key's canonical value, or `None` to leave its line out.
+type Renderer = fn(&ScenarioDef, &Key) -> Option<String>;
+
+/// One scenario-file key: its section and name, the sweep axis that
+/// reaches it, and the one setter and renderer behind every surface.
+#[derive(Debug, Clone, Copy)]
+pub struct Key {
+    /// The `[section]` the key lives in; `sweep` for the axis-only
+    /// `setup` and `weights` entries.
+    pub section: &'static str,
+    /// The key name within its section.
+    pub name: &'static str,
+    /// The `[sweep]` axis that sets this key per grid point, if any.
+    pub axis: Option<&'static str>,
+    set: Setter,
+    render: Renderer,
+}
+
+/// A key of `[section]`, not yet sweepable; [`Key::set`] and
+/// [`Key::render`] give it its setter and renderer.
+const fn key(section: &'static str, name: &'static str) -> Key {
+    Key {
+        section,
+        name,
+        axis: None,
+        set: |_, k, _| Err(format!("key '{}' has no setter", k.name)),
+        render: |_, _| None,
     }
 }
 
-fn parse_num<T: std::str::FromStr>(
-    value: &str,
-    what: &str,
-    lineno: usize,
-) -> Result<T, ScenarioError> {
-    value
-        .parse()
-        .map_err(|_| ScenarioError::at(lineno, format!("bad number '{value}' for '{what}'")))
+/// A `[tua]` profile knob, sweepable under its own name.
+const fn knob(name: &'static str) -> Key {
+    key("tua", name).set(set_knob).render(render_knob).sweep()
 }
 
-fn parse_switch(value: &str, what: &str, lineno: usize) -> Result<bool, ScenarioError> {
-    match value.to_ascii_lowercase().as_str() {
+impl Key {
+    /// This key, parsed by `set`.
+    const fn set(mut self, set: Setter) -> Key {
+        self.set = set;
+        self
+    }
+
+    /// This key, rendered by `render` (without one it is never rendered).
+    const fn render(mut self, render: Renderer) -> Key {
+        self.render = render;
+        self
+    }
+
+    /// This key, sweepable as an axis of the same name.
+    const fn sweep(self) -> Key {
+        self.sweep_as(self.name)
+    }
+
+    /// This key, sweepable as axis `axis`.
+    const fn sweep_as(mut self, axis: &'static str) -> Key {
+        self.axis = Some(axis);
+        self
+    }
+
+    /// The entry of `key` under `[section]`; under `sweep`, the entry
+    /// behind the sweep axis `key`.
+    fn find(section: &str, key: &str) -> Result<&'static Key, String> {
+        if section == "sweep" {
+            return KEYS.iter().find(|k| k.axis == Some(key)).ok_or_else(|| {
+                format!(
+                    "unknown sweep key '{key}' (sweepable keys: {})",
+                    axes().join(", ")
+                )
+            });
+        }
+        KEYS.iter()
+            .find(|k| k.name == key && k.section == section)
+            .ok_or_else(|| {
+                format!(
+                    "unknown [{section}] key '{key}' (expected {})",
+                    keys_in(section).join(", ")
+                )
+            })
+    }
+}
+
+/// The scenario-file sections, in render order.
+pub fn sections() -> Vec<&'static str> {
+    let mut out: Vec<&'static str> = Vec::new();
+    for k in KEYS {
+        if !out.contains(&k.section) {
+            out.push(k.section);
+        }
+    }
+    out
+}
+
+/// The keys of `[section]`, in render order.
+pub fn keys_in(section: &str) -> Vec<&'static str> {
+    KEYS.iter()
+        .filter(|k| k.section == section)
+        .map(|k| k.name)
+        .collect()
+}
+
+/// Every sweep-axis name, in table order.
+pub fn axes() -> Vec<&'static str> {
+    KEYS.iter().filter_map(|k| k.axis).collect()
+}
+
+/// Every scenario key, in render order. Parsing, sweep expansion,
+/// [`ScenarioDef::render`], the key lists of unknown-key errors and the
+/// `cba_sim` usage text all read this one table; `scenarios/README.md`
+/// documents every entry (checked by `tests/scenario_conformance.rs`).
+pub static KEYS: &[Key] = &[
+    key("campaign", "name")
+        .set(|d, _, v| put(&mut d.name, v.to_string(), v))
+        .render(|d, _| Some(d.name.clone())),
+    key("campaign", "runs")
+        .set(|d, k, v| put(&mut d.runs, positive(k, v)?, v))
+        .render(|d, _| Some(d.runs.to_string())),
+    key("campaign", "seed")
+        .set(|d, k, v| put(&mut d.seed, num(k, v)?, v))
+        .render(|d, _| Some(d.seed.to_string())),
+    // 0 = one worker per hardware thread.
+    key("campaign", "threads")
+        .set(|d, k, v| put(&mut d.threads, Some(num(k, v)?).filter(|&n| n > 0), v))
+        .render(|d, _| Some(d.threads.unwrap_or(0).to_string())),
+    key("platform", "cores")
+        .set(|d, k, v| put(&mut d.template.cores, num(k, v)?, v))
+        .render(|d, _| Some(d.template.cores.to_string()))
+        .sweep(),
+    key("platform", "policy")
+        .set(|d, _, v| {
+            let kind = parse_policy(v)?;
+            d.template.policy = v.to_string();
+            Ok(kind.name().to_string())
+        })
+        .render(|d, _| Some(d.template.policy.clone()))
+        .sweep(),
+    key("platform", "cba")
+        .set(|d, _, v| put(&mut d.template.cba, v.to_string(), v))
+        .render(|d, _| Some(d.template.cba.clone()))
+        .sweep(),
+    key("platform", "caps")
+        .set(|d, _, v| put(&mut d.template.caps, Some(v.to_string()), v))
+        .render(|d, _| d.template.caps.clone())
+        .sweep(),
+    key("platform", "lfsr")
+        .set(|d, k, v| put(&mut d.template.lfsr, switch(k, v)?, v))
+        .render(|d, _| on_off(d.template.lfsr)),
+    key("platform", "engine")
+        .set(|d, _, v| put(&mut d.template.engine, checked(parse_engine(v), v)?, v))
+        .render(|d, _| Some(d.template.engine.clone())),
+    key("topology", "clusters")
+        .set(|d, k, v| put(&mut topo(d, k)?.clusters, positive(k, v)?, v))
+        .render(|d, _| Some(d.template.topology.as_ref()?.clusters.to_string()))
+        .sweep(),
+    key("topology", "cores_per_cluster")
+        .set(|d, k, v| put(&mut topo(d, k)?.cores_per_cluster, positive(k, v)?, v))
+        .render(|d, _| Some(d.template.topology.as_ref()?.cores_per_cluster.to_string())),
+    key("topology", "bridge_latency")
+        .set(|d, k, v| put(&mut topo(d, k)?.bridge_latency, at_least_1(k, v)?, v))
+        .render(|d, _| Some(d.template.topology.as_ref()?.bridge_latency.to_string()))
+        .sweep(),
+    key("topology", "bridge_depth")
+        .set(|d, k, v| put(&mut topo(d, k)?.bridge_depth, at_least_1(k, v)?, v))
+        .render(|d, _| Some(d.template.topology.as_ref()?.bridge_depth.to_string()))
+        .sweep(),
+    key("topology", "cluster_policy")
+        .set(|d, k, v| put(&mut topo(d, k)?.cluster_policy, Some(policy(v)?), v))
+        .render(|d, _| d.template.topology.as_ref()?.cluster_policy.clone()),
+    key("topology", "cluster_cba")
+        .set(|d, k, v| put(&mut topo(d, k)?.cluster_cba, v.to_string(), v))
+        .render(|d, _| Some(d.template.topology.as_ref()?.cluster_cba.clone()))
+        .sweep(),
+    key("topology", "cluster_caps")
+        .set(|d, k, v| put(&mut topo(d, k)?.cluster_caps, Some(v.to_string()), v))
+        .render(|d, _| d.template.topology.as_ref()?.cluster_caps.clone()),
+    key("topology", "backbone_policy")
+        .set(|d, k, v| put(&mut topo(d, k)?.backbone_policy, Some(policy(v)?), v))
+        .render(|d, _| d.template.topology.as_ref()?.backbone_policy.clone()),
+    key("topology", "backbone_cba")
+        .set(|d, k, v| put(&mut topo(d, k)?.backbone_cba, Some(v.to_string()), v))
+        .render(|d, _| d.template.topology.as_ref()?.backbone_cba.clone())
+        .sweep(),
+    key("topology", "backbone_caps")
+        .set(|d, k, v| put(&mut topo(d, k)?.backbone_caps, Some(v.to_string()), v))
+        .render(|d, _| d.template.topology.as_ref()?.backbone_caps.clone()),
+    key("memory", "working_set")
+        .set(|d, k, v| {
+            let line = cba_mem::coherence::SHARED_LINE_BYTES;
+            let bytes = at_least(k, v, line, &format!("at least one {line}-byte line"))?;
+            put(&mut mem(d, k)?.working_set, bytes, v)
+        })
+        .render(|d, _| Some(d.template.memory.as_ref()?.working_set.to_string()))
+        .sweep_as("mem_working_set"),
+    key("memory", "accesses")
+        .set(|d, k, v| put(&mut mem(d, k)?.accesses, positive(k, v)?, v))
+        .render(|d, _| Some(d.template.memory.as_ref()?.accesses.to_string())),
+    key("memory", "write_frac")
+        .set(|d, k, v| put(&mut mem(d, k)?.write_frac, fraction(k, v)?, v))
+        .render(|d, _| Some(d.template.memory.as_ref()?.write_frac.to_string()))
+        .sweep(),
+    key("memory", "share_frac")
+        .set(|d, k, v| put(&mut mem(d, k)?.share_frac, fraction(k, v)?, v))
+        .render(|d, _| Some(d.template.memory.as_ref()?.share_frac.to_string()))
+        .sweep(),
+    key("memory", "shared_lines")
+        .set(|d, k, v| put(&mut mem(d, k)?.shared_lines, positive(k, v)?, v))
+        .render(|d, _| Some(d.template.memory.as_ref()?.shared_lines.to_string())),
+    key("memory", "locality")
+        .set(|d, k, v| put(&mut mem(d, k)?.locality, fraction(k, v)?, v))
+        .render(|d, _| Some(d.template.memory.as_ref()?.locality.to_string())),
+    key("memory", "think")
+        .set(|d, k, v| put(&mut mem(d, k)?.think, num(k, v)?, v))
+        .render(|d, _| Some(d.template.memory.as_ref()?.think.to_string())),
+    key("memory", "l1_sets")
+        .set(|d, k, v| put(&mut mem(d, k)?.l1_sets, num(k, v)?, v))
+        .render(|d, _| Some(d.template.memory.as_ref()?.l1_sets.to_string()))
+        .sweep(),
+    key("memory", "l1_ways")
+        .set(|d, k, v| put(&mut mem(d, k)?.l1_ways, num(k, v)?, v))
+        .render(|d, _| Some(d.template.memory.as_ref()?.l1_ways.to_string())),
+    key("tua", "load")
+        .set(|d, _, v| put(&mut d.template.tua, TuaSpec::Load(load(v)?), v))
+        .render(|d, _| match &d.template.tua {
+            TuaSpec::Load(spec) => Some(spec.clone()),
+            _ => None,
+        })
+        .sweep_as("tua"),
+    key("tua", "profile")
+        .set(set_profile)
+        .render(|d, _| match &d.template.tua {
+            TuaSpec::Load(_) => None,
+            TuaSpec::Profile { name, .. } => Some(name.clone()),
+            TuaSpec::Inline(profile) => Some(profile.name.to_string()),
+        })
+        .sweep_as("bench"),
+    knob("accesses"),
+    knob("working_set"),
+    knob("p_random"),
+    knob("p_store"),
+    knob("p_atomic"),
+    knob("p_ifetch"),
+    knob("burst"),
+    knob("gap"),
+    knob("between"),
+    key("contenders", "scenario")
+        .set(set_scenario)
+        .render(|d, _| match d.template.contenders {
+            ContenderSpec::Isolation => Some("iso".into()),
+            ContenderSpec::MaxContention => Some("con".into()),
+            _ => None,
+        })
+        .sweep(),
+    key("contenders", "loads")
+        .set(|d, _, v| {
+            let specs = list(v, load)?;
+            put(&mut d.template.contenders, ContenderSpec::Custom(specs), v)
+        })
+        .render(|d, _| match &d.template.contenders {
+            ContenderSpec::Custom(specs) => Some(specs.join(",")),
+            _ => None,
+        }),
+    key("contenders", "fill")
+        .set(|d, _, v| put(&mut d.template.contenders, ContenderSpec::Fill(load(v)?), v))
+        .render(|d, _| match &d.template.contenders {
+            ContenderSpec::Fill(spec) => Some(spec.clone()),
+            _ => None,
+        })
+        .sweep(),
+    key("contenders", "duration")
+        .set(|d, k, v| put(&mut d.template.duration, Some(num(k, v)?), v))
+        .render(|d, _| d.template.duration.map(|x| x.to_string()))
+        .sweep(),
+    key("contenders", "wcet").set(set_wcet).render(|d, _| {
+        let mode = match d.template.wcet {
+            WcetSpec::Auto => "auto",
+            WcetSpec::On => "on",
+            WcetSpec::Off => "off",
+        };
+        Some(mode.into())
+    }),
+    key("contenders", "stop")
+        .set(|d, _, v| put(&mut d.template.stop, checked(parse_stop(v), v)?, v))
+        .render(|d, _| Some(d.template.stop.clone())),
+    key("contenders", "max_cycles")
+        .set(|d, k, v| put(&mut d.template.max_cycles, num(k, v)?, v))
+        .render(|d, _| Some(d.template.max_cycles.to_string())),
+    key("contenders", "trace")
+        .set(|d, k, v| put(&mut d.template.trace, switch(k, v)?, v))
+        .render(|d, _| on_off(d.template.trace)),
+    key("sweep", "setup").set(set_setup).sweep(),
+    key("sweep", "weights")
+        .set(|d, _, v| put(&mut d.template.cba, format!("w:{v}"), v))
+        .sweep(),
+    key("report", "windows")
+        .set(|d, k, v| put(&mut d.report.windows, Some(positive(k, v)?), v))
+        .render(|d, _| d.report.windows.map(|w| w.to_string())),
+    key("report", "baseline")
+        .set(|d, _, v| {
+            let selector = list(v, |pair| {
+                let (axis, value) = pair
+                    .split_once('=')
+                    .ok_or_else(|| format!("baseline entry '{pair}' is not 'axis=value'"))?;
+                Ok((axis.trim().to_string(), value.trim().to_string()))
+            })?;
+            put(&mut d.report.baseline, selector, v)
+        })
+        .render(|d, _| joined(&d.report.baseline, |(a, v)| format!("{a}={v}"))),
+    key("report", "percentiles")
+        .set(|d, _, v| {
+            let quantiles = list(v, |p| {
+                let pct: f64 = p.parse().map_err(|_| format!("bad percentile '{p}'"))?;
+                if !(0.0..=100.0).contains(&pct) {
+                    return Err(format!("percentile {pct} outside [0, 100]"));
+                }
+                Ok(pct / 100.0)
+            })?;
+            put(&mut d.report.percentiles, quantiles, v)
+        })
+        // Always rendered: an empty list is not the default.
+        .render(|d, _| {
+            let pcts = joined(&d.report.percentiles, |q| format!("{}", q * 100.0));
+            Some(pcts.unwrap_or_default())
+        }),
+    key("report", "pwcet")
+        .set(|d, _, v| {
+            let probs = list(v, |p| {
+                let prob: f64 = p
+                    .parse()
+                    .map_err(|_| format!("bad pwcet probability '{p}'"))?;
+                if !(prob > 0.0 && prob < 1.0) {
+                    return Err(format!("pwcet probability {prob} outside (0, 1)"));
+                }
+                Ok(prob)
+            })?;
+            put(&mut d.report.pwcet, probs, v)
+        })
+        .render(|d, _| joined(&d.report.pwcet, |p| format!("{p:e}"))),
+    key("checkpoint", "dir")
+        .set(|d, _, v| put(&mut d.checkpoint.dir, Some(v.to_string()), v))
+        .render(|d, _| d.checkpoint.dir.clone()),
+    key("checkpoint", "cell_budget_ms")
+        .set(|d, k, v| put(&mut d.checkpoint.cell_budget_ms, Some(positive(k, v)?), v))
+        .render(|d, _| d.checkpoint.cell_budget_ms.map(|ms| ms.to_string())),
+    key("checkpoint", "run_budget_cycles")
+        .set(|d, k, v| {
+            put(
+                &mut d.checkpoint.run_budget_cycles,
+                Some(positive(k, v)?),
+                v,
+            )
+        })
+        .render(|d, _| d.checkpoint.run_budget_cycles.map(|c| c.to_string())),
+];
+
+/// Stores `value` in `slot`; the raw text `v` is the cell label.
+fn put<T>(slot: &mut T, value: T, v: &str) -> Result<String, String> {
+    *slot = value;
+    Ok(v.to_string())
+}
+
+/// `v` itself once `check` accepted it: keys kept as raw text.
+fn checked<T>(check: Result<T, String>, v: &str) -> Result<String, String> {
+    check.map(|_| v.to_string())
+}
+
+/// Parses a number for key `k`.
+fn num<T: FromStr>(k: &Key, v: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("bad number '{v}' for '{}'", k.name))
+}
+
+/// Parses a number for key `k` that must be at least `min`; `bound`
+/// words that requirement in the error.
+fn at_least<T: FromStr + PartialOrd>(k: &Key, v: &str, min: T, bound: &str) -> Result<T, String> {
+    let n = num(k, v)?;
+    if n < min {
+        return Err(format!("{} must be {bound}", k.name));
+    }
+    Ok(n)
+}
+
+/// Parses a positive number for key `k`.
+fn positive<T: FromStr + PartialOrd + From<u8>>(k: &Key, v: &str) -> Result<T, String> {
+    at_least(k, v, T::from(1), "positive")
+}
+
+/// Parses a number of at least 1 for key `k` (the bridge keys' wording).
+fn at_least_1<T: FromStr + PartialOrd + From<u8>>(k: &Key, v: &str) -> Result<T, String> {
+    at_least(k, v, T::from(1), "at least 1")
+}
+
+/// `v`, once it names a policy.
+fn policy(v: &str) -> Result<String, String> {
+    checked(parse_policy(v), v)
+}
+
+/// `v`, once it parses as a load spec.
+fn load(v: &str) -> Result<String, String> {
+    checked(parse_load_spec(v), v)
+}
+
+/// Parses a fraction in `[0, 1]` for key `k`.
+fn fraction(k: &Key, v: &str) -> Result<f64, String> {
+    let f: f64 = v
+        .parse()
+        .map_err(|_| format!("bad fraction '{v}' for '{}'", k.name))?;
+    if !(0.0..=1.0).contains(&f) {
+        return Err(format!("{} must be within [0, 1], got {f}", k.name));
+    }
+    Ok(f)
+}
+
+/// Parses an on/off switch for key `k`.
+fn switch(k: &Key, v: &str) -> Result<bool, String> {
+    match lower(v).as_ref() {
         "on" | "true" | "1" => Ok(true),
         "off" | "false" | "0" => Ok(false),
-        other => Err(ScenarioError::at(
-            lineno,
-            format!("bad switch '{other}' for '{what}' (expected on/off)"),
+        other => Err(format!(
+            "bad switch '{other}' for '{}' (expected on/off)",
+            k.name
         )),
     }
 }
 
-/// Profile knobs overridable in `[tua]` and sweepable as axes.
-const PROFILE_KNOBS: &[&str] = &[
-    "accesses",
-    "working_set",
-    "p_random",
-    "p_store",
-    "p_atomic",
-    "p_ifetch",
-    "burst",
-    "gap",
-    "between",
-];
+/// `s` in ASCII lower case, borrowed when it already is.
+fn lower(s: &str) -> Cow<'_, str> {
+    if s.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(s.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(s)
+    }
+}
+
+/// Renders an on/off switch.
+fn on_off(b: bool) -> Option<String> {
+    Some(if b { "on" } else { "off" }.to_string())
+}
+
+/// Parses each item of a comma-separated list.
+fn list<T>(v: &str, item: impl Fn(&str) -> Result<T, String>) -> Result<Vec<T>, String> {
+    v.split(',').map(|s| item(s.trim())).collect()
+}
+
+/// A comma-joined list, or `None` for an empty one.
+fn joined<T>(items: &[T], show: impl Fn(&T) -> String) -> Option<String> {
+    let shown: Vec<String> = items.iter().map(show).collect();
+    (!shown.is_empty()).then(|| shown.join(","))
+}
+
+/// The `[topology]` template an axis reshapes.
+fn topo<'a>(d: &'a mut ScenarioDef, k: &Key) -> Result<&'a mut TopologyTemplate, String> {
+    d.template.topology.as_mut().ok_or_else(|| needs_section(k))
+}
+
+/// The `[memory]` configuration an axis reshapes.
+fn mem<'a>(d: &'a mut ScenarioDef, k: &Key) -> Result<&'a mut MemoryConfig, String> {
+    d.template.memory.as_mut().ok_or_else(|| needs_section(k))
+}
+
+/// Setting a key through its section opens the section, so only a sweep
+/// axis can reach a `[topology]` or `[memory]` key without one.
+fn needs_section(k: &Key) -> String {
+    format!(
+        "axis '{}' requires a [{}] section in the scenario",
+        k.axis.unwrap_or(k.name),
+        k.section
+    )
+}
+
+/// `[tua] profile` and the `bench` axis: a catalog TuA, keeping the knob
+/// overrides already set.
+fn set_profile(d: &mut ScenarioDef, _: &Key, v: &str) -> Result<String, String> {
+    profile_by_name(v).ok_or_else(|| format!("unknown benchmark profile '{v}'"))?;
+    let overrides = match &mut d.template.tua {
+        TuaSpec::Profile { overrides, .. } => std::mem::take(overrides),
+        _ => Vec::new(),
+    };
+    let name = v.to_string();
+    put(&mut d.template.tua, TuaSpec::Profile { name, overrides }, v)
+}
+
+/// A profile knob of the TuA (`[tua] burst = 2:4` or a `burst` axis).
+/// The value is checked now, so a bad one fails with its line; overrides
+/// stay one per knob in table order, so renders round-trip.
+fn set_knob(d: &mut ScenarioDef, k: &Key, v: &str) -> Result<String, String> {
+    match &mut d.template.tua {
+        TuaSpec::Inline(profile) => apply_profile_knob(profile, k.name, v)?,
+        TuaSpec::Profile { overrides, .. } => {
+            apply_profile_knob(&mut cba_workloads::suite::rspeed(), k.name, v)?;
+            overrides.retain(|(knob, _)| knob != k.name);
+            overrides.push((k.name.to_string(), v.to_string()));
+            overrides.sort_by_key(|(knob, _)| {
+                KEYS.iter()
+                    .position(|e| e.section == "tua" && e.name == knob)
+            });
+        }
+        TuaSpec::Load(_) => {
+            return Err(format!(
+                "knob '{}' requires a profile-based TuA (set 'profile = NAME' first in [tua], \
+                 or sweep a 'bench' axis before it)",
+                k.name
+            ))
+        }
+    }
+    Ok(v.to_string())
+}
+
+/// The value of knob `k` a profile TuA overrides, if any.
+fn render_knob(d: &ScenarioDef, k: &Key) -> Option<String> {
+    match &d.template.tua {
+        TuaSpec::Profile { overrides, .. } => overrides
+            .iter()
+            .rev()
+            .find(|(knob, _)| knob == k.name)
+            .map(|(_, v)| v.clone()),
+        _ => None,
+    }
+}
+
+/// `[contenders] scenario` and the `scenario` axis.
+fn set_scenario(d: &mut ScenarioDef, _: &Key, v: &str) -> Result<String, String> {
+    let c = &mut d.template.contenders;
+    let (spec, label) = match lower(v).as_ref() {
+        "iso" => (ContenderSpec::Isolation, "ISO"),
+        "con" => (ContenderSpec::MaxContention, "CON"),
+        // `loads =` may already have set the list.
+        "custom" if matches!(c, ContenderSpec::Custom(_)) => return Ok("custom".into()),
+        "custom" => (ContenderSpec::Custom(Vec::new()), "custom"),
+        other => {
+            return Err(format!(
+                "unknown scenario '{other}' (expected iso, con, custom)"
+            ))
+        }
+    };
+    put(c, spec, label)
+}
+
+/// `[contenders] wcet`: WCET-estimation mode.
+fn set_wcet(d: &mut ScenarioDef, _: &Key, v: &str) -> Result<String, String> {
+    let mode = match lower(v).as_ref() {
+        "auto" => WcetSpec::Auto,
+        "on" | "true" => WcetSpec::On,
+        "off" | "false" => WcetSpec::Off,
+        other => {
+            return Err(format!(
+                "unknown wcet mode '{other}' (expected auto, on, off)"
+            ))
+        }
+    };
+    put(&mut d.template.wcet, mode, v)
+}
+
+/// The `setup` axis: the paper's bus setups (`rp`, `cba`, `hcba`) or
+/// `POLICY[+CBASPEC]`, e.g. `rr`, `fifo`, `rr+homog`, `lot+w:3:1:1:1`.
+fn set_setup(d: &mut ScenarioDef, _: &Key, v: &str) -> Result<String, String> {
+    let lowered = lower(v);
+    let (policy, cba, label) = match lowered.as_ref() {
+        "rp" => ("rp", "none", "RP"),
+        "cba" => ("rp", "homog", "CBA"),
+        "hcba" => ("rp", "hcba", "H-CBA"),
+        custom => {
+            let (name, filter) = custom.split_once('+').unwrap_or((custom, "none"));
+            parse_policy(name)?;
+            (name, filter, v)
+        }
+    };
+    d.template.policy = policy.to_string();
+    d.template.cba = cba.to_string();
+    Ok(label.to_string())
+}
 
 /// Parses a cycle-engine selector: `events` (the fast path), `naive`
 /// (the per-cycle reference loop), or `fluid`, which is kept as an alias
 /// of `events` (whose limit-cycle fast-forward it once selected),
 /// case-insensitively.
 pub fn parse_engine(s: &str) -> Result<DriveMode, String> {
-    match s.to_ascii_lowercase().as_str() {
+    match lower(s).as_ref() {
         "events" | "fast" | "fluid" => Ok(DriveMode::Events),
         "naive" | "cycle" => Ok(DriveMode::Naive),
         other => Err(format!(
@@ -1328,7 +1292,7 @@ pub fn parse_engine(s: &str) -> Result<DriveMode, String> {
 /// Parses a policy name. Accepts the short CLI forms and the spelled-out
 /// aliases (`lottery`, `randperm`, `priority`), case-insensitively.
 pub fn parse_policy(s: &str) -> Result<PolicyKind, String> {
-    match s.to_ascii_lowercase().as_str() {
+    match lower(s).as_ref() {
         "fifo" => Ok(PolicyKind::Fifo),
         "rr" | "roundrobin" => Ok(PolicyKind::RoundRobin),
         "tdma" => Ok(PolicyKind::Tdma),
@@ -1349,7 +1313,7 @@ pub fn parse_cba_spec(
     n_cores: usize,
     max_latency: u32,
 ) -> Result<Option<CreditConfig>, String> {
-    match s.to_ascii_lowercase().as_str() {
+    match lower(s).as_ref() {
         "none" => Ok(None),
         "homog" => CreditConfig::homogeneous(n_cores, max_latency)
             .map(Some)
@@ -1404,12 +1368,31 @@ pub fn parse_cba_spec(
 /// agent:KIND:ARGS...     a user-registered agent kind (resolved against
 ///                        the AgentRegistry at run-build time)
 /// ```
+///
+/// # Errors
+///
+/// An unknown shape, a field that does not parse at its width (`REQS`,
+/// `PERIOD`, `PHASE` and `ACCESSES` are `u64`, `DUR` and `GAP` `u32`), or
+/// a zero `REQS`, `DUR`, `PERIOD` or `ACCESSES`. A `DUR` above MaxL is
+/// left to [`RunSpec::validate`], which knows the platform.
 pub fn parse_load_spec(s: &str) -> Result<CoreLoad, String> {
+    /// Field `p` of load `s` at its own width; `REQS`, `DUR`, `PERIOD`
+    /// and `ACCESSES` (`positive`) must be at least 1.
+    fn field<T: FromStr + PartialOrd + From<u8>>(
+        s: &str,
+        p: &str,
+        what: &str,
+        positive: bool,
+    ) -> Result<T, String> {
+        let n: T = p
+            .parse()
+            .map_err(|_| format!("bad number '{p}' in load '{s}'"))?;
+        if positive && n < T::from(1) {
+            return Err(format!("{what} must be positive in load '{s}'"));
+        }
+        Ok(n)
+    }
     let parts: Vec<&str> = s.split(':').collect();
-    let num = |p: &str| -> Result<u64, String> {
-        p.parse()
-            .map_err(|_| format!("bad number '{p}' in load '{s}'"))
-    };
     match parts.as_slice() {
         ["idle"] => Ok(CoreLoad::Idle),
         ["bench", name] => Ok(CoreLoad::named(name)),
@@ -1418,19 +1401,21 @@ pub fn parse_load_spec(s: &str) -> Result<CoreLoad, String> {
             args: args.iter().map(|a| a.to_string()).collect(),
         }),
         ["fixed", r, d, g] => Ok(CoreLoad::FixedTask {
-            n_requests: num(r)?,
-            duration: num(d)? as u32,
-            gap: num(g)? as u32,
+            n_requests: field(s, r, "REQS", true)?,
+            duration: field(s, d, "DUR", true)?,
+            gap: field(s, g, "GAP", false)?,
         }),
         ["sat", d] => Ok(CoreLoad::Saturating {
-            duration: num(d)? as u32,
+            duration: field(s, d, "DUR", true)?,
         }),
         ["per", d, p, ph] => Ok(CoreLoad::Periodic {
-            duration: num(d)? as u32,
-            period: num(p)?,
-            phase: num(ph)?,
+            duration: field(s, d, "DUR", true)?,
+            period: field(s, p, "PERIOD", true)?,
+            phase: field(s, ph, "PHASE", false)?,
         }),
-        ["stream", a] => Ok(CoreLoad::Streaming { accesses: num(a)? }),
+        ["stream", a] => Ok(CoreLoad::Streaming {
+            accesses: field(s, a, "ACCESSES", true)?,
+        }),
         _ => Err(format!(
             "unknown load spec '{s}' (expected bench:NAME, fixed:R:D:G, sat:D, per:D:P:PH, \
              stream:A, idle, agent:KIND:ARGS...)"
@@ -1439,7 +1424,7 @@ pub fn parse_load_spec(s: &str) -> Result<CoreLoad, String> {
 }
 
 fn parse_stop(s: &str) -> Result<StopCondition, String> {
-    match s.to_ascii_lowercase().as_str() {
+    match lower(s).as_ref() {
         "tua" => Ok(StopCondition::TuaDone),
         "all" => Ok(StopCondition::AllDone),
         other => {
@@ -1452,166 +1437,6 @@ fn parse_stop(s: &str) -> Result<StopCondition, String> {
             Ok(StopCondition::Horizon(cycles))
         }
     }
-}
-
-/// Applies one sweep-axis value to a template clone; returns the value's
-/// canonical label for reports and baseline matching.
-fn apply_axis(t: &mut Template, key: &str, value: &AxisValue) -> Result<String, String> {
-    // The benchmark axis is the only one accepting explicit profiles.
-    if let AxisValue::Profile(profile) = value {
-        if key != "bench" {
-            return Err(format!("axis '{key}' cannot take a profile value"));
-        }
-        t.tua = TuaSpec::Inline(profile.clone());
-        return Ok(profile.name.to_string());
-    }
-    let v = value.raw();
-    match key {
-        "bench" => {
-            profile_by_name(v).ok_or_else(|| format!("unknown benchmark profile '{v}'"))?;
-            // Keep knob overrides from the [tua] section, if any.
-            let overrides = match &t.tua {
-                TuaSpec::Profile { overrides, .. } => overrides.clone(),
-                _ => Vec::new(),
-            };
-            t.tua = TuaSpec::Profile {
-                name: v.to_string(),
-                overrides,
-            };
-            Ok(v.to_string())
-        }
-        "setup" => match v.to_ascii_lowercase().as_str() {
-            "rp" => {
-                t.policy = "rp".into();
-                t.cba = "none".into();
-                Ok("RP".into())
-            }
-            "cba" => {
-                t.policy = "rp".into();
-                t.cba = "homog".into();
-                Ok("CBA".into())
-            }
-            "hcba" => {
-                t.policy = "rp".into();
-                t.cba = "hcba".into();
-                Ok("H-CBA".into())
-            }
-            custom => {
-                // `POLICY` or `POLICY+CBASPEC`, e.g. `rr`, `fifo`,
-                // `rr+homog`, `lot+w:3:1:1:1`.
-                let (policy, cba) = match custom.split_once('+') {
-                    Some((p, c)) => (p, c),
-                    None => (custom, "none"),
-                };
-                parse_policy(policy)?;
-                t.policy = policy.to_string();
-                t.cba = cba.to_string();
-                Ok(v.to_string())
-            }
-        },
-        "scenario" => match v.to_ascii_lowercase().as_str() {
-            "iso" => {
-                t.contenders = ContenderSpec::Isolation;
-                Ok("ISO".into())
-            }
-            "con" => {
-                t.contenders = ContenderSpec::MaxContention;
-                Ok("CON".into())
-            }
-            other => Err(format!("unknown scenario '{other}' (expected iso, con)")),
-        },
-        "cores" => {
-            t.cores = v.parse().map_err(|_| format!("bad core count '{v}'"))?;
-            Ok(v.to_string())
-        }
-        "policy" => {
-            let kind = parse_policy(v)?;
-            t.policy = v.to_string();
-            Ok(kind.name().to_string())
-        }
-        "cba" => {
-            t.cba = v.to_string();
-            Ok(v.to_string())
-        }
-        "weights" => {
-            t.cba = format!("w:{v}");
-            Ok(v.to_string())
-        }
-        "caps" => {
-            t.caps = Some(v.to_string());
-            Ok(v.to_string())
-        }
-        "duration" => {
-            t.duration = Some(v.parse().map_err(|_| format!("bad duration '{v}'"))?);
-            Ok(v.to_string())
-        }
-        "tua" => {
-            parse_load_spec(v)?;
-            t.tua = TuaSpec::Load(v.to_string());
-            Ok(v.to_string())
-        }
-        "fill" => {
-            parse_load_spec(v)?;
-            t.contenders = ContenderSpec::Fill(v.to_string());
-            Ok(v.to_string())
-        }
-        "clusters" | "bridge_latency" | "bridge_depth" | "cluster_cba" | "backbone_cba" => {
-            let topo = t.topology.as_mut().ok_or_else(|| {
-                format!("axis '{key}' requires a [topology] section in the scenario")
-            })?;
-            match key {
-                "clusters" => topo.clusters = v.parse().map_err(|_| bad_topo_num(key, v))?,
-                "bridge_latency" => {
-                    topo.bridge_latency = v.parse().map_err(|_| bad_topo_num(key, v))?
-                }
-                "bridge_depth" => {
-                    topo.bridge_depth = v.parse().map_err(|_| bad_topo_num(key, v))?
-                }
-                "cluster_cba" => topo.cluster_cba = v.to_string(),
-                "backbone_cba" => topo.backbone_cba = Some(v.to_string()),
-                _ => unreachable!("matched above"),
-            }
-            Ok(v.to_string())
-        }
-        "mem_working_set" | "share_frac" | "write_frac" | "l1_sets" => {
-            let mem = t.memory.as_mut().ok_or_else(|| {
-                format!("axis '{key}' requires a [memory] section in the scenario")
-            })?;
-            let bad = |what: &str| format!("bad {what} '{v}' for memory axis '{key}'");
-            match key {
-                "mem_working_set" => {
-                    mem.working_set = v.parse().map_err(|_| bad("size"))?;
-                }
-                "share_frac" => mem.share_frac = v.parse().map_err(|_| bad("fraction"))?,
-                "write_frac" => mem.write_frac = v.parse().map_err(|_| bad("fraction"))?,
-                "l1_sets" => mem.l1_sets = v.parse().map_err(|_| bad("count"))?,
-                _ => unreachable!("matched above"),
-            }
-            // Domain errors surface with the cell label via
-            // MemoryConfig::validate in Template::build.
-            Ok(v.to_string())
-        }
-        knob if PROFILE_KNOBS.contains(&knob) => {
-            match &mut t.tua {
-                TuaSpec::Profile { overrides, .. } => {
-                    overrides.push((knob.to_string(), v.to_string()));
-                }
-                TuaSpec::Inline(profile) => apply_profile_knob(profile, knob, v)?,
-                TuaSpec::Load(_) => {
-                    return Err(format!(
-                        "knob '{knob}' requires a profile-based TuA (set 'profile = NAME' in [tua] \
-                         or add a 'bench' axis)"
-                    ))
-                }
-            }
-            Ok(v.to_string())
-        }
-        other => Err(format!("unknown sweep key '{other}'")),
-    }
-}
-
-fn bad_topo_num(key: &str, value: &str) -> String {
-    format!("bad number '{value}' for topology axis '{key}'")
 }
 
 /// Applies a `2:1:1:1`-style cap-multiplier spec to a segment's credit
@@ -1775,12 +1600,8 @@ impl Template {
             ContenderSpec::MaxContention => match self.duration {
                 // Plain `con` delegates to the canonical MaxL contenders.
                 None => Scenario::MaxContention,
-                Some(d) => {
-                    if d > maxl {
-                        return Err(format!("contender duration {d} exceeds MaxL {maxl}"));
-                    }
-                    Scenario::Custom(vec![CoreLoad::Saturating { duration: d }; n - 1])
-                }
+                // RunSpec::validate rejects a duration above MaxL.
+                Some(d) => Scenario::Custom(vec![CoreLoad::Saturating { duration: d }; n - 1]),
             },
             ContenderSpec::Custom(specs) => {
                 let loads: Vec<CoreLoad> = specs
@@ -2449,5 +2270,115 @@ pwcet = 1e-9,1e-12
 
         let err = ScenarioDef::parse(&WINDOWED.replace("windows = 8", "windows = 0")).unwrap_err();
         assert!(err.msg.contains("windows must be positive"), "{err}");
+    }
+
+    #[test]
+    fn load_spec_fields_parse_at_their_width_and_reject_zero() {
+        // DUR and GAP are u32: a wider value is an error, not a wrap.
+        let err = parse_load_spec("fixed:5:4294967302:0").unwrap_err();
+        assert!(err.contains("bad number '4294967302'"), "{err}");
+        assert!(
+            parse_load_spec("per:28:4294967302:0").is_ok(),
+            "PERIOD is u64"
+        );
+        for (spec, field) in [
+            ("fixed:0:6:4", "REQS"),
+            ("fixed:5:0:4", "DUR"),
+            ("sat:0", "DUR"),
+            ("per:0:90:0", "DUR"),
+            ("per:28:0:0", "PERIOD"),
+            ("stream:0", "ACCESSES"),
+        ] {
+            let err = parse_load_spec(spec).unwrap_err();
+            assert_eq!(err, format!("{field} must be positive in load '{spec}'"));
+        }
+        assert!(parse_load_spec("fixed:5:6:0").is_ok(), "GAP may be zero");
+        assert!(parse_load_spec("per:28:90:0").is_ok(), "PHASE may be zero");
+    }
+
+    #[test]
+    fn the_key_table_names_each_key_and_axis_once() {
+        let mut seen = std::collections::HashSet::new();
+        for k in KEYS {
+            assert!(seen.insert((k.section, k.name)), "duplicate key {k:?}");
+        }
+        let axes = axes();
+        let unique: std::collections::HashSet<_> = axes.iter().collect();
+        assert_eq!(unique.len(), axes.len(), "duplicate axis in {axes:?}");
+        // `expand` resets only the template per cell: every axis must set
+        // a template key.
+        let template = [
+            "platform",
+            "topology",
+            "memory",
+            "tua",
+            "contenders",
+            "sweep",
+        ];
+        for k in KEYS.iter().filter(|k| k.axis.is_some()) {
+            assert!(
+                template.contains(&k.section),
+                "axis outside the template: {k:?}"
+            );
+        }
+        assert_eq!(
+            sections(),
+            [
+                "campaign",
+                "platform",
+                "topology",
+                "memory",
+                "tua",
+                "contenders",
+                "sweep",
+                "report",
+                "checkpoint"
+            ]
+        );
+    }
+
+    #[test]
+    fn set_reaches_a_key_through_its_section_or_its_axis() {
+        let mut def = ScenarioDef::default();
+        assert_eq!(def.set("platform", "policy", "rr"), Ok("RR".into()));
+        assert_eq!(def.set("sweep", "setup", "hcba"), Ok("H-CBA".into()));
+        assert_eq!(
+            (def.template.policy.as_str(), def.template.cba.as_str()),
+            ("rp", "hcba")
+        );
+        // Setting a [topology] key opens the section, as its header would.
+        def.set("topology", "clusters", "4").unwrap();
+        assert_eq!(def.template.topology.as_ref().map(|t| t.clusters), Some(4));
+        // A sweep axis does not: the axis needs the section declared.
+        let err = ScenarioDef::default().set("sweep", "mem_working_set", "512");
+        assert!(err.unwrap_err().contains("requires a [memory] section"));
+        // One setter: the same bad value fails alike either way.
+        let mut def = ScenarioDef::parse("[topology]\n").unwrap();
+        let by_key = def.set("topology", "bridge_depth", "0").unwrap_err();
+        assert_eq!(def.set("sweep", "bridge_depth", "0").unwrap_err(), by_key);
+        let err = def.set("platform", "speed", "9").unwrap_err();
+        assert!(
+            err.contains("(expected cores, policy, cba, caps, lfsr, engine)"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn profile_knobs_keep_one_override_each_in_table_order() {
+        let text = "[tua]\nprofile = matrix\nburst = 2:4\naccesses = 5\naccesses = 7\n";
+        let def = ScenarioDef::parse(text).unwrap();
+        let expected = vec![
+            ("accesses".to_string(), "7".to_string()),
+            ("burst".to_string(), "2:4".to_string()),
+        ];
+        match &def.template.tua {
+            TuaSpec::Profile { overrides, .. } => assert_eq!(overrides, &expected),
+            other => panic!("expected a profile TuA, got {other:?}"),
+        }
+        assert_eq!(ScenarioDef::parse(&def.render()).unwrap(), def);
+        // A bad knob value fails at its line, not when the cell is built.
+        let err = ScenarioDef::parse("[tua]\nprofile = matrix\ngap = 4\n").unwrap_err();
+        assert_eq!(err.line, Some(3));
+        assert!(err.msg.contains("expects 'LO:HI'"), "{err}");
     }
 }

@@ -241,3 +241,67 @@ fn every_shipped_scenario_matches_its_committed_golden_render() {
         }
     }
 }
+
+/// `scenarios/README.md` documents the key table: its commented example
+/// parses, lists exactly the table's section keys (commented `#key =`
+/// lines included), and its `[sweep]` part names every sweep axis except
+/// the `[tua]` profile knobs, which it covers as a group.
+#[test]
+fn readme_example_documents_every_key_of_the_table() {
+    use cba_platform::scenario::{axes, KEYS};
+    use std::collections::BTreeSet;
+
+    let readme = std::fs::read_to_string(scenarios_dir().join("README.md")).expect("README");
+    let block = readme
+        .split("```ini\n")
+        .nth(1)
+        .and_then(|rest| rest.split("```").next())
+        .expect("scenarios/README.md has an ```ini example");
+    ScenarioDef::parse(block).unwrap_or_else(|e| panic!("README example fails to parse: {e}"));
+
+    let mut section = String::new();
+    let mut documented = BTreeSet::new();
+    for line in block.lines().map(str::trim) {
+        if let Some(name) = line.strip_prefix('[') {
+            section = name.trim_end_matches(']').to_string();
+            continue;
+        }
+        let entry = line.strip_prefix('#').unwrap_or(line);
+        let Some((key, _)) = entry.split_once('=') else {
+            continue;
+        };
+        let key = key.trim_end();
+        let is_key = !key.is_empty()
+            && key
+                .chars()
+                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_');
+        if is_key {
+            documented.insert((section.clone(), key.to_string()));
+        }
+    }
+
+    let (swept, keys): (BTreeSet<_>, BTreeSet<_>) =
+        documented.into_iter().partition(|(s, _)| s == "sweep");
+    let table: BTreeSet<(String, String)> = KEYS
+        .iter()
+        .filter(|k| k.section != "sweep")
+        .map(|k| (k.section.to_string(), k.name.to_string()))
+        .collect();
+    assert_eq!(keys, table, "README keys vs the key table");
+
+    let swept: BTreeSet<String> = swept.into_iter().map(|(_, axis)| axis).collect();
+    for axis in &swept {
+        assert!(
+            axes().contains(&axis.as_str()),
+            "README sweeps unknown axis '{axis}'"
+        );
+    }
+    for k in KEYS {
+        let Some(axis) = k.axis else { continue };
+        let knob = k.section == "tua" && axis == k.name;
+        assert!(
+            knob || swept.contains(axis),
+            "README [sweep] lacks axis '{axis}'"
+        );
+    }
+}

@@ -147,6 +147,40 @@ const CASES: &[(&str, &str)] = &[
         "unknown_wcet_mode",
         "[campaign]\nname = x\n[contenders]\nwcet = maybe\n",
     ),
+    // -- load specs fail before the run, not inside it ----------------------
+    (
+        "load_field_wider_than_its_type",
+        "[campaign]\nname = x\n[tua]\nload = fixed:5:4294967302:0\n",
+    ),
+    (
+        "zero_load_duration",
+        "[campaign]\nname = x\n[contenders]\nfill = sat:0\n",
+    ),
+    (
+        "load_duration_over_maxl",
+        "[campaign]\nname = x\n[contenders]\nfill = sat:57\n",
+    ),
+    // -- a key and its sweep axis share one setter and one message ----------
+    (
+        "zero_bridge_latency_key",
+        "[campaign]\nname = x\n[topology]\nbridge_latency = 0\n",
+    ),
+    (
+        "zero_bridge_latency_axis",
+        "[campaign]\nname = x\n[topology]\nclusters = 2\n[sweep]\nbridge_latency = 0,4\n",
+    ),
+    (
+        "share_frac_out_of_range_axis",
+        "[campaign]\nname = x\n[memory]\nworking_set = 1024\n[sweep]\nshare_frac = 0.5,1.5\n",
+    ),
+    (
+        "bad_cores_key",
+        "[campaign]\nname = x\n[platform]\ncores = x\n",
+    ),
+    (
+        "bad_cores_axis",
+        "[campaign]\nname = x\n[sweep]\ncores = 4,x\n",
+    ),
 ];
 
 /// The error a case produces: the parse error if parsing fails, else the
