@@ -2321,6 +2321,12 @@ pwcet = 1e-9,1e-12
                 "axis outside the template: {k:?}"
             );
         }
+        // Every entry got its own setter, not `key`'s placeholder.
+        for k in KEYS {
+            let mut def = ScenarioDef::parse("[topology]\n[memory]\n").unwrap();
+            let err = (k.set)(&mut def, k, "").err().unwrap_or_default();
+            assert!(!err.contains("has no setter"), "{k:?}");
+        }
         assert_eq!(
             sections(),
             [
