@@ -1,13 +1,15 @@
 //! Criterion microbenchmarks of the arbitration-path primitives: policy
-//! selection, credit-filter eligibility/tick, and a full bus cycle. These
-//! quantify the software cost of the "one clock cycle" hardware decision.
+//! selection, the LFSR bank the platform draws from by default,
+//! credit-filter eligibility/tick, and a full bus cycle. These quantify the
+//! software cost of the "one clock cycle" hardware decision.
 
 use cba::{CreditConfig, CreditFilter};
 use cba_bus::{
     drive, Bus, BusConfig, BusRequest, Candidate, Control, EligibilityFilter, PendingSet,
     PolicyKind, RandomSource, RequestKind,
 };
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion};
+use sim_core::lfsr::LfsrBank;
 use sim_core::rng::SimRng;
 use sim_core::CoreId;
 use std::hint::black_box;
@@ -22,24 +24,54 @@ fn candidates(n: usize) -> Vec<Candidate> {
         .collect()
 }
 
+/// Times one select-and-grant round of `kind` over four candidates.
+fn bench_select(
+    group: &mut BenchmarkGroup<'_>,
+    name: &str,
+    kind: PolicyKind,
+    rng: &mut dyn RandomSource,
+) {
+    let cands = candidates(4);
+    let mut policy = kind.build(4, 56);
+    let mut t = 0u64;
+    group.bench_function(name, |b| {
+        b.iter(|| {
+            let w = policy.select(black_box(&cands), t, rng);
+            if let Some(core) = w {
+                policy.on_grant(core, t);
+            }
+            t += 1;
+            black_box(w)
+        })
+    });
+}
+
 fn bench_policies(c: &mut Criterion) {
     let mut group = c.benchmark_group("policy_select");
-    let cands = candidates(4);
     for kind in PolicyKind::ALL {
-        let mut policy = kind.build(4, 56);
-        let mut rng = SimRng::seed_from(7);
-        let mut t = 0u64;
-        group.bench_function(kind.name(), |b| {
-            b.iter(|| {
-                let w = policy.select(black_box(&cands), t, &mut rng as &mut dyn RandomSource);
-                if let Some(core) = w {
-                    policy.on_grant(core, t);
-                }
-                t += 1;
-                black_box(w)
-            })
-        });
+        bench_select(&mut group, kind.name(), kind, &mut SimRng::seed_from(7));
     }
+    group.finish();
+}
+
+/// The hardware-faithful random source (`lfsr = on`, the platform
+/// default): RP and lottery drawing from a 16-lane bank, one bank cycle,
+/// and building a bank, which every run does whether it draws or not.
+fn bench_lfsr_bank(c: &mut Criterion) {
+    let mut group = c.benchmark_group("lfsr_bank");
+    for kind in [PolicyKind::RandomPermutation, PolicyKind::Lottery] {
+        let name = format!("{}_select", kind.name());
+        bench_select(&mut group, &name, kind, &mut LfsrBank::new(16, 7).unwrap());
+    }
+    let mut bank = LfsrBank::new(16, 7).unwrap();
+    group.bench_function("next_bits", |b| b.iter(|| bank.next_bits()));
+    let mut seed = 0u64;
+    group.bench_function("new_16", |b| {
+        b.iter(|| {
+            seed += 1;
+            LfsrBank::new(16, black_box(seed))
+        })
+    });
     group.finish();
 }
 
@@ -109,6 +141,7 @@ fn bench_bus_cycle(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_policies,
+    bench_lfsr_bank,
     bench_credit_filter,
     bench_bus_cycle
 );

@@ -11,6 +11,24 @@
 //!
 //! The arbiter consumes bits via [`LfsrBank::next_bits`]; a permutation draw
 //! for `N` cores consumes `N·log2(N)`-ish bits per arbitration round.
+//!
+//! # Layout
+//!
+//! The bank stores its lanes bit-sliced, as hardware would wire them: 32
+//! `u64` bit-planes in a ring, where bit `i` of plane `j` is bit `j` of lane
+//! `i`'s state. One cycle of all lanes is then a few word operations:
+//!
+//! * the output word is plane 0, one bit per lane;
+//! * every lane's right shift is a rotation of the ring, which also leaves
+//!   the output word in the top plane (the polynomial's `x^32` term);
+//! * the lanes that output a 1 take the polynomial's other taps, as
+//!   `plane ^= output` on three planes.
+//!
+//! The health monitors count ones and transitions per lane in bit-sliced
+//! vertical counters, so nothing branches on a lane's random bit. The
+//! output stream is unchanged by the layout: lane `i` produces exactly the
+//! bits of a single-lane [`Lfsr`] with the same seed. The tests step the
+//! bank beside such single-lane oracles and pin hashes of its stream.
 
 use crate::SimError;
 
@@ -85,6 +103,13 @@ pub enum LfsrHealth {
 /// A bank of independent Galois LFSRs delivering `width` random bits per
 /// cycle, with online health monitoring.
 ///
+/// The lanes are stored bit-sliced (see the [module docs](self)): one
+/// cycle of every lane, and of every health counter, is a fixed handful of
+/// word operations with no branch per lane. Lane `i` still produces
+/// exactly the bit stream of a single-lane [`Lfsr`] seeded with its own
+/// seed, so the output stream is the same as stepping `width` separate
+/// [`Lfsr`]s.
+///
 /// # Example
 ///
 /// ```
@@ -98,13 +123,100 @@ pub enum LfsrHealth {
 /// ```
 #[derive(Debug, Clone)]
 pub struct LfsrBank {
-    lanes: Vec<Lfsr>,
-    // Health monitoring state: per-lane ones count and window length.
-    window: u32,
-    ones: Vec<u32>,
-    transitions: Vec<u32>,
-    last_bit: Vec<bool>,
+    /// The lanes' states as a ring of bit-planes: bit `i` of logical plane
+    /// `j`, `planes[(head + j) % 32]`, is bit `j` of lane `i`'s state.
+    /// Built from `seed` on the first draw, so a bank that is never drawn
+    /// from (a round-robin platform still builds one) skips the transpose.
+    planes: Option<[u64; STATE_BITS]>,
+    head: usize,
+    width: usize,
+    seed: u64,
+    /// Lane outputs of the previous cycle.
+    last: u64,
+    /// Per-lane ones and transition counts over the current window, as
+    /// vertical counters: bit `i` of `ones[k]` is bit `k` of lane `i`'s
+    /// count.
+    ones: [u64; COUNT_BITS],
+    transitions: [u64; COUNT_BITS],
+    /// Cycles observed in the current window.
     observed: u32,
+}
+
+/// Bits of one lane's state.
+const STATE_BITS: usize = 32;
+
+/// Planes of a vertical window counter: a count read by
+/// [`LfsrBank::health`] stays below [`LfsrBank::HEALTH_WINDOW`].
+const COUNT_BITS: usize = (u32::BITS - (LfsrBank::HEALTH_WINDOW - 1).leading_zeros()) as usize;
+
+/// The planes a step XORs the output word into: the taps of
+/// [`POLY_32_DEFAULT`] below its top bit. The top tap (the `x^32` term)
+/// needs no work, because the ring slot the output word leaves becomes
+/// the top plane and already holds that word.
+const LOW_TAPS: [usize; 3] = [0, 1, 21];
+
+const _: () = assert!(POLY_32_DEFAULT == 1 << 31 | 1 << 21 | 1 << 1 | 1 << 0);
+
+/// The lanes' seeds: distinct and non-zero, derived from `seed` by
+/// splitmix-style mixing.
+fn lane_seeds(width: usize, seed: u64) -> impl Iterator<Item = u32> {
+    let mut s = seed;
+    (0..width).map(move |_| {
+        s = s
+            .wrapping_mul(0x2545_f491_4f6c_dd1d)
+            .wrapping_add(0x9e37_79b9_7f4a_7c15);
+        ((s >> 32) as u32) | 1 // force non-zero
+    })
+}
+
+/// Bit-planes of up to 64 lane states: bit `i` of plane `j` is bit `j` of
+/// lane `i`.
+///
+/// Row `k` starts as lane `k` with lane `k + 32` in its high half; a
+/// 32×32 bit transpose of both halves at once (Hacker's Delight §7-3) then
+/// turns the rows into planes.
+fn bit_planes(lanes: impl Iterator<Item = u32>) -> [u64; STATE_BITS] {
+    let mut rows = [0u64; STATE_BITS];
+    for (lane, state) in lanes.enumerate() {
+        rows[lane % STATE_BITS] |= u64::from(state) << (lane / STATE_BITS * STATE_BITS);
+    }
+    let mut span = STATE_BITS / 2;
+    let mut mask = 0x0000_ffff_0000_ffff_u64;
+    while span != 0 {
+        // In every `2 * span` block of rows, swap the upper-right
+        // `span`-square of each `2 * span` column group with its
+        // lower-left one.
+        for block in rows.chunks_exact_mut(2 * span) {
+            let (top, bottom) = block.split_at_mut(span);
+            for (a, b) in top.iter_mut().zip(bottom) {
+                let t = ((*a >> span) ^ *b) & mask;
+                *a ^= t << span;
+                *b ^= t;
+            }
+        }
+        span /= 2;
+        mask ^= mask << span;
+    }
+    rows
+}
+
+/// Adds one bit per lane to a vertical counter.
+#[inline]
+fn count(counter: &mut [u64; COUNT_BITS], mut carry: u64) {
+    for plane in counter {
+        let next = *plane & carry;
+        *plane ^= carry;
+        carry = next;
+    }
+}
+
+/// Lane `lane`'s value of a vertical counter.
+fn lane_count(counter: &[u64; COUNT_BITS], lane: usize) -> u32 {
+    counter
+        .iter()
+        .enumerate()
+        .map(|(k, plane)| ((plane >> lane & 1) as u32) << k)
+        .sum()
 }
 
 impl LfsrBank {
@@ -125,53 +237,56 @@ impl LfsrBank {
                 why: format!("width must be in 1..=64, got {width}"),
             });
         }
-        let mut lanes = Vec::with_capacity(width);
-        let mut s = seed;
-        for _ in 0..width {
-            // Derive distinct non-zero 32-bit seeds via splitmix-style mixing.
-            s = s
-                .wrapping_mul(0x2545_f491_4f6c_dd1d)
-                .wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let seed32 = ((s >> 32) as u32) | 1; // force non-zero
-            lanes.push(Lfsr::new(seed32, POLY_32_DEFAULT).expect("non-zero seed"));
-        }
         Ok(LfsrBank {
-            ones: vec![0; width],
-            transitions: vec![0; width],
-            last_bit: vec![false; width],
-            lanes,
-            window: Self::HEALTH_WINDOW,
+            planes: None,
+            head: 0,
+            width,
+            seed,
+            last: 0,
+            ones: [0; COUNT_BITS],
+            transitions: [0; COUNT_BITS],
             observed: 0,
         })
     }
 
     /// Number of lanes (= bits delivered per cycle).
     pub fn width(&self) -> usize {
-        self.lanes.len()
+        self.width
+    }
+
+    /// The lanes' bit-planes, built on first use.
+    fn planes(&mut self) -> &mut [u64; STATE_BITS] {
+        let (width, seed) = (self.width, self.seed);
+        self.planes
+            .get_or_insert_with(|| bit_planes(lane_seeds(width, seed)))
     }
 
     /// Advances every lane one cycle and returns the fresh bits packed into
     /// the low `width` bits of a `u64` (lane 0 is bit 0).
     pub fn next_bits(&mut self) -> u64 {
-        let mut word = 0u64;
-        let first = self.observed == 0;
-        for (i, lane) in self.lanes.iter_mut().enumerate() {
-            let bit = lane.step();
-            if bit {
-                word |= 1 << i;
-                self.ones[i] += 1;
-            }
-            if !first && bit != self.last_bit[i] {
-                self.transitions[i] += 1;
-            }
-            self.last_bit[i] = bit;
+        // Each lane outputs its state's bit 0 and shifts right, so logical
+        // plane `j + 1` becomes plane `j`; then the lanes that output a 1
+        // take the polynomial.
+        let head = self.head;
+        let planes = self.planes();
+        let word = planes[head];
+        let head = (head + 1) % STATE_BITS;
+        for tap in LOW_TAPS {
+            planes[(head + tap) % STATE_BITS] ^= word;
         }
+        self.head = head;
+
+        // The first cycle of a window counts no transition.
+        let counted = u64::from(self.observed != 0).wrapping_neg();
+        count(&mut self.ones, word);
+        count(&mut self.transitions, (word ^ self.last) & counted);
+        self.last = word;
         self.observed += 1;
-        if self.observed >= self.window {
+        if self.observed >= Self::HEALTH_WINDOW {
             // Monitors are evaluated lazily via `health`; reset the window.
             self.observed = 0;
-            self.ones.iter_mut().for_each(|c| *c = 0);
-            self.transitions.iter_mut().for_each(|c| *c = 0);
+            self.ones = [0; COUNT_BITS];
+            self.transitions = [0; COUNT_BITS];
         }
         word
     }
@@ -230,11 +345,11 @@ impl LfsrBank {
         if self.observed < 256 {
             return LfsrHealth::Ok;
         }
-        for lane in 0..self.lanes.len() {
-            if self.transitions[lane] == 0 {
+        for lane in 0..self.width {
+            if lane_count(&self.transitions, lane) == 0 {
                 return LfsrHealth::StuckAt { lane };
             }
-            let density = self.ones[lane] as f64 / self.observed as f64;
+            let density = lane_count(&self.ones, lane) as f64 / self.observed as f64;
             if !(0.40..=0.60).contains(&density) {
                 return LfsrHealth::Imbalanced { lane, density };
             }
@@ -246,6 +361,202 @@ impl LfsrBank {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::export::fnv1a_64;
+
+    impl LfsrBank {
+        /// Per-lane `(ones, transitions)` of the current window.
+        fn window_counts(&self) -> Vec<(u32, u32)> {
+            (0..self.width)
+                .map(|lane| {
+                    (
+                        lane_count(&self.ones, lane),
+                        lane_count(&self.transitions, lane),
+                    )
+                })
+                .collect()
+        }
+
+        /// Fault injection: zeroes `lane`'s state, the absorbing state whose
+        /// output stays 0.
+        fn zero_lane(&mut self, lane: usize) {
+            for plane in self.planes() {
+                *plane &= !(1 << lane);
+            }
+        }
+    }
+
+    /// The bank as `width` single-lane [`Lfsr`]s with per-lane monitor
+    /// counters.
+    struct Oracle {
+        lanes: Vec<Lfsr>,
+        ones: Vec<u32>,
+        transitions: Vec<u32>,
+        last: Vec<bool>,
+        observed: u32,
+    }
+
+    impl Oracle {
+        fn new(width: usize, seed: u64) -> Self {
+            Oracle {
+                lanes: lane_seeds(width, seed)
+                    .map(|s| Lfsr::new(s, POLY_32_DEFAULT).unwrap())
+                    .collect(),
+                ones: vec![0; width],
+                transitions: vec![0; width],
+                last: vec![false; width],
+                observed: 0,
+            }
+        }
+
+        fn next_bits(&mut self) -> u64 {
+            let mut word = 0;
+            for (i, lane) in self.lanes.iter_mut().enumerate() {
+                let bit = lane.step();
+                word |= u64::from(bit) << i;
+                self.ones[i] += u32::from(bit);
+                if self.observed > 0 && bit != self.last[i] {
+                    self.transitions[i] += 1;
+                }
+                self.last[i] = bit;
+            }
+            self.observed += 1;
+            if self.observed == LfsrBank::HEALTH_WINDOW {
+                self.observed = 0;
+                self.ones.fill(0);
+                self.transitions.fill(0);
+            }
+            word
+        }
+
+        /// `bits` bits taken one at a time, lane by lane, cycle by cycle.
+        fn next_word(&mut self, bits: u32) -> u64 {
+            let (mut word, mut got) = (0, 0);
+            while got < bits {
+                let fresh = self.next_bits();
+                for lane in 0..self.lanes.len() {
+                    if got < bits {
+                        word |= (fresh >> lane & 1) << got;
+                        got += 1;
+                    }
+                }
+            }
+            word
+        }
+
+        fn next_below(&mut self, n: u64) -> u64 {
+            if n == 1 {
+                return 0;
+            }
+            let bits = 64 - (n - 1).leading_zeros();
+            loop {
+                let draw = self.next_word(bits);
+                if draw < n {
+                    return draw;
+                }
+            }
+        }
+
+        fn window_counts(&self) -> Vec<(u32, u32)> {
+            self.ones
+                .iter()
+                .copied()
+                .zip(self.transitions.iter().copied())
+                .collect()
+        }
+    }
+
+    #[test]
+    fn bank_matches_single_lane_oracles() {
+        for width in [1, 5, 16, 63, 64] {
+            for seed in [0, 7, 0xDEAD_BEEF, u64::MAX] {
+                let mut bank = LfsrBank::new(width, seed).unwrap();
+                let mut oracle = Oracle::new(width, seed);
+                for draw in 1..=2 * LfsrBank::HEALTH_WINDOW + 1 {
+                    assert_eq!(
+                        bank.next_bits(),
+                        oracle.next_bits(),
+                        "width {width} seed {seed:#x} draw {draw}"
+                    );
+                    // The window boundaries and the first judged cycle.
+                    if [0, 1, 255, 256, LfsrBank::HEALTH_WINDOW - 1].contains(&oracle.observed) {
+                        assert_eq!(bank.observed, oracle.observed);
+                        assert_eq!(
+                            bank.window_counts(),
+                            oracle.window_counts(),
+                            "width {width} seed {seed:#x} draw {draw}"
+                        );
+                    }
+                }
+                for bits in 1..=64 {
+                    assert_eq!(bank.next_word(bits), oracle.next_word(bits), "{bits} bits");
+                }
+                for n in (1..200).chain([1 << 40 | 3, u64::MAX]) {
+                    assert_eq!(bank.next_below(n), oracle.next_below(n), "below {n}");
+                }
+                assert_eq!(bank.observed, oracle.observed);
+                assert_eq!(bank.window_counts(), oracle.window_counts());
+            }
+        }
+    }
+
+    #[test]
+    fn stream_is_pinned() {
+        // fnv1a_64 of the first 10,000 `next_bits` words, little-endian, as
+        // the per-lane implementation produced them.
+        for (width, seed, hash) in [
+            (16, 0xDEAD_BEEF, 0x0564_a396_052a_d54b_u64),
+            (64, 0xDEAD_BEEF, 0x9600_223f_7dad_7bc3),
+            (16, 2017, 0xa6c7_ae5a_eeac_e649),
+            (64, 2017, 0xc8dc_c9fa_3b24_51a0),
+        ] {
+            let mut bank = LfsrBank::new(width, seed).unwrap();
+            let bytes: Vec<u8> = (0..10_000)
+                .flat_map(|_| bank.next_bits().to_le_bytes())
+                .collect();
+            assert_eq!(fnv1a_64(&bytes), hash, "width {width} seed {seed:#x}");
+        }
+    }
+
+    #[test]
+    fn health_reports_a_zeroed_lane_as_stuck() {
+        for lane in [0, 9, 15] {
+            let mut bank = LfsrBank::new(16, 1234).unwrap();
+            bank.zero_lane(lane);
+            for _ in 0..255 {
+                assert_eq!(bank.next_bits() >> lane & 1, 0);
+                assert_eq!(bank.health(), LfsrHealth::Ok, "too few cycles to judge");
+            }
+            bank.next_bits();
+            assert_eq!(bank.health(), LfsrHealth::StuckAt { lane });
+        }
+    }
+
+    #[test]
+    fn window_reset_clears_the_monitors() {
+        let window = LfsrBank::HEALTH_WINDOW;
+        let mut bank = LfsrBank::new(16, 1234).unwrap();
+        for draw in 1..=3 * window {
+            bank.next_bits();
+            if draw % 256 == 0 {
+                assert_eq!(bank.health(), LfsrHealth::Ok, "healthy bank, draw {draw}");
+            }
+        }
+        // A lane that fails late in a window still has that window's
+        // transitions; the reset clears them, and the fault shows.
+        for _ in 0..window - 256 {
+            bank.next_bits();
+        }
+        bank.zero_lane(3);
+        for _ in 0..255 {
+            bank.next_bits();
+        }
+        assert_eq!(bank.observed, window - 1);
+        assert!(!matches!(bank.health(), LfsrHealth::StuckAt { .. }));
+        for _ in 0..257 {
+            bank.next_bits();
+        }
+        assert_eq!(bank.health(), LfsrHealth::StuckAt { lane: 3 });
+    }
 
     #[test]
     fn lfsr_rejects_zero_seed() {
