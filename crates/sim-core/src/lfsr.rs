@@ -14,9 +14,9 @@
 //!
 //! # Layout
 //!
-//! The bank stores its lanes bit-sliced, as hardware would wire them: 32
-//! `u64` bit-planes in a ring, where bit `i` of plane `j` is bit `j` of lane
-//! `i`'s state. One cycle of all lanes is then a few word operations:
+//! The bank stores its lanes bit-sliced: 32 `u64` bit-planes in a ring,
+//! where bit `i` of plane `j` is bit `j` of lane `i`'s state. One cycle of
+//! all lanes is then a few word operations:
 //!
 //! * the output word is plane 0, one bit per lane;
 //! * every lane's right shift is a rotation of the ring, which also leaves
@@ -105,10 +105,9 @@ pub enum LfsrHealth {
 ///
 /// The lanes are stored bit-sliced (see the [module docs](self)): one
 /// cycle of every lane, and of every health counter, is a fixed handful of
-/// word operations with no branch per lane. Lane `i` still produces
-/// exactly the bit stream of a single-lane [`Lfsr`] seeded with its own
-/// seed, so the output stream is the same as stepping `width` separate
-/// [`Lfsr`]s.
+/// word operations with no branch per lane. The layout does not change the
+/// output stream: lane `i` produces exactly the bits of a single-lane
+/// [`Lfsr`] seeded with its own seed.
 ///
 /// # Example
 ///
@@ -157,8 +156,8 @@ const LOW_TAPS: [usize; 3] = [0, 1, 21];
 
 const _: () = assert!(POLY_32_DEFAULT == 1 << 31 | 1 << 21 | 1 << 1 | 1 << 0);
 
-/// The lanes' seeds: distinct and non-zero, derived from `seed` by
-/// splitmix-style mixing.
+/// The lanes' non-zero seeds, derived from `seed` by splitmix-style
+/// mixing.
 fn lane_seeds(width: usize, seed: u64) -> impl Iterator<Item = u32> {
     let mut s = seed;
     (0..width).map(move |_| {
@@ -201,7 +200,6 @@ fn bit_planes(lanes: impl Iterator<Item = u32>) -> [u64; STATE_BITS] {
 }
 
 /// Adds one bit per lane to a vertical counter.
-#[inline]
 fn count(counter: &mut [u64; COUNT_BITS], mut carry: u64) {
     for plane in counter {
         let next = *plane & carry;
