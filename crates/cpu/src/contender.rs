@@ -116,6 +116,10 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for Contender {
         Some(Cycle::MAX)
     }
 
+    fn is_addressed(&self, completed: &CompletedTransaction) -> bool {
+        completed.core == self.core
+    }
+
     fn is_done(&self) -> bool {
         false
     }
@@ -239,6 +243,10 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for PeriodicCont
     /// only completions can make it act.
     fn wake_at(&self) -> Option<Cycle> {
         Some(self.next_issue)
+    }
+
+    fn is_addressed(&self, completed: &CompletedTransaction) -> bool {
+        completed.core == self.core
     }
 
     fn is_done(&self) -> bool {

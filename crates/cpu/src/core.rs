@@ -360,6 +360,10 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for Core {
         Core::wake_at(self)
     }
 
+    fn is_addressed(&self, completed: &CompletedTransaction) -> bool {
+        completed.core == self.id
+    }
+
     fn is_done(&self) -> bool {
         Core::is_done(self)
     }

@@ -188,6 +188,10 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for FixedRequest
         FixedRequestTask::wake_at(self)
     }
 
+    fn is_addressed(&self, completed: &CompletedTransaction) -> bool {
+        completed.core == self.core
+    }
+
     fn is_done(&self) -> bool {
         FixedRequestTask::is_done(self)
     }

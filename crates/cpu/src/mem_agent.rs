@@ -349,6 +349,10 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for MemAgent {
         MemAgent::wake_at(self)
     }
 
+    fn is_addressed(&self, completed: &CompletedTransaction) -> bool {
+        completed.core == self.id
+    }
+
     fn is_done(&self) -> bool {
         MemAgent::is_done(self)
     }

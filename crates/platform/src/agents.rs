@@ -320,6 +320,10 @@ impl<M: RequestPort + 'static> SimAgent<M, CompletedTransaction> for PortAgent {
         self.0.wake_at()
     }
 
+    fn is_addressed(&self, completed: &CompletedTransaction) -> bool {
+        self.0.is_addressed(completed)
+    }
+
     fn is_done(&self) -> bool {
         self.0.is_done()
     }
@@ -406,6 +410,32 @@ mod tests {
             reg.build(load, CoreId::from_index(0), &platform, &mut rng)
                 .unwrap_or_else(|e| panic!("{load}: {e}"));
         }
+    }
+
+    /// Without the forward, `PortAgent` would keep the trait's default
+    /// and wake every platform agent on every completion: still correct,
+    /// but it would quietly undo the wake calendar's savings.
+    #[test]
+    fn port_agent_forwards_is_addressed() {
+        let inner = AgentRegistry::builtin()
+            .build(
+                &CoreLoad::Saturating { duration: 28 },
+                CoreId::from_index(2),
+                &ctx_platform(),
+                &mut SimRng::seed_from(3),
+            )
+            .expect("builtin kind");
+        let agent = PortAgent::new(inner);
+        let addressed = |core| {
+            let completed = CompletedTransaction {
+                core: CoreId::from_index(core),
+                kind: RequestKind::Contender,
+                duration: 28,
+            };
+            SimAgent::<Bus, _>::is_addressed(&agent, &completed)
+        };
+        assert!(addressed(2));
+        assert!(!addressed(1));
     }
 
     #[test]

@@ -17,23 +17,33 @@
 //!
 //! # Contract
 //!
-//! An agent is a sequential state machine driven once per *executed*
-//! cycle, between the model's `begin_cycle` and `end_cycle`:
+//! An agent is a sequential state machine driven between the model's
+//! `begin_cycle` and `end_cycle` of an *executed* cycle, but only of the
+//! executed cycles that concern it: the events engine of
+//! [`Simulation::run`](crate::Simulation::run) ticks an agent when it is
+//! **due** (its last verdict asked for this cycle) or **addressed** (the
+//! cycle's completion is its own), and leaves it asleep while other
+//! agents act.
 //!
 //! 1. [`tick`](SimAgent::tick) receives the cycle number, the cycle's
 //!    completion report (if any) and the request port, may post traffic,
 //!    and returns a [`Control`] verdict;
-//! 2. [`wake_at`](SimAgent::wake_at), queried after the tick, bounds the
+//! 2. [`wake_at`](SimAgent::wake_at), mirrored by that verdict, bounds the
 //!    next cycle at which ticking the agent can have any effect (absent a
-//!    completion addressed to it) — the event-horizon engine skips the
-//!    cycles in between;
-//! 3. [`absorb_skipped`](SimAgent::absorb_skipped) replays per-cycle
-//!    accounting for cycles the engine skipped, so statistics stay
-//!    bit-identical to per-cycle execution;
-//! 4. [`reset`](SimAgent::reset) must restore the agent to a
+//!    completion addressed to it): neither other agents' posts, grants
+//!    and completions nor the bus's own progress may change what the
+//!    agent would do before then;
+//! 3. [`is_addressed`](SimAgent::is_addressed) tells the engine which
+//!    completions wake the agent early; the default `true` wakes it on
+//!    every completion, which is always safe;
+//! 4. [`absorb_skipped`](SimAgent::absorb_skipped) replays per-cycle
+//!    accounting for every cycle the agent was not ticked, whether the
+//!    engine skipped the cycle or ticked only other agents at it, so
+//!    statistics stay bit-identical to per-cycle execution;
+//! 5. [`reset`](SimAgent::reset) must restore the agent to a
 //!    fresh-construction state (the workspace's conformance suite asserts
 //!    `reset` ≡ fresh construction for every shipped agent);
-//! 5. optionally, the `limit_cycle_*` hooks expose the agent's state so
+//! 6. optionally, the `limit_cycle_*` hooks expose the agent's state so
 //!    the events engine can jump whole periods of a steady run (see
 //!    [`Simulation::run`](crate::Simulation::run)).
 
@@ -111,7 +121,9 @@ pub trait SimAgent<P: ?Sized, C = ()> {
     /// addressed to other agents). The returned [`Control`] is the
     /// agent's verdict for the *engine*: [`Control::Continue`] to be
     /// ticked every cycle, [`Control::Sleep`]`(t)` when nothing can
-    /// happen before cycle `t` (mirroring [`SimAgent::wake_at`]), or
+    /// happen before cycle `t` (mirroring [`SimAgent::wake_at`]; the
+    /// events engine ticks the agent next at `t` or at a completion
+    /// [addressed](SimAgent::is_addressed) to it), or
     /// [`Control::Stop`] to request that the whole simulation stop after
     /// this cycle (no shipped agent does; the hook exists for
     /// user-defined measurement agents).
@@ -125,6 +137,17 @@ pub trait SimAgent<P: ?Sized, C = ()> {
         None
     }
 
+    /// Whether the cycle's completion report is addressed to this agent,
+    /// so that the engine must tick it at this cycle even before its
+    /// [`wake_at`](SimAgent::wake_at). The default `true` wakes the agent
+    /// on every completion; an agent that answers precisely (shipped
+    /// agents compare the report's core with their own) sleeps through
+    /// the completions of the others.
+    fn is_addressed(&self, completed: &C) -> bool {
+        let _ = completed;
+        true
+    }
+
     /// Whether the agent's workload has finished. Infinite agents
     /// (saturating/periodic contenders) return `false` forever.
     fn is_done(&self) -> bool;
@@ -134,9 +157,10 @@ pub trait SimAgent<P: ?Sized, C = ()> {
         None
     }
 
-    /// Accounts `skipped` engine-skipped cycles (see
+    /// Accounts `skipped` cycles at which the agent was not ticked (see
     /// [`SimAgent::wake_at`]): statistics must advance exactly as that
-    /// many unchanged ticks would have advanced them. Agents whose state
+    /// many unchanged ticks would have advanced them. The engine may
+    /// split one untouched stretch over several calls. Agents whose state
     /// is already expressed in absolute cycles need nothing here.
     fn absorb_skipped(&mut self, skipped: u64) {
         let _ = skipped;
@@ -219,6 +243,11 @@ impl<P: ?Sized, C> SimAgent<P, C> for Idle {
         Some(Cycle::MAX)
     }
 
+    /// It never posts, so no completion is its own.
+    fn is_addressed(&self, _completed: &C) -> bool {
+        false
+    }
+
     fn is_done(&self) -> bool {
         true
     }
@@ -242,6 +271,7 @@ mod tests {
         assert_eq!(verdict, Control::Sleep(Cycle::MAX));
         assert!(SimAgent::<(), u32>::is_done(&idle));
         assert_eq!(SimAgent::<(), u32>::wake_at(&idle), Some(Cycle::MAX));
+        assert!(!SimAgent::<(), u32>::is_addressed(&idle, &0));
         assert_eq!(SimAgent::<(), u32>::done_at(&idle), None);
         assert_eq!(SimAgent::<(), u32>::stats(&idle), AgentStats::default());
     }

@@ -79,8 +79,9 @@
 //! executed, same skip decisions, same stop cycle) while additionally
 //! feeding a [`Probe`]; the workspace's identity tests pin this through
 //! the platform layer. On top of the event-horizon skips, the events
-//! engine fast-forwards whole periods of runs that settle into a limit
-//! cycle (see [`Simulation::run`]).
+//! engine ticks an agent only when it is due or addressed by the cycle's
+//! completion (its wake calendar), and fast-forwards whole periods of
+//! runs that settle into a limit cycle (see [`Simulation::run`]).
 
 use crate::agent::SimAgent;
 use crate::engine::{BusModel, Control, DriveOutcome};
@@ -163,9 +164,25 @@ impl<M: BusModel, P: Probe<M::Completion>> Simulation<M, P> {
     ///
     /// The loop is bit-identical to [`drive`](crate::drive) (naive
     /// engine) / [`drive_events`](crate::drive_events) (events engine)
-    /// wrapped around the canonical client-ticking closure: completions
-    /// are handed to every agent, skipped stretches are absorbed, agents'
-    /// sleep horizons bound the fast path's jumps.
+    /// wrapped around the canonical client-ticking closure: the cycles
+    /// executed, the skip decisions and the stop cycle are the same, and
+    /// so is every agent's accounting.
+    ///
+    /// # Wake calendar
+    ///
+    /// The events engine ticks an agent only at the executed cycles that
+    /// concern it: when it is **due**, or when the cycle's completion is
+    /// [addressed](SimAgent::is_addressed) to it. An agent's due cycle
+    /// comes from its last verdict: `Sleep(t)` makes it due at `t` (and
+    /// never before the next cycle), `Continue` and `Stop` at the next
+    /// cycle. Each agent's unticked cycles are replayed through
+    /// [`absorb_skipped`](SimAgent::absorb_skipped) just before its next
+    /// tick, before a limit-cycle sample and at the end of the run. The
+    /// earliest due cycle bounds how far the engine may skip. Platform
+    /// runs have one agent per core (at most 64), so the calendar is two
+    /// flat vectors scanned once per executed cycle, not a priority
+    /// queue. The naive engine reads every verdict as `Continue`, so it
+    /// ticks every agent on every cycle and stays the dense reference.
     ///
     /// # Limit-cycle fast-forward
     ///
@@ -203,6 +220,11 @@ impl<M: BusModel, P: Probe<M::Completion>> Simulation<M, P> {
         let active: Vec<usize> = (0..agents.len())
             .filter(|&i| !agents[i].is_inert())
             .collect();
+        // The wake calendar, one entry per active agent: the cycle it is
+        // next due at, and the first cycle whose accounting it has not
+        // absorbed.
+        let mut due: Vec<Cycle> = vec![0; active.len()];
+        let mut seen: Vec<Cycle> = vec![0; active.len()];
         let mut detector = (events && !P::ACTIVE)
             .then(|| LimitCycles::new(model, agents, &active))
             .flatten();
@@ -214,7 +236,6 @@ impl<M: BusModel, P: Probe<M::Completion>> Simulation<M, P> {
         }
         .min(max_cycles.saturating_sub(1));
         let mut now: Cycle = 0;
-        let mut prev: Option<Cycle> = None;
         let mut stopped = false;
         while now < max_cycles {
             let completed = model.begin_cycle(now);
@@ -223,30 +244,29 @@ impl<M: BusModel, P: Probe<M::Completion>> Simulation<M, P> {
                     probe.on_completion(now, c);
                 }
             }
-            // Replay per-cycle accounting for the cycles the fast path
-            // skipped since the last executed cycle.
-            if let Some(prev) = prev {
-                let skipped = now - prev - 1;
-                if skipped > 0 {
-                    for &i in &active {
-                        agents[i].absorb_skipped(skipped);
-                    }
-                }
-            }
-            prev = Some(now);
-            // The tick verdicts carry each agent's sleep horizon (the
-            // trait contract: the verdict mirrors `wake_at`, which
-            // depends only on the agent's own state), so one pass both
-            // ticks and aggregates — no second virtual-dispatch sweep.
             let mut agent_stop = false;
             let mut until = Cycle::MAX;
-            let mut can_sleep = true;
-            for &i in &active {
-                match agents[i].tick(now, completed.as_ref(), model) {
-                    Control::Stop => agent_stop = true,
-                    Control::Continue => can_sleep = false,
-                    Control::Sleep(t) => until = until.min(t),
+            for ((&i, due), seen) in zip(zip(&active, &mut due), &mut seen) {
+                let agent = &mut agents[i];
+                // Asleep and not addressed: this cycle cannot concern it,
+                // and its last verdict still bounds the skip.
+                if *due > now && !completed.as_ref().is_some_and(|c| agent.is_addressed(c)) {
+                    until = until.min(*due);
+                    continue;
                 }
+                if *seen < now {
+                    agent.absorb_skipped(now - *seen);
+                }
+                *seen = now + 1;
+                *due = match agent.tick(now, completed.as_ref(), model) {
+                    Control::Sleep(t) if events => t.max(now + 1),
+                    Control::Stop => {
+                        agent_stop = true;
+                        now + 1
+                    }
+                    _ => now + 1,
+                };
+                until = until.min(*due);
             }
             let granted = model.end_cycle(now);
             if P::ACTIVE {
@@ -269,16 +289,18 @@ impl<M: BusModel, P: Probe<M::Completion>> Simulation<M, P> {
                 break;
             }
             if let (Some(lc), Some(core)) = (&mut detector, granted) {
-                let jumped = lc
-                    .due(core)
-                    .then(|| lc.sample(now, last_landing, model, agents, &active));
-                if let Some(shift) = jumped.flatten() {
-                    // The landing cycle stands in for this one, whole
-                    // periods later; resume stepping right after it.
-                    now += shift;
-                    prev = Some(now);
-                    now += 1;
-                    continue;
+                if lc.due(core) {
+                    // The sample reads every agent's counters as of now.
+                    absorb_until(now + 1, agents, &active, &mut seen);
+                    if let Some(shift) = lc.sample(now, last_landing, model, agents, &active) {
+                        // The landing cycle stands in for this one, whole
+                        // periods later; resume stepping right after it.
+                        for t in due.iter_mut().chain(&mut seen) {
+                            *t = t.saturating_add(shift);
+                        }
+                        now += shift + 1;
+                        continue;
+                    }
                 }
             }
             if events {
@@ -287,7 +309,7 @@ impl<M: BusModel, P: Probe<M::Completion>> Simulation<M, P> {
                     // skip it.
                     until = until.min(h - 1);
                 }
-                if can_sleep && until > now + 1 {
+                if until > now + 1 {
                     if let Some(event) = model.next_event(now) {
                         let jump = event.min(until).min(max_cycles);
                         if jump > now + 1 {
@@ -300,17 +322,10 @@ impl<M: BusModel, P: Probe<M::Completion>> Simulation<M, P> {
             }
             now += 1;
         }
-        // A run that hits max_cycles mid-skip ends without another tick;
-        // absorb the tail so agent statistics stay bit-identical to the
-        // per-cycle loop.
-        if let Some(prev) = prev {
-            let tail = (now - 1).saturating_sub(prev);
-            if tail > 0 {
-                for &i in &active {
-                    agents[i].absorb_skipped(tail);
-                }
-            }
-        }
+        // The run ends without ticking everyone at its last cycle (or
+        // mid-skip at max_cycles): absorb each agent's tail so agent
+        // statistics stay bit-identical to the per-cycle loop.
+        absorb_until(now, agents, &active, &mut seen);
         if P::ACTIVE {
             // A run truncated mid-skip leaves events buffered by the
             // final `advance` (e.g. coalesced credit flips); drain them
@@ -377,6 +392,22 @@ impl<M: BusModel, P: Probe<M::Completion>> Simulation<M, P> {
 fn forward_event<C, P: Probe<C>>(probe: &mut P, event: ModelEvent) {
     match event {
         ModelEvent::CreditFlip { at, core, eligible } => probe.on_credit_flip(at, core, eligible),
+    }
+}
+
+/// Absorbs each active agent's unticked cycles before `end` (the wake
+/// calendar's `seen` entries move up to `end`).
+fn absorb_until<M: BusModel>(
+    end: Cycle,
+    agents: &mut [BoxedAgent<M>],
+    active: &[usize],
+    seen: &mut [Cycle],
+) {
+    for (&i, seen) in zip(active, seen) {
+        if *seen < end {
+            agents[i].absorb_skipped(end - *seen);
+            *seen = end;
+        }
     }
 }
 
@@ -545,8 +576,8 @@ impl<M: BusModel, P: Probe<M::Completion>> SimulationBuilder<M, P> {
         self
     }
 
-    /// Adds one agent. Agents are ticked in insertion order each cycle;
-    /// index 0 is the platform's "task under analysis" slot.
+    /// Adds one agent. The agents ticked at a cycle tick in insertion
+    /// order; index 0 is the platform's "task under analysis" slot.
     pub fn agent(mut self, agent: impl SimAgent<M, M::Completion> + 'static) -> Self {
         self.agents.push(Box::new(agent));
         self
@@ -631,7 +662,8 @@ mod tests {
     use crate::engine::tests::OneShot;
     use crate::rng::SimRng;
     use crate::trace::GrantTrace;
-    use std::cell::Cell;
+    use std::cell::{Cell, RefCell};
+    use std::rc::Rc;
 
     /// Posts `n` 7-cycle requests, one per 20-cycle period.
     struct Periodic {
@@ -816,6 +848,9 @@ mod tests {
         cursor: usize,
         idle: u64,
         jumps: u64,
+        /// Executed cycles, and those that reported a completion.
+        executed: u64,
+        completions: u64,
     }
 
     impl BusModel for Ring {
@@ -824,9 +859,11 @@ mod tests {
         type Error = ();
 
         fn begin_cycle(&mut self, now: Cycle) -> Option<CoreId> {
+            self.executed += 1;
             let (core, ends_at) = self.busy?;
             (ends_at == now).then(|| {
                 self.busy = None;
+                self.completions += 1;
                 core
             })
         }
@@ -972,6 +1009,10 @@ mod tests {
             Some(self.post_at.unwrap_or(Cycle::MAX))
         }
 
+        fn is_addressed(&self, done: &CoreId) -> bool {
+            *done == self.core
+        }
+
         fn is_done(&self) -> bool {
             self.done_at.is_some()
         }
@@ -1027,19 +1068,25 @@ mod tests {
         }
     }
 
-    /// A task of `tua` requests (endless for `None`) on core 0 against a
-    /// saturating and a gapped feeder; core 3 is left free.
-    fn ring(engine: Engine, tua: Option<u64>) -> SimulationBuilder<Ring> {
-        let model = Ring {
+    /// A 4-core ring with nothing posted.
+    fn ring_model() -> Ring {
+        Ring {
             trace: GrantTrace::counting(4),
             pending: vec![None; 4],
             busy: None,
             cursor: 0,
             idle: 0,
             jumps: 0,
-        };
+            executed: 0,
+            completions: 0,
+        }
+    }
+
+    /// A task of `tua` requests (endless for `None`) on core 0 against a
+    /// saturating and a gapped feeder; core 3 is left free.
+    fn ring(engine: Engine, tua: Option<u64>) -> SimulationBuilder<Ring> {
         Simulation::builder()
-            .model(model)
+            .model(ring_model())
             .agent(Feeder::new(0, 3, 2, tua))
             .agent(Feeder::new(1, 5, 0, None))
             .agent(Idle::new())
@@ -1112,5 +1159,129 @@ mod tests {
         assert_eq!(jumps_matching_naive(with_core_3(false)), (0, 0));
         // The same agent accepting the hooks lets the run jump again.
         assert!(jumps_matching_naive(with_core_3(true)).0 > 0);
+    }
+
+    /// What a [`Logged`] feeder saw of the engine.
+    #[derive(Default)]
+    struct TickLog {
+        ticks: u64,
+        /// Ticks at a cycle that reported any completion.
+        completion_ticks: u64,
+        /// Ticks at which the feeder was neither due nor addressed.
+        stray: u64,
+    }
+
+    /// A [`Feeder`] that logs its ticks. With `precise` unset it reads
+    /// every completion as addressed to it, as the trait's default does.
+    /// It declines the limit-cycle hooks, so its runs never jump.
+    struct Logged {
+        feeder: Feeder,
+        precise: bool,
+        /// The cycle its last verdict asked for.
+        due: Cycle,
+        log: Rc<RefCell<TickLog>>,
+    }
+
+    impl SimAgent<Ring, CoreId> for Logged {
+        fn tick(&mut self, now: Cycle, done: Option<&CoreId>, bus: &mut Ring) -> Control {
+            let mut log = self.log.borrow_mut();
+            log.ticks += 1;
+            log.completion_ticks += done.is_some() as u64;
+            log.stray += (now < self.due && done != Some(&self.feeder.core)) as u64;
+            let verdict = self.feeder.tick(now, done, bus);
+            self.due = match verdict {
+                Control::Sleep(t) => t,
+                _ => now + 1,
+            };
+            verdict
+        }
+
+        fn wake_at(&self) -> Option<Cycle> {
+            self.feeder.wake_at()
+        }
+
+        fn is_addressed(&self, done: &CoreId) -> bool {
+            !self.precise || self.feeder.is_addressed(done)
+        }
+
+        fn is_done(&self) -> bool {
+            self.feeder.is_done()
+        }
+
+        fn done_at(&self) -> Option<Cycle> {
+            self.feeder.done_at
+        }
+
+        fn absorb_skipped(&mut self, skipped: u64) {
+            self.feeder.absorb_skipped(skipped);
+        }
+
+        fn reset(&mut self, rng: &mut SimRng) {
+            self.feeder.reset(rng);
+        }
+
+        fn stats(&self) -> AgentStats {
+            self.feeder.stats()
+        }
+    }
+
+    /// The ring run with every feeder logged: a 400-request task on core
+    /// 0, a saturating feeder on core 1 and a gapped one on core 2, after
+    /// an idle slot that keeps calendar entries and agent indices apart.
+    /// Returns the finished run and the feeders' logs in agent order.
+    fn logged_ring(engine: Engine, precise: bool) -> (Simulation<Ring>, Vec<Rc<RefCell<TickLog>>>) {
+        let feeders = [
+            Feeder::new(0, 3, 2, Some(400)),
+            Feeder::new(1, 5, 0, None),
+            Feeder::new(2, 4, 7, None),
+        ];
+        let logs: Vec<Rc<RefCell<TickLog>>> = feeders.iter().map(|_| Rc::default()).collect();
+        let mut builder = Simulation::builder()
+            .model(ring_model())
+            .agent(Idle::new())
+            .stop(StopWhen::AgentDone(1))
+            .engine(engine)
+            .max_cycles(1_000_000);
+        for (feeder, log) in zip(feeders, &logs) {
+            let log = log.clone();
+            builder = builder.agent(Logged {
+                feeder,
+                precise,
+                due: 0,
+                log,
+            });
+        }
+        (builder.run(), logs)
+    }
+
+    #[test]
+    fn the_wake_calendar_ticks_an_agent_only_when_due_or_addressed() {
+        let (naive, naive_logs) = logged_ring(Engine::Naive, true);
+        let (events, logs) = logged_ring(Engine::Events, true);
+        assert_eq!(observed(&events), observed(&naive));
+        // The dense reference ticks every active agent on every cycle.
+        let cycles = naive.model().executed;
+        assert_eq!(Some(cycles), naive.outcome().map(|o| o.cycles));
+        for log in &naive_logs {
+            assert_eq!(log.borrow().ticks, cycles);
+        }
+        for (k, log) in logs.iter().enumerate() {
+            assert_eq!(log.borrow().stray, 0, "feeder {k} ticked off its calendar");
+        }
+        // The gapped feeder sleeps through most of the others' cycles.
+        let (gapped, executed) = (logs[2].borrow().ticks, events.model().executed);
+        assert!(2 * gapped < executed, "{gapped} ticks in {executed} cycles");
+    }
+
+    #[test]
+    fn an_agent_keeping_the_default_is_addressed_wakes_on_every_completion() {
+        let (naive, _) = logged_ring(Engine::Naive, false);
+        let (events, logs) = logged_ring(Engine::Events, false);
+        assert_eq!(observed(&events), observed(&naive));
+        let completions = events.model().completions;
+        assert!(completions > 0);
+        for log in &logs {
+            assert_eq!(log.borrow().completion_ticks, completions);
+        }
     }
 }

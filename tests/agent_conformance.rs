@@ -1,5 +1,5 @@
 //! `SimAgent` conformance suite: every shipped agent implementation must
-//! honor the two contracts the open client API rests on.
+//! honor the three contracts the open client API rests on.
 //!
 //! 1. **Wake honesty** — an agent sleeping until its declared
 //!    [`wake_at`](sim_core::SimAgent::wake_at) never posts earlier:
@@ -10,15 +10,22 @@
 //! 2. **Reset ≡ fresh** — [`reset`](sim_core::SimAgent::reset) through
 //!    the trait restores a fresh-construction agent: re-running the same
 //!    workload yields identical post streams and statistics.
+//! 3. **Wake calendar** — beside another agent, a completion is
+//!    [addressed](sim_core::SimAgent::is_addressed) to the agent exactly
+//!    when it is its own, and ticking the agent only when its last
+//!    verdict made it due or such a completion arrives, absorbing every
+//!    other cycle, reproduces the dense run. This is what lets the events
+//!    engine leave an agent asleep while the others act.
 //!
 //! Agents are built through the [`AgentRegistry`], so the suite also
 //! pins the registry's kind coverage.
 
 use cba_bus::{Bus, BusConfig, BusError, BusRequest, PolicyKind, RequestPort};
+use cba_cpu::Contender;
 use cba_platform::agents::{default_registry, BoxedPortAgent};
 use cba_platform::{BusSetup, CoreLoad, PlatformConfig};
 use sim_core::rng::SimRng;
-use sim_core::{AgentStats, CoreId, Cycle};
+use sim_core::{AgentStats, Control, CoreId, Cycle};
 
 /// A request port that records every accepted post before forwarding it
 /// to the real bus.
@@ -185,6 +192,75 @@ fn sleeping_until_wake_at_never_changes_the_post_stream() {
                 "'{load}': agent declared no sleepable cycle in {HORIZON}"
             );
         }
+    }
+}
+
+/// Drives `agent` (core 0) for `horizon` cycles beside a saturating
+/// contender on core 1, checking at every completion that the agent is
+/// addressed exactly by its own. With `calendar` set, the agent is ticked
+/// only when its last verdict made it due or its own completion arrives,
+/// and absorbs every other cycle. Returns the post log of both cores, the
+/// agent's final stats and its tick count.
+fn drive_beside_a_contender(
+    agent: &mut BoxedPortAgent,
+    horizon: Cycle,
+    calendar: bool,
+) -> (Vec<(Cycle, usize, u32)>, AgentStats, u64) {
+    let mut port = SpyPort::new(2);
+    let mut contender = Contender::new(CoreId::from_index(1), 28);
+    let (mut due, mut seen, mut ticks) = (0, 0, 0);
+    for now in 0..horizon {
+        let done = port.bus.begin_cycle(now);
+        let addressed = done.as_ref().is_some_and(|ct| {
+            let own = ct.core == CoreId::from_index(0);
+            assert_eq!(agent.is_addressed(ct), own, "cycle {now}: {ct:?}");
+            own
+        });
+        if !calendar || now >= due || addressed {
+            if seen < now {
+                agent.absorb_skipped(now - seen);
+            }
+            seen = now + 1;
+            ticks += 1;
+            let verdict = agent.tick(now, done.as_ref(), &mut port);
+            assert_eq!(
+                verdict,
+                agent.wake_at().map_or(Control::Continue, Control::Sleep)
+            );
+            due = match verdict {
+                Control::Sleep(t) => t,
+                _ => now + 1,
+            };
+        }
+        contender.tick(now, done.as_ref(), &mut port);
+        port.bus.end_cycle(now);
+    }
+    if seen < horizon {
+        agent.absorb_skipped(horizon - seen);
+    }
+    (port.posts, agent.stats(), ticks)
+}
+
+/// Contract 3: ticking an agent only when it is due or addressed loses
+/// nothing while another agent keeps the bus busy.
+#[test]
+fn ticking_only_when_due_or_addressed_reproduces_the_dense_run() {
+    const HORIZON: Cycle = 6_000;
+    for load in shipped_loads() {
+        let mut dense = build(&load, 23);
+        let (dense_posts, dense_stats, _) = drive_beside_a_contender(&mut dense, HORIZON, false);
+        let mut sparse = build(&load, 23);
+        let (sparse_posts, sparse_stats, ticks) =
+            drive_beside_a_contender(&mut sparse, HORIZON, true);
+        assert_eq!(
+            dense_posts, sparse_posts,
+            "'{load}': the calendar must reproduce the dense post stream"
+        );
+        assert_eq!(
+            dense_stats, sparse_stats,
+            "'{load}': stats must survive the cycles the calendar absorbed"
+        );
+        assert!(ticks < HORIZON, "'{load}': never left asleep");
     }
 }
 

@@ -15,18 +15,22 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cba_bus::{Bus, BusConfig, CompletedTransaction, PolicyKind, RequestPort};
+use cba::{CreditConfig, CreditFilter};
+use cba_bus::fabric::{Fabric, FabricConfig};
+use cba_bus::{Bus, BusConfig, BusModel, CompletedTransaction, PolicyKind, RequestPort};
 use cba_cpu::{Contender, FixedRequestTask, PeriodicContender};
+use cba_platform::agents::default_registry;
 use cba_platform::campaign::run_seed;
 use cba_platform::config::{FabricTopology, PlatformConfig};
 use cba_platform::scenario::{parse_engine, ScenarioDef};
 use cba_platform::{
     run_once, run_once_with, AgentCtx, AgentRegistry, BusSetup, Campaign, CoreLoad, DriveMode,
-    RunResult, RunSpec, Scenario, StopCondition,
+    PortAgent, RunResult, RunSpec, Scenario, StopCondition,
 };
 use sim_core::agent::{AgentStats, SimAgent};
+use sim_core::lfsr::LfsrBank;
 use sim_core::rng::SimRng;
-use sim_core::{Control, CoreId, Cycle, Engine, Simulation, StopWhen};
+use sim_core::{BoxedAgent, Control, CoreId, Cycle, Engine, Simulation, StopWhen};
 
 /// Runs `spec` under the naive engine and the default engine with the
 /// same seed.
@@ -271,6 +275,134 @@ fn the_jump_fires_on_the_real_bus() {
         assert!(jumped() > 0, "cba={cba}: Simulation took no jump");
         assert_eq!(observe(&events), observe(&naive), "cba={cba}");
     }
+}
+
+/// Every shipped agent kind on `n` cores, built through the registry and
+/// bridged by `PortAgent`: the list `bench`, `stream`, `sat`, `per`,
+/// `fixed`, `mem`, `shared`, `shared` repeats to fill the cores, every
+/// `shared` agent on the run's one coherence hub, and each agent draws
+/// its own stream of `seed`.
+fn every_kind<M>(n: usize, seed: u64) -> Vec<BoxedAgent<M>>
+where
+    M: BusModel<Completion = CompletedTransaction> + RequestPort + 'static,
+{
+    let memory = cba_mem::MemoryConfig {
+        working_set: 1024,
+        accesses: 150,
+        think: 2,
+        l1_sets: 16,
+        l1_ways: 2,
+        share_frac: 0.4,
+        ..Default::default()
+    };
+    let hub = cba_mem::shared_hub(n, memory.shared_lines);
+    let mut platform = PlatformConfig::paper(&BusSetup::Rp);
+    platform.n_cores = n;
+    platform.memory = Some(memory);
+    let agent = |kind: &str| CoreLoad::Custom {
+        kind: kind.into(),
+        args: Vec::new(),
+    };
+    let loads = [
+        CoreLoad::named("rspeed"),
+        CoreLoad::Streaming { accesses: 200 },
+        CoreLoad::Saturating { duration: 28 },
+        CoreLoad::Periodic {
+            duration: 11,
+            period: 173,
+            phase: 9,
+        },
+        CoreLoad::FixedTask {
+            n_requests: 60,
+            duration: 6,
+            gap: 40,
+        },
+        agent("mem"),
+        agent("shared"),
+        agent("shared"),
+    ];
+    (0..n)
+        .map(|i| {
+            let load = &loads[i % loads.len()];
+            let mut rng = SimRng::seed_from(seed).fork(0xC0 + i as u64);
+            let core = CoreId::from_index(i);
+            let inner = default_registry()
+                .build_shared(load, core, &platform, Some(hub.clone()), &mut rng)
+                .unwrap_or_else(|e| panic!("{load}: {e}"));
+            Box::new(PortAgent::new(inner)) as BoxedAgent<M>
+        })
+        .collect()
+}
+
+/// Runs every shipped kind on `n` cores of `model(seed)` under both
+/// engines, for a few seeds, and requires equal outcomes, equal `stats()`
+/// for every agent and equal model cycle counters (`cycles` reads the
+/// idle and total cycles).
+fn every_agents_stats_match<M>(n: usize, model: impl Fn(u64) -> M, cycles: impl Fn(&M) -> [u64; 2])
+where
+    M: BusModel<Completion = CompletedTransaction> + RequestPort + 'static,
+{
+    for seed in [1, 2, 3] {
+        let run = |engine| {
+            Simulation::builder()
+                .model(model(seed))
+                .agents(every_kind::<M>(n, seed))
+                .stop(StopWhen::Horizon(20_000))
+                .engine(engine)
+                .run()
+        };
+        let observe = |sim: &Simulation<M>| {
+            let stats: Vec<AgentStats> = sim.agents().iter().map(|a| a.stats()).collect();
+            (sim.outcome(), stats, cycles(sim.model()))
+        };
+        let (naive, events) = (run(Engine::Naive), run(Engine::Events));
+        assert_eq!(observe(&events), observe(&naive), "seed {seed}");
+    }
+}
+
+/// `RunResult` carries no busy or stall counters, so the cases above
+/// cannot see an agent's accounting diverge; this compares every agent's
+/// `stats()` directly, on an 8-core bus (RP with CBA) and on a 4×4
+/// fabric (round robin with CBA on every segment).
+#[test]
+fn naive_matches_events_on_every_agents_stats() {
+    every_agents_stats_match(
+        8,
+        |seed| {
+            let mut bus = Bus::new(
+                BusConfig::new(8, 56).unwrap(),
+                PolicyKind::RandomPermutation.build(8, 56),
+            );
+            bus.set_filter(Box::new(CreditFilter::new(
+                CreditConfig::homogeneous(8, 56).unwrap(),
+            )));
+            bus.set_random_source(Box::new(LfsrBank::new(16, seed).unwrap()));
+            bus
+        },
+        |bus| [bus.idle_cycles(), bus.total_cycles()],
+    );
+    every_agents_stats_match(
+        16,
+        |_| {
+            let config = FabricConfig::new(4, 4, 56, 4, 2).unwrap();
+            let policies = (0..4)
+                .map(|_| PolicyKind::RoundRobin.build(4, 56))
+                .collect();
+            let mut fabric =
+                Fabric::new(config, policies, PolicyKind::RoundRobin.build(4, 56)).unwrap();
+            for k in 0..4 {
+                fabric.set_cluster_filter(
+                    k,
+                    Box::new(CreditFilter::new(CreditConfig::homogeneous(4, 56).unwrap())),
+                );
+            }
+            fabric.set_backbone_filter(Box::new(CreditFilter::new(
+                CreditConfig::homogeneous(4, 56).unwrap(),
+            )));
+            fabric
+        },
+        |fabric| [fabric.idle_cycles(), fabric.total_cycles()],
+    );
 }
 
 /// A campaign whose runs jump reports the same results on 1, 2 and 8
