@@ -10,9 +10,13 @@
 //!   [`scenario_hash`](crate::scenario::ScenarioDef::scenario_hash) of the
 //!   grid, so a journal can never be replayed into a different scenario;
 //! * one record per cell — cell index, payload length, CRC-32, then the
-//!   [`CellReport`] encoded with the fixed binary codec
-//!   ([`sim_core::export::ByteWriter`]), floats as raw IEEE-754 bits so
-//!   replayed statistics are bit-identical to freshly computed ones;
+//!   [`CellReport`] as a self-describing payload
+//!   ([`sim_core::export::ByteWriter`]): its labels, then every column of
+//!   [`CellReport::columns`] by name with a tagged value, floats as raw
+//!   IEEE-754 bits so replayed statistics are bit-identical to freshly
+//!   computed ones. A record whose column list differs from this build's
+//!   is undecodable, so a new report column needs neither a codec change
+//!   nor a version bump;
 //! * an `fsync` after the header and after every record, so the journal
 //!   on disk is always a valid prefix no matter where the process dies.
 //!
@@ -29,7 +33,7 @@
 //! writes, so `tests/crash_resume.rs` can kill campaigns at arbitrary
 //! checkpoints and prove resume correctness deterministically.
 
-use crate::report::{CellOutcome, CellReport, PwcetCell, PwcetFit};
+use crate::report::{CellReport, Value};
 use sim_core::export::{crc32, ByteReader, ByteWriter};
 use sim_core::rng::SimRng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -44,9 +48,10 @@ pub const JOURNAL_FILE: &str = "campaign.journal";
 ///
 /// Version 2 added the pWCET columns (`[report] pwcet`) to the cell
 /// codec; version 3 added the memory-agent columns (miss rate,
-/// coherence fraction, writebacks). Older journals are discarded with a
-/// notice on resume.
-pub const JOURNAL_VERSION: u32 = 3;
+/// coherence fraction, writebacks); version 4 records every column by
+/// name with a tagged value, so later columns change the records but not
+/// the version. Older journals are discarded with a notice on resume.
+pub const JOURNAL_VERSION: u32 = 4;
 
 const MAGIC: &[u8; 8] = b"CBACKPT\n";
 /// magic + version + scenario hash + total cells + runs per cell.
@@ -296,9 +301,11 @@ impl Journal {
     }
 }
 
-/// Encodes a [`CellReport`] with the fixed binary codec. Floats are
-/// written as raw bits, so `decode(encode(r))` reproduces every statistic
-/// bit-for-bit — the property the resume determinism contract rests on.
+/// Encodes a [`CellReport`] as a self-describing record: its labels, then
+/// every column of [`CellReport::columns`] by name with a tagged value.
+/// Floats are written as raw bits, so `decode(encode(r))` reproduces every
+/// statistic bit-for-bit — the property the resume determinism contract
+/// rests on.
 pub fn encode_cell_report(r: &CellReport) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u32(r.labels.len() as u32);
@@ -306,220 +313,118 @@ pub fn encode_cell_report(r: &CellReport) -> Vec<u8> {
         w.str(k);
         w.str(v);
     }
-    w.u64(r.seed);
-    w.u64(r.runs as u64);
-    w.u64(r.unfinished as u64);
-    w.u64(r.panicked as u64);
-    w.u64(r.budget_trips as u64);
-    match &r.outcome {
-        CellOutcome::Ok => w.u8(0),
-        CellOutcome::Panicked(msg) => {
-            w.u8(1);
-            w.str(msg);
-        }
-        CellOutcome::Budget => w.u8(2),
+    let columns = r.columns();
+    w.u32(columns.len() as u32);
+    for col in &columns {
+        w.str(col.name);
+        write_value(&mut w, col.value.as_ref());
     }
-    w.f64(r.mean);
-    w.f64(r.ci95);
-    w.f64(r.min);
-    w.f64(r.max);
-    w.u32(r.percentiles.len() as u32);
-    for &(q, v) in &r.percentiles {
-        w.f64(q);
-        w.f64(v);
-    }
-    w.f64(r.utilization);
-    w.opt_f64(r.normalized);
-    w.opt_f64(r.normalized_ci95);
-    w.opt_f64(r.tua_max_burst);
-    w.opt_f64(r.contender_max_gap);
-    match &r.cluster_shares {
-        None => w.u8(0),
-        Some(shares) => {
-            w.u8(1);
-            w.f64s(shares);
-        }
-    }
-    w.opt_f64(r.cluster_fairness);
-    match &r.window_jain {
-        None => w.u8(0),
-        Some(jain) => {
-            w.u8(1);
-            w.f64s(jain);
-        }
-    }
-    match &r.window_shares {
-        None => w.u8(0),
-        Some(shares) => {
-            w.u8(1);
-            w.u32(shares.len() as u32);
-            for row in shares {
-                w.f64s(row);
-            }
-        }
-    }
-    match &r.pwcet {
-        None => w.u8(0),
-        Some(p) => {
-            w.u8(1);
-            w.f64s(&p.probs);
-            match &p.fit {
-                None => w.u8(0),
-                Some(f) => {
-                    w.u8(1);
-                    w.f64s(&f.bounds);
-                    w.f64(f.mu);
-                    w.f64(f.beta);
-                    w.u32(f.blocks);
-                    w.f64(f.ks_p);
-                    w.f64(f.lb_p);
-                    w.f64(f.runs_p);
-                    w.u8(f.iid_ok as u8);
-                }
-            }
-            match &p.diag {
-                None => w.u8(0),
-                Some(d) => {
-                    w.u8(1);
-                    w.str(d);
-                }
-            }
-        }
-    }
-    w.opt_f64(r.mem_miss_rate);
-    w.opt_f64(r.mem_coherence_frac);
-    w.opt_f64(r.mem_writebacks);
     w.into_bytes()
 }
 
-/// Decodes a journal payload back into a [`CellReport`].
+/// Decodes a journal payload back into a [`CellReport`], restoring each
+/// column by name.
 ///
 /// # Errors
 ///
-/// A short or malformed buffer (the replay loop stops the valid prefix
-/// there).
+/// A short or malformed buffer, or a column list that differs from this
+/// build's (the replay loop stops the valid prefix there).
 pub fn decode_cell_report(bytes: &[u8]) -> Result<CellReport, String> {
     let mut r = ByteReader::new(bytes);
-    let n_labels = r.u32()? as usize;
-    let mut labels = Vec::with_capacity(n_labels.min(64));
-    for _ in 0..n_labels {
-        labels.push((r.str()?, r.str()?));
+    let mut report = CellReport::default();
+    for _ in 0..r.u32()? {
+        report.labels.push((r.str()?, r.str()?));
     }
-    let seed = r.u64()?;
-    let runs = r.u64()? as usize;
-    let unfinished = r.u64()? as usize;
-    let panicked = r.u64()? as usize;
-    let budget_trips = r.u64()? as usize;
-    let outcome = match r.u8()? {
-        0 => CellOutcome::Ok,
-        1 => CellOutcome::Panicked(r.str()?),
-        2 => CellOutcome::Budget,
-        other => return Err(format!("bad outcome tag {other}")),
-    };
-    let mean = r.f64()?;
-    let ci95 = r.f64()?;
-    let min = r.f64()?;
-    let max = r.f64()?;
-    let n_pcts = r.u32()? as usize;
-    let mut percentiles = Vec::with_capacity(n_pcts.min(64));
-    for _ in 0..n_pcts {
-        percentiles.push((r.f64()?, r.f64()?));
+    let expected = report.columns();
+    let n = r.u32()? as usize;
+    for i in 0..n.max(expected.len()) {
+        let want = expected.get(i).map(|c| c.name);
+        if i == n {
+            return Err(format!(
+                "record lacks column `{}`",
+                want.unwrap_or_default()
+            ));
+        }
+        let name = r.str()?;
+        if want != Some(name.as_str()) {
+            let want = want.map_or("no column".into(), |w| format!("`{w}`"));
+            return Err(format!("column `{name}` where this build has {want}"));
+        }
+        let value = read_value(&mut r)?;
+        report
+            .restore(&name, value)
+            .map_err(|e| format!("column `{name}`: {e}"))?;
     }
-    let utilization = r.f64()?;
-    let normalized = r.opt_f64()?;
-    let normalized_ci95 = r.opt_f64()?;
-    let tua_max_burst = r.opt_f64()?;
-    let contender_max_gap = r.opt_f64()?;
-    let cluster_shares = match r.u8()? {
-        0 => None,
-        1 => Some(r.f64s()?),
-        other => return Err(format!("bad option flag {other}")),
-    };
-    let cluster_fairness = r.opt_f64()?;
-    let window_jain = match r.u8()? {
-        0 => None,
-        1 => Some(r.f64s()?),
-        other => return Err(format!("bad option flag {other}")),
-    };
-    let window_shares = match r.u8()? {
-        0 => None,
-        1 => {
-            let n = r.u32()? as usize;
-            if n > bytes.len() {
-                return Err(format!("window matrix length {n} exceeds the record"));
-            }
-            let mut rows = Vec::with_capacity(n);
-            for _ in 0..n {
-                rows.push(r.f64s()?);
-            }
-            Some(rows)
-        }
-        other => return Err(format!("bad option flag {other}")),
-    };
-    let pwcet = match r.u8()? {
-        0 => None,
-        1 => {
-            let probs = r.f64s()?;
-            let fit = match r.u8()? {
-                0 => None,
-                1 => Some(PwcetFit {
-                    bounds: r.f64s()?,
-                    mu: r.f64()?,
-                    beta: r.f64()?,
-                    blocks: r.u32()?,
-                    ks_p: r.f64()?,
-                    lb_p: r.f64()?,
-                    runs_p: r.f64()?,
-                    iid_ok: match r.u8()? {
-                        0 => false,
-                        1 => true,
-                        other => return Err(format!("bad iid_ok flag {other}")),
-                    },
-                }),
-                other => return Err(format!("bad option flag {other}")),
-            };
-            let diag = match r.u8()? {
-                0 => None,
-                1 => Some(r.str()?),
-                other => return Err(format!("bad option flag {other}")),
-            };
-            Some(PwcetCell { probs, fit, diag })
-        }
-        other => return Err(format!("bad option flag {other}")),
-    };
-    let mem_miss_rate = r.opt_f64()?;
-    let mem_coherence_frac = r.opt_f64()?;
-    let mem_writebacks = r.opt_f64()?;
     if r.remaining() != 0 {
         return Err(format!("{} trailing bytes", r.remaining()));
     }
-    Ok(CellReport {
-        labels,
-        seed,
-        runs,
-        unfinished,
-        outcome,
-        panicked,
-        budget_trips,
-        mean,
-        ci95,
-        min,
-        max,
-        percentiles,
-        utilization,
-        normalized,
-        normalized_ci95,
-        tua_max_burst,
-        contender_max_gap,
-        cluster_shares,
-        cluster_fairness,
-        window_jain,
-        window_shares,
-        pwcet,
-        mem_miss_rate,
-        mem_coherence_frac,
-        mem_writebacks,
-    })
+    Ok(report)
+}
+
+fn write_value(w: &mut ByteWriter, value: Option<&Value>) {
+    w.u8(match value {
+        None => 0,
+        Some(Value::Int(_)) => 1,
+        Some(Value::Num(_)) => 2,
+        Some(Value::Text(_)) => 3,
+        Some(Value::Verdict(_)) => 4,
+        Some(Value::Series(_)) => 5,
+        Some(Value::Matrix(_)) => 6,
+        Some(Value::Keyed(..)) => 7,
+        Some(Value::Blank) => 8,
+    });
+    match value {
+        Some(Value::Int(x)) => w.u64(*x),
+        Some(Value::Num(x)) => w.f64(*x),
+        Some(Value::Text(s)) => w.str(s),
+        Some(Value::Verdict(ok)) => w.u8(*ok as u8),
+        Some(Value::Series(xs)) => w.f64s(xs),
+        Some(Value::Matrix(rows)) => {
+            w.u32(rows.len() as u32);
+            rows.iter().for_each(|row| w.f64s(row));
+        }
+        Some(Value::Keyed(keys, values)) => {
+            w.f64s(keys);
+            w.u8(values.is_some() as u8);
+            values.iter().for_each(|v| w.f64s(v));
+        }
+        None | Some(Value::Blank) => {}
+    }
+}
+
+fn read_value(r: &mut ByteReader<'_>) -> Result<Option<Value>, String> {
+    let flag = |r: &mut ByteReader<'_>| match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(format!("bad flag {other}")),
+    };
+    Ok(Some(match r.u8()? {
+        0 => return Ok(None),
+        1 => Value::Int(r.u64()?),
+        2 => Value::Num(r.f64()?),
+        3 => Value::Text(r.str()?),
+        4 => Value::Verdict(flag(r)?),
+        5 => Value::Series(r.f64s()?),
+        6 => {
+            let n = r.u32()? as usize;
+            // Every row holds at least its 4-byte length: bound the row
+            // count before allocating for it.
+            if n > r.remaining() / 4 {
+                return Err(format!("matrix of {n} rows exceeds the record"));
+            }
+            Value::Matrix((0..n).map(|_| r.f64s()).collect::<Result<_, _>>()?)
+        }
+        7 => {
+            let keys = r.f64s()?;
+            let values = if flag(r)? { Some(r.f64s()?) } else { None };
+            if values.as_ref().is_some_and(|v| v.len() != keys.len()) {
+                return Err("keyed values do not match their keys".into());
+            }
+            Value::Keyed(keys, values)
+        }
+        8 => Value::Blank,
+        other => return Err(format!("bad value tag {other}")),
+    }))
 }
 
 /// A deterministic fault-injection plan for campaign robustness tests:
@@ -618,6 +523,7 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{CellOutcome, Column, PwcetCell, PwcetFit, ScenarioReport, Show};
 
     fn sample_report() -> CellReport {
         CellReport {
@@ -686,6 +592,156 @@ mod tests {
         assert_eq!(decoded.mem_miss_rate, report.mem_miss_rate);
         assert_eq!(decoded.mem_coherence_frac, report.mem_coherence_frac);
         assert_eq!(decoded.mem_writebacks, report.mem_writebacks);
+        assert_eq!(decoded.seed, report.seed);
+        assert_eq!(decoded.runs, report.runs);
+        assert_eq!(decoded.unfinished, report.unfinished);
+        assert_eq!(decoded.utilization.to_bits(), report.utilization.to_bits());
+        assert_eq!(decoded.tua_max_burst, report.tua_max_burst);
+        assert_eq!(decoded.contender_max_gap, report.contender_max_gap);
+        assert_eq!(decoded.cluster_fairness, report.cluster_fairness);
+        assert_eq!(decoded.window_jain, report.window_jain);
+    }
+
+    /// A fitted, a diagnostic, a panicked, a budget-tripped and an empty
+    /// cell.
+    fn cell_kinds() -> Vec<CellReport> {
+        let mut fitted = sample_report();
+        fitted.outcome = CellOutcome::Ok;
+        (fitted.panicked, fitted.budget_trips) = (0, 0);
+        (fitted.min, fitted.max) = (1000.0, 9999.25);
+        let mut diag = sample_report();
+        diag.pwcet = Some(PwcetCell {
+            probs: vec![1e-9],
+            fit: None,
+            diag: Some("too few samples: got 2, need at least 100".into()),
+        });
+        let mut budget = fitted.clone();
+        budget.outcome = CellOutcome::Budget;
+        budget.budget_trips = 3;
+        budget.pwcet = None;
+        let empty = CellReport {
+            labels: sample_report().labels,
+            unfinished: 2,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+            ..CellReport::default()
+        };
+        vec![fitted, diag, sample_report(), budget, empty]
+    }
+
+    #[test]
+    fn decoded_cells_render_byte_identical_json_and_csv() {
+        let report = |cells: Vec<CellReport>| ScenarioReport {
+            name: "codec".into(),
+            seed: u64::MAX,
+            runs: 7,
+            cells,
+        };
+        let kinds = cell_kinds();
+        let mut grids: Vec<Vec<CellReport>> = kinds.iter().map(|c| vec![c.clone()]).collect();
+        grids.push(kinds);
+        for cells in grids {
+            let decoded = cells
+                .iter()
+                .map(|c| decode_cell_report(&encode_cell_report(c)).unwrap())
+                .collect();
+            let (original, decoded) = (report(cells), report(decoded));
+            assert_eq!(decoded.to_json(), original.to_json());
+            assert_eq!(decoded.to_csv(), original.to_csv());
+        }
+    }
+
+    #[test]
+    fn every_truncation_and_byte_flip_decodes_or_fails_cleanly() {
+        let mut no_pwcet = sample_report();
+        no_pwcet.pwcet = None;
+        let mut variants = cell_kinds();
+        variants.push(no_pwcet);
+        let start = std::time::Instant::now();
+        for report in &variants {
+            let bytes = encode_cell_report(report);
+            for cut in 0..bytes.len() {
+                assert!(decode_cell_report(&bytes[..cut]).is_err(), "cut at {cut}");
+            }
+            for at in 0..bytes.len() {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= 0xFF;
+                // Ok or Err, but no panic and no huge allocation.
+                let _ = decode_cell_report(&flipped);
+            }
+        }
+        assert!(start.elapsed() < std::time::Duration::from_secs(10));
+    }
+
+    /// A payload holding `columns`, encoded like [`encode_cell_report`].
+    fn payload(columns: &[Column]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.u32(0);
+        w.u32(columns.len() as u32);
+        for col in columns {
+            w.str(col.name);
+            write_value(&mut w, col.value.as_ref());
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn records_with_another_column_list_are_rejected_by_column_name() {
+        let columns = sample_report().columns();
+        assert!(decode_cell_report(&payload(&columns)).is_ok());
+        let at = columns.len() / 2;
+        let mut renamed = columns.clone();
+        renamed[at].name = "no_such_column";
+        let mut missing = columns.clone();
+        let removed = missing.remove(at).name;
+        let mut missing_last = columns.clone();
+        let last = missing_last.pop().unwrap().name;
+        let mut extra = columns.clone();
+        extra.push(Column {
+            name: "no_such_column",
+            show: Show::Both,
+            value: Some(Value::Int(3)),
+        });
+        for (columns, named) in [
+            (renamed, "no_such_column"),
+            (missing, removed),
+            (missing_last, last),
+            (extra, "no_such_column"),
+        ] {
+            let err = decode_cell_report(&payload(&columns)).unwrap_err();
+            assert!(err.contains(&format!("`{named}`")), "{named}: {err}");
+        }
+    }
+
+    #[test]
+    fn resume_keeps_the_records_before_one_with_foreign_columns() {
+        let dir = std::env::temp_dir().join(format!("cba-journal-columns-{}", std::process::id()));
+        let mut journal = Journal::create(&dir, 7, 3, 1).unwrap();
+        journal.append(0, &sample_report()).unwrap();
+        journal.append(1, &sample_report()).unwrap();
+        drop(journal);
+        let mut columns = sample_report().columns();
+        columns[0].name = "no_such_column";
+        let bad = payload(&columns);
+        let mut header = ByteWriter::new();
+        header.u32(2);
+        header.u32(bad.len() as u32);
+        header.u32(crc32(&bad));
+        let path = Journal::path_in(&dir);
+        let mut file = OpenOptions::new().append(true).open(&path).unwrap();
+        file.write_all(&header.into_bytes()).unwrap();
+        file.write_all(&bad).unwrap();
+        drop(file);
+
+        let (journal, replay) = Journal::resume(&dir, 7, 3, 1).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(journal.records(), 2);
+        assert_eq!(replay.cells.len(), 2);
+        let [notice] = replay.notices.as_slice() else {
+            panic!("one notice expected: {:?}", replay.notices);
+        };
+        assert!(notice.contains("record 3 is undecodable"), "{notice}");
+        assert!(notice.contains("`no_such_column`"), "{notice}");
     }
 
     #[test]

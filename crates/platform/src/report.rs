@@ -13,7 +13,8 @@
 //!
 //! The writers are dependency-free ([`sim_core::export`]): `to_json` for
 //! plots/dashboards, `to_csv` for spreadsheets, `render_table` for the
-//! terminal.
+//! terminal. JSON, CSV and the checkpoint journal all read a cell through
+//! one list, [`CellReport::columns`].
 
 use crate::campaign::run_seed;
 use crate::checkpoint::{FaultPlan, Journal};
@@ -35,9 +36,10 @@ use std::path::Path;
 /// is cut short, and either way the cell still produces a report row
 /// carrying this status through JSON (`"outcome"`), CSV (the `outcome`
 /// column) and the terminal table.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum CellOutcome {
     /// Every run executed normally.
+    #[default]
     Ok,
     /// At least one run panicked; carries the first panic message.
     Panicked(String),
@@ -64,7 +66,7 @@ impl CellOutcome {
 }
 
 /// Aggregated result of one grid cell.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CellReport {
     /// `(axis key, value label)` pairs identifying the cell.
     pub labels: Vec<(String, String)>,
@@ -148,7 +150,7 @@ pub struct PwcetCell {
 }
 
 /// The fitted pWCET column values of one cell.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PwcetFit {
     /// `pwcet@P` execution-time bounds (cycles), one per probability in
     /// [`PwcetCell::probs`].
@@ -168,6 +170,59 @@ pub struct PwcetFit {
     /// All three iid tests pass at α = 0.05 (the MBPTA convention); a
     /// failing battery still reports the fit, flagged.
     pub iid_ok: bool,
+}
+
+/// The typed value of one report column (see [`CellReport::columns`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// An exact integer, never rounded through `f64`.
+    Int(u64),
+    /// A float; non-finite values export as JSON `null` and an empty CSV
+    /// field.
+    Num(f64),
+    /// Text.
+    Text(String),
+    /// The iid verdict: JSON `true`/`false`, CSV `pass`/`fail`.
+    Verdict(bool),
+    /// One float per cluster or window.
+    Series(Vec<f64>),
+    /// Floats by window and core.
+    Matrix(Vec<Vec<f64>>),
+    /// Floats keyed by quantile or probability: the keys, and the values
+    /// unless the cell has none (then every field is blank).
+    Keyed(Vec<f64>, Option<Vec<f64>>),
+    /// Present but blank: an empty CSV field and no JSON key.
+    Blank,
+}
+
+/// Where a report column shows.
+#[derive(Debug, Clone, Copy)]
+pub enum Show {
+    /// A JSON key and a CSV field; a cell without the column omits the
+    /// key and leaves the field empty.
+    Both,
+    /// A JSON key only.
+    JsonOnly,
+    /// A JSON key (`null` when absent) and a CSV field, in every cell.
+    Always,
+    /// One JSON key and CSV field per key of a [`Value::Keyed`], or a
+    /// [`Value::Series`] as one JSON array and one CSV field per element;
+    /// the function names the field of a key or an element index.
+    Split(fn(f64) -> String),
+}
+
+/// One column of a [`CellReport`].
+#[derive(Debug, Clone)]
+pub struct Column {
+    /// The JSON key and CSV header, and the name the checkpoint journal
+    /// records. A [`Show::Split`] column names its per-key or per-element
+    /// fields with its function; a keyed one carries its documented
+    /// pattern (`pNN`, `pwcet@P`) here.
+    pub name: &'static str,
+    /// Where the column shows.
+    pub show: Show,
+    /// The cell's value; `None` when the cell lacks the column.
+    pub value: Option<Value>,
 }
 
 impl CellReport {
@@ -192,6 +247,158 @@ impl CellReport {
     pub fn window_jain_min(&self) -> Option<f64> {
         let jain = self.window_jain.as_ref()?;
         jain.iter().copied().reduce(f64::min)
+    }
+
+    /// Every column this build knows, in export order, with this cell's
+    /// values. JSON, CSV and the checkpoint journal are written from this
+    /// list, and [`restore`](Self::restore) reads it back.
+    pub fn columns(&self) -> Vec<Column> {
+        use Show::{Always, Both, JsonOnly, Split};
+        use Value::*;
+        let col = |name, show, value| Column { name, show, value };
+        let num = |x: Option<f64>| x.map(Num);
+        let count = |n: usize| (n > 0).then_some(Int(n as u64));
+        // The fit columns of a cell whose pWCET fit failed are blank.
+        let fit = |f: fn(&PwcetFit) -> Value| {
+            let p = self.pwcet.as_ref()?;
+            Some(p.fit.as_ref().map_or(Blank, f))
+        };
+        let panic = match &self.outcome {
+            CellOutcome::Panicked(msg) => Some(Text(msg.clone())),
+            _ => None,
+        };
+        let (qs, pcts) = self.percentiles.iter().copied().unzip();
+        let bounds = self.pwcet.as_ref().map(|p| {
+            let fit = p.fit.as_ref().map(|f| f.bounds.clone());
+            Keyed(p.probs.clone(), fit)
+        });
+        let diag = self
+            .pwcet
+            .as_ref()
+            .map(|p| p.diag.clone().map_or(Blank, Text));
+        let series = |xs: &Option<Vec<f64>>| xs.clone().map(Series);
+        let matrix = self.window_shares.clone().map(Matrix);
+        let per_quantile = Split(|q| format!("p{}", fmt_quantile(q)));
+        let per_cluster = Split(|k| format!("cluster{k}_share"));
+        let per_prob = Split(|p| format!("pwcet@{}", fmt_prob(p)));
+        vec![
+            col("seed", Both, Some(Int(self.seed))),
+            col("runs", Both, Some(Int(self.runs as u64))),
+            col("unfinished", Both, Some(Int(self.unfinished as u64))),
+            col("outcome", Both, Some(Text(self.outcome.label().into()))),
+            col("panic", JsonOnly, panic),
+            col("panicked_runs", JsonOnly, count(self.panicked)),
+            col("budget_tripped_runs", JsonOnly, count(self.budget_trips)),
+            col("mean_cycles", Both, Some(Num(self.mean))),
+            col("ci95", Both, Some(Num(self.ci95))),
+            col("min", Both, Some(Num(self.min))),
+            col("max", Both, Some(Num(self.max))),
+            col("pNN", per_quantile, Some(Keyed(qs, Some(pcts)))),
+            col("utilization", Both, Some(Num(self.utilization))),
+            col("normalized", Always, num(self.normalized)),
+            col("normalized_ci95", Always, num(self.normalized_ci95)),
+            col("tua_max_burst", Both, num(self.tua_max_burst)),
+            col("contender_max_gap", Both, num(self.contender_max_gap)),
+            col("cluster_shares", per_cluster, series(&self.cluster_shares)),
+            col("cluster_fairness", Both, num(self.cluster_fairness)),
+            col("window_jain", JsonOnly, series(&self.window_jain)),
+            // Derived from `window_jain`; restore skips them.
+            col("window_jain_mean", Both, num(self.window_jain_mean())),
+            col("window_jain_min", Both, num(self.window_jain_min())),
+            col("window_shares", JsonOnly, matrix),
+            col("pwcet@P", per_prob, bounds),
+            col("gumbel_mu", Both, fit(|f| Num(f.mu))),
+            col("gumbel_beta", Both, fit(|f| Num(f.beta))),
+            col("gumbel_blocks", Both, fit(|f| Int(f.blocks.into()))),
+            col("iid_ks_p", Both, fit(|f| Num(f.ks_p))),
+            col("iid_lb_p", Both, fit(|f| Num(f.lb_p))),
+            col("iid_runs_p", Both, fit(|f| Num(f.runs_p))),
+            col("iid_ok", Both, fit(|f| Verdict(f.iid_ok))),
+            col("pwcet_diag", Both, diag),
+            col("mem_miss_rate", Both, num(self.mem_miss_rate)),
+            col("mem_coherence_frac", Both, num(self.mem_coherence_frac)),
+            col("mem_writebacks", Both, num(self.mem_writebacks)),
+        ]
+    }
+
+    /// Sets the field behind column `name` from `value`: the inverse of
+    /// [`columns`](Self::columns), which rebuilds a journaled cell on a
+    /// [`CellReport::default`]. An absent or blank value leaves the field
+    /// as it is.
+    ///
+    /// # Errors
+    ///
+    /// An unknown column, a value of the wrong type for the column, an
+    /// unknown outcome label, or a pWCET fit column without the fitted
+    /// `pwcet@P` bounds before it.
+    pub fn restore(&mut self, name: &str, value: Option<Value>) -> Result<(), String> {
+        use Value::*;
+        let Some(value) = value else {
+            return Ok(());
+        };
+        match (name, value) {
+            (_, Blank) | ("window_jain_mean" | "window_jain_min", Num(_)) => {}
+            ("seed", Int(x)) => self.seed = x,
+            ("runs", Int(x)) => self.runs = exact(x)?,
+            ("unfinished", Int(x)) => self.unfinished = exact(x)?,
+            ("outcome", Text(label)) => {
+                self.outcome = match label.as_str() {
+                    "ok" => CellOutcome::Ok,
+                    "budget" => CellOutcome::Budget,
+                    "panicked" => CellOutcome::Panicked(String::new()),
+                    other => return Err(format!("unknown outcome `{other}`")),
+                }
+            }
+            ("panic", Text(msg)) => self.outcome = CellOutcome::Panicked(msg),
+            ("panicked_runs", Int(x)) => self.panicked = exact(x)?,
+            ("budget_tripped_runs", Int(x)) => self.budget_trips = exact(x)?,
+            ("mean_cycles", Num(x)) => self.mean = x,
+            ("ci95", Num(x)) => self.ci95 = x,
+            ("min", Num(x)) => self.min = x,
+            ("max", Num(x)) => self.max = x,
+            ("pNN", Keyed(qs, Some(pcts))) => self.percentiles = qs.into_iter().zip(pcts).collect(),
+            ("utilization", Num(x)) => self.utilization = x,
+            ("normalized", Num(x)) => self.normalized = Some(x),
+            ("normalized_ci95", Num(x)) => self.normalized_ci95 = Some(x),
+            ("tua_max_burst", Num(x)) => self.tua_max_burst = Some(x),
+            ("contender_max_gap", Num(x)) => self.contender_max_gap = Some(x),
+            ("cluster_shares", Series(xs)) => self.cluster_shares = Some(xs),
+            ("cluster_fairness", Num(x)) => self.cluster_fairness = Some(x),
+            ("window_jain", Series(xs)) => self.window_jain = Some(xs),
+            ("window_shares", Matrix(rows)) => self.window_shares = Some(rows),
+            ("pwcet@P", Keyed(probs, bounds)) => {
+                let fit = bounds.map(|bounds| PwcetFit {
+                    bounds,
+                    ..PwcetFit::default()
+                });
+                self.pwcet = Some(PwcetCell {
+                    probs,
+                    fit,
+                    diag: None,
+                });
+            }
+            ("gumbel_mu", Num(x)) => self.pwcet_fit()?.mu = x,
+            ("gumbel_beta", Num(x)) => self.pwcet_fit()?.beta = x,
+            ("gumbel_blocks", Int(x)) => self.pwcet_fit()?.blocks = exact(x)?,
+            ("iid_ks_p", Num(x)) => self.pwcet_fit()?.ks_p = x,
+            ("iid_lb_p", Num(x)) => self.pwcet_fit()?.lb_p = x,
+            ("iid_runs_p", Num(x)) => self.pwcet_fit()?.runs_p = x,
+            ("iid_ok", Verdict(ok)) => self.pwcet_fit()?.iid_ok = ok,
+            ("pwcet_diag", Text(diag)) => match &mut self.pwcet {
+                Some(p) => p.diag = Some(diag),
+                None => return Err("no `pwcet@P` keys before it".into()),
+            },
+            ("mem_miss_rate", Num(x)) => self.mem_miss_rate = Some(x),
+            ("mem_coherence_frac", Num(x)) => self.mem_coherence_frac = Some(x),
+            ("mem_writebacks", Num(x)) => self.mem_writebacks = Some(x),
+            _ => return Err("unknown column, or a value of the wrong type".into()),
+        }
+        Ok(())
+    }
+
+    fn pwcet_fit(&mut self) -> Result<&mut PwcetFit, String> {
+        let fit = self.pwcet.as_mut().and_then(|p| p.fit.as_mut());
+        fit.ok_or_else(|| "no fitted `pwcet@P` bounds before it".into())
     }
 
     /// Aggregates a finished campaign into a report cell. The `spec`
@@ -876,274 +1083,79 @@ fn normalize(cells: &mut [CellReport], baseline: &[(String, String)]) -> Result<
 }
 
 impl ScenarioReport {
-    /// Renders the report as pretty-printed JSON.
+    /// Renders the report as pretty-printed JSON: per cell, its labels and
+    /// then every column it has.
     pub fn to_json(&self) -> String {
-        let cells: Vec<Json> = self
-            .cells
-            .iter()
-            .map(|c| {
-                let mut pairs: Vec<(String, Json)> = Vec::new();
-                for (k, v) in &c.labels {
-                    pairs.push((k.clone(), Json::str(v.clone())));
-                }
-                pairs.push(("seed".into(), Json::Num(c.seed as f64)));
-                pairs.push(("runs".into(), Json::Num(c.runs as f64)));
-                pairs.push(("unfinished".into(), Json::Num(c.unfinished as f64)));
-                pairs.push(("outcome".into(), Json::str(c.outcome.label())));
-                if let CellOutcome::Panicked(msg) = &c.outcome {
-                    pairs.push(("panic".into(), Json::str(msg.clone())));
-                }
-                if c.panicked > 0 {
-                    pairs.push(("panicked_runs".into(), Json::Num(c.panicked as f64)));
-                }
-                if c.budget_trips > 0 {
-                    pairs.push((
-                        "budget_tripped_runs".into(),
-                        Json::Num(c.budget_trips as f64),
-                    ));
-                }
-                pairs.push(("mean_cycles".into(), Json::Num(c.mean)));
-                pairs.push(("ci95".into(), Json::Num(c.ci95)));
-                pairs.push(("min".into(), Json::Num(c.min)));
-                pairs.push(("max".into(), Json::Num(c.max)));
-                for (q, v) in &c.percentiles {
-                    pairs.push((format!("p{}", fmt_quantile(*q)), Json::Num(*v)));
-                }
-                pairs.push(("utilization".into(), Json::Num(c.utilization)));
-                pairs.push(("normalized".into(), Json::opt_num(c.normalized)));
-                pairs.push(("normalized_ci95".into(), Json::opt_num(c.normalized_ci95)));
-                if let Some(b) = c.tua_max_burst {
-                    pairs.push(("tua_max_burst".into(), Json::Num(b)));
-                }
-                if let Some(g) = c.contender_max_gap {
-                    pairs.push(("contender_max_gap".into(), Json::Num(g)));
-                }
-                if let Some(shares) = &c.cluster_shares {
-                    pairs.push((
-                        "cluster_shares".into(),
-                        Json::Arr(shares.iter().map(|&s| Json::Num(s)).collect()),
-                    ));
-                }
-                if let Some(f) = c.cluster_fairness {
-                    pairs.push(("cluster_fairness".into(), Json::Num(f)));
-                }
-                if let Some(jain) = &c.window_jain {
-                    pairs.push((
-                        "window_jain".into(),
-                        Json::Arr(jain.iter().map(|&j| Json::Num(j)).collect()),
-                    ));
-                    if let Some(mean) = c.window_jain_mean() {
-                        pairs.push(("window_jain_mean".into(), Json::Num(mean)));
+        let cells = self.cells.iter().map(|c| {
+            let labels = c
+                .labels
+                .iter()
+                .map(|(k, v)| (k.clone(), Json::str(v.clone())));
+            let mut pairs: Vec<(String, Json)> = labels.collect();
+            for col in c.columns() {
+                match (col.show, col.value) {
+                    (Show::Always, None) => pairs.push((col.name.into(), Json::Null)),
+                    (_, None | Some(Value::Blank)) => {}
+                    (Show::Split(field), Some(Value::Keyed(keys, values))) => {
+                        let values = values.unwrap_or_default();
+                        pairs.extend(
+                            keys.into_iter()
+                                .zip(values)
+                                .map(|(k, v)| (field(k), Json::Num(v))),
+                        );
                     }
-                    if let Some(min) = c.window_jain_min() {
-                        pairs.push(("window_jain_min".into(), Json::Num(min)));
-                    }
+                    (_, Some(v)) => pairs.push((col.name.into(), json_value(v))),
                 }
-                if let Some(shares) = &c.window_shares {
-                    pairs.push((
-                        "window_shares".into(),
-                        Json::Arr(
-                            shares
-                                .iter()
-                                .map(|row| Json::Arr(row.iter().map(|&s| Json::Num(s)).collect()))
-                                .collect(),
-                        ),
-                    ));
-                }
-                if let Some(p) = &c.pwcet {
-                    match &p.fit {
-                        Some(f) => {
-                            for (prob, bound) in p.probs.iter().zip(&f.bounds) {
-                                pairs.push((
-                                    format!("pwcet@{}", fmt_prob(*prob)),
-                                    Json::Num(*bound),
-                                ));
-                            }
-                            pairs.push(("gumbel_mu".into(), Json::Num(f.mu)));
-                            pairs.push(("gumbel_beta".into(), Json::Num(f.beta)));
-                            pairs.push(("gumbel_blocks".into(), Json::Num(f.blocks as f64)));
-                            pairs.push(("iid_ks_p".into(), Json::Num(f.ks_p)));
-                            pairs.push(("iid_lb_p".into(), Json::Num(f.lb_p)));
-                            pairs.push(("iid_runs_p".into(), Json::Num(f.runs_p)));
-                            pairs.push(("iid_ok".into(), Json::Bool(f.iid_ok)));
-                        }
-                        None => {
-                            if let Some(d) = &p.diag {
-                                pairs.push(("pwcet_diag".into(), Json::str(d.clone())));
-                            }
-                        }
-                    }
-                }
-                if let Some(m) = c.mem_miss_rate {
-                    pairs.push(("mem_miss_rate".into(), Json::Num(m)));
-                }
-                if let Some(m) = c.mem_coherence_frac {
-                    pairs.push(("mem_coherence_frac".into(), Json::Num(m)));
-                }
-                if let Some(m) = c.mem_writebacks {
-                    pairs.push(("mem_writebacks".into(), Json::Num(m)));
-                }
-                Json::Obj(pairs)
-            })
-            .collect();
+            }
+            Json::Obj(pairs)
+        });
         Json::obj([
             ("name", Json::str(self.name.clone())),
-            ("seed", Json::Num(self.seed as f64)),
-            ("runs_per_cell", Json::Num(self.runs as f64)),
-            ("cells", Json::Arr(cells)),
+            ("seed", Json::Int(self.seed)),
+            ("runs_per_cell", Json::Int(self.runs as u64)),
+            ("cells", Json::Arr(cells.collect())),
         ])
         .render()
     }
 
     /// Renders the report as CSV: one header row (axis keys, then the
-    /// statistics), one row per cell.
+    /// columns), one row per cell. Every row has every header field: a
+    /// cell without a column, or with fewer percentiles or clusters than
+    /// another, leaves those fields empty, as it does non-finite values.
     pub fn to_csv(&self) -> String {
-        let mut out = String::new();
         let Some(first) = self.cells.first() else {
-            return out;
+            return String::new();
         };
-        let mut header: Vec<String> = first.labels.iter().map(|(k, _)| k.clone()).collect();
-        header.extend(
-            [
-                "seed",
-                "runs",
-                "unfinished",
-                "outcome",
-                "mean_cycles",
-                "ci95",
-                "min",
-                "max",
-            ]
-            .map(String::from),
-        );
-        for (q, _) in &first.percentiles {
-            header.push(format!("p{}", fmt_quantile(*q)));
-        }
-        header.extend(["utilization", "normalized", "normalized_ci95"].map(String::from));
-        let trace = first.tua_max_burst.is_some();
-        if trace {
-            header.extend(["tua_max_burst", "contender_max_gap"].map(String::from));
-        }
-        // Column count must cover every cell: a `clusters` sweep makes the
-        // share vectors ragged, and shorter cells pad with empty fields.
-        let clusters = self
+        let cells: Vec<Vec<Vec<(String, String)>>> = self
             .cells
             .iter()
-            .map(|c| c.cluster_shares.as_ref().map(Vec::len).unwrap_or(0))
-            .max()
-            .unwrap_or(0);
-        for k in 0..clusters {
-            header.push(format!("cluster{k}_share"));
-        }
-        if clusters > 0 {
-            header.push("cluster_fairness".into());
-        }
-        let windowed = self.cells.iter().any(|c| c.window_jain.is_some());
-        if windowed {
-            header.extend(["window_jain_mean", "window_jain_min"].map(String::from));
-        }
-        // `[report] pwcet` applies scenario-wide, so every cell agrees
-        // on the probability list; cells whose fit failed pad the value
-        // columns empty and fill `pwcet_diag` instead.
-        let pwcet_probs = self
-            .cells
-            .iter()
-            .find_map(|c| c.pwcet.as_ref())
-            .map(|p| p.probs.clone())
-            .unwrap_or_default();
-        if !pwcet_probs.is_empty() {
-            for p in &pwcet_probs {
-                header.push(format!("pwcet@{}", fmt_prob(*p)));
+            .map(|c| c.columns().into_iter().map(csv_fields).collect())
+            .collect();
+        // Each column's header fields are the union over the cells, in
+        // first-seen order.
+        let mut header: Vec<Vec<String>> = vec![Vec::new(); cells[0].len()];
+        for cell in &cells {
+            for (names, fields) in header.iter_mut().zip(cell) {
+                for (name, _) in fields {
+                    if !names.contains(name) {
+                        names.push(name.clone());
+                    }
+                }
             }
-            header.extend(
-                [
-                    "gumbel_mu",
-                    "gumbel_beta",
-                    "gumbel_blocks",
-                    "iid_ks_p",
-                    "iid_lb_p",
-                    "iid_runs_p",
-                    "iid_ok",
-                    "pwcet_diag",
-                ]
-                .map(String::from),
-            );
         }
-        // Gated on any cell carrying memory stats, so baseline campaigns
-        // keep their exact pre-memory column set.
-        let mem = self.cells.iter().any(|c| c.mem_miss_rate.is_some());
-        if mem {
-            header.extend(
-                ["mem_miss_rate", "mem_coherence_frac", "mem_writebacks"].map(String::from),
-            );
-        }
-        out.push_str(&header.join(","));
-        out.push('\n');
-        for c in &self.cells {
+        let keys = first.labels.iter().map(|(k, _)| k.clone());
+        let mut rows = vec![keys.chain(header.concat()).collect::<Vec<_>>()];
+        for (c, cell) in self.cells.iter().zip(cells) {
             let mut row: Vec<String> = c.labels.iter().map(|(_, v)| csv_field(v)).collect();
-            row.push(c.seed.to_string());
-            row.push(c.runs.to_string());
-            row.push(c.unfinished.to_string());
-            row.push(c.outcome.label().to_string());
-            row.push(fmt_number(c.mean));
-            row.push(fmt_number(c.ci95));
-            row.push(fmt_number(c.min));
-            row.push(fmt_number(c.max));
-            for (_, v) in &c.percentiles {
-                row.push(fmt_number(*v));
+            for (names, mut fields) in header.iter().zip(cell) {
+                row.extend(names.iter().map(|name| {
+                    let field = fields.iter_mut().find(|(f, _)| f == name);
+                    field.map_or(String::new(), |(_, text)| std::mem::take(text))
+                }));
             }
-            row.push(fmt_number(c.utilization));
-            row.push(c.normalized.map(fmt_number).unwrap_or_default());
-            row.push(c.normalized_ci95.map(fmt_number).unwrap_or_default());
-            if trace {
-                row.push(c.tua_max_burst.map(fmt_number).unwrap_or_default());
-                row.push(c.contender_max_gap.map(fmt_number).unwrap_or_default());
-            }
-            if clusters > 0 {
-                let shares = c.cluster_shares.as_deref().unwrap_or(&[]);
-                for k in 0..clusters {
-                    row.push(shares.get(k).copied().map(fmt_number).unwrap_or_default());
-                }
-                row.push(c.cluster_fairness.map(fmt_number).unwrap_or_default());
-            }
-            if windowed {
-                row.push(c.window_jain_mean().map(fmt_number).unwrap_or_default());
-                row.push(c.window_jain_min().map(fmt_number).unwrap_or_default());
-            }
-            if !pwcet_probs.is_empty() {
-                let fit = c.pwcet.as_ref().and_then(|p| p.fit.as_ref());
-                match fit {
-                    Some(f) => {
-                        for b in &f.bounds {
-                            row.push(fmt_number(*b));
-                        }
-                        row.push(fmt_number(f.mu));
-                        row.push(fmt_number(f.beta));
-                        row.push(f.blocks.to_string());
-                        row.push(fmt_number(f.ks_p));
-                        row.push(fmt_number(f.lb_p));
-                        row.push(fmt_number(f.runs_p));
-                        row.push(if f.iid_ok { "pass" } else { "fail" }.into());
-                        row.push(String::new());
-                    }
-                    None => {
-                        for _ in 0..pwcet_probs.len() + 7 {
-                            row.push(String::new());
-                        }
-                        let diag = c.pwcet.as_ref().and_then(|p| p.diag.as_deref());
-                        row.push(csv_field(diag.unwrap_or_default()));
-                    }
-                }
-            }
-            if mem {
-                row.push(c.mem_miss_rate.map(fmt_number).unwrap_or_default());
-                row.push(c.mem_coherence_frac.map(fmt_number).unwrap_or_default());
-                row.push(c.mem_writebacks.map(fmt_number).unwrap_or_default());
-            }
-            out.push_str(&row.join(","));
-            out.push('\n');
+            rows.push(row);
         }
-        out
+        rows.iter().map(|row| row.join(",") + "\n").collect()
     }
 
     /// Renders a fixed-width terminal table.
@@ -1224,6 +1236,61 @@ impl ScenarioReport {
         }
         out
     }
+}
+
+/// A column value as JSON (keyed and blank values are written by
+/// [`ScenarioReport::to_json`] itself).
+fn json_value(value: Value) -> Json {
+    let series = |xs: Vec<f64>| Json::Arr(xs.into_iter().map(Json::Num).collect());
+    match value {
+        Value::Int(x) => Json::Int(x),
+        Value::Num(x) => Json::Num(x),
+        Value::Text(s) => Json::Str(s),
+        Value::Verdict(ok) => Json::Bool(ok),
+        Value::Series(xs) => series(xs),
+        Value::Matrix(rows) => Json::Arr(rows.into_iter().map(series).collect()),
+        Value::Keyed(..) | Value::Blank => Json::Null,
+    }
+}
+
+/// One cell's CSV fields of one column, as `(header, text)` pairs.
+fn csv_fields(col: Column) -> Vec<(String, String)> {
+    let num = |x: f64| {
+        if x.is_finite() {
+            fmt_number(x)
+        } else {
+            String::new()
+        }
+    };
+    match (col.show, col.value) {
+        (Show::JsonOnly, _) | (Show::Both | Show::Split(_), None) => Vec::new(),
+        (Show::Split(field), Some(Value::Keyed(keys, values))) => {
+            let values = values.unwrap_or_default();
+            let value = |i: usize| values.get(i).map_or(String::new(), |&x| num(x));
+            let fields = keys.iter().enumerate();
+            fields.map(|(i, &k)| (field(k), value(i))).collect()
+        }
+        (Show::Split(field), Some(Value::Series(xs))) => xs
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| (field(i as f64), num(x)))
+            .collect(),
+        (_, value) => {
+            let text = match value {
+                Some(Value::Int(x)) => x.to_string(),
+                Some(Value::Num(x)) => num(x),
+                Some(Value::Text(s)) => csv_field(&s),
+                Some(Value::Verdict(ok)) => (if ok { "pass" } else { "fail" }).into(),
+                _ => String::new(),
+            };
+            vec![(col.name.into(), text)]
+        }
+    }
+}
+
+/// Converts a restored integer to its field's type.
+fn exact<T: TryFrom<u64>>(x: u64) -> Result<T, String> {
+    T::try_from(x).map_err(|_| format!("{x} is out of range"))
 }
 
 /// `1e-9`-style exceedance-probability labels for `pwcet@P` columns;
@@ -1373,6 +1440,98 @@ clusters = 2,4
         let col = header.iter().position(|&h| h == "cluster3_share").unwrap();
         assert!(row2[col].is_empty(), "2-cluster cell pads: {row2:?}");
         assert!(!row4[col].is_empty(), "4-cluster cell fills: {row4:?}");
+    }
+
+    /// Splits one CSV line into fields, honouring quotes.
+    fn split_csv(line: &str) -> Vec<String> {
+        let (mut fields, mut field, mut quoted) = (Vec::new(), String::new(), false);
+        let mut chars = line.chars().peekable();
+        while let Some(c) = chars.next() {
+            match c {
+                '"' if quoted && chars.peek() == Some(&'"') => {
+                    field.push('"');
+                    chars.next();
+                }
+                '"' => quoted = !quoted,
+                ',' if !quoted => fields.push(std::mem::take(&mut field)),
+                c => field.push(c),
+            }
+        }
+        fields.push(field);
+        fields
+    }
+
+    /// The CSV as rows of fields, each row as long as the header.
+    fn rectangular_csv(report: &ScenarioReport) -> Vec<Vec<String>> {
+        let csv = report.to_csv();
+        let rows: Vec<Vec<String>> = csv.lines().map(split_csv).collect();
+        for row in &rows {
+            assert_eq!(row.len(), rows[0].len(), "ragged CSV:\n{csv}");
+        }
+        rows
+    }
+
+    #[test]
+    fn csv_header_covers_percentiles_when_the_first_cell_has_no_finished_run() {
+        let def = tiny_def(
+            "[platform]\ncores = 4\n[contenders]\nmax_cycles = 800\n[sweep]\nscenario = con,iso\n",
+        );
+        let report = run_scenario(&def).unwrap();
+        assert_eq!(report.cells[0].runs, 0, "CON never finishes");
+        let rows = rectangular_csv(&report);
+        let p50 = rows[0].iter().position(|h| h == "p50").expect("p50 column");
+        assert_eq!(rows[1][p50], "", "CON has no percentiles");
+        assert_eq!((rows[2][0].as_str(), rows[2][p50].as_str()), ("ISO", "400"));
+    }
+
+    #[test]
+    fn csv_writes_non_finite_values_as_empty_fields() {
+        let def = tiny_def(
+            "[platform]\ncores = 4\npolicy = rr\n[contenders]\nfill = sat:28\nwcet = off\n\
+             stop = horizon:3000\n[sweep]\ncba = none,homog\n[checkpoint]\n\
+             run_budget_cycles = 2000\n[report]\npwcet = 1e-9\nbaseline = cba=none\n",
+        );
+        let report = run_scenario(&def).unwrap();
+        let cell = &report.cells[0];
+        assert!(cell.min.is_infinite() && cell.max.is_infinite(), "{cell:?}");
+        assert!(cell.normalized.is_some_and(f64::is_nan), "{cell:?}");
+        for row in rectangular_csv(&report) {
+            for field in row {
+                assert!(!["inf", "-inf", "NaN"].contains(&field.as_str()), "{field}");
+            }
+        }
+    }
+
+    #[test]
+    fn json_seeds_are_exact_on_a_four_axis_grid() {
+        for seed in ["5", "18446744073709551557"] {
+            let text = format!(
+                "[campaign]\nruns = 2\nseed = {seed}\n[tua]\nload = fixed:40:6:4\n[sweep]\n\
+                 setup = rp,cba\nscenario = iso,con\ncores = 2,4\nduration = 11,56\n"
+            );
+            let def = ScenarioDef::parse(&text).unwrap();
+            let report = run_scenario(&def).unwrap();
+            let expected: Vec<String> = (0..16)
+                .map(|i| def.cell_seed(&[i >> 3 & 1, i >> 2 & 1, i >> 1 & 1, i & 1]))
+                .map(|s| s.to_string())
+                .collect();
+            let json = report.to_json();
+            let json_seeds: Vec<&str> = json
+                .lines()
+                .filter_map(|l| l.strip_prefix("      \"seed\": "))
+                .map(|s| s.trim_end_matches(','))
+                .collect();
+            assert_eq!(json_seeds, expected, "seed {seed}");
+            assert!(json.contains(&format!("\n  \"seed\": {seed},")), "{json}");
+            let rows = rectangular_csv(&report);
+            let col = rows[0].iter().position(|h| h == "seed").unwrap();
+            let csv_seeds: Vec<&String> = rows[1..].iter().map(|r| &r[col]).collect();
+            assert_eq!(
+                csv_seeds,
+                expected.iter().collect::<Vec<_>>(),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

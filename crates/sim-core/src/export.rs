@@ -7,7 +7,8 @@
 //! module provides the formats the scenario engine exports:
 //!
 //! * [`Json`] — a small JSON value tree with a pretty renderer. Numbers
-//!   are `f64` (like JSON itself); non-finite values render as `null`.
+//!   are `f64` (like JSON itself), whose non-finite values render as
+//!   `null`, or exact `u64` integers such as seeds.
 //! * [`csv_field`] — RFC-4180 field quoting for the CSV writer.
 //! * [`ByteWriter`] / [`ByteReader`] — a fixed little-endian binary codec
 //!   for on-disk records (the campaign checkpoint journal). Floats round
@@ -42,6 +43,9 @@ pub enum Json {
     Bool(bool),
     /// A number. Non-finite values render as `null` (JSON has no NaN).
     Num(f64),
+    /// An exact integer, written in full: a seed above 2^53 would be
+    /// rounded as an `f64`.
+    Int(u64),
     /// A string (escaped on render).
     Str(String),
     /// An array.
@@ -83,6 +87,9 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(x) => write_number(out, *x),
+            Json::Int(x) => {
+                let _ = write!(out, "{x}");
+            }
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
@@ -383,6 +390,15 @@ mod tests {
         assert_eq!(Json::Num(1000.0).render(), "1000\n");
         assert_eq!(Json::Num(-3.0).render(), "-3\n");
         assert_eq!(Json::Num(0.25).render(), "0.25\n");
+    }
+
+    #[test]
+    fn integers_are_exact() {
+        assert_eq!(Json::Int(u64::MAX).render(), "18446744073709551615\n");
+        assert_eq!(
+            Json::Int(6_238_072_747_940_578_785).render(),
+            "6238072747940578785\n"
+        );
     }
 
     #[test]

@@ -305,3 +305,130 @@ fn readme_example_documents_every_key_of_the_table() {
         );
     }
 }
+
+/// The `### Output` table of `scenarios/README.md` names every report
+/// column, and exactly the JSON keys and CSV fields a cell with every
+/// column exports. Keyed and split fields match their documented
+/// patterns: `pNN`, `pwcet@P` and `clusterK_share`.
+#[test]
+fn readme_output_table_documents_every_report_column() {
+    use cba_platform::report::{PwcetCell, PwcetFit, ScenarioReport};
+    use cba_platform::{CellOutcome, CellReport};
+    use std::collections::{BTreeMap, BTreeSet};
+
+    let readme = std::fs::read_to_string(scenarios_dir().join("README.md")).expect("README");
+    let output = readme
+        .split("### Output")
+        .nth(1)
+        .expect("### Output section");
+    // Table rows: | `name` | JSON, CSV | when it is present |
+    let documented: BTreeMap<&str, BTreeSet<&str>> = output
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `"))
+        .filter_map(|line| {
+            let (name, rest) = line.split_once('`')?;
+            let formats = rest.split('|').nth(1)?;
+            Some((name, formats.split(',').map(str::trim).collect()))
+        })
+        .collect();
+
+    let fitted = CellReport {
+        labels: Vec::new(),
+        seed: u64::MAX,
+        runs: 3,
+        unfinished: 1,
+        outcome: CellOutcome::Panicked("boom".into()),
+        panicked: 1,
+        budget_trips: 1,
+        mean: 2.0,
+        ci95: 0.5,
+        min: 1.0,
+        max: 3.0,
+        percentiles: vec![(0.5, 2.0), (0.999, 3.0)],
+        utilization: 0.5,
+        normalized: Some(1.0),
+        normalized_ci95: Some(0.25),
+        tua_max_burst: Some(2.0),
+        contender_max_gap: Some(9.0),
+        cluster_shares: Some(vec![0.5, 0.25]),
+        cluster_fairness: Some(0.9),
+        window_jain: Some(vec![1.0, 0.5]),
+        window_shares: Some(vec![vec![0.5, 0.5], vec![0.75, 0.25]]),
+        pwcet: Some(PwcetCell {
+            probs: vec![1e-9, 1e-12],
+            fit: Some(PwcetFit {
+                bounds: vec![5.0, 6.0],
+                mu: 3.0,
+                beta: 0.5,
+                blocks: 30,
+                ks_p: 0.5,
+                lb_p: 0.5,
+                runs_p: 0.5,
+                iid_ok: true,
+            }),
+            diag: None,
+        }),
+        mem_miss_rate: Some(0.5),
+        mem_coherence_frac: Some(0.25),
+        mem_writebacks: Some(4.0),
+    };
+    for col in fitted.columns() {
+        assert!(
+            documented.contains_key(col.name),
+            "README lacks column `{}`",
+            col.name
+        );
+    }
+    let mut diag = fitted.clone();
+    diag.pwcet = Some(PwcetCell {
+        probs: vec![1e-9, 1e-12],
+        fit: None,
+        diag: Some("too few samples".into()),
+    });
+    let report = ScenarioReport {
+        name: "every_column".into(),
+        seed: 1,
+        runs: 3,
+        cells: vec![fitted, diag],
+    };
+
+    let pattern = |field: &str| -> String {
+        let digit_after = |prefix: &str| {
+            field
+                .strip_prefix(prefix)
+                .is_some_and(|rest| rest.starts_with(|c: char| c.is_ascii_digit()))
+        };
+        if field.starts_with("pwcet@") {
+            "pwcet@P".into()
+        } else if digit_after("p") {
+            "pNN".into()
+        } else if digit_after("cluster") && field.ends_with("_share") {
+            "clusterK_share".into()
+        } else {
+            field.into()
+        }
+    };
+    let json = report.to_json();
+    let json_keys: BTreeSet<String> = json
+        .lines()
+        .filter_map(|line| line.strip_prefix("      \""))
+        .filter_map(|line| line.split_once("\": "))
+        .map(|(key, _)| pattern(key))
+        .collect();
+    let csv = report.to_csv();
+    let csv_fields: BTreeSet<String> = csv
+        .lines()
+        .next()
+        .unwrap()
+        .split(',')
+        .map(pattern)
+        .collect();
+    for (format, exported) in [("JSON", json_keys), ("CSV", csv_fields)] {
+        let named: BTreeSet<String> = documented
+            .iter()
+            .filter(|(_, formats)| formats.contains(format))
+            .map(|(name, _)| name.to_string())
+            .collect();
+        assert_eq!(exported, named, "{format} fields vs the README table");
+    }
+}
