@@ -1126,33 +1126,31 @@ impl ScenarioReport {
         let Some(first) = self.cells.first() else {
             return String::new();
         };
-        let cells: Vec<Vec<Vec<(String, String)>>> = self
-            .cells
-            .iter()
-            .map(|c| c.columns().into_iter().map(csv_fields).collect())
-            .collect();
-        // Each column's header fields are the union over the cells, in
-        // first-seen order.
-        let mut header: Vec<Vec<String>> = vec![Vec::new(); cells[0].len()];
-        for cell in &cells {
-            for (names, fields) in header.iter_mut().zip(cell) {
-                for (name, _) in fields {
-                    if !names.contains(name) {
-                        names.push(name.clone());
-                    }
-                }
+        let mut cells: Vec<Vec<CsvField>> = self.cells.iter().map(csv_fields).collect();
+        // The header is the union of the cells' fields, grouped by column
+        // in column order and, within a column, in first-seen order.
+        let mut header: Vec<(usize, Option<f64>)> = Vec::new();
+        for &(col, key, _) in cells.iter().flatten() {
+            if !header.contains(&(col, key)) {
+                let at = header.partition_point(|&(c, _)| c <= col);
+                header.insert(at, (col, key));
             }
         }
+        let columns = first.columns();
+        let names = header
+            .iter()
+            .map(|&(col, key)| match (columns[col].show, key) {
+                (Show::Split(field), Some(k)) => field(k),
+                _ => columns[col].name.to_string(),
+            });
         let keys = first.labels.iter().map(|(k, _)| k.clone());
-        let mut rows = vec![keys.chain(header.concat()).collect::<Vec<_>>()];
-        for (c, cell) in self.cells.iter().zip(cells) {
+        let mut rows = vec![keys.chain(names).collect::<Vec<_>>()];
+        for (c, fields) in self.cells.iter().zip(&mut cells) {
             let mut row: Vec<String> = c.labels.iter().map(|(_, v)| csv_field(v)).collect();
-            for (names, mut fields) in header.iter().zip(cell) {
-                row.extend(names.iter().map(|name| {
-                    let field = fields.iter_mut().find(|(f, _)| f == name);
-                    field.map_or(String::new(), |(_, text)| std::mem::take(text))
-                }));
-            }
+            row.extend(header.iter().map(|&(col, key)| {
+                let field = fields.iter_mut().find(|(c, k, _)| (*c, *k) == (col, key));
+                field.map_or(String::new(), |(_, _, text)| std::mem::take(text))
+            }));
             rows.push(row);
         }
         rows.iter().map(|row| row.join(",") + "\n").collect()
@@ -1253,8 +1251,12 @@ fn json_value(value: Value) -> Json {
     }
 }
 
-/// One cell's CSV fields of one column, as `(header, text)` pairs.
-fn csv_fields(col: Column) -> Vec<(String, String)> {
+/// One CSV field of a cell: its column's index, the key or element index
+/// of a split column's field, and the text.
+type CsvField = (usize, Option<f64>, String);
+
+/// A cell's CSV fields, in column order.
+fn csv_fields(cell: &CellReport) -> Vec<CsvField> {
     let num = |x: f64| {
         if x.is_finite() {
             fmt_number(x)
@@ -1262,30 +1264,33 @@ fn csv_fields(col: Column) -> Vec<(String, String)> {
             String::new()
         }
     };
-    match (col.show, col.value) {
-        (Show::JsonOnly, _) | (Show::Both | Show::Split(_), None) => Vec::new(),
-        (Show::Split(field), Some(Value::Keyed(keys, values))) => {
-            let values = values.unwrap_or_default();
-            let value = |i: usize| values.get(i).map_or(String::new(), |&x| num(x));
-            let fields = keys.iter().enumerate();
-            fields.map(|(i, &k)| (field(k), value(i))).collect()
-        }
-        (Show::Split(field), Some(Value::Series(xs))) => xs
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| (field(i as f64), num(x)))
-            .collect(),
-        (_, value) => {
-            let text = match value {
-                Some(Value::Int(x)) => x.to_string(),
-                Some(Value::Num(x)) => num(x),
-                Some(Value::Text(s)) => csv_field(&s),
-                Some(Value::Verdict(ok)) => (if ok { "pass" } else { "fail" }).into(),
-                _ => String::new(),
-            };
-            vec![(col.name.into(), text)]
+    let mut fields = Vec::new();
+    for (col, column) in cell.columns().into_iter().enumerate() {
+        match (column.show, column.value) {
+            (Show::JsonOnly, _) | (Show::Both | Show::Split(_), None) => {}
+            (Show::Split(_), Some(Value::Keyed(keys, values))) => {
+                let values = values.unwrap_or_default();
+                let value = |i: usize| values.get(i).map_or(String::new(), |&x| num(x));
+                let keyed = keys.iter().enumerate();
+                fields.extend(keyed.map(|(i, &k)| (col, Some(k), value(i))));
+            }
+            (Show::Split(_), Some(Value::Series(xs))) => {
+                let series = xs.iter().enumerate();
+                fields.extend(series.map(|(i, &x)| (col, Some(i as f64), num(x))));
+            }
+            (_, value) => {
+                let text = match value {
+                    Some(Value::Int(x)) => x.to_string(),
+                    Some(Value::Num(x)) => num(x),
+                    Some(Value::Text(s)) => csv_field(&s),
+                    Some(Value::Verdict(ok)) => (if ok { "pass" } else { "fail" }).into(),
+                    _ => String::new(),
+                };
+                fields.push((col, None, text));
+            }
         }
     }
+    fields
 }
 
 /// Converts a restored integer to its field's type.
