@@ -15,10 +15,11 @@
 //! master seed.
 //!
 //! Expected shape: the events engine wins multi-× wherever the bus idles
-//! for long stretches, and an order of magnitude or two more wherever a
-//! run settles into a steady limit cycle it can fast-forward
-//! (`fairness_sweep`, `scaling_16core`); it roughly ties naive where every
-//! cycle carries fresh randomness or cache-model state.
+//! for long stretches, and two orders of magnitude or more wherever a run
+//! settles into a steady limit cycle it can fast-forward, on the flat bus
+//! (`fairness_sweep`, `scaling_16core`) and on the fabric
+//! (`fabric_fairness`, `clustered_16core`); it roughly ties naive where
+//! every cycle carries fresh randomness or cache-model state.
 
 use cba_bench::{print_row, rule, runs_from_env, seed_from_env};
 use cba_platform::scenario::{parse_engine, ScenarioDef};

@@ -630,6 +630,39 @@ impl Bus {
             self.enable_flip_probe();
         }
     }
+
+    /// The bus's [`BusModel::limit_cycle_jump`](sim_core::BusModel::limit_cycle_jump):
+    /// applies the counter `deltas` its `limit_cycle_state` pushed (the
+    /// front of `deltas`) and returns the deltas left over, so a model
+    /// composed of buses hands each its share without counting them.
+    pub(crate) fn limit_cycle_jump<'d>(
+        &mut self,
+        periods: u64,
+        shift: Cycle,
+        deltas: &'d [u64],
+    ) -> &'d [u64] {
+        let deltas = self.trace.limit_cycle_jump(periods, shift, deltas);
+        let (granted, waited) = (&mut self.wait.granted, &mut self.wait.total_wait);
+        for (total, d) in granted.iter_mut().chain(waited).zip(deltas) {
+            *total += periods * d;
+        }
+        let rest = &deltas[2 * self.config.n_cores..];
+        self.idle_cycles += periods * rest[0];
+        self.total_cycles += periods * rest[1];
+        if let BusState::Busy {
+            started, ends_at, ..
+        } = &mut self.state
+        {
+            *started += shift;
+            *ends_at += shift;
+        }
+        self.pending.shift_time(shift);
+        for r in &mut self.privileged {
+            r.issued_at += shift;
+        }
+        self.last_cycle = self.last_cycle.map(|t| t + shift);
+        &rest[2..]
+    }
 }
 
 /// The non-split bus speaks the workspace-wide cycle protocol directly:
@@ -715,26 +748,7 @@ impl sim_core::BusModel for Bus {
     }
 
     fn limit_cycle_jump(&mut self, periods: u64, shift: Cycle, deltas: &[u64]) {
-        let deltas = self.trace.limit_cycle_jump(periods, shift, deltas);
-        let (granted, waited) = (&mut self.wait.granted, &mut self.wait.total_wait);
-        for (total, d) in granted.iter_mut().chain(waited).zip(deltas) {
-            *total += periods * d;
-        }
-        let rest = &deltas[2 * self.config.n_cores..];
-        self.idle_cycles += periods * rest[0];
-        self.total_cycles += periods * rest[1];
-        if let BusState::Busy {
-            started, ends_at, ..
-        } = &mut self.state
-        {
-            *started += shift;
-            *ends_at += shift;
-        }
-        self.pending.shift_time(shift);
-        for r in &mut self.privileged {
-            r.issued_at += shift;
-        }
-        self.last_cycle = self.last_cycle.map(|t| t + shift);
+        Bus::limit_cycle_jump(self, periods, shift, deltas);
     }
 }
 

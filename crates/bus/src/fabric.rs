@@ -43,6 +43,17 @@
 //! declines (`None`) whenever any segment declines — falling back to the
 //! per-cycle loop, which stays bit-identical.
 //!
+//! The fabric also joins the events engine's limit-cycle fast-forward (see
+//! [`BusModel::limit_cycle_state`](sim_core::BusModel::limit_cycle_state)):
+//! its state is every cluster bus's and then the backbone's own state,
+//! followed by each bridge's queues and outstanding request (ready times
+//! as offsets from the sampled cycle) and the in-flight flags, so a
+//! saturated or periodic clustered run that returns to an earlier state
+//! skips whole periods at once. It accepts only when its own trace and
+//! every segment accept: a recording trace, a flip probe or a randomized
+//! or time-slotted policy on any segment keeps the run on the plain
+//! event-horizon path.
+//!
 //! # Worked example: a 2 × 4-core fabric
 //!
 //! Two clusters of four cores each, round-robin everywhere, 2-cycle
@@ -190,6 +201,16 @@ struct Forwarded {
     ready_at: Cycle,
 }
 
+impl Forwarded {
+    /// The transaction as limit-cycle state, its ready time as an offset
+    /// from `now` (wrapping: entries that are already ready sit at or
+    /// before `now`).
+    fn limit_cycle_words(&self, now: Cycle) -> [u64; 4] {
+        let (core, ready) = (self.core.index() as u64, self.ready_at.wrapping_sub(now));
+        [core, self.duration as u64, self.kind as u64, ready]
+    }
+}
+
 /// One store-and-forward bridge between a cluster bus and the backbone.
 #[derive(Debug, Default)]
 struct Bridge {
@@ -202,6 +223,35 @@ struct Bridge {
     /// Responses returning to the cluster, oldest first (bounded by
     /// `bridge_depth` via reservation before the backbone post).
     responses: VecDeque<Forwarded>,
+}
+
+impl Bridge {
+    /// Appends the bridge to the fabric's limit-cycle state: the request
+    /// queue (its length first, so two different queue contents never
+    /// concatenate to the same words), the outstanding request (all ones
+    /// for none, which no core index matches) and the response queue.
+    fn limit_cycle_state(&self, now: Cycle, state: &mut Vec<u64>) {
+        state.push(self.requests.len() as u64);
+        state.extend(self.requests.iter().flat_map(|f| f.limit_cycle_words(now)));
+        state.extend(
+            self.outstanding
+                .map_or([u64::MAX; 4], |f| f.limit_cycle_words(now)),
+        );
+        state.push(self.responses.len() as u64);
+        state.extend(self.responses.iter().flat_map(|f| f.limit_cycle_words(now)));
+    }
+
+    /// Moves every ready time `shift` cycles later.
+    fn shift_time(&mut self, shift: Cycle) {
+        let Bridge {
+            requests,
+            outstanding,
+            responses,
+        } = self;
+        for f in requests.iter_mut().chain(outstanding).chain(responses) {
+            f.ready_at += shift;
+        }
+    }
 }
 
 /// The hierarchical multi-bus fabric; see the [module docs](self) for the
@@ -668,6 +718,35 @@ impl sim_core::BusModel for Fabric {
                 other => sink(other),
             });
         }
+    }
+
+    /// The fabric accepts the limit-cycle fast-forward when its trace only
+    /// counts and every segment accepts. State: each cluster bus's, then
+    /// the backbone's, then every bridge's (see `Bridge`), then the
+    /// in-flight flags. Counters: the fabric-wide trace's, then each
+    /// segment's in the same order.
+    fn limit_cycle_state(&self, now: Cycle, state: &mut Vec<u64>, counters: &mut Vec<u64>) -> bool {
+        let mut accepted = self.trace.limit_cycle_counters(counters);
+        for bus in self.clusters.iter().chain([&self.backbone]) {
+            accepted &= sim_core::BusModel::limit_cycle_state(bus, now, state, counters);
+        }
+        for bridge in &self.bridges {
+            bridge.limit_cycle_state(now, state);
+        }
+        state.extend(self.in_flight.iter().map(|&f| u64::from(f)));
+        accepted
+    }
+
+    fn limit_cycle_jump(&mut self, periods: u64, shift: Cycle, deltas: &[u64]) {
+        let mut rest = self.trace.limit_cycle_jump(periods, shift, deltas);
+        for bus in self.clusters.iter_mut().chain([&mut self.backbone]) {
+            rest = bus.limit_cycle_jump(periods, shift, rest);
+        }
+        debug_assert!(rest.is_empty(), "every counter delta has its segment");
+        for bridge in &mut self.bridges {
+            bridge.shift_time(shift);
+        }
+        self.last_cycle = self.last_cycle.map(|t| t + shift);
     }
 }
 

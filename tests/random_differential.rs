@@ -144,6 +144,16 @@ fn gen_fabric_spec(rng: &mut SimRng) -> RunSpec {
         spec.stop = StopCondition::Horizon(rng.gen_range_u64(5_000..40_000));
     }
     spec.max_cycles = 2_000_000;
+    // Drawn after everything above, so each cell keeps the platform, loads
+    // and stop it had before these draws were added.
+    spec.wcet_mode = rng.gen_bool(0.3);
+    spec.record_trace = rng.gen_bool(0.2);
+    if let StopCondition::Horizon(horizon) = spec.stop {
+        if rng.gen_bool(0.5) {
+            let divisors: Vec<u32> = (1..=8).filter(|&w| horizon % w as u64 == 0).collect();
+            spec.windows = Some(*rng.choose(&divisors));
+        }
+    }
     spec
 }
 

@@ -9,12 +9,20 @@
 //! Randomized policies get their random source re-installed before every
 //! run, mirroring how `run_once` seeds a fresh run.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
 use cba::{CreditConfig, CreditFilter};
 use cba_bus::fabric::{Fabric, FabricConfig};
 use cba_bus::split::{SplitBus, SplitBusConfig, SplitRequest};
 use cba_bus::{Bus, BusConfig, BusModel, BusRequest, PolicyKind, RequestKind, RequestPort};
+use cba_cpu::{Contender, FixedRequestTask};
 use sim_core::lfsr::LfsrBank;
-use sim_core::{CoreId, Cycle};
+use sim_core::rng::SimRng;
+use sim_core::{BoxedAgent, CoreId, Cycle, Engine, Simulation, StopWhen};
+
+mod common;
+use common::{fabric_print, CountedContender};
 
 fn c(i: usize) -> CoreId {
     CoreId::from_index(i)
@@ -277,5 +285,82 @@ fn fabric_reset_reuse_equals_fresh_model() {
         let got = drive(&mut reused);
         assert_eq!(got, expected, "fabric round {round} diverged");
         reused.reset();
+    }
+}
+
+/// Reset-reuse after a limit-cycle jump: a `Simulation` over a fabric
+/// whose run jumps, reset together with its agents and with its random
+/// sources reinstalled, runs again exactly like a freshly built fabric,
+/// on every counter of every segment.
+#[test]
+fn fabric_reset_reuse_after_a_jump_equals_fresh_model() {
+    let jumps = Arc::new(AtomicU64::new(0));
+    let mk = || {
+        let config = FabricConfig::new(4, 2, 56, 4, 4).unwrap();
+        let policies = (0..4)
+            .map(|_| PolicyKind::RoundRobin.build(2, 56))
+            .collect();
+        let mut fabric =
+            Fabric::new(config, policies, PolicyKind::RoundRobin.build(4, 56)).unwrap();
+        for k in 0..4 {
+            let credit = CreditConfig::homogeneous(2, 56).unwrap();
+            fabric.set_cluster_filter(k, Box::new(CreditFilter::new(credit)));
+        }
+        let weighted = CreditConfig::weighted(56, vec![4, 2, 1, 1], 8)
+            .and_then(|w| w.with_cap_multipliers(vec![4; 4]))
+            .unwrap();
+        fabric.set_backbone_filter(Box::new(CreditFilter::new(weighted)));
+        fabric
+    };
+    let reseed = |fabric: &mut Fabric| {
+        fabric.set_backbone_random_source(Box::new(LfsrBank::new(16, 0xB0).unwrap()));
+        for k in 0..4 {
+            let bank = LfsrBank::new(16, 0xC1 + k as u64).unwrap();
+            fabric.set_cluster_random_source(k, Box::new(bank));
+        }
+    };
+    // A fixed-request TuA against saturating contenders, one of which
+    // counts the jumps.
+    let agents = || -> Vec<BoxedAgent<Fabric>> {
+        let counted = CountedContender {
+            inner: Contender::new(c(2), 56),
+            jumps: jumps.clone(),
+        };
+        let mut agents: Vec<BoxedAgent<Fabric>> = vec![
+            Box::new(FixedRequestTask::new(c(0), 300, 6, 0)),
+            Box::new(Contender::new(c(1), 1)),
+            Box::new(counted),
+        ];
+        for (i, duration) in [56, 23, 5, 2, 5].into_iter().enumerate() {
+            agents.push(Box::new(Contender::new(c(3 + i), duration)));
+        }
+        agents
+    };
+    let run = |fabric: Fabric, agents: Vec<BoxedAgent<Fabric>>| {
+        let mut sim = Simulation::builder()
+            .model(fabric)
+            .agents(agents)
+            .stop(StopWhen::AgentDone(0))
+            .engine(Engine::Events)
+            .max_cycles(10_000_000)
+            .build();
+        let outcome = sim.run();
+        assert!(jumps.swap(0, Ordering::Relaxed) > 0, "the run took no jump");
+        ((outcome, fabric_print(sim.model())), sim)
+    };
+
+    let mut fresh = mk();
+    reseed(&mut fresh);
+    let (expected, sim) = run(fresh, agents());
+    let (mut fabric, mut agents, _) = sim.into_parts();
+    for round in 0..2 {
+        fabric.reset();
+        reseed(&mut fabric);
+        for (i, agent) in agents.iter_mut().enumerate() {
+            agent.reset(&mut SimRng::seed_from(31).fork(0xC0 + i as u64));
+        }
+        let (got, sim) = run(fabric, agents);
+        assert_eq!(got, expected, "fabric round {round} diverged after a jump");
+        (fabric, agents, _) = sim.into_parts();
     }
 }

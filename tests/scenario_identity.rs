@@ -4,12 +4,13 @@
 //! bit for bit.
 //!
 //! The events engine skips uneventful cycle ranges and, once a run settles
-//! into a limit cycle, jumps whole periods (`fairness_sweep` and
-//! `scaling_16core` are where the jump fires). Both shortcuts must be
-//! invisible in every counter, wait statistic, trace metric and windowed
-//! sample. The spec-level cases below cover the shapes the jump must
-//! either reproduce exactly or decline: paper cells, a mixed round-robin
-//! run where it fires, windows, recording traces and a fabric.
+//! into a limit cycle, jumps whole periods (`fairness_sweep`,
+//! `scaling_16core`, `fabric_fairness` and `clustered_16core` are where
+//! the jump fires). Both shortcuts must be invisible in every counter,
+//! wait statistic, trace metric and windowed sample. The spec-level cases
+//! below cover the shapes the jump must either reproduce exactly or
+//! decline: paper cells, a mixed round-robin run where it fires, windows,
+//! recording traces, and fabrics that jump or must decline.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,10 +28,13 @@ use cba_platform::{
     run_once, run_once_with, AgentCtx, AgentRegistry, BusSetup, Campaign, CoreLoad, DriveMode,
     PortAgent, RunResult, RunSpec, Scenario, StopCondition,
 };
-use sim_core::agent::{AgentStats, SimAgent};
+use sim_core::agent::AgentStats;
 use sim_core::lfsr::LfsrBank;
 use sim_core::rng::SimRng;
-use sim_core::{BoxedAgent, Control, CoreId, Cycle, Engine, Simulation, StopWhen};
+use sim_core::{BoxedAgent, CoreId, DriveOutcome, Engine, Simulation, StopWhen};
+
+mod common;
+use common::{fabric_print, CountedContender, FabricPrint};
 
 /// Runs `spec` under the naive engine and the default engine with the
 /// same seed.
@@ -172,40 +176,6 @@ fn naive_matches_events_on_a_fabric() {
     assert_eq!(naive, events);
 }
 
-/// A saturating contender that counts the limit-cycle jumps it takes part
-/// in, so a test can see the jump fire on the real bus.
-struct CountedContender {
-    inner: Contender,
-    jumps: Arc<AtomicU64>,
-}
-
-impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for CountedContender {
-    fn tick(
-        &mut self,
-        now: Cycle,
-        completed: Option<&CompletedTransaction>,
-        port: &mut P,
-    ) -> Control {
-        SimAgent::tick(&mut self.inner, now, completed, port)
-    }
-    fn is_done(&self) -> bool {
-        false
-    }
-    fn reset(&mut self, rng: &mut SimRng) {
-        SimAgent::<P, _>::reset(&mut self.inner, rng);
-    }
-    fn stats(&self) -> AgentStats {
-        SimAgent::<P, _>::stats(&self.inner)
-    }
-    fn limit_cycle_state(&self, now: Cycle, state: &mut Vec<u64>, counters: &mut Vec<u64>) -> bool {
-        SimAgent::<P, _>::limit_cycle_state(&self.inner, now, state, counters)
-    }
-    fn limit_cycle_jump(&mut self, periods: u64, shift: Cycle, deltas: &[u64]) {
-        self.jumps.fetch_add(1, Ordering::Relaxed);
-        SimAgent::<P, _>::limit_cycle_jump(&mut self.inner, periods, shift, deltas);
-    }
-}
-
 /// The jump fires on the platform's real `Bus` (round robin with and
 /// without the credit filter), through `run_once` and through a
 /// `Simulation` assembled by hand, and stays bit-identical to the naive
@@ -217,11 +187,7 @@ fn the_jump_fires_on_the_real_bus() {
         inner: Contender::new(core, 56),
         jumps: jumps.clone(),
     };
-    let mut registry = AgentRegistry::builtin();
-    let counter = jumps.clone();
-    registry.register("counted", move |ctx: &mut AgentCtx<'_>| {
-        Ok(Box::new(counted(&counter, ctx.core)))
-    });
+    let registry = counting_registry(&jumps);
     let jumped = || jumps.swap(0, Ordering::Relaxed);
     for cba in [false, true] {
         let credit = cba.then(|| cba::CreditConfig::homogeneous(4, 56).unwrap());
@@ -274,6 +240,210 @@ fn the_jump_fires_on_the_real_bus() {
         let events = run(Engine::Events);
         assert!(jumped() > 0, "cba={cba}: Simulation took no jump");
         assert_eq!(observe(&events), observe(&naive), "cba={cba}");
+    }
+}
+
+/// The builtin registry plus the `counted` kind: a 56-cycle saturating
+/// contender that counts its jumps into `jumps`.
+fn counting_registry(jumps: &Arc<AtomicU64>) -> AgentRegistry {
+    let mut registry = AgentRegistry::builtin();
+    let jumps = jumps.clone();
+    registry.register("counted", move |ctx: &mut AgentCtx<'_>| {
+        Ok(Box::new(CountedContender {
+            inner: Contender::new(ctx.core, 56),
+            jumps: jumps.clone(),
+        }))
+    });
+    registry
+}
+
+/// A round-robin fabric of 4 clusters of 2 cores with `cluster_cba` on
+/// every cluster bus and `backbone_cba` on the backbone.
+fn topology(
+    cluster_cba: Option<CreditConfig>,
+    backbone_cba: Option<CreditConfig>,
+    bridge_latency: u32,
+    bridge_depth: usize,
+) -> FabricTopology {
+    FabricTopology {
+        clusters: 4,
+        cores_per_cluster: 2,
+        bridge_latency,
+        bridge_depth,
+        cluster_policy: PolicyKind::RoundRobin,
+        cluster_cba,
+        backbone_policy: PolicyKind::RoundRobin,
+        backbone_cba,
+    }
+}
+
+/// A fixed-request TuA against saturating contenders of mixed durations
+/// on the fabric `topo`, with the registered `counted` kind on core 2.
+/// Every cell of the grid below settles into a limit cycle of 154 to 454
+/// cycles long before the TuA's last request; with contenders of unequal
+/// demand, or periodic ones, the weighted backbone's cycle runs to many
+/// thousands of cycles and the jump would need a far longer run.
+fn jumping_fabric_spec(topo: FabricTopology) -> RunSpec {
+    let mut platform = PlatformConfig::paper(&BusSetup::Rp);
+    platform.n_cores = topo.n_cores();
+    platform.cba = None;
+    platform.topology = Some(topo);
+    let sat = |duration| CoreLoad::Saturating { duration };
+    let counted = CoreLoad::Custom {
+        kind: "counted".into(),
+        args: vec![],
+    };
+    let contenders = vec![sat(1), counted, sat(56), sat(23), sat(5), sat(2), sat(5)];
+    let tua = CoreLoad::FixedTask {
+        n_requests: 300,
+        duration: 6,
+        gap: 0,
+    };
+    RunSpec::with_platform(platform, Scenario::Custom(contenders), tua)
+}
+
+/// The fabric `run_once` builds for `topo`, assembled by hand, with
+/// `cluster_0` as cluster 0's policy.
+fn hand_fabric(topo: &FabricTopology, cluster_0: PolicyKind) -> Fabric {
+    let (k, m) = (topo.clusters, topo.cores_per_cluster);
+    let config = FabricConfig::new(k, m, 56, topo.bridge_latency, topo.bridge_depth).unwrap();
+    let mut policies: Vec<_> = (0..k).map(|_| topo.cluster_policy.build(m, 56)).collect();
+    policies[0] = cluster_0.build(m, 56);
+    let mut fabric = Fabric::new(config, policies, topo.backbone_policy.build(k, 56)).unwrap();
+    if let Some(credit) = &topo.cluster_cba {
+        for i in 0..k {
+            fabric.set_cluster_filter(i, Box::new(CreditFilter::new(credit.clone())));
+        }
+    }
+    if let Some(credit) = &topo.backbone_cba {
+        fabric.set_backbone_filter(Box::new(CreditFilter::new(credit.clone())));
+    }
+    fabric
+}
+
+/// Runs `spec`'s loads, built through `registry`, on `fabric` until the
+/// TuA is done, and returns the outcome, every agent's stats and every
+/// counter of every segment.
+fn run_by_hand(
+    fabric: Fabric,
+    spec: &RunSpec,
+    registry: &AgentRegistry,
+    engine: Engine,
+) -> (Option<DriveOutcome>, Vec<AgentStats>, FabricPrint) {
+    let agents = spec.loads.iter().enumerate().map(|(i, load)| {
+        let mut rng = SimRng::seed_from(3).fork(0xC0 + i as u64);
+        let core = CoreId::from_index(i);
+        let agent = registry
+            .build(load, core, &spec.platform, &mut rng)
+            .unwrap();
+        Box::new(PortAgent::new(agent)) as BoxedAgent<Fabric>
+    });
+    let mut sim = Simulation::builder()
+        .model(fabric)
+        .agents(agents)
+        .stop(StopWhen::AgentDone(0))
+        .engine(engine)
+        .max_cycles(10_000_000)
+        .build();
+    sim.run();
+    let stats = sim.agents().iter().map(|a| a.stats()).collect();
+    (sim.outcome(), stats, fabric_print(sim.model()))
+}
+
+/// The jump fires on the platform's `Fabric` on every cell of a grid over
+/// the segment filters and the bridges, through `run_once` and through a
+/// `Simulation` assembled by hand, and stays bit-identical to the naive
+/// loop: run results, every agent's stats, and every counter of every
+/// cluster bus, of the backbone and of the fabric-wide trace.
+#[test]
+fn the_jump_fires_on_a_fabric() {
+    let jumps = Arc::new(AtomicU64::new(0));
+    let registry = counting_registry(&jumps);
+    let jumped = || jumps.swap(0, Ordering::Relaxed);
+    let homog = CreditConfig::homogeneous(2, 56).unwrap();
+    let weighted = CreditConfig::weighted(56, vec![4, 2, 1, 1], 8)
+        .and_then(|w| w.with_cap_multipliers(vec![4; 4]))
+        .unwrap();
+    for cluster_cba in [None, Some(homog)] {
+        for backbone_cba in [None, Some(weighted.clone())] {
+            for (latency, depth) in [(1, 1), (1, 4), (4, 1), (4, 4), (16, 1), (16, 4)] {
+                let topo = topology(cluster_cba.clone(), backbone_cba.clone(), latency, depth);
+                let cell = format!(
+                    "cluster_cba {:?}, backbone_cba {:?}, latency {latency}, depth {depth}",
+                    cluster_cba.is_some(),
+                    backbone_cba.is_some()
+                );
+                let mut spec = jumping_fabric_spec(topo.clone());
+                let events = run_once_with(&spec, 3, &registry);
+                assert!(jumped() > 0, "{cell}: run_once took no jump");
+                spec.drive = DriveMode::Naive;
+                assert_eq!(run_once_with(&spec, 3, &registry), events, "{cell}");
+
+                let run = |engine| {
+                    let fabric = hand_fabric(&topo, PolicyKind::RoundRobin);
+                    run_by_hand(fabric, &spec, &registry, engine)
+                };
+                let naive = run(Engine::Naive);
+                assert_eq!(jumped(), 0);
+                let events = run(Engine::Events);
+                assert!(jumped() > 0, "{cell}: Simulation took no jump");
+                assert_eq!(events, naive, "{cell}");
+            }
+        }
+    }
+}
+
+/// Fabrics that must decline the jump take none and stay bit-identical
+/// to the naive loop: a randomized policy on one segment only (RP on
+/// cluster 0, lottery on the backbone), a recording trace, windows (an
+/// active probe) and a flip probe. The same fabric without them jumps.
+#[test]
+fn fabrics_that_must_decline_take_no_jump() {
+    let jumps = Arc::new(AtomicU64::new(0));
+    let registry = counting_registry(&jumps);
+    let jumped = || jumps.swap(0, Ordering::Relaxed);
+    let cluster_cba = CreditConfig::homogeneous(2, 56).ok();
+    let topo = topology(cluster_cba, CreditConfig::homogeneous(4, 56).ok(), 4, 2);
+    run_once_with(&jumping_fabric_spec(topo.clone()), 3, &registry);
+    assert!(jumped() > 0, "the fabric without a declining part jumps");
+
+    let lottery = FabricTopology {
+        backbone_policy: PolicyKind::Lottery,
+        ..topo.clone()
+    };
+    let mut recording = jumping_fabric_spec(topo.clone());
+    recording.record_trace = true;
+    let mut windowed = jumping_fabric_spec(topo.clone());
+    windowed.stop = StopCondition::Horizon(20_000);
+    windowed.windows = Some(4);
+    let cases = [
+        ("lottery on the backbone", jumping_fabric_spec(lottery)),
+        ("recording trace", recording),
+        ("windows", windowed),
+    ];
+    for (case, mut spec) in cases {
+        let events = run_once_with(&spec, 3, &registry);
+        spec.drive = DriveMode::Naive;
+        let naive = run_once_with(&spec, 3, &registry);
+        assert_eq!(jumped(), 0, "{case}: jumped");
+        assert_eq!(naive, events, "{case}");
+    }
+
+    let spec = jumping_fabric_spec(topo.clone());
+    for (case, cluster_0, flips) in [
+        ("RP on cluster 0", PolicyKind::RandomPermutation, false),
+        ("flip probe", PolicyKind::RoundRobin, true),
+    ] {
+        let run = |engine| {
+            let mut fabric = hand_fabric(&topo, cluster_0);
+            if flips {
+                fabric.enable_flip_probe();
+            }
+            run_by_hand(fabric, &spec, &registry, engine)
+        };
+        let (naive, events) = (run(Engine::Naive), run(Engine::Events));
+        assert_eq!(jumped(), 0, "{case}: jumped");
+        assert_eq!(events, naive, "{case}");
     }
 }
 
