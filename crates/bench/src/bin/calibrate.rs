@@ -1,14 +1,14 @@
-//! Workload calibration probe: per-benchmark ISO characteristics and the
-//! Figure-1 cells at a reduced run count. Used while tuning the synthetic
-//! EEMBC profiles; kept as a diagnostic tool.
+//! Workload calibration probe: per-benchmark ISO characteristics of one
+//! run each. Used while tuning the synthetic EEMBC profiles, together
+//! with the Figure-1 grid at a reduced run count
+//! (`cba_sim --scenario-file scenarios/paper_fig1.scn --runs 30`); kept
+//! as a diagnostic tool.
 
-use cba_bench::{runs_from_env, seed_from_env};
-use cba_platform::experiments::fig1;
+use cba_bench::seed_from_env;
 use cba_platform::{run_once, BusSetup, CoreLoad, RunSpec, Scenario};
 use cba_workloads::suite;
 
 fn main() {
-    let runs = runs_from_env(30);
     let seed = seed_from_env();
     println!("== ISO characteristics (single run, seed {seed}) ==");
     println!(
@@ -33,20 +33,6 @@ fn main() {
             reqs,
             cycles as f64 / reqs.max(1) as f64,
             busy as f64 / reqs.max(1) as f64,
-        );
-    }
-
-    println!();
-    println!("== Figure 1 cells ({runs} runs/bar) ==");
-    let cells = fig1(&suite::fig1_suite(), runs, seed);
-    println!(
-        "{:<10} {:<7} {:<5} {:>12} {:>8}",
-        "bench", "setup", "scen", "mean-cycles", "norm"
-    );
-    for c in &cells {
-        println!(
-            "{:<10} {:<7} {:<5} {:>12.0} {:>8.3}",
-            c.benchmark, c.setup, c.scenario, c.mean_cycles, c.normalized
         );
     }
 }

@@ -7,7 +7,6 @@ pub mod campaign;
 pub mod checkpoint;
 pub mod config;
 pub mod executor;
-pub mod experiments;
 pub mod platform;
 pub mod probes;
 pub mod report;

@@ -281,6 +281,21 @@ impl RunSpec {
         }
         let maxl = self.platform.latency.max_latency();
         for (core, load) in self.loads.iter().enumerate() {
+            // The agent constructors assert these; a hand-built spec
+            // fails here instead.
+            let zero = match *load {
+                CoreLoad::Saturating { duration: 0 }
+                | CoreLoad::Periodic { duration: 0, .. }
+                | CoreLoad::FixedTask { duration: 0, .. } => Some("duration"),
+                CoreLoad::Periodic { period: 0, .. } => Some("period"),
+                CoreLoad::FixedTask { n_requests: 0, .. } => Some("request count"),
+                _ => None,
+            };
+            if let Some(field) = zero {
+                return Err(format!(
+                    "core {core} load '{load}': {field} must be positive"
+                ));
+            }
             if let CoreLoad::Saturating { duration }
             | CoreLoad::Periodic { duration, .. }
             | CoreLoad::FixedTask { duration, .. } = load
@@ -837,6 +852,39 @@ mod tests {
         assert!(spec.validate().is_err(), "TuaDone with infinite TuA");
         spec.stop = StopCondition::Horizon(100);
         assert!(spec.validate().is_ok());
+    }
+
+    #[test]
+    fn zero_durations_periods_and_request_counts_are_rejected() {
+        let per = |duration, period| CoreLoad::Periodic {
+            duration,
+            period,
+            phase: 0,
+        };
+        let fixed = |n_requests, duration| CoreLoad::FixedTask {
+            n_requests,
+            duration,
+            gap: 0,
+        };
+        let spec = |load: &CoreLoad| {
+            RunSpec::paper(
+                BusSetup::Rp,
+                Scenario::Custom(vec![load.clone(); 3]),
+                fixed(10, 5),
+            )
+        };
+        for (load, field) in [
+            (CoreLoad::Saturating { duration: 0 }, "duration"),
+            (per(0, 90), "duration"),
+            (per(28, 0), "period"),
+            (fixed(5, 0), "duration"),
+            (fixed(0, 6), "request count"),
+        ] {
+            let expected = format!("core 1 load '{load}': {field} must be positive");
+            assert_eq!(spec(&load).validate(), Err(expected));
+        }
+        // Zero phases and gaps are fine.
+        assert_eq!(spec(&per(28, 90)).validate(), Ok(()));
     }
 
     #[test]

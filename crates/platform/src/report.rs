@@ -1083,6 +1083,15 @@ fn normalize(cells: &mut [CellReport], baseline: &[(String, String)]) -> Result<
 }
 
 impl ScenarioReport {
+    /// The first cell whose labels include every `(axis, label)` pair of
+    /// `want`, e.g. `[("setup", "CBA"), ("scenario", "CON")]`.
+    pub fn cell(&self, want: &[(&str, &str)]) -> Option<&CellReport> {
+        self.cells.iter().find(|c| {
+            want.iter()
+                .all(|&(axis, label)| c.label(axis) == Some(label))
+        })
+    }
+
     /// Renders the report as pretty-printed JSON: per cell, its labels and
     /// then every column it has.
     pub fn to_json(&self) -> String {

@@ -119,9 +119,6 @@ pub enum TuaSpec {
         /// `(knob, raw value)` overrides.
         overrides: Vec<(String, String)>,
     },
-    /// An explicit profile, for programmatic definitions (the experiment
-    /// drivers); not produced by the parser.
-    Inline(EembcProfile),
 }
 
 /// Co-runner placement for cores `1..n`.
@@ -267,33 +264,14 @@ impl Default for Template {
     }
 }
 
-/// One sweep-axis value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AxisValue {
-    /// A raw string from the file, interpreted per axis key.
-    Raw(String),
-    /// An explicit benchmark profile (programmatic definitions only; used
-    /// by the experiment drivers to sweep ad-hoc profiles).
-    Profile(EembcProfile),
-}
-
-impl AxisValue {
-    /// The raw text of this value (a profile renders as its name).
-    pub fn raw(&self) -> &str {
-        match self {
-            AxisValue::Raw(s) => s,
-            AxisValue::Profile(p) => p.name,
-        }
-    }
-}
-
 /// One sweep axis: a key and the values it takes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Axis {
     /// Axis name (see [`axes`]).
     pub key: String,
-    /// The axis values, in declaration order.
-    pub values: Vec<AxisValue>,
+    /// The axis values as written in the file, in declaration order;
+    /// each goes through the axis key's setter per grid point.
+    pub values: Vec<String>,
 }
 
 /// Report shaping: normalization baseline, percentiles, and windowed
@@ -520,11 +498,8 @@ impl ScenarioDef {
         if self.axes.iter().any(|a| a.key == key) {
             return Err(format!("duplicate sweep axis '{key}'"));
         }
-        let values: Vec<AxisValue> = values
-            .split(',')
-            .map(|v| AxisValue::Raw(v.trim().to_string()))
-            .collect();
-        if values.iter().any(|v| v.raw().is_empty()) {
+        let values: Vec<String> = values.split(',').map(|v| v.trim().to_string()).collect();
+        if values.iter().any(String::is_empty) {
             return Err(format!("sweep axis '{key}' has an empty value"));
         }
         self.axes.push(Axis {
@@ -535,10 +510,12 @@ impl ScenarioDef {
     }
 
     /// Renders the definition back to canonical scenario-file text by
-    /// walking [`KEYS`] in order: `parse(render(def)) == def` for any
-    /// parser-produced definition. (Programmatic [`TuaSpec::Inline`] /
-    /// [`AxisValue::Profile`] values render as their catalog names, which
-    /// is lossy for ad-hoc profiles.)
+    /// walking [`KEYS`] in order. Each value is written as the text its
+    /// key's setter reads (a TuA profile as its catalog name plus knob
+    /// overrides), so `parse(render(def)) == def` for any definition
+    /// whose values came through [`set`](Self::set), and two such
+    /// definitions that differ in anything but `threads` and the
+    /// checkpoint `dir` differ in [`scenario_hash`](Self::scenario_hash).
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -546,8 +523,7 @@ impl ScenarioDef {
             let mut lines = Vec::new();
             if section == "sweep" {
                 for axis in &self.axes {
-                    let values: Vec<&str> = axis.values.iter().map(AxisValue::raw).collect();
-                    lines.push(format!("{} = {}", axis.key, values.join(",")));
+                    lines.push(format!("{} = {}", axis.key, axis.values.join(",")));
                 }
             }
             for k in KEYS.iter().filter(|k| k.section == section) {
@@ -597,11 +573,12 @@ impl ScenarioDef {
 
     /// The campaign seed for the grid point at `indices`: the master seed
     /// XOR the axis indices packed into 20-bit fields, innermost axis in
-    /// the low bits (matching the hand-written experiment drivers' seed
-    /// derivation; indices above 2^20 would alias, far beyond any real
-    /// grid). Axes beyond the three low fields are mixed in with a
-    /// splitmix64 hash of `(axis, index)` instead of a shift, so deep
-    /// grids cannot systematically collide with the packed fields.
+    /// the low bits (indices above 2^20 would alias, far beyond any real
+    /// grid). Cutting values off the end of an axis leaves the seeds of
+    /// the remaining cells as they were. Axes beyond the three low fields
+    /// are mixed in with a splitmix64 hash of `(axis, index)` instead of
+    /// a shift, so deep grids cannot systematically collide with the
+    /// packed fields.
     pub fn cell_seed(&self, indices: &[usize]) -> u64 {
         let a = indices.len();
         let mut packed = 0u64;
@@ -665,19 +642,8 @@ impl ScenarioDef {
             let mut labels = Vec::with_capacity(sizes.len());
             for ((axis, key), &i) in self.axes.iter().zip(&keys).zip(&indices) {
                 let value = &axis.values[i];
-                let label = match value {
-                    AxisValue::Raw(v) => (key.set)(&mut point, key, v),
-                    // Only the benchmark axis takes explicit profiles.
-                    AxisValue::Profile(profile) if axis.key == "bench" => {
-                        point.template.tua = TuaSpec::Inline(profile.clone());
-                        Ok(profile.name.to_string())
-                    }
-                    AxisValue::Profile(_) => {
-                        Err(format!("axis '{}' cannot take a profile value", axis.key))
-                    }
-                }
-                .map_err(|e| {
-                    ScenarioError::new(format!("axis '{}' value '{}': {e}", axis.key, value.raw()))
+                let label = (key.set)(&mut point, key, value).map_err(|e| {
+                    ScenarioError::new(format!("axis '{}' value '{value}': {e}", axis.key))
                 })?;
                 labels.push((axis.key.clone(), label));
             }
@@ -936,7 +902,6 @@ pub static KEYS: &[Key] = &[
         .render(|d, _| match &d.template.tua {
             TuaSpec::Load(_) => None,
             TuaSpec::Profile { name, .. } => Some(name.clone()),
-            TuaSpec::Inline(profile) => Some(profile.name.to_string()),
         })
         .sweep_as("bench"),
     knob("accesses"),
@@ -973,7 +938,7 @@ pub static KEYS: &[Key] = &[
         })
         .sweep(),
     key("contenders", "duration")
-        .set(|d, k, v| put(&mut d.template.duration, Some(num(k, v)?), v))
+        .set(|d, k, v| put(&mut d.template.duration, Some(positive(k, v)?), v))
         .render(|d, _| d.template.duration.map(|x| x.to_string()))
         .sweep(),
     key("contenders", "wcet").set(set_wcet).render(|d, _| {
@@ -1190,7 +1155,6 @@ fn set_profile(d: &mut ScenarioDef, _: &Key, v: &str) -> Result<String, String> 
 /// stay one per knob in table order, so renders round-trip.
 fn set_knob(d: &mut ScenarioDef, k: &Key, v: &str) -> Result<String, String> {
     match &mut d.template.tua {
-        TuaSpec::Inline(profile) => apply_profile_knob(profile, k.name, v)?,
         TuaSpec::Profile { overrides, .. } => {
             apply_profile_knob(&mut cba_workloads::suite::rspeed(), k.name, v)?;
             overrides.retain(|(knob, _)| knob != k.name);
@@ -1497,12 +1461,6 @@ impl TuaSpec {
                     .validate()
                     .map_err(|e| format!("profile '{name}' invalid after overrides: {e}"))?;
                 Ok(CoreLoad::Profile(profile))
-            }
-            TuaSpec::Inline(profile) => {
-                profile
-                    .validate()
-                    .map_err(|e| format!("inline profile '{}' invalid: {e}", profile.name))?;
-                Ok(CoreLoad::Profile(profile.clone()))
             }
         }
     }

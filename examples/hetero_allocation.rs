@@ -3,12 +3,14 @@
 //! weights (H-CBA, evaluated in the paper) or by letting its budget cap
 //! grow above MaxL (the burst-enabling variant).
 //!
+//! The measured half runs the shipped `scenarios/hcba_ablation.scn`.
+//!
 //! ```text
 //! cargo run --release --example hetero_allocation
 //! ```
 
 use cba::CreditConfig;
-use cba_platform::experiments::ablation_hcba;
+use cba_platform::{run_scenario, ScenarioDef};
 use sim_core::CoreId;
 
 fn main() {
@@ -41,15 +43,28 @@ fn main() {
     println!("   but its long-run bandwidth entitlement stays 1/N.");
 
     println!("\nmeasured (150 MaxL requests on core 0, periodic co-runners, 10 runs):\n");
-    let rows = ablation_hcba(10, 2017);
+    let mut def = ScenarioDef::parse(include_str!("../scenarios/hcba_ablation.scn"))
+        .expect("shipped scenario parses");
+    def.runs = 10;
+    let report = run_scenario(&def).expect("shipped scenario runs");
+    // The TuA's isolation time: 150 back-to-back 56-cycle requests.
+    let isolation = 150.0 * 56.0;
     println!(
         "{:<28} {:>9} {:>14} {:>19}",
         "variant", "slowdown", "TuA max burst", "contender max gap"
     );
-    for r in &rows {
+    for c in &report.cells {
+        let variant = format!(
+            "{} caps {}",
+            c.label("setup").unwrap_or("?"),
+            c.label("caps").unwrap_or("?")
+        );
         println!(
             "{:<28} {:>8.2}x {:>14.1} {:>19.0}",
-            r.variant, r.slowdown, r.tua_max_burst, r.contender_max_gap
+            variant,
+            c.mean / isolation,
+            c.tua_max_burst.unwrap_or(f64::NAN),
+            c.contender_max_gap.unwrap_or(f64::NAN)
         );
     }
     println!();

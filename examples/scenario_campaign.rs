@@ -1,9 +1,8 @@
 //! Scenario files end to end: parse a declarative grid, expand it,
 //! execute the campaign batch, and export structured results.
 //!
-//! The same engine powers `cba_sim --scenario-file` and the paper's
-//! experiment drivers (`experiments::fig1` is a scenario definition
-//! under the hood). Run with:
+//! The same engine runs `cba_sim --scenario-file` and every paper
+//! artifact under `scenarios/` (`paper_repro` prints them). Run with:
 //!
 //! ```bash
 //! cargo run --release --example scenario_campaign
@@ -59,11 +58,8 @@ fn main() {
     // The credit filter turns the request-length hogging off: under RR
     // the 56-cycle co-runners take ~11x the TuA's bandwidth, under CBA
     // every core is pinned to its entitlement.
-    let rr = report.cells.iter().find(|c| c.label("setup") == Some("rr"));
-    let cba = report
-        .cells
-        .iter()
-        .find(|c| c.label("setup") == Some("CBA"));
+    let rr = report.cell(&[("setup", "rr")]);
+    let cba = report.cell(&[("setup", "CBA")]);
     if let (Some(rr), Some(cba)) = (rr, cba) {
         println!(
             "\nRR mean {:.0} cycles vs CBA mean {:.0} cycles ({:.1}x better)",

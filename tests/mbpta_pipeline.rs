@@ -1,10 +1,17 @@
 //! The MBPTA protocol end to end: WCET-estimation-mode campaigns through
 //! the full platform, iid checks, pWCET fitting, and the dominance
 //! property that makes the analysis sound.
+//!
+//! The protocol runs as `scenarios/paper_pwcet.scn`, trimmed to a quick
+//! TuA on the CBA bus: its `con` cell is the analysis campaign, with the
+//! `[report] pwcet` columns, and its `custom` cell the deployment with
+//! live periodic co-runners.
 
 use cba_mbpta::pwcet::{block_maxima, MbptaConfig, PWcetModel};
-use cba_platform::experiments::pwcet_analysis;
-use cba_platform::{BusSetup, Campaign, CoreLoad, RunSpec, Scenario};
+use cba_platform::report::PwcetFit;
+use cba_platform::{
+    run_scenario, BusSetup, Campaign, CellReport, CoreLoad, RunSpec, Scenario, ScenarioDef,
+};
 use cba_workloads::suite;
 
 fn quick_profile() -> cba_workloads::EembcProfile {
@@ -13,45 +20,85 @@ fn quick_profile() -> cba_workloads::EembcProfile {
     p
 }
 
+/// The analysis (`con`) and deployment (`custom`) cells of
+/// `paper_pwcet.scn` for rspeed cut to 500 accesses on the CBA bus, with
+/// `runs` runs per cell and master seed `seed`.
+fn pwcet_cells(runs: usize, seed: u64) -> (CellReport, CellReport) {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/paper_pwcet.scn");
+    let text = std::fs::read_to_string(path).expect("shipped scenario");
+    let mut def = ScenarioDef::parse(&text).expect("shipped scenario parses");
+    def.runs = runs;
+    def.seed = seed;
+    def.set("tua", "profile", "rspeed").unwrap();
+    def.set("tua", "accesses", "500").unwrap();
+    for axis in &mut def.axes {
+        match axis.key.as_str() {
+            "bench" => axis.values = vec!["rspeed".into()],
+            "setup" => axis.values = vec!["cba".into()],
+            _ => {}
+        }
+    }
+    let report = run_scenario(&def).expect("trimmed grid runs");
+    let [analysis, operation] = <[CellReport; 2]>::try_from(report.cells).expect("two cells");
+    assert_eq!(analysis.label("scenario"), Some("CON"));
+    assert_eq!(operation.label("scenario"), Some("custom"));
+    (analysis, operation)
+}
+
+/// The analysis cell's fit and its pWCET bound at each probability.
+fn fit(analysis: &CellReport) -> (&PwcetFit, Vec<(f64, f64)>) {
+    let pwcet = analysis.pwcet.as_ref().expect("pwcet columns");
+    let fit = pwcet
+        .fit
+        .as_ref()
+        .unwrap_or_else(|| panic!("{:?}", pwcet.diag));
+    let curve = pwcet.probs.iter().copied().zip(fit.bounds.iter().copied());
+    (fit, curve.collect())
+}
+
 #[test]
 fn wcet_mode_samples_are_iid_and_fit_a_gumbel() {
-    let analysis =
-        pwcet_analysis(&quick_profile(), BusSetup::Cba, 150, 41).expect("analysis succeeds");
+    let (analysis, _) = pwcet_cells(150, 41);
+    let (fit, _) = fit(&analysis);
     // Independent seeds + randomized caches/arbitration => iid samples.
     assert!(
-        analysis.iid.passes(0.01),
+        fit.ks_p > 0.01 && fit.lb_p > 0.01 && fit.runs_p > 0.01,
         "iid battery rejected: KS p={}, LB p={}, runs p={}",
-        analysis.iid.ks.p_value,
-        analysis.iid.ljung_box.p_value,
-        analysis.iid.runs.p_value
+        fit.ks_p,
+        fit.lb_p,
+        fit.runs_p
     );
-    assert!(analysis.model.gumbel().beta > 0.0);
+    assert!(fit.beta > 0.0);
 }
 
 #[test]
 fn pwcet_bound_dominates_analysis_and_operation() {
-    let analysis =
-        pwcet_analysis(&quick_profile(), BusSetup::Cba, 120, 17).expect("analysis succeeds");
-    let bound = analysis.model.quantile_per_run(1e-12);
+    let (analysis, operation) = pwcet_cells(120, 17);
+    let (_, curve) = fit(&analysis);
+    let bound = curve
+        .iter()
+        .find(|(p, _)| *p == 1e-12)
+        .expect("pwcet@1e-12")
+        .1;
+    assert!(bound >= analysis.max, "bound must cover analysis max");
     assert!(
-        bound >= analysis.max_analysis,
-        "bound must cover analysis max"
-    );
-    assert!(
-        bound >= analysis.max_operation,
+        bound >= operation.max,
         "bound must cover deployment max ({} vs {})",
         bound,
-        analysis.max_operation
+        operation.max
     );
     // And the analysis-time contention is at least as bad as deployment.
-    assert!(analysis.max_analysis >= analysis.max_operation * 0.95);
+    assert!(analysis.max >= operation.max * 0.95);
 }
 
 #[test]
 fn pwcet_curve_grows_with_confidence() {
-    let analysis =
-        pwcet_analysis(&quick_profile(), BusSetup::Cba, 120, 23).expect("analysis succeeds");
-    let curve = analysis.model.curve(&[1e-3, 1e-6, 1e-9, 1e-12]);
+    let (analysis, _) = pwcet_cells(120, 23);
+    let (_, curve) = fit(&analysis);
+    assert!(
+        curve.len() >= 4,
+        "the file asks for 1e-3 .. 1e-15: {curve:?}"
+    );
     for pair in curve.windows(2) {
         assert!(pair[1].1 > pair[0].1, "curve must be monotone: {curve:?}");
     }

@@ -1,16 +1,12 @@
-//! Conformance of the shipped scenario files to the Rust experiment
-//! drivers, plus golden round-trips of the scenario format.
-//!
-//! The contract under test: `scenarios/paper_fig1.scn` expands to
-//! exactly the `BusSetup::paper_setups()` × `Scenario` grid that
-//! `cba_platform::experiments::fig1` runs — same cells, same order, same
-//! per-cell seeds, same specs — so the CLI and the Rust API reproduce
-//! identical Figure-1 numbers.
+//! Conformance of the shipped scenario files: the Figure-1 file expands
+//! to the paper's grid and reproduces it built by hand from
+//! `RunSpec::paper` campaigns, the paper artifacts' reports are pinned by
+//! hash, every file round-trips through the format and matches its
+//! golden render, and the README documents every key and report column.
 
-use cba_platform::experiments::fig1_def;
-use cba_platform::scenario::{AxisValue, ScenarioDef, TuaSpec};
-use cba_platform::BusSetup;
-use cba_workloads::suite;
+use cba_platform::scenario::ScenarioDef;
+use cba_platform::{BusSetup, Campaign, CoreLoad, RunSpec, Scenario};
+use cba_workloads::{suite, EembcProfile};
 use std::path::{Path, PathBuf};
 
 fn scenarios_dir() -> PathBuf {
@@ -45,13 +41,13 @@ fn paper_fig1_scn_expands_to_the_paper_grid() {
                     "cell {i}"
                 );
                 assert_eq!(cell.label("scenario"), Some(scenario), "cell {i}");
-                // The driver's seed derivation, bit for bit.
+                // The master seed XOR the axis indices in 20-bit fields.
                 assert_eq!(
                     cell.seed,
                     def.seed ^ ((bi as u64) << 40 | (si as u64) << 20 | ci as u64),
                     "cell {i}"
                 );
-                // The spec matches the Rust driver's RunSpec::paper shape.
+                // The spec has the shape of RunSpec::paper.
                 let spec = &cell.spec;
                 assert_eq!(spec.platform.n_cores, 4);
                 assert_eq!(spec.platform.latency.max_latency(), 56);
@@ -68,57 +64,150 @@ fn paper_fig1_scn_expands_to_the_paper_grid() {
     }
 }
 
+/// One Figure-1 bar built directly through the Rust API: axis labels,
+/// campaign seed and `RunSpec::paper` spec.
+struct Fig1Bar {
+    labels: Vec<(String, String)>,
+    seed: u64,
+    spec: RunSpec,
+}
+
+/// The Figure-1 grid without the scenario engine: `benchmarks` × the
+/// paper's three bus setups × {ISO, CON}, outermost first, each bar a
+/// `RunSpec::paper` with the master seed XOR its axis indices.
+fn fig1_def(benchmarks: &[EembcProfile], seed: u64) -> Vec<Fig1Bar> {
+    let mut bars = Vec::new();
+    for (bi, profile) in benchmarks.iter().enumerate() {
+        for (si, setup) in BusSetup::paper_setups().into_iter().enumerate() {
+            for (ci, (label, scenario)) in [
+                ("ISO", Scenario::Isolation),
+                ("CON", Scenario::MaxContention),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                bars.push(Fig1Bar {
+                    labels: vec![
+                        ("bench".into(), profile.name.into()),
+                        ("setup".into(), setup.label()),
+                        ("scenario".into(), label.into()),
+                    ],
+                    seed: seed ^ ((bi as u64) << 40 | (si as u64) << 20 | ci as u64),
+                    spec: RunSpec::paper(
+                        setup.clone(),
+                        scenario,
+                        CoreLoad::Profile(profile.clone()),
+                    ),
+                });
+            }
+        }
+    }
+    bars
+}
+
 #[test]
 fn paper_fig1_scn_is_structurally_identical_to_fig1_def() {
     let parsed = ScenarioDef::parse(&read_scn("paper_fig1.scn")).expect("parses");
-    let programmatic = fig1_def(&suite::fig1_suite(), parsed.runs, parsed.seed);
-
     let file_cells = parsed.expand().expect("file expands");
-    let driver_cells = programmatic.expand().expect("driver def expands");
-    assert_eq!(file_cells.len(), driver_cells.len());
-    for (f, d) in file_cells.iter().zip(&driver_cells) {
-        assert_eq!(f.labels, d.labels);
-        assert_eq!(f.seed, d.seed);
+    let bars = fig1_def(&suite::fig1_suite(), parsed.seed);
+
+    assert_eq!(file_cells.len(), bars.len());
+    for (f, b) in file_cells.iter().zip(&bars) {
+        assert_eq!(f.labels, b.labels);
+        assert_eq!(f.seed, b.seed, "cell {:?}", f.labels);
         // RunSpec has no PartialEq (trait objects downstream); the Debug
         // rendering covers every field, including the resolved profiles.
-        assert_eq!(format!("{:?}", f.spec), format!("{:?}", d.spec));
+        assert_eq!(
+            format!("{:?}", f.spec),
+            format!("{:?}", b.spec),
+            "cell {:?}",
+            f.labels
+        );
     }
-    // The report shaping (RP-ISO normalization) matches too.
-    assert_eq!(parsed.report, programmatic.report);
+    // Each benchmark is normalized to its own RP-ISO mean.
+    assert_eq!(
+        parsed.report.baseline,
+        [
+            ("setup".to_string(), "rp".to_string()),
+            ("scenario".to_string(), "iso".to_string())
+        ]
+    );
 }
 
 #[test]
 fn paper_fig1_cell_means_match_the_fig1_driver_bit_for_bit() {
     // Numeric equivalence on a trimmed grid: the parsed file, restricted
-    // to a short benchmark, must reproduce the fig1() driver exactly
-    // (same seeds, same specs => same floats).
+    // to a short benchmark, must reproduce a plain Campaign per bar
+    // exactly (same seeds, same specs => same floats), normalization
+    // included.
     let mut quick = suite::rspeed();
     quick.accesses = 300;
 
     let mut def = ScenarioDef::parse(&read_scn("paper_fig1.scn")).expect("parses");
     def.runs = 3;
-    def.template.tua = TuaSpec::Profile {
-        name: "rspeed".into(),
-        overrides: vec![("accesses".into(), "300".into())],
-    };
+    def.set("tua", "profile", "rspeed").unwrap();
+    def.set("tua", "accesses", "300").unwrap();
     let bench_axis = def
         .axes
         .iter_mut()
         .find(|a| a.key == "bench")
         .expect("bench axis");
-    bench_axis.values = vec![AxisValue::Raw("rspeed".into())];
+    bench_axis.values = vec!["rspeed".into()];
 
     let report = cba_platform::run_scenario(&def).expect("trimmed grid runs");
-    let driver = cba_platform::experiments::fig1(&[quick], 3, def.seed);
+    let bars = fig1_def(&[quick], def.seed);
+    let campaigns: Vec<_> = bars
+        .iter()
+        .map(|b| Campaign::new(b.spec.clone(), 3, b.seed).run())
+        .collect();
+    // Bar 0 is RP-ISO, the baseline of the single benchmark.
+    let base = campaigns[0].mean();
 
-    assert_eq!(report.cells.len(), driver.len());
-    for (cell, bar) in report.cells.iter().zip(&driver) {
-        assert_eq!(cell.label("setup"), Some(bar.setup.as_str()));
-        assert_eq!(cell.label("scenario"), Some(bar.scenario));
-        assert_eq!(cell.mean, bar.mean_cycles, "means must be bit-identical");
-        assert_eq!(cell.normalized, Some(bar.normalized));
-        assert_eq!(cell.normalized_ci95, Some(bar.ci95));
+    assert_eq!(report.cells.len(), bars.len());
+    for ((cell, bar), campaign) in report.cells.iter().zip(&bars).zip(&campaigns) {
+        assert_eq!(cell.labels, bar.labels);
+        assert_eq!(cell.seed, bar.seed, "cell {:?}", cell.labels);
+        let summary = campaign.summary();
+        assert_eq!(cell.mean, summary.mean(), "means must be bit-identical");
+        assert_eq!(
+            cell.ci95,
+            summary.ci95_half_width(),
+            "cell {:?}",
+            cell.labels
+        );
+        assert_eq!(cell.normalized, Some(summary.mean() / base));
+        assert_eq!(cell.normalized_ci95, Some(summary.ci95_half_width() / base));
     }
+}
+
+/// The JSON reports of the paper artifacts at 2 runs per cell, pinned by
+/// their `fnv1a_64` hash. A change to any number, label or column of
+/// these reports fails here; if it is intended, replace the hash with
+/// the one the failure prints and say why in the change log.
+#[test]
+fn paper_reports_match_their_pinned_hashes() {
+    let pinned: [(&str, u64); 5] = [
+        ("paper_fig1", 0x7ed5_aad2_4c83_c534),
+        ("paper_illustrative", 0xe285_b472_25ce_6de8),
+        ("fairness_sweep", 0x99bc_1fb1_2a85_d0f6),
+        ("paper_pwcet", 0x8820_d158_bc0e_b736),
+        ("hcba_ablation", 0x1d93_b060_bf68_bb10),
+    ];
+    let mut drifted = Vec::new();
+    for (name, hash) in pinned {
+        let mut def = ScenarioDef::parse(&read_scn(&format!("{name}.scn"))).expect("parses");
+        def.runs = 2;
+        let report = cba_platform::run_scenario(&def).expect("shipped grid runs");
+        let got = sim_core::export::fnv1a_64(report.to_json().as_bytes());
+        if got != hash {
+            drifted.push(format!("{name}: {got:#018x} (pinned {hash:#018x})"));
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "reports drifted:\n{}",
+        drifted.join("\n")
+    );
 }
 
 #[test]
@@ -128,16 +217,14 @@ fn paper_fig1_fast_path_matches_the_naive_loop_bit_for_bit() {
     // produce the exact same floats (means, CIs, normalization).
     let mut def = ScenarioDef::parse(&read_scn("paper_fig1.scn")).expect("parses");
     def.runs = 3;
-    def.template.tua = TuaSpec::Profile {
-        name: "rspeed".into(),
-        overrides: vec![("accesses".into(), "300".into())],
-    };
+    def.set("tua", "profile", "rspeed").unwrap();
+    def.set("tua", "accesses", "300").unwrap();
     let bench_axis = def
         .axes
         .iter_mut()
         .find(|a| a.key == "bench")
         .expect("bench axis");
-    bench_axis.values = vec![AxisValue::Raw("rspeed".into())];
+    bench_axis.values = vec!["rspeed".into()];
 
     assert_eq!(def.template.engine, "events", "fast path is the default");
     let fast = cba_platform::run_scenario(&def).expect("fast grid runs");
@@ -186,7 +273,7 @@ fn every_shipped_scenario_parses_expands_and_round_trips() {
         }
         checked += 1;
     }
-    assert!(checked >= 8, "expected the shipped grids, found {checked}");
+    assert!(checked >= 14, "expected the shipped grids, found {checked}");
 }
 
 /// Every shipped scenario has a committed golden of its canonical render
@@ -226,7 +313,7 @@ fn every_shipped_scenario_matches_its_committed_golden_render() {
         }
         checked += 1;
     }
-    assert!(checked >= 8, "expected the shipped grids, found {checked}");
+    assert!(checked >= 14, "expected the shipped grids, found {checked}");
     // And no orphaned goldens for scenarios that no longer exist.
     for entry in std::fs::read_dir(&data_dir).expect("tests/data exists") {
         let path = entry.expect("readable entry").path();

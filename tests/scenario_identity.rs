@@ -12,6 +12,7 @@
 //! decline: paper cells, a mixed round-robin run where it fires, windows,
 //! recording traces, and fabrics that jump or must decline.
 
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -23,6 +24,7 @@ use cba_cpu::{Contender, FixedRequestTask, PeriodicContender};
 use cba_platform::agents::default_registry;
 use cba_platform::campaign::run_seed;
 use cba_platform::config::{FabricTopology, PlatformConfig};
+use cba_platform::executor::{default_threads, run_indexed};
 use cba_platform::scenario::{parse_engine, ScenarioDef};
 use cba_platform::{
     run_once, run_once_with, AgentCtx, AgentRegistry, BusSetup, Campaign, CoreLoad, DriveMode,
@@ -55,16 +57,26 @@ fn naive_matches_events_on_every_shipped_scenario() {
         .filter(|p| p.extension().is_some_and(|x| x == "scn"))
         .collect();
     paths.sort();
-    assert!(paths.len() >= 11, "shipped scenarios missing: {paths:?}");
+    assert!(paths.len() >= 14, "shipped scenarios missing: {paths:?}");
+    // Each distinct (seed, spec) cell once: suite_wide.scn repeats
+    // paper_fig1.scn's cells with their seeds.
+    let mut seen = HashSet::new();
+    let mut cells = Vec::new();
     for path in paths {
         let name = path.file_stem().unwrap().to_string_lossy().to_string();
         let text = std::fs::read_to_string(&path).expect("scenario readable");
         let def = ScenarioDef::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
         for cell in def.expand().unwrap_or_else(|e| panic!("{name}: {e}")) {
-            let (naive, events) = both(&cell.spec, run_seed(cell.seed, 0));
-            assert_eq!(naive, events, "{name} {:?}: engines diverged", cell.labels);
+            if seen.insert((cell.seed, format!("{:?}", cell.spec))) {
+                cells.push((name.clone(), cell));
+            }
         }
     }
+    run_indexed(cells.len(), default_threads(), |i| {
+        let (name, cell) = &cells[i];
+        let (naive, events) = both(&cell.spec, run_seed(cell.seed, 0));
+        assert_eq!(naive, events, "{name} {:?}: engines diverged", cell.labels);
+    });
 }
 
 #[test]

@@ -174,6 +174,14 @@ const CASES: &[(&str, &str)] = &[
         "[campaign]\nname = x\n[memory]\nworking_set = 1024\n[sweep]\nshare_frac = 0.5,1.5\n",
     ),
     (
+        "zero_contender_duration_key",
+        "[campaign]\nname = x\n[tua]\nload = fixed:10:5:0\n[contenders]\nduration = 0\n",
+    ),
+    (
+        "zero_contender_duration_axis",
+        "[campaign]\nname = x\n[tua]\nload = fixed:10:5:0\n[sweep]\nduration = 5,0\n",
+    ),
+    (
         "bad_cores_key",
         "[campaign]\nname = x\n[platform]\ncores = x\n",
     ),
