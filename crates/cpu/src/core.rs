@@ -21,15 +21,35 @@ enum PendingWhat {
     Blocking,
 }
 
+/// The op a compute stretch ends with: the first op that was not private,
+/// fetched (and looked up in the caches) when the stretch began.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Then {
+    /// A load or ifetch miss, or an atomic: its fetch cycle is a bus
+    /// stall, and it posts the cycle after.
+    Blocking(BusTransaction),
+    /// A store, entering the store buffer.
+    Store(BusTransaction),
+    /// The program is exhausted.
+    End,
+    /// Nothing fetched yet: the stretch reached [`MAX_STRETCH_OPS`] and
+    /// fetching resumes at its end.
+    Fetch,
+}
+
+/// The most ops one stretch folds, so a program that never needs the bus
+/// still yields to the engine.
+const MAX_STRETCH_OPS: u32 = 4096;
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ExecState {
     /// Fetch the next operation this cycle.
     Ready,
-    /// Busy with pipeline work through cycle `until - 1`; the next fetch
-    /// happens at cycle `until`. Absolute time (not a countdown) so the
-    /// event-driven engine can skip the stretch and tick the core exactly
-    /// at `until`.
-    Computing { until: Cycle },
+    /// Busy with private work (compute ops and L1 hits, fetched ahead)
+    /// through cycle `until - 1`; `then` runs at cycle `until`. Absolute
+    /// time (not a countdown) so the event-driven engine can skip the
+    /// stretch.
+    Computing { until: Cycle, then: Then },
     /// A blocking transaction waits to be posted (older stores drain
     /// first).
     AwaitPost(BusTransaction),
@@ -46,7 +66,10 @@ enum ExecState {
 /// Per-core execution statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreStats {
-    /// Operations consumed from the program.
+    /// Operations consumed from the program. The core fetches a compute
+    /// stretch's ops, and the op that ends it, when the stretch begins,
+    /// so this count (like the hierarchy's counters) runs ahead of the
+    /// cycle: a run cut mid-stretch has counted them already.
     pub ops: u64,
     /// Cycles spent on pipeline work (compute ops and L1 hits).
     pub busy_cycles: u64,
@@ -76,6 +99,10 @@ pub struct Core {
     pending: Option<PendingWhat>,
     stats: CoreStats,
     done_at: Option<Cycle>,
+    /// The first cycle whose accounting is not yet done: a tick at `now`
+    /// moves it to `now + 1`, and [`Core::absorb_skipped`] moves it past
+    /// the cycles it accounts.
+    cursor: Cycle,
     rng: SimRng,
 }
 
@@ -112,6 +139,7 @@ impl Core {
             pending: None,
             stats: CoreStats::default(),
             done_at: None,
+            cursor: 0,
             rng: core_rng,
             program,
         }
@@ -163,6 +191,7 @@ impl Core {
         completed: Option<&CompletedTransaction>,
         bus: &mut (impl RequestPort + ?Sized),
     ) {
+        self.cursor = now + 1;
         // 1. Absorb a completion addressed to this core.
         if let Some(ct) = completed {
             if ct.core == self.id {
@@ -176,6 +205,18 @@ impl Core {
                     }
                     None => panic!("completion without a pending request on {}", self.id),
                 }
+            }
+        }
+
+        // A blocking op whose stretch ended before this cycle has had its
+        // fetch cycle: it waits to post.
+        if let ExecState::Computing {
+            until,
+            then: Then::Blocking(tx),
+        } = self.state
+        {
+            if now > until {
+                self.state = ExecState::AwaitPost(tx);
             }
         }
 
@@ -209,16 +250,11 @@ impl Core {
                     self.state = ExecState::Ready;
                 }
             }
-            ExecState::Computing { until } => {
-                if now >= until {
-                    // Only reachable when the engine skipped the tail of
-                    // the compute stretch: this is the fetch cycle.
-                    self.fetch_and_start(now);
-                } else {
+            ExecState::Computing { until, then } => {
+                if now < until {
                     self.stats.busy_cycles += 1;
-                    if now + 1 >= until {
-                        self.state = ExecState::Ready;
-                    }
+                } else {
+                    self.end_stretch(then, now);
                 }
             }
             ExecState::Ready => {
@@ -232,46 +268,66 @@ impl Core {
             .expect("core never double-posts");
     }
 
+    /// Fetches at cycle `now`. Private ops (compute ops, L1-hit loads and
+    /// ifetches) fold into one compute stretch that ends with the first
+    /// op needing the bus, fetched and looked up now: the caches are
+    /// private and only the core draws from its RNG, so fetching ahead
+    /// draws the same numbers in the same order as fetching each op on
+    /// its own cycle.
     fn fetch_and_start(&mut self, now: Cycle) {
-        match self.program.next_op(&mut self.rng) {
-            None => {
-                self.state = ExecState::Draining;
-                self.try_finish(now);
+        let mut until = now;
+        let mut fetched = 0;
+        let then = loop {
+            if fetched == MAX_STRETCH_OPS {
+                break Then::Fetch;
             }
-            Some(Op::Compute(n)) => {
-                self.stats.ops += 1;
-                self.stats.busy_cycles += 1;
-                self.state = if n > 1 {
-                    ExecState::Computing {
-                        until: now + n as Cycle,
-                    }
-                } else {
-                    ExecState::Ready
-                };
-            }
-            Some(Op::Access(access)) => {
-                self.stats.ops += 1;
-                let outcome = self.mem.access(access, &mut self.rng);
-                match outcome.bus_transaction(&self.lat) {
-                    None => {
-                        // L1 hit: a single busy cycle.
-                        self.stats.busy_cycles += 1;
-                    }
-                    Some(tx) => {
-                        if access.kind() == AccessKind::Store {
-                            self.stats.busy_cycles += 1;
-                            if !self.store_buffer.push(tx) {
-                                self.state = ExecState::StoreStall(tx);
-                                self.stats.busy_cycles -= 1;
-                                self.stats.store_stall_cycles += 1;
-                            }
-                        } else {
-                            self.state = ExecState::AwaitPost(tx);
-                            self.stats.bus_stall_cycles += 1;
-                        }
+            fetched += 1;
+            let Some(op) = self.program.next_op(&mut self.rng) else {
+                break Then::End;
+            };
+            self.stats.ops += 1;
+            match op {
+                Op::Compute(n) => until += Cycle::from(n.max(1)),
+                Op::Access(access) => {
+                    let outcome = self.mem.access(access, &mut self.rng);
+                    match outcome.bus_transaction(&self.lat) {
+                        None => until += 1,
+                        Some(tx) if access.kind() == AccessKind::Store => break Then::Store(tx),
+                        Some(tx) => break Then::Blocking(tx),
                     }
                 }
             }
+        };
+        if until == now {
+            // Nothing private ahead of it: the op runs now.
+            self.end_stretch(then, now);
+        } else {
+            self.stats.busy_cycles += 1;
+            self.state = ExecState::Computing { until, then };
+        }
+    }
+
+    /// Runs the op that ends a stretch, at cycle `now`.
+    fn end_stretch(&mut self, then: Then, now: Cycle) {
+        match then {
+            Then::Blocking(tx) => {
+                self.state = ExecState::AwaitPost(tx);
+                self.stats.bus_stall_cycles += 1;
+            }
+            Then::Store(tx) => {
+                self.state = if self.store_buffer.push(tx) {
+                    self.stats.busy_cycles += 1;
+                    ExecState::Ready
+                } else {
+                    self.stats.store_stall_cycles += 1;
+                    ExecState::StoreStall(tx)
+                };
+            }
+            Then::End => {
+                self.state = ExecState::Draining;
+                self.try_finish(now);
+            }
+            Then::Fetch => self.fetch_and_start(now),
         }
     }
 
@@ -284,22 +340,36 @@ impl Core {
         }
     }
 
-    /// Sleep horizon for the event-driven engine: `Some(Cycle::MAX)` when
-    /// the core cannot do anything until a bus completion addressed to it
-    /// arrives (blocked on its posted transaction, stalled on a full store
-    /// buffer, draining behind a posted store, or finished), `None` when
-    /// it must be ticked every cycle (fetching, computing, about to post).
+    /// Sleep horizon for the event-driven engine: the next cycle at which
+    /// ticking the core can have any effect, absent a bus completion
+    /// addressed to it.
     ///
-    /// In every `Some` state the per-cycle tick is pure stall accounting;
-    /// [`Core::absorb_skipped`] replays that accounting for cycles the
+    /// * `Some(until)` through a compute stretch that ends with a store,
+    ///   the program's end or a further fetch;
+    /// * `Some(until + 1)` through one that ends with a blocking op, which
+    ///   posts the cycle after its fetch cycle `until`;
+    /// * `Some(Cycle::MAX)` when only a completion can wake it: blocked on
+    ///   its posted transaction, stalled on a full store buffer, waiting
+    ///   (or about to wait) to post behind a posted store, draining behind
+    ///   one, or finished;
+    /// * `None` when it must be ticked next cycle (about to fetch or to
+    ///   post).
+    ///
+    /// In every `Some` state the per-cycle tick is pure busy or stall
+    /// accounting; [`Core::absorb_skipped`] replays it for cycles the
     /// engine skipped.
     pub fn wake_at(&self) -> Option<Cycle> {
         match self.state {
             ExecState::Done => Some(Cycle::MAX),
-            // A compute stretch is pure busy-cycle accounting until its
-            // fetch cycle (an in-flight store drain wakes the core at its
-            // completion — a bus event — before that if needed).
-            ExecState::Computing { until } => Some(until),
+            ExecState::Computing {
+                until,
+                then: Then::Blocking(_),
+            } => Some(if self.pending.is_some() {
+                Cycle::MAX
+            } else {
+                until + 1
+            }),
+            ExecState::Computing { until, .. } => Some(until),
             ExecState::Blocked | ExecState::AwaitPost(_) | ExecState::StoreStall(_)
                 if self.pending.is_some() =>
             {
@@ -312,12 +382,24 @@ impl Core {
 
     /// Accounts `k` cycles the engine skipped while this core slept (see
     /// [`Core::wake_at`]): the stall counters advance exactly as `k`
-    /// unchanged ticks would have advanced them.
+    /// unchanged ticks would have advanced them. The engine hands over
+    /// the cycles in order and without gaps, so the core knows where
+    /// they fall: in a stretch, cycles before `until` are busy, and a
+    /// blocking op's fetch cycle `until` and its wait after it are bus
+    /// stalls.
     pub fn absorb_skipped(&mut self, k: u64) {
+        let from = self.cursor;
+        self.cursor += k;
         match self.state {
             ExecState::Blocked | ExecState::AwaitPost(_) => self.stats.bus_stall_cycles += k,
             ExecState::StoreStall(_) => self.stats.store_stall_cycles += k,
-            ExecState::Computing { .. } => self.stats.busy_cycles += k,
+            ExecState::Computing { until, then } => {
+                let busy = until.saturating_sub(from).min(k);
+                self.stats.busy_cycles += busy;
+                if let Then::Blocking(_) = then {
+                    self.stats.bus_stall_cycles += k - busy;
+                }
+            }
             _ => {}
         }
     }
@@ -337,6 +419,7 @@ impl Core {
         self.pending = None;
         self.stats = CoreStats::default();
         self.done_at = None;
+        self.cursor = 0;
     }
 }
 
@@ -572,6 +655,77 @@ mod tests {
             durations.push(core.done_at().unwrap());
         }
         assert_eq!(durations[0], durations[1], "same seed, same timing");
+    }
+
+    #[test]
+    fn private_ops_fold_into_one_stretch_that_ends_with_a_miss() {
+        let ops = vec![
+            Op::Compute(4),
+            Op::Compute(2),
+            Op::Access(MemAccess::load(0x100)),
+        ];
+        let mut rng = SimRng::seed_from(5);
+        let id = CoreId::from_index(0);
+        let mut core = Core::new(
+            id,
+            Box::new(ScriptProgram::new("t", ops)),
+            &HierarchyConfig::paper(),
+            LatencyModel::paper(),
+            &mut rng,
+        );
+        let mut bus = Bus::new(
+            BusConfig::new(1, 56).unwrap(),
+            PolicyKind::RoundRobin.build(1, 56),
+        );
+        core.tick(0, None, &mut bus);
+        // All three ops are fetched at cycle 0. Cycles 0..6 are busy, 6 is
+        // the miss's fetch cycle and 7 its post.
+        assert_eq!(core.stats().ops, 3);
+        assert_eq!(core.wake_at(), Some(7));
+        core.absorb_skipped(6);
+        assert_eq!(core.stats().busy_cycles, 6);
+        assert_eq!(core.stats().bus_stall_cycles, 1);
+        core.tick(7, None, &mut bus);
+        assert!(bus.has_pending(id), "the miss posts at its wake cycle");
+        assert_eq!(core.stats().blocking_transactions, 1);
+        assert_eq!(core.wake_at(), Some(Cycle::MAX));
+    }
+
+    /// A program that never needs the bus.
+    #[derive(Debug)]
+    struct Endless;
+
+    impl Program for Endless {
+        fn name(&self) -> &str {
+            "endless"
+        }
+        fn next_op(&mut self, _rng: &mut SimRng) -> Option<Op> {
+            Some(Op::Compute(1))
+        }
+        fn reset(&mut self, _rng: &mut SimRng) {}
+    }
+
+    #[test]
+    fn a_program_that_never_needs_the_bus_still_yields() {
+        let mut rng = SimRng::seed_from(5);
+        let mut core = Core::new(
+            CoreId::from_index(0),
+            Box::new(Endless),
+            &HierarchyConfig::paper(),
+            LatencyModel::paper(),
+            &mut rng,
+        );
+        let mut bus = Bus::new(
+            BusConfig::new(1, 56).unwrap(),
+            PolicyKind::RoundRobin.build(1, 56),
+        );
+        let stretch = Cycle::from(MAX_STRETCH_OPS);
+        core.tick(0, None, &mut bus);
+        assert_eq!(core.wake_at(), Some(stretch));
+        core.absorb_skipped(stretch - 1);
+        core.tick(stretch, None, &mut bus);
+        assert_eq!(core.wake_at(), Some(2 * stretch));
+        assert_eq!(core.stats().busy_cycles, stretch + 1);
     }
 
     #[test]

@@ -208,14 +208,17 @@ impl MemAgent {
         self.mstats.accesses += 1;
         let is_write = self.rng.gen_bool(self.config.write_frac);
         let shared = self.hub.is_some() && self.rng.gen_bool(self.config.share_frac);
-        let txns: Vec<BusTransaction> = if shared {
+        // The previous access drained the queue; this one's transactions
+        // go straight into it.
+        debug_assert!(self.queue.is_empty());
+        if shared {
             let line = self.rng.gen_range_usize(0..self.config.shared_lines);
             let hub = self.hub.as_ref().expect("shared access implies a hub");
             let mut hub = hub.borrow_mut();
             if is_write {
-                hub.write(self.id, line, &self.lat)
+                hub.write(self.id, line, &self.lat, &mut self.queue);
             } else {
-                hub.read(self.id, line, &self.lat)
+                hub.read(self.id, line, &self.lat, &mut self.queue);
             }
         } else {
             let lines = self.config.working_set_lines();
@@ -232,16 +235,16 @@ impl MemAgent {
                 MemAccess::load(addr)
             };
             let outcome = self.mem.access(access, &mut self.rng);
-            outcome.bus_transaction(&self.lat).into_iter().collect()
-        };
-        if txns.is_empty() {
+            self.queue.extend(outcome.bus_transaction(&self.lat));
+        }
+        if self.queue.is_empty() {
             // Cache/ownership hit: one busy cycle, no bus traffic.
             self.busy_cycles += 1;
             self.after_access(now);
         } else {
             self.mstats.misses += 1;
-            self.mstats.bus_txns += txns.len() as u64;
-            for tx in &txns {
+            self.mstats.bus_txns += self.queue.len() as u64;
+            for tx in &self.queue {
                 match tx.kind {
                     RequestKind::CohRead
                     | RequestKind::CohReadEx
@@ -255,7 +258,6 @@ impl MemAgent {
                     _ => {}
                 }
             }
-            self.queue.extend(txns);
             self.state = State::AwaitPost;
             self.bus_stall_cycles += 1;
         }

@@ -44,7 +44,7 @@ pub struct CacheConfig {
     pub sets: usize,
     /// Associativity.
     pub ways: usize,
-    /// Line size in bytes (power of two).
+    /// Line size in bytes (power of two, at least 2).
     pub line_bytes: usize,
     /// Placement function.
     pub placement: Placement,
@@ -59,8 +59,9 @@ impl CacheConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`MemError::InvalidConfig`] unless `sets` and `line_bytes`
-    /// are non-zero powers of two and `ways >= 1`.
+    /// Returns [`MemError::InvalidConfig`] unless `sets` is a non-zero
+    /// power of two, `line_bytes` a power of two of at least 2, and
+    /// `ways >= 1`.
     pub fn validate(&self) -> Result<(), MemError> {
         if self.sets == 0 || !self.sets.is_power_of_two() {
             return Err(MemError::InvalidConfig(format!(
@@ -68,9 +69,9 @@ impl CacheConfig {
                 self.sets
             )));
         }
-        if self.line_bytes == 0 || !self.line_bytes.is_power_of_two() {
+        if self.line_bytes < 2 || !self.line_bytes.is_power_of_two() {
             return Err(MemError::InvalidConfig(format!(
-                "line_bytes must be a power of two, got {}",
+                "line_bytes must be a power of two of at least 2, got {}",
                 self.line_bytes
             )));
         }
@@ -122,23 +123,12 @@ pub struct CacheOutcome {
     pub victim_dirty: bool,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// LRU stamp (unused under random replacement).
-    stamp: u64,
-}
-
-const INVALID: Line = Line {
-    tag: 0,
-    valid: false,
-    dirty: false,
-    stamp: 0,
-};
-
 /// A set-associative cache.
+///
+/// Lines live in flat per-way vectors: a tag (the line address plus one,
+/// so 0 marks an invalid way), a dirty bit, and an LRU stamp only under
+/// LRU replacement. Sets and line size are powers of two, so indexing is
+/// a shift and a mask.
 ///
 /// # Example
 ///
@@ -157,7 +147,15 @@ const INVALID: Line = Line {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    lines: Vec<Line>,
+    /// `log2(line_bytes)`.
+    line_shift: u32,
+    /// `sets - 1`.
+    set_mask: u64,
+    /// Per way: line address + 1, or 0 when invalid.
+    tags: Vec<u64>,
+    dirty: Vec<bool>,
+    /// Per way under LRU replacement (empty otherwise).
+    stamps: Vec<u64>,
     seed: u64,
     tick: u64,
     // Statistics.
@@ -174,8 +172,14 @@ impl SetAssocCache {
     /// Propagates [`CacheConfig::validate`] failures.
     pub fn new(config: CacheConfig, rng: &mut SimRng) -> Result<Self, MemError> {
         config.validate()?;
+        let n = config.sets * config.ways;
+        let lru = config.replacement == Replacement::Lru;
         Ok(SetAssocCache {
-            lines: vec![INVALID; config.sets * config.ways],
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_mask: config.sets as u64 - 1,
+            tags: vec![0; n],
+            dirty: vec![false; n],
+            stamps: vec![0; if lru { n } else { 0 }],
             seed: rng.next_u64(),
             tick: 0,
             hits: 0,
@@ -212,22 +216,28 @@ impl SetAssocCache {
     /// Invalidates all lines and re-draws the placement seed: the start of
     /// a fresh MBPTA run.
     pub fn reseed(&mut self, rng: &mut SimRng) {
-        self.lines.fill(INVALID);
+        self.tags.fill(0);
+        self.dirty.fill(false);
+        self.stamps.fill(0);
         self.seed = rng.next_u64();
         self.tick = 0;
         self.hits = 0;
         self.misses = 0;
     }
 
+    /// The tag `addr`'s line is stored under (never 0: validation keeps
+    /// lines at least 2 bytes, so the line address is below `u64::MAX`).
     #[inline]
-    fn line_addr(&self, addr: u64) -> u64 {
-        addr / self.config.line_bytes as u64
+    fn tag_of(&self, addr: u64) -> u64 {
+        (addr >> self.line_shift) + 1
     }
 
+    /// The first way of the set `tag`'s line maps to.
     #[inline]
-    fn set_of(&self, line_addr: u64) -> usize {
-        match self.config.placement {
-            Placement::Modulo => (line_addr % self.config.sets as u64) as usize,
+    fn set_base(&self, tag: u64) -> usize {
+        let line_addr = tag - 1;
+        let set = match self.config.placement {
+            Placement::Modulo => line_addr & self.set_mask,
             Placement::Random => {
                 // splitmix-style seeded hash: a different seed yields an
                 // (effectively) independent placement function.
@@ -235,32 +245,54 @@ impl SetAssocCache {
                 z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
                 z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
                 z ^= z >> 31;
-                (z % self.config.sets as u64) as usize
+                z & self.set_mask
             }
+        };
+        set as usize * self.config.ways
+    }
+
+    /// The set base for `addr` and the slot holding its line, if cached.
+    #[inline]
+    fn probe(&self, addr: u64) -> (u64, usize, Option<usize>) {
+        let tag = self.tag_of(addr);
+        let base = self.set_base(tag);
+        let ways = &self.tags[base..base + self.config.ways];
+        (
+            tag,
+            base,
+            ways.iter().position(|&t| t == tag).map(|w| base + w),
+        )
+    }
+
+    /// Records a use of `slot` for LRU replacement.
+    #[inline]
+    fn touch(&mut self, slot: usize) {
+        if let Some(stamp) = self.stamps.get_mut(slot) {
+            *stamp = self.tick;
         }
     }
 
-    fn probe(&mut self, addr: u64) -> (usize, Option<usize>) {
-        let line_addr = self.line_addr(addr);
-        let set = self.set_of(line_addr);
-        let base = set * self.config.ways;
-        let way = (0..self.config.ways)
-            .find(|&w| self.lines[base + w].valid && self.lines[base + w].tag == line_addr);
-        (set, way)
-    }
-
-    fn victim_way(&self, set: usize, rng: &mut SimRng) -> usize {
-        let base = set * self.config.ways;
+    fn victim_slot(&self, base: usize, rng: &mut SimRng) -> usize {
+        let ways = base..base + self.config.ways;
         // Prefer an invalid way.
-        if let Some(w) = (0..self.config.ways).find(|&w| !self.lines[base + w].valid) {
-            return w;
+        if let Some(slot) = ways.clone().find(|&i| self.tags[i] == 0) {
+            return slot;
         }
         match self.config.replacement {
-            Replacement::Random => rng.gen_range_usize(0..self.config.ways),
-            Replacement::Lru => (0..self.config.ways)
-                .min_by_key(|&w| self.lines[base + w].stamp)
-                .expect("ways >= 1"),
+            Replacement::Random => base + rng.gen_range_usize(0..self.config.ways),
+            Replacement::Lru => ways.min_by_key(|&i| self.stamps[i]).expect("ways >= 1"),
         }
+    }
+
+    /// Allocates `tag`'s line in its set (base `base`), evicting per the
+    /// replacement policy; returns whether the victim was dirty.
+    fn fill(&mut self, tag: u64, base: usize, dirty: bool, rng: &mut SimRng) -> bool {
+        let slot = self.victim_slot(base, rng);
+        let victim_dirty = self.tags[slot] != 0 && self.dirty[slot];
+        self.tags[slot] = tag;
+        self.dirty[slot] = dirty;
+        self.touch(slot);
+        victim_dirty
     }
 
     /// Reads `addr`. On a miss the line is allocated (victimizing per the
@@ -268,11 +300,11 @@ impl SetAssocCache {
     /// dirty.
     pub fn read(&mut self, addr: u64, rng: &mut SimRng) -> CacheOutcome {
         self.tick += 1;
-        let (set, way) = self.probe(addr);
-        match way {
-            Some(w) => {
+        let (tag, base, slot) = self.probe(addr);
+        match slot {
+            Some(slot) => {
                 self.hits += 1;
-                self.lines[set * self.config.ways + w].stamp = self.tick;
+                self.touch(slot);
                 CacheOutcome {
                     hit: true,
                     victim_dirty: false,
@@ -280,19 +312,9 @@ impl SetAssocCache {
             }
             None => {
                 self.misses += 1;
-                let tag = self.line_addr(addr);
-                let w = self.victim_way(set, rng);
-                let slot = &mut self.lines[set * self.config.ways + w];
-                let victim_dirty = slot.valid && slot.dirty;
-                *slot = Line {
-                    tag,
-                    valid: true,
-                    dirty: false,
-                    stamp: self.tick,
-                };
                 CacheOutcome {
                     hit: false,
-                    victim_dirty,
+                    victim_dirty: self.fill(tag, base, false, rng),
                 }
             }
         }
@@ -306,42 +328,23 @@ impl SetAssocCache {
     ///   it, reporting a dirty victim if one was evicted.
     pub fn write(&mut self, addr: u64, rng: &mut SimRng) -> CacheOutcome {
         self.tick += 1;
-        let (set, way) = self.probe(addr);
-        match (way, self.config.write_policy) {
-            (Some(w), policy) => {
+        let (tag, base, slot) = self.probe(addr);
+        let write_back = self.config.write_policy == WritePolicy::WriteBack;
+        match slot {
+            Some(slot) => {
                 self.hits += 1;
-                let slot = &mut self.lines[set * self.config.ways + w];
-                slot.stamp = self.tick;
-                if policy == WritePolicy::WriteBack {
-                    slot.dirty = true;
-                }
+                self.touch(slot);
+                self.dirty[slot] |= write_back;
                 CacheOutcome {
                     hit: true,
                     victim_dirty: false,
                 }
             }
-            (None, WritePolicy::WriteThrough) => {
+            None => {
                 self.misses += 1;
                 CacheOutcome {
                     hit: false,
-                    victim_dirty: false,
-                }
-            }
-            (None, WritePolicy::WriteBack) => {
-                self.misses += 1;
-                let tag = self.line_addr(addr);
-                let w = self.victim_way(set, rng);
-                let slot = &mut self.lines[set * self.config.ways + w];
-                let victim_dirty = slot.valid && slot.dirty;
-                *slot = Line {
-                    tag,
-                    valid: true,
-                    dirty: true,
-                    stamp: self.tick,
-                };
-                CacheOutcome {
-                    hit: false,
-                    victim_dirty,
+                    victim_dirty: write_back && self.fill(tag, base, true, rng),
                 }
             }
         }
@@ -350,16 +353,12 @@ impl SetAssocCache {
     /// Whether the line containing `addr` is currently cached (no state
     /// update; for tests and assertions).
     pub fn contains(&self, addr: u64) -> bool {
-        let line_addr = self.line_addr(addr);
-        let set = self.set_of(line_addr);
-        let base = set * self.config.ways;
-        (0..self.config.ways)
-            .any(|w| self.lines[base + w].valid && self.lines[base + w].tag == line_addr)
+        self.probe(addr).2.is_some()
     }
 
     /// Number of valid lines (for capacity assertions).
     pub fn valid_lines(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.tags.iter().filter(|&&t| t != 0).count()
     }
 }
 
@@ -395,6 +394,8 @@ mod tests {
         bad = CacheConfig::paper_l1();
         bad.line_bytes = 24;
         assert!(bad.validate().is_err());
+        bad.line_bytes = 1;
+        assert!(bad.validate().is_err(), "a 1-byte line leaves no tag for 0");
         assert!(CacheConfig::paper_l1().validate().is_ok());
     }
 

@@ -177,17 +177,6 @@ impl MesiState {
     }
 }
 
-/// Per-line directory entry: every core's state plus the observational
-/// version counters (see the module docs).
-#[derive(Debug, Clone)]
-struct Line {
-    states: Vec<MesiState>,
-    /// Incremented on every write; what a "writeback" makes visible.
-    version: u64,
-    /// The version each core last observed (read or wrote).
-    observed: Vec<u64>,
-}
-
 /// The snooping MESI directory for one run's shared segment.
 ///
 /// Shared by every coherent agent of the run through a [`SharedHub`]; the
@@ -196,7 +185,15 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct CoherenceHub {
     n_cores: usize,
-    lines: Vec<Line>,
+    /// Every core's state for every line, line by line: core `c`'s state
+    /// for line `l` is at `l * n_cores + c`.
+    states: Vec<MesiState>,
+    /// Per line: incremented on every write; what a "writeback" makes
+    /// visible (observational, see the module docs).
+    versions: Vec<u64>,
+    /// The version each core last observed (read or wrote), laid out like
+    /// `states`.
+    observed: Vec<u64>,
 }
 
 impl CoherenceHub {
@@ -204,20 +201,15 @@ impl CoherenceHub {
     pub fn new(n_cores: usize, n_lines: usize) -> Self {
         CoherenceHub {
             n_cores,
-            lines: vec![
-                Line {
-                    states: vec![MesiState::Invalid; n_cores],
-                    version: 0,
-                    observed: vec![0; n_cores],
-                };
-                n_lines
-            ],
+            states: vec![MesiState::Invalid; n_lines * n_cores],
+            versions: vec![0; n_lines],
+            observed: vec![0; n_lines * n_cores],
         }
     }
 
     /// Number of shared lines tracked.
     pub fn n_lines(&self) -> usize {
-        self.lines.len()
+        self.versions.len()
     }
 
     /// Number of cores tracked.
@@ -225,83 +217,102 @@ impl CoherenceHub {
         self.n_cores
     }
 
+    /// The index of `core`'s entry for `line` in `states` and `observed`.
+    fn at(&self, core: CoreId, line: usize) -> usize {
+        line * self.n_cores + core.index()
+    }
+
+    /// Every core's state for `line`.
+    fn line_states(&self, line: usize) -> &[MesiState] {
+        &self.states[line * self.n_cores..(line + 1) * self.n_cores]
+    }
+
     /// `core`'s MESI state for `line`.
     pub fn state(&self, core: CoreId, line: usize) -> MesiState {
-        self.lines[line].states[core.index()]
+        self.states[self.at(core, line)]
     }
 
     /// The line's write-version counter (observational only).
     pub fn version(&self, line: usize) -> u64 {
-        self.lines[line].version
+        self.versions[line]
     }
 
     /// The version `core` last observed on `line` (observational only).
     pub fn observed_version(&self, core: CoreId, line: usize) -> u64 {
-        self.lines[line].observed[core.index()]
+        self.observed[self.at(core, line)]
     }
 
     /// Cores currently holding `line` in Modified state (the MESI
     /// invariant suite asserts this never exceeds 1).
     pub fn modified_copies(&self, line: usize) -> usize {
-        self.lines[line]
-            .states
+        self.line_states(line)
             .iter()
             .filter(|s| **s == MesiState::Modified)
             .count()
     }
 
+    /// Whether a core other than `me` holds `line` in a state `pred`
+    /// accepts.
+    fn remote(&self, me: usize, line: usize, pred: impl Fn(MesiState) -> bool) -> bool {
+        let states = self.line_states(line);
+        states.iter().enumerate().any(|(i, s)| i != me && pred(*s))
+    }
+
+    /// Invalidates every copy of `line` but `me`'s; returns whether any
+    /// was valid.
+    fn invalidate_others(&mut self, me: usize, line: usize) -> bool {
+        let n = self.n_cores;
+        let mut invalidated = false;
+        for (i, s) in self.states[line * n..(line + 1) * n].iter_mut().enumerate() {
+            if i != me && s.has_copy() {
+                *s = MesiState::Invalid;
+                invalidated = true;
+            }
+        }
+        invalidated
+    }
+
     /// A read of `line` by `core`: applies the MESI transition and
-    /// returns the bus transactions the requester must post, in order.
+    /// appends the bus transactions the requester must post to `out`, in
+    /// order.
     ///
     /// Hits (M/E/S) cost nothing; an Invalid copy fetches with
     /// [`RequestKind::CohRead`], preceded by a
     /// [`RequestKind::CohWriteback`] when a sibling holds the line
     /// Modified.
-    pub fn read(&mut self, core: CoreId, line: usize, lat: &LatencyModel) -> Vec<BusTransaction> {
-        let me = core.index();
-        let entry = &mut self.lines[line];
-        let mut txns = Vec::new();
-        if entry.states[me].has_copy() {
-            entry.observed[me] = entry.version;
-            return txns;
-        }
-        let remote_m = entry
-            .states
-            .iter()
-            .enumerate()
-            .any(|(i, s)| i != me && *s == MesiState::Modified);
-        let remote_copy = entry
-            .states
-            .iter()
-            .enumerate()
-            .any(|(i, s)| i != me && s.has_copy());
-        if remote_m {
-            // The dirty sibling flushes before the fetch; both end Shared.
-            txns.push(BusTransaction {
-                duration: lat.mem_access,
-                kind: RequestKind::CohWriteback,
-            });
-        }
-        txns.push(BusTransaction {
-            duration: lat.mem_access,
-            kind: RequestKind::CohRead,
-        });
-        for s in entry.states.iter_mut() {
-            if s.has_copy() {
-                *s = MesiState::Shared;
+    pub fn read(
+        &mut self,
+        core: CoreId,
+        line: usize,
+        lat: &LatencyModel,
+        out: &mut impl Extend<BusTransaction>,
+    ) {
+        let (me, at) = (core.index(), self.at(core, line));
+        if !self.states[at].has_copy() {
+            let remote_copy = self.remote(me, line, MesiState::has_copy);
+            if self.remote(me, line, |s| s == MesiState::Modified) {
+                // The dirty sibling flushes before the fetch; both end Shared.
+                out.extend([txn(lat.mem_access, RequestKind::CohWriteback)]);
             }
+            out.extend([txn(lat.mem_access, RequestKind::CohRead)]);
+            let n = self.n_cores;
+            for s in &mut self.states[line * n..(line + 1) * n] {
+                if s.has_copy() {
+                    *s = MesiState::Shared;
+                }
+            }
+            self.states[at] = if remote_copy {
+                MesiState::Shared
+            } else {
+                MesiState::Exclusive
+            };
         }
-        entry.states[me] = if remote_copy {
-            MesiState::Shared
-        } else {
-            MesiState::Exclusive
-        };
-        entry.observed[me] = entry.version;
-        txns
+        self.observed[at] = self.versions[line];
     }
 
     /// A write of `line` by `core`: applies the MESI transition and
-    /// returns the bus transactions the requester must post, in order.
+    /// appends the bus transactions the requester must post to `out`, in
+    /// order.
     ///
     /// M hits are silent, E upgrades to M silently; an S copy claims
     /// ownership with [`RequestKind::CohUpgrade`], an Invalid copy
@@ -309,70 +320,34 @@ impl CoherenceHub {
     /// [`RequestKind::CohWriteback`] of a remote Modified copy). Either
     /// path appends a [`RequestKind::CohInvAck`] when at least one
     /// sibling copy had to invalidate.
-    pub fn write(&mut self, core: CoreId, line: usize, lat: &LatencyModel) -> Vec<BusTransaction> {
-        let me = core.index();
-        let entry = &mut self.lines[line];
-        let mut txns = Vec::new();
-        match entry.states[me] {
-            MesiState::Modified => {}
-            MesiState::Exclusive => {
-                entry.states[me] = MesiState::Modified;
-            }
-            MesiState::Shared => {
-                txns.push(BusTransaction {
-                    duration: lat.l2_write_hit,
-                    kind: RequestKind::CohUpgrade,
-                });
-                let mut invalidated = false;
-                for (i, s) in entry.states.iter_mut().enumerate() {
-                    if i != me && s.has_copy() {
-                        *s = MesiState::Invalid;
-                        invalidated = true;
-                    }
-                }
-                if invalidated {
-                    txns.push(BusTransaction {
-                        duration: lat.l2_read_hit,
-                        kind: RequestKind::CohInvAck,
-                    });
-                }
-                entry.states[me] = MesiState::Modified;
-            }
+    pub fn write(
+        &mut self,
+        core: CoreId,
+        line: usize,
+        lat: &LatencyModel,
+        out: &mut impl Extend<BusTransaction>,
+    ) {
+        let (me, at) = (core.index(), self.at(core, line));
+        let held = self.states[at];
+        match held {
+            MesiState::Modified | MesiState::Exclusive => {}
+            MesiState::Shared => out.extend([txn(lat.l2_write_hit, RequestKind::CohUpgrade)]),
             MesiState::Invalid => {
-                let remote_m = entry
-                    .states
-                    .iter()
-                    .enumerate()
-                    .any(|(i, s)| i != me && *s == MesiState::Modified);
-                if remote_m {
-                    txns.push(BusTransaction {
-                        duration: lat.mem_access,
-                        kind: RequestKind::CohWriteback,
-                    });
+                if self.remote(me, line, |s| s == MesiState::Modified) {
+                    out.extend([txn(lat.mem_access, RequestKind::CohWriteback)]);
                 }
-                txns.push(BusTransaction {
-                    duration: lat.mem_access,
-                    kind: RequestKind::CohReadEx,
-                });
-                let mut invalidated = false;
-                for (i, s) in entry.states.iter_mut().enumerate() {
-                    if i != me && s.has_copy() {
-                        *s = MesiState::Invalid;
-                        invalidated = true;
-                    }
-                }
-                if invalidated {
-                    txns.push(BusTransaction {
-                        duration: lat.l2_read_hit,
-                        kind: RequestKind::CohInvAck,
-                    });
-                }
-                entry.states[me] = MesiState::Modified;
+                out.extend([txn(lat.mem_access, RequestKind::CohReadEx)]);
             }
         }
-        entry.version += 1;
-        entry.observed[me] = entry.version;
-        txns
+        // Claiming ownership from S or I invalidates every sibling copy.
+        if matches!(held, MesiState::Shared | MesiState::Invalid)
+            && self.invalidate_others(me, line)
+        {
+            out.extend([txn(lat.l2_read_hit, RequestKind::CohInvAck)]);
+        }
+        self.states[at] = MesiState::Modified;
+        self.versions[line] += 1;
+        self.observed[at] = self.versions[line];
     }
 
     /// Drops every copy `core` holds (its private cache of the shared
@@ -380,9 +355,13 @@ impl CoherenceHub {
     /// and keep counting; once every agent of a run has reset, the
     /// directory's *behavior-relevant* state equals a fresh hub's.
     pub fn reset_core(&mut self, core: CoreId) {
-        let me = core.index();
-        for line in &mut self.lines {
-            line.states[me] = MesiState::Invalid;
+        for s in self
+            .states
+            .iter_mut()
+            .skip(core.index())
+            .step_by(self.n_cores)
+        {
+            *s = MesiState::Invalid;
         }
     }
 
@@ -394,13 +373,10 @@ impl CoherenceHub {
     ///
     /// Returns a description of the first violated line.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for (i, line) in self.lines.iter().enumerate() {
-            let m = line
-                .states
-                .iter()
-                .filter(|s| **s == MesiState::Modified)
-                .count();
-            let valid = line.states.iter().filter(|s| s.has_copy()).count();
+        for i in 0..self.n_lines() {
+            let states = self.line_states(i);
+            let m = self.modified_copies(i);
+            let valid = states.iter().filter(|s| s.has_copy()).count();
             if m > 1 {
                 return Err(format!("line {i}: {m} Modified copies"));
             }
@@ -413,6 +389,11 @@ impl CoherenceHub {
         }
         Ok(())
     }
+}
+
+/// A coherence transaction of `duration` cycles.
+fn txn(duration: u32, kind: RequestKind) -> BusTransaction {
+    BusTransaction { duration, kind }
 }
 
 /// The per-run handle coherent agents share: single-threaded interior
@@ -436,6 +417,21 @@ mod tests {
 
     fn kinds(txns: &[BusTransaction]) -> Vec<RequestKind> {
         txns.iter().map(|t| t.kind).collect()
+    }
+
+    /// `core`'s read of `line` under the paper latencies, returning the
+    /// transactions it costs.
+    fn read(hub: &mut CoherenceHub, core: CoreId, line: usize) -> Vec<BusTransaction> {
+        let mut txns = Vec::new();
+        hub.read(core, line, &LatencyModel::paper(), &mut txns);
+        txns
+    }
+
+    /// `core`'s write of `line`, as [`read`].
+    fn write(hub: &mut CoherenceHub, core: CoreId, line: usize) -> Vec<BusTransaction> {
+        let mut txns = Vec::new();
+        hub.write(core, line, &LatencyModel::paper(), &mut txns);
+        txns
     }
 
     #[test]
@@ -470,20 +466,18 @@ mod tests {
 
     #[test]
     fn cold_read_is_exclusive_then_hits() {
-        let lat = LatencyModel::paper();
         let mut hub = CoherenceHub::new(2, 4);
-        let txns = hub.read(c(0), 0, &lat);
+        let txns = read(&mut hub, c(0), 0);
         assert_eq!(kinds(&txns), [RequestKind::CohRead]);
         assert_eq!(hub.state(c(0), 0), MesiState::Exclusive);
-        assert!(hub.read(c(0), 0, &lat).is_empty(), "E read is a hit");
+        assert!(read(&mut hub, c(0), 0).is_empty(), "E read is a hit");
     }
 
     #[test]
     fn second_reader_downgrades_to_shared() {
-        let lat = LatencyModel::paper();
         let mut hub = CoherenceHub::new(2, 4);
-        hub.read(c(0), 0, &lat);
-        let txns = hub.read(c(1), 0, &lat);
+        read(&mut hub, c(0), 0);
+        let txns = read(&mut hub, c(1), 0);
         assert_eq!(kinds(&txns), [RequestKind::CohRead]);
         assert_eq!(hub.state(c(0), 0), MesiState::Shared);
         assert_eq!(hub.state(c(1), 0), MesiState::Shared);
@@ -491,21 +485,19 @@ mod tests {
 
     #[test]
     fn write_to_exclusive_is_silent() {
-        let lat = LatencyModel::paper();
         let mut hub = CoherenceHub::new(2, 4);
-        hub.read(c(0), 0, &lat);
-        let txns = hub.write(c(0), 0, &lat);
+        read(&mut hub, c(0), 0);
+        let txns = write(&mut hub, c(0), 0);
         assert!(txns.is_empty(), "E -> M is a silent upgrade");
         assert_eq!(hub.state(c(0), 0), MesiState::Modified);
     }
 
     #[test]
     fn shared_writer_upgrades_and_invalidates() {
-        let lat = LatencyModel::paper();
         let mut hub = CoherenceHub::new(2, 4);
-        hub.read(c(0), 0, &lat);
-        hub.read(c(1), 0, &lat);
-        let txns = hub.write(c(0), 0, &lat);
+        read(&mut hub, c(0), 0);
+        read(&mut hub, c(1), 0);
+        let txns = write(&mut hub, c(0), 0);
         assert_eq!(
             kinds(&txns),
             [RequestKind::CohUpgrade, RequestKind::CohInvAck]
@@ -516,19 +508,17 @@ mod tests {
 
     #[test]
     fn cold_write_fetches_exclusively() {
-        let lat = LatencyModel::paper();
         let mut hub = CoherenceHub::new(2, 4);
-        let txns = hub.write(c(0), 0, &lat);
+        let txns = write(&mut hub, c(0), 0);
         assert_eq!(kinds(&txns), [RequestKind::CohReadEx]);
         assert_eq!(hub.state(c(0), 0), MesiState::Modified);
     }
 
     #[test]
     fn remote_modified_flushes_before_read_and_write() {
-        let lat = LatencyModel::paper();
         let mut hub = CoherenceHub::new(2, 4);
-        hub.write(c(0), 0, &lat);
-        let txns = hub.read(c(1), 0, &lat);
+        write(&mut hub, c(0), 0);
+        let txns = read(&mut hub, c(1), 0);
         assert_eq!(
             kinds(&txns),
             [RequestKind::CohWriteback, RequestKind::CohRead]
@@ -537,8 +527,8 @@ mod tests {
         assert_eq!(hub.state(c(1), 0), MesiState::Shared);
 
         let mut hub = CoherenceHub::new(2, 4);
-        hub.write(c(0), 0, &lat);
-        let txns = hub.write(c(1), 0, &lat);
+        write(&mut hub, c(0), 0);
+        let txns = write(&mut hub, c(1), 0);
         assert_eq!(
             kinds(&txns),
             [
@@ -555,8 +545,8 @@ mod tests {
     fn durations_respect_the_latency_model() {
         let lat = LatencyModel::paper();
         let mut hub = CoherenceHub::new(2, 1);
-        hub.write(c(0), 0, &lat);
-        for t in hub.write(c(1), 0, &lat) {
+        write(&mut hub, c(0), 0);
+        for t in write(&mut hub, c(1), 0) {
             assert!(t.duration >= 1 && t.duration <= lat.max_latency());
         }
     }
@@ -566,7 +556,6 @@ mod tests {
     /// entering S observes the version of the last write.
     #[test]
     fn random_mix_preserves_mesi_invariants() {
-        let lat = LatencyModel::paper();
         let mut rng = SimRng::seed_from(0xC0FFEE);
         for n_cores in [2, 4] {
             let mut hub = CoherenceHub::new(n_cores, 8);
@@ -574,9 +563,9 @@ mod tests {
                 let core = c(rng.gen_range_usize(0..n_cores));
                 let line = rng.gen_range_usize(0..8);
                 if rng.gen_bool(0.4) {
-                    hub.write(core, line, &lat);
+                    write(&mut hub, core, line);
                 } else {
-                    hub.read(core, line, &lat);
+                    read(&mut hub, core, line);
                     assert_eq!(
                         hub.observed_version(core, line),
                         hub.version(line),
@@ -590,11 +579,10 @@ mod tests {
 
     #[test]
     fn reset_core_drops_only_that_cores_copies() {
-        let lat = LatencyModel::paper();
         let mut hub = CoherenceHub::new(2, 2);
-        hub.read(c(0), 0, &lat);
-        hub.read(c(1), 0, &lat);
-        hub.write(c(1), 1, &lat);
+        read(&mut hub, c(0), 0);
+        read(&mut hub, c(1), 0);
+        write(&mut hub, c(1), 1);
         hub.reset_core(c(1));
         assert_eq!(hub.state(c(1), 0), MesiState::Invalid);
         assert_eq!(hub.state(c(1), 1), MesiState::Invalid);

@@ -15,7 +15,7 @@ pub mod trace;
 pub use agent::{AgentStats, MemStats, SimAgent};
 pub use engine::{drive, drive_events, BusModel, Control, DriveOutcome, TickOutcome};
 pub use probe::{ModelEvent, NoProbe, Probe};
-pub use sim::{BoxedAgent, Engine, Simulation, SimulationBuilder, StopWhen};
+pub use sim::{BoxedAgent, Engine, EngineCounters, Simulation, SimulationBuilder, StopWhen};
 
 use std::fmt;
 

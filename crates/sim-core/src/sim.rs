@@ -130,6 +130,25 @@ impl std::fmt::Display for Engine {
     }
 }
 
+/// How much work the last [`Simulation::run`] did, as opposed to what it
+/// simulated: the cycles its loop executed and skipped, and how often it
+/// ticked each agent.
+///
+/// The counts depend on the engine (the naive loop executes every cycle
+/// and ticks every active agent at each), so they stay out of
+/// [`DriveOutcome`], which the identity tests compare across engines.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct EngineCounters {
+    /// Cycles the loop executed (`begin_cycle` through `end_cycle`).
+    pub executed_cycles: u64,
+    /// Cycles it did not execute: event-horizon skips and limit-cycle
+    /// jumps. `executed_cycles + skipped_cycles` is the run's length.
+    pub skipped_cycles: u64,
+    /// Ticks per agent, in the order the agents were added (inert agents
+    /// are never ticked).
+    pub ticks: Vec<u64>,
+}
+
 /// A fully assembled simulation: one model, its agents, a stop
 /// condition, an engine and a probe. Built by [`Simulation::builder`];
 /// see the [module documentation](self) for an end-to-end example.
@@ -141,6 +160,7 @@ pub struct Simulation<M: BusModel, P: Probe<M::Completion> = NoProbe> {
     max_cycles: Cycle,
     probe: P,
     outcome: Option<DriveOutcome>,
+    counters: EngineCounters,
 }
 
 impl<M: BusModel> Simulation<M, NoProbe> {
@@ -225,6 +245,10 @@ impl<M: BusModel, P: Probe<M::Completion>> Simulation<M, P> {
         // absorbed.
         let mut due: Vec<Cycle> = vec![0; active.len()];
         let mut seen: Vec<Cycle> = vec![0; active.len()];
+        // The work counters: ticks per agent (by agent index), executed
+        // and skipped cycles.
+        let mut ticks: Vec<u64> = vec![0; agents.len()];
+        let (mut executed, mut skipped) = (0u64, 0u64);
         let mut detector = (events && !P::ACTIVE)
             .then(|| LimitCycles::new(model, agents, &active))
             .flatten();
@@ -238,6 +262,7 @@ impl<M: BusModel, P: Probe<M::Completion>> Simulation<M, P> {
         let mut now: Cycle = 0;
         let mut stopped = false;
         while now < max_cycles {
+            executed += 1;
             let completed = model.begin_cycle(now);
             if P::ACTIVE {
                 if let Some(c) = &completed {
@@ -258,6 +283,7 @@ impl<M: BusModel, P: Probe<M::Completion>> Simulation<M, P> {
                     agent.absorb_skipped(now - *seen);
                 }
                 *seen = now + 1;
+                ticks[i] += 1;
                 *due = match agent.tick(now, completed.as_ref(), model) {
                     Control::Sleep(t) if events => t.max(now + 1),
                     Control::Stop => {
@@ -298,6 +324,7 @@ impl<M: BusModel, P: Probe<M::Completion>> Simulation<M, P> {
                         for t in due.iter_mut().chain(&mut seen) {
                             *t = t.saturating_add(shift);
                         }
+                        skipped += shift;
                         now += shift + 1;
                         continue;
                     }
@@ -314,6 +341,7 @@ impl<M: BusModel, P: Probe<M::Completion>> Simulation<M, P> {
                         let jump = event.min(until).min(max_cycles);
                         if jump > now + 1 {
                             model.advance(now, jump);
+                            skipped += jump - now - 1;
                             now = jump;
                             continue;
                         }
@@ -338,6 +366,11 @@ impl<M: BusModel, P: Probe<M::Completion>> Simulation<M, P> {
             stopped,
         };
         self.outcome = Some(outcome);
+        self.counters = EngineCounters {
+            executed_cycles: executed,
+            skipped_cycles: skipped,
+            ticks,
+        };
         outcome
     }
 
@@ -378,6 +411,12 @@ impl<M: BusModel, P: Probe<M::Completion>> Simulation<M, P> {
     /// The outcome of the last [`run`](Simulation::run), if any.
     pub fn outcome(&self) -> Option<DriveOutcome> {
         self.outcome
+    }
+
+    /// The work counters of the last [`run`](Simulation::run) (all zero
+    /// before the first).
+    pub fn counters(&self) -> &EngineCounters {
+        &self.counters
     }
 
     /// Decomposes the simulation into its parts (model, agents, probe).
@@ -642,6 +681,7 @@ impl<M: BusModel, P: Probe<M::Completion>> SimulationBuilder<M, P> {
             max_cycles: self.max_cycles,
             probe: self.probe,
             outcome: None,
+            counters: EngineCounters::default(),
         }
     }
 
@@ -1114,6 +1154,11 @@ mod tests {
         assert_eq!(naive.model().jumps + FEEDER_JUMPS.with(Cell::get), 0);
         let events = build(Engine::Events).run();
         assert_eq!(observed(&events), observed(&naive));
+        // Jumped periods count as skipped cycles.
+        let counters = events.counters();
+        assert_eq!(counters.executed_cycles, events.model().executed);
+        let cycles = events.outcome().unwrap().cycles;
+        assert_eq!(counters.executed_cycles + counters.skipped_cycles, cycles);
         (events.model().jumps, FEEDER_JUMPS.with(Cell::get))
     }
 
@@ -1271,6 +1316,16 @@ mod tests {
         // The gapped feeder sleeps through most of the others' cycles.
         let (gapped, executed) = (logs[2].borrow().ticks, events.model().executed);
         assert!(2 * gapped < executed, "{gapped} ticks in {executed} cycles");
+        // The engine's counters agree with what the model and the agents
+        // saw; the idle slot is inert and never ticked.
+        for (sim, logs) in [(&naive, &naive_logs), (&events, &logs)] {
+            let counters = sim.counters();
+            let ticks: Vec<u64> = logs.iter().map(|log| log.borrow().ticks).collect();
+            assert_eq!(counters.ticks, [&[0][..], &ticks].concat());
+            assert_eq!(counters.executed_cycles, sim.model().executed);
+            let cycles = sim.outcome().unwrap().cycles;
+            assert_eq!(counters.executed_cycles + counters.skipped_cycles, cycles);
+        }
     }
 
     #[test]

@@ -12,22 +12,29 @@
 //! core counts, all six arbitration policies × {no filter, CBA, H-CBA},
 //! budget-cap multipliers, burst/periodic/saturating load profiles,
 //! horizon and TuA stop conditions, LFSR vs software randomness, and an
-//! optional two-level fabric topology.
+//! optional two-level fabric topology. Its core-model batch also compares
+//! every agent's `AgentStats`, which `RunResult` does not carry.
+
+use std::sync::{Arc, Mutex};
 
 use cba::CreditConfig;
-use cba_bus::PolicyKind;
+use cba_bus::{CompletedTransaction, PolicyKind, RequestPort};
 use cba_platform::campaign::run_seed;
 use cba_platform::{
-    run_once, BusSetup, CoreLoad, DriveMode, FabricTopology, PlatformConfig, RunResult, RunSpec,
-    Scenario, StopCondition,
+    run_once, run_once_with, AgentRegistry, BoxedPortAgent, BusSetup, CoreLoad, DriveMode,
+    FabricTopology, PlatformConfig, RunResult, RunSpec, Scenario, StopCondition,
 };
+use cba_workloads::{suite, EembcProfile};
+use sim_core::agent::{AgentStats, SimAgent};
 use sim_core::rng::SimRng;
+use sim_core::{Control, Cycle};
 
 /// Cells per harness run (the issue's floor is 200; the two tests below
 /// split them between flat and fabric platforms).
 const FLAT_CELLS: usize = 160;
 const FABRIC_CELLS: usize = 48;
 const MEM_CELLS: usize = 48;
+const CORE_CELLS: usize = 48;
 
 fn master_seed() -> u64 {
     match std::env::var("CBA_DIFF_SEED") {
@@ -275,6 +282,173 @@ fn randomized_mem_cells_agree_across_engines() {
     }
 }
 
+/// A catalog profile, shortened and reshaped: heavy on stores (which fill
+/// the store buffer) and atomics (which block), with a small working set
+/// so its warm-up stays short.
+fn gen_profile(rng: &mut SimRng) -> EembcProfile {
+    let mut profile = rng.choose(&suite::all_profiles()).clone();
+    profile.accesses = rng.gen_range_u64(40..300);
+    profile.working_set = *rng.choose(&[256u64, 1024, 4096]);
+    profile.p_store = 0.2 + 0.4 * rng.gen_f64();
+    profile.p_atomic = 0.3 * rng.gen_f64();
+    profile.p_ifetch = 0.1 * rng.gen_f64();
+    profile.code_set = profile.code_set.max(64);
+    profile
+}
+
+/// A random core-model load: a catalog benchmark (`bench`), a reshaped
+/// profile (`profile`) or a streaming one (`stream`). Catalog benchmarks
+/// run for hundreds of thousands of cycles, so `long` says whether one
+/// may be drawn.
+fn gen_core_load(rng: &mut SimRng, long: bool) -> CoreLoad {
+    match rng.gen_range_usize(0..if long { 3 } else { 2 }) {
+        0 => CoreLoad::Profile(gen_profile(rng)),
+        1 => CoreLoad::Streaming {
+            accesses: rng.gen_range_u64(20..200),
+        },
+        _ => CoreLoad::named(rng.choose(&suite::all_profiles()).name),
+    }
+}
+
+/// A random flat-bus spec whose TuA, and some co-runners, run the full
+/// core model. A catalog benchmark appears only under a horizon stop.
+/// Horizons are short next to the runs, so most land inside a compute
+/// stretch of some core.
+fn gen_core_spec(rng: &mut SimRng) -> RunSpec {
+    let n = *rng.choose(&[2usize, 3, 4]);
+    let mut platform = PlatformConfig::paper_n_cores(&BusSetup::Rp, n);
+    let maxl = platform.latency.max_latency();
+    platform.policy = *rng.choose(&PolicyKind::ALL);
+    platform.cba = gen_cba(rng, n, maxl);
+    platform.lfsr_randbank = rng.gen_bool(0.5);
+    let horizon = rng.gen_bool(0.5).then(|| rng.gen_range_u64(500..30_000));
+    let tua = gen_core_load(rng, horizon.is_some());
+    let rest: Vec<CoreLoad> = (1..n)
+        .map(|_| match rng.gen_range_usize(0..2) {
+            0 => gen_core_load(rng, horizon.is_some()),
+            _ => gen_corunner(rng, maxl),
+        })
+        .collect();
+    let mut spec = RunSpec::with_platform(platform, Scenario::Custom(rest), tua);
+    spec.wcet_mode = rng.gen_bool(0.5);
+    if let Some(h) = horizon {
+        spec.stop = StopCondition::Horizon(h);
+    }
+    spec.max_cycles = 2_000_000;
+    spec
+}
+
+/// Every agent's final `stats()`, by core, pushed as its run ends.
+type StatsSink = Arc<Mutex<Vec<(usize, AgentStats)>>>;
+
+/// A registry-built agent that reports its final `stats()` to a sink when
+/// its run drops it, and otherwise forwards every call unchanged.
+struct Recorded {
+    inner: BoxedPortAgent,
+    core: usize,
+    sink: StatsSink,
+}
+
+impl Drop for Recorded {
+    fn drop(&mut self) {
+        // A poisoned sink means a run already failed; never panic here.
+        if let Ok(mut sink) = self.sink.lock() {
+            sink.push((self.core, self.inner.stats()));
+        }
+    }
+}
+
+impl SimAgent<dyn RequestPort, CompletedTransaction> for Recorded {
+    fn tick(
+        &mut self,
+        now: Cycle,
+        completed: Option<&CompletedTransaction>,
+        port: &mut (dyn RequestPort + 'static),
+    ) -> Control {
+        self.inner.tick(now, completed, port)
+    }
+    fn wake_at(&self) -> Option<Cycle> {
+        self.inner.wake_at()
+    }
+    fn is_addressed(&self, completed: &CompletedTransaction) -> bool {
+        self.inner.is_addressed(completed)
+    }
+    fn is_done(&self) -> bool {
+        self.inner.is_done()
+    }
+    fn done_at(&self) -> Option<Cycle> {
+        self.inner.done_at()
+    }
+    fn absorb_skipped(&mut self, skipped: u64) {
+        self.inner.absorb_skipped(skipped);
+    }
+    fn is_inert(&self) -> bool {
+        self.inner.is_inert()
+    }
+    fn reset(&mut self, rng: &mut SimRng) {
+        self.inner.reset(rng);
+    }
+    fn stats(&self) -> AgentStats {
+        self.inner.stats()
+    }
+    fn limit_cycle_state(&self, now: Cycle, state: &mut Vec<u64>, counters: &mut Vec<u64>) -> bool {
+        self.inner.limit_cycle_state(now, state, counters)
+    }
+    fn limit_cycle_bound(&self, deltas: &[u64]) -> u64 {
+        self.inner.limit_cycle_bound(deltas)
+    }
+    fn limit_cycle_jump(&mut self, periods: u64, shift: Cycle, deltas: &[u64]) {
+        self.inner.limit_cycle_jump(periods, shift, deltas);
+    }
+}
+
+/// Runs `spec` through the built-in kinds, each wrapped in [`Recorded`];
+/// returns the result and every agent's final stats in core order.
+fn run_recorded(spec: &RunSpec, seed: u64) -> (RunResult, Vec<AgentStats>) {
+    let sink = StatsSink::default();
+    let builtin = Arc::new(AgentRegistry::builtin());
+    let mut registry = AgentRegistry::empty();
+    for kind in builtin.kinds() {
+        let (builtin, sink) = (builtin.clone(), sink.clone());
+        registry.register(kind, move |ctx| {
+            let inner =
+                builtin.build_shared(ctx.load, ctx.core, ctx.platform, ctx.hub.clone(), ctx.rng)?;
+            let (core, sink) = (ctx.core.index(), sink.clone());
+            Ok(Box::new(Recorded { inner, core, sink }) as BoxedPortAgent)
+        });
+    }
+    let result = run_once_with(spec, seed, &registry);
+    let mut stats = std::mem::take(&mut *sink.lock().expect("no run panicked"));
+    stats.sort_by_key(|&(core, _)| core);
+    (result, stats.into_iter().map(|(_, s)| s).collect())
+}
+
+/// Core-model cells through both engines: compute stretches folded ahead
+/// of the cycle, store-buffer drains and stalls, atomics and horizon
+/// stops inside stretches must agree bit for bit between naive and
+/// events, on the run result and on every agent's statistics.
+#[test]
+fn randomized_core_model_cells_agree_across_engines() {
+    let master = master_seed();
+    for cell in 0..CORE_CELLS {
+        let mut rng = SimRng::seed_from(master).fork(0xC0DE_0000 + cell as u64);
+        let mut spec = gen_core_spec(&mut rng);
+        spec.validate()
+            .unwrap_or_else(|e| panic!("generator produced invalid spec: {e}"));
+        let seed = run_seed(master, cell);
+        spec.drive = DriveMode::Naive;
+        let naive = run_recorded(&spec, seed);
+        spec.drive = DriveMode::Events;
+        let events = run_recorded(&spec, seed);
+        assert_eq!(
+            naive, events,
+            "CBA_DIFF_SEED={master} core cell {cell} (run seed {seed}): naive and events \
+             engines diverged\nspec: {spec:?}"
+        );
+        assert_eq!(naive.1.len(), spec.loads.len());
+    }
+}
+
 /// Randomized MESI soak: seeded read/write streams from every core hammer
 /// one coherence hub, and the protocol invariants (at most one Modified
 /// copy, Modified/Exclusive exclusivity, version monotonicity) hold after
@@ -291,11 +465,12 @@ fn randomized_mesi_streams_hold_invariants() {
         for step in 0..2_000u64 {
             let core = sim_core::CoreId::from_index(rng.gen_range_usize(0..n_cores));
             let line = rng.gen_range_usize(0..n_lines);
-            let txns = if rng.gen_bool(0.4) {
-                hub.borrow_mut().write(core, line, &lat)
+            let mut txns = Vec::new();
+            if rng.gen_bool(0.4) {
+                hub.borrow_mut().write(core, line, &lat, &mut txns);
             } else {
-                hub.borrow_mut().read(core, line, &lat)
-            };
+                hub.borrow_mut().read(core, line, &lat, &mut txns);
+            }
             for t in &txns {
                 assert!(
                     t.duration > 0 && t.duration <= lat.max_latency(),
