@@ -4,14 +4,12 @@
 //! software cost of the "one clock cycle" hardware decision.
 
 use cba::{CreditConfig, CreditFilter};
-use cba_bus::{
-    drive, Bus, BusConfig, BusRequest, Candidate, Control, EligibilityFilter, PendingSet,
-    PolicyKind, RandomSource, RequestKind,
-};
+use cba_bus::{Bus, BusConfig, Candidate, EligibilityFilter, PendingSet, PolicyKind, RandomSource};
+use cba_cpu::Contender;
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion};
 use sim_core::lfsr::LfsrBank;
 use sim_core::rng::SimRng;
-use sim_core::CoreId;
+use sim_core::{CoreId, Engine, Simulation};
 use std::hint::black_box;
 
 fn candidates(n: usize) -> Vec<Candidate> {
@@ -101,9 +99,10 @@ fn bench_credit_filter(c: &mut Criterion) {
 }
 
 fn bench_bus_cycle(c: &mut Criterion) {
-    // Timed through the shared engine: each sample drives a saturated bus
-    // for CYCLES_PER_ITER cycles, so divide the reported time accordingly
-    // for the per-cycle cost.
+    // Timed through the naive engine of `Simulation::run`, so every cycle
+    // is stepped: each sample drives a bus saturated by four 28-cycle
+    // contenders for CYCLES_PER_ITER cycles, so divide the reported time
+    // accordingly for the per-cycle cost.
     const CYCLES_PER_ITER: u64 = 4096;
     let mut group = c.benchmark_group("bus_cycle");
     for (label, with_cba) in [("rp_x4096", false), ("rp_cba_x4096", true)] {
@@ -116,22 +115,22 @@ fn bench_bus_cycle(c: &mut Criterion) {
                 CreditConfig::homogeneous(4, 56).unwrap(),
             )));
         }
+        let mut builder = Simulation::builder()
+            .model(bus)
+            .engine(Engine::Naive)
+            .max_cycles(CYCLES_PER_ITER);
+        for i in 0..4 {
+            builder = builder.agent(Contender::new(CoreId::from_index(i), 28));
+        }
+        let mut sim = builder.build();
+        let mut rng = SimRng::seed_from(0);
         group.bench_function(label, |b| {
             b.iter(|| {
-                bus.reset();
-                let outcome = drive(&mut bus, CYCLES_PER_ITER, |bus, now, _completed| {
-                    for i in 0..4 {
-                        let core = CoreId::from_index(i);
-                        if !bus.has_pending(core) && bus.owner() != Some(core) {
-                            bus.post(
-                                BusRequest::new(core, 28, RequestKind::Contender, now).unwrap(),
-                            )
-                            .unwrap();
-                        }
-                    }
-                    Control::Continue
-                });
-                black_box(outcome)
+                sim.model_mut().reset();
+                for agent in sim.agents_mut() {
+                    agent.reset(&mut rng);
+                }
+                black_box(sim.run())
             })
         });
     }

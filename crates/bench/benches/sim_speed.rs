@@ -9,10 +9,15 @@
 //! emitting null columns for a backend nobody ran. When both engines run,
 //! their results are asserted bit-identical.
 //!
-//! A machine-readable summary is written to `BENCH_sim_speed.json` (via
-//! `sim_core::export`) so CI can record the perf trajectory. `CBA_RUNS`
-//! scales the per-spec run count (smoke mode in CI); `CBA_SEED` sets the
-//! master seed.
+//! Each engine runs each scenario once untimed (a warm-up whose results
+//! feed the identity check), then times [`PASSES`] passes over the same
+//! runs; a single pass moves by tens of percent on a shared host. A
+//! machine-readable summary is written to `BENCH_sim_speed.json` (via
+//! `sim_core::export`) so CI can record the perf trajectory: per row, the
+//! median pass under `<engine>_seconds` and `<engine>_cycles_per_sec`, and
+//! the fastest and slowest pass under the same keys suffixed `_min` and
+//! `_max`. `CBA_RUNS` scales the per-spec run count (smoke mode in CI);
+//! `CBA_SEED` sets the master seed.
 //!
 //! Expected shape: the events engine wins multi-× wherever the bus idles
 //! for long stretches, and two orders of magnitude or more wherever a run
@@ -23,9 +28,26 @@
 
 use cba_bench::{print_row, rule, runs_from_env, seed_from_env};
 use cba_platform::scenario::{parse_engine, ScenarioDef};
-use cba_platform::{run_once, DriveMode, RunResult, RunSpec};
+use cba_platform::{run_once, RunResult, RunSpec};
 use sim_core::export::Json;
+use sim_core::Engine;
 use std::time::Instant;
+
+/// Timed passes per engine and scenario (odd, so the median is a pass).
+const PASSES: usize = 5;
+
+/// One engine's passes over a case: the seconds of the timed passes,
+/// sorted, and the results of the untimed one.
+struct Passes {
+    secs: Vec<f64>,
+    results: Vec<RunResult>,
+}
+
+impl Passes {
+    fn median(&self) -> f64 {
+        self.secs[PASSES / 2]
+    }
+}
 
 /// One benchmark scenario: a label and the specs of its expanded grid.
 struct Case {
@@ -65,9 +87,9 @@ fn cases() -> Vec<Case> {
 /// The engine list under measurement. Unknown names are a hard error so a
 /// stale `CBA_ENGINES` (or a removed backend) fails loudly instead of
 /// producing a JSON row full of nulls.
-fn engines_from_env() -> Vec<DriveMode> {
+fn engines_from_env() -> Vec<Engine> {
     let raw = std::env::var("CBA_ENGINES").unwrap_or_else(|_| "naive,events".into());
-    let engines: Vec<DriveMode> = raw
+    let engines: Vec<Engine> = raw
         .split(',')
         .map(str::trim)
         .filter(|s| !s.is_empty())
@@ -82,7 +104,7 @@ fn engines_from_env() -> Vec<DriveMode> {
 
 /// Executes every (spec, run) of a case under `mode`; returns (simulated
 /// cycles, elapsed seconds, the full run results for the cross-checks).
-fn measure(case: &Case, runs: usize, seed: u64, mode: DriveMode) -> (u64, f64, Vec<RunResult>) {
+fn measure(case: &Case, runs: usize, seed: u64, mode: Engine) -> (u64, f64, Vec<RunResult>) {
     let mut cycles = 0u64;
     let mut results = Vec::with_capacity(case.specs.len() * runs);
     let start = Instant::now();
@@ -104,7 +126,7 @@ fn main() {
     let engines = engines_from_env();
     let labels: Vec<String> = engines.iter().map(|e| e.to_string()).collect();
     println!(
-        "sim_speed: {runs} runs per spec, seed {seed}, engines {}",
+        "sim_speed: {runs} runs per spec, seed {seed}, engines {}, median of {PASSES} passes",
         labels.join(",")
     );
     rule(70);
@@ -119,17 +141,22 @@ fn main() {
 
     let mut rows = Vec::new();
     for case in cases() {
-        // (seconds, cycles/sec, results) per engine, in naive/events
-        // slots; engines not listed in CBA_ENGINES simply leave their slot
-        // empty and their JSON keys absent (never null).
-        let mut slots: [Option<(f64, f64, Vec<RunResult>)>; 2] = [None, None];
+        // The passes per engine, in naive/events slots; engines not listed
+        // in CBA_ENGINES simply leave their slot empty and their JSON keys
+        // absent (never null).
+        let mut slots: [Option<Passes>; 2] = [None, None];
         let mut cycles = 0u64;
         for &engine in &engines {
-            let (c, secs, results) = measure(&case, runs, seed, engine);
+            let (c, _, results) = measure(&case, runs, seed, engine);
+            let mut secs: Vec<f64> = (0..PASSES)
+                .map(|_| measure(&case, runs, seed, engine).1)
+                .collect();
+            secs.sort_by(f64::total_cmp);
             cycles = c;
-            slots[(engine == DriveMode::Events) as usize] = Some((secs, c as f64 / secs, results));
+            slots[(engine == Engine::Events) as usize] = Some(Passes { secs, results });
         }
         let [naive, events] = &slots;
+        let rate = |s: f64| cycles as f64 / s;
 
         let mut fields: Vec<(String, Json)> = vec![
             ("name".into(), Json::str(&case.name)),
@@ -137,26 +164,35 @@ fn main() {
             ("simulated_cycles".into(), Json::Num(cycles as f64)),
         ];
         for (label, slot) in [("naive", naive), ("events", events)] {
-            if let Some((secs, rate, _)) = slot {
-                fields.push((format!("{label}_seconds"), Json::Num(*secs)));
-                fields.push((format!("{label}_cycles_per_sec"), Json::Num(*rate)));
+            if let Some(p) = slot {
+                let (min, median, max) = (p.secs[0], p.median(), p.secs[PASSES - 1]);
+                fields.extend([
+                    (format!("{label}_seconds"), Json::Num(median)),
+                    (format!("{label}_seconds_min"), Json::Num(min)),
+                    (format!("{label}_seconds_max"), Json::Num(max)),
+                    (format!("{label}_cycles_per_sec"), Json::Num(rate(median))),
+                    (format!("{label}_cycles_per_sec_min"), Json::Num(rate(max))),
+                    (format!("{label}_cycles_per_sec_max"), Json::Num(rate(min))),
+                ]);
             }
         }
 
-        if let (Some((_, _, n)), Some((_, _, e))) = (naive, events) {
-            assert_eq!(n, e, "{}: naive and events engines disagree", case.name);
-        }
         let speedup = match (naive, events) {
-            (Some((_, nr, _)), Some((_, er, _))) => {
-                let s = er / nr;
+            (Some(n), Some(e)) => {
+                assert_eq!(
+                    n.results, e.results,
+                    "{}: naive and events engines disagree",
+                    case.name
+                );
+                let s = n.median() / e.median();
                 fields.push(("speedup".into(), Json::Num(s)));
                 Some(s)
             }
             _ => None,
         };
-        let fmt_rate = |slot: &Option<(f64, f64, Vec<RunResult>)>| {
+        let fmt_rate = |slot: &Option<Passes>| {
             slot.as_ref()
-                .map(|(_, r, _)| format!("{r:.3e}"))
+                .map(|p| format!("{:.3e}", rate(p.median())))
                 .unwrap_or_else(|| "-".into())
         };
         print_row(&[
@@ -176,6 +212,7 @@ fn main() {
     let doc = Json::obj([
         ("bench", Json::str("sim_speed")),
         ("runs_per_spec", Json::Num(runs as f64)),
+        ("passes", Json::Num(PASSES as f64)),
         ("seed", Json::Num(seed as f64)),
         ("engines", Json::Arr(labels.iter().map(Json::str).collect())),
         ("scenarios", Json::Arr(rows)),

@@ -436,7 +436,8 @@ mod tests {
     use cba_platform::scenario::{
         parse_cba_spec, parse_engine, parse_load_spec, parse_policy, KEYS,
     };
-    use cba_platform::{BusSetup, CoreLoad, DriveMode, PlatformConfig, RunSpec, Scenario};
+    use cba_platform::{BusSetup, CoreLoad, PlatformConfig, RunSpec, Scenario};
+    use sim_core::Engine;
 
     fn cli(line: &str) -> Cli {
         let args: Vec<String> = line.split_whitespace().map(String::from).collect();
@@ -480,7 +481,7 @@ mod tests {
         spec.drive = cli
             .engine
             .as_deref()
-            .map_or(DriveMode::Events, |e| parse_engine(e).unwrap());
+            .map_or(Engine::Events, |e| parse_engine(e).unwrap());
         spec.validate().unwrap();
         spec
     }

@@ -768,7 +768,9 @@ impl RequestPort for Fabric {
 mod tests {
     use super::*;
     use crate::PolicyKind;
-    use sim_core::engine::{drive, drive_events, BusModel, Control};
+    use sim_core::agent::FnAgent;
+    use sim_core::engine::{BusModel, Control};
+    use sim_core::{Engine, Simulation};
 
     fn c(i: usize) -> CoreId {
         CoreId::from_index(i)
@@ -1008,20 +1010,21 @@ mod tests {
     }
 
     #[test]
-    fn drive_events_matches_drive_bit_for_bit() {
-        let run = |fast: bool| -> (Vec<u64>, Vec<u64>, u64, u64) {
-            let mut fabric = rr_fabric(2, 3, 2, 2);
-            let outcome = if fast {
-                drive_events(&mut fabric, 20_000, mixed_traffic())
-            } else {
-                drive(&mut fabric, 20_000, mixed_traffic())
-            };
-            assert_eq!(outcome.cycles, 20_000);
+    fn events_engine_matches_naive_bit_for_bit() {
+        let run = |engine: Engine| -> (Vec<u64>, Vec<u64>, u64, u64) {
+            let mut sim = Simulation::builder()
+                .model(rr_fabric(2, 3, 2, 2))
+                .agent(FnAgent(mixed_traffic()))
+                .engine(engine)
+                .max_cycles(20_000)
+                .build();
+            assert_eq!(sim.run().cycles, 20_000);
+            let fabric = sim.model();
             let slots = (0..6).map(|i| fabric.trace().slots(c(i))).collect();
             let busy = (0..6).map(|i| fabric.trace().busy_cycles(c(i))).collect();
             (slots, busy, fabric.idle_cycles(), fabric.total_cycles())
         };
-        assert_eq!(run(false), run(true));
+        assert_eq!(run(Engine::Naive), run(Engine::Events));
     }
 
     #[test]

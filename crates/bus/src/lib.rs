@@ -15,7 +15,7 @@ pub use pending::{Candidate, PendingSet};
 pub use policy::{
     ArbitrationPolicy, EligibilityFilter, FilterHorizon, NoFilter, PolicyKind, RandomSource,
 };
-pub use sim_core::{drive, drive_events, BusModel, Control, DriveOutcome};
+pub use sim_core::{BusModel, Control, DriveOutcome};
 
 use sim_core::{CoreId, Cycle};
 use std::fmt;

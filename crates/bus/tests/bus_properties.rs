@@ -6,9 +6,10 @@
 //! [`SimRng`]: every case is reproducible from its seed, and a failure
 //! message names the seed that produced it.
 
-use cba_bus::{drive, Bus, BusConfig, BusRequest, Control, PolicyKind, RequestKind};
+use cba_bus::{Bus, BusConfig, BusRequest, CompletedTransaction, Control, PolicyKind, RequestKind};
+use sim_core::agent::FnAgent;
 use sim_core::rng::SimRng;
-use sim_core::CoreId;
+use sim_core::{CoreId, Engine, Simulation};
 
 /// A randomized client schedule: per core, a list of (think-time, duration)
 /// pairs issued sequentially (blocking, like a real core).
@@ -35,7 +36,7 @@ fn random_schedule(n_cores: usize, seed: u64) -> Schedule {
     Schedule { jobs }
 }
 
-/// Drives the schedule to completion through the shared engine; returns
+/// Drives the schedule to completion on the per-cycle engine; returns
 /// (bus, completions per core).
 fn run_schedule(kind: PolicyKind, schedule: &Schedule) -> (Bus, Vec<u64>) {
     let n = schedule.jobs.len();
@@ -48,7 +49,7 @@ fn run_schedule(kind: PolicyKind, schedule: &Schedule) -> (Bus, Vec<u64>) {
     for (i, t) in think.iter_mut().enumerate() {
         *t = schedule.jobs[i].first().map(|j| j.0).unwrap_or(0);
     }
-    drive(&mut bus, 200_000, |bus, now, done| {
+    let client = |bus: &mut Bus, now, done: Option<&CompletedTransaction>| {
         if let Some(ct) = done {
             let i = ct.core.index();
             completions[i] += 1;
@@ -78,7 +79,14 @@ fn run_schedule(kind: PolicyKind, schedule: &Schedule) -> (Bus, Vec<u64>) {
         } else {
             Control::Continue
         }
-    });
+    };
+    let (bus, ..) = Simulation::builder()
+        .model(bus)
+        .agent(FnAgent(client))
+        .engine(Engine::Naive)
+        .max_cycles(200_000)
+        .run()
+        .into_parts();
     (bus, completions)
 }
 
@@ -169,7 +177,7 @@ fn round_robin_bounds_service_gaps() {
         let mut di = 0usize;
         let mut pending_job: Option<u32> = None;
         let mut served = 0usize;
-        drive(&mut bus, 60_000, |bus, now, done| {
+        let client = |bus: &mut Bus, now, done: Option<&CompletedTransaction>| {
             if let Some(ct) = done {
                 if ct.core.index() == 0 {
                     served += 1;
@@ -197,7 +205,14 @@ fn round_robin_bounds_service_gaps() {
             } else {
                 Control::Continue
             }
-        });
+        };
+        let (bus, ..) = Simulation::builder()
+            .model(bus)
+            .agent(FnAgent(client))
+            .engine(Engine::Naive)
+            .max_cycles(60_000)
+            .run()
+            .into_parts();
         assert_eq!(
             served,
             durations.len(),

@@ -10,11 +10,12 @@
 
 use cba::{CreditConfig, CreditFilter, Mode};
 use cba_bus::{
-    drive, Bus, BusConfig, BusRequest, Control, EligibilityFilter, PendingSet, PolicyKind,
-    RequestKind,
+    Bus, BusConfig, BusRequest, CompletedTransaction, Control, EligibilityFilter, PendingSet,
+    PolicyKind, RequestKind,
 };
+use sim_core::agent::FnAgent;
 use sim_core::rng::SimRng;
-use sim_core::CoreId;
+use sim_core::{CoreId, Cycle, Engine, Simulation};
 
 const MAXL: u32 = 56;
 
@@ -38,7 +39,7 @@ fn saturate(config: &CreditConfig, policy: PolicyKind, durations: &[u32], horizo
     let n = durations.len();
     let mut bus = Bus::new(BusConfig::new(n, MAXL).unwrap(), policy.build(n, MAXL));
     bus.set_filter(Box::new(CreditFilter::new(config.clone())));
-    drive(&mut bus, horizon, |bus, now, _completed| {
+    let saturating = |bus: &mut Bus, now: Cycle, _: Option<&CompletedTransaction>| {
         for (i, &d) in durations.iter().enumerate() {
             let c = CoreId::from_index(i);
             if !bus.has_pending(c) && bus.owner() != Some(c) {
@@ -47,7 +48,14 @@ fn saturate(config: &CreditConfig, policy: PolicyKind, durations: &[u32], horizo
             }
         }
         Control::Continue
-    });
+    };
+    let (bus, ..) = Simulation::builder()
+        .model(bus)
+        .agent(FnAgent(saturating))
+        .engine(Engine::Naive)
+        .max_cycles(horizon)
+        .run()
+        .into_parts();
     bus
 }
 
@@ -178,7 +186,7 @@ fn wcet_mode_first_tua_grant_respects_fill_time() {
         // TuA posts immediately and persistently; no contenders.
         let mut pending = false;
         let mut first_grant = None;
-        drive(&mut bus, 3 * fill, |bus, now, done| {
+        let tua_client = |bus: &mut Bus, now: Cycle, done: Option<&CompletedTransaction>| {
             if let Some(ct) = done {
                 if ct.core == tua {
                     pending = false;
@@ -197,7 +205,13 @@ fn wcet_mode_first_tua_grant_respects_fill_time() {
                 }
             }
             Control::Continue
-        });
+        };
+        Simulation::builder()
+            .model(bus)
+            .agent(FnAgent(tua_client))
+            .engine(Engine::Naive)
+            .max_cycles(3 * fill)
+            .run();
         let first = first_grant.expect("TuA granted within 3 fill times");
         assert!(
             first >= fill - 1,

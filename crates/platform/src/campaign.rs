@@ -2,18 +2,20 @@
 //!
 //! The paper's evaluation averages **1,000 runs** per configuration
 //! because cache placement and arbitration are randomized — a single run
-//! is a sample, not a result. [`Campaign`] executes `runs` independent
-//! [`run_once`] invocations with per-run forked seeds,
-//! optionally across threads, and aggregates the execution times.
+//! is a sample, not a result. A [`Campaign`] is a one-cell scenario grid:
+//! its runs execute on the grid executor and fold into the same
+//! [`CellReport`] as every cell of [`run_scenario`](crate::run_scenario).
 
-use crate::executor::{default_threads, run_indexed};
-use crate::platform::{run_once, RunResult, RunSpec};
+use crate::checkpoint::FaultPlan;
+use crate::executor::default_threads;
+use crate::platform::{RunResult, RunSpec};
+use crate::report::{Batch, CellReport};
+use crate::scenario::{Cell, CheckpointSpec, ReportSpec};
 use sim_core::rng::SimRng;
-use sim_core::stats::Summary;
 
 /// The per-run seed for run `index` of a campaign seeded from
-/// `master_seed` (stable, order-independent; shared by [`Campaign`] and
-/// the grid-wide scenario executor so both derive identical runs).
+/// `master_seed` (stable, order-independent; every cell of a scenario
+/// grid and every [`Campaign`] derives its runs' seeds this way).
 pub fn run_seed(master_seed: u64, index: usize) -> u64 {
     SimRng::seed_from(master_seed).fork(index as u64).seed()
 }
@@ -50,115 +52,54 @@ impl Campaign {
         self
     }
 
-    /// The per-run seed for run `index` (stable, order-independent).
-    pub fn seed_for(&self, index: usize) -> u64 {
-        run_seed(self.master_seed, index)
-    }
-
-    /// Executes all runs on the work-stealing executor and aggregates.
-    /// Workers write no shared state per run (results scatter lock-free
-    /// into their ordered slots), so the result is identical for any
-    /// thread count.
-    pub fn run(&self) -> CampaignResult {
-        let results = run_indexed(self.runs, self.threads, |i| {
-            run_once(&self.spec, self.seed_for(i))
+    /// Executes all runs and folds them into one report cell: no labels,
+    /// the campaign's master seed, the default percentiles (50/95/99).
+    /// Run `i` is seeded by [`run_seed`], so the report is identical for
+    /// any thread count.
+    pub fn run(&self) -> CellReport {
+        let cell = Cell {
+            labels: Vec::new(),
+            indices: Vec::new(),
+            seed: self.master_seed,
+            spec: self.spec.clone(),
+        };
+        let batch = Batch {
+            runs: self.runs,
+            threads: self.threads,
+            report: &ReportSpec::default(),
+            checkpoint: &CheckpointSpec::default(),
+            plan: &FaultPlan::default(),
+        };
+        let mut report = None;
+        batch.run(&[cell], &[0], |_, cell| {
+            report = Some(cell);
+            true
         });
-        CampaignResult::aggregate(results)
+        report.expect("the campaign's one cell completes")
     }
 }
 
-/// Aggregated campaign output.
+/// The raw runs of a campaign, in run order: what
+/// [`CellReport::from_campaign`] folds into a report cell.
 #[derive(Debug, Clone)]
 pub struct CampaignResult {
-    samples: Vec<f64>,
-    summary: Summary,
-    unfinished: usize,
-    results: Vec<RunResult>,
+    pub(crate) runs: Vec<RunResult>,
 }
 
 impl CampaignResult {
-    /// Aggregates raw per-run results (in run order) into a campaign
-    /// result — the same reduction [`Campaign::run`] applies, exposed so
-    /// the grid-wide scenario executor can run cells' runs interleaved on
-    /// one pool and aggregate per cell afterwards.
-    ///
-    /// Takes any iterator so callers holding runs in slotted buffers (the
-    /// streaming scenario engine, a mid-cell resume) can feed them
-    /// directly instead of collecting into an intermediate `Vec` first —
-    /// the runs are stored exactly once, here.
+    /// Collects raw per-run results, in run order. Takes any iterator so
+    /// callers holding runs in slotted buffers can feed them directly.
     pub fn from_runs(results: impl IntoIterator<Item = RunResult>) -> Self {
-        Self::aggregate(results)
-    }
-
-    fn aggregate(results: impl IntoIterator<Item = RunResult>) -> Self {
-        let results = results.into_iter();
-        let mut out = Vec::with_capacity(results.size_hint().0);
-        let mut samples = Vec::with_capacity(out.capacity());
-        let mut summary = Summary::new();
-        let mut unfinished = 0;
-        for r in results {
-            match (r.finished, r.tua_cycles) {
-                (true, Some(t)) => {
-                    samples.push(t as f64);
-                    summary.record(t as f64);
-                }
-                (true, None) => {
-                    // Horizon runs have no TuA completion; record the
-                    // horizon itself so fairness campaigns still aggregate.
-                    samples.push(r.total_cycles as f64);
-                    summary.record(r.total_cycles as f64);
-                }
-                _ => unfinished += 1,
-            }
-            out.push(r);
-        }
         CampaignResult {
-            samples,
-            summary,
-            unfinished,
-            results: out,
+            runs: results.into_iter().collect(),
         }
-    }
-
-    /// Execution-time samples (cycles), in run order.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-
-    /// Aggregate statistics over the samples.
-    pub fn summary(&self) -> &Summary {
-        &self.summary
-    }
-
-    /// Runs that hit the safety limit instead of finishing.
-    pub fn unfinished(&self) -> usize {
-        self.unfinished
-    }
-
-    /// All raw run results, in run order.
-    pub fn results(&self) -> &[RunResult] {
-        &self.results
-    }
-
-    /// Mean execution time (cycles).
-    pub fn mean(&self) -> f64 {
-        self.summary.mean()
-    }
-
-    /// The `q`-quantile of the execution-time samples (`q` in `[0, 1]`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no run finished or `q` is outside `[0, 1]`.
-    pub fn percentile(&self, q: f64) -> f64 {
-        sim_core::stats::percentile(&self.samples, q)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BusSetup, CoreLoad, Scenario};
+    use crate::{run_once, BusSetup, CoreLoad, Scenario};
 
     fn small_spec() -> RunSpec {
         RunSpec::paper(BusSetup::Rp, Scenario::Isolation, CoreLoad::named("rspeed"))
@@ -168,34 +109,35 @@ mod tests {
     fn campaign_is_reproducible() {
         let a = Campaign::new(small_spec(), 6, 42).run();
         let b = Campaign::new(small_spec(), 6, 42).run();
-        assert_eq!(a.samples(), b.samples());
-        assert_eq!(a.unfinished(), 0);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!((a.runs, a.unfinished), (6, 0));
     }
 
     #[test]
     fn thread_count_does_not_change_results() {
         let seq = Campaign::new(small_spec(), 8, 9).with_threads(1).run();
         let par = Campaign::new(small_spec(), 8, 9).with_threads(4).run();
-        assert_eq!(seq.samples(), par.samples());
+        // Debug renders every float exactly, so equal text is an equal cell.
+        assert_eq!(format!("{seq:?}"), format!("{par:?}"));
     }
 
     #[test]
     fn runs_vary_across_seeds() {
         let result = Campaign::new(small_spec(), 10, 1).run();
-        let first = result.samples()[0];
         assert!(
-            result.samples().iter().any(|&s| s != first),
-            "randomized caches must produce spread: {:?}",
-            result.samples()
+            result.min < result.max,
+            "randomized caches must produce spread: {result:?}"
         );
     }
 
     #[test]
     fn summary_matches_samples() {
         let result = Campaign::new(small_spec(), 5, 3).run();
-        let mean = result.samples().iter().sum::<f64>() / 5.0;
-        assert!((result.mean() - mean).abs() < 1e-9);
-        assert_eq!(result.summary().count(), 5);
+        let samples = (0..5).map(|i| run_once(&small_spec(), run_seed(3, i)).tua_cycles);
+        let mean = samples.map(|t| t.expect("finished") as f64).sum::<f64>() / 5.0;
+        assert!((result.mean - mean).abs() < 1e-9);
+        assert_eq!((result.runs, result.seed), (5, 3));
+        assert!(result.labels.is_empty());
     }
 
     #[test]

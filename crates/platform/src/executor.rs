@@ -6,20 +6,20 @@
 //! every result through a `Mutex` over the whole results vector. This
 //! module provides the one executor both layers now share:
 //!
-//! * **one pool for the whole workload** — [`run_indexed`] schedules all
-//!   `n_tasks` tasks over one set of scoped workers, so a 48-cell ×
-//!   1,000-run campaign keeps every core busy until the *last* run of the
-//!   *last* cell finishes, instead of draining and refilling a pool per
-//!   cell;
+//! * **one pool for the whole workload** — [`run_indexed_streamed`]
+//!   schedules all `n_tasks` tasks over one set of scoped workers, so a
+//!   48-cell × 1,000-run campaign keeps every core busy until the *last*
+//!   run of the *last* cell finishes, instead of draining and refilling a
+//!   pool per cell;
 //! * **work stealing by atomic counter** — workers claim the next task
 //!   index with a single `fetch_add`; no queues, no per-task locks;
 //! * **streamed, lock-free result placement** — workers hand `(index,
-//!   result)` pairs to the caller's thread over a channel as they finish
-//!   ([`run_indexed_streamed`]); no shared results vector, no per-run
-//!   `Mutex`, and consumers can aggregate/report incrementally (the
-//!   scenario engine emits each cell's progress line the moment its last
-//!   run lands). [`run_indexed`] scatters the stream into index order,
-//!   so ordered output stays deterministic regardless of thread count or
+//!   result)` pairs to the caller's thread over a channel as they finish;
+//!   no shared results vector, no per-run `Mutex`, and consumers
+//!   aggregate and report incrementally (the scenario engine folds each
+//!   run into its cell the moment it lands and emits the cell's progress
+//!   line when its last run does). Consumers place results by index, so
+//!   ordered output stays deterministic regardless of thread count or
 //!   scheduling.
 
 /// Runs `task(0..n_tasks)` across `threads` workers, delivering each
@@ -86,27 +86,6 @@ pub fn run_indexed_streamed<T, F>(
     });
 }
 
-/// Runs `task(0..n_tasks)` across `threads` workers and returns the
-/// results in index order (a [`run_indexed_streamed`] that scatters into
-/// ordered slots).
-///
-/// # Panics
-///
-/// Propagates a panic from any task.
-pub fn run_indexed<T, F>(n_tasks: usize, threads: usize, task: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(n_tasks);
-    slots.resize_with(n_tasks, || None);
-    run_indexed_streamed(n_tasks, threads, task, |i, result| slots[i] = Some(result));
-    slots
-        .into_iter()
-        .map(|r| r.expect("every index claimed exactly once"))
-        .collect()
-}
-
 /// The default worker count: every hardware thread (no artificial cap —
 /// campaigns are CPU-bound and cache-light, so the full machine is the
 /// right default; `--threads` / `with_threads` override it).
@@ -120,15 +99,35 @@ pub fn default_threads() -> usize {
 mod tests {
     use super::*;
 
+    /// Runs the tasks on the streamed executor and places every result
+    /// by its index.
+    fn ordered<T: Send>(
+        n_tasks: usize,
+        threads: usize,
+        task: impl Fn(usize) -> T + Sync,
+    ) -> Vec<T> {
+        let mut slots: Vec<Option<T>> = (0..n_tasks).map(|_| None).collect();
+        run_indexed_streamed(n_tasks, threads, task, |i, result| {
+            assert!(
+                slots[i].replace(result).is_none(),
+                "index {i} delivered twice"
+            );
+        });
+        slots
+            .into_iter()
+            .map(|r| r.expect("every index delivered"))
+            .collect()
+    }
+
     #[test]
     fn results_are_in_index_order() {
-        let out = run_indexed(100, 8, |i| i * 3);
+        let out = ordered(100, 8, |i| i * 3);
         assert_eq!(out, (0..100).map(|i| i * 3).collect::<Vec<_>>());
     }
 
     #[test]
     fn single_thread_runs_inline() {
-        let out = run_indexed(5, 1, |i| i);
+        let out = ordered(5, 1, |i| i);
         assert_eq!(out, vec![0, 1, 2, 3, 4]);
     }
 
@@ -142,20 +141,20 @@ mod tests {
             }
             (i, acc)
         };
-        let a = run_indexed(64, 2, slow);
-        let b = run_indexed(64, 16, slow);
+        let a = ordered(64, 2, slow);
+        let b = ordered(64, 16, slow);
         assert_eq!(a, b);
     }
 
     #[test]
     fn more_threads_than_tasks_is_fine() {
-        let out = run_indexed(3, 64, |i| i + 1);
+        let out = ordered(3, 64, |i| i + 1);
         assert_eq!(out, vec![1, 2, 3]);
     }
 
     #[test]
     fn zero_tasks_yield_empty() {
-        let out: Vec<usize> = run_indexed(0, 4, |i| i);
+        let out: Vec<usize> = ordered(0, 4, |i| i);
         assert!(out.is_empty());
     }
 

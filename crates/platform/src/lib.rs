@@ -17,7 +17,7 @@ pub use campaign::{run_seed, Campaign, CampaignResult};
 pub use checkpoint::{FaultPlan, Journal, JournalReplay};
 pub use config::{BusSetup, FabricTopology, PlatformConfig};
 pub use platform::{
-    run_once, run_once_with, CoreLoad, DriveMode, RunResult, RunSpec, Scenario, StopCondition,
+    run_once, run_once_with, CoreLoad, RunResult, RunSpec, Scenario, StopCondition,
 };
 pub use probes::{WindowedFairness, WindowedFairnessProbe};
 pub use report::{

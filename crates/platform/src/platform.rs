@@ -12,7 +12,7 @@ use cba_workloads::EembcProfile;
 use sim_core::agent::MemStats;
 use sim_core::lfsr::LfsrBank;
 use sim_core::rng::SimRng;
-use sim_core::{BusModel, CoreId, Cycle, Probe, Simulation, StopWhen};
+use sim_core::{BusModel, CoreId, Cycle, Engine, Probe, Simulation, StopWhen};
 use std::fmt;
 
 /// What one core runs during a run.
@@ -172,13 +172,6 @@ impl fmt::Display for Scenario {
     }
 }
 
-/// Which cycle loop executes a run: the events engine of
-/// [`Simulation::run`] (the default; `engine = fluid` and `fast` are
-/// accepted as aliases) or the naive per-cycle reference loop, selectable
-/// per scenario (`engine = naive`) or via `cba_sim --engine naive`. Both
-/// produce **bit-identical** results.
-pub use sim_core::Engine as DriveMode;
-
 /// When the run loop stops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
@@ -220,9 +213,12 @@ pub struct RunSpec {
     pub max_cycles: Cycle,
     /// Record the full grant trace (burst/starvation metrics).
     pub record_trace: bool,
-    /// Which cycle loop to use (fast path by default; results are
-    /// bit-identical either way).
-    pub drive: DriveMode,
+    /// Which cycle loop executes the run: the events engine of
+    /// [`Simulation::run`] (the default; the scenario key accepts `fast`
+    /// and `fluid` as aliases) or the naive per-cycle reference loop,
+    /// selectable per scenario (`engine = naive`) or via `cba_sim --engine
+    /// naive`. Both produce **bit-identical** results.
+    pub drive: Engine,
     /// Attach a [`WindowedFairnessProbe`] splitting the run into this
     /// many equal windows (scenario key `[report] windows = N`).
     /// Requires a [`StopCondition::Horizon`] stop whose horizon the
@@ -261,7 +257,7 @@ impl RunSpec {
             stop: StopCondition::TuaDone,
             max_cycles: 50_000_000,
             record_trace: false,
-            drive: DriveMode::default(),
+            drive: Engine::default(),
             windows: None,
         }
     }
@@ -943,9 +939,9 @@ mod tests {
         for (i, spec) in specs.into_iter().enumerate() {
             for seed in [1, 7] {
                 let mut naive = spec.clone();
-                naive.drive = DriveMode::Naive;
+                naive.drive = Engine::Naive;
                 let mut events = spec.clone();
-                events.drive = DriveMode::Events;
+                events.drive = Engine::Events;
                 assert_eq!(
                     run_once(&naive, seed),
                     run_once(&events, seed),
@@ -967,7 +963,7 @@ mod tests {
         spec.wcet_mode = false;
         spec.record_trace = true;
         let mut naive = spec.clone();
-        naive.drive = DriveMode::Naive;
+        naive.drive = Engine::Naive;
         let a = run_once(&naive, 3);
         let b = run_once(&spec, 3);
         assert_eq!(a, b);

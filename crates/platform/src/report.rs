@@ -21,7 +21,7 @@ use crate::checkpoint::{FaultPlan, Journal};
 use crate::executor::{default_threads, run_indexed_streamed};
 use crate::platform::{run_once, RunResult, RunSpec};
 use crate::probes::WindowedFairness;
-use crate::scenario::{ScenarioDef, ScenarioError};
+use crate::scenario::{Cell, CheckpointSpec, ReportSpec, ScenarioDef, ScenarioError};
 use cba_mbpta::pwcet::{MbptaConfig, PWcetModel};
 use sim_core::agent::MemStats;
 use sim_core::export::{csv_field, fmt_number, Json};
@@ -407,10 +407,8 @@ impl CellReport {
     /// cross-cluster fairness index for fabric cells.
     ///
     /// Delegates to the same streaming `CellAccumulator` the scenario
-    /// engine folds live runs into, so a hand-run [`Campaign`] and a grid
+    /// engine folds live runs into, so runs collected by hand and a grid
     /// cell share one aggregation path (and one set of numerics).
-    ///
-    /// [`Campaign`]: crate::Campaign
     pub fn from_campaign(
         labels: Vec<(String, String)>,
         seed: u64,
@@ -418,8 +416,8 @@ impl CellReport {
         qs: &[f64],
         spec: &RunSpec,
     ) -> CellReport {
-        let mut acc = CellAccumulator::new(result.results().len());
-        for (i, r) in result.results().iter().enumerate() {
+        let mut acc = CellAccumulator::new(result.runs.len());
+        for (i, r) in result.runs.iter().enumerate() {
             acc.record(
                 i,
                 RunOutcome::Done(Box::new(RunTally::from_run(r.clone(), spec, None))),
@@ -851,6 +849,92 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "non-string panic payload".into())
 }
 
+/// One batch of runs: `runs` runs of each scheduled cell on `threads`
+/// workers, folded into the `report` shape and held to the `checkpoint`
+/// budgets and the `plan`'s injected faults. A scenario grid and a plain
+/// [`Campaign`](crate::Campaign) (a one-cell grid with every default) both
+/// execute through [`Batch::run`].
+pub(crate) struct Batch<'a> {
+    pub(crate) runs: usize,
+    pub(crate) threads: usize,
+    pub(crate) report: &'a ReportSpec,
+    pub(crate) checkpoint: &'a CheckpointSpec,
+    pub(crate) plan: &'a FaultPlan,
+}
+
+impl Batch<'_> {
+    /// Executes the runs of the cells indexed by `work` as one flat task
+    /// list on the work-stealing pool (task `i` is run `i % runs` of
+    /// `cells[work[i / runs]]`), each run seeded by [`run_seed`] from its
+    /// cell's seed and contained by [`catch_unwind`]. Every finished run
+    /// is folded into its cell's `CellAccumulator` the moment it lands,
+    /// and each cell's report goes to `on_cell` with the cell's index as
+    /// its last run lands. Once `on_cell` returns `false`, the remaining
+    /// results are drained without being folded or reported.
+    pub(crate) fn run(
+        &self,
+        cells: &[Cell],
+        work: &[usize],
+        mut on_cell: impl FnMut(usize, CellReport) -> bool,
+    ) {
+        let runs = self.runs;
+        let run_budget = self.checkpoint.run_budget_cycles;
+        let mut pending: Vec<CellAccumulator> =
+            work.iter().map(|_| CellAccumulator::new(runs)).collect();
+        let clocks: Vec<CellClock> = work.iter().map(|_| CellClock::default()).collect();
+        let mut live = true;
+        run_indexed_streamed(
+            work.len() * runs,
+            self.threads,
+            |i| {
+                let (wi, run) = (i / runs, i % runs);
+                let ci = work[wi];
+                let cell = &cells[ci];
+                if self.plan.forces_budget_trip(ci, run) {
+                    return RunOutcome::BudgetSkipped;
+                }
+                if let Some(ms) = self.checkpoint.cell_budget_ms {
+                    if clocks[wi].expired(ms) {
+                        return RunOutcome::BudgetSkipped;
+                    }
+                }
+                clocks[wi].begin();
+                let seed = run_seed(cell.seed, run);
+                match catch_unwind(AssertUnwindSafe(|| {
+                    if self.plan.panics_at(ci, run) {
+                        panic!("injected fault (cell {ci}, run {run})");
+                    }
+                    run_once(&cell.spec, seed)
+                })) {
+                    Ok(r) => {
+                        RunOutcome::Done(Box::new(RunTally::from_run(r, &cell.spec, run_budget)))
+                    }
+                    Err(payload) => RunOutcome::Panicked(panic_message(payload)),
+                }
+            },
+            |i, outcome| {
+                if !live {
+                    return;
+                }
+                let wi = i / runs;
+                pending[wi].record(i % runs, outcome);
+                if pending[wi].is_complete() {
+                    let ci = work[wi];
+                    let cell = &cells[ci];
+                    let report = std::mem::take(&mut pending[wi]).finish(
+                        cell.labels.clone(),
+                        cell.seed,
+                        &self.report.percentiles,
+                        &self.report.pwcet,
+                        &cell.spec,
+                    );
+                    live = on_cell(ci, report);
+                }
+            },
+        );
+    }
+}
+
 /// The full crash-safe scenario executor: [`run_scenario_with`] plus
 /// checkpoint/resume journaling and per-cell fault containment.
 ///
@@ -883,8 +967,7 @@ pub fn run_scenario_controlled(
     let total = cells.len();
     let runs = def.runs;
     let threads = def.threads.unwrap_or_else(default_threads);
-    let run_budget = def.checkpoint.run_budget_cycles;
-    if let Some(budget) = run_budget {
+    if let Some(budget) = def.checkpoint.run_budget_cycles {
         // The deterministic budget is just a tighter safety limit.
         for cell in &mut cells {
             cell.spec.max_cycles = cell.spec.max_cycles.min(budget);
@@ -916,97 +999,48 @@ pub fn run_scenario_controlled(
         journal = Some(j);
     }
 
-    // Only the missing cells are scheduled: one flat task list, task i is
-    // run (i % runs) of work[i / runs], seeded exactly as a single-shot
-    // execution would seed it (seeds depend on the cell, not on the
-    // schedule, which is what makes resume bit-exact).
+    // Only the missing cells are scheduled, seeded exactly as a
+    // single-shot execution would seed them (seeds depend on the cell,
+    // not on the schedule, which is what makes resume bit-exact).
     let work: Vec<usize> = (0..total).filter(|&ci| reports[ci].is_none()).collect();
     let mut done_cells = total - work.len();
-    let mut pending: Vec<CellAccumulator> =
-        work.iter().map(|_| CellAccumulator::new(runs)).collect();
-    let clocks: Vec<CellClock> = work.iter().map(|_| CellClock::default()).collect();
-    let budget_ms = def.checkpoint.cell_budget_ms;
     let mut journal_error: Option<String> = None;
     let mut killed: Option<usize> = None;
-    run_indexed_streamed(
-        work.len() * runs,
+    let batch = Batch {
+        runs,
         threads,
-        |i| {
-            let wi = i / runs;
-            let run = i % runs;
-            let ci = work[wi];
-            let cell = &cells[ci];
-            if plan.forces_budget_trip(ci, run) {
-                return RunOutcome::BudgetSkipped;
-            }
-            if let Some(ms) = budget_ms {
-                if clocks[wi].expired(ms) {
-                    return RunOutcome::BudgetSkipped;
-                }
-            }
-            clocks[wi].begin();
-            let seed = run_seed(cell.seed, run);
-            match catch_unwind(AssertUnwindSafe(|| {
-                if plan.panics_at(ci, run) {
-                    panic!("injected fault (cell {ci}, run {run})");
-                }
-                run_once(&cell.spec, seed)
-            })) {
-                Ok(r) => RunOutcome::Done(Box::new(RunTally::from_run(r, &cell.spec, run_budget))),
-                Err(payload) => RunOutcome::Panicked(panic_message(payload)),
-            }
-        },
-        |i, outcome| {
-            // After a simulated kill-point or a journal write failure the
-            // campaign is "dead": drain remaining results without
-            // journaling or reporting them.
-            if killed.is_some() || journal_error.is_some() {
-                return;
-            }
-            let wi = i / runs;
-            let ci = work[wi];
-            pending[wi].record(i % runs, outcome);
-            if !pending[wi].is_complete() {
-                return;
-            }
-            let cell = &cells[ci];
-            let report = std::mem::take(&mut pending[wi]).finish(
-                cell.labels.clone(),
-                cell.seed,
-                &def.report.percentiles,
-                &def.report.pwcet,
-                &cell.spec,
-            );
-            if let Some(j) = &mut journal {
-                match j.append(ci, &report) {
-                    Ok(()) => {
-                        if plan.kills_after(j.records()) {
-                            if plan.is_hard_kill() {
-                                // True crash semantics: no unwinding, no
-                                // cleanup, no flushing beyond the fsynced
-                                // journal — as close to SIGKILL as the
-                                // process can do to itself.
-                                eprintln!(
-                                    "cba: simulated crash after {} journal records",
-                                    j.records()
-                                );
-                                std::process::abort();
-                            }
-                            killed = Some(j.records());
-                            return;
+        report: &def.report,
+        checkpoint: &def.checkpoint,
+        plan,
+    };
+    batch.run(&cells, &work, |ci, report| {
+        if let Some(j) = &mut journal {
+            match j.append(ci, &report) {
+                Ok(()) => {
+                    if plan.kills_after(j.records()) {
+                        if plan.is_hard_kill() {
+                            // True crash semantics: no unwinding, no
+                            // cleanup, no flushing beyond the fsynced
+                            // journal — as close to SIGKILL as the
+                            // process can do to itself.
+                            eprintln!("cba: simulated crash after {} journal records", j.records());
+                            std::process::abort();
                         }
-                    }
-                    Err(e) => {
-                        journal_error = Some(e);
-                        return;
+                        killed = Some(j.records());
+                        return false;
                     }
                 }
+                Err(e) => {
+                    journal_error = Some(e);
+                    return false;
+                }
             }
-            done_cells += 1;
-            progress(done_cells, total, &report);
-            reports[ci] = Some(report);
-        },
-    );
+        }
+        done_cells += 1;
+        progress(done_cells, total, &report);
+        reports[ci] = Some(report);
+        true
+    });
     if let Some(e) = journal_error {
         return Err(ScenarioError::new(e));
     }

@@ -57,11 +57,12 @@
 //! ```
 
 use crate::config::{FabricTopology, PlatformConfig};
-use crate::platform::{CoreLoad, DriveMode, RunSpec, Scenario, StopCondition};
+use crate::platform::{CoreLoad, RunSpec, Scenario, StopCondition};
 use cba::CreditConfig;
 use cba_bus::PolicyKind;
 use cba_mem::{HierarchyConfig, LatencyModel, MemoryConfig};
 use cba_workloads::{profile_by_name, EembcProfile};
+use sim_core::Engine;
 use std::borrow::Cow;
 use std::fmt;
 use std::str::FromStr;
@@ -1243,10 +1244,10 @@ fn set_setup(d: &mut ScenarioDef, _: &Key, v: &str) -> Result<String, String> {
 /// (the per-cycle reference loop), or `fluid`, which is kept as an alias
 /// of `events` (whose limit-cycle fast-forward it once selected),
 /// case-insensitively.
-pub fn parse_engine(s: &str) -> Result<DriveMode, String> {
+pub fn parse_engine(s: &str) -> Result<Engine, String> {
     match lower(s).as_ref() {
-        "events" | "fast" | "fluid" => Ok(DriveMode::Events),
-        "naive" | "cycle" => Ok(DriveMode::Naive),
+        "events" | "fast" | "fluid" => Ok(Engine::Events),
+        "naive" | "cycle" => Ok(Engine::Naive),
         other => Err(format!(
             "unknown engine '{other}' (expected events, naive, fluid)"
         )),

@@ -1,13 +1,15 @@
 //! The open client side of the simulator: the [`SimAgent`] trait.
 //!
-//! PR 1 unified the *bus* side behind [`BusModel`](crate::BusModel); this
+//! The *bus* side is unified behind [`BusModel`](crate::BusModel); this
 //! module mirrors that on the *client* side. A `SimAgent` is anything that
 //! generates traffic against a request port `P` — a cycle-accurate core
 //! model, a saturating contender, a periodic co-runner, a fixed-request
-//! task, or a downstream user's custom workload — and every harness
-//! (`Simulation`, the platform's `run_once`, the benches) drives agents
-//! only through this trait, so new workload shapes plug in without
-//! touching any harness code.
+//! task, or a downstream user's custom workload — and
+//! [`Simulation`](crate::Simulation), the one cycle loop every harness
+//! (the platform's `run_once`, the tests, the benches) runs on, drives
+//! clients only through this trait, so new workload shapes plug in
+//! without touching any harness code. A harness that posts traffic by
+//! hand wraps its closure in [`FnAgent`].
 //!
 //! The trait is generic over the port type `P` (kept `?Sized` so trait
 //! objects like `dyn RequestPort` work) and the completion report type
@@ -259,9 +261,39 @@ impl<P: ?Sized, C> SimAgent<P, C> for Idle {
     fn reset(&mut self, _rng: &mut SimRng) {}
 }
 
+/// A closure as an agent: each tick calls the closure with the model, the
+/// cycle and the cycle's completion report, and returns its verdict.
+///
+/// This is the client of a harness that posts traffic by hand. It is never
+/// done (end its run with [`Control::Stop`], a
+/// [`StopWhen::Horizon`](crate::StopWhen::Horizon) or `max_cycles`),
+/// ignores [`reset`](SimAgent::reset) and keeps every other default: it
+/// wakes on every completion and keeps its run out of the limit-cycle
+/// jump. The closure may borrow the caller's locals for as long as the
+/// [`Simulation`](crate::Simulation) holding it lives.
+pub struct FnAgent<F>(pub F);
+
+impl<M: ?Sized, C, F> SimAgent<M, C> for FnAgent<F>
+where
+    F: FnMut(&mut M, Cycle, Option<&C>) -> Control,
+{
+    fn tick(&mut self, now: Cycle, completed: Option<&C>, model: &mut M) -> Control {
+        (self.0)(model, now, completed)
+    }
+
+    fn is_done(&self) -> bool {
+        false
+    }
+
+    fn reset(&mut self, _rng: &mut SimRng) {}
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::OneShot;
+    use crate::sim::{Engine, Simulation};
+    use crate::BusModel;
 
     #[test]
     fn idle_agent_is_inert() {
@@ -274,5 +306,29 @@ mod tests {
         assert!(!SimAgent::<(), u32>::is_addressed(&idle, &0));
         assert_eq!(SimAgent::<(), u32>::done_at(&idle), None);
         assert_eq!(SimAgent::<(), u32>::stats(&idle), AgentStats::default());
+    }
+
+    #[test]
+    fn a_closure_agent_may_borrow_the_callers_locals() {
+        let mut grants: Vec<Cycle> = Vec::new();
+        let record = |bus: &mut OneShot, now: Cycle, completed: Option<&Cycle>| {
+            if completed.is_some() || now == 0 {
+                bus.post(3).unwrap();
+                grants.push(now);
+            }
+            Control::Sleep(Cycle::MAX)
+        };
+        let mut sim = Simulation::builder()
+            .model(OneShot::new())
+            .agent(FnAgent(record))
+            .engine(Engine::Events)
+            .max_cycles(20)
+            .build();
+        let outcome = sim.run();
+        // The closure's borrow of `grants` ends with the agents it lives in.
+        let (bus, ..) = sim.into_parts();
+        assert_eq!((outcome.cycles, outcome.stopped), (20, false));
+        assert_eq!(grants, [0, 3, 6, 9, 12, 15, 18]);
+        assert_eq!(bus.trace().total_slots(), 7);
     }
 }

@@ -1,7 +1,6 @@
-//! The unified cycle-driving engine: one [`BusModel`] trait over every bus
-//! variant, and one closure drive loop ([`drive_events`], with [`drive`] as
-//! its per-cycle form) shared by the benchmark harness, the tests and the
-//! examples.
+//! The cycle protocol shared by every bus variant: the [`BusModel`]
+//! trait, the [`Control`] verdict its clients return each cycle, and the
+//! [`DriveOutcome`] of a run.
 //!
 //! # Why
 //!
@@ -18,73 +17,13 @@
 //!    and per-cycle filter state (credit counters) advances.
 //!
 //! [`BusModel::tick`] bundles the phases for clients that post between
-//! cycles, and [`drive_events`] owns the `while` loop, the stop condition
-//! and the cycle counter, so a policy × filter × bus-variant scenario is
-//! expressed as *one closure* that posts traffic. (Agent-based runs use the
-//! [`Simulation`](crate::Simulation) facade instead.)
-//!
-//! # Example
-//!
-//! ```
-//! use sim_core::engine::{drive, BusModel, Control};
-//! use sim_core::trace::GrantTrace;
-//! use sim_core::{CoreId, Cycle};
-//!
-//! /// A one-core toy bus: every posted unit-length request is granted on
-//! /// the next free cycle.
-//! #[derive(Debug)]
-//! struct ToyBus {
-//!     trace: GrantTrace,
-//!     queue: u64,
-//!     busy: bool,
-//! }
-//!
-//! impl ToyBus {
-//!     fn new() -> Self {
-//!         ToyBus { trace: GrantTrace::counting(1), queue: 0, busy: false }
-//!     }
-//! }
-//!
-//! impl BusModel for ToyBus {
-//!     type Request = ();
-//!     type Completion = ();
-//!     type Error = ();
-//!
-//!     fn begin_cycle(&mut self, _now: Cycle) -> Option<()> {
-//!         self.busy.then(|| self.busy = false)
-//!     }
-//!     fn post(&mut self, _req: ()) -> Result<(), ()> {
-//!         self.queue += 1;
-//!         Ok(())
-//!     }
-//!     fn end_cycle(&mut self, now: Cycle) -> Option<CoreId> {
-//!         if !self.busy && self.queue > 0 {
-//!             self.queue -= 1;
-//!             self.busy = true;
-//!             self.trace.record(now, CoreId::from_index(0), 1);
-//!             return Some(CoreId::from_index(0));
-//!         }
-//!         None
-//!     }
-//!     fn owner(&self) -> Option<CoreId> {
-//!         self.busy.then(|| CoreId::from_index(0))
-//!     }
-//!     fn trace(&self) -> &GrantTrace {
-//!         &self.trace
-//!     }
-//! }
-//!
-//! let mut bus = ToyBus::new();
-//! let outcome = drive(&mut bus, 100, |bus, now, _completed| {
-//!     if now % 2 == 0 {
-//!         bus.post(()).unwrap();
-//!     }
-//!     Control::Continue
-//! });
-//! assert_eq!(outcome.cycles, 100);
-//! assert!(!outcome.stopped);
-//! assert_eq!(bus.trace().total_slots(), 50);
-//! ```
+//! cycles. The one loop that drives a model is
+//! [`Simulation::run`](crate::Simulation::run): it owns the `while` loop,
+//! the stop condition and the cycle counter, and ticks the model's
+//! clients, which are [`SimAgent`](crate::SimAgent)s — a harness that
+//! only posts traffic wraps its closure in
+//! [`FnAgent`](crate::agent::FnAgent). The [`sim`](crate::sim) module
+//! documentation shows a model written against this protocol, end to end.
 
 use crate::trace::GrantTrace;
 use crate::{CoreId, Cycle};
@@ -176,9 +115,10 @@ pub trait BusModel {
     ///
     /// Returning `Some(e)` is a guarantee: for every cycle `t` in
     /// `(now, e)`, `begin_cycle(t)` would report nothing and `end_cycle(t)`
-    /// would grant nothing, so [`drive_events`] may replace those per-cycle
-    /// calls with one `advance` and jump straight to `e` (or to any earlier
-    /// cycle — resuming early is always safe). `Some(Cycle::MAX)` means "no
+    /// would grant nothing, so the events engine of
+    /// [`Simulation::run`](crate::Simulation::run) may replace those
+    /// per-cycle calls with one `advance` and jump straight to `e` (or to
+    /// any earlier cycle — resuming early is always safe). `Some(Cycle::MAX)` means "no
     /// bus-side event at all until a client acts".
     ///
     /// The default returns `None` — "cannot predict" — which disables
@@ -198,7 +138,8 @@ pub trait BusModel {
     /// and the internal cycle cursor moves so `begin_cycle(to)` is accepted
     /// next.
     ///
-    /// Only called by [`drive_events`] for ranges validated by
+    /// Only called by the events engine of
+    /// [`Simulation::run`](crate::Simulation::run) for ranges validated by
     /// [`next_event`](BusModel::next_event); the default is a no-op, which
     /// pairs with the default `next_event` of `None` (never invoked).
     fn advance(&mut self, from: Cycle, to: Cycle) {
@@ -248,117 +189,40 @@ pub trait BusModel {
     }
 }
 
-/// Per-cycle verdict returned by the [`drive`] / [`drive_events`]
-/// callback.
+/// Per-cycle verdict a client returns to the engine (see
+/// [`SimAgent::tick`](crate::SimAgent::tick)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Control {
     /// Keep simulating.
     Continue,
     /// Stop after finishing the current cycle.
     Stop,
-    /// The clients guarantee they will not interact with the bus (no posts,
-    /// no withdrawals) before cycle `until`, and do not need to observe any
-    /// cycle before it either — [`drive_events`] may fast-forward to
-    /// `min(until, bus event horizon)`. [`drive`] treats this exactly like
-    /// [`Control::Continue`], so a callback written for the fast path runs
-    /// unchanged (and bit-identically) under the naive loop.
+    /// The client guarantees it will not interact with the bus (no posts,
+    /// no withdrawals) before cycle `until`, and does not need to observe
+    /// any cycle before it either — the events engine of
+    /// [`Simulation::run`](crate::Simulation::run) may fast-forward to
+    /// `min(until, bus event horizon)`. [`Engine::Naive`](crate::Engine::Naive)
+    /// treats this exactly like [`Control::Continue`], so a client written
+    /// for the fast path runs unchanged (and bit-identically) under the
+    /// naive loop.
     Sleep(Cycle),
 }
 
-/// Result of a [`drive`] run.
+/// Result of a [`Simulation::run`](crate::Simulation::run).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DriveOutcome {
     /// Cycles simulated (the loop ran cycles `0..cycles`).
     pub cycles: Cycle,
-    /// Whether the callback requested the stop (`false` means the
-    /// `max_cycles` safety limit was hit first).
+    /// Whether the stop condition fired or a client requested the stop
+    /// (`false` means the `max_cycles` safety limit was hit first).
     pub stopped: bool,
-}
-
-/// Drives `bus` for up to `max_cycles` cycles from cycle 0, visiting
-/// **every** cycle.
-///
-/// Each cycle, the engine runs phase 1 ([`BusModel::begin_cycle`]), hands
-/// the completion report to `cycle_fn` — which posts client traffic (phase
-/// 2) and decides whether to stop — then runs phase 3
-/// ([`BusModel::end_cycle`]). [`Control::Sleep`] is treated as
-/// [`Control::Continue`]: this is the naive reference loop that
-/// [`drive_events`] must reproduce bit for bit, and the loop to force when
-/// debugging a suspected fast-path divergence. It is [`drive_events`] with
-/// every sleep verdict turned into `Continue`, so the two share one loop.
-pub fn drive<M: BusModel>(
-    bus: &mut M,
-    max_cycles: Cycle,
-    mut cycle_fn: impl FnMut(&mut M, Cycle, Option<&M::Completion>) -> Control,
-) -> DriveOutcome {
-    drive_events(bus, max_cycles, |bus, now, completed| {
-        match cycle_fn(bus, now, completed) {
-            Control::Sleep(_) => Control::Continue,
-            control => control,
-        }
-    })
-}
-
-/// Drives `bus` like [`drive`], but jumps over provably uneventful cycle
-/// ranges — the **event-horizon fast path**.
-///
-/// After each executed cycle, if the callback returned
-/// [`Control::Sleep`]`(until)` *and* the bus can bound its own next event
-/// via [`BusModel::next_event`], the engine bulk-advances the bus with
-/// [`BusModel::advance`] and resumes the full three-phase protocol at
-/// `min(until, event, max_cycles)`. Whenever either side declines — the
-/// callback returns [`Control::Continue`], or `next_event` returns `None`
-/// — the engine falls back to per-cycle stepping for that cycle, so the
-/// fast path degrades gracefully to exactly [`drive`].
-///
-/// Because skipped ranges are ranges in which, by contract, no completion,
-/// grant, post or RNG draw can occur, the observable outcome (grant trace,
-/// wait statistics, cycle counters, stop cycle) is **bit-identical** to
-/// [`drive`] with the same callback; the workspace's property tests assert
-/// this across policies, filters and bus variants.
-pub fn drive_events<M: BusModel>(
-    bus: &mut M,
-    max_cycles: Cycle,
-    mut cycle_fn: impl FnMut(&mut M, Cycle, Option<&M::Completion>) -> Control,
-) -> DriveOutcome {
-    let mut now: Cycle = 0;
-    while now < max_cycles {
-        let completed = bus.begin_cycle(now);
-        let control = cycle_fn(bus, now, completed.as_ref());
-        bus.end_cycle(now);
-        match control {
-            Control::Stop => {
-                return DriveOutcome {
-                    cycles: now + 1,
-                    stopped: true,
-                }
-            }
-            Control::Continue => now += 1,
-            Control::Sleep(until) => {
-                let step = now + 1;
-                let mut target = step;
-                if until > step {
-                    if let Some(event) = bus.next_event(now) {
-                        let jump = event.min(until).min(max_cycles);
-                        if jump > step {
-                            bus.advance(now, jump);
-                            target = jump;
-                        }
-                    }
-                }
-                now = target;
-            }
-        }
-    }
-    DriveOutcome {
-        cycles: max_cycles,
-        stopped: false,
-    }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::agent::FnAgent;
+    use crate::sim::{Engine, Simulation};
 
     /// Minimal in-crate model for engine tests (the `sim` tests share it).
     #[derive(Debug)]
@@ -458,15 +322,37 @@ pub(crate) mod tests {
         assert_eq!(some.into_iter().collect::<Vec<_>>(), vec![7]);
     }
 
+    /// Runs `bus` under `engine` for up to `max_cycles` cycles with one
+    /// closure client; returns the outcome and the model.
+    fn drive_with(
+        engine: Engine,
+        bus: OneShot,
+        max_cycles: Cycle,
+        client: impl FnMut(&mut OneShot, Cycle, Option<&Cycle>) -> Control,
+    ) -> (DriveOutcome, OneShot) {
+        let mut sim = Simulation::builder()
+            .model(bus)
+            .agent(FnAgent(client))
+            .engine(engine)
+            .max_cycles(max_cycles)
+            .build();
+        let outcome = sim.run();
+        (outcome, sim.into_parts().0)
+    }
+
     #[test]
     fn drive_runs_to_horizon() {
-        let mut bus = OneShot::new();
-        let out = drive(&mut bus, 10, |bus, _now, _completed| {
-            if bus.owner().is_none() {
-                let _ = bus.post(2);
-            }
-            Control::Continue
-        });
+        let (out, bus) = drive_with(
+            Engine::Naive,
+            OneShot::new(),
+            10,
+            |bus, _now, _completed| {
+                if bus.owner().is_none() {
+                    let _ = bus.post(2);
+                }
+                Control::Continue
+            },
+        );
         assert_eq!(out.cycles, 10);
         assert!(!out.stopped);
         assert!(bus.trace().total_slots() >= 3);
@@ -474,18 +360,22 @@ pub(crate) mod tests {
 
     #[test]
     fn drive_stops_on_request() {
-        let mut bus = OneShot::new();
         let mut completions = 0;
-        let out = drive(&mut bus, 1_000, |bus, _now, completed| {
-            if completed.is_some() {
-                completions += 1;
-                return Control::Stop;
-            }
-            if bus.owner().is_none() {
-                let _ = bus.post(5);
-            }
-            Control::Continue
-        });
+        let (out, _) = drive_with(
+            Engine::Naive,
+            OneShot::new(),
+            1_000,
+            |bus, _now, completed| {
+                if completed.is_some() {
+                    completions += 1;
+                    return Control::Stop;
+                }
+                if bus.owner().is_none() {
+                    let _ = bus.post(5);
+                }
+                Control::Continue
+            },
+        );
         assert!(out.stopped);
         assert_eq!(completions, 1);
         assert!(out.cycles < 1_000);
@@ -493,17 +383,22 @@ pub(crate) mod tests {
 
     #[test]
     fn drive_on_empty_horizon_is_a_no_op() {
-        let mut bus = OneShot::new();
-        let out = drive(&mut bus, 0, |_, _, _| Control::Continue);
-        assert_eq!(out.cycles, 0);
-        assert!(!out.stopped);
+        for engine in [Engine::Naive, Engine::Events] {
+            let mut visited = 0u64;
+            let (out, bus) = drive_with(engine, OneShot::new(), 0, |_, _, _| {
+                visited += 1;
+                Control::Continue
+            });
+            assert_eq!(out.cycles, 0);
+            assert!(!out.stopped);
+            assert_eq!((visited, bus.skipped), (0, 0), "{engine}");
+        }
     }
 
     #[test]
     fn drive_treats_sleep_as_continue() {
-        let mut bus = OneShot::new();
         let mut visited = 0u64;
-        let out = drive(&mut bus, 10, |_, _, _| {
+        let (out, bus) = drive_with(Engine::Naive, OneShot::new(), 10, |_, _, _| {
             visited += 1;
             Control::Sleep(Cycle::MAX)
         });
@@ -525,11 +420,9 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn drive_events_skips_but_matches_drive() {
-        let mut naive = OneShot::new();
-        let a = drive(&mut naive, 200, periodic(20));
-        let mut fast = OneShot::new();
-        let b = drive_events(&mut fast, 200, periodic(20));
+    fn events_engine_skips_but_matches_naive() {
+        let (a, naive) = drive_with(Engine::Naive, OneShot::new(), 200, periodic(20));
+        let (b, fast) = drive_with(Engine::Events, OneShot::new(), 200, periodic(20));
         assert_eq!(a, b);
         assert_eq!(naive.trace.total_slots(), fast.trace.total_slots());
         assert_eq!(
@@ -540,7 +433,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn drive_events_stops_at_the_same_cycle_as_drive() {
+    fn events_engine_stops_at_the_same_cycle_as_naive() {
         let stopper = |bus: &mut OneShot, _now: Cycle, completed: Option<&Cycle>| {
             if completed.is_some() {
                 return Control::Stop;
@@ -550,19 +443,18 @@ pub(crate) mod tests {
             }
             Control::Sleep(Cycle::MAX)
         };
-        let mut naive = OneShot::new();
-        let a = drive(&mut naive, 1_000, stopper);
-        let mut fast = OneShot::new();
-        let b = drive_events(&mut fast, 1_000, stopper);
+        let (a, _) = drive_with(Engine::Naive, OneShot::new(), 1_000, stopper);
+        let (b, fast) = drive_with(Engine::Events, OneShot::new(), 1_000, stopper);
         assert!(a.stopped && b.stopped);
         assert_eq!(a.cycles, b.cycles);
         assert!(fast.skipped > 0);
     }
 
     #[test]
-    fn drive_events_respects_the_safety_limit() {
-        let mut bus = OneShot::new();
-        let out = drive_events(&mut bus, 50, |_, _, _| Control::Sleep(Cycle::MAX));
+    fn events_engine_respects_the_safety_limit() {
+        let (out, bus) = drive_with(Engine::Events, OneShot::new(), 50, |_, _, _| {
+            Control::Sleep(Cycle::MAX)
+        });
         assert_eq!(out.cycles, 50);
         assert!(!out.stopped);
         // One executed cycle + 49 bulk-advanced ones.
@@ -570,7 +462,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn drive_events_steps_when_the_bus_cannot_predict() {
+    fn events_engine_steps_when_the_bus_cannot_predict() {
         /// A model whose `next_event` keeps the default `None`.
         #[derive(Debug)]
         struct Opaque(OneShot);
@@ -594,14 +486,25 @@ pub(crate) mod tests {
                 self.0.trace()
             }
         }
-        let mut bus = Opaque(OneShot::new());
-        let mut visited = 0u64;
-        let out = drive_events(&mut bus, 30, |_, _, _| {
-            visited += 1;
-            Control::Sleep(Cycle::MAX)
-        });
+        let sleeper =
+            FnAgent(|_: &mut Opaque, _: Cycle, _: Option<&Cycle>| Control::Sleep(Cycle::MAX));
+        let mut sim = Simulation::builder()
+            .model(Opaque(OneShot::new()))
+            .agent(sleeper)
+            .engine(Engine::Events)
+            .max_cycles(30)
+            .build();
+        let out = sim.run();
         assert_eq!(out.cycles, 30);
-        assert_eq!(visited, 30, "default next_event must disable skipping");
-        assert_eq!(bus.0.skipped, 0);
+        // The model is stepped through every cycle, while the agent
+        // sleeps through all of them after its first tick.
+        let counters = sim.counters();
+        assert_eq!((counters.executed_cycles, counters.skipped_cycles), (30, 0));
+        assert_eq!(
+            counters.ticks,
+            [1],
+            "default next_event must disable skipping"
+        );
+        assert_eq!(sim.model().0.skipped, 0);
     }
 }

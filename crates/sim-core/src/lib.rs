@@ -13,7 +13,7 @@ pub mod stats;
 pub mod trace;
 
 pub use agent::{AgentStats, MemStats, SimAgent};
-pub use engine::{drive, drive_events, BusModel, Control, DriveOutcome, TickOutcome};
+pub use engine::{BusModel, Control, DriveOutcome, TickOutcome};
 pub use probe::{ModelEvent, NoProbe, Probe};
 pub use sim::{BoxedAgent, Engine, EngineCounters, Simulation, SimulationBuilder, StopWhen};
 

@@ -1,11 +1,11 @@
 //! The [`Simulation`] facade: model + agents + stop condition + engine +
 //! probe, runnable as a library call.
 //!
-//! Before this facade, driving a simulation meant hand-rolling the
-//! [`drive`](crate::drive) closure: tick every client, evaluate the stop
-//! condition, aggregate sleep horizons, absorb skipped cycles. The
-//! builder packages that loop once, for any [`BusModel`] and any set of
-//! [`SimAgent`]s:
+//! [`Simulation::run`] is the one cycle loop of the workspace: it ticks
+//! every client, evaluates the stop condition, aggregates sleep horizons
+//! and absorbs skipped cycles, for any [`BusModel`] and any set of
+//! [`SimAgent`]s (a harness that posts traffic by hand hands its closure
+//! to the builder as an [`FnAgent`](crate::agent::FnAgent)):
 //!
 //! ```
 //! use sim_core::agent::{Idle, SimAgent};
@@ -74,14 +74,13 @@
 //! assert_eq!(sim.model().trace().total_slots(), 5);
 //! ```
 //!
-//! The loop reproduces [`drive`](crate::drive) /
-//! [`drive_events`](crate::drive_events) **bit for bit** (same cycles
-//! executed, same skip decisions, same stop cycle) while additionally
-//! feeding a [`Probe`]; the workspace's identity tests pin this through
-//! the platform layer. On top of the event-horizon skips, the events
-//! engine ticks an agent only when it is due or addressed by the cycle's
-//! completion (its wake calendar), and fast-forwards whole periods of
-//! runs that settle into a limit cycle (see [`Simulation::run`]).
+//! Its two engines agree **bit for bit**: [`Engine::Naive`] steps every
+//! cycle and ticks every agent, while [`Engine::Events`] skips the cycle
+//! ranges in which neither the model nor any agent can act, ticks an
+//! agent only when it is due or addressed by the cycle's completion (its
+//! wake calendar), and fast-forwards whole periods of runs that settle
+//! into a limit cycle (see [`Simulation::run`]). The workspace's identity
+//! tests pin this across every bus variant, policy and agent kind.
 
 use crate::agent::SimAgent;
 use crate::engine::{BusModel, Control, DriveOutcome};
@@ -90,8 +89,9 @@ use crate::{CoreId, Cycle};
 use std::iter::zip;
 
 /// A boxed agent driving model `M` (the common currency of
-/// [`SimulationBuilder::agent`]).
-pub type BoxedAgent<M> = Box<dyn SimAgent<M, <M as BusModel>::Completion>>;
+/// [`SimulationBuilder::agent`]), which may borrow data that lives for
+/// `'a`.
+pub type BoxedAgent<'a, M> = Box<dyn SimAgent<M, <M as BusModel>::Completion> + 'a>;
 
 /// When a [`Simulation`] run stops (besides the `max_cycles` safety
 /// limit, which always applies).
@@ -109,7 +109,7 @@ pub enum StopWhen {
 
 /// Which cycle loop executes the run. [`Engine::Events`] and
 /// [`Engine::Naive`] produce bit-identical results; see
-/// [`drive`](crate::drive) and [`drive_events`](crate::drive_events).
+/// [`Simulation::run`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// The event-horizon fast path: skips provably uneventful cycle
@@ -151,10 +151,11 @@ pub struct EngineCounters {
 
 /// A fully assembled simulation: one model, its agents, a stop
 /// condition, an engine and a probe. Built by [`Simulation::builder`];
-/// see the [module documentation](self) for an end-to-end example.
-pub struct Simulation<M: BusModel, P: Probe<M::Completion> = NoProbe> {
+/// see the [module documentation](self) for an end-to-end example. Its
+/// agents may borrow data that lives for `'a`.
+pub struct Simulation<'a, M: BusModel, P: Probe<M::Completion> = NoProbe> {
     model: M,
-    agents: Vec<BoxedAgent<M>>,
+    agents: Vec<BoxedAgent<'a, M>>,
     stop: StopWhen,
     engine: Engine,
     max_cycles: Cycle,
@@ -163,10 +164,10 @@ pub struct Simulation<M: BusModel, P: Probe<M::Completion> = NoProbe> {
     counters: EngineCounters,
 }
 
-impl<M: BusModel> Simulation<M, NoProbe> {
+impl<'a, M: BusModel> Simulation<'a, M, NoProbe> {
     /// Starts assembling a simulation. The model type is inferred from
     /// the [`model`](SimulationBuilder::model) call.
-    pub fn builder() -> SimulationBuilder<M, NoProbe> {
+    pub fn builder() -> SimulationBuilder<'a, M, NoProbe> {
         SimulationBuilder {
             model: None,
             agents: Vec::new(),
@@ -178,15 +179,30 @@ impl<M: BusModel> Simulation<M, NoProbe> {
     }
 }
 
-impl<M: BusModel, P: Probe<M::Completion>> Simulation<M, P> {
+impl<'a, M: BusModel, P: Probe<M::Completion>> Simulation<'a, M, P> {
     /// Drives the simulation to its stop condition (or the `max_cycles`
     /// safety limit) and returns the outcome.
     ///
-    /// The loop is bit-identical to [`drive`](crate::drive) (naive
-    /// engine) / [`drive_events`](crate::drive_events) (events engine)
-    /// wrapped around the canonical client-ticking closure: the cycles
-    /// executed, the skip decisions and the stop cycle are the same, and
-    /// so is every agent's accounting.
+    /// Each executed cycle runs the model's three phases around the
+    /// agents' ticks: [`begin_cycle`](BusModel::begin_cycle), the ticks
+    /// (which post), [`end_cycle`](BusModel::end_cycle). The stop
+    /// condition is checked after each executed cycle; an agent's
+    /// [`Control::Stop`] ends the run after the cycle it was returned in.
+    ///
+    /// # Event horizon
+    ///
+    /// After an executed cycle, when every active agent sleeps past the
+    /// next cycle and the model bounds its own next event through
+    /// [`next_event`](BusModel::next_event), the events engine
+    /// bulk-advances the model with [`advance`](BusModel::advance) and
+    /// resumes at the earliest of the agents' due cycles, the model's
+    /// event, `max_cycles` and a [`StopWhen::Horizon`] stop's last cycle.
+    /// Whenever either side declines (an agent wants the next cycle, or
+    /// `next_event` returns `None`) it steps one cycle, so it degrades to
+    /// the per-cycle loop of [`Engine::Naive`], which reads every verdict
+    /// as [`Control::Continue`]. Skipped ranges contain, by contract, no
+    /// completion, grant, post or RNG draw, so both engines produce the
+    /// same grant trace, statistics, cycle counters and stop cycle.
     ///
     /// # Wake calendar
     ///
@@ -385,12 +401,12 @@ impl<M: BusModel, P: Probe<M::Completion>> Simulation<M, P> {
     }
 
     /// The agents, in the order they were added.
-    pub fn agents(&self) -> &[BoxedAgent<M>] {
+    pub fn agents(&self) -> &[BoxedAgent<'a, M>] {
         &self.agents
     }
 
     /// Mutable access to the agents (e.g. to reset them between runs).
-    pub fn agents_mut(&mut self) -> &mut [BoxedAgent<M>] {
+    pub fn agents_mut(&mut self) -> &mut [BoxedAgent<'a, M>] {
         &mut self.agents
     }
 
@@ -420,7 +436,7 @@ impl<M: BusModel, P: Probe<M::Completion>> Simulation<M, P> {
     }
 
     /// Decomposes the simulation into its parts (model, agents, probe).
-    pub fn into_parts(self) -> (M, Vec<BoxedAgent<M>>, P) {
+    pub fn into_parts(self) -> (M, Vec<BoxedAgent<'a, M>>, P) {
         (self.model, self.agents, self.probe)
     }
 }
@@ -438,7 +454,7 @@ fn forward_event<C, P: Probe<C>>(probe: &mut P, event: ModelEvent) {
 /// calendar's `seen` entries move up to `end`).
 fn absorb_until<M: BusModel>(
     end: Cycle,
-    agents: &mut [BoxedAgent<M>],
+    agents: &mut [BoxedAgent<'_, M>],
     active: &[usize],
     seen: &mut [Cycle],
 ) {
@@ -482,7 +498,7 @@ struct LimitCycles {
 impl LimitCycles {
     /// The detector for a run, if the model and every active agent
     /// accept the limit-cycle hooks.
-    fn new<M: BusModel>(model: &M, agents: &[BoxedAgent<M>], active: &[usize]) -> Option<Self> {
+    fn new<M: BusModel>(model: &M, agents: &[BoxedAgent<'_, M>], active: &[usize]) -> Option<Self> {
         let mut lc = LimitCycles {
             stride: 1,
             budget: 1,
@@ -497,7 +513,7 @@ impl LimitCycles {
         &mut self,
         now: Cycle,
         model: &M,
-        agents: &[BoxedAgent<M>],
+        agents: &[BoxedAgent<'_, M>],
         active: &[usize],
     ) -> bool {
         self.state.clear();
@@ -532,7 +548,7 @@ impl LimitCycles {
         now: Cycle,
         last_landing: Cycle,
         model: &mut M,
-        agents: &mut [BoxedAgent<M>],
+        agents: &mut [BoxedAgent<'_, M>],
         active: &[usize],
     ) -> Option<Cycle> {
         self.collect(now, model, agents, active);
@@ -571,7 +587,7 @@ impl LimitCycles {
         period: Cycle,
         room: Cycle,
         model: &mut M,
-        agents: &mut [BoxedAgent<M>],
+        agents: &mut [BoxedAgent<'_, M>],
         active: &[usize],
     ) -> Option<Cycle> {
         let deltas: Vec<u64> = zip(&self.counters, &self.saved_counters)
@@ -598,16 +614,16 @@ impl LimitCycles {
 }
 
 /// Assembles a [`Simulation`]; created by [`Simulation::builder`].
-pub struct SimulationBuilder<M: BusModel, P: Probe<M::Completion> = NoProbe> {
+pub struct SimulationBuilder<'a, M: BusModel, P: Probe<M::Completion> = NoProbe> {
     model: Option<M>,
-    agents: Vec<BoxedAgent<M>>,
+    agents: Vec<BoxedAgent<'a, M>>,
     stop: StopWhen,
     engine: Engine,
     max_cycles: Cycle,
     probe: P,
 }
 
-impl<M: BusModel, P: Probe<M::Completion>> SimulationBuilder<M, P> {
+impl<'a, M: BusModel, P: Probe<M::Completion>> SimulationBuilder<'a, M, P> {
     /// Sets the interconnect model (a flat bus, a split bus, a fabric —
     /// anything implementing [`BusModel`]). Required.
     pub fn model(mut self, model: M) -> Self {
@@ -617,19 +633,19 @@ impl<M: BusModel, P: Probe<M::Completion>> SimulationBuilder<M, P> {
 
     /// Adds one agent. The agents ticked at a cycle tick in insertion
     /// order; index 0 is the platform's "task under analysis" slot.
-    pub fn agent(mut self, agent: impl SimAgent<M, M::Completion> + 'static) -> Self {
+    pub fn agent(mut self, agent: impl SimAgent<M, M::Completion> + 'a) -> Self {
         self.agents.push(Box::new(agent));
         self
     }
 
     /// Adds one already-boxed agent (the currency of agent registries).
-    pub fn agent_boxed(mut self, agent: BoxedAgent<M>) -> Self {
+    pub fn agent_boxed(mut self, agent: BoxedAgent<'a, M>) -> Self {
         self.agents.push(agent);
         self
     }
 
     /// Adds a batch of boxed agents, in order.
-    pub fn agents(mut self, agents: impl IntoIterator<Item = BoxedAgent<M>>) -> Self {
+    pub fn agents(mut self, agents: impl IntoIterator<Item = BoxedAgent<'a, M>>) -> Self {
         self.agents.extend(agents);
         self
     }
@@ -656,7 +672,7 @@ impl<M: BusModel, P: Probe<M::Completion>> SimulationBuilder<M, P> {
 
     /// Attaches a streaming observer, replacing the zero-cost
     /// [`NoProbe`] default.
-    pub fn observe<Q: Probe<M::Completion>>(self, probe: Q) -> SimulationBuilder<M, Q> {
+    pub fn observe<Q: Probe<M::Completion>>(self, probe: Q) -> SimulationBuilder<'a, M, Q> {
         SimulationBuilder {
             model: self.model,
             agents: self.agents,
@@ -672,7 +688,7 @@ impl<M: BusModel, P: Probe<M::Completion>> SimulationBuilder<M, P> {
     /// # Panics
     ///
     /// Panics if no model was set.
-    pub fn build(self) -> Simulation<M, P> {
+    pub fn build(self) -> Simulation<'a, M, P> {
         Simulation {
             model: self.model.expect("Simulation::builder needs a model"),
             agents: self.agents,
@@ -688,7 +704,7 @@ impl<M: BusModel, P: Probe<M::Completion>> SimulationBuilder<M, P> {
     /// Convenience: [`build`](SimulationBuilder::build) then
     /// [`run`](Simulation::run), returning the finished simulation for
     /// result extraction (its [`outcome`](Simulation::outcome) is set).
-    pub fn run(self) -> Simulation<M, P> {
+    pub fn run(self) -> Simulation<'a, M, P> {
         let mut sim = self.build();
         sim.run();
         sim
@@ -768,7 +784,7 @@ mod tests {
         }
     }
 
-    fn run_with(engine: Engine) -> (Simulation<OneShot>, DriveOutcome) {
+    fn run_with(engine: Engine) -> (Simulation<'static, OneShot>, DriveOutcome) {
         let mut sim = Simulation::builder()
             .model(OneShot::new())
             .agent(Periodic::new(5))
@@ -1124,7 +1140,7 @@ mod tests {
 
     /// A task of `tua` requests (endless for `None`) on core 0 against a
     /// saturating and a gapped feeder; core 3 is left free.
-    fn ring(engine: Engine, tua: Option<u64>) -> SimulationBuilder<Ring> {
+    fn ring(engine: Engine, tua: Option<u64>) -> SimulationBuilder<'static, Ring> {
         Simulation::builder()
             .model(ring_model())
             .agent(Feeder::new(0, 3, 2, tua))
@@ -1148,7 +1164,9 @@ mod tests {
     /// Runs the builder under both engines and checks the events run
     /// against the naive one; returns the events run's jumps as counted
     /// by the model and by the agents.
-    fn jumps_matching_naive(build: impl Fn(Engine) -> SimulationBuilder<Ring>) -> (u64, u64) {
+    fn jumps_matching_naive(
+        build: impl Fn(Engine) -> SimulationBuilder<'static, Ring>,
+    ) -> (u64, u64) {
         FEEDER_JUMPS.with(|j| j.set(0));
         let naive = build(Engine::Naive).run();
         assert_eq!(naive.model().jumps + FEEDER_JUMPS.with(Cell::get), 0);
@@ -1274,7 +1292,10 @@ mod tests {
     /// 0, a saturating feeder on core 1 and a gapped one on core 2, after
     /// an idle slot that keeps calendar entries and agent indices apart.
     /// Returns the finished run and the feeders' logs in agent order.
-    fn logged_ring(engine: Engine, precise: bool) -> (Simulation<Ring>, Vec<Rc<RefCell<TickLog>>>) {
+    fn logged_ring(
+        engine: Engine,
+        precise: bool,
+    ) -> (Simulation<'static, Ring>, Vec<Rc<RefCell<TickLog>>>) {
         let feeders = [
             Feeder::new(0, 3, 2, Some(400)),
             Feeder::new(1, 5, 0, None),

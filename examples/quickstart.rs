@@ -25,7 +25,7 @@ fn main() {
                 }
             );
             let spec = RunSpec::paper(setup.clone(), scenario, CoreLoad::named("matrix"));
-            let mean = Campaign::new(spec, runs, 2017).run().mean();
+            let mean = Campaign::new(spec, runs, 2017).run().mean;
             results.push((label, mean));
         }
     }

@@ -17,3 +17,9 @@ pub use cba_mem;
 pub use cba_platform;
 pub use cba_workloads;
 pub use sim_core;
+
+/// The repository's `README.md`, collected by `cargo test --doc` so its
+/// Rust example keeps compiling against the workspace.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct Readme;

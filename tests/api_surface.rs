@@ -68,7 +68,7 @@ fn sim_core_public_surface_matches_the_committed_snapshot() {
         "pub trait Probe",
         "pub struct Simulation",
         "pub trait BusModel",
-        "pub fn drive",
+        "pub struct FnAgent",
     ] {
         assert!(
             current.lines().any(|l| l.contains(item)),

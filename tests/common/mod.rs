@@ -1,6 +1,11 @@
-//! Helpers shared by the integration tests that watch the events engine's
-//! limit-cycle jump: a contender that counts the jumps it takes part in,
-//! and a fingerprint of every counter a fabric keeps, segment by segment.
+//! Helpers shared by the integration tests: a contender that counts the
+//! limit-cycle jumps it takes part in, a fingerprint of every counter a
+//! fabric keeps, segment by segment, and an exact comparison of two
+//! report cells.
+
+// Every test binary that declares `mod common` compiles all of it but
+// uses only some helpers.
+#![allow(dead_code)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -8,6 +13,7 @@ use std::sync::Arc;
 use cba_bus::fabric::Fabric;
 use cba_bus::{Bus, CompletedTransaction, RequestPort};
 use cba_cpu::Contender;
+use cba_platform::CellReport;
 use sim_core::agent::{AgentStats, SimAgent};
 use sim_core::rng::SimRng;
 use sim_core::{Control, CoreId, Cycle};
@@ -93,4 +99,28 @@ pub fn fabric_print(fabric: &Fabric) -> FabricPrint {
             .collect(),
         ends: (trace.first_start(), trace.last_end()),
     }
+}
+
+/// Exact-equality comparison of two cell reports (no float tolerance).
+pub fn assert_cells_identical(a: &CellReport, b: &CellReport, what: &str) {
+    assert_eq!(a.labels, b.labels, "{what}");
+    assert_eq!(a.seed, b.seed, "{what}");
+    assert_eq!(a.runs, b.runs, "{what}");
+    assert_eq!(a.unfinished, b.unfinished, "{what}");
+    assert_eq!(a.mean, b.mean, "{what}: mean");
+    assert_eq!(a.ci95, b.ci95, "{what}: ci95");
+    assert_eq!(a.min, b.min, "{what}: min");
+    assert_eq!(a.max, b.max, "{what}: max");
+    assert_eq!(a.percentiles, b.percentiles, "{what}: percentiles");
+    assert_eq!(a.utilization, b.utilization, "{what}: utilization");
+    assert_eq!(a.normalized, b.normalized, "{what}: normalized");
+    assert_eq!(a.normalized_ci95, b.normalized_ci95, "{what}");
+    assert_eq!(a.cluster_shares, b.cluster_shares, "{what}: shares");
+    assert_eq!(a.cluster_fairness, b.cluster_fairness, "{what}");
+    assert_eq!(a.mem_miss_rate, b.mem_miss_rate, "{what}: mem_miss_rate");
+    assert_eq!(
+        a.mem_coherence_frac, b.mem_coherence_frac,
+        "{what}: mem_coherence_frac"
+    );
+    assert_eq!(a.mem_writebacks, b.mem_writebacks, "{what}: mem_writebacks");
 }

@@ -2,7 +2,10 @@
 //! `(spec, seed)`, campaigns are order- and thread-count-independent, and
 //! the two arbiter randomness sources are each deterministic.
 
-use cba_platform::{run_once, BusSetup, Campaign, CoreLoad, RunSpec, Scenario};
+use cba_platform::{run_once, run_seed, BusSetup, Campaign, CoreLoad, RunSpec, Scenario};
+
+mod common;
+use common::assert_cells_identical;
 
 fn spec() -> RunSpec {
     RunSpec::paper(
@@ -37,8 +40,8 @@ fn campaigns_reproduce_across_thread_counts() {
     let s1 = Campaign::new(spec(), 12, 77).with_threads(1).run();
     let s4 = Campaign::new(spec(), 12, 77).with_threads(4).run();
     let s16 = Campaign::new(spec(), 12, 77).with_threads(16).run();
-    assert_eq!(s1.samples(), s4.samples());
-    assert_eq!(s1.samples(), s16.samples());
+    assert_cells_identical(&s1, &s4, "4 threads");
+    assert_cells_identical(&s1, &s16, "16 threads");
 }
 
 #[test]
@@ -66,11 +69,12 @@ fn randomness_sources_differ_from_each_other() {
 
 #[test]
 fn campaign_seed_schedule_is_stable() {
-    // seed_for must not depend on execution order (guards the parallel
-    // scheduler against accidental reseeding-by-completion-order).
-    let campaign = Campaign::new(spec(), 100, 42);
-    let early = campaign.seed_for(3);
-    let late = campaign.seed_for(97);
+    // A run's seed depends on the master seed and its index alone, not
+    // on execution order (guards the parallel scheduler against
+    // accidental reseeding-by-completion-order).
+    let early = run_seed(42, 3);
+    let late = run_seed(42, 97);
     assert_ne!(early, late);
-    assert_eq!(early, Campaign::new(spec(), 100, 42).seed_for(3));
+    assert_eq!(early, run_seed(42, 3));
+    assert_ne!(early, run_seed(43, 3));
 }

@@ -16,7 +16,7 @@ use sim_core::{CoreId, Engine, EngineCounters, Simulation, StopWhen};
 
 /// The `matrix` benchmark through the core model on core 0 of an RP bus,
 /// beside `contenders` saturating 56-cycle contenders, until it is done.
-fn matrix_run(contenders: usize, engine: Engine) -> Simulation<Bus> {
+fn matrix_run(contenders: usize, engine: Engine) -> Simulation<'static, Bus> {
     let n = 1 + contenders;
     let mut rng = SimRng::seed_from(2017);
     let program = cba_workloads::by_name("matrix").expect("catalog benchmark");

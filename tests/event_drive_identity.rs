@@ -1,5 +1,6 @@
 //! Bit-identity of the event-horizon fast path against the naive
-//! per-cycle loop — the workspace-level contract of `sim_core::drive_events`.
+//! per-cycle loop — the workspace-level contract of the two engines of
+//! `sim_core::Simulation::run`.
 //!
 //! The fast path may only skip cycles in which *nothing observable*
 //! happens, so every run must agree with the reference loop bit for bit:
@@ -13,16 +14,16 @@ use cba::{CreditConfig, CreditFilter};
 use cba_bus::split::{SplitBus, SplitBusConfig, SplitRequest};
 use cba_bus::PolicyKind;
 use cba_platform::scenario::ScenarioDef;
-use cba_platform::{run_once, DriveMode, RunResult, RunSpec};
-use sim_core::engine::{drive, drive_events, Control};
+use cba_platform::{run_once, RunResult, RunSpec};
+use sim_core::agent::FnAgent;
 use sim_core::rng::SimRng;
-use sim_core::{CoreId, Cycle};
+use sim_core::{Control, CoreId, Cycle, Engine, Simulation};
 
 fn both_engines(spec: &RunSpec, seed: u64) -> (RunResult, RunResult) {
     let mut naive = spec.clone();
-    naive.drive = DriveMode::Naive;
+    naive.drive = Engine::Naive;
     let mut events = spec.clone();
-    events.drive = DriveMode::Events;
+    events.drive = Engine::Events;
     (run_once(&naive, seed), run_once(&events, seed))
 }
 
@@ -273,7 +274,7 @@ fn split_bus_runs_are_bit_identical() {
     ] {
         for with_cba in [false, true] {
             for seed in [5u64, 99] {
-                let run = |fast: bool| -> SplitRunView {
+                let run = |engine: Engine| -> SplitRunView {
                     let mut bus =
                         SplitBus::new(SplitBusConfig::paper(), policy.build(4, 56)).unwrap();
                     if with_cba {
@@ -309,12 +310,14 @@ fn split_bus_runs_are_bit_identical() {
                         // events (completions) can create client work.
                         Control::Sleep(Cycle::MAX)
                     };
-                    let outcome = if fast {
-                        drive_events(&mut bus, 40_000, cycle_fn)
-                    } else {
-                        drive(&mut bus, 40_000, cycle_fn)
-                    };
-                    assert_eq!(outcome.cycles, 40_000);
+                    let mut sim = Simulation::builder()
+                        .model(bus)
+                        .agent(FnAgent(cycle_fn))
+                        .engine(engine)
+                        .max_cycles(40_000)
+                        .build();
+                    assert_eq!(sim.run().cycles, 40_000);
+                    let (bus, ..) = sim.into_parts();
                     let inner = bus.inner();
                     let ids: Vec<CoreId> = (0..4).map(CoreId::from_index).collect();
                     SplitRunView {
@@ -325,8 +328,8 @@ fn split_bus_runs_are_bit_identical() {
                         total_cycles: inner.total_cycles(),
                     }
                 };
-                let naive = run(false);
-                let fast = run(true);
+                let naive = run(Engine::Naive);
+                let fast = run(Engine::Events);
                 assert_eq!(
                     naive, fast,
                     "split-bus divergence: policy {policy:?}, cba {with_cba}, seed {seed}"

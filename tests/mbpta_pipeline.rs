@@ -130,8 +130,8 @@ fn wcet_mode_contention_dominates_lighter_contention() {
         CoreLoad::Profile(profile),
     );
     light_spec.wcet_mode = false;
-    let max_mean = Campaign::new(max_spec, 30, 3).run().mean();
-    let light_mean = Campaign::new(light_spec, 30, 3).run().mean();
+    let max_mean = Campaign::new(max_spec, 30, 3).run().mean;
+    let light_mean = Campaign::new(light_spec, 30, 3).run().mean;
     assert!(
         max_mean >= light_mean,
         "max contention ({max_mean}) must dominate light contention ({light_mean})"

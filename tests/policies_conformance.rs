@@ -2,30 +2,32 @@
 //! arbitration policy drives a real bus with saturating clients and must
 //! uphold its documented invariants.
 
-use cba_bus::{drive, Bus, BusConfig, Control, PolicyKind};
+use cba_bus::{Bus, BusConfig, PolicyKind};
 use cba_cpu::Contender;
-use sim_core::CoreId;
+use sim_core::{CoreId, Engine, Simulation};
 
 fn c(i: usize) -> CoreId {
     CoreId::from_index(i)
 }
 
-/// Drives `clients` against `bus` for `cycles` through the shared engine.
-fn run_clients(bus: &mut Bus, clients: &mut [Contender], cycles: u64) {
-    drive(bus, cycles, |bus, now, done| {
-        for k in clients.iter_mut() {
-            k.tick(now, done, bus);
-        }
-        Control::Continue
-    });
+/// Drives `clients` against `bus` for `cycles` on the per-cycle engine;
+/// returns the bus.
+fn run_clients(bus: Bus, clients: Vec<Contender>, cycles: u64) -> Bus {
+    let mut builder = Simulation::builder()
+        .model(bus)
+        .engine(Engine::Naive)
+        .max_cycles(cycles);
+    for k in clients {
+        builder = builder.agent(k);
+    }
+    builder.run().into_parts().0
 }
 
 /// Runs 4 saturating contenders with equal request durations for `cycles`.
 fn run_saturated(kind: PolicyKind, duration: u32, cycles: u64) -> Bus {
-    let mut bus = Bus::new(BusConfig::new(4, 56).unwrap(), kind.build(4, 56));
-    let mut clients: Vec<Contender> = (0..4).map(|i| Contender::new(c(i), duration)).collect();
-    run_clients(&mut bus, &mut clients, cycles);
-    bus
+    let bus = Bus::new(BusConfig::new(4, 56).unwrap(), kind.build(4, 56));
+    let clients: Vec<Contender> = (0..4).map(|i| Contender::new(c(i), duration)).collect();
+    run_clients(bus, clients, cycles)
 }
 
 #[test]
@@ -104,11 +106,11 @@ fn fixed_priority_starves_everyone_below_the_top() {
 fn slot_fairness_is_not_cycle_fairness_with_mixed_durations() {
     // Core 0 issues 5-cycle requests, cores 1..3 issue 56-cycle requests.
     for kind in [PolicyKind::RoundRobin, PolicyKind::RandomPermutation] {
-        let mut bus = Bus::new(BusConfig::new(4, 56).unwrap(), kind.build(4, 56));
-        let mut clients: Vec<Contender> = (0..4)
+        let bus = Bus::new(BusConfig::new(4, 56).unwrap(), kind.build(4, 56));
+        let clients: Vec<Contender> = (0..4)
             .map(|i| Contender::new(c(i), if i == 0 { 5 } else { 56 }))
             .collect();
-        run_clients(&mut bus, &mut clients, 50_000);
+        let bus = run_clients(bus, clients, 50_000);
         let report = bus.trace().share_report();
         assert!(
             report.slot_fairness() > 0.99,
@@ -137,11 +139,11 @@ fn cba_filter_composes_with_every_policy() {
         bus.set_filter(Box::new(CreditFilter::new(
             CreditConfig::homogeneous(4, 56).unwrap(),
         )));
-        let mut clients: Vec<Contender> = (0..4)
+        let clients: Vec<Contender> = (0..4)
             .map(|i| Contender::new(c(i), if i == 0 { 5 } else { 56 }))
             .collect();
         let horizon = 100_000u64;
-        run_clients(&mut bus, &mut clients, horizon);
+        let bus = run_clients(bus, clients, horizon);
         // Every core gets served, and no long-request core exceeds its
         // 1/N cycle entitlement.
         for i in 0..4 {

@@ -21,13 +21,13 @@ use cba::CreditConfig;
 use cba_bus::{CompletedTransaction, PolicyKind, RequestPort};
 use cba_platform::campaign::run_seed;
 use cba_platform::{
-    run_once, run_once_with, AgentRegistry, BoxedPortAgent, BusSetup, CoreLoad, DriveMode,
-    FabricTopology, PlatformConfig, RunResult, RunSpec, Scenario, StopCondition,
+    run_once, run_once_with, AgentRegistry, BoxedPortAgent, BusSetup, CoreLoad, FabricTopology,
+    PlatformConfig, RunResult, RunSpec, Scenario, StopCondition,
 };
 use cba_workloads::{suite, EembcProfile};
 use sim_core::agent::{AgentStats, SimAgent};
 use sim_core::rng::SimRng;
-use sim_core::{Control, Cycle};
+use sim_core::{Control, Cycle, Engine};
 
 /// Cells per harness run (the issue's floor is 200; the two tests below
 /// split them between flat and fabric platforms).
@@ -164,7 +164,7 @@ fn gen_fabric_spec(rng: &mut SimRng) -> RunSpec {
     spec
 }
 
-fn run_with(spec: &RunSpec, drive: DriveMode, seed: u64) -> RunResult {
+fn run_with(spec: &RunSpec, drive: Engine, seed: u64) -> RunResult {
     let mut s = spec.clone();
     s.drive = drive;
     run_once(&s, seed)
@@ -173,8 +173,8 @@ fn run_with(spec: &RunSpec, drive: DriveMode, seed: u64) -> RunResult {
 /// Cross-checks one generated cell through both engines. `repro`
 /// identifies the failing cell for reproduction.
 fn check_cell(spec: &RunSpec, seed: u64, repro: &str) {
-    let naive = run_with(spec, DriveMode::Naive, seed);
-    let events = run_with(spec, DriveMode::Events, seed);
+    let naive = run_with(spec, Engine::Naive, seed);
+    let events = run_with(spec, Engine::Events, seed);
     assert_eq!(
         naive, events,
         "{repro}: naive and events engines diverged\nspec: {spec:?}"
@@ -436,9 +436,9 @@ fn randomized_core_model_cells_agree_across_engines() {
         spec.validate()
             .unwrap_or_else(|e| panic!("generator produced invalid spec: {e}"));
         let seed = run_seed(master, cell);
-        spec.drive = DriveMode::Naive;
+        spec.drive = Engine::Naive;
         let naive = run_recorded(&spec, seed);
-        spec.drive = DriveMode::Events;
+        spec.drive = Engine::Events;
         let events = run_recorded(&spec, seed);
         assert_eq!(
             naive, events,

@@ -210,7 +210,7 @@ fn agent_reset_reuse_through_the_simulation_facade() {
         )));
         bus
     };
-    let run = |bus: Bus, agents: Vec<BoxedAgent<Bus>>| -> (Fingerprint, Simulation<Bus>) {
+    let run = |bus: Bus, agents: Vec<BoxedAgent<'static, Bus>>| -> (Fingerprint, Simulation<Bus>) {
         let mut sim = Simulation::builder()
             .model(bus)
             .agents(agents)
@@ -336,7 +336,7 @@ fn fabric_reset_reuse_after_a_jump_equals_fresh_model() {
         }
         agents
     };
-    let run = |fabric: Fabric, agents: Vec<BoxedAgent<Fabric>>| {
+    let run = |fabric: Fabric, agents: Vec<BoxedAgent<'static, Fabric>>| {
         let mut sim = Simulation::builder()
             .model(fabric)
             .agents(agents)

@@ -161,22 +161,16 @@ fn paper_fig1_cell_means_match_the_fig1_driver_bit_for_bit() {
         .map(|b| Campaign::new(b.spec.clone(), 3, b.seed).run())
         .collect();
     // Bar 0 is RP-ISO, the baseline of the single benchmark.
-    let base = campaigns[0].mean();
+    let base = campaigns[0].mean;
 
     assert_eq!(report.cells.len(), bars.len());
     for ((cell, bar), campaign) in report.cells.iter().zip(&bars).zip(&campaigns) {
         assert_eq!(cell.labels, bar.labels);
         assert_eq!(cell.seed, bar.seed, "cell {:?}", cell.labels);
-        let summary = campaign.summary();
-        assert_eq!(cell.mean, summary.mean(), "means must be bit-identical");
-        assert_eq!(
-            cell.ci95,
-            summary.ci95_half_width(),
-            "cell {:?}",
-            cell.labels
-        );
-        assert_eq!(cell.normalized, Some(summary.mean() / base));
-        assert_eq!(cell.normalized_ci95, Some(summary.ci95_half_width() / base));
+        assert_eq!(cell.mean, campaign.mean, "means must be bit-identical");
+        assert_eq!(cell.ci95, campaign.ci95, "cell {:?}", cell.labels);
+        assert_eq!(cell.normalized, Some(campaign.mean / base));
+        assert_eq!(cell.normalized_ci95, Some(campaign.ci95 / base));
     }
 }
 

@@ -24,11 +24,11 @@ use cba_cpu::{Contender, FixedRequestTask, PeriodicContender};
 use cba_platform::agents::default_registry;
 use cba_platform::campaign::run_seed;
 use cba_platform::config::{FabricTopology, PlatformConfig};
-use cba_platform::executor::{default_threads, run_indexed};
+use cba_platform::executor::{default_threads, run_indexed_streamed};
 use cba_platform::scenario::{parse_engine, ScenarioDef};
 use cba_platform::{
-    run_once, run_once_with, AgentCtx, AgentRegistry, BusSetup, Campaign, CoreLoad, DriveMode,
-    PortAgent, RunResult, RunSpec, Scenario, StopCondition,
+    run_once, run_once_with, AgentCtx, AgentRegistry, BusSetup, Campaign, CoreLoad, PortAgent,
+    RunResult, RunSpec, Scenario, StopCondition,
 };
 use sim_core::agent::AgentStats;
 use sim_core::lfsr::LfsrBank;
@@ -36,15 +36,15 @@ use sim_core::rng::SimRng;
 use sim_core::{BoxedAgent, CoreId, DriveOutcome, Engine, Simulation, StopWhen};
 
 mod common;
-use common::{fabric_print, CountedContender, FabricPrint};
+use common::{assert_cells_identical, fabric_print, CountedContender, FabricPrint};
 
 /// Runs `spec` under the naive engine and the default engine with the
 /// same seed.
 fn both(spec: &RunSpec, seed: u64) -> (RunResult, RunResult) {
     let mut naive = spec.clone();
-    naive.drive = DriveMode::Naive;
+    naive.drive = Engine::Naive;
     let mut events = spec.clone();
-    events.drive = DriveMode::default();
+    events.drive = Engine::default();
     (run_once(&naive, seed), run_once(&events, seed))
 }
 
@@ -72,17 +72,18 @@ fn naive_matches_events_on_every_shipped_scenario() {
             }
         }
     }
-    run_indexed(cells.len(), default_threads(), |i| {
+    let check = |i: usize| {
         let (name, cell) = &cells[i];
         let (naive, events) = both(&cell.spec, run_seed(cell.seed, 0));
         assert_eq!(naive, events, "{name} {:?}: engines diverged", cell.labels);
-    });
+    };
+    run_indexed_streamed(cells.len(), default_threads(), check, |_, ()| {});
 }
 
 #[test]
 fn fluid_is_an_alias_of_the_events_engine() {
-    assert_eq!(parse_engine("fluid"), Ok(DriveMode::Events));
-    assert_eq!(parse_engine("FLUID"), Ok(DriveMode::Events));
+    assert_eq!(parse_engine("fluid"), Ok(Engine::Events));
+    assert_eq!(parse_engine("FLUID"), Ok(Engine::Events));
 }
 
 #[test]
@@ -211,7 +212,7 @@ fn the_jump_fires_on_the_real_bus() {
         spec.platform.cba = credit.clone();
         let events = run_once_with(&spec, 3, &registry);
         assert!(jumped() > 0, "cba={cba}: run_once took no jump");
-        spec.drive = DriveMode::Naive;
+        spec.drive = Engine::Naive;
         assert_eq!(run_once_with(&spec, 3, &registry), events, "cba={cba}");
 
         let run = |engine: Engine| {
@@ -388,7 +389,7 @@ fn the_jump_fires_on_a_fabric() {
                 let mut spec = jumping_fabric_spec(topo.clone());
                 let events = run_once_with(&spec, 3, &registry);
                 assert!(jumped() > 0, "{cell}: run_once took no jump");
-                spec.drive = DriveMode::Naive;
+                spec.drive = Engine::Naive;
                 assert_eq!(run_once_with(&spec, 3, &registry), events, "{cell}");
 
                 let run = |engine| {
@@ -435,7 +436,7 @@ fn fabrics_that_must_decline_take_no_jump() {
     ];
     for (case, mut spec) in cases {
         let events = run_once_with(&spec, 3, &registry);
-        spec.drive = DriveMode::Naive;
+        spec.drive = Engine::Naive;
         let naive = run_once_with(&spec, 3, &registry);
         assert_eq!(jumped(), 0, "{case}: jumped");
         assert_eq!(naive, events, "{case}");
@@ -464,7 +465,7 @@ fn fabrics_that_must_decline_take_no_jump() {
 /// `fixed`, `mem`, `shared`, `shared` repeats to fill the cores, every
 /// `shared` agent on the run's one coherence hub, and each agent draws
 /// its own stream of `seed`.
-fn every_kind<M>(n: usize, seed: u64) -> Vec<BoxedAgent<M>>
+fn every_kind<M>(n: usize, seed: u64) -> Vec<BoxedAgent<'static, M>>
 where
     M: BusModel<Completion = CompletedTransaction> + RequestPort + 'static,
 {
@@ -597,11 +598,6 @@ fn jumping_campaign_is_deterministic_across_thread_counts() {
         let other = Campaign::new(spec.clone(), 16, 2017)
             .with_threads(threads)
             .run();
-        assert_eq!(
-            reference.results(),
-            other.results(),
-            "campaign differs between 1 and {threads} threads"
-        );
-        assert_eq!(reference.mean(), other.mean(), "{threads} threads: mean");
+        assert_cells_identical(&reference, &other, &format!("{threads} threads"));
     }
 }

@@ -11,6 +11,9 @@
 use cba_platform::scenario::ScenarioDef;
 use cba_platform::{run_scenario, Campaign, CellReport, CoreLoad, RunSpec, Scenario};
 
+mod common;
+use common::assert_cells_identical;
+
 const GRID: &str = "\
 [campaign]
 name = threads
@@ -29,30 +32,6 @@ fn grid_with_threads(threads: usize) -> Vec<CellReport> {
     let mut def = ScenarioDef::parse(GRID).expect("grid parses");
     def.threads = Some(threads);
     run_scenario(&def).expect("grid runs").cells
-}
-
-/// Exact-equality comparison of two cell reports (no float tolerance).
-fn assert_cells_identical(a: &CellReport, b: &CellReport, what: &str) {
-    assert_eq!(a.labels, b.labels, "{what}");
-    assert_eq!(a.seed, b.seed, "{what}");
-    assert_eq!(a.runs, b.runs, "{what}");
-    assert_eq!(a.unfinished, b.unfinished, "{what}");
-    assert_eq!(a.mean, b.mean, "{what}: mean");
-    assert_eq!(a.ci95, b.ci95, "{what}: ci95");
-    assert_eq!(a.min, b.min, "{what}: min");
-    assert_eq!(a.max, b.max, "{what}: max");
-    assert_eq!(a.percentiles, b.percentiles, "{what}: percentiles");
-    assert_eq!(a.utilization, b.utilization, "{what}: utilization");
-    assert_eq!(a.normalized, b.normalized, "{what}: normalized");
-    assert_eq!(a.normalized_ci95, b.normalized_ci95, "{what}");
-    assert_eq!(a.cluster_shares, b.cluster_shares, "{what}: shares");
-    assert_eq!(a.cluster_fairness, b.cluster_fairness, "{what}");
-    assert_eq!(a.mem_miss_rate, b.mem_miss_rate, "{what}: mem_miss_rate");
-    assert_eq!(
-        a.mem_coherence_frac, b.mem_coherence_frac,
-        "{what}: mem_coherence_frac"
-    );
-    assert_eq!(a.mem_writebacks, b.mem_writebacks, "{what}: mem_writebacks");
 }
 
 #[test]
@@ -146,9 +125,8 @@ share_frac = 0.1,0.7
     }
 }
 
-/// The raw campaign layer too: every `RunResult` (traces, wait stats,
-/// cycle counters — `RunResult` is `PartialEq` exactly) must be
-/// independent of the pool size, not just the aggregates.
+/// The campaign layer too: a [`Campaign`] is a one-cell grid, and its
+/// report must be independent of the pool size.
 #[test]
 fn campaign_run_results_are_bit_identical_across_thread_counts() {
     let spec = RunSpec::paper(
@@ -161,16 +139,11 @@ fn campaign_run_results_are_bit_identical_across_thread_counts() {
         },
     );
     let reference = Campaign::new(spec.clone(), 9, 77).with_threads(1).run();
+    assert_eq!((reference.runs, reference.unfinished), (9, 0));
     for threads in [2usize, 8] {
         let other = Campaign::new(spec.clone(), 9, 77)
             .with_threads(threads)
             .run();
-        assert_eq!(reference.samples(), other.samples(), "threads={threads}");
-        assert_eq!(
-            reference.results(),
-            other.results(),
-            "raw RunResults, threads={threads}"
-        );
-        assert_eq!(reference.unfinished(), other.unfinished());
+        assert_cells_identical(&reference, &other, &format!("campaign threads={threads}"));
     }
 }

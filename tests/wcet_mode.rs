@@ -2,12 +2,17 @@
 //! protocol observed through a real bus with real contenders.
 
 use cba::{CreditConfig, CreditFilter, Mode};
-use cba_bus::{drive, Bus, BusConfig, Control, PolicyKind};
+use cba_bus::{Bus, BusConfig, PolicyKind};
 use cba_cpu::{Contender, FixedRequestTask};
-use sim_core::{CoreId, Cycle};
+use sim_core::{BoxedAgent, CoreId, Cycle, Engine, Simulation, StopWhen};
 
 fn c(i: usize) -> CoreId {
     CoreId::from_index(i)
+}
+
+/// The three MaxL contenders on cores 1..3.
+fn maxl_contenders() -> impl Iterator<Item = BoxedAgent<'static, Bus>> {
+    (1..4).map(|i| Box::new(Contender::new(c(i), 56)) as BoxedAgent<Bus>)
 }
 
 /// Assembles the paper platform in WCET-estimation mode with a
@@ -28,24 +33,30 @@ fn run_wcet(
     )));
     bus.enable_recording_trace();
 
-    let mut tua = FixedRequestTask::new(c(0), tua_requests, 6, tua_gap);
-    let mut contenders: Vec<Contender> = (1..4).map(|i| Contender::new(c(i), 56)).collect();
-
-    drive(&mut bus, max_cycles, |bus, now, done| {
-        tua.tick(now, done, bus);
-        for k in &mut contenders {
-            k.tick(now, done, bus);
-        }
-        if tua.is_done() {
-            Control::Stop
-        } else {
-            Control::Continue
-        }
-    });
+    let sim = Simulation::builder()
+        .model(bus)
+        .agent(FixedRequestTask::new(c(0), tua_requests, 6, tua_gap))
+        .agents(maxl_contenders())
+        .stop(StopWhen::AgentDone(0))
+        .engine(Engine::Naive)
+        .max_cycles(max_cycles)
+        .run();
     (
-        bus.trace().records().expect("recording").to_vec(),
-        tua.done_at(),
+        sim.model().trace().records().expect("recording").to_vec(),
+        sim.agent(0).done_at(),
     )
+}
+
+/// Runs MaxL contenders on cores 1..3 of `bus`, with no TuA client, for
+/// `cycles` on the per-cycle engine; returns the bus.
+fn run_contenders(bus: Bus, cycles: Cycle) -> Bus {
+    let sim = Simulation::builder()
+        .model(bus)
+        .agents(maxl_contenders())
+        .engine(Engine::Naive)
+        .max_cycles(cycles)
+        .run();
+    sim.into_parts().0
 }
 
 #[test]
@@ -80,14 +91,8 @@ fn contenders_do_not_run_before_the_tua_requests() {
         Mode::WcetEstimation { tua: c(0) },
     )));
     bus.enable_recording_trace();
-    let mut contenders: Vec<Contender> = (1..4).map(|i| Contender::new(c(i), 56)).collect();
     // No TuA client at all for 2,000 cycles.
-    drive(&mut bus, 2_000, |bus, now, done| {
-        for k in &mut contenders {
-            k.tick(now, done, bus);
-        }
-        Control::Continue
-    });
+    let bus = run_contenders(bus, 2_000);
     assert_eq!(
         bus.trace().total_slots(),
         0,
@@ -154,13 +159,7 @@ fn operation_mode_ignores_comp_gating() {
         CreditConfig::homogeneous(4, 56).unwrap(),
         Mode::Operation,
     )));
-    let mut contenders: Vec<Contender> = (1..4).map(|i| Contender::new(c(i), 56)).collect();
-    drive(&mut bus, 10_000, |bus, now, done| {
-        for k in &mut contenders {
-            k.tick(now, done, bus);
-        }
-        Control::Continue
-    });
+    let bus = run_contenders(bus, 10_000);
     assert!(
         bus.trace().total_slots() > 0,
         "operation mode must grant contenders without a TuA request"
