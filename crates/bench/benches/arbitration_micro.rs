@@ -1,16 +1,27 @@
-//! Criterion microbenchmarks of the arbitration-path primitives: policy
-//! selection, the LFSR bank the platform draws from by default,
-//! credit-filter eligibility/tick, and a full bus cycle. These quantify the
-//! software cost of the "one clock cycle" hardware decision.
+//! Microbenchmarks of the arbitration-path primitives: policy selection,
+//! the LFSR bank the platform draws from by default, credit-filter
+//! eligibility/tick, one whole filter+select+tick decision and a full bus
+//! cycle. These quantify the software cost of the "one clock cycle"
+//! hardware decision (EXPERIMENTS.md E5 (b)). Every row is timed by
+//! [`cba_bench::timing::time`] and prints `median [q1, q3] (min–max)`
+//! per call over [`SAMPLES`] samples, after a line naming the host.
 
 use cba::{CreditConfig, CreditFilter};
+use cba_bench::timing::{host, time};
 use cba_bus::{Bus, BusConfig, Candidate, EligibilityFilter, PendingSet, PolicyKind, RandomSource};
 use cba_cpu::Contender;
-use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion};
 use sim_core::lfsr::LfsrBank;
 use sim_core::rng::SimRng;
 use sim_core::{CoreId, Engine, Simulation};
 use std::hint::black_box;
+
+/// Samples per row.
+const SAMPLES: usize = 50;
+
+/// Times `body` and prints its row.
+fn bench<R>(name: &str, body: impl FnMut() -> R) {
+    println!("{name:<40} {}", time(SAMPLES, body));
+}
 
 fn candidates(n: usize) -> Vec<Candidate> {
     (0..n)
@@ -23,88 +34,87 @@ fn candidates(n: usize) -> Vec<Candidate> {
 }
 
 /// Times one select-and-grant round of `kind` over four candidates.
-fn bench_select(
-    group: &mut BenchmarkGroup<'_>,
-    name: &str,
-    kind: PolicyKind,
-    rng: &mut dyn RandomSource,
-) {
+fn bench_select(name: &str, kind: PolicyKind, rng: &mut dyn RandomSource) {
     let cands = candidates(4);
     let mut policy = kind.build(4, 56);
     let mut t = 0u64;
-    group.bench_function(name, |b| {
-        b.iter(|| {
-            let w = policy.select(black_box(&cands), t, rng);
-            if let Some(core) = w {
-                policy.on_grant(core, t);
-            }
-            t += 1;
-            black_box(w)
-        })
+    bench(name, || {
+        let w = policy.select(black_box(&cands), t, rng);
+        if let Some(core) = w {
+            policy.on_grant(core, t);
+        }
+        t += 1;
+        w
     });
-}
-
-fn bench_policies(c: &mut Criterion) {
-    let mut group = c.benchmark_group("policy_select");
-    for kind in PolicyKind::ALL {
-        bench_select(&mut group, kind.name(), kind, &mut SimRng::seed_from(7));
-    }
-    group.finish();
 }
 
 /// The hardware-faithful random source (`lfsr = on`, the platform
 /// default): RP and lottery drawing from a 16-lane bank, one bank cycle,
 /// and building a bank, which every run does whether it draws or not.
-fn bench_lfsr_bank(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lfsr_bank");
+fn bench_lfsr_bank() {
     for kind in [PolicyKind::RandomPermutation, PolicyKind::Lottery] {
-        let name = format!("{}_select", kind.name());
-        bench_select(&mut group, &name, kind, &mut LfsrBank::new(16, 7).unwrap());
+        let name = format!("lfsr_bank/{}_select", kind.name());
+        bench_select(&name, kind, &mut LfsrBank::new(16, 7).unwrap());
     }
     let mut bank = LfsrBank::new(16, 7).unwrap();
-    group.bench_function("next_bits", |b| b.iter(|| bank.next_bits()));
+    bench("lfsr_bank/next_bits", || bank.next_bits());
     let mut seed = 0u64;
-    group.bench_function("new_16", |b| {
-        b.iter(|| {
-            seed += 1;
-            LfsrBank::new(16, black_box(seed))
-        })
+    bench("lfsr_bank/new_16", || {
+        seed += 1;
+        LfsrBank::new(16, black_box(seed))
     });
-    group.finish();
 }
 
-fn bench_credit_filter(c: &mut Criterion) {
-    let mut group = c.benchmark_group("credit_filter");
+fn bench_credit_filter() {
     let pending = PendingSet::new(4);
     let mut filter = CreditFilter::new(CreditConfig::homogeneous(4, 56).unwrap());
-    group.bench_function("tick", |b| {
-        let mut t = 0u64;
-        b.iter(|| {
-            filter.tick(t, Some(CoreId::from_index(0)), black_box(&pending));
-            t += 1;
-        })
+    let mut t = 0u64;
+    bench("credit_filter/tick", || {
+        filter.tick(t, Some(CoreId::from_index(0)), black_box(&pending));
+        t += 1;
     });
-    group.bench_function("is_eligible_x4", |b| {
-        b.iter(|| {
-            let mut mask = 0u8;
-            for i in 0..4 {
-                if filter.is_eligible(CoreId::from_index(i), 0) {
-                    mask |= 1 << i;
-                }
+    bench("credit_filter/is_eligible_x4", || {
+        let mut mask = 0u8;
+        for i in 0..4 {
+            if filter.is_eligible(CoreId::from_index(i), 0) {
+                mask |= 1 << i;
             }
-            black_box(mask)
-        })
+        }
+        mask
     });
-    group.finish();
 }
 
-fn bench_bus_cycle(c: &mut Criterion) {
+/// One whole arbitration step of RP behind CBA, as `Bus::end_cycle` takes
+/// it: refill one reused candidate buffer, keep the eligible candidates,
+/// select, grant, tick the filter. On the FPGA the same step is one
+/// 100 MHz clock, 10 ns of hardware time.
+fn bench_decision() {
+    let cands = candidates(4);
+    let pending = PendingSet::new(4);
+    let mut policy = PolicyKind::RandomPermutation.build(4, 56);
+    let mut filter = CreditFilter::new(CreditConfig::homogeneous(4, 56).unwrap());
+    let mut rng = SimRng::seed_from(1);
+    let mut eligible = Vec::with_capacity(cands.len());
+    let mut t = 0u64;
+    bench("decision/rp_cba", || {
+        eligible.clone_from(&cands);
+        eligible.retain(|c| filter.is_eligible(c.core, t));
+        let w = policy.select(&eligible, t, &mut rng);
+        if let Some(core) = w {
+            policy.on_grant(core, t);
+        }
+        filter.tick(t, None, &pending);
+        t += 1;
+        w
+    });
+}
+
+fn bench_bus_cycle() {
     // Timed through the naive engine of `Simulation::run`, so every cycle
-    // is stepped: each sample drives a bus saturated by four 28-cycle
+    // is stepped: each call drives a bus saturated by four 28-cycle
     // contenders for CYCLES_PER_ITER cycles, so divide the reported time
     // accordingly for the per-cycle cost.
     const CYCLES_PER_ITER: u64 = 4096;
-    let mut group = c.benchmark_group("bus_cycle");
     for (label, with_cba) in [("rp_x4096", false), ("rp_cba_x4096", true)] {
         let mut bus = Bus::new(
             BusConfig::new(4, 56).unwrap(),
@@ -124,24 +134,24 @@ fn bench_bus_cycle(c: &mut Criterion) {
         }
         let mut sim = builder.build();
         let mut rng = SimRng::seed_from(0);
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                sim.model_mut().reset();
-                for agent in sim.agents_mut() {
-                    agent.reset(&mut rng);
-                }
-                black_box(sim.run())
-            })
+        bench(&format!("bus_cycle/{label}"), || {
+            sim.model_mut().reset();
+            for agent in sim.agents_mut() {
+                agent.reset(&mut rng);
+            }
+            sim.run()
         });
     }
-    group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_policies,
-    bench_lfsr_bank,
-    bench_credit_filter,
-    bench_bus_cycle
-);
-criterion_main!(benches);
+fn main() {
+    println!("{}", host());
+    for kind in PolicyKind::ALL {
+        let name = format!("policy_select/{}", kind.name());
+        bench_select(&name, kind, &mut SimRng::seed_from(7));
+    }
+    bench_lfsr_bank();
+    bench_credit_filter();
+    bench_decision();
+    bench_bus_cycle();
+}

@@ -5,16 +5,13 @@
 //! occupancy grows from 73% by "far less than 0.1%", timing still closes
 //! at 100 MHz. We cannot synthesize RTL here; the documented substitution
 //! (EXPERIMENTS.md, E5) is (a) an auditable gate-level inventory of the logic CBA
-//! adds, and (b) a software decision-latency measurement showing the
-//! arbitration step is trivially cheap (the 1-cycle decision the paper
-//! reports corresponds to a handful of gate levels).
+//! adds, printed here, and (b) a software decision-latency measurement
+//! showing the arbitration step is trivially cheap (the 1-cycle decision
+//! the paper reports corresponds to a handful of gate levels): the
+//! `decision/rp_cba` row of the `arbitration_micro` bench.
 
 use cba::cost::{PAPER_BASELINE_LUTS, STRATIX_IV_EP4SGX230_ALMS};
-use cba::{CreditConfig, CreditFilter, HardwareCost};
-use cba_bus::{Candidate, EligibilityFilter, PendingSet, PolicyKind, RandomSource};
-use sim_core::rng::SimRng;
-use sim_core::CoreId;
-use std::time::Instant;
+use cba::{CreditConfig, HardwareCost};
 
 fn main() {
     println!("IMPLEMENTATION OVERHEADS (paper: <0.1% FPGA occupancy growth, 100 MHz)\n");
@@ -50,40 +47,8 @@ fn main() {
         STRATIX_IV_EP4SGX230_ALMS
     );
 
-    println!("(b) software decision latency (arbitration step, this machine):");
-    let mut policy = PolicyKind::RandomPermutation.build(4, 56);
-    let mut filter = CreditFilter::new(CreditConfig::homogeneous(4, 56).unwrap());
-    let mut rng = SimRng::seed_from(1);
-    let candidates: Vec<Candidate> = (0..4)
-        .map(|i| Candidate {
-            core: CoreId::from_index(i),
-            issued_at: 0,
-            duration: 56,
-        })
-        .collect();
-    let pending = PendingSet::new(4);
-
-    let iterations = 2_000_000u64;
-    let start = Instant::now();
-    let mut sink = 0u64;
-    for t in 0..iterations {
-        // One full arbitration step: filter the candidates, select, update
-        // budgets.
-        let eligible: Vec<Candidate> = candidates
-            .iter()
-            .filter(|c| filter.is_eligible(c.core, t))
-            .copied()
-            .collect();
-        if let Some(w) = policy.select(&eligible, t, &mut rng as &mut dyn RandomSource) {
-            policy.on_grant(w, t);
-            sink = sink.wrapping_add(w.index() as u64);
-        }
-        filter.tick(t, None, &pending);
-    }
-    let elapsed = start.elapsed();
-    let ns = elapsed.as_nanos() as f64 / iterations as f64;
     println!(
-        "  {iterations} filter+select+tick steps in {elapsed:.2?} -> {ns:.1} ns/decision (sink {sink})",
+        "(b) software decision latency: the decision/rp_cba row of \
+         `cargo bench -p cba-bench --bench arbitration_micro`"
     );
-    println!("  (on the FPGA the same step is one 100 MHz clock = 10 ns of hardware time)");
 }

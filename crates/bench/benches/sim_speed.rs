@@ -3,21 +3,19 @@
 //! second**.
 //!
 //! Every `scenarios/*.scn` expands to its full sweep grid; the same seeded
-//! runs execute under each engine listed in `CBA_ENGINES` (comma-separated,
-//! default `naive,events`). Listing an engine that does not exist is a
-//! hard error — the bench panics with the parser's message instead of
-//! emitting null columns for a backend nobody ran. When both engines run,
-//! their results are asserted bit-identical.
+//! runs execute under both engines, and their results are asserted
+//! bit-identical. Each engine's pass over a scenario is timed by
+//! [`cba_bench::timing::time`] in [`PASSES`] samples; the harness's
+//! warm-up call (one pass whenever a pass takes 1 ms or more, as every
+//! pass does at the defaults) yields the results the identity check
+//! compares.
 //!
-//! Each engine runs each scenario once untimed (a warm-up whose results
-//! feed the identity check), then times [`PASSES`] passes over the same
-//! runs; a single pass moves by tens of percent on a shared host. A
-//! machine-readable summary is written to `BENCH_sim_speed.json` (via
-//! `sim_core::export`) so CI can record the perf trajectory: per row, the
-//! median pass under `<engine>_seconds` and `<engine>_cycles_per_sec`, and
-//! the fastest and slowest pass under the same keys suffixed `_min` and
-//! `_max`. `CBA_RUNS` scales the per-spec run count (smoke mode in CI);
-//! `CBA_SEED` sets the master seed.
+//! A machine-readable summary is written to `BENCH_sim_speed.json` (via
+//! `sim_core::export`) so CI can record the perf trajectory: the `host` it
+//! ran on and, per row, the median pass under `<engine>_seconds` and
+//! `<engine>_cycles_per_sec`, and the fastest and slowest pass under the
+//! same keys suffixed `_min` and `_max`. `CBA_RUNS` scales the per-spec
+//! run count (smoke mode in CI); `CBA_SEED` sets the master seed.
 //!
 //! Expected shape: the events engine wins multi-× wherever the bus idles
 //! for long stretches, and two orders of magnitude or more wherever a run
@@ -26,28 +24,15 @@
 //! (`fabric_fairness`, `clustered_16core`); it roughly ties naive where
 //! every cycle carries fresh randomness or cache-model state.
 
+use cba_bench::timing::{host, time, Host, Timing};
 use cba_bench::{print_row, rule, runs_from_env, seed_from_env};
-use cba_platform::scenario::{parse_engine, ScenarioDef};
+use cba_platform::scenario::ScenarioDef;
 use cba_platform::{run_once, RunResult, RunSpec};
 use sim_core::export::Json;
 use sim_core::Engine;
-use std::time::Instant;
 
 /// Timed passes per engine and scenario (odd, so the median is a pass).
 const PASSES: usize = 5;
-
-/// One engine's passes over a case: the seconds of the timed passes,
-/// sorted, and the results of the untimed one.
-struct Passes {
-    secs: Vec<f64>,
-    results: Vec<RunResult>,
-}
-
-impl Passes {
-    fn median(&self) -> f64 {
-        self.secs[PASSES / 2]
-    }
-}
 
 /// One benchmark scenario: a label and the specs of its expanded grid.
 struct Case {
@@ -84,51 +69,34 @@ fn cases() -> Vec<Case> {
         .collect()
 }
 
-/// The engine list under measurement. Unknown names are a hard error so a
-/// stale `CBA_ENGINES` (or a removed backend) fails loudly instead of
-/// producing a JSON row full of nulls.
-fn engines_from_env() -> Vec<Engine> {
-    let raw = std::env::var("CBA_ENGINES").unwrap_or_else(|_| "naive,events".into());
-    let engines: Vec<Engine> = raw
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(|name| {
-            parse_engine(name)
-                .unwrap_or_else(|e| panic!("CBA_ENGINES: {e}; no columns were emitted"))
-        })
-        .collect();
-    assert!(!engines.is_empty(), "CBA_ENGINES selected no engines");
-    engines
-}
-
-/// Executes every (spec, run) of a case under `mode`; returns (simulated
-/// cycles, elapsed seconds, the full run results for the cross-checks).
-fn measure(case: &Case, runs: usize, seed: u64, mode: Engine) -> (u64, f64, Vec<RunResult>) {
-    let mut cycles = 0u64;
+/// Executes every (spec, run) of a case under `engine`.
+fn pass(case: &Case, runs: usize, seed: u64, engine: Engine) -> Vec<RunResult> {
     let mut results = Vec::with_capacity(case.specs.len() * runs);
-    let start = Instant::now();
     for (si, spec) in case.specs.iter().enumerate() {
         let mut spec = spec.clone();
-        spec.drive = mode;
-        for run in 0..runs {
-            let result = run_once(&spec, seed ^ ((si as u64) << 32 | run as u64));
-            cycles += result.total_cycles;
-            results.push(result);
-        }
+        spec.drive = engine;
+        results
+            .extend((0..runs).map(|run| run_once(&spec, seed ^ ((si as u64) << 32 | run as u64))));
     }
-    (cycles, start.elapsed().as_secs_f64(), results)
+    results
+}
+
+/// Times [`PASSES`] passes of a case under `engine`; returns the timing
+/// and the results of the warm-up pass.
+fn measure(case: &Case, runs: usize, seed: u64, engine: Engine) -> (Timing, Vec<RunResult>) {
+    let mut first = None;
+    let timing = time(PASSES, || {
+        first.get_or_insert(pass(case, runs, seed, engine));
+    });
+    (timing, first.expect("time() calls its body"))
 }
 
 fn main() {
     let runs = runs_from_env(20);
     let seed = seed_from_env();
-    let engines = engines_from_env();
-    let labels: Vec<String> = engines.iter().map(|e| e.to_string()).collect();
-    println!(
-        "sim_speed: {runs} runs per spec, seed {seed}, engines {}, median of {PASSES} passes",
-        labels.join(",")
-    );
+    let host = host();
+    println!("sim_speed: {runs} runs per spec, seed {seed}, median of {PASSES} passes per engine");
+    println!("{host}");
     rule(70);
     print_row(&[
         ("scenario", 20),
@@ -141,80 +109,58 @@ fn main() {
 
     let mut rows = Vec::new();
     for case in cases() {
-        // The passes per engine, in naive/events slots; engines not listed
-        // in CBA_ENGINES simply leave their slot empty and their JSON keys
-        // absent (never null).
-        let mut slots: [Option<Passes>; 2] = [None, None];
-        let mut cycles = 0u64;
-        for &engine in &engines {
-            let (c, _, results) = measure(&case, runs, seed, engine);
-            let mut secs: Vec<f64> = (0..PASSES)
-                .map(|_| measure(&case, runs, seed, engine).1)
-                .collect();
-            secs.sort_by(f64::total_cmp);
-            cycles = c;
-            slots[(engine == Engine::Events) as usize] = Some(Passes { secs, results });
-        }
-        let [naive, events] = &slots;
+        let (naive, naive_results) = measure(&case, runs, seed, Engine::Naive);
+        let (events, events_results) = measure(&case, runs, seed, Engine::Events);
+        assert_eq!(
+            naive_results, events_results,
+            "{}: naive and events engines disagree",
+            case.name
+        );
+        let cycles: u64 = naive_results.iter().map(|r| r.total_cycles).sum();
         let rate = |s: f64| cycles as f64 / s;
+        let speedup = naive.median() / events.median();
 
         let mut fields: Vec<(String, Json)> = vec![
             ("name".into(), Json::str(&case.name)),
-            ("specs".into(), Json::Num(case.specs.len() as f64)),
-            ("simulated_cycles".into(), Json::Num(cycles as f64)),
+            ("specs".into(), Json::Int(case.specs.len() as u64)),
+            ("simulated_cycles".into(), Json::Int(cycles)),
         ];
-        for (label, slot) in [("naive", naive), ("events", events)] {
-            if let Some(p) = slot {
-                let (min, median, max) = (p.secs[0], p.median(), p.secs[PASSES - 1]);
-                fields.extend([
-                    (format!("{label}_seconds"), Json::Num(median)),
-                    (format!("{label}_seconds_min"), Json::Num(min)),
-                    (format!("{label}_seconds_max"), Json::Num(max)),
-                    (format!("{label}_cycles_per_sec"), Json::Num(rate(median))),
-                    (format!("{label}_cycles_per_sec_min"), Json::Num(rate(max))),
-                    (format!("{label}_cycles_per_sec_max"), Json::Num(rate(min))),
-                ]);
-            }
+        for (label, t) in [("naive", &naive), ("events", &events)] {
+            let secs = [("", t.median()), ("_min", t.min()), ("_max", t.max())];
+            fields.extend(secs.map(|(k, s)| (format!("{label}_seconds{k}"), Json::Num(s))));
+            // The slowest pass has the lowest rate.
+            let rates = [("", t.median()), ("_min", t.max()), ("_max", t.min())];
+            fields.extend(
+                rates.map(|(k, s)| (format!("{label}_cycles_per_sec{k}"), Json::Num(rate(s)))),
+            );
         }
-
-        let speedup = match (naive, events) {
-            (Some(n), Some(e)) => {
-                assert_eq!(
-                    n.results, e.results,
-                    "{}: naive and events engines disagree",
-                    case.name
-                );
-                let s = n.median() / e.median();
-                fields.push(("speedup".into(), Json::Num(s)));
-                Some(s)
-            }
-            _ => None,
-        };
-        let fmt_rate = |slot: &Option<Passes>| {
-            slot.as_ref()
-                .map(|p| format!("{:.3e}", rate(p.median())))
-                .unwrap_or_else(|| "-".into())
-        };
+        fields.push(("speedup".into(), Json::Num(speedup)));
         print_row(&[
             (&case.name, 20),
-            (&format!("{cycles}"), 12),
-            (&fmt_rate(naive), 13),
-            (&fmt_rate(events), 13),
-            (
-                &speedup.map(|s| format!("{s:.2}x")).unwrap_or("-".into()),
-                9,
-            ),
+            (&cycles.to_string(), 12),
+            (&format!("{:.3e}", rate(naive.median())), 13),
+            (&format!("{:.3e}", rate(events.median())), 13),
+            (&format!("{speedup:.2}x"), 9),
         ]);
         rows.push(Json::obj(fields));
     }
     rule(70);
 
+    let Host { nproc, cpu, rustc } = host;
+    let host = [("nproc", nproc), ("cpu", cpu), ("rustc", rustc)];
     let doc = Json::obj([
         ("bench", Json::str("sim_speed")),
-        ("runs_per_spec", Json::Num(runs as f64)),
-        ("passes", Json::Num(PASSES as f64)),
-        ("seed", Json::Num(seed as f64)),
-        ("engines", Json::Arr(labels.iter().map(Json::str).collect())),
+        ("runs_per_spec", Json::Int(runs as u64)),
+        ("passes", Json::Int(PASSES as u64)),
+        ("seed", Json::Int(seed)),
+        (
+            "engines",
+            Json::Arr(["naive", "events"].map(Json::str).into()),
+        ),
+        (
+            "host",
+            Json::obj(host.map(|(key, value)| (key, Json::str(value)))),
+        ),
         ("scenarios", Json::Arr(rows)),
     ]);
     // Cargo runs benches with the package directory as CWD; anchor the

@@ -4,6 +4,8 @@
 
 use cba_platform::CellReport;
 
+pub mod timing;
+
 /// Reads the run-count override (`CBA_RUNS`), falling back to `default`.
 pub fn runs_from_env(default: usize) -> usize {
     std::env::var("CBA_RUNS")

@@ -147,3 +147,16 @@ fn campaign_run_results_are_bit_identical_across_thread_counts() {
         assert_cells_identical(&reference, &other, &format!("campaign threads={threads}"));
     }
 }
+
+/// The comparison covers every field: two cells that differ only in a
+/// windowed-fairness column are told apart.
+#[test]
+#[should_panic(expected = "window_jain: Some([1.0])")]
+fn cells_differing_only_in_window_jain_are_not_identical() {
+    let a = CellReport::default();
+    let b = CellReport {
+        window_jain: Some(vec![1.0]),
+        ..CellReport::default()
+    };
+    assert_cells_identical(&a, &b, "default cells");
+}
