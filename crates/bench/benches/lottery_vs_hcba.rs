@@ -10,7 +10,7 @@
 
 use cba_bench::{print_row, rule, runs_from_env, seed_from_env};
 use cba_bus::policies::Lottery;
-use cba_bus::{Bus, BusConfig};
+use cba_bus::{Bus, BusConfig, BusModel};
 use cba_cpu::Contender;
 use cba_platform::{run_once, BusSetup, CoreLoad, RunSpec, Scenario, StopCondition};
 use sim_core::{CoreId, Simulation, StopWhen};

@@ -14,6 +14,7 @@ use cba::{CreditConfig, CreditFilter};
 use cba_bench::{print_row, rule, seed_from_env};
 use cba_bus::split::{SplitBus, SplitBusConfig, SplitRequest};
 use cba_bus::{BusModel, PolicyKind};
+use sim_core::rng::SimRng;
 use sim_core::CoreId;
 
 #[derive(Clone, Copy)]
@@ -23,12 +24,13 @@ enum ContenderTraffic {
 }
 
 /// Returns (short-core completions, short-core absolute cycle share).
-fn run(traffic: ContenderTraffic, with_cba: bool, horizon: u64) -> (u64, f64) {
+fn run(traffic: ContenderTraffic, with_cba: bool, horizon: u64, seed: u64) -> (u64, f64) {
     let mut bus = SplitBus::new(
         SplitBusConfig::paper(),
         PolicyKind::RandomPermutation.build(4, 56),
     )
     .expect("paper config");
+    bus.set_random_source(Box::new(SimRng::seed_from(seed)));
     if with_cba {
         bus.set_filter(Box::new(CreditFilter::new(
             CreditConfig::homogeneous(4, 56).expect("paper config"),
@@ -51,20 +53,19 @@ fn run(traffic: ContenderTraffic, with_cba: bool, horizon: u64) -> (u64, f64) {
                 bus.post(c, req).expect("idle core accepts");
             }
         }
-        for comp in bus.tick(now) {
-            if comp.core == c0 {
-                completions += 1;
-            }
+        if bus.begin_cycle(now).is_some_and(|comp| comp.core == c0) {
+            completions += 1;
         }
+        bus.end_cycle(now);
     }
     let share = bus.inner().trace().busy_cycles(c0) as f64 / horizon as f64;
     (completions, share)
 }
 
 fn main() {
-    let _seed = seed_from_env();
+    let seed = seed_from_env();
     let horizon = 200_000u64;
-    println!("SPLIT-TRANSACTION BUS (RP arbitration, horizon {horizon} cycles)");
+    println!("SPLIT-TRANSACTION BUS (RP arbitration, horizon {horizon} cycles, seed {seed})");
     println!("core 0: saturating 5-cycle requests; cores 1-3: memory-bound traffic\n");
 
     rule(74);
@@ -80,7 +81,7 @@ fn main() {
         ("unsplittable atomics", ContenderTraffic::Atomics),
     ] {
         for with_cba in [false, true] {
-            let (grants, share) = run(traffic, with_cba, horizon);
+            let (grants, share) = run(traffic, with_cba, horizon, seed);
             print_row(&[
                 (label, 22),
                 (if with_cba { "CBA" } else { "none" }, 8),

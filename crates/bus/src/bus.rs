@@ -8,23 +8,20 @@
 //! as on the FPGA where the request lines are already raised when a
 //! transfer ends):
 //!
-//! 1. [`Bus::begin_cycle`]`(t)` — a transaction ending at `t` completes and
-//!    is reported;
-//! 2. clients post requests for cycle `t` via [`Bus::post`];
-//! 3. [`Bus::end_cycle`]`(t)` — if the bus is free, the eligibility filter
-//!    and arbitration policy pick a winner, which then holds the bus for
-//!    cycles `[t, t + duration)`; finally the filter's per-cycle state
+//! 1. [`BusModel::begin_cycle`]`(t)` — a transaction ending at `t`
+//!    completes and is reported;
+//! 2. clients post requests for cycle `t` via [`RequestPort::post`];
+//! 3. [`BusModel::end_cycle`]`(t)` — if the bus is free, the eligibility
+//!    filter and arbitration policy pick a winner, which then holds the bus
+//!    for cycles `[t, t + duration)`; finally the filter's per-cycle state
 //!    (credit counters) advances.
-//!
-//! [`BusModel::tick`](sim_core::BusModel::tick) bundles both phases for
-//! simple clients that post between ticks.
 
 use crate::pending::{Candidate, PendingSet};
 use crate::policy::{ArbitrationPolicy, EligibilityFilter, NoFilter, RandomSource};
-use crate::{BusError, BusRequest, RequestKind};
+use crate::{BusError, BusRequest, RequestKind, RequestPort};
 use sim_core::rng::SimRng;
 use sim_core::trace::GrantTrace;
-use sim_core::{CoreId, Cycle};
+use sim_core::{BusModel, CoreId, Cycle};
 use std::collections::VecDeque;
 
 /// Static configuration of a bus instance.
@@ -92,7 +89,7 @@ pub enum BusState {
     },
 }
 
-/// Completion report returned by [`Bus::begin_cycle`].
+/// Completion report of a bus's [`BusModel::begin_cycle`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompletedTransaction {
     /// Core whose transaction finished.
@@ -102,10 +99,6 @@ pub struct CompletedTransaction {
     /// Its duration in cycles.
     pub duration: u32,
 }
-
-/// Combined result of one [`BusModel::tick`](sim_core::BusModel::tick) on a
-/// [`Bus`].
-pub type TickOutcome = sim_core::TickOutcome<CompletedTransaction>;
 
 /// Per-core request waiting-time statistics (request-ready to grant).
 #[derive(Debug, Clone, Default)]
@@ -241,8 +234,7 @@ impl Bus {
     }
 
     /// Starts watching the eligibility filter for verdict flips, to be
-    /// streamed through [`BusModel::drain_events`](
-    /// sim_core::BusModel::drain_events) as
+    /// streamed through [`BusModel::drain_events`] as
     /// [`ModelEvent::CreditFlip`](sim_core::ModelEvent)s. Off by default
     /// (and then completely free); when enabled, every executed cycle
     /// diffs each core's verdict after the filter tick.
@@ -319,16 +311,6 @@ impl Bus {
         self.pending.contains(core)
     }
 
-    /// Number of posted, not-yet-granted requests.
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// The grant trace accumulated so far.
-    pub fn trace(&self) -> &GrantTrace {
-        &self.trace
-    }
-
     /// Grant-latency statistics accumulated so far.
     pub fn wait_stats(&self) -> &WaitStats {
         &self.wait
@@ -344,42 +326,20 @@ impl Bus {
         self.total_cycles
     }
 
-    /// The arbitration policy's report name (e.g. "RP").
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
-    /// The eligibility filter's report name (e.g. "CBA").
-    pub fn filter_name(&self) -> &'static str {
-        self.filter.name()
-    }
-
-    /// Posts a bus request (phase 2 of the cycle protocol).
-    ///
-    /// # Errors
-    ///
-    /// * [`BusError::UnknownCore`] — request core outside the platform;
-    /// * [`BusError::DurationOutOfRange`] — duration above the platform
-    ///   MaxL (the credit mechanism requires `duration <= MaxL`);
-    /// * [`BusError::AlreadyPending`] — the core already has a pending
-    ///   request.
-    pub fn post(&mut self, req: BusRequest) -> Result<(), BusError> {
+    /// Checks what every post checks: the core is on the platform and the
+    /// duration is in `1..=MaxL` (the credit mechanism requires
+    /// `duration <= MaxL`).
+    fn check(&self, req: &BusRequest) -> Result<(), BusError> {
         if req.core().index() >= self.config.n_cores {
             return Err(BusError::UnknownCore(req.core()));
         }
-        if req.duration() > self.config.max_latency {
+        if req.duration() == 0 || req.duration() > self.config.max_latency {
             return Err(BusError::DurationOutOfRange {
                 got: req.duration(),
                 max: self.config.max_latency,
             });
         }
-        self.pending.insert(req)
-    }
-
-    /// Withdraws the pending request of `core`, if any (used by
-    /// WCET-estimation contender models when their compete window closes).
-    pub fn withdraw(&mut self, core: CoreId) -> Option<BusRequest> {
-        self.pending.remove(core)
+        Ok(())
     }
 
     /// Posts a **privileged** request: served FIFO before any arbitrated
@@ -390,73 +350,20 @@ impl Bus {
     /// of a split transfer. The grant still occupies the bus, appears in
     /// the trace and drains the owner's credit budget; it just cannot be
     /// vetoed or reordered. Use sparingly: ordinary traffic belongs in
-    /// [`Bus::post`].
+    /// [`RequestPort::post`].
     ///
     /// # Errors
     ///
-    /// Returns the same validation errors as [`Bus::post`]; multiple
-    /// privileged requests (even per core) are allowed and served in FIFO
-    /// order.
+    /// Returns the same validation errors as [`RequestPort::post`];
+    /// multiple privileged requests (even per core) are allowed and served
+    /// in FIFO order.
     pub fn post_privileged(&mut self, req: BusRequest) -> Result<(), BusError> {
-        if req.core().index() >= self.config.n_cores {
-            return Err(BusError::UnknownCore(req.core()));
-        }
-        if req.duration() > self.config.max_latency {
-            return Err(BusError::DurationOutOfRange {
-                got: req.duration(),
-                max: self.config.max_latency,
-            });
-        }
+        self.check(&req)?;
         self.privileged.push_back(req);
         Ok(())
     }
 
-    /// Phase 1 of cycle `now`: reports a transaction ending at `now`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if cycles are not visited in strictly increasing order or if
-    /// the phases are called out of order.
-    pub fn begin_cycle(&mut self, now: Cycle) -> Option<CompletedTransaction> {
-        assert!(!self.in_cycle, "begin_cycle called twice for one cycle");
-        if let Some(last) = self.last_cycle {
-            assert!(
-                now > last,
-                "cycles must strictly increase ({last} -> {now})"
-            );
-        }
-        self.in_cycle = true;
-        self.last_cycle = Some(now);
-        if let BusState::Busy {
-            owner,
-            started,
-            ends_at,
-            kind,
-        } = self.state
-        {
-            if now >= ends_at {
-                self.state = BusState::Idle;
-                return Some(CompletedTransaction {
-                    core: owner,
-                    kind,
-                    duration: (ends_at - started) as u32,
-                });
-            }
-        }
-        None
-    }
-
-    /// Phase 3 of cycle `now`: arbitration (if the bus is free) and filter
-    /// bookkeeping. Returns the granted core, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called without a matching [`Bus::begin_cycle`].
-    pub fn end_cycle(&mut self, now: Cycle) -> Option<CoreId> {
-        self.end_cycle_gated(now, true)
-    }
-
-    /// [`Bus::end_cycle`] with an external grant gate: with
+    /// [`BusModel::end_cycle`] with an external grant gate: with
     /// `allow_grant == false` no transaction (privileged or arbitrated) may
     /// *start* this cycle, while completion, idle accounting and filter
     /// state advance exactly as usual.
@@ -469,7 +376,7 @@ impl Bus {
     ///
     /// # Panics
     ///
-    /// Panics if called without a matching [`Bus::begin_cycle`].
+    /// Panics if called without a matching [`BusModel::begin_cycle`].
     pub fn end_cycle_gated(&mut self, now: Cycle, allow_grant: bool) -> Option<CoreId> {
         assert!(self.in_cycle, "end_cycle without begin_cycle");
         assert_eq!(
@@ -529,9 +436,122 @@ impl Bus {
         self.filter.on_grant(req.core(), req.duration(), now);
     }
 
+    /// Resets the bus (state, pending requests, statistics, policy and
+    /// filter state) for a fresh run, reusing the trace and statistics
+    /// buffers instead of reallocating them. The random source is *not*
+    /// reseeded — replace it via [`Bus::set_random_source`] for seed
+    /// control.
+    pub fn reset(&mut self) {
+        self.state = BusState::Idle;
+        self.pending.clear();
+        self.privileged.clear();
+        self.policy.reset();
+        self.filter.reset();
+        self.trace.clear();
+        self.wait.reset();
+        self.idle_cycles = 0;
+        self.total_cycles = 0;
+        self.in_cycle = false;
+        self.last_cycle = None;
+        if let Some(watch) = &mut self.flip_watch {
+            // Stale events belong to the finished run; re-baseline
+            // against the freshly reset filter.
+            watch.events.clear();
+            self.enable_flip_probe();
+        }
+    }
+
+    /// The bus's [`BusModel::limit_cycle_jump`]:
+    /// applies the counter `deltas` its `limit_cycle_state` pushed (the
+    /// front of `deltas`) and returns the deltas left over, so a model
+    /// composed of buses hands each its share without counting them.
+    pub(crate) fn limit_cycle_jump<'d>(
+        &mut self,
+        periods: u64,
+        shift: Cycle,
+        deltas: &'d [u64],
+    ) -> &'d [u64] {
+        let deltas = self.trace.limit_cycle_jump(periods, shift, deltas);
+        let (granted, waited) = (&mut self.wait.granted, &mut self.wait.total_wait);
+        for (total, d) in granted.iter_mut().chain(waited).zip(deltas) {
+            *total += periods * d;
+        }
+        let rest = &deltas[2 * self.config.n_cores..];
+        self.idle_cycles += periods * rest[0];
+        self.total_cycles += periods * rest[1];
+        if let BusState::Busy {
+            started, ends_at, ..
+        } = &mut self.state
+        {
+            *started += shift;
+            *ends_at += shift;
+        }
+        self.pending.shift_time(shift);
+        for r in &mut self.privileged {
+            r.issued_at += shift;
+        }
+        self.last_cycle = self.last_cycle.map(|t| t + shift);
+        &rest[2..]
+    }
+}
+
+/// The non-split bus speaks the workspace-wide cycle protocol directly:
+/// requests carry their own [`CoreId`], completions are
+/// [`CompletedTransaction`]s.
+impl BusModel for Bus {
+    type Completion = CompletedTransaction;
+
+    /// Reports a transaction ending at `now`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if cycles are not visited in strictly increasing order or if
+    /// the phases are called out of order.
+    fn begin_cycle(&mut self, now: Cycle) -> Option<CompletedTransaction> {
+        assert!(!self.in_cycle, "begin_cycle called twice for one cycle");
+        if let Some(last) = self.last_cycle {
+            assert!(
+                now > last,
+                "cycles must strictly increase ({last} -> {now})"
+            );
+        }
+        self.in_cycle = true;
+        self.last_cycle = Some(now);
+        if let BusState::Busy {
+            owner,
+            started,
+            ends_at,
+            kind,
+        } = self.state
+        {
+            if now >= ends_at {
+                self.state = BusState::Idle;
+                return Some(CompletedTransaction {
+                    core: owner,
+                    kind,
+                    duration: (ends_at - started) as u32,
+                });
+            }
+        }
+        None
+    }
+
+    /// Arbitration (if the bus is free) and filter bookkeeping.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called without a matching `begin_cycle`.
+    fn end_cycle(&mut self, now: Cycle) -> Option<CoreId> {
+        self.end_cycle_gated(now, true)
+    }
+
+    fn trace(&self) -> &GrantTrace {
+        &self.trace
+    }
+
     /// The bus's event horizon for the fast-forward engine (see
-    /// [`BusModel::next_event`](sim_core::BusModel::next_event) for the
-    /// contract): assuming no client interaction,
+    /// [`BusModel::next_event`] for the contract): assuming no client
+    /// interaction,
     ///
     /// * a busy bus is silent until the in-flight transaction's `ends_at`;
     /// * an idle bus with a privileged reservation grants next cycle;
@@ -540,8 +560,8 @@ impl Bus {
     ///   both reported by their event hooks, either of which can decline
     ///   (`None` here = step per cycle);
     /// * an idle, empty bus has no event at all (`Cycle::MAX`): credits
-    ///   just recover, in closed form, inside [`Bus::advance`].
-    pub fn next_event(&mut self, now: Cycle) -> Option<Cycle> {
+    ///   just recover, in closed form, inside `advance`.
+    fn next_event(&mut self, now: Cycle) -> Option<Cycle> {
         match self.state {
             BusState::Busy { ends_at, .. } => Some(ends_at),
             BusState::Idle => {
@@ -581,13 +601,12 @@ impl Bus {
     }
 
     /// Bulk-advances the uneventful cycles `from + 1 ..= to - 1` (see
-    /// [`BusModel::advance`](sim_core::BusModel::advance)): cycle counters
-    /// accumulate, the filter state evolves under fixed occupancy, and the
-    /// monotonic-cycle cursor moves so the next [`Bus::begin_cycle`]`(to)`
-    /// is accepted. Grants, completions and RNG draws cannot occur in such
-    /// a range by the [`Bus::next_event`] contract, so traces and wait
-    /// statistics are untouched.
-    pub fn advance(&mut self, from: Cycle, to: Cycle) {
+    /// [`BusModel::advance`]): cycle counters accumulate, the filter state
+    /// evolves under fixed occupancy, and the monotonic-cycle cursor moves
+    /// so the next `begin_cycle(to)` is accepted. Grants, completions and
+    /// RNG draws cannot occur in such a range by the `next_event`
+    /// contract, so traces and wait statistics are untouched.
+    fn advance(&mut self, from: Cycle, to: Cycle) {
         debug_assert!(!self.in_cycle, "advance between cycles only");
         let k = (to - from).saturating_sub(1);
         if k == 0 {
@@ -604,101 +623,6 @@ impl Bus {
             // Flips inside the skipped range coalesce to the resume cycle.
             self.record_flips(to);
         }
-    }
-
-    /// Resets the bus (state, pending requests, statistics, policy and
-    /// filter state) for a fresh run, reusing the trace and statistics
-    /// buffers instead of reallocating them. The random source is *not*
-    /// reseeded — replace it via [`Bus::set_random_source`] for seed
-    /// control.
-    pub fn reset(&mut self) {
-        self.state = BusState::Idle;
-        self.pending.clear();
-        self.privileged.clear();
-        self.policy.reset();
-        self.filter.reset();
-        self.trace.clear();
-        self.wait.reset();
-        self.idle_cycles = 0;
-        self.total_cycles = 0;
-        self.in_cycle = false;
-        self.last_cycle = None;
-        if let Some(watch) = &mut self.flip_watch {
-            // Stale events belong to the finished run; re-baseline
-            // against the freshly reset filter.
-            watch.events.clear();
-            self.enable_flip_probe();
-        }
-    }
-
-    /// The bus's [`BusModel::limit_cycle_jump`](sim_core::BusModel::limit_cycle_jump):
-    /// applies the counter `deltas` its `limit_cycle_state` pushed (the
-    /// front of `deltas`) and returns the deltas left over, so a model
-    /// composed of buses hands each its share without counting them.
-    pub(crate) fn limit_cycle_jump<'d>(
-        &mut self,
-        periods: u64,
-        shift: Cycle,
-        deltas: &'d [u64],
-    ) -> &'d [u64] {
-        let deltas = self.trace.limit_cycle_jump(periods, shift, deltas);
-        let (granted, waited) = (&mut self.wait.granted, &mut self.wait.total_wait);
-        for (total, d) in granted.iter_mut().chain(waited).zip(deltas) {
-            *total += periods * d;
-        }
-        let rest = &deltas[2 * self.config.n_cores..];
-        self.idle_cycles += periods * rest[0];
-        self.total_cycles += periods * rest[1];
-        if let BusState::Busy {
-            started, ends_at, ..
-        } = &mut self.state
-        {
-            *started += shift;
-            *ends_at += shift;
-        }
-        self.pending.shift_time(shift);
-        for r in &mut self.privileged {
-            r.issued_at += shift;
-        }
-        self.last_cycle = self.last_cycle.map(|t| t + shift);
-        &rest[2..]
-    }
-}
-
-/// The non-split bus speaks the workspace-wide cycle protocol directly:
-/// requests carry their own [`CoreId`], completions are
-/// [`CompletedTransaction`]s.
-impl sim_core::BusModel for Bus {
-    type Request = BusRequest;
-    type Completion = CompletedTransaction;
-    type Error = BusError;
-
-    fn begin_cycle(&mut self, now: Cycle) -> Option<CompletedTransaction> {
-        Bus::begin_cycle(self, now)
-    }
-
-    fn post(&mut self, req: BusRequest) -> Result<(), BusError> {
-        Bus::post(self, req)
-    }
-
-    fn end_cycle(&mut self, now: Cycle) -> Option<CoreId> {
-        Bus::end_cycle(self, now)
-    }
-
-    fn owner(&self) -> Option<CoreId> {
-        Bus::owner(self)
-    }
-
-    fn trace(&self) -> &GrantTrace {
-        Bus::trace(self)
-    }
-
-    fn next_event(&mut self, now: Cycle) -> Option<Cycle> {
-        Bus::next_event(self, now)
-    }
-
-    fn advance(&mut self, from: Cycle, to: Cycle) {
-        Bus::advance(self, from, to)
     }
 
     fn drain_events(&mut self, sink: &mut dyn FnMut(sim_core::ModelEvent)) {
@@ -752,19 +676,45 @@ impl sim_core::BusModel for Bus {
     }
 }
 
+impl RequestPort for Bus {
+    /// Posts a bus request (phase 2 of the cycle protocol).
+    ///
+    /// # Errors
+    ///
+    /// * [`BusError::UnknownCore`] — request core outside the platform;
+    /// * [`BusError::DurationOutOfRange`] — duration 0 or above the
+    ///   platform MaxL;
+    /// * [`BusError::AlreadyPending`] — the core already has a pending
+    ///   request.
+    fn post(&mut self, req: BusRequest) -> Result<(), BusError> {
+        self.check(&req)?;
+        self.pending.insert(req)
+    }
+
+    fn can_accept(&self, core: CoreId) -> bool {
+        !self.has_pending(core) && self.owner() != Some(core)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policies::{RoundRobin, Tdma};
     use crate::policy::EligibilityFilter;
-    use sim_core::BusModel;
 
     fn c(i: usize) -> CoreId {
         CoreId::from_index(i)
     }
 
     fn req(core: usize, dur: u32, at: Cycle) -> BusRequest {
-        BusRequest::new(c(core), dur, RequestKind::Synthetic, at).unwrap()
+        BusRequest::new(c(core), dur, RequestKind::Synthetic, at)
+    }
+
+    /// One cycle with no posts between its phases: the completion and the
+    /// grant.
+    fn step(bus: &mut Bus, now: Cycle) -> (Option<CompletedTransaction>, Option<CoreId>) {
+        let completed = bus.begin_cycle(now);
+        (completed, bus.end_cycle(now))
     }
 
     fn rr_bus(n: usize) -> Bus {
@@ -786,17 +736,17 @@ mod tests {
     fn single_request_lifecycle() {
         let mut bus = rr_bus(2);
         bus.post(req(0, 5, 0)).unwrap();
-        let out = bus.tick(0);
-        assert_eq!(out.granted, Some(c(0)));
+        let out = step(&mut bus, 0);
+        assert_eq!(out.1, Some(c(0)));
         assert_eq!(bus.owner(), Some(c(0)));
         for now in 1..5 {
-            let out = bus.tick(now);
-            assert_eq!(out.completed, None);
+            let out = step(&mut bus, now);
+            assert_eq!(out.0, None);
             assert_eq!(bus.owner(), Some(c(0)));
         }
-        let out = bus.tick(5);
+        let out = step(&mut bus, 5);
         assert_eq!(
-            out.completed,
+            out.0,
             Some(CompletedTransaction {
                 core: c(0),
                 kind: RequestKind::Synthetic,
@@ -809,15 +759,14 @@ mod tests {
     #[test]
     fn post_validation() {
         let mut bus = rr_bus(2);
-        // duration above platform MaxL rejected even though BusRequest
-        // itself allows it
-        let too_long = BusRequest::new(c(0), 57, RequestKind::Atomic, 0).unwrap();
+        // duration above platform MaxL rejected
+        let too_long = BusRequest::new(c(0), 57, RequestKind::Atomic, 0);
         assert!(matches!(
             bus.post(too_long),
             Err(BusError::DurationOutOfRange { got: 57, max: 56 })
         ));
         // unknown core
-        let stranger = BusRequest::new(c(3), 5, RequestKind::Synthetic, 0).unwrap();
+        let stranger = BusRequest::new(c(3), 5, RequestKind::Synthetic, 0);
         assert!(matches!(bus.post(stranger), Err(BusError::UnknownCore(_))));
         // double post
         bus.post(req(0, 5, 0)).unwrap();
@@ -871,9 +820,9 @@ mod tests {
         let mut bus = rr_bus(2);
         bus.post(req(0, 10, 0)).unwrap();
         bus.post(req(1, 5, 0)).unwrap();
-        bus.tick(0); // grants core 0 (RR cursor at 0)
+        step(&mut bus, 0); // grants core 0 (RR cursor at 0)
         for now in 1..=10 {
-            bus.tick(now);
+            step(&mut bus, now);
         } // completion at 10 grants core 1, which waited 10 cycles
         assert_eq!(bus.wait_stats().granted(c(0)), 1);
         assert_eq!(bus.wait_stats().mean_wait(c(0)), 0.0);
@@ -902,10 +851,10 @@ mod tests {
         bus.post(req(0, 5, 0)).unwrap();
         bus.post(req(1, 5, 0)).unwrap();
         // RR would prefer core 0, but the filter blocks it.
-        assert_eq!(bus.tick(0).granted, Some(c(1)));
+        assert_eq!(step(&mut bus, 0).1, Some(c(1)));
         // Core 0 stays pending forever under this (pathological) filter.
         for now in 1..50 {
-            bus.tick(now);
+            step(&mut bus, now);
         }
         assert!(bus.has_pending(c(0)));
         assert_eq!(bus.trace().slots(c(0)), 0);
@@ -919,41 +868,32 @@ mod tests {
         // for cycle 10 (its own slot start).
         bus.post(req(1, 5, 0)).unwrap();
         for now in 0..10u64 {
-            assert_eq!(bus.tick(now).granted, None, "granted at {now}");
+            assert_eq!(step(&mut bus, now).1, None, "granted at {now}");
         }
-        assert_eq!(bus.tick(10).granted, Some(c(1)));
+        assert_eq!(step(&mut bus, 10).1, Some(c(1)));
         assert_eq!(bus.idle_cycles(), 10);
-    }
-
-    #[test]
-    fn withdraw_removes_pending() {
-        let mut bus = rr_bus(2);
-        bus.post(req(0, 5, 0)).unwrap();
-        assert!(bus.withdraw(c(0)).is_some());
-        assert!(!bus.has_pending(c(0)));
-        assert_eq!(bus.tick(0).granted, None);
     }
 
     #[test]
     fn reset_clears_everything() {
         let mut bus = rr_bus(2);
         bus.post(req(0, 5, 0)).unwrap();
-        bus.tick(0);
+        step(&mut bus, 0);
         bus.reset();
         assert_eq!(bus.owner(), None);
-        assert_eq!(bus.pending_count(), 0);
+        assert!(!bus.has_pending(c(0)));
         assert_eq!(bus.total_cycles(), 0);
         assert_eq!(bus.trace().total_slots(), 0);
         // Cycle counter restarts from anywhere after reset.
-        bus.tick(0);
+        step(&mut bus, 0);
     }
 
     #[test]
     #[should_panic(expected = "strictly increase")]
     fn non_monotonic_cycles_panic() {
         let mut bus = rr_bus(1);
-        bus.tick(5);
-        bus.tick(5);
+        step(&mut bus, 5);
+        step(&mut bus, 5);
     }
 
     #[test]
@@ -983,11 +923,11 @@ mod tests {
     fn next_event_reports_the_completion_horizon() {
         let mut bus = rr_bus(2);
         bus.post(req(0, 40, 0)).unwrap();
-        bus.tick(0); // grant: busy over [0, 40)
+        step(&mut bus, 0); // grant: busy over [0, 40)
         assert_eq!(bus.next_event(0), Some(40));
         // Idle and empty: no bus-side event at all.
         let mut empty = rr_bus(2);
-        empty.tick(0);
+        step(&mut empty, 0);
         assert_eq!(empty.next_event(0), Some(u64::MAX));
     }
 
@@ -1002,7 +942,7 @@ mod tests {
         assert_eq!(bus.next_event(0), Some(1));
         // Same for a privileged reservation.
         let mut bus = rr_bus(2);
-        bus.tick(0);
+        step(&mut bus, 0);
         bus.post_privileged(req(0, 5, 0)).unwrap();
         assert_eq!(bus.next_event(0), Some(1));
     }
@@ -1012,13 +952,13 @@ mod tests {
         let config = BusConfig::new(2, 10).unwrap();
         let mut bus = Bus::new(config, Box::new(Tdma::new(2, 10)));
         bus.post(req(1, 5, 0)).unwrap();
-        bus.tick(0); // core 1 waits: its slot starts at cycle 10
+        step(&mut bus, 0); // core 1 waits: its slot starts at cycle 10
         assert_eq!(bus.next_event(0), Some(10));
         // Stepping up to the window never grants; the window cycle does.
         for now in 1..10 {
-            assert_eq!(bus.tick(now).granted, None);
+            assert_eq!(step(&mut bus, now).1, None);
         }
-        assert_eq!(bus.tick(10).granted, Some(c(1)));
+        assert_eq!(step(&mut bus, 10).1, Some(c(1)));
     }
 
     #[test]
@@ -1028,7 +968,7 @@ mod tests {
         let mut bus = rr_bus(2);
         bus.set_filter(Box::new(Veto(c(0))));
         bus.post(req(0, 5, 0)).unwrap();
-        bus.tick(0);
+        step(&mut bus, 0);
         assert_eq!(bus.next_event(0), None);
     }
 
@@ -1037,7 +977,7 @@ mod tests {
         // Busy stretch: skip the whole transaction body.
         let mut fast = rr_bus(2);
         fast.post(req(0, 40, 0)).unwrap();
-        fast.tick(0);
+        step(&mut fast, 0);
         fast.advance(0, 40);
         let done = fast.begin_cycle(40);
         assert_eq!(done.unwrap().core, c(0));
@@ -1046,16 +986,16 @@ mod tests {
         let mut slow = rr_bus(2);
         slow.post(req(0, 40, 0)).unwrap();
         for now in 0..=40u64 {
-            slow.tick(now);
+            step(&mut slow, now);
         }
         assert_eq!(fast.total_cycles(), slow.total_cycles());
         assert_eq!(fast.idle_cycles(), slow.idle_cycles());
 
         // Idle stretch: idle cycles accumulate.
         let mut bus = rr_bus(2);
-        bus.tick(0);
+        step(&mut bus, 0);
         bus.advance(0, 100);
-        bus.tick(100);
+        step(&mut bus, 100);
         assert_eq!(bus.total_cycles(), 101);
         assert_eq!(bus.idle_cycles(), 101);
     }
@@ -1065,7 +1005,7 @@ mod tests {
         let mut bus = rr_bus(2);
         bus.enable_recording_trace();
         bus.post(req(0, 5, 0)).unwrap();
-        bus.tick(0);
+        step(&mut bus, 0);
         assert_eq!(bus.trace().records().unwrap().len(), 1);
         bus.reset();
         assert!(bus.trace().records().is_some(), "still recording");
@@ -1078,7 +1018,7 @@ mod tests {
         let mut bus = rr_bus(1);
         bus.post(req(0, 25, 0)).unwrap();
         for now in 0..50u64 {
-            bus.tick(now);
+            step(&mut bus, now);
         }
         assert_eq!(bus.trace().slots(c(0)), 1);
         assert_eq!(bus.trace().busy_cycles(c(0)), 25);

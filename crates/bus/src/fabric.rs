@@ -38,13 +38,13 @@
 //!    queue reserved before the backbone post) and completes at the core.
 //!
 //! Every phase is deterministic, so the fabric composes with the
-//! event-horizon engine: [`Fabric::next_event`] is the minimum over the
-//! segment horizons and the bridge store-and-forward wakeups, and it
+//! event-horizon engine: its [`BusModel::next_event`] is the minimum over
+//! the segment horizons and the bridge store-and-forward wakeups, and it
 //! declines (`None`) whenever any segment declines — falling back to the
 //! per-cycle loop, which stays bit-identical.
 //!
 //! The fabric also joins the events engine's limit-cycle fast-forward (see
-//! [`BusModel::limit_cycle_state`](sim_core::BusModel::limit_cycle_state)):
+//! [`BusModel::limit_cycle_state`]):
 //! its state is every cluster bus's and then the backbone's own state,
 //! followed by each bridge's queues and outstanding request (ready times
 //! as offsets from the sampled cycle) and the in-flight flags, so a
@@ -63,7 +63,7 @@
 //!
 //! ```
 //! use cba_bus::fabric::{Fabric, FabricConfig};
-//! use cba_bus::{BusRequest, PolicyKind, RequestKind};
+//! use cba_bus::{BusModel, BusRequest, PolicyKind, RequestKind, RequestPort};
 //! use sim_core::{CoreId, Cycle};
 //!
 //! let config = FabricConfig::new(2, 4, 56, 2, 2)?;
@@ -72,7 +72,7 @@
 //!                              PolicyKind::RoundRobin.build(2, 56))?;
 //!
 //! let c5 = CoreId::from_index(5);
-//! fabric.post(BusRequest::new(c5, 6, RequestKind::Synthetic, 0)?)?;
+//! fabric.post(BusRequest::new(c5, 6, RequestKind::Synthetic, 0))?;
 //! let mut done: Option<(Cycle, CoreId)> = None;
 //! for now in 0..100u64 {
 //!     if let Some(ct) = fabric.begin_cycle(now) {
@@ -92,7 +92,7 @@ use crate::bus::{Bus, BusConfig, CompletedTransaction, WaitStats};
 use crate::policy::{ArbitrationPolicy, EligibilityFilter, RandomSource};
 use crate::{BusError, BusRequest, RequestKind, RequestPort};
 use sim_core::trace::GrantTrace;
-use sim_core::{CoreId, Cycle};
+use sim_core::{BusModel, CoreId, Cycle};
 use std::collections::VecDeque;
 
 /// Static configuration of a [`Fabric`].
@@ -375,11 +375,6 @@ impl Fabric {
         self.clusters[self.cluster_of(core)].wait_stats()
     }
 
-    /// The fabric-wide trace: backbone grants per originating core.
-    pub fn trace(&self) -> &GrantTrace {
-        &self.trace
-    }
-
     /// Backbone cycles carrying no transaction (among those ticked).
     pub fn idle_cycles(&self) -> u64 {
         self.backbone.idle_cycles()
@@ -401,54 +396,42 @@ impl Fabric {
         })
     }
 
-    /// Posts a request by a global core (phase 2 of the cycle protocol).
-    ///
-    /// # Errors
-    ///
-    /// * [`BusError::UnknownCore`] — core outside the fabric;
-    /// * [`BusError::DurationOutOfRange`] — duration above MaxL;
-    /// * [`BusError::AlreadyPending`] — the core already has a transaction
-    ///   in flight (anywhere in the pipeline).
-    pub fn post(&mut self, req: BusRequest) -> Result<(), BusError> {
-        let idx = req.core().index();
-        if idx >= self.config.n_cores() {
-            return Err(BusError::UnknownCore(req.core()));
+    /// Starts watching every cluster bus's eligibility filter for
+    /// verdict flips (see [`Bus::enable_flip_probe`]); flips stream
+    /// through [`BusModel::drain_events`] with cluster-local cores
+    /// remapped to their global identities. Backbone (per-bridge) flips
+    /// are not forwarded — bridge indices are not core identities.
+    pub fn enable_flip_probe(&mut self) {
+        for bus in &mut self.clusters {
+            bus.enable_flip_probe();
         }
-        if req.duration() > self.config.max_latency {
-            return Err(BusError::DurationOutOfRange {
-                got: req.duration(),
-                max: self.config.max_latency,
-            });
-        }
-        if self.in_flight[idx] {
-            return Err(BusError::AlreadyPending(req.core()));
-        }
-        let k = self.cluster_of(req.core());
-        let local = self.local_id(req.core());
-        self.clusters[k].post(
-            BusRequest::new(local, req.duration(), req.kind(), req.issued_at())
-                .expect("validated duration"),
-        )?;
-        self.in_flight[idx] = true;
-        Ok(())
     }
 
-    /// Withdraws `core`'s request if it is still pending on its cluster
-    /// bus (a transaction that already won cluster arbitration cannot be
-    /// recalled from the pipeline).
-    pub fn withdraw(&mut self, core: CoreId) -> Option<BusRequest> {
-        if !self.is_in_flight(core) {
-            return None;
+    /// Resets every segment, bridge and statistic for a fresh run, reusing
+    /// the trace buffers (see [`Bus::reset`]). Random sources are *not*
+    /// reseeded — replace them for seed control.
+    pub fn reset(&mut self) {
+        for bus in &mut self.clusters {
+            bus.reset();
         }
-        let k = self.cluster_of(core);
-        let local = self.local_id(core);
-        let req = self.clusters[k].withdraw(local)?;
-        self.in_flight[core.index()] = false;
-        Some(
-            BusRequest::new(core, req.duration(), req.kind(), req.issued_at())
-                .expect("validated duration"),
-        )
+        self.backbone.reset();
+        for bridge in &mut self.bridges {
+            bridge.requests.clear();
+            bridge.outstanding = None;
+            bridge.responses.clear();
+        }
+        self.in_flight.iter_mut().for_each(|f| *f = false);
+        self.trace.clear();
+        self.in_cycle = false;
+        self.last_cycle = None;
     }
+}
+
+/// The fabric speaks the workspace-wide cycle protocol: requests carry
+/// global [`CoreId`]s, completions are [`CompletedTransaction`]s, so a
+/// fabric drops into any harness written for [`Bus`].
+impl BusModel for Fabric {
+    type Completion = CompletedTransaction;
 
     /// Phase 1 of cycle `now`: delivers a response that finished crossing
     /// its bridge, lands cluster-bus completions in their bridge request
@@ -463,7 +446,7 @@ impl Fabric {
     ///
     /// Panics if cycles are not visited in strictly increasing order or
     /// the phases are called out of order.
-    pub fn begin_cycle(&mut self, now: Cycle) -> Option<CompletedTransaction> {
+    fn begin_cycle(&mut self, now: Cycle) -> Option<CompletedTransaction> {
         assert!(!self.in_cycle, "begin_cycle called twice for one cycle");
         if let Some(last) = self.last_cycle {
             assert!(
@@ -542,8 +525,8 @@ impl Fabric {
     ///
     /// # Panics
     ///
-    /// Panics if called without a matching [`Fabric::begin_cycle`].
-    pub fn end_cycle(&mut self, now: Cycle) -> Option<CoreId> {
+    /// Panics if called without a matching `begin_cycle`.
+    fn end_cycle(&mut self, now: Cycle) -> Option<CoreId> {
         assert!(self.in_cycle, "end_cycle without begin_cycle");
         assert_eq!(
             self.last_cycle,
@@ -563,10 +546,12 @@ impl Fabric {
             if ready && bridge.responses.len() < self.config.bridge_depth {
                 let f = bridge.requests.pop_front().expect("front checked above");
                 self.backbone
-                    .post(
-                        BusRequest::new(CoreId::from_index(k), f.duration, f.kind, now)
-                            .expect("validated duration"),
-                    )
+                    .post(BusRequest::new(
+                        CoreId::from_index(k),
+                        f.duration,
+                        f.kind,
+                        now,
+                    ))
                     .expect("one outstanding request per bridge");
                 bridge.outstanding = Some(f);
             }
@@ -592,13 +577,17 @@ impl Fabric {
         granted
     }
 
-    /// The fabric's event horizon (see
-    /// [`BusModel::next_event`](sim_core::BusModel::next_event)): the
+    /// The fabric-wide trace: backbone grants per originating core.
+    fn trace(&self) -> &GrantTrace {
+        &self.trace
+    }
+
+    /// The fabric's event horizon (see [`BusModel::next_event`]): the
     /// minimum over every segment's horizon and the bridge
     /// store-and-forward wakeups (a request finishing its crossing, a
     /// response becoming deliverable). Declines (`None`) whenever any
     /// segment declines.
-    pub fn next_event(&mut self, now: Cycle) -> Option<Cycle> {
+    fn next_event(&mut self, now: Cycle) -> Option<Cycle> {
         let mut horizon = Cycle::MAX;
         for bridge in &self.bridges {
             if bridge.outstanding.is_none() {
@@ -621,9 +610,9 @@ impl Fabric {
     }
 
     /// Bulk-advances every segment over the uneventful range (see
-    /// [`BusModel::advance`](sim_core::BusModel::advance)); bridge state
+    /// [`BusModel::advance`]); bridge state
     /// is expressed in absolute cycles and needs no per-cycle work.
-    pub fn advance(&mut self, from: Cycle, to: Cycle) {
+    fn advance(&mut self, from: Cycle, to: Cycle) {
         debug_assert!(!self.in_cycle, "advance between cycles only");
         if to <= from + 1 {
             return;
@@ -635,78 +624,10 @@ impl Fabric {
         self.last_cycle = Some(to - 1);
     }
 
-    /// Starts watching every cluster bus's eligibility filter for
-    /// verdict flips (see [`Bus::enable_flip_probe`]); flips stream
-    /// through [`BusModel::drain_events`](sim_core::BusModel::drain_events)
-    /// with cluster-local cores remapped to their global identities.
-    /// Backbone (per-bridge) flips are not forwarded — bridge indices
-    /// are not core identities.
-    pub fn enable_flip_probe(&mut self) {
-        for bus in &mut self.clusters {
-            bus.enable_flip_probe();
-        }
-    }
-
-    /// Resets every segment, bridge and statistic for a fresh run, reusing
-    /// the trace buffers (see [`Bus::reset`]). Random sources are *not*
-    /// reseeded — replace them for seed control.
-    pub fn reset(&mut self) {
-        for bus in &mut self.clusters {
-            bus.reset();
-        }
-        self.backbone.reset();
-        for bridge in &mut self.bridges {
-            bridge.requests.clear();
-            bridge.outstanding = None;
-            bridge.responses.clear();
-        }
-        self.in_flight.iter_mut().for_each(|f| *f = false);
-        self.trace.clear();
-        self.in_cycle = false;
-        self.last_cycle = None;
-    }
-}
-
-/// The fabric speaks the workspace-wide cycle protocol: requests carry
-/// global [`CoreId`]s, completions are [`CompletedTransaction`]s, so a
-/// fabric drops into any harness written for [`Bus`].
-impl sim_core::BusModel for Fabric {
-    type Request = BusRequest;
-    type Completion = CompletedTransaction;
-    type Error = BusError;
-
-    fn begin_cycle(&mut self, now: Cycle) -> Option<CompletedTransaction> {
-        Fabric::begin_cycle(self, now)
-    }
-
-    fn post(&mut self, req: BusRequest) -> Result<(), BusError> {
-        Fabric::post(self, req)
-    }
-
-    fn end_cycle(&mut self, now: Cycle) -> Option<CoreId> {
-        Fabric::end_cycle(self, now)
-    }
-
-    fn owner(&self) -> Option<CoreId> {
-        Fabric::owner(self)
-    }
-
-    fn trace(&self) -> &GrantTrace {
-        Fabric::trace(self)
-    }
-
-    fn next_event(&mut self, now: Cycle) -> Option<Cycle> {
-        Fabric::next_event(self, now)
-    }
-
-    fn advance(&mut self, from: Cycle, to: Cycle) {
-        Fabric::advance(self, from, to)
-    }
-
     fn drain_events(&mut self, sink: &mut dyn FnMut(sim_core::ModelEvent)) {
         let cores_per_cluster = self.config.cores_per_cluster();
         for (k, bus) in self.clusters.iter_mut().enumerate() {
-            sim_core::BusModel::drain_events(bus, &mut |event| match event {
+            BusModel::drain_events(bus, &mut |event| match event {
                 sim_core::ModelEvent::CreditFlip { at, core, eligible } => {
                     sink(sim_core::ModelEvent::CreditFlip {
                         at,
@@ -728,7 +649,7 @@ impl sim_core::BusModel for Fabric {
     fn limit_cycle_state(&self, now: Cycle, state: &mut Vec<u64>, counters: &mut Vec<u64>) -> bool {
         let mut accepted = self.trace.limit_cycle_counters(counters);
         for bus in self.clusters.iter().chain([&self.backbone]) {
-            accepted &= sim_core::BusModel::limit_cycle_state(bus, now, state, counters);
+            accepted &= BusModel::limit_cycle_state(bus, now, state, counters);
         }
         for bridge in &self.bridges {
             bridge.limit_cycle_state(now, state);
@@ -751,12 +672,33 @@ impl sim_core::BusModel for Fabric {
 }
 
 impl RequestPort for Fabric {
+    /// Posts a request by a global core (phase 2 of the cycle protocol).
+    ///
+    /// # Errors
+    ///
+    /// * [`BusError::UnknownCore`] — core outside the fabric;
+    /// * [`BusError::DurationOutOfRange`] — duration 0 or above MaxL (its
+    ///   cluster bus checks);
+    /// * [`BusError::AlreadyPending`] — the core already has a transaction
+    ///   in flight (anywhere in the pipeline).
     fn post(&mut self, req: BusRequest) -> Result<(), BusError> {
-        Fabric::post(self, req)
-    }
-
-    fn withdraw(&mut self, core: CoreId) -> Option<BusRequest> {
-        Fabric::withdraw(self, core)
+        let idx = req.core().index();
+        if idx >= self.config.n_cores() {
+            return Err(BusError::UnknownCore(req.core()));
+        }
+        if self.in_flight[idx] {
+            return Err(BusError::AlreadyPending(req.core()));
+        }
+        let k = self.cluster_of(req.core());
+        let local = self.local_id(req.core());
+        self.clusters[k].post(BusRequest::new(
+            local,
+            req.duration(),
+            req.kind(),
+            req.issued_at(),
+        ))?;
+        self.in_flight[idx] = true;
+        Ok(())
     }
 
     fn can_accept(&self, core: CoreId) -> bool {
@@ -769,7 +711,7 @@ mod tests {
     use super::*;
     use crate::PolicyKind;
     use sim_core::agent::FnAgent;
-    use sim_core::engine::{BusModel, Control};
+    use sim_core::Control;
     use sim_core::{Engine, Simulation};
 
     fn c(i: usize) -> CoreId {
@@ -777,7 +719,14 @@ mod tests {
     }
 
     fn req(core: usize, dur: u32, at: Cycle) -> BusRequest {
-        BusRequest::new(c(core), dur, RequestKind::Synthetic, at).unwrap()
+        BusRequest::new(c(core), dur, RequestKind::Synthetic, at)
+    }
+
+    /// One cycle with no posts between its phases; returns the completion.
+    fn step(fabric: &mut Fabric, now: Cycle) -> Option<CompletedTransaction> {
+        let completed = fabric.begin_cycle(now);
+        fabric.end_cycle(now);
+        completed
     }
 
     fn rr_fabric(clusters: usize, cpc: usize, latency: u32, depth: usize) -> Fabric {
@@ -847,36 +796,21 @@ mod tests {
             fabric.post(req(0, 5, 0)),
             Err(BusError::AlreadyPending(_))
         ));
-        assert!(!RequestPort::can_accept(&fabric, c(0)));
-        assert!(RequestPort::can_accept(&fabric, c(1)));
+        assert!(!fabric.can_accept(c(0)));
+        assert!(fabric.can_accept(c(1)));
         // In flight until delivery, even while crossing bridges.
         let done_at = 5 + 1 + 5 + 1;
         for now in 0..done_at {
-            fabric.tick(now);
+            step(&mut fabric, now);
             assert!(fabric.is_in_flight(c(0)), "cycle {now}");
             assert!(matches!(
                 fabric.post(req(0, 5, now)),
                 Err(BusError::AlreadyPending(_))
             ));
         }
-        let out = fabric.tick(done_at);
-        assert_eq!(out.completed.map(|ct| ct.core), Some(c(0)));
-        assert!(RequestPort::can_accept(&fabric, c(0)));
-    }
-
-    #[test]
-    fn withdraw_only_before_cluster_grant() {
-        let mut fabric = rr_fabric(2, 2, 1, 1);
-        fabric.post(req(0, 5, 0)).unwrap();
-        // Not yet granted (no cycle ran): withdrawable.
-        let w = fabric.withdraw(c(0)).expect("still pending");
-        assert_eq!(w.core(), c(0));
-        assert!(!fabric.is_in_flight(c(0)));
-        // Granted on the cluster bus: no longer withdrawable.
-        fabric.post(req(0, 5, 0)).unwrap();
-        fabric.tick(0);
-        assert!(fabric.withdraw(c(0)).is_none());
-        assert!(fabric.is_in_flight(c(0)));
+        let done = step(&mut fabric, done_at);
+        assert_eq!(done.map(|ct| ct.core), Some(c(0)));
+        assert!(fabric.can_accept(c(0)));
     }
 
     #[test]
@@ -889,7 +823,7 @@ mod tests {
         for now in 0..horizon {
             fabric.begin_cycle(now);
             for core in 0..4 {
-                if RequestPort::can_accept(&fabric, c(core)) {
+                if fabric.can_accept(c(core)) {
                     fabric.post(req(core, 56, now)).unwrap();
                 }
             }
@@ -935,7 +869,7 @@ mod tests {
         for now in 0..3_000u64 {
             fabric.begin_cycle(now);
             for core in 0..4 {
-                if RequestPort::can_accept(&fabric, c(core)) {
+                if fabric.can_accept(c(core)) {
                     fabric.post(req(core, 28, now)).unwrap();
                 }
             }
@@ -956,20 +890,20 @@ mod tests {
     fn next_event_matches_the_pipeline_stages() {
         let mut fabric = rr_fabric(2, 2, 3, 2);
         fabric.post(req(0, 10, 0)).unwrap();
-        fabric.tick(0); // cluster grant: busy [0, 10)
+        step(&mut fabric, 0); // cluster grant: busy [0, 10)
         assert_eq!(fabric.next_event(0), Some(10));
         for now in 1..=10u64 {
-            fabric.tick(now);
+            step(&mut fabric, now);
         }
         // Crossing the bridge: ready at 10 + 3 = 13.
         assert_eq!(fabric.next_event(10), Some(13));
         for now in 11..=13u64 {
-            fabric.tick(now);
+            step(&mut fabric, now);
         }
         // Backbone granted at 13: busy [13, 23).
         assert_eq!(fabric.next_event(13), Some(23));
         for now in 14..=23u64 {
-            fabric.tick(now);
+            step(&mut fabric, now);
         }
         // Response crossing: deliverable at 23 + 3 = 26.
         assert_eq!(fabric.next_event(23), Some(26));
@@ -997,9 +931,9 @@ mod tests {
             for core in 0..n {
                 let period = 40 + 13 * core as u64;
                 let offset = (7 * core as u64) % period;
-                if now % period == offset && RequestPort::can_accept(fabric, c(core)) {
+                if now % period == offset && fabric.can_accept(c(core)) {
                     let dur = [5u32, 28, 56][core % 3];
-                    RequestPort::post(fabric, req(core, dur, now)).unwrap();
+                    fabric.post(req(core, dur, now)).unwrap();
                 }
                 // The next issue boundary of this core after `now`.
                 let next = now + period - (now + period - offset) % period;
@@ -1033,7 +967,7 @@ mod tests {
         fabric.post(req(0, 10, 0)).unwrap();
         fabric.post(req(2, 56, 0)).unwrap();
         for now in 0..15u64 {
-            fabric.tick(now);
+            step(&mut fabric, now);
         }
         fabric.reset();
         assert_eq!(fabric.trace().total_slots(), 0);
@@ -1056,7 +990,7 @@ mod tests {
     #[should_panic(expected = "strictly increase")]
     fn non_monotonic_cycles_panic() {
         let mut fabric = rr_fabric(1, 1, 1, 1);
-        fabric.tick(5);
-        fabric.tick(5);
+        step(&mut fabric, 5);
+        step(&mut fabric, 5);
     }
 }

@@ -9,7 +9,7 @@ pub mod policies;
 pub mod policy;
 pub mod split;
 
-pub use bus::{Bus, BusConfig, BusState, CompletedTransaction, TickOutcome, WaitStats};
+pub use bus::{Bus, BusConfig, BusState, CompletedTransaction, WaitStats};
 pub use fabric::{Fabric, FabricConfig};
 pub use pending::{Candidate, PendingSet};
 pub use policy::{
@@ -85,11 +85,11 @@ impl fmt::Display for RequestKind {
 /// One bus transaction request: a core asking to hold the bus for
 /// `duration` cycles.
 ///
-/// Durations are validated against 1..= [`BusRequest::MAX_DURATION`] at
-/// construction and against the platform's `max_latency` when posted to a
-/// [`Bus`]. A request whose duration could exceed the platform MaxL would
-/// break the credit-arbitration invariants, so this is enforced, not
-/// assumed.
+/// The duration is checked once, when the request is posted: a [`Bus`]
+/// (and so every segment of a [`Fabric`]) accepts `1..=` its MaxL, which
+/// [`BusConfig`] bounds by [`BusRequest::MAX_DURATION`]. A request whose
+/// duration could exceed the platform MaxL would break the
+/// credit-arbitration invariants, so this is enforced, not assumed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BusRequest {
     core: CoreId,
@@ -103,30 +103,15 @@ impl BusRequest {
     pub const MAX_DURATION: u32 = 4096;
 
     /// Creates a request by `core` to hold the bus for `duration` cycles,
-    /// issued (became ready) at cycle `issued_at`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BusError::DurationOutOfRange`] unless
-    /// `1 <= duration <= MAX_DURATION`.
-    pub fn new(
-        core: CoreId,
-        duration: u32,
-        kind: RequestKind,
-        issued_at: Cycle,
-    ) -> Result<Self, BusError> {
-        if duration == 0 || duration > Self::MAX_DURATION {
-            return Err(BusError::DurationOutOfRange {
-                got: duration,
-                max: Self::MAX_DURATION,
-            });
-        }
-        Ok(BusRequest {
+    /// issued (became ready) at cycle `issued_at`. The bus it is posted
+    /// to checks the duration.
+    pub fn new(core: CoreId, duration: u32, kind: RequestKind, issued_at: Cycle) -> Self {
+        BusRequest {
             core,
             duration,
             kind,
             issued_at,
-        })
+        }
     }
 
     /// The requesting core.
@@ -201,61 +186,73 @@ impl std::error::Error for BusError {}
 /// Client models (cores, contenders, fixed-request tasks) are written
 /// against this trait so the *same* client drives a single shared bus or a
 /// clustered fabric unchanged; only the interconnect behind the port
-/// differs. The port is intentionally narrower than [`BusModel`]: clients
-/// post, probe whether they may post, and withdraw — they never drive
-/// cycles.
+/// differs. The port is the client half of the cycle protocol, and
+/// [`BusModel`] the driver's half: clients post and probe whether they may
+/// post — they never drive cycles.
 pub trait RequestPort {
     /// Posts a bus request (phase 2 of the cycle protocol).
     ///
     /// # Errors
     ///
-    /// Implementations reject unknown cores, out-of-range durations and
-    /// double posts (see [`BusError`]).
+    /// Implementations reject unknown cores, durations outside `1..=MaxL`
+    /// and double posts (see [`BusError`]).
     fn post(&mut self, req: BusRequest) -> Result<(), BusError>;
-
-    /// Withdraws `core`'s pending request if it has not been granted yet
-    /// (on a fabric: if it has not left its cluster's pending set).
-    fn withdraw(&mut self, core: CoreId) -> Option<BusRequest>;
 
     /// Whether `core` may post a fresh request: nothing of its is pending,
     /// in service, or (on a fabric) anywhere in the bridge pipeline.
     fn can_accept(&self, core: CoreId) -> bool;
 }
 
-impl RequestPort for Bus {
-    fn post(&mut self, req: BusRequest) -> Result<(), BusError> {
-        Bus::post(self, req)
-    }
-
-    fn withdraw(&mut self, core: CoreId) -> Option<BusRequest> {
-        Bus::withdraw(self, core)
-    }
-
-    fn can_accept(&self, core: CoreId) -> bool {
-        !self.has_pending(core) && self.owner() != Some(core)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The duration is checked once, at `post`: every way onto a bus
+    /// rejects 0 and MaxL + 1, keeps nothing of the rejected request, and
+    /// accepts MaxL.
     #[test]
-    fn request_validates_duration() {
-        let c = CoreId::from_index(0);
-        assert!(matches!(
-            BusRequest::new(c, 0, RequestKind::L2ReadHit, 0),
-            Err(BusError::DurationOutOfRange { got: 0, .. })
-        ));
-        assert!(BusRequest::new(c, 1, RequestKind::L2ReadHit, 0).is_ok());
-        assert!(BusRequest::new(c, BusRequest::MAX_DURATION, RequestKind::Atomic, 0).is_ok());
-        assert!(BusRequest::new(c, BusRequest::MAX_DURATION + 1, RequestKind::Atomic, 0).is_err());
+    fn posts_accept_durations_from_one_to_maxl() {
+        let maxl = 56;
+        let req = |d| BusRequest::new(CoreId::from_index(0), d, RequestKind::Atomic, 0);
+        let out_of_range = |got| Err(BusError::DurationOutOfRange { got, max: maxl });
+        let bus = || {
+            Bus::new(
+                BusConfig::new(2, maxl).unwrap(),
+                PolicyKind::RoundRobin.build(2, maxl),
+            )
+        };
+        let mut plain = bus();
+        let mut privileged = bus();
+        let mut fabric = Fabric::new(
+            FabricConfig::new(2, 2, maxl, 1, 1).unwrap(),
+            (0..2)
+                .map(|_| PolicyKind::RoundRobin.build(2, maxl))
+                .collect(),
+            PolicyKind::RoundRobin.build(2, maxl),
+        )
+        .unwrap();
+        for d in [0, maxl + 1] {
+            assert_eq!(plain.post(req(d)), out_of_range(d));
+            assert_eq!(privileged.post_privileged(req(d)), out_of_range(d));
+            assert_eq!(fabric.post(req(d)), out_of_range(d));
+        }
+        let c0 = CoreId::from_index(0);
+        assert!(plain.can_accept(c0), "nothing pending");
+        assert!(fabric.can_accept(c0), "nothing in flight");
+        // Nothing privileged was queued: the first cycle grants nobody.
+        privileged.begin_cycle(0);
+        assert_eq!(privileged.end_cycle(0), None);
+        assert_eq!(plain.post(req(maxl)), Ok(()));
+        assert_eq!(privileged.post_privileged(req(maxl)), Ok(()));
+        assert_eq!(fabric.post(req(maxl)), Ok(()));
+        privileged.begin_cycle(1);
+        assert_eq!(privileged.end_cycle(1), Some(c0));
     }
 
     #[test]
     fn request_accessors() {
         let c = CoreId::from_index(2);
-        let r = BusRequest::new(c, 28, RequestKind::L2MissClean, 17).unwrap();
+        let r = BusRequest::new(c, 28, RequestKind::L2MissClean, 17);
         assert_eq!(r.core(), c);
         assert_eq!(r.duration(), 28);
         assert_eq!(r.kind(), RequestKind::L2MissClean);

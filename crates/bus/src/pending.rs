@@ -135,7 +135,7 @@ mod tests {
     use crate::RequestKind;
 
     fn req(core: usize, dur: u32, at: Cycle) -> BusRequest {
-        BusRequest::new(CoreId::from_index(core), dur, RequestKind::Synthetic, at).unwrap()
+        BusRequest::new(CoreId::from_index(core), dur, RequestKind::Synthetic, at)
     }
 
     #[test]

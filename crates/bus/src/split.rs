@@ -23,9 +23,10 @@
 //! split bus) with a FIFO memory channel.
 
 use crate::bus::{Bus, BusConfig};
-use crate::policy::ArbitrationPolicy;
-use crate::{BusError, BusRequest, RequestKind};
-use sim_core::{CoreId, Cycle};
+use crate::policy::{ArbitrationPolicy, RandomSource};
+use crate::{BusError, BusRequest, RequestKind, RequestPort};
+use sim_core::trace::GrantTrace;
+use sim_core::{BusModel, CoreId, Cycle};
 use std::collections::VecDeque;
 
 /// One request on the split bus.
@@ -128,9 +129,10 @@ pub struct SplitCompletion {
 /// bus.post(c0, SplitRequest::Split)?;
 /// let mut done_at = None;
 /// for now in 0..200u64 {
-///     for c in bus.tick(now) {
-///         if c.core == c0 { done_at = Some(now); }
+///     if bus.begin_cycle(now).is_some_and(|c| c.core == c0) {
+///         done_at = Some(now);
 ///     }
+///     bus.end_cycle(now);
 /// }
 /// // 5-cycle command + 28-cycle memory + 5-cycle response ≈ 38 cycles,
 /// // but the bus itself was held for only 10 of them.
@@ -149,8 +151,9 @@ pub struct SplitBus {
     mem_done_at: Option<Cycle>,
     /// Responses waiting for the bus (served with priority, FIFO).
     resp_queue: VecDeque<CoreId>,
-    /// Requests accepted by `post` awaiting submission at the next tick.
-    pending_posts: Vec<(CoreId, u32, RequestKind, bool)>,
+    /// Requests accepted by `post` awaiting submission at the next
+    /// `end_cycle`.
+    pending_posts: Vec<(CoreId, u32, RequestKind)>,
 }
 
 impl SplitBus {
@@ -179,6 +182,12 @@ impl SplitBus {
     /// drain for held bus cycles only).
     pub fn set_filter(&mut self, filter: Box<dyn crate::policy::EligibilityFilter>) {
         self.inner.set_filter(filter);
+    }
+
+    /// Replaces the random-bit source of the underlying bus's randomized
+    /// policies (see [`Bus::set_random_source`]).
+    pub fn set_random_source(&mut self, rng: Box<dyn RandomSource>) {
+        self.inner.set_random_source(rng);
     }
 
     /// Starts watching the underlying bus's eligibility filter for
@@ -211,39 +220,53 @@ impl SplitBus {
         if !self.is_idle(core) {
             return Err(BusError::AlreadyPending(core));
         }
-        // The actual bus posting happens inside tick (we need `now`); store
-        // intent in the state machine.
+        // The actual bus posting happens inside `end_cycle` (we need
+        // `now`); store intent in the state machine.
         self.states[core.index()] = match request {
             SplitRequest::Immediate { duration } => {
                 validate_duration(duration, self.config.max_latency)?;
                 self.pending_posts
-                    .push((core, duration, RequestKind::L2ReadHit, false));
+                    .push((core, duration, RequestKind::L2ReadHit));
                 CoreState::OnBus
             }
             SplitRequest::Atomic { duration } => {
                 validate_duration(duration, self.config.max_latency)?;
                 self.pending_posts
-                    .push((core, duration, RequestKind::Atomic, false));
+                    .push((core, duration, RequestKind::Atomic));
                 CoreState::OnBus
             }
             SplitRequest::Split => {
-                self.pending_posts.push((
-                    core,
-                    self.config.phase_cycles,
-                    RequestKind::L2MissClean,
-                    true,
-                ));
+                self.pending_posts
+                    .push((core, self.config.phase_cycles, RequestKind::L2MissClean));
                 CoreState::Command
             }
         };
         Ok(())
     }
 
+    /// Resets the split bus for a fresh run, reusing the underlying bus's
+    /// trace/statistics buffers and this layer's queues (see
+    /// [`Bus::reset`]).
+    pub fn reset(&mut self) {
+        self.inner.reset();
+        self.states.fill(CoreState::Idle);
+        self.mem_queue.clear();
+        self.mem_done_at = None;
+        self.resp_queue.clear();
+        self.pending_posts.clear();
+    }
+}
+
+/// The split bus speaks the same cycle protocol as [`Bus`]; its clients
+/// post per core through [`SplitBus::post`].
+impl BusModel for SplitBus {
+    type Completion = SplitCompletion;
+
     /// Phase 1 of cycle `now`: reports the split request (if any) that
     /// fully completed at `now`, advances the memory channel, and turns
     /// finished memory accesses into privileged response-phase
     /// reservations.
-    pub fn begin_cycle(&mut self, now: Cycle) -> Option<SplitCompletion> {
+    fn begin_cycle(&mut self, now: Cycle) -> Option<SplitCompletion> {
         let mut completion = None;
 
         // Bus completion drives the per-core state machine.
@@ -284,15 +307,12 @@ impl SplitBus {
         // not budget-gated (budgets still drain while they hold the bus).
         while let Some(core) = self.resp_queue.pop_front() {
             self.inner
-                .post_privileged(
-                    BusRequest::new(
-                        core,
-                        self.config.phase_cycles,
-                        RequestKind::L2MissClean,
-                        now,
-                    )
-                    .expect("validated phase"),
-                )
+                .post_privileged(BusRequest::new(
+                    core,
+                    self.config.phase_cycles,
+                    RequestKind::L2MissClean,
+                    now,
+                ))
                 .expect("validated core and phase");
             self.states[core.index()] = CoreState::Response;
         }
@@ -304,24 +324,28 @@ impl SplitBus {
     /// [`SplitBus::post`] since the last cycle and runs the underlying
     /// bus's arbitration. Returns the core granted the bus at `now`, if
     /// any.
-    pub fn end_cycle(&mut self, now: Cycle) -> Option<CoreId> {
+    fn end_cycle(&mut self, now: Cycle) -> Option<CoreId> {
         let posts = std::mem::take(&mut self.pending_posts);
-        for (core, duration, kind, _split) in posts {
+        for (core, duration, kind) in posts {
             self.inner
-                .post(BusRequest::new(core, duration, kind, now).expect("validated duration"))
+                .post(BusRequest::new(core, duration, kind, now))
                 .expect("state machine enforces one outstanding request");
         }
         self.inner.end_cycle(now)
     }
 
-    /// The split bus's event horizon (see
-    /// [`BusModel::next_event`](sim_core::BusModel::next_event)): the
+    /// The underlying bus's trace: bus acquisitions, not whole requests.
+    fn trace(&self) -> &GrantTrace {
+        self.inner.trace()
+    }
+
+    /// The split bus's event horizon (see [`BusModel::next_event`]): the
     /// earlier of the underlying bus's event and the memory channel's
     /// completion. Any queued hand-off (an accepted post awaiting
     /// submission, a response awaiting its privileged reservation, or a
     /// memory access awaiting service) resolves next cycle, so those
     /// states report `now + 1` (no skipping).
-    pub fn next_event(&mut self, now: Cycle) -> Option<Cycle> {
+    fn next_event(&mut self, now: Cycle) -> Option<Cycle> {
         if !self.pending_posts.is_empty() || !self.resp_queue.is_empty() {
             return Some(now + 1);
         }
@@ -338,61 +362,12 @@ impl SplitBus {
     /// Bulk-advances the uneventful range on the underlying bus; the split
     /// bus's own state machines are event-driven and have nothing to
     /// account per cycle.
-    pub fn advance(&mut self, from: Cycle, to: Cycle) {
+    fn advance(&mut self, from: Cycle, to: Cycle) {
         self.inner.advance(from, to);
     }
 
-    /// Resets the split bus for a fresh run, reusing the underlying bus's
-    /// trace/statistics buffers and this layer's queues (see
-    /// [`Bus::reset`]).
-    pub fn reset(&mut self) {
-        self.inner.reset();
-        self.states.fill(CoreState::Idle);
-        self.mem_queue.clear();
-        self.mem_done_at = None;
-        self.resp_queue.clear();
-        self.pending_posts.clear();
-    }
-}
-
-/// The split bus speaks the same cycle protocol as [`Bus`]; requests are
-/// addressed per core, so [`BusModel::post`](sim_core::BusModel::post)
-/// takes a `(core, request)` pair.
-impl sim_core::BusModel for SplitBus {
-    type Request = (CoreId, SplitRequest);
-    type Completion = SplitCompletion;
-    type Error = BusError;
-
-    fn begin_cycle(&mut self, now: Cycle) -> Option<SplitCompletion> {
-        SplitBus::begin_cycle(self, now)
-    }
-
-    fn post(&mut self, (core, request): (CoreId, SplitRequest)) -> Result<(), BusError> {
-        SplitBus::post(self, core, request)
-    }
-
-    fn end_cycle(&mut self, now: Cycle) -> Option<CoreId> {
-        SplitBus::end_cycle(self, now)
-    }
-
-    fn owner(&self) -> Option<CoreId> {
-        self.inner.owner()
-    }
-
-    fn trace(&self) -> &sim_core::trace::GrantTrace {
-        self.inner.trace()
-    }
-
-    fn next_event(&mut self, now: Cycle) -> Option<Cycle> {
-        SplitBus::next_event(self, now)
-    }
-
-    fn advance(&mut self, from: Cycle, to: Cycle) {
-        SplitBus::advance(self, from, to)
-    }
-
     fn drain_events(&mut self, sink: &mut dyn FnMut(sim_core::ModelEvent)) {
-        sim_core::BusModel::drain_events(&mut self.inner, sink)
+        self.inner.drain_events(sink)
     }
 }
 
@@ -411,7 +386,6 @@ fn validate_duration(duration: u32, maxl: u32) -> Result<(), BusError> {
 mod tests {
     use super::*;
     use crate::PolicyKind;
-    use sim_core::BusModel;
 
     fn c(i: usize) -> CoreId {
         CoreId::from_index(i)
@@ -419,6 +393,13 @@ mod tests {
 
     fn mk() -> SplitBus {
         SplitBus::new(SplitBusConfig::paper(), PolicyKind::RoundRobin.build(4, 56)).unwrap()
+    }
+
+    /// One cycle with no posts between its phases; returns the completion.
+    fn step(bus: &mut SplitBus, now: Cycle) -> Option<SplitCompletion> {
+        let completed = bus.begin_cycle(now);
+        bus.end_cycle(now);
+        completed
     }
 
     #[test]
@@ -438,7 +419,7 @@ mod tests {
         bus.post(c(0), SplitRequest::Split).unwrap();
         let mut done = None;
         for now in 0..200u64 {
-            for comp in bus.tick(now) {
+            if let Some(comp) = step(&mut bus, now) {
                 if comp.core == c(0) {
                     done = Some(now);
                 }
@@ -460,7 +441,7 @@ mod tests {
         bus.post(c(1), SplitRequest::Atomic { duration: 56 })
             .unwrap();
         for now in 0..200u64 {
-            bus.tick(now);
+            step(&mut bus, now);
         }
         assert_eq!(bus.inner().trace().busy_cycles(c(0)), 5);
         assert_eq!(bus.inner().trace().slots(c(0)), 1);
@@ -477,7 +458,7 @@ mod tests {
         bus.post(c(1), SplitRequest::Split).unwrap();
         let mut done = [None, None];
         for now in 0..300u64 {
-            for comp in bus.tick(now) {
+            if let Some(comp) = step(&mut bus, now) {
                 done[comp.core.index()] = Some(now);
             }
         }
@@ -499,7 +480,7 @@ mod tests {
             Err(BusError::AlreadyPending(_))
         ));
         for now in 0..100u64 {
-            bus.tick(now);
+            step(&mut bus, now);
         }
         assert!(bus.is_idle(c(0)));
         assert!(bus.post(c(0), SplitRequest::Split).is_ok());
@@ -539,10 +520,9 @@ mod tests {
                 bus.post(c(1), SplitRequest::Atomic { duration: 56 })
                     .unwrap();
             }
-            for _comp in bus.tick(now) {
-                if now > 130 {
-                    completed_at = completed_at.or(Some(now));
-                }
+            let done = step(&mut bus, now);
+            if done.is_some() && now > 130 {
+                completed_at = completed_at.or(Some(now));
             }
         }
         let done = completed_at.expect("second atomic completes");
@@ -557,20 +537,20 @@ mod tests {
         let mut bus = mk();
         bus.post(c(0), SplitRequest::Split).unwrap();
         // The accepted post is submitted at the next tick: no skipping.
-        assert_eq!(sim_core::BusModel::next_event(&mut bus, 0), Some(1));
-        bus.tick(0); // command phase granted: bus busy [0, 5)
-        assert_eq!(sim_core::BusModel::next_event(&mut bus, 0), Some(5));
+        assert_eq!(bus.next_event(0), Some(1));
+        step(&mut bus, 0); // command phase granted: bus busy [0, 5)
+        assert_eq!(bus.next_event(0), Some(5));
         for now in 1..=5u64 {
-            bus.tick(now);
+            step(&mut bus, now);
         }
         // Command completed at 5 and the memory access entered service in
         // the same begin_cycle: the 28-cycle memory completion bounds the
         // horizon while the bus itself is idle.
-        assert_eq!(sim_core::BusModel::next_event(&mut bus, 5), Some(5 + 28));
+        assert_eq!(bus.next_event(5), Some(5 + 28));
         // At the memory completion the response queues; the privileged
         // reservation then forbids skipping until it is granted.
         for now in 6..=33u64 {
-            bus.tick(now);
+            step(&mut bus, now);
         }
         assert_eq!(bus.inner().trace().slots(c(0)), 2, "response granted");
     }
@@ -582,7 +562,7 @@ mod tests {
         bus.post(c(1), SplitRequest::Atomic { duration: 56 })
             .unwrap();
         for now in 0..20u64 {
-            bus.tick(now);
+            step(&mut bus, now);
         }
         bus.reset();
         assert!(bus.is_idle(c(0)));
@@ -593,7 +573,7 @@ mod tests {
         bus.post(c(0), SplitRequest::Immediate { duration: 5 })
             .unwrap();
         for now in 0..10u64 {
-            bus.tick(now);
+            step(&mut bus, now);
         }
         assert_eq!(bus.inner().trace().busy_cycles(c(0)), 5);
     }
@@ -617,7 +597,7 @@ mod tests {
                         .unwrap();
                 }
             }
-            for comp in bus.tick(now) {
+            if let Some(comp) = step(&mut bus, now) {
                 if comp.core == c(0) {
                     short_done += 1;
                 }

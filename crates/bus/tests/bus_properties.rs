@@ -6,7 +6,10 @@
 //! [`SimRng`]: every case is reproducible from its seed, and a failure
 //! message names the seed that produced it.
 
-use cba_bus::{Bus, BusConfig, BusRequest, CompletedTransaction, Control, PolicyKind, RequestKind};
+use cba_bus::{
+    Bus, BusConfig, BusModel, BusRequest, CompletedTransaction, Control, PolicyKind, RequestKind,
+    RequestPort,
+};
 use sim_core::agent::FnAgent;
 use sim_core::rng::SimRng;
 use sim_core::{CoreId, Engine, Simulation};
@@ -68,9 +71,12 @@ fn run_schedule(kind: PolicyKind, schedule: &Schedule) -> (Bus, Vec<u64>) {
                 continue;
             }
             let (_, dur) = schedule.jobs[i][idx[i]];
-            bus.post(
-                BusRequest::new(CoreId::from_index(i), dur, RequestKind::Synthetic, now).unwrap(),
-            )
+            bus.post(BusRequest::new(
+                CoreId::from_index(i),
+                dur,
+                RequestKind::Synthetic,
+                now,
+            ))
             .unwrap();
             waiting[i] = true;
         }
@@ -187,16 +193,19 @@ fn round_robin_bounds_service_gaps() {
             if pending_job.is_none() && di < durations.len() {
                 let d = durations[di];
                 di += 1;
-                bus.post(
-                    BusRequest::new(CoreId::from_index(0), d, RequestKind::Synthetic, now).unwrap(),
-                )
+                bus.post(BusRequest::new(
+                    CoreId::from_index(0),
+                    d,
+                    RequestKind::Synthetic,
+                    now,
+                ))
                 .unwrap();
                 pending_job = Some(d);
             }
             for i in 1..n {
                 let c = CoreId::from_index(i);
                 if !bus.has_pending(c) && bus.owner() != Some(c) {
-                    bus.post(BusRequest::new(c, 56, RequestKind::Contender, now).unwrap())
+                    bus.post(BusRequest::new(c, 56, RequestKind::Contender, now))
                         .unwrap();
                 }
             }

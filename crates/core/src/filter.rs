@@ -312,7 +312,7 @@ mod tests {
     fn pending_with(n: usize, cores: &[usize]) -> PendingSet {
         let mut p = PendingSet::new(n);
         for &i in cores {
-            p.insert(BusRequest::new(c(i), 5, RequestKind::Synthetic, 0).unwrap())
+            p.insert(BusRequest::new(c(i), 5, RequestKind::Synthetic, 0))
                 .unwrap();
         }
         p

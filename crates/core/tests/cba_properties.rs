@@ -10,8 +10,8 @@
 
 use cba::{CreditConfig, CreditFilter, Mode};
 use cba_bus::{
-    Bus, BusConfig, BusRequest, CompletedTransaction, Control, EligibilityFilter, PendingSet,
-    PolicyKind, RequestKind,
+    Bus, BusConfig, BusModel, BusRequest, CompletedTransaction, Control, EligibilityFilter,
+    PendingSet, PolicyKind, RequestKind, RequestPort,
 };
 use sim_core::agent::FnAgent;
 use sim_core::rng::SimRng;
@@ -43,7 +43,7 @@ fn saturate(config: &CreditConfig, policy: PolicyKind, durations: &[u32], horizo
         for (i, &d) in durations.iter().enumerate() {
             let c = CoreId::from_index(i);
             if !bus.has_pending(c) && bus.owner() != Some(c) {
-                bus.post(BusRequest::new(c, d, RequestKind::Synthetic, now).unwrap())
+                bus.post(BusRequest::new(c, d, RequestKind::Synthetic, now))
                     .unwrap();
             }
         }
@@ -193,7 +193,7 @@ fn wcet_mode_first_tua_grant_respects_fill_time() {
                 }
             }
             if !pending && bus.owner() != Some(tua) {
-                bus.post(BusRequest::new(tua, 5, RequestKind::Synthetic, now).unwrap())
+                bus.post(BusRequest::new(tua, 5, RequestKind::Synthetic, now))
                     .unwrap();
                 pending = true;
             }

@@ -23,17 +23,16 @@ use sim_core::{Control, CoreId, Cycle};
 /// ```
 /// use cba_bus::{Bus, BusConfig, PolicyKind};
 /// use cba_cpu::Contender;
-/// use sim_core::CoreId;
+/// use sim_core::{CoreId, Simulation, StopWhen};
 ///
-/// let mut bus = Bus::new(BusConfig::new(2, 56)?, PolicyKind::RoundRobin.build(2, 56));
-/// let mut contender = Contender::new(CoreId::from_index(1), 56);
-/// for now in 0..1_000u64 {
-///     let done = bus.begin_cycle(now);
-///     contender.tick(now, done.as_ref(), &mut bus);
-///     bus.end_cycle(now);
-/// }
+/// let bus = Bus::new(BusConfig::new(2, 56)?, PolicyKind::RoundRobin.build(2, 56));
+/// let sim = Simulation::builder()
+///     .model(bus)
+///     .agent(Contender::new(CoreId::from_index(1), 56))
+///     .stop(StopWhen::Horizon(1_000))
+///     .run();
 /// // Alone against nobody, it saturates the bus completely.
-/// assert_eq!(bus.idle_cycles(), 0);
+/// assert_eq!(sim.model().idle_cycles(), 0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -67,53 +66,37 @@ impl Contender {
     pub fn grants(&self) -> u64 {
         self.grants
     }
-
-    /// Advances one cycle: keeps exactly one request posted at all times.
-    /// Generic over the [`RequestPort`], so the same contender saturates a
-    /// flat bus or one cluster of a hierarchical fabric.
-    pub fn tick(
-        &mut self,
-        now: Cycle,
-        completed: Option<&CompletedTransaction>,
-        bus: &mut (impl RequestPort + ?Sized),
-    ) {
-        if let Some(ct) = completed {
-            if ct.core == self.core {
-                self.grants += 1;
-            }
-        }
-        if bus.can_accept(self.core) {
-            bus.post(
-                BusRequest::new(self.core, self.duration, RequestKind::Contender, now)
-                    .expect("validated duration"),
-            )
-            .expect("contender posts at most one request");
-        }
-    }
-
-    /// Resets grant statistics for a fresh run.
-    pub fn reset(&mut self) {
-        self.grants = 0;
-    }
 }
 
 /// The open client-side interface: a saturating contender never
-/// finishes, sleeps until bus events, and resets to zero grants.
+/// finishes, sleeps until bus events, and resets to zero grants. Generic
+/// over the [`RequestPort`], so the same contender saturates a flat bus or
+/// one cluster of a hierarchical fabric.
 impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for Contender {
+    /// Keeps exactly one request posted at all times. After a tick the
+    /// contender always has its one request posted (or in service), so
+    /// only a completion — a bus event — can make it act.
     fn tick(
         &mut self,
         now: Cycle,
         completed: Option<&CompletedTransaction>,
         port: &mut P,
     ) -> Control {
-        Contender::tick(self, now, completed, port);
+        if let Some(ct) = completed {
+            if ct.core == self.core {
+                self.grants += 1;
+            }
+        }
+        if port.can_accept(self.core) {
+            port.post(BusRequest::new(
+                self.core,
+                self.duration,
+                RequestKind::Contender,
+                now,
+            ))
+            .expect("contender posts at most one request");
+        }
         Control::Sleep(Cycle::MAX)
-    }
-
-    /// After a tick the contender always has its one request posted (or
-    /// in service), so only a completion — a bus event — can make it act.
-    fn wake_at(&self) -> Option<Cycle> {
-        Some(Cycle::MAX)
     }
 
     fn is_addressed(&self, completed: &CompletedTransaction) -> bool {
@@ -125,7 +108,7 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for Contender {
     }
 
     fn reset(&mut self, _rng: &mut SimRng) {
-        Contender::reset(self);
+        self.grants = 0;
     }
 
     fn stats(&self) -> AgentStats {
@@ -192,57 +175,39 @@ impl PeriodicContender {
     pub fn grants(&self) -> u64 {
         self.grants
     }
-
-    /// Advances one cycle.
-    pub fn tick(
-        &mut self,
-        now: Cycle,
-        completed: Option<&CompletedTransaction>,
-        bus: &mut (impl RequestPort + ?Sized),
-    ) {
-        if let Some(ct) = completed {
-            if ct.core == self.core {
-                self.grants += 1;
-            }
-        }
-        if now >= self.next_issue {
-            if bus.can_accept(self.core) {
-                bus.post(
-                    BusRequest::new(self.core, self.duration, RequestKind::Contender, now)
-                        .expect("validated duration"),
-                )
-                .expect("periodic contender posts at most one request");
-            }
-            self.next_issue += self.period;
-        }
-    }
-
-    /// Resets to issue from `phase` again.
-    pub fn reset(&mut self, phase: Cycle) {
-        self.next_issue = phase;
-        self.grants = 0;
-    }
 }
 
 /// The open client-side interface: a periodic contender never finishes
 /// and resets to its construction-time phase.
 impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for PeriodicContender {
+    /// Posts at each issue boundary. The contender must be ticked at its
+    /// next boundary (the issue is *skipped*, not deferred, when its
+    /// previous request is still pending — so the boundary matters either
+    /// way); between boundaries only completions can make it act.
     fn tick(
         &mut self,
         now: Cycle,
         completed: Option<&CompletedTransaction>,
         port: &mut P,
     ) -> Control {
-        PeriodicContender::tick(self, now, completed, port);
+        if let Some(ct) = completed {
+            if ct.core == self.core {
+                self.grants += 1;
+            }
+        }
+        if now >= self.next_issue {
+            if port.can_accept(self.core) {
+                port.post(BusRequest::new(
+                    self.core,
+                    self.duration,
+                    RequestKind::Contender,
+                    now,
+                ))
+                .expect("periodic contender posts at most one request");
+            }
+            self.next_issue += self.period;
+        }
         Control::Sleep(self.next_issue)
-    }
-
-    /// The contender must be ticked at its next issue boundary (the issue
-    /// is *skipped*, not deferred, when its previous request is still
-    /// pending — so the boundary matters either way); between boundaries
-    /// only completions can make it act.
-    fn wake_at(&self) -> Option<Cycle> {
-        Some(self.next_issue)
     }
 
     fn is_addressed(&self, completed: &CompletedTransaction) -> bool {
@@ -254,7 +219,8 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for PeriodicCont
     }
 
     fn reset(&mut self, _rng: &mut SimRng) {
-        PeriodicContender::reset(self, self.phase);
+        self.next_issue = self.phase;
+        self.grants = 0;
     }
 
     fn stats(&self) -> AgentStats {
@@ -280,7 +246,7 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for PeriodicCont
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cba_bus::{Bus, BusConfig, PolicyKind};
+    use cba_bus::{Bus, BusConfig, BusModel, PolicyKind};
 
     fn c(i: usize) -> CoreId {
         CoreId::from_index(i)
@@ -343,7 +309,7 @@ mod tests {
     fn reset_clears_grants() {
         let mut k = Contender::new(c(0), 56);
         k.grants = 5;
-        k.reset();
+        SimAgent::<Bus, _>::reset(&mut k, &mut SimRng::seed_from(0));
         assert_eq!(k.grants(), 0);
     }
 

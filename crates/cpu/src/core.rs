@@ -86,7 +86,7 @@ pub struct CoreStats {
 /// An in-order core: one program, one private memory hierarchy, at most
 /// one outstanding bus request.
 ///
-/// Drive it once per cycle with [`Core::tick`] between the bus's
+/// Drive it through its [`SimAgent`] impl, ticked between the bus's
 /// `begin_cycle` and `end_cycle` (see the [crate example](crate)).
 #[derive(Debug)]
 pub struct Core {
@@ -100,8 +100,8 @@ pub struct Core {
     stats: CoreStats,
     done_at: Option<Cycle>,
     /// The first cycle whose accounting is not yet done: a tick at `now`
-    /// moves it to `now + 1`, and [`Core::absorb_skipped`] moves it past
-    /// the cycles it accounts.
+    /// moves it to `now + 1`, and `absorb_skipped` moves it past the
+    /// cycles it accounts.
     cursor: Cycle,
     rng: SimRng,
 }
@@ -150,21 +150,6 @@ impl Core {
         self.id
     }
 
-    /// The program's benchmark name.
-    pub fn program_name(&self) -> &str {
-        self.program.name()
-    }
-
-    /// Whether the program has fully finished (including store drain).
-    pub fn is_done(&self) -> bool {
-        matches!(self.state, ExecState::Done)
-    }
-
-    /// Completion cycle, once done.
-    pub fn done_at(&self) -> Option<Cycle> {
-        self.done_at
-    }
-
     /// Execution statistics.
     pub fn stats(&self) -> &CoreStats {
         &self.stats
@@ -175,96 +160,8 @@ impl Core {
         &self.mem
     }
 
-    /// Advances the core by one cycle.
-    ///
-    /// `completed` must be the bus's completion report for this cycle if
-    /// (and only if) it belongs to this core. The core may post a new bus
-    /// request during the call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bus rejects a post — by construction the core never
-    /// double-posts and never exceeds MaxL, so a rejection is a wiring bug.
-    pub fn tick(
-        &mut self,
-        now: Cycle,
-        completed: Option<&CompletedTransaction>,
-        bus: &mut (impl RequestPort + ?Sized),
-    ) {
-        self.cursor = now + 1;
-        // 1. Absorb a completion addressed to this core.
-        if let Some(ct) = completed {
-            if ct.core == self.id {
-                match self.pending.take() {
-                    Some(PendingWhat::StoreDrain) => {
-                        self.store_buffer.pop();
-                    }
-                    Some(PendingWhat::Blocking) => {
-                        debug_assert!(matches!(self.state, ExecState::Blocked));
-                        self.state = ExecState::Ready;
-                    }
-                    None => panic!("completion without a pending request on {}", self.id),
-                }
-            }
-        }
-
-        // A blocking op whose stretch ended before this cycle has had its
-        // fetch cycle: it waits to post.
-        if let ExecState::Computing {
-            until,
-            then: Then::Blocking(tx),
-        } = self.state
-        {
-            if now > until {
-                self.state = ExecState::AwaitPost(tx);
-            }
-        }
-
-        // 2. Post the next bus request: oldest store first (TSO), then a
-        //    waiting blocking access.
-        if self.pending.is_none() {
-            if let Some(tx) = self.store_buffer.front().copied() {
-                self.post(bus, tx, now);
-                self.pending = Some(PendingWhat::StoreDrain);
-                self.stats.store_transactions += 1;
-            } else if let ExecState::AwaitPost(tx) = self.state {
-                self.post(bus, tx, now);
-                self.pending = Some(PendingWhat::Blocking);
-                self.state = ExecState::Blocked;
-                self.stats.blocking_transactions += 1;
-            }
-        }
-
-        // 3. Execute.
-        match self.state {
-            ExecState::Done => {}
-            ExecState::Blocked | ExecState::AwaitPost(_) => {
-                self.stats.bus_stall_cycles += 1;
-            }
-            ExecState::Draining => {
-                self.try_finish(now);
-            }
-            ExecState::StoreStall(tx) => {
-                self.stats.store_stall_cycles += 1;
-                if self.store_buffer.push(tx) {
-                    self.state = ExecState::Ready;
-                }
-            }
-            ExecState::Computing { until, then } => {
-                if now < until {
-                    self.stats.busy_cycles += 1;
-                } else {
-                    self.end_stretch(then, now);
-                }
-            }
-            ExecState::Ready => {
-                self.fetch_and_start(now);
-            }
-        }
-    }
-
     fn post(&mut self, bus: &mut (impl RequestPort + ?Sized), tx: BusTransaction, now: Cycle) {
-        bus.post(BusRequest::new(self.id, tx.duration, tx.kind, now).expect("valid duration"))
+        bus.post(BusRequest::new(self.id, tx.duration, tx.kind, now))
             .expect("core never double-posts");
     }
 
@@ -340,54 +237,153 @@ impl Core {
         }
     }
 
-    /// Sleep horizon for the event-driven engine: the next cycle at which
-    /// ticking the core can have any effect, absent a bus completion
+    /// The tick's verdict, the core's sleep horizon: the next cycle at
+    /// which ticking the core can have any effect, absent a bus completion
     /// addressed to it.
     ///
-    /// * `Some(until)` through a compute stretch that ends with a store,
+    /// * `Sleep(until)` through a compute stretch that ends with a store,
     ///   the program's end or a further fetch;
-    /// * `Some(until + 1)` through one that ends with a blocking op, which
+    /// * `Sleep(until + 1)` through one that ends with a blocking op, which
     ///   posts the cycle after its fetch cycle `until`;
-    /// * `Some(Cycle::MAX)` when only a completion can wake it: blocked on
+    /// * `Sleep(Cycle::MAX)` when only a completion can wake it: blocked on
     ///   its posted transaction, stalled on a full store buffer, waiting
     ///   (or about to wait) to post behind a posted store, draining behind
     ///   one, or finished;
-    /// * `None` when it must be ticked next cycle (about to fetch or to
-    ///   post).
+    /// * `Continue` when it must be ticked next cycle (about to fetch or
+    ///   to post).
     ///
-    /// In every `Some` state the per-cycle tick is pure busy or stall
-    /// accounting; [`Core::absorb_skipped`] replays it for cycles the
-    /// engine skipped.
-    pub fn wake_at(&self) -> Option<Cycle> {
+    /// In every `Sleep` state the per-cycle tick is pure busy or stall
+    /// accounting; `absorb_skipped` replays it for cycles the engine
+    /// skipped.
+    fn verdict(&self) -> Control {
         match self.state {
-            ExecState::Done => Some(Cycle::MAX),
+            ExecState::Done => Control::Sleep(Cycle::MAX),
             ExecState::Computing {
                 until,
                 then: Then::Blocking(_),
-            } => Some(if self.pending.is_some() {
+            } => Control::Sleep(if self.pending.is_some() {
                 Cycle::MAX
             } else {
                 until + 1
             }),
-            ExecState::Computing { until, .. } => Some(until),
+            ExecState::Computing { until, .. } => Control::Sleep(until),
             ExecState::Blocked | ExecState::AwaitPost(_) | ExecState::StoreStall(_)
                 if self.pending.is_some() =>
             {
-                Some(Cycle::MAX)
+                Control::Sleep(Cycle::MAX)
             }
-            ExecState::Draining if self.pending.is_some() => Some(Cycle::MAX),
-            _ => None,
+            ExecState::Draining if self.pending.is_some() => Control::Sleep(Cycle::MAX),
+            _ => Control::Continue,
         }
+    }
+}
+
+/// The open client-side interface: the full core model, with exact
+/// stall accounting under skipped stretches and an RNG-reseeding reset.
+impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for Core {
+    /// Advances the core by one cycle; the core may post a new bus
+    /// request during the call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bus rejects a post — by construction the core never
+    /// double-posts and never exceeds MaxL, so a rejection is a wiring bug.
+    fn tick(
+        &mut self,
+        now: Cycle,
+        completed: Option<&CompletedTransaction>,
+        port: &mut P,
+    ) -> Control {
+        self.cursor = now + 1;
+        // 1. Absorb a completion addressed to this core.
+        if let Some(ct) = completed {
+            if ct.core == self.id {
+                match self.pending.take() {
+                    Some(PendingWhat::StoreDrain) => {
+                        self.store_buffer.pop();
+                    }
+                    Some(PendingWhat::Blocking) => {
+                        debug_assert!(matches!(self.state, ExecState::Blocked));
+                        self.state = ExecState::Ready;
+                    }
+                    None => panic!("completion without a pending request on {}", self.id),
+                }
+            }
+        }
+
+        // A blocking op whose stretch ended before this cycle has had its
+        // fetch cycle: it waits to post.
+        if let ExecState::Computing {
+            until,
+            then: Then::Blocking(tx),
+        } = self.state
+        {
+            if now > until {
+                self.state = ExecState::AwaitPost(tx);
+            }
+        }
+
+        // 2. Post the next bus request: oldest store first (TSO), then a
+        //    waiting blocking access.
+        if self.pending.is_none() {
+            if let Some(tx) = self.store_buffer.front().copied() {
+                self.post(port, tx, now);
+                self.pending = Some(PendingWhat::StoreDrain);
+                self.stats.store_transactions += 1;
+            } else if let ExecState::AwaitPost(tx) = self.state {
+                self.post(port, tx, now);
+                self.pending = Some(PendingWhat::Blocking);
+                self.state = ExecState::Blocked;
+                self.stats.blocking_transactions += 1;
+            }
+        }
+
+        // 3. Execute.
+        match self.state {
+            ExecState::Done => {}
+            ExecState::Blocked | ExecState::AwaitPost(_) => {
+                self.stats.bus_stall_cycles += 1;
+            }
+            ExecState::Draining => {
+                self.try_finish(now);
+            }
+            ExecState::StoreStall(tx) => {
+                self.stats.store_stall_cycles += 1;
+                if self.store_buffer.push(tx) {
+                    self.state = ExecState::Ready;
+                }
+            }
+            ExecState::Computing { until, then } => {
+                if now < until {
+                    self.stats.busy_cycles += 1;
+                } else {
+                    self.end_stretch(then, now);
+                }
+            }
+            ExecState::Ready => {
+                self.fetch_and_start(now);
+            }
+        }
+        self.verdict()
+    }
+
+    fn is_addressed(&self, completed: &CompletedTransaction) -> bool {
+        completed.core == self.id
+    }
+
+    /// Whether the program has fully finished (including store drain).
+    fn is_done(&self) -> bool {
+        matches!(self.state, ExecState::Done)
     }
 
     /// Accounts `k` cycles the engine skipped while this core slept (see
-    /// [`Core::wake_at`]): the stall counters advance exactly as `k`
+    /// its verdict): the stall counters advance exactly as `k`
     /// unchanged ticks would have advanced them. The engine hands over
     /// the cycles in order and without gaps, so the core knows where
     /// they fall: in a stretch, cycles before `until` are busy, and a
     /// blocking op's fetch cycle `until` and its wait after it are bus
     /// stalls.
-    pub fn absorb_skipped(&mut self, k: u64) {
+    fn absorb_skipped(&mut self, k: u64) {
         let from = self.cursor;
         self.cursor += k;
         match self.state {
@@ -409,7 +405,7 @@ impl Core {
     ///
     /// The caller must also reset/replace the bus; a pending request left
     /// on the old bus is forgotten by the core.
-    pub fn reset(&mut self, rng: &mut SimRng) {
+    fn reset(&mut self, rng: &mut SimRng) {
         let mut mem_rng = rng.fork(0x11 + self.id.index() as u64);
         self.mem.reseed(&mut mem_rng);
         self.rng = rng.fork(0x1000 + self.id.index() as u64);
@@ -420,47 +416,6 @@ impl Core {
         self.stats = CoreStats::default();
         self.done_at = None;
         self.cursor = 0;
-    }
-}
-
-/// The open client-side interface: the full core model, with exact
-/// stall accounting under skipped stretches and an RNG-reseeding reset.
-impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for Core {
-    fn tick(
-        &mut self,
-        now: Cycle,
-        completed: Option<&CompletedTransaction>,
-        port: &mut P,
-    ) -> Control {
-        Core::tick(self, now, completed, port);
-        match Core::wake_at(self) {
-            Some(t) => Control::Sleep(t),
-            None => Control::Continue,
-        }
-    }
-
-    fn wake_at(&self) -> Option<Cycle> {
-        Core::wake_at(self)
-    }
-
-    fn is_addressed(&self, completed: &CompletedTransaction) -> bool {
-        completed.core == self.id
-    }
-
-    fn is_done(&self) -> bool {
-        Core::is_done(self)
-    }
-
-    fn done_at(&self) -> Option<Cycle> {
-        Core::done_at(self)
-    }
-
-    fn absorb_skipped(&mut self, skipped: u64) {
-        Core::absorb_skipped(self, skipped);
-    }
-
-    fn reset(&mut self, rng: &mut SimRng) {
-        Core::reset(self, rng);
     }
 
     fn stats(&self) -> AgentStats {
@@ -484,8 +439,13 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for Core {
 mod tests {
     use super::*;
     use crate::program::ScriptProgram;
-    use cba_bus::{Bus, BusConfig, PolicyKind};
+    use cba_bus::{Bus, BusConfig, BusModel, PolicyKind};
     use cba_mem::MemAccess;
+
+    /// The core's completion cycle, as the engine reads it.
+    fn done_at(core: &Core) -> Option<Cycle> {
+        SimAgent::<Bus, _>::stats(core).done_at
+    }
 
     fn run_solo(ops: Vec<Op>, max_cycles: Cycle) -> (Core, Bus, Cycle) {
         let mut rng = SimRng::seed_from(99);
@@ -501,7 +461,7 @@ mod tests {
             PolicyKind::RoundRobin.build(1, 56),
         );
         let mut now = 0;
-        while !core.is_done() && now < max_cycles {
+        while done_at(&core).is_none() && now < max_cycles {
             let completed = bus.begin_cycle(now);
             core.tick(now, completed.as_ref(), &mut bus);
             bus.end_cycle(now);
@@ -513,9 +473,8 @@ mod tests {
     #[test]
     fn pure_compute_timing_is_exact() {
         let (core, _bus, _) = run_solo(vec![Op::Compute(10), Op::Compute(5)], 100);
-        assert!(core.is_done());
         // 15 compute cycles; done detected the cycle after the last one.
-        assert_eq!(core.done_at(), Some(15));
+        assert_eq!(done_at(&core), Some(15));
         assert_eq!(core.stats().busy_cycles, 15);
         assert_eq!(core.stats().ops, 2);
     }
@@ -523,11 +482,10 @@ mod tests {
     #[test]
     fn cold_load_blocks_for_issue_plus_miss() {
         let (core, bus, _) = run_solo(vec![Op::Access(MemAccess::load(0x100))], 200);
-        assert!(core.is_done());
         // Cycle 0: classify + AwaitPost. Cycle 1: post, granted same cycle.
         // Bus holds [1, 29); completion absorbed at cycle 29, where the core
         // also discovers the program is exhausted: done at 29.
-        assert_eq!(core.done_at(), Some(29));
+        assert_eq!(done_at(&core), Some(29));
         assert_eq!(bus.trace().busy_cycles(CoreId::from_index(0)), 28);
         assert_eq!(core.stats().blocking_transactions, 1);
     }
@@ -542,11 +500,10 @@ mod tests {
             ],
             200,
         );
-        assert!(core.is_done());
         assert_eq!(bus.trace().total_slots(), 1, "only the miss hits the bus");
         assert_eq!(core.memory().stats().l1_hits, 2);
         // 29 (miss, as above) + 2 hit cycles
-        assert_eq!(core.done_at(), Some(31));
+        assert_eq!(done_at(&core), Some(31));
     }
 
     #[test]
@@ -556,15 +513,14 @@ mod tests {
             vec![Op::Access(MemAccess::store(0x100)), Op::Compute(40)],
             300,
         );
-        assert!(core.is_done());
         assert_eq!(core.stats().store_transactions, 1);
         assert_eq!(bus.trace().total_slots(), 1);
         // Store executes in 1 cycle, compute 40: the 28-cycle cold-store
         // transaction fully overlaps, so total ≈ 42, way below 1 + 28 + 40.
         assert!(
-            core.done_at().unwrap() <= 44,
+            done_at(&core).unwrap() <= 44,
             "done at {:?}",
-            core.done_at()
+            done_at(&core)
         );
     }
 
@@ -578,11 +534,10 @@ mod tests {
             ],
             300,
         );
-        assert!(core.is_done());
         let records_slots = bus.trace().total_slots();
         assert_eq!(records_slots, 2);
         // Serialized: ~1 + 28 (store) + 28 (load) + overheads.
-        assert!(core.done_at().unwrap() >= 56);
+        assert!(done_at(&core).unwrap() >= 56);
     }
 
     #[test]
@@ -595,7 +550,7 @@ mod tests {
             Op::Access(MemAccess::store(0x4000)),
         ];
         let (core, _bus, _) = run_solo(ops, 500);
-        assert!(core.is_done());
+        assert!(done_at(&core).is_some());
         assert!(
             core.stats().store_stall_cycles > 0,
             "expected SB-full stalls"
@@ -606,17 +561,15 @@ mod tests {
     #[test]
     fn atomics_block_and_cost_two_memory_accesses() {
         let (core, bus, _) = run_solo(vec![Op::Access(MemAccess::atomic(0x100))], 200);
-        assert!(core.is_done());
         assert_eq!(bus.trace().busy_cycles(CoreId::from_index(0)), 56);
-        assert_eq!(core.done_at(), Some(57)); // 1 issue cycle + 56 on the bus
+        assert_eq!(done_at(&core), Some(57)); // 1 issue cycle + 56 on the bus
     }
 
     #[test]
     fn draining_completes_before_done() {
         let (core, _bus, _) = run_solo(vec![Op::Access(MemAccess::store(0x100))], 300);
-        assert!(core.is_done());
         // Done only after the store's transaction completed: >= 28 cycles.
-        assert!(core.done_at().unwrap() >= 28);
+        assert!(done_at(&core).unwrap() >= 28);
     }
 
     #[test]
@@ -643,16 +596,16 @@ mod tests {
             );
             if run > 0 {
                 let mut run_rng = SimRng::seed_from(123);
-                core.reset(&mut run_rng);
+                SimAgent::<Bus, _>::reset(&mut core, &mut run_rng);
             }
             let mut now = 0;
-            while !core.is_done() && now < 1000 {
+            while done_at(&core).is_none() && now < 1000 {
                 let completed = bus.begin_cycle(now);
                 core.tick(now, completed.as_ref(), &mut bus);
                 bus.end_cycle(now);
                 now += 1;
             }
-            durations.push(core.done_at().unwrap());
+            durations.push(done_at(&core).unwrap());
         }
         assert_eq!(durations[0], durations[1], "same seed, same timing");
     }
@@ -677,18 +630,18 @@ mod tests {
             BusConfig::new(1, 56).unwrap(),
             PolicyKind::RoundRobin.build(1, 56),
         );
-        core.tick(0, None, &mut bus);
+        let verdict = core.tick(0, None, &mut bus);
         // All three ops are fetched at cycle 0. Cycles 0..6 are busy, 6 is
         // the miss's fetch cycle and 7 its post.
         assert_eq!(core.stats().ops, 3);
-        assert_eq!(core.wake_at(), Some(7));
-        core.absorb_skipped(6);
+        assert_eq!(verdict, Control::Sleep(7));
+        SimAgent::<Bus, _>::absorb_skipped(&mut core, 6);
         assert_eq!(core.stats().busy_cycles, 6);
         assert_eq!(core.stats().bus_stall_cycles, 1);
-        core.tick(7, None, &mut bus);
+        let verdict = core.tick(7, None, &mut bus);
         assert!(bus.has_pending(id), "the miss posts at its wake cycle");
         assert_eq!(core.stats().blocking_transactions, 1);
-        assert_eq!(core.wake_at(), Some(Cycle::MAX));
+        assert_eq!(verdict, Control::Sleep(Cycle::MAX));
     }
 
     /// A program that never needs the bus.
@@ -720,11 +673,10 @@ mod tests {
             PolicyKind::RoundRobin.build(1, 56),
         );
         let stretch = Cycle::from(MAX_STRETCH_OPS);
-        core.tick(0, None, &mut bus);
-        assert_eq!(core.wake_at(), Some(stretch));
-        core.absorb_skipped(stretch - 1);
-        core.tick(stretch, None, &mut bus);
-        assert_eq!(core.wake_at(), Some(2 * stretch));
+        assert_eq!(core.tick(0, None, &mut bus), Control::Sleep(stretch));
+        SimAgent::<Bus, _>::absorb_skipped(&mut core, stretch - 1);
+        let verdict = core.tick(stretch, None, &mut bus);
+        assert_eq!(verdict, Control::Sleep(2 * stretch));
         assert_eq!(core.stats().busy_cycles, stretch + 1);
     }
 
@@ -737,7 +689,7 @@ mod tests {
         let s = core.stats();
         // busy + bus stalls ≈ done_at (store stalls zero here).
         let total = s.busy_cycles + s.bus_stall_cycles;
-        let done = core.done_at().unwrap();
+        let done = done_at(&core).unwrap();
         assert!(
             (total as i64 - done as i64).abs() <= 2,
             "cycle accounting: busy {} + stall {} vs done {}",

@@ -20,20 +20,17 @@ use sim_core::{Control, CoreId, Cycle};
 /// ```
 /// use cba_bus::{Bus, BusConfig, PolicyKind};
 /// use cba_cpu::FixedRequestTask;
-/// use sim_core::CoreId;
+/// use sim_core::{CoreId, Simulation, StopWhen};
 ///
 /// // The paper's illustrative task under analysis, alone on the bus.
-/// let mut bus = Bus::new(BusConfig::new(1, 56)?, PolicyKind::RoundRobin.build(1, 56));
-/// let mut tua = FixedRequestTask::new(CoreId::from_index(0), 1_000, 6, 4);
-/// let mut now = 0;
-/// while !tua.is_done() {
-///     let done = bus.begin_cycle(now);
-///     tua.tick(now, done.as_ref(), &mut bus);
-///     bus.end_cycle(now);
-///     now += 1;
-/// }
+/// let bus = Bus::new(BusConfig::new(1, 56)?, PolicyKind::RoundRobin.build(1, 56));
+/// let sim = Simulation::builder()
+///     .model(bus)
+///     .agent(FixedRequestTask::new(CoreId::from_index(0), 1_000, 6, 4))
+///     .stop(StopWhen::AgentDone(0))
+///     .run();
 /// // 1,000 x (4 compute + 6 bus) = 10,000 cycles in isolation.
-/// assert_eq!(tua.done_at(), Some(10_000));
+/// assert_eq!(sim.agent(0).stats().done_at, Some(10_000));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -89,37 +86,27 @@ impl FixedRequestTask {
         self.core
     }
 
-    /// Whether all requests completed.
-    pub fn is_done(&self) -> bool {
-        matches!(self.state, FixedState::Done)
-    }
-
-    /// Completion cycle, once done.
-    pub fn done_at(&self) -> Option<Cycle> {
-        self.done_at
-    }
-
     /// Requests completed so far.
     pub fn completed(&self) -> u64 {
         self.completed
     }
+}
 
-    /// Isolation execution time: `n_requests * (gap + duration)` — the
-    /// analytic baseline of the paper's example.
-    pub fn isolation_cycles(&self) -> u64 {
-        self.n_requests * (self.gap as u64 + self.duration as u64)
-    }
-
-    /// Advances one cycle (tolerates gaps: ticking is only required at the
-    /// cycles reported by [`FixedRequestTask::wake_at`] and at this task's
-    /// completions). Generic over the [`RequestPort`], so the same task
-    /// drives a flat bus or a hierarchical fabric.
-    pub fn tick(
+/// The open client-side interface: the fixed-request task sleeps through
+/// its compute gaps and finishes after its last completion. Generic over
+/// the [`RequestPort`], so the same task drives a flat bus or a
+/// hierarchical fabric.
+impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for FixedRequestTask {
+    /// Advances one cycle. Tolerates gaps: ticking is only required at
+    /// the cycle the verdict names and at this task's completions. The
+    /// verdict sleeps through a compute gap to the next post cycle, and
+    /// while waiting or done until a completion (a bus event) wakes it.
+    fn tick(
         &mut self,
         now: Cycle,
         completed: Option<&CompletedTransaction>,
-        bus: &mut (impl RequestPort + ?Sized),
-    ) {
+        port: &mut P,
+    ) -> Control {
         if let Some(ct) = completed {
             if ct.core == self.core && matches!(self.state, FixedState::Waiting) {
                 self.completed += 1;
@@ -133,59 +120,22 @@ impl FixedRequestTask {
                 };
             }
         }
-        match self.state {
-            FixedState::Done | FixedState::Waiting => {}
-            FixedState::Computing { post_at } => {
-                if now >= post_at {
-                    bus.post(
-                        BusRequest::new(self.core, self.duration, RequestKind::Synthetic, now)
-                            .expect("validated duration"),
-                    )
-                    .expect("fixed task posts one request at a time");
-                    self.state = FixedState::Waiting;
-                }
+        if let FixedState::Computing { post_at } = self.state {
+            if now >= post_at {
+                port.post(BusRequest::new(
+                    self.core,
+                    self.duration,
+                    RequestKind::Synthetic,
+                    now,
+                ))
+                .expect("fixed task posts one request at a time");
+                self.state = FixedState::Waiting;
             }
         }
-    }
-
-    /// Sleep horizon for the event-driven engine: nothing happens until
-    /// the next post cycle (while computing) or the next completion
-    /// (while waiting or done — `Cycle::MAX`, a bus event wakes it).
-    pub fn wake_at(&self) -> Option<Cycle> {
         match self.state {
-            FixedState::Computing { post_at } => Some(post_at),
-            FixedState::Waiting | FixedState::Done => Some(Cycle::MAX),
+            FixedState::Computing { post_at } => Control::Sleep(post_at),
+            FixedState::Waiting | FixedState::Done => Control::Sleep(Cycle::MAX),
         }
-    }
-
-    /// Resets for a fresh run.
-    pub fn reset(&mut self) {
-        self.state = FixedState::Computing {
-            post_at: self.gap as Cycle,
-        };
-        self.completed = 0;
-        self.done_at = None;
-    }
-}
-
-/// The open client-side interface: the fixed-request task sleeps through
-/// its compute gaps and finishes after its last completion.
-impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for FixedRequestTask {
-    fn tick(
-        &mut self,
-        now: Cycle,
-        completed: Option<&CompletedTransaction>,
-        port: &mut P,
-    ) -> Control {
-        FixedRequestTask::tick(self, now, completed, port);
-        match FixedRequestTask::wake_at(self) {
-            Some(t) => Control::Sleep(t),
-            None => Control::Continue,
-        }
-    }
-
-    fn wake_at(&self) -> Option<Cycle> {
-        FixedRequestTask::wake_at(self)
     }
 
     fn is_addressed(&self, completed: &CompletedTransaction) -> bool {
@@ -193,15 +143,15 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for FixedRequest
     }
 
     fn is_done(&self) -> bool {
-        FixedRequestTask::is_done(self)
-    }
-
-    fn done_at(&self) -> Option<Cycle> {
-        FixedRequestTask::done_at(self)
+        matches!(self.state, FixedState::Done)
     }
 
     fn reset(&mut self, _rng: &mut SimRng) {
-        FixedRequestTask::reset(self);
+        self.state = FixedState::Computing {
+            post_at: self.gap as Cycle,
+        };
+        self.completed = 0;
+        self.done_at = None;
     }
 
     fn stats(&self) -> AgentStats {
@@ -243,18 +193,37 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for FixedRequest
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cba_bus::{Bus, BusConfig, PolicyKind};
+    use cba_bus::{Bus, BusConfig, BusModel, PolicyKind};
 
     fn c(i: usize) -> CoreId {
         CoreId::from_index(i)
     }
 
+    fn rr_bus() -> Bus {
+        Bus::new(
+            BusConfig::new(1, 56).unwrap(),
+            PolicyKind::RoundRobin.build(1, 56),
+        )
+    }
+
+    /// Runs cycle `now` of `bus` with the task ticked in it; returns the
+    /// task's verdict.
+    fn cycle(task: &mut FixedRequestTask, bus: &mut Bus, now: Cycle) -> Control {
+        let done = bus.begin_cycle(now);
+        let verdict = task.tick(now, done.as_ref(), bus);
+        bus.end_cycle(now);
+        verdict
+    }
+
+    /// The task's completion cycle, as the engine reads it.
+    fn done_at(task: &FixedRequestTask) -> Option<Cycle> {
+        SimAgent::<Bus, _>::stats(task).done_at
+    }
+
     fn run(task: &mut FixedRequestTask, bus: &mut Bus, limit: Cycle) -> Cycle {
         let mut now = 0;
-        while !task.is_done() && now < limit {
-            let done = bus.begin_cycle(now);
-            task.tick(now, done.as_ref(), bus);
-            bus.end_cycle(now);
+        while done_at(task).is_none() && now < limit {
+            cycle(task, bus, now);
             now += 1;
         }
         now
@@ -262,58 +231,38 @@ mod tests {
 
     #[test]
     fn isolation_time_matches_paper_arithmetic() {
-        let mut bus = Bus::new(
-            BusConfig::new(1, 56).unwrap(),
-            PolicyKind::RoundRobin.build(1, 56),
-        );
         let mut tua = FixedRequestTask::new(c(0), 1000, 6, 4);
-        assert_eq!(tua.isolation_cycles(), 10_000);
-        run(&mut tua, &mut bus, 20_000);
-        assert_eq!(tua.done_at(), Some(10_000));
+        run(&mut tua, &mut rr_bus(), 20_000);
+        // 1,000 x (4 compute + 6 bus).
+        assert_eq!(done_at(&tua), Some(10_000));
     }
 
     #[test]
     fn zero_gap_posts_back_to_back() {
-        let mut bus = Bus::new(
-            BusConfig::new(1, 56).unwrap(),
-            PolicyKind::RoundRobin.build(1, 56),
-        );
         let mut tua = FixedRequestTask::new(c(0), 10, 5, 0);
-        run(&mut tua, &mut bus, 1_000);
+        run(&mut tua, &mut rr_bus(), 1_000);
         // 10 x 5 cycles, no gaps, no contention: 50 cycles.
-        assert_eq!(tua.done_at(), Some(50));
+        assert_eq!(done_at(&tua), Some(50));
     }
 
     #[test]
     fn completion_counting() {
-        let mut bus = Bus::new(
-            BusConfig::new(1, 56).unwrap(),
-            PolicyKind::RoundRobin.build(1, 56),
-        );
         let mut tua = FixedRequestTask::new(c(0), 3, 7, 2);
-        run(&mut tua, &mut bus, 100);
+        run(&mut tua, &mut rr_bus(), 100);
         assert_eq!(tua.completed(), 3);
-        assert_eq!(tua.done_at(), Some(3 * 9));
+        assert_eq!(done_at(&tua), Some(3 * 9));
     }
 
     #[test]
     fn reset_restores_initial_state() {
-        let mut bus = Bus::new(
-            BusConfig::new(1, 56).unwrap(),
-            PolicyKind::RoundRobin.build(1, 56),
-        );
         let mut tua = FixedRequestTask::new(c(0), 5, 6, 4);
-        run(&mut tua, &mut bus, 1_000);
-        assert!(tua.is_done());
-        tua.reset();
-        assert!(!tua.is_done());
-        assert_eq!(tua.completed(), 0);
-        let mut bus2 = Bus::new(
-            BusConfig::new(1, 56).unwrap(),
-            PolicyKind::RoundRobin.build(1, 56),
-        );
-        run(&mut tua, &mut bus2, 1_000);
-        assert_eq!(tua.done_at(), Some(50));
+        run(&mut tua, &mut rr_bus(), 1_000);
+        assert!(SimAgent::<Bus, _>::is_done(&tua));
+        SimAgent::<Bus, _>::reset(&mut tua, &mut SimRng::seed_from(0));
+        assert!(!SimAgent::<Bus, _>::is_done(&tua));
+        assert_eq!((tua.completed(), done_at(&tua)), (0, None));
+        run(&mut tua, &mut rr_bus(), 1_000);
+        assert_eq!(done_at(&tua), Some(50));
     }
 
     #[test]
@@ -324,63 +273,48 @@ mod tests {
 
     #[test]
     fn wake_at_tracks_the_state_machine() {
-        let mut bus = Bus::new(
-            BusConfig::new(1, 56).unwrap(),
-            PolicyKind::RoundRobin.build(1, 56),
-        );
+        let mut bus = rr_bus();
         let mut tua = FixedRequestTask::new(c(0), 2, 6, 4);
-        assert_eq!(tua.wake_at(), Some(4), "first post after the gap");
-        for now in 0..4u64 {
-            let done = bus.begin_cycle(now);
-            tua.tick(now, done.as_ref(), &mut bus);
-            bus.end_cycle(now);
-        }
-        let done = bus.begin_cycle(4);
-        tua.tick(4, done.as_ref(), &mut bus);
-        bus.end_cycle(4);
-        assert_eq!(tua.wake_at(), Some(Cycle::MAX), "waiting for the grant");
+        let first = cycle(&mut tua, &mut bus, 0);
+        assert_eq!(first, Control::Sleep(4), "first post after the gap");
+        let posted = cycle(&mut tua, &mut bus, 4);
+        assert_eq!(posted, Control::Sleep(Cycle::MAX), "waiting for the grant");
+        let mut last = posted;
         for now in 5..100u64 {
-            let done = bus.begin_cycle(now);
-            tua.tick(now, done.as_ref(), &mut bus);
-            bus.end_cycle(now);
+            last = cycle(&mut tua, &mut bus, now);
         }
-        assert!(tua.is_done());
-        assert_eq!(tua.wake_at(), Some(Cycle::MAX));
+        assert!(SimAgent::<Bus, _>::is_done(&tua));
+        assert_eq!(last, Control::Sleep(Cycle::MAX));
     }
 
     #[test]
     fn sparse_ticking_at_wake_cycles_matches_dense_ticking() {
-        // Dense: tick every cycle. Sparse: tick only at wake_at cycles and
-        // at completion cycles — the event engine's visiting pattern.
+        // Dense: tick every cycle. Sparse: tick only at the cycles the
+        // verdicts name and at completion cycles — the event engine's
+        // visiting pattern.
         let dense_done = {
-            let mut bus = Bus::new(
-                BusConfig::new(1, 56).unwrap(),
-                PolicyKind::RoundRobin.build(1, 56),
-            );
             let mut tua = FixedRequestTask::new(c(0), 5, 7, 3);
-            run(&mut tua, &mut bus, 1_000);
-            tua.done_at().unwrap()
+            run(&mut tua, &mut rr_bus(), 1_000);
+            done_at(&tua).unwrap()
         };
-        let mut bus = Bus::new(
-            BusConfig::new(1, 56).unwrap(),
-            PolicyKind::RoundRobin.build(1, 56),
-        );
+        let mut bus = rr_bus();
         let mut tua = FixedRequestTask::new(c(0), 5, 7, 3);
         let mut now = 0u64;
         let mut visited = 0u64;
-        while !tua.is_done() && now < 1_000 {
-            let done = bus.begin_cycle(now);
-            tua.tick(now, done.as_ref(), &mut bus);
-            bus.end_cycle(now);
+        while done_at(&tua).is_none() && now < 1_000 {
+            let wake = match cycle(&mut tua, &mut bus, now) {
+                Control::Sleep(t) => t,
+                _ => now + 1,
+            };
             visited += 1;
-            let next = match (tua.wake_at().unwrap(), bus.next_event(now)) {
+            let next = match (wake, bus.next_event(now)) {
                 (Cycle::MAX, Some(ev)) => ev,
                 (wake, Some(ev)) => wake.min(ev),
                 (wake, None) => wake.min(now + 1),
             };
             now = next.max(now + 1).min(1_000);
         }
-        assert_eq!(tua.done_at(), Some(dense_done));
+        assert_eq!(done_at(&tua), Some(dense_done));
         assert!(
             visited < dense_done / 2,
             "sparse ticking should visit far fewer cycles: {visited} of {dense_done}"

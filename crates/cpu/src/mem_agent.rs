@@ -12,10 +12,9 @@
 //! comes from working-set dynamics, not profile knobs.
 //!
 //! The agent follows the same engine contract as [`Core`](crate::Core):
-//! absolute-time states, an exact [`MemAgent::wake_at`] horizon and
-//! [`MemAgent::absorb_skipped`] replay, so the naive and event-horizon
-//! engines agree bit for bit, and [`MemAgent::reset`] is seed-equivalent
-//! to fresh construction.
+//! absolute-time states, an exact sleep horizon in each tick's verdict and
+//! an `absorb_skipped` replay, so the naive and event-horizon engines agree
+//! bit for bit, and its `reset` is seed-equivalent to fresh construction.
 
 use cba_bus::{BusRequest, CompletedTransaction, RequestKind, RequestPort};
 use cba_mem::coherence::SHARED_LINE_BYTES;
@@ -119,16 +118,6 @@ impl MemAgent {
         self.id
     }
 
-    /// Whether the stream has fully finished (all transactions drained).
-    pub fn is_done(&self) -> bool {
-        matches!(self.state, State::Done)
-    }
-
-    /// Completion cycle, once done.
-    pub fn done_at(&self) -> Option<Cycle> {
-        self.done_at
-    }
-
     /// The memory-side counters.
     pub fn mem_stats(&self) -> MemStats {
         self.mstats
@@ -137,65 +126,6 @@ impl MemAgent {
     /// The private hierarchy (for inspection).
     pub fn memory(&self) -> &CoreMemory {
         &self.mem
-    }
-
-    /// Advances the agent by one cycle (same protocol as
-    /// [`Core::tick`](crate::Core::tick)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bus rejects a post — the agent never double-posts
-    /// and never exceeds MaxL, so a rejection is a wiring bug.
-    pub fn tick(
-        &mut self,
-        now: Cycle,
-        completed: Option<&CompletedTransaction>,
-        bus: &mut (impl RequestPort + ?Sized),
-    ) {
-        // 1. Absorb a completion addressed to this agent.
-        if let Some(ct) = completed {
-            if ct.core == self.id {
-                debug_assert!(matches!(self.state, State::Blocked));
-                self.completed += 1;
-                self.queue.pop_front();
-                if self.queue.is_empty() {
-                    self.after_access(now);
-                } else {
-                    self.state = State::AwaitPost;
-                }
-            }
-        }
-
-        // 2. Post the next queued transaction of the in-flight access.
-        if matches!(self.state, State::AwaitPost) && bus.can_accept(self.id) {
-            let tx = *self.queue.front().expect("AwaitPost implies a queued txn");
-            bus.post(BusRequest::new(self.id, tx.duration, tx.kind, now).expect("valid duration"))
-                .expect("mem agent never double-posts");
-            self.state = State::Blocked;
-        }
-
-        // 3. Execute.
-        match self.state {
-            State::Done => {}
-            State::Blocked | State::AwaitPost => {
-                self.bus_stall_cycles += 1;
-            }
-            State::Thinking { until } => {
-                if now >= until {
-                    // The engine skipped the tail of the think stretch:
-                    // this is the access cycle.
-                    self.start_access(now);
-                } else {
-                    self.busy_cycles += 1;
-                    if now + 1 >= until {
-                        self.state = State::Ready;
-                    }
-                }
-            }
-            State::Ready => {
-                self.start_access(now);
-            }
-        }
     }
 
     /// Draws and executes the next access of the stream.
@@ -284,23 +214,96 @@ impl MemAgent {
         }
     }
 
-    /// Sleep horizon for the event-driven engine: `Some(Cycle::MAX)` when
-    /// only a bus completion can unblock the agent (or it is done),
-    /// `Some(until)` through a think stretch, `None` when it must be
-    /// ticked every cycle (about to generate or to post). In every `Some`
+    /// The tick's verdict, the agent's sleep horizon: `Sleep(Cycle::MAX)`
+    /// when only a bus completion can unblock the agent (or it is done),
+    /// `Sleep(until)` through a think stretch, `Continue` when it must be
+    /// ticked every cycle (about to generate or to post). In every `Sleep`
     /// state the per-cycle tick is pure stall/busy accounting;
-    /// [`MemAgent::absorb_skipped`] replays it for skipped cycles.
-    pub fn wake_at(&self) -> Option<Cycle> {
+    /// `absorb_skipped` replays it for skipped cycles.
+    fn verdict(&self) -> Control {
         match self.state {
-            State::Done | State::Blocked => Some(Cycle::MAX),
-            State::Thinking { until } => Some(until),
-            State::AwaitPost | State::Ready => None,
+            State::Done | State::Blocked => Control::Sleep(Cycle::MAX),
+            State::Thinking { until } => Control::Sleep(until),
+            State::AwaitPost | State::Ready => Control::Continue,
         }
+    }
+}
+
+/// The open client-side interface: miss-stream traffic with exact
+/// accounting under skipped stretches and an RNG-reseeding reset.
+impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for MemAgent {
+    /// Advances the agent by one cycle (the same protocol as the core
+    /// model's).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bus rejects a post — the agent never double-posts
+    /// and never exceeds MaxL, so a rejection is a wiring bug.
+    fn tick(
+        &mut self,
+        now: Cycle,
+        completed: Option<&CompletedTransaction>,
+        port: &mut P,
+    ) -> Control {
+        // 1. Absorb a completion addressed to this agent.
+        if let Some(ct) = completed {
+            if ct.core == self.id {
+                debug_assert!(matches!(self.state, State::Blocked));
+                self.completed += 1;
+                self.queue.pop_front();
+                if self.queue.is_empty() {
+                    self.after_access(now);
+                } else {
+                    self.state = State::AwaitPost;
+                }
+            }
+        }
+
+        // 2. Post the next queued transaction of the in-flight access.
+        if matches!(self.state, State::AwaitPost) && port.can_accept(self.id) {
+            let tx = *self.queue.front().expect("AwaitPost implies a queued txn");
+            port.post(BusRequest::new(self.id, tx.duration, tx.kind, now))
+                .expect("mem agent never double-posts");
+            self.state = State::Blocked;
+        }
+
+        // 3. Execute.
+        match self.state {
+            State::Done => {}
+            State::Blocked | State::AwaitPost => {
+                self.bus_stall_cycles += 1;
+            }
+            State::Thinking { until } => {
+                if now >= until {
+                    // The engine skipped the tail of the think stretch:
+                    // this is the access cycle.
+                    self.start_access(now);
+                } else {
+                    self.busy_cycles += 1;
+                    if now + 1 >= until {
+                        self.state = State::Ready;
+                    }
+                }
+            }
+            State::Ready => {
+                self.start_access(now);
+            }
+        }
+        self.verdict()
+    }
+
+    fn is_addressed(&self, completed: &CompletedTransaction) -> bool {
+        completed.core == self.id
+    }
+
+    /// Whether the stream has fully finished (all transactions drained).
+    fn is_done(&self) -> bool {
+        matches!(self.state, State::Done)
     }
 
     /// Accounts `k` cycles the engine skipped while this agent slept (see
-    /// [`MemAgent::wake_at`]).
-    pub fn absorb_skipped(&mut self, k: u64) {
+    /// its verdict).
+    fn absorb_skipped(&mut self, k: u64) {
         match self.state {
             State::Blocked => self.bus_stall_cycles += k,
             State::Thinking { .. } => self.busy_cycles += k,
@@ -312,7 +315,7 @@ impl MemAgent {
     /// construction does, resets the hierarchy, drops this core's shared
     /// copies in the hub and clears all counters. Seed-equivalent to a
     /// fresh [`MemAgent::new`] given the same `rng` stream.
-    pub fn reset(&mut self, rng: &mut SimRng) {
+    fn reset(&mut self, rng: &mut SimRng) {
         let mut mem_rng = rng.fork(0x11 + self.id.index() as u64);
         self.mem.reset(&mut mem_rng);
         self.rng = rng.fork(0x2000 + self.id.index() as u64);
@@ -328,47 +331,6 @@ impl MemAgent {
         self.bus_stall_cycles = 0;
         self.completed = 0;
         self.done_at = None;
-    }
-}
-
-/// The open client-side interface: miss-stream traffic with exact
-/// accounting under skipped stretches and an RNG-reseeding reset.
-impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for MemAgent {
-    fn tick(
-        &mut self,
-        now: Cycle,
-        completed: Option<&CompletedTransaction>,
-        port: &mut P,
-    ) -> Control {
-        MemAgent::tick(self, now, completed, port);
-        match MemAgent::wake_at(self) {
-            Some(t) => Control::Sleep(t),
-            None => Control::Continue,
-        }
-    }
-
-    fn wake_at(&self) -> Option<Cycle> {
-        MemAgent::wake_at(self)
-    }
-
-    fn is_addressed(&self, completed: &CompletedTransaction) -> bool {
-        completed.core == self.id
-    }
-
-    fn is_done(&self) -> bool {
-        MemAgent::is_done(self)
-    }
-
-    fn done_at(&self) -> Option<Cycle> {
-        MemAgent::done_at(self)
-    }
-
-    fn absorb_skipped(&mut self, skipped: u64) {
-        MemAgent::absorb_skipped(self, skipped);
-    }
-
-    fn reset(&mut self, rng: &mut SimRng) {
-        MemAgent::reset(self, rng);
     }
 
     fn stats(&self) -> AgentStats {
@@ -386,7 +348,7 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for MemAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cba_bus::{Bus, BusConfig, PolicyKind};
+    use cba_bus::{Bus, BusConfig, BusModel, PolicyKind};
     use cba_mem::shared_hub;
 
     fn small_config() -> MemoryConfig {
@@ -408,7 +370,7 @@ mod tests {
             PolicyKind::RoundRobin.build(1, 56),
         );
         let mut now = 0;
-        while !agent.is_done() && now < max_cycles {
+        while !SimAgent::<Bus, _>::is_done(agent) && now < max_cycles {
             let completed = bus.begin_cycle(now);
             agent.tick(now, completed.as_ref(), &mut bus);
             bus.end_cycle(now);
@@ -428,7 +390,7 @@ mod tests {
             &mut rng,
         );
         let (bus, _) = run_solo(&mut agent, 200_000);
-        assert!(agent.is_done());
+        assert!(SimAgent::<Bus, _>::is_done(&agent));
         let s = agent.mem_stats();
         assert_eq!(s.accesses, 300);
         assert!(s.misses > 0, "cold caches must miss");
@@ -449,7 +411,7 @@ mod tests {
             &mut rng,
         );
         run_solo(&mut agent, 200_000);
-        assert!(agent.is_done());
+        assert!(SimAgent::<Bus, _>::is_done(&agent));
         let s = agent.mem_stats();
         assert!(s.coherence > 0, "shared accesses must fetch coherently");
         assert!(s.coherence <= s.bus_txns);
@@ -471,7 +433,7 @@ mod tests {
             };
             let mut agent = MemAgent::new(CoreId::from_index(0), config, lat, None, &mut rng);
             run_solo(&mut agent, 2_000_000);
-            assert!(agent.is_done());
+            assert!(SimAgent::<Bus, _>::is_done(&agent));
             let s = agent.mem_stats();
             s.misses as f64 / s.accesses as f64
         };
@@ -501,7 +463,7 @@ mod tests {
 
         let mut reset_rng = SimRng::seed_from(42);
         // Consume the same prefix a fresh construction would have.
-        agent.reset(&mut reset_rng);
+        SimAgent::<Bus, _>::reset(&mut agent, &mut reset_rng);
         let (_, cycles_b) = run_solo(&mut agent, 200_000);
         assert_eq!(cycles_a, cycles_b, "reset must reproduce the run");
         assert_eq!(stats_a, agent.mem_stats());

@@ -131,11 +131,6 @@ impl HierarchyStats {
             + self.misses_dirty
             + self.atomics
     }
-
-    /// Accesses that produced bus traffic.
-    pub fn bus_accesses(&self) -> u64 {
-        self.total() - self.l1_hits
-    }
 }
 
 /// One core's private memory hierarchy: L1I, L1D, and its L2 partition.
@@ -437,7 +432,6 @@ mod tests {
         assert_eq!(s.misses_clean, 1);
         assert_eq!(s.l2_writes, 1);
         assert_eq!(s.atomics, 1);
-        assert_eq!(s.bus_accesses(), 3);
     }
 
     #[test]

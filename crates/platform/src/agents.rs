@@ -316,10 +316,6 @@ impl<M: RequestPort + 'static> SimAgent<M, CompletedTransaction> for PortAgent {
         self.0.tick(now, completed, port as &mut dyn RequestPort)
     }
 
-    fn wake_at(&self) -> Option<Cycle> {
-        self.0.wake_at()
-    }
-
     fn is_addressed(&self, completed: &CompletedTransaction) -> bool {
         self.0.is_addressed(completed)
     }
@@ -330,10 +326,6 @@ impl<M: RequestPort + 'static> SimAgent<M, CompletedTransaction> for PortAgent {
 
     fn is_inert(&self) -> bool {
         self.0.is_inert()
-    }
-
-    fn done_at(&self) -> Option<Cycle> {
-        self.0.done_at()
     }
 
     fn absorb_skipped(&mut self, skipped: u64) {
@@ -365,7 +357,7 @@ impl<M: RequestPort + 'static> SimAgent<M, CompletedTransaction> for PortAgent {
 mod tests {
     use super::*;
     use crate::BusSetup;
-    use cba_bus::{Bus, BusConfig, BusRequest, PolicyKind, RequestKind};
+    use cba_bus::{Bus, BusConfig, BusModel, BusRequest, PolicyKind, RequestKind};
 
     fn ctx_platform() -> PlatformConfig {
         PlatformConfig::paper(&BusSetup::Rp)
@@ -507,7 +499,6 @@ mod tests {
             core: CoreId,
             left: u64,
             duration: u32,
-            done_at: Option<Cycle>,
         }
 
         impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for Burst {
@@ -518,26 +509,19 @@ mod tests {
                 port: &mut P,
             ) -> Control {
                 if self.left > 0 && port.can_accept(self.core) {
-                    port.post(
-                        BusRequest::new(self.core, self.duration, RequestKind::Synthetic, now)
-                            .unwrap(),
-                    )
+                    port.post(BusRequest::new(
+                        self.core,
+                        self.duration,
+                        RequestKind::Synthetic,
+                        now,
+                    ))
                     .unwrap();
                     self.left -= 1;
-                    if self.left == 0 {
-                        self.done_at = Some(now);
-                    }
                 }
                 Control::Sleep(Cycle::MAX)
             }
-            fn wake_at(&self) -> Option<Cycle> {
-                Some(Cycle::MAX)
-            }
             fn is_done(&self) -> bool {
                 self.left == 0
-            }
-            fn done_at(&self) -> Option<Cycle> {
-                self.done_at
             }
             fn reset(&mut self, _rng: &mut SimRng) {}
         }
@@ -551,7 +535,6 @@ mod tests {
                 core: ctx.core,
                 left: count.parse().map_err(|_| "bad count".to_string())?,
                 duration: duration.parse().map_err(|_| "bad duration".to_string())?,
-                done_at: None,
             }))
         });
         let load = CoreLoad::Custom {
@@ -573,9 +556,9 @@ mod tests {
             PolicyKind::RoundRobin.build(1, 56),
         );
         for now in 0..100u64 {
-            let done = sim_core::BusModel::begin_cycle(&mut bus, now);
+            let done = bus.begin_cycle(now);
             agent.tick(now, done.as_ref(), &mut bus as &mut dyn RequestPort);
-            sim_core::BusModel::end_cycle(&mut bus, now);
+            bus.end_cycle(now);
         }
         assert!(agent.is_done());
         assert_eq!(bus.trace().total_slots(), 3);

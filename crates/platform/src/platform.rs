@@ -6,7 +6,7 @@ use crate::config::{FabricTopology, PlatformConfig};
 use crate::probes::{WindowedFairness, WindowedFairnessProbe};
 use cba::{CreditFilter, Mode};
 use cba_bus::fabric::{Fabric, FabricConfig};
-use cba_bus::{Bus, BusConfig, BusError, BusRequest, CompletedTransaction, RequestPort};
+use cba_bus::{Bus, BusConfig, CompletedTransaction, RequestPort};
 use cba_mem::shared_hub;
 use cba_workloads::EembcProfile;
 use sim_core::agent::MemStats;
@@ -497,9 +497,7 @@ impl RunResult {
 /// protocol plus the client request port and the per-run statistics the
 /// result extraction needs. Implemented by the flat [`Bus`] and the
 /// hierarchical [`Fabric`].
-trait SimModel:
-    BusModel<Request = BusRequest, Completion = CompletedTransaction, Error = BusError> + RequestPort
-{
+trait SimModel: BusModel<Completion = CompletedTransaction> + RequestPort {
     /// Idle cycles of the shared resource (the bus / the backbone).
     fn model_idle_cycles(&self) -> u64;
     /// `(mean, max)` grant latency of core 0's requests at its first
@@ -750,7 +748,7 @@ fn extract<M: SimModel, P: Probe<CompletedTransaction>>(
         }
     }
     RunResult {
-        tua_cycles: sim.agent(0).done_at(),
+        tua_cycles: sim.agent(0).stats().done_at,
         finished: outcome.stopped,
         total_cycles: outcome.cycles,
         bus_slots: ids.iter().map(|&c| trace.slots(c)).collect(),

@@ -52,20 +52,6 @@ impl WindowedFairness {
     pub fn n_windows(&self) -> usize {
         self.jain.len()
     }
-
-    /// Mean of the per-window Jain indices.
-    pub fn jain_mean(&self) -> f64 {
-        if self.jain.is_empty() {
-            1.0
-        } else {
-            self.jain.iter().sum::<f64>() / self.jain.len() as f64
-        }
-    }
-
-    /// Worst (smallest) per-window Jain index.
-    pub fn jain_min(&self) -> f64 {
-        self.jain.iter().copied().fold(1.0, f64::min)
-    }
 }
 
 /// Streams completions into per-window per-core busy-cycle counters (see
@@ -182,8 +168,6 @@ mod tests {
         let snap = probe.snapshot();
         assert!((snap.jain[0] - 1.0).abs() < 1e-12);
         assert!((snap.jain[1] - 0.5).abs() < 1e-12);
-        assert!((snap.jain_mean() - 0.75).abs() < 1e-12);
-        assert!((snap.jain_min() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -30,11 +30,11 @@
 //! 1. [`tick`](SimAgent::tick) receives the cycle number, the cycle's
 //!    completion report (if any) and the request port, may post traffic,
 //!    and returns a [`Control`] verdict;
-//! 2. [`wake_at`](SimAgent::wake_at), mirrored by that verdict, bounds the
-//!    next cycle at which ticking the agent can have any effect (absent a
-//!    completion addressed to it): neither other agents' posts, grants
-//!    and completions nor the bus's own progress may change what the
-//!    agent would do before then;
+//! 2. that verdict is the agent's one sleep horizon: [`Control::Sleep`]`(t)`
+//!    bounds the next cycle at which ticking the agent can have any effect
+//!    (absent a completion addressed to it), so neither other agents'
+//!    posts, grants and completions nor the bus's own progress may change
+//!    what the agent would do before `t`;
 //! 3. [`is_addressed`](SimAgent::is_addressed) tells the engine which
 //!    completions wake the agent early; the default `true` wakes it on
 //!    every completion, which is always safe;
@@ -121,28 +121,21 @@ pub trait SimAgent<P: ?Sized, C = ()> {
     /// Advances the agent by one cycle. `completed` is the model's
     /// completion report for this cycle (agents must ignore completions
     /// addressed to other agents). The returned [`Control`] is the
-    /// agent's verdict for the *engine*: [`Control::Continue`] to be
-    /// ticked every cycle, [`Control::Sleep`]`(t)` when nothing can
-    /// happen before cycle `t` (mirroring [`SimAgent::wake_at`]; the
-    /// events engine ticks the agent next at `t` or at a completion
+    /// agent's verdict for the *engine*, and its only sleep horizon:
+    /// [`Control::Continue`] to be ticked every cycle,
+    /// [`Control::Sleep`]`(t)` when nothing can happen before cycle `t`
+    /// (`Sleep(Cycle::MAX)` when only a completion can wake it; the events
+    /// engine ticks the agent next at `t` or at a completion
     /// [addressed](SimAgent::is_addressed) to it), or
     /// [`Control::Stop`] to request that the whole simulation stop after
     /// this cycle (no shipped agent does; the hook exists for
     /// user-defined measurement agents).
     fn tick(&mut self, now: Cycle, completed: Option<&C>, port: &mut P) -> Control;
 
-    /// The agent's sleep horizon, queried after its tick: the next cycle
-    /// at which ticking it can have any effect, absent a completion
-    /// addressed to it. `None` = must be ticked every cycle;
-    /// `Some(Cycle::MAX)` = only a completion can wake it.
-    fn wake_at(&self) -> Option<Cycle> {
-        None
-    }
-
     /// Whether the cycle's completion report is addressed to this agent,
-    /// so that the engine must tick it at this cycle even before its
-    /// [`wake_at`](SimAgent::wake_at). The default `true` wakes the agent
-    /// on every completion; an agent that answers precisely (shipped
+    /// so that the engine must tick it at this cycle even before the cycle
+    /// its last [`Control::Sleep`] named. The default `true` wakes the
+    /// agent on every completion; an agent that answers precisely (shipped
     /// agents compare the report's core with their own) sleeps through
     /// the completions of the others.
     fn is_addressed(&self, completed: &C) -> bool {
@@ -154,14 +147,9 @@ pub trait SimAgent<P: ?Sized, C = ()> {
     /// (saturating/periodic contenders) return `false` forever.
     fn is_done(&self) -> bool;
 
-    /// The cycle at which the workload finished, once done.
-    fn done_at(&self) -> Option<Cycle> {
-        None
-    }
-
     /// Accounts `skipped` cycles at which the agent was not ticked (see
-    /// [`SimAgent::wake_at`]): statistics must advance exactly as that
-    /// many unchanged ticks would have advanced them. The engine may
+    /// the verdict of [`SimAgent::tick`]): statistics must advance exactly
+    /// as that many unchanged ticks would have advanced them. The engine may
     /// split one untouched stretch over several calls. Agents whose state
     /// is already expressed in absolute cycles need nothing here.
     fn absorb_skipped(&mut self, skipped: u64) {
@@ -185,7 +173,8 @@ pub trait SimAgent<P: ?Sized, C = ()> {
     /// ignore it.
     fn reset(&mut self, rng: &mut SimRng);
 
-    /// A uniform snapshot of the agent's execution statistics.
+    /// A uniform snapshot of the agent's execution statistics; a finite
+    /// agent reports its completion cycle as [`AgentStats::done_at`].
     fn stats(&self) -> AgentStats {
         AgentStats::default()
     }
@@ -206,8 +195,8 @@ pub trait SimAgent<P: ?Sized, C = ()> {
     /// The most whole periods a limit-cycle jump may skip, given `deltas`,
     /// the per-period growth of this agent's counters. A finite agent
     /// stops the jump before its final completion, which must execute live
-    /// so [`done_at`](SimAgent::done_at) and stop conditions stay exact.
-    /// The default sets no bound.
+    /// so its [`done_at`](AgentStats::done_at) and stop conditions stay
+    /// exact. The default sets no bound.
     fn limit_cycle_bound(&self, deltas: &[u64]) -> u64 {
         let _ = deltas;
         u64::MAX
@@ -239,10 +228,6 @@ impl Idle {
 impl<P: ?Sized, C> SimAgent<P, C> for Idle {
     fn tick(&mut self, _now: Cycle, _completed: Option<&C>, _port: &mut P) -> Control {
         Control::Sleep(Cycle::MAX)
-    }
-
-    fn wake_at(&self) -> Option<Cycle> {
-        Some(Cycle::MAX)
     }
 
     /// It never posts, so no completion is its own.
@@ -302,9 +287,7 @@ mod tests {
         let verdict = SimAgent::<(), u32>::tick(&mut idle, 0, None, &mut port);
         assert_eq!(verdict, Control::Sleep(Cycle::MAX));
         assert!(SimAgent::<(), u32>::is_done(&idle));
-        assert_eq!(SimAgent::<(), u32>::wake_at(&idle), Some(Cycle::MAX));
         assert!(!SimAgent::<(), u32>::is_addressed(&idle, &0));
-        assert_eq!(SimAgent::<(), u32>::done_at(&idle), None);
         assert_eq!(SimAgent::<(), u32>::stats(&idle), AgentStats::default());
     }
 

@@ -12,12 +12,12 @@
 //!
 //! 1. [`BusModel::begin_cycle`]`(t)` — a transaction ending at `t`
 //!    completes and is reported;
-//! 2. clients post requests for cycle `t` via [`BusModel::post`];
+//! 2. clients post requests for cycle `t` through the model's own request
+//!    port (the trait leaves posting to each model);
 //! 3. [`BusModel::end_cycle`]`(t)` — arbitration runs if the bus is free
 //!    and per-cycle filter state (credit counters) advances.
 //!
-//! [`BusModel::tick`] bundles the phases for clients that post between
-//! cycles. The one loop that drives a model is
+//! The one loop that drives a model is
 //! [`Simulation::run`](crate::Simulation::run): it owns the `while` loop,
 //! the stop condition and the cycle counter, and ticks the model's
 //! clients, which are [`SimAgent`](crate::SimAgent)s — a harness that
@@ -28,37 +28,6 @@
 use crate::trace::GrantTrace;
 use crate::{CoreId, Cycle};
 
-/// Combined result of one [`BusModel::tick`].
-///
-/// Iterating a `TickOutcome` yields the completion, if any, which keeps the
-/// `for completed in bus.tick(now) { .. }` idiom of the split bus working
-/// against the unified API.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TickOutcome<C> {
-    /// Transaction that completed at this cycle, if any.
-    pub completed: Option<C>,
-    /// Core granted the bus at this cycle, if any.
-    pub granted: Option<CoreId>,
-}
-
-impl<C> Default for TickOutcome<C> {
-    fn default() -> Self {
-        TickOutcome {
-            completed: None,
-            granted: None,
-        }
-    }
-}
-
-impl<C> IntoIterator for TickOutcome<C> {
-    type Item = C;
-    type IntoIter = std::option::IntoIter<C>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.completed.into_iter()
-    }
-}
-
 /// The cycle protocol shared by every bus variant.
 ///
 /// Implementations advance in two phases per cycle so that a core whose
@@ -68,50 +37,26 @@ impl<C> IntoIterator for TickOutcome<C> {
 /// transfer ends). See the [module documentation](self) for the full
 /// protocol and an end-to-end example.
 pub trait BusModel {
-    /// What clients post (a plain request, or `(core, request)` for buses
-    /// that address requests per core).
-    type Request;
     /// The completion report of phase 1.
     type Completion;
-    /// Rejection returned by [`BusModel::post`].
-    type Error: std::fmt::Debug;
 
     /// Phase 1 of cycle `now`: reports a transaction ending at `now`.
     fn begin_cycle(&mut self, now: Cycle) -> Option<Self::Completion>;
 
-    /// Phase 2 of cycle `now`: posts a request.
-    ///
-    /// # Errors
-    ///
-    /// Implementations reject malformed or duplicate requests.
-    fn post(&mut self, req: Self::Request) -> Result<(), Self::Error>;
-
     /// Phase 3 of cycle `now`: arbitration (if the bus is free) and filter
-    /// bookkeeping. Returns the freshly granted core, if any.
+    /// bookkeeping, after the clients' posts of phase 2. Returns the
+    /// freshly granted core, if any.
     fn end_cycle(&mut self, now: Cycle) -> Option<CoreId>;
-
-    /// The core currently holding the bus, if any.
-    fn owner(&self) -> Option<CoreId>;
 
     /// The grant trace accumulated so far.
     fn trace(&self) -> &GrantTrace;
-
-    /// Convenience single-phase tick: [`begin_cycle`](BusModel::begin_cycle)
-    /// immediately followed by [`end_cycle`](BusModel::end_cycle); any posts
-    /// must happen between ticks.
-    fn tick(&mut self, now: Cycle) -> TickOutcome<Self::Completion> {
-        let completed = self.begin_cycle(now);
-        let granted = self.end_cycle(now);
-        TickOutcome { completed, granted }
-    }
 
     /// The bus's **event horizon**: called after [`end_cycle`](
     /// BusModel::end_cycle)`(now)`, returns the earliest future cycle at
     /// which anything observable can happen on the bus side — a completion
     /// is reported, a grant becomes possible, or internal state stops
     /// evolving in the closed form applied by [`advance`](BusModel::advance)
-    /// — **assuming no client interaction** (no posts or withdrawals) in
-    /// between.
+    /// — **assuming no client interaction** (no posts) in between.
     ///
     /// Returning `Some(e)` is a guarantee: for every cycle `t` in
     /// `(now, e)`, `begin_cycle(t)` would report nothing and `end_cycle(t)`
@@ -197,9 +142,8 @@ pub enum Control {
     Continue,
     /// Stop after finishing the current cycle.
     Stop,
-    /// The client guarantees it will not interact with the bus (no posts,
-    /// no withdrawals) before cycle `until`, and does not need to observe
-    /// any cycle before it either — the events engine of
+    /// The client guarantees it will not post before cycle `until`, and
+    /// does not need to observe any cycle before it either — the events engine of
     /// [`Simulation::run`](crate::Simulation::run) may fast-forward to
     /// `min(until, bus event horizon)`. [`Engine::Naive`](crate::Engine::Naive)
     /// treats this exactly like [`Control::Continue`], so a client written
@@ -242,12 +186,24 @@ pub(crate) mod tests {
                 skipped: 0,
             }
         }
+
+        /// Posts a `req`-cycle request (phase 2).
+        pub(crate) fn post(&mut self, req: u32) -> Result<(), &'static str> {
+            if self.pending.is_some() {
+                return Err("already pending");
+            }
+            self.pending = Some(req);
+            Ok(())
+        }
+
+        /// The core holding the bus, if any.
+        pub(crate) fn owner(&self) -> Option<CoreId> {
+            self.busy_until.map(|_| CoreId::from_index(0))
+        }
     }
 
     impl BusModel for OneShot {
-        type Request = u32;
         type Completion = Cycle;
-        type Error = &'static str;
 
         fn begin_cycle(&mut self, now: Cycle) -> Option<Cycle> {
             if self.busy_until == Some(now) {
@@ -255,14 +211,6 @@ pub(crate) mod tests {
                 return Some(now);
             }
             None
-        }
-
-        fn post(&mut self, req: u32) -> Result<(), &'static str> {
-            if self.pending.is_some() {
-                return Err("already pending");
-            }
-            self.pending = Some(req);
-            Ok(())
         }
 
         fn end_cycle(&mut self, now: Cycle) -> Option<CoreId> {
@@ -274,10 +222,6 @@ pub(crate) mod tests {
                 }
             }
             None
-        }
-
-        fn owner(&self) -> Option<CoreId> {
-            self.busy_until.map(|_| CoreId::from_index(0))
         }
 
         fn trace(&self) -> &GrantTrace {
@@ -295,31 +239,6 @@ pub(crate) mod tests {
         fn advance(&mut self, from: Cycle, to: Cycle) {
             self.skipped += to - from - 1;
         }
-    }
-
-    #[test]
-    fn default_tick_bundles_phases() {
-        let mut bus = OneShot::new();
-        bus.post(3).unwrap();
-        let out = bus.tick(0);
-        assert_eq!(out.granted, Some(CoreId::from_index(0)));
-        assert_eq!(out.completed, None);
-        bus.tick(1);
-        bus.tick(2);
-        let out = bus.tick(3);
-        assert_eq!(out.completed, Some(3));
-        assert_eq!(bus.owner(), None);
-    }
-
-    #[test]
-    fn tick_outcome_iterates_completion() {
-        let none: TickOutcome<u32> = TickOutcome::default();
-        assert_eq!(none.into_iter().count(), 0);
-        let some = TickOutcome {
-            completed: Some(7u32),
-            granted: None,
-        };
-        assert_eq!(some.into_iter().collect::<Vec<_>>(), vec![7]);
     }
 
     /// Runs `bus` under `engine` for up to `max_cycles` cycles with one
@@ -467,20 +386,12 @@ pub(crate) mod tests {
         #[derive(Debug)]
         struct Opaque(OneShot);
         impl BusModel for Opaque {
-            type Request = u32;
             type Completion = Cycle;
-            type Error = &'static str;
             fn begin_cycle(&mut self, now: Cycle) -> Option<Cycle> {
                 self.0.begin_cycle(now)
             }
-            fn post(&mut self, req: u32) -> Result<(), &'static str> {
-                self.0.post(req)
-            }
             fn end_cycle(&mut self, now: Cycle) -> Option<CoreId> {
                 self.0.end_cycle(now)
-            }
-            fn owner(&self) -> Option<CoreId> {
-                self.0.owner()
             }
             fn trace(&self) -> &GrantTrace {
                 self.0.trace()

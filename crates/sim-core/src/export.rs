@@ -65,14 +65,6 @@ impl Json {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
     }
 
-    /// An optional number: `None` renders as `null`.
-    pub fn opt_num(x: Option<f64>) -> Json {
-        match x {
-            Some(v) => Json::Num(v),
-            None => Json::Null,
-        }
-    }
-
     /// Renders the value as pretty-printed JSON (2-space indent, trailing
     /// newline).
     pub fn render(&self) -> String {
@@ -267,17 +259,6 @@ impl ByteWriter {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    /// Appends an optional `f64` (presence byte + bits).
-    pub fn opt_f64(&mut self, x: Option<f64>) {
-        match x {
-            Some(v) => {
-                self.u8(1);
-                self.f64(v);
-            }
-            None => self.u8(0),
-        }
-    }
-
     /// Appends a length-prefixed `f64` slice.
     pub fn f64s(&mut self, xs: &[f64]) {
         self.u32(xs.len() as u32);
@@ -347,15 +328,6 @@ impl<'a> ByteReader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| "record string is not UTF-8".to_string())
     }
 
-    /// Reads an optional `f64` (presence byte + bits).
-    pub fn opt_f64(&mut self) -> Result<Option<f64>, String> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.f64()?)),
-            other => Err(format!("bad option flag {other}")),
-        }
-    }
-
     /// Reads a length-prefixed `f64` vector.
     pub fn f64s(&mut self) -> Result<Vec<f64>, String> {
         let len = self.u32()? as usize;
@@ -405,7 +377,6 @@ mod tests {
     fn non_finite_numbers_become_null() {
         assert_eq!(Json::Num(f64::NAN).render(), "null\n");
         assert_eq!(Json::Num(f64::INFINITY).render(), "null\n");
-        assert_eq!(Json::opt_num(None).render(), "null\n");
     }
 
     #[test]
@@ -437,8 +408,6 @@ mod tests {
         w.f64(-0.0);
         w.f64(f64::NAN);
         w.str("héllo");
-        w.opt_f64(None);
-        w.opt_f64(Some(1.5e-300));
         w.f64s(&[1.0, 2.5, f64::INFINITY]);
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
@@ -448,8 +417,6 @@ mod tests {
         assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
         assert!(r.f64().unwrap().is_nan());
         assert_eq!(r.str().unwrap(), "héllo");
-        assert_eq!(r.opt_f64().unwrap(), None);
-        assert_eq!(r.opt_f64().unwrap(), Some(1.5e-300));
         assert_eq!(r.f64s().unwrap(), vec![1.0, 2.5, f64::INFINITY]);
         assert_eq!(r.remaining(), 0);
     }
@@ -467,10 +434,6 @@ mod tests {
         w.u32(u32::MAX);
         let bytes = w.into_bytes();
         assert!(ByteReader::new(&bytes).f64s().is_err());
-
-        // A bad option flag is an error.
-        let bytes = [2u8];
-        assert!(ByteReader::new(&bytes).opt_f64().is_err());
     }
 
     #[test]

@@ -99,12 +99,6 @@ impl SimRng {
         result
     }
 
-    /// Next 32 random bits.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform draw from a `u64` range (`lo..hi`, `hi` exclusive).
     ///
     /// Uses Lemire-style rejection sampling, so every value of the range is
@@ -164,14 +158,6 @@ impl SimRng {
         let raw = -(mean - 0.5) * (1.0 - u).ln();
         let cap = 32.0 * mean;
         (1.0 + raw.min(cap)) as u32
-    }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.gen_range_usize(0..i + 1);
-            slice.swap(i, j);
-        }
     }
 
     /// Picks one element of a non-empty slice uniformly at random.
@@ -283,26 +269,6 @@ mod tests {
         let mut rng = SimRng::seed_from(6);
         assert!((0..1000).all(|_| rng.gen_gap(0.0) >= 1));
         assert!((0..1000).all(|_| rng.gen_gap(3.0) >= 1));
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = SimRng::seed_from(8);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn shuffle_produces_different_orders() {
-        let mut rng = SimRng::seed_from(9);
-        let mut v1: Vec<u32> = (0..20).collect();
-        let mut v2: Vec<u32> = (0..20).collect();
-        rng.shuffle(&mut v1);
-        rng.shuffle(&mut v2);
-        assert_ne!(v1, v2, "two consecutive shuffles should differ");
     }
 
     #[test]

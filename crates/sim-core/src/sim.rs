@@ -15,16 +15,16 @@
 //! #
 //! # #[derive(Debug)]
 //! # struct ToyBus { trace: GrantTrace, queue: u64, busy_until: Option<Cycle> }
-//! # impl ToyBus { fn new() -> Self { ToyBus { trace: GrantTrace::counting(1), queue: 0, busy_until: None } } }
+//! # impl ToyBus {
+//! #     fn new() -> Self { ToyBus { trace: GrantTrace::counting(1), queue: 0, busy_until: None } }
+//! #     fn post(&mut self, dur: u32) { self.queue += dur as u64; }
+//! # }
 //! # impl BusModel for ToyBus {
-//! #     type Request = u32;
 //! #     type Completion = ();
-//! #     type Error = ();
 //! #     fn begin_cycle(&mut self, now: Cycle) -> Option<()> {
 //! #         if self.busy_until == Some(now) { self.busy_until = None; return Some(()); }
 //! #         None
 //! #     }
-//! #     fn post(&mut self, dur: u32) -> Result<(), ()> { self.queue += dur as u64; Ok(()) }
 //! #     fn end_cycle(&mut self, now: Cycle) -> Option<CoreId> {
 //! #         if self.busy_until.is_none() && self.queue > 0 {
 //! #             let d = self.queue.min(4); self.queue -= d;
@@ -34,36 +34,31 @@
 //! #         }
 //! #         None
 //! #     }
-//! #     fn owner(&self) -> Option<CoreId> { self.busy_until.map(|_| CoreId::from_index(0)) }
 //! #     fn trace(&self) -> &GrantTrace { &self.trace }
 //! # }
 //!
 //! /// An agent that posts one 4-cycle request every 10 cycles, 5 times.
-//! struct Pulser { left: u32, next: Cycle, done_at: Option<Cycle> }
+//! struct Pulser { left: u32, next: Cycle }
 //!
 //! impl SimAgent<ToyBus> for Pulser {
 //!     fn tick(&mut self, now: Cycle, _done: Option<&()>, bus: &mut ToyBus) -> Control {
 //!         if self.left > 0 && now >= self.next {
-//!             bus.post(4).unwrap();
+//!             bus.post(4);
 //!             self.left -= 1;
 //!             self.next += 10;
 //!         }
-//!         if self.left == 0 && self.done_at.is_none() {
-//!             self.done_at = Some(now);
-//!         }
+//!         // The verdict is the sleep horizon: nothing to do before `next`.
 //!         Control::Sleep(self.next)
 //!     }
-//!     fn wake_at(&self) -> Option<Cycle> { Some(self.next) }
 //!     fn is_done(&self) -> bool { self.left == 0 }
-//!     fn done_at(&self) -> Option<Cycle> { self.done_at }
 //!     fn reset(&mut self, _rng: &mut sim_core::rng::SimRng) {
-//!         *self = Pulser { left: 5, next: 0, done_at: None };
+//!         *self = Pulser { left: 5, next: 0 };
 //!     }
 //! }
 //!
 //! let mut sim = Simulation::builder()
 //!     .model(ToyBus::new())
-//!     .agent(Pulser { left: 5, next: 0, done_at: None })
+//!     .agent(Pulser { left: 5, next: 0 })
 //!     .agent(Idle::new())
 //!     .stop(StopWhen::AllAgentsDone)
 //!     .engine(Engine::Events)
@@ -638,12 +633,6 @@ impl<'a, M: BusModel, P: Probe<M::Completion>> SimulationBuilder<'a, M, P> {
         self
     }
 
-    /// Adds one already-boxed agent (the currency of agent registries).
-    pub fn agent_boxed(mut self, agent: BoxedAgent<'a, M>) -> Self {
-        self.agents.push(agent);
-        self
-    }
-
     /// Adds a batch of boxed agents, in order.
     pub fn agents(mut self, agents: impl IntoIterator<Item = BoxedAgent<'a, M>>) -> Self {
         self.agents.extend(agents);
@@ -756,23 +745,15 @@ mod tests {
                 self.next = (now / 20 + 1) * 20;
                 self.waiting = true;
             }
-            Control::Sleep(self.wake_at().unwrap())
-        }
-
-        fn wake_at(&self) -> Option<Cycle> {
-            if self.waiting || self.left == 0 {
-                Some(Cycle::MAX)
+            Control::Sleep(if self.waiting || self.left == 0 {
+                Cycle::MAX
             } else {
-                Some(self.next)
-            }
+                self.next
+            })
         }
 
         fn is_done(&self) -> bool {
             self.left == 0 && !self.waiting
-        }
-
-        fn done_at(&self) -> Option<Cycle> {
-            self.done_at
         }
 
         fn absorb_skipped(&mut self, skipped: u64) {
@@ -781,6 +762,13 @@ mod tests {
 
         fn reset(&mut self, _rng: &mut SimRng) {
             *self = Periodic::new(5);
+        }
+
+        fn stats(&self) -> AgentStats {
+            AgentStats {
+                done_at: self.done_at,
+                ..Default::default()
+            }
         }
     }
 
@@ -806,7 +794,7 @@ mod tests {
             naive_sim.model().trace().total_slots(),
             fast_sim.model().trace().total_slots()
         );
-        assert_eq!(naive_sim.agent(0).done_at(), fast_sim.agent(0).done_at());
+        assert_eq!(naive_sim.agent(0).stats(), fast_sim.agent(0).stats());
         assert!(fast_sim.model().skipped > 0, "fast path must skip");
         assert_eq!(naive_sim.model().skipped, 0, "naive path never skips");
         // Skipped-cycle accounting reaches the agents.
@@ -836,7 +824,8 @@ mod tests {
             .build();
         let outcome = sim.run();
         assert!(outcome.stopped);
-        assert_eq!(sim.agent(0).done_at(), Some(27), "second grant at 20+7");
+        let done_at = sim.agent(0).stats().done_at;
+        assert_eq!(done_at, Some(27), "second grant at 20+7");
     }
 
     #[test]
@@ -909,10 +898,15 @@ mod tests {
         completions: u64,
     }
 
+    impl Ring {
+        /// Posts core `core`'s `dur`-cycle request, issued at `at`.
+        fn post(&mut self, core: CoreId, dur: u32, at: Cycle) {
+            self.pending[core.index()] = Some((dur, at));
+        }
+    }
+
     impl BusModel for Ring {
-        type Request = (CoreId, u32, Cycle);
         type Completion = CoreId;
-        type Error = ();
 
         fn begin_cycle(&mut self, now: Cycle) -> Option<CoreId> {
             self.executed += 1;
@@ -922,11 +916,6 @@ mod tests {
                 self.completions += 1;
                 core
             })
-        }
-
-        fn post(&mut self, (core, dur, at): (CoreId, u32, Cycle)) -> Result<(), ()> {
-            self.pending[core.index()] = Some((dur, at));
-            Ok(())
         }
 
         fn end_cycle(&mut self, now: Cycle) -> Option<CoreId> {
@@ -944,10 +933,6 @@ mod tests {
             self.trace.record(now, core, dur);
             self.cursor = (i + 1) % n;
             Some(core)
-        }
-
-        fn owner(&self) -> Option<CoreId> {
-            self.busy.map(|(core, _)| core)
         }
 
         fn trace(&self) -> &GrantTrace {
@@ -1055,14 +1040,10 @@ mod tests {
                 }
             }
             if self.post_at.is_some_and(|t| now >= t) {
-                bus.post((self.core, self.dur, now)).unwrap();
+                bus.post(self.core, self.dur, now);
                 self.post_at = None;
             }
             Control::Sleep(self.post_at.unwrap_or(Cycle::MAX))
-        }
-
-        fn wake_at(&self) -> Option<Cycle> {
-            Some(self.post_at.unwrap_or(Cycle::MAX))
         }
 
         fn is_addressed(&self, done: &CoreId) -> bool {
@@ -1071,10 +1052,6 @@ mod tests {
 
         fn is_done(&self) -> bool {
             self.done_at.is_some()
-        }
-
-        fn done_at(&self) -> Option<Cycle> {
-            self.done_at
         }
 
         fn absorb_skipped(&mut self, skipped: u64) {
@@ -1259,20 +1236,12 @@ mod tests {
             verdict
         }
 
-        fn wake_at(&self) -> Option<Cycle> {
-            self.feeder.wake_at()
-        }
-
         fn is_addressed(&self, done: &CoreId) -> bool {
             !self.precise || self.feeder.is_addressed(done)
         }
 
         fn is_done(&self) -> bool {
             self.feeder.is_done()
-        }
-
-        fn done_at(&self) -> Option<Cycle> {
-            self.feeder.done_at
         }
 
         fn absorb_skipped(&mut self, skipped: u64) {

@@ -3,9 +3,8 @@
 //! The evaluation of the paper reports *average execution times over 1,000
 //! randomized runs* per configuration (cache placement and arbitration are
 //! randomized, so a single run is meaningless). This module provides the
-//! aggregation tools: numerically-stable running summaries ([`Summary`]),
-//! fixed-width histograms ([`Histogram`]), and exact percentiles over stored
-//! samples ([`percentile`]).
+//! aggregation tools: numerically-stable running summaries ([`Summary`])
+//! and exact percentiles over stored samples ([`percentile`]).
 
 use std::fmt;
 
@@ -62,26 +61,6 @@ impl Summary {
         if x > self.max {
             self.max = x;
         }
-    }
-
-    /// Merges another summary into this one (parallel aggregation).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Number of observations recorded.
@@ -224,121 +203,6 @@ pub fn percentile(samples: &[f64], q: f64) -> f64 {
     percentile_sorted(&v, q)
 }
 
-/// Geometric mean of strictly positive samples.
-///
-/// # Panics
-///
-/// Panics if `samples` is empty or any sample is not strictly positive.
-pub fn geometric_mean(samples: &[f64]) -> f64 {
-    assert!(!samples.is_empty(), "geometric mean of empty slice");
-    let log_sum: f64 = samples
-        .iter()
-        .map(|&x| {
-            assert!(x > 0.0, "geometric mean requires positive samples");
-            x.ln()
-        })
-        .sum();
-    (log_sum / samples.len() as f64).exp()
-}
-
-/// A fixed-width histogram over `[lo, hi)` with under/overflow buckets.
-///
-/// # Example
-///
-/// ```
-/// use sim_core::stats::Histogram;
-///
-/// let mut h = Histogram::new(0.0, 100.0, 10).unwrap();
-/// h.record(5.0);
-/// h.record(15.0);
-/// h.record(-3.0); // underflow
-/// assert_eq!(h.bucket_count(0), 1);
-/// assert_eq!(h.bucket_count(1), 1);
-/// assert_eq!(h.underflow(), 1);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram of `n_buckets` equal-width buckets over `[lo, hi)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `lo >= hi` or `n_buckets == 0`.
-    pub fn new(lo: f64, hi: f64, n_buckets: usize) -> Result<Self, crate::SimError> {
-        if lo.partial_cmp(&hi) != Some(std::cmp::Ordering::Less) || n_buckets == 0 {
-            return Err(crate::SimError::InvalidConfig {
-                what: "histogram",
-                why: format!(
-                    "need lo < hi and n_buckets > 0 (got lo={lo}, hi={hi}, n={n_buckets})"
-                ),
-            });
-        }
-        Ok(Histogram {
-            lo,
-            hi,
-            buckets: vec![0; n_buckets],
-            underflow: 0,
-            overflow: 0,
-        })
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let w = (self.hi - self.lo) / self.buckets.len() as f64;
-            let idx = ((x - self.lo) / w) as usize;
-            let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Count in bucket `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn bucket_count(&self, i: usize) -> u64 {
-        self.buckets[i]
-    }
-
-    /// Number of buckets.
-    pub fn n_buckets(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Observations below `lo`.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above `hi`.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations recorded, including under/overflow.
-    pub fn total(&self) -> u64 {
-        self.underflow + self.overflow + self.buckets.iter().sum::<u64>()
-    }
-
-    /// `(low_edge, high_edge)` of bucket `i`.
-    pub fn bucket_edges(&self, i: usize) -> (f64, f64) {
-        let w = (self.hi - self.lo) / self.buckets.len() as f64;
-        (self.lo + w * i as f64, self.lo + w * (i + 1) as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,31 +227,6 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.population_variance(), 0.0);
         assert_eq!(s.std_error(), 0.0);
-    }
-
-    #[test]
-    fn summary_merge_equals_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64) * 0.7 - 13.0).collect();
-        let seq: Summary = data.iter().copied().collect();
-        let mut a: Summary = data[..37].iter().copied().collect();
-        let b: Summary = data[37..].iter().copied().collect();
-        a.merge(&b);
-        assert_eq!(a.count(), seq.count());
-        assert!((a.mean() - seq.mean()).abs() < 1e-9);
-        assert!((a.sample_variance() - seq.sample_variance()).abs() < 1e-9);
-        assert_eq!(a.min(), seq.min());
-        assert_eq!(a.max(), seq.max());
-    }
-
-    #[test]
-    fn summary_merge_with_empty() {
-        let mut a: Summary = [1.0, 2.0].into_iter().collect();
-        let before = a.clone();
-        a.merge(&Summary::new());
-        assert_eq!(a, before);
-        let mut e = Summary::new();
-        e.merge(&before);
-        assert_eq!(e, before);
     }
 
     #[test]
@@ -418,33 +257,5 @@ mod tests {
         assert_eq!(percentile(&v, 0.0), 1.0);
         assert!((percentile(&v, 1.0 / 3.0) - 2.0).abs() < 1e-12);
         assert!(percentile(&v, 1.0).is_nan());
-    }
-
-    #[test]
-    fn geometric_mean_basic() {
-        assert!((geometric_mean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert!((geometric_mean(&[2.0, 2.0, 2.0]) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_buckets_and_edges() {
-        let mut h = Histogram::new(0.0, 10.0, 5).unwrap();
-        for x in [0.0, 1.9, 2.0, 9.99, 10.0, -0.1] {
-            h.record(x);
-        }
-        assert_eq!(h.bucket_count(0), 2);
-        assert_eq!(h.bucket_count(1), 1);
-        assert_eq!(h.bucket_count(4), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.total(), 6);
-        assert_eq!(h.bucket_edges(1), (2.0, 4.0));
-    }
-
-    #[test]
-    fn histogram_rejects_bad_config() {
-        assert!(Histogram::new(1.0, 1.0, 4).is_err());
-        assert!(Histogram::new(0.0, 1.0, 0).is_err());
-        assert!(Histogram::new(2.0, 1.0, 4).is_err());
     }
 }

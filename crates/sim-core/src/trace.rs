@@ -279,16 +279,6 @@ impl ShareReport {
     pub fn cycle_fairness(&self) -> f64 {
         jain(&self.busy_cycles)
     }
-
-    /// Per-core slot counts.
-    pub fn slot_counts(&self) -> &[u64] {
-        &self.slots
-    }
-
-    /// Per-core busy-cycle counts.
-    pub fn cycle_counts(&self) -> &[u64] {
-        &self.busy_cycles
-    }
 }
 
 fn jain(xs: &[u64]) -> f64 {

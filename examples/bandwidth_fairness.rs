@@ -15,7 +15,7 @@
 //! ```
 
 use cba::{CreditConfig, CreditFilter};
-use cba_bus::{Bus, BusConfig, CompletedTransaction, PolicyKind};
+use cba_bus::{Bus, BusConfig, BusModel, CompletedTransaction, PolicyKind};
 use cba_cpu::Contender;
 use sim_core::{CoreId, Cycle, Probe, Simulation, StopWhen};
 

@@ -1,12 +1,13 @@
 //! `SimAgent` conformance suite: every shipped agent implementation must
 //! honor the three contracts the open client API rests on.
 //!
-//! 1. **Wake honesty** — an agent sleeping until its declared
-//!    [`wake_at`](sim_core::SimAgent::wake_at) never posts earlier:
-//!    ticking it only at wake cycles (plus its completion cycles, which
-//!    always wake it) produces the *exact* post stream of ticking it
-//!    every cycle. This is the property the event-horizon engine's
-//!    bit-identity guarantee reduces to on the client side.
+//! 1. **Verdict honesty** — an agent sleeping until the cycle its tick's
+//!    [`Control::Sleep`] verdict names never posts earlier: ticking it
+//!    only at those cycles (plus its completion cycles, which always wake
+//!    it) produces the *exact* post stream of ticking it every cycle. The
+//!    sparse run is driven by the verdicts alone, as the events engine
+//!    is. This is the property the event-horizon engine's bit-identity
+//!    guarantee reduces to on the client side.
 //! 2. **Reset ≡ fresh** — [`reset`](sim_core::SimAgent::reset) through
 //!    the trait restores a fresh-construction agent: re-running the same
 //!    workload yields identical post streams and statistics.
@@ -20,12 +21,12 @@
 //! Agents are built through the [`AgentRegistry`], so the suite also
 //! pins the registry's kind coverage.
 
-use cba_bus::{Bus, BusConfig, BusError, BusRequest, PolicyKind, RequestPort};
+use cba_bus::{Bus, BusConfig, BusError, BusModel, BusRequest, PolicyKind, RequestPort};
 use cba_cpu::Contender;
 use cba_platform::agents::{default_registry, BoxedPortAgent};
 use cba_platform::{BusSetup, CoreLoad, PlatformConfig};
 use sim_core::rng::SimRng;
-use sim_core::{AgentStats, Control, CoreId, Cycle};
+use sim_core::{AgentStats, Control, CoreId, Cycle, SimAgent};
 
 /// A request port that records every accepted post before forwarding it
 /// to the real bus.
@@ -52,10 +53,6 @@ impl RequestPort for SpyPort {
         self.posts
             .push((req.issued_at(), req.core().index(), req.duration()));
         Ok(())
-    }
-
-    fn withdraw(&mut self, core: CoreId) -> Option<BusRequest> {
-        self.bus.withdraw(core)
     }
 
     fn can_accept(&self, core: CoreId) -> bool {
@@ -127,7 +124,7 @@ fn drive_dense(
     (port.posts, agent.stats())
 }
 
-/// Ticks `agent` only at its declared wake cycles and the bus's event
+/// Ticks `agent` only at the cycles its verdicts name and the bus's event
 /// cycles (the event engine's visiting pattern); returns the post log
 /// and how many cycles were actually visited.
 fn drive_sparse(agent: &mut BoxedPortAgent, horizon: Cycle) -> (Vec<(Cycle, usize, u32)>, u64) {
@@ -144,17 +141,16 @@ fn drive_sparse(agent: &mut BoxedPortAgent, horizon: Cycle) -> (Vec<(Cycle, usiz
             }
         }
         prev = Some(now);
-        agent.tick(now, done.as_ref(), &mut port);
+        let verdict = agent.tick(now, done.as_ref(), &mut port);
         port.bus.end_cycle(now);
         visited += 1;
-        let next = match (agent.wake_at(), port.bus.next_event(now)) {
-            // An agent demanding every cycle gets every cycle.
-            (None, _) => now + 1,
+        let next = match (verdict, port.bus.next_event(now)) {
             // Sleep until the agent's wake or the bus's next event
             // (completions wake the agent), whichever is first.
-            (Some(w), Some(ev)) => w.min(ev).max(now + 1),
-            // A bus that cannot predict forces per-cycle stepping.
-            (Some(_), None) => now + 1,
+            (Control::Sleep(w), Some(ev)) => w.min(ev).max(now + 1),
+            // An agent demanding every cycle gets every cycle, and a bus
+            // that cannot predict forces per-cycle stepping.
+            _ => now + 1,
         };
         now = next.min(horizon);
     }
@@ -167,8 +163,8 @@ fn drive_sparse(agent: &mut BoxedPortAgent, horizon: Cycle) -> (Vec<(Cycle, usiz
     (port.posts, visited)
 }
 
-/// Contract 1: sleeping until `wake_at` loses nothing — and in
-/// particular the agent never needed a cycle before its declared wake.
+/// Contract 1: sleeping until the cycle a verdict names loses nothing —
+/// and in particular the agent never needed a cycle before it.
 #[test]
 fn sleeping_until_wake_at_never_changes_the_post_stream() {
     const HORIZON: Cycle = 6_000;
@@ -179,7 +175,7 @@ fn sleeping_until_wake_at_never_changes_the_post_stream() {
         let (sparse_posts, visited) = drive_sparse(&mut sparse, HORIZON);
         assert_eq!(
             dense_posts, sparse_posts,
-            "'{load}': sparse ticking at wake cycles must reproduce the dense post stream"
+            "'{load}': sparse ticking at verdict cycles must reproduce the dense post stream"
         );
         assert_eq!(
             dense_stats,
@@ -222,12 +218,7 @@ fn drive_beside_a_contender(
             }
             seen = now + 1;
             ticks += 1;
-            let verdict = agent.tick(now, done.as_ref(), &mut port);
-            assert_eq!(
-                verdict,
-                agent.wake_at().map_or(Control::Continue, Control::Sleep)
-            );
-            due = match verdict {
+            due = match agent.tick(now, done.as_ref(), &mut port) {
                 Control::Sleep(t) => t,
                 _ => now + 1,
             };
@@ -287,7 +278,7 @@ fn reset_under_the_trait_equals_fresh_construction() {
     }
 }
 
-/// The wake horizon is honest about *passivity* too: an agent reporting
+/// The verdict is honest about *passivity* too: an agent sleeping until
 /// `Cycle::MAX` while waiting must not act when ticked anyway.
 #[test]
 fn agents_waiting_on_completions_ignore_spurious_ticks() {
@@ -299,15 +290,16 @@ fn agents_waiting_on_completions_ignore_spurious_ticks() {
     let mut agent = build(&load, 5);
     let mut port = SpyPort::new(1);
     // Tick to the first post (gap 10 -> posts at cycle 10).
+    let mut verdict = Control::Continue;
     for now in 0..=10u64 {
         let done = port.bus.begin_cycle(now);
-        agent.tick(now, done.as_ref(), &mut port);
+        verdict = agent.tick(now, done.as_ref(), &mut port);
         port.bus.end_cycle(now);
     }
     assert_eq!(port.posts.len(), 1);
     assert_eq!(
-        agent.wake_at(),
-        Some(Cycle::MAX),
+        verdict,
+        Control::Sleep(Cycle::MAX),
         "in service: only a completion wakes it"
     );
     // Spurious ticks while the request is in flight must be no-ops.

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cba_bus::fabric::Fabric;
-use cba_bus::{Bus, CompletedTransaction, RequestPort};
+use cba_bus::{Bus, BusModel, CompletedTransaction, RequestPort};
 use cba_cpu::Contender;
 use cba_platform::CellReport;
 use sim_core::agent::{AgentStats, SimAgent};

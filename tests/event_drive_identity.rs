@@ -17,7 +17,7 @@ use cba_platform::scenario::ScenarioDef;
 use cba_platform::{run_once, RunResult, RunSpec};
 use sim_core::agent::FnAgent;
 use sim_core::rng::SimRng;
-use sim_core::{Control, CoreId, Cycle, Engine, Simulation};
+use sim_core::{BusModel, Control, CoreId, Cycle, Engine, Simulation};
 
 fn both_engines(spec: &RunSpec, seed: u64) -> (RunResult, RunResult) {
     let mut naive = spec.clone();

@@ -2,7 +2,7 @@
 //! arbitration policy drives a real bus with saturating clients and must
 //! uphold its documented invariants.
 
-use cba_bus::{Bus, BusConfig, PolicyKind};
+use cba_bus::{Bus, BusConfig, BusModel, PolicyKind};
 use cba_cpu::Contender;
 use sim_core::{CoreId, Engine, Simulation};
 

@@ -367,17 +367,11 @@ impl SimAgent<dyn RequestPort, CompletedTransaction> for Recorded {
     ) -> Control {
         self.inner.tick(now, completed, port)
     }
-    fn wake_at(&self) -> Option<Cycle> {
-        self.inner.wake_at()
-    }
     fn is_addressed(&self, completed: &CompletedTransaction) -> bool {
         self.inner.is_addressed(completed)
     }
     fn is_done(&self) -> bool {
         self.inner.is_done()
-    }
-    fn done_at(&self) -> Option<Cycle> {
-        self.inner.done_at()
     }
     fn absorb_skipped(&mut self, skipped: u64) {
         self.inner.absorb_skipped(skipped);

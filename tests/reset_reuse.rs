@@ -61,7 +61,7 @@ fn drive_bus(bus: &mut Bus, n: usize) {
             let period = 40 + 11 * i as u64;
             if now % period == 0 && bus.can_accept(c(i)) {
                 let dur = [5u32, 28, 56][i % 3];
-                bus.post(BusRequest::new(c(i), dur, RequestKind::Synthetic, now).unwrap())
+                bus.post(BusRequest::new(c(i), dur, RequestKind::Synthetic, now))
                     .unwrap();
             }
         }
@@ -119,9 +119,10 @@ fn split_bus_reset_reuse_equals_fresh_model() {
     let drive = |bus: &mut SplitBus| -> (Vec<(Cycle, usize)>, Fingerprint) {
         let mut completions = Vec::new();
         for now in 0..5_000u64 {
-            for done in bus.tick(now) {
+            if let Some(done) = bus.begin_cycle(now) {
                 completions.push((now, done.core.index()));
             }
+            bus.end_cycle(now);
             for i in 0..4 {
                 if bus.is_idle(c(i)) && now % (30 + 7 * i as u64) == 0 {
                     let req = match i % 3 {
@@ -261,8 +262,7 @@ fn fabric_reset_reuse_equals_fresh_model() {
                 if RequestPort::can_accept(fabric, c(i)) && now % (20 + 9 * i as u64) == 0 {
                     RequestPort::post(
                         fabric,
-                        BusRequest::new(c(i), [5u32, 28][i % 2], RequestKind::Synthetic, now)
-                            .unwrap(),
+                        BusRequest::new(c(i), [5u32, 28][i % 2], RequestKind::Synthetic, now),
                     )
                     .unwrap();
                 }

@@ -42,7 +42,8 @@ fn saturate(bus: &mut SplitBus, horizon: u64, atomic_cores: &[usize]) {
                 bus.post(c(i), req).unwrap();
             }
         }
-        bus.tick(now);
+        bus.begin_cycle(now);
+        bus.end_cycle(now);
     }
 }
 
@@ -89,7 +90,8 @@ fn sub_entitlement_split_stream_is_never_throttled() {
                 bus.post(c(1), SplitRequest::Split).unwrap();
                 next_issue += 80;
             }
-            bus.tick(now);
+            bus.begin_cycle(now);
+            bus.end_cycle(now);
         }
         counts.push(bus.inner().trace().slots(c(1)));
     }
@@ -114,7 +116,8 @@ fn saturating_split_stream_is_capped_at_its_entitlement() {
             if bus.is_idle(c(1)) {
                 bus.post(c(1), SplitRequest::Split).unwrap();
             }
-            bus.tick(now);
+            bus.begin_cycle(now);
+            bus.end_cycle(now);
         }
     }
     let held = with_filter.inner().trace().busy_cycles(c(1)) as f64 / horizon as f64;

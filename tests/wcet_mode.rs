@@ -2,7 +2,7 @@
 //! protocol observed through a real bus with real contenders.
 
 use cba::{CreditConfig, CreditFilter, Mode};
-use cba_bus::{Bus, BusConfig, PolicyKind};
+use cba_bus::{Bus, BusConfig, BusModel, PolicyKind};
 use cba_cpu::{Contender, FixedRequestTask};
 use sim_core::{BoxedAgent, CoreId, Cycle, Engine, Simulation, StopWhen};
 
@@ -43,7 +43,7 @@ fn run_wcet(
         .run();
     (
         sim.model().trace().records().expect("recording").to_vec(),
-        sim.agent(0).done_at(),
+        sim.agent(0).stats().done_at,
     )
 }
 
