@@ -1,14 +1,17 @@
-//! Microbenchmarks of the arbitration-path primitives: policy selection,
-//! the LFSR bank the platform draws from by default, credit-filter
-//! eligibility/tick, one whole filter+select+tick decision and a full bus
-//! cycle. These quantify the software cost of the "one clock cycle"
+//! Microbenchmarks of the arbitration-path primitives: policy selection
+//! over a core mask, the LFSR bank the platform draws from by default,
+//! credit-filter verdicts and tick, one whole filter+select+tick decision
+//! and a full bus cycle. These quantify the software cost of the "one clock cycle"
 //! hardware decision (EXPERIMENTS.md E5 (b)). Every row is timed by
 //! [`cba_bench::timing::time`] and prints `median [q1, q3] (min–max)`
 //! per call over [`SAMPLES`] samples, after a line naming the host.
 
 use cba::{CreditConfig, CreditFilter};
 use cba_bench::timing::{host, time};
-use cba_bus::{Bus, BusConfig, Candidate, EligibilityFilter, PendingSet, PolicyKind, RandomSource};
+use cba_bus::{
+    Bus, BusConfig, BusRequest, EligibilityFilter, PendingSet, PolicyKind, RandomSource,
+    RequestKind,
+};
 use cba_cpu::Contender;
 use sim_core::lfsr::LfsrBank;
 use sim_core::rng::SimRng;
@@ -23,23 +26,25 @@ fn bench<R>(name: &str, body: impl FnMut() -> R) {
     println!("{name:<40} {}", time(SAMPLES, body));
 }
 
-fn candidates(n: usize) -> Vec<Candidate> {
-    (0..n)
-        .map(|i| Candidate {
-            core: CoreId::from_index(i),
-            issued_at: 0,
-            duration: 56,
-        })
-        .collect()
+/// A pending set with one 56-cycle request per core of an `n`-core bus.
+fn all_pending(n: usize) -> PendingSet {
+    let mut pending = PendingSet::new(n);
+    for core in CoreId::all(n) {
+        pending
+            .insert(BusRequest::new(core, 56, RequestKind::Synthetic, 0))
+            .expect("one request per core");
+    }
+    pending
 }
 
-/// Times one select-and-grant round of `kind` over four candidates.
+/// Times one select-and-grant round of `kind` with all four cores
+/// eligible.
 fn bench_select(name: &str, kind: PolicyKind, rng: &mut dyn RandomSource) {
-    let cands = candidates(4);
+    let pending = all_pending(4);
     let mut policy = kind.build(4, 56);
     let mut t = 0u64;
     bench(name, || {
-        let w = policy.select(black_box(&cands), t, rng);
+        let w = policy.select(black_box(pending.mask()), &pending, t, rng);
         if let Some(core) = w {
             policy.on_grant(core, t);
         }
@@ -73,33 +78,29 @@ fn bench_credit_filter() {
         filter.tick(t, Some(CoreId::from_index(0)), black_box(&pending));
         t += 1;
     });
-    bench("credit_filter/is_eligible_x4", || {
-        let mut mask = 0u8;
-        for i in 0..4 {
-            if filter.is_eligible(CoreId::from_index(i), 0) {
-                mask |= 1 << i;
-            }
-        }
-        mask
+    bench("credit_filter/eligible_x4", || {
+        filter.eligible(black_box(CoreId::all_mask(4)), 0)
     });
 }
 
 /// One whole arbitration step of RP behind CBA, as `Bus::end_cycle` takes
-/// it: refill one reused candidate buffer, keep the eligible candidates,
-/// select, grant, tick the filter. On the FPGA the same step is one
+/// it: the filter maps the mask of four pending cores to the eligible
+/// mask, RP selects among them unless the mask is empty, the winner is
+/// granted, and the filter ticks. On the FPGA the same step is one
 /// 100 MHz clock, 10 ns of hardware time.
 fn bench_decision() {
-    let cands = candidates(4);
-    let pending = PendingSet::new(4);
+    let pending = all_pending(4);
     let mut policy = PolicyKind::RandomPermutation.build(4, 56);
     let mut filter = CreditFilter::new(CreditConfig::homogeneous(4, 56).unwrap());
     let mut rng = SimRng::seed_from(1);
-    let mut eligible = Vec::with_capacity(cands.len());
     let mut t = 0u64;
     bench("decision/rp_cba", || {
-        eligible.clone_from(&cands);
-        eligible.retain(|c| filter.is_eligible(c.core, t));
-        let w = policy.select(&eligible, t, &mut rng);
+        let eligible = filter.eligible(black_box(pending.mask()), t);
+        let w = if eligible == 0 {
+            None
+        } else {
+            policy.select(eligible, &pending, t, &mut rng)
+        };
         if let Some(core) = w {
             policy.on_grant(core, t);
         }

@@ -9,6 +9,11 @@
 //! under slot-fair arbitration. Replace the contenders' traffic with
 //! unsplittable atomics and the non-split pathology returns — and the CBA
 //! filter restores the bandwidth split.
+//!
+//! Each row runs once per arbitration stream forked from `CBA_SEED` and
+//! prints the mean and the min–max: the CBA-with-atomics row lands in one
+//! of two modes depending on the stream, so one run would show one mode
+//! as the result.
 
 use cba::{CreditConfig, CreditFilter};
 use cba_bench::{print_row, rule, seed_from_env};
@@ -17,6 +22,9 @@ use cba_bus::{BusModel, PolicyKind};
 use sim_core::rng::SimRng;
 use sim_core::CoreId;
 
+/// Arbitration streams per row, forked from the master seed.
+const STREAMS: u64 = 8;
+
 #[derive(Clone, Copy)]
 enum ContenderTraffic {
     SplitMisses,
@@ -24,13 +32,13 @@ enum ContenderTraffic {
 }
 
 /// Returns (short-core completions, short-core absolute cycle share).
-fn run(traffic: ContenderTraffic, with_cba: bool, horizon: u64, seed: u64) -> (u64, f64) {
+fn run(traffic: ContenderTraffic, with_cba: bool, horizon: u64, rng: SimRng) -> (u64, f64) {
     let mut bus = SplitBus::new(
         SplitBusConfig::paper(),
         PolicyKind::RandomPermutation.build(4, 56),
     )
     .expect("paper config");
-    bus.set_random_source(Box::new(SimRng::seed_from(seed)));
+    bus.set_random_source(Box::new(rng));
     if with_cba {
         bus.set_filter(Box::new(CreditFilter::new(
             CreditConfig::homogeneous(4, 56).expect("paper config"),
@@ -62,35 +70,53 @@ fn run(traffic: ContenderTraffic, with_cba: bool, horizon: u64, seed: u64) -> (u
     (completions, share)
 }
 
+/// Mean and min–max of `values`, each printed by `show`.
+fn spread(values: &[f64], show: impl Fn(f64) -> String) -> String {
+    let mean = values.iter().sum::<f64>() / values.len() as f64;
+    let min = values.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    format!("{} ({}–{})", show(mean), show(min), show(max))
+}
+
 fn main() {
     let seed = seed_from_env();
     let horizon = 200_000u64;
-    println!("SPLIT-TRANSACTION BUS (RP arbitration, horizon {horizon} cycles, seed {seed})");
-    println!("core 0: saturating 5-cycle requests; cores 1-3: memory-bound traffic\n");
+    println!(
+        "SPLIT-TRANSACTION BUS (RP arbitration, horizon {horizon} cycles, \
+         {STREAMS} streams forked from seed {seed})"
+    );
+    println!("core 0: saturating 5-cycle requests; cores 1-3: memory-bound traffic");
+    println!("each cell: mean (min–max) over the streams\n");
 
-    rule(74);
+    rule(90);
     print_row(&[
         ("contender traffic", 22),
         ("filter", 8),
-        ("short-core grants", 18),
-        ("short-core share", 17),
+        ("short-core grants", 26),
+        ("short-core share", 26),
     ]);
-    rule(74);
+    rule(90);
+    let master = SimRng::seed_from(seed);
     for (label, traffic) in [
         ("split misses", ContenderTraffic::SplitMisses),
         ("unsplittable atomics", ContenderTraffic::Atomics),
     ] {
         for with_cba in [false, true] {
-            let (grants, share) = run(traffic, with_cba, horizon, seed);
+            let (grants, shares): (Vec<f64>, Vec<f64>) = (0..STREAMS)
+                .map(|k| {
+                    let (grants, share) = run(traffic, with_cba, horizon, master.fork(k));
+                    (grants as f64, 100.0 * share)
+                })
+                .unzip();
             print_row(&[
                 (label, 22),
                 (if with_cba { "CBA" } else { "none" }, 8),
-                (&format!("{grants}"), 18),
-                (&format!("{:.1}%", 100.0 * share), 17),
+                (&spread(&grants, |g| format!("{g:.0}")), 26),
+                (&spread(&shares, |s| format!("{s:.1}%")), 26),
             ]);
         }
     }
-    rule(74);
+    rule(90);
     println!();
     println!("With split misses the bus sees homogeneous 5-cycle phases and the");
     println!("short core is healthy without any filter. Atomics cannot be split:");

@@ -12,11 +12,12 @@
 //!    completes and is reported;
 //! 2. clients post requests for cycle `t` via [`RequestPort::post`];
 //! 3. [`BusModel::end_cycle`]`(t)` — if the bus is free, the eligibility
-//!    filter and arbitration policy pick a winner, which then holds the bus
-//!    for cycles `[t, t + duration)`; finally the filter's per-cycle state
-//!    (credit counters) advances.
+//!    filter maps the mask of pending cores to the mask of eligible ones,
+//!    and, unless that mask is empty, the arbitration policy picks a
+//!    winner, which then holds the bus for cycles `[t, t + duration)`;
+//!    finally the filter's per-cycle state (credit counters) advances.
 
-use crate::pending::{Candidate, PendingSet};
+use crate::pending::PendingSet;
 use crate::policy::{ArbitrationPolicy, EligibilityFilter, NoFilter, RandomSource};
 use crate::{BusError, BusRequest, RequestKind, RequestPort};
 use sim_core::rng::SimRng;
@@ -168,19 +169,18 @@ pub struct Bus {
     wait: WaitStats,
     idle_cycles: u64,
     total_cycles: u64,
-    scratch: Vec<Candidate>,
     privileged: VecDeque<BusRequest>,
     in_cycle: bool,
     last_cycle: Option<Cycle>,
     flip_watch: Option<FlipWatch>,
 }
 
-/// Observer state for credit-eligibility flips: the last verdict seen
-/// per core and the buffered flip events awaiting a drain (see
-/// [`Bus::enable_flip_probe`]).
+/// Observer state for credit-eligibility flips: the last verdicts seen,
+/// as the mask of eligible cores, and the buffered flip events awaiting a
+/// drain (see [`Bus::enable_flip_probe`]).
 #[derive(Debug)]
 struct FlipWatch {
-    last: Vec<bool>,
+    last: u64,
     events: Vec<(Cycle, CoreId, bool)>,
 }
 
@@ -215,7 +215,6 @@ impl Bus {
             wait: WaitStats::new(config.n_cores),
             idle_cycles: 0,
             total_cycles: 0,
-            scratch: Vec::with_capacity(config.n_cores),
             privileged: VecDeque::new(),
             in_cycle: false,
             last_cycle: None,
@@ -237,7 +236,7 @@ impl Bus {
     /// streamed through [`BusModel::drain_events`] as
     /// [`ModelEvent::CreditFlip`](sim_core::ModelEvent)s. Off by default
     /// (and then completely free); when enabled, every executed cycle
-    /// diffs each core's verdict after the filter tick.
+    /// diffs the mask of eligible cores after the filter tick.
     ///
     /// Flips are exact under the naive engine; under the event-horizon
     /// engine, flips inside a skipped range are coalesced to the
@@ -247,9 +246,8 @@ impl Bus {
     /// probe is attached) to observe the complete stream.
     pub fn enable_flip_probe(&mut self) {
         let at = self.last_cycle.map_or(0, |t| t + 1);
-        let last: Vec<bool> = (0..self.config.n_cores)
-            .map(|i| self.filter.is_eligible(CoreId::from_index(i), at))
-            .collect();
+        let all = CoreId::all_mask(self.config.n_cores);
+        let last = self.filter.eligible(all, at) & all;
         match &mut self.flip_watch {
             // Already watching (filter swap / reset): re-baseline the
             // verdicts but keep any buffered, not-yet-drained events.
@@ -263,18 +261,16 @@ impl Bus {
         }
     }
 
-    /// Diffs every core's eligibility verdict for arbitration cycle `at`
-    /// against the watcher's baseline, buffering the flips.
+    /// Diffs the mask of eligible cores for arbitration cycle `at`
+    /// against the watcher's baseline, buffering the flips in core order.
     fn record_flips(&mut self, at: Cycle) {
         if let Some(watch) = &mut self.flip_watch {
-            for i in 0..watch.last.len() {
-                let core = CoreId::from_index(i);
-                let eligible = self.filter.is_eligible(core, at);
-                if eligible != watch.last[i] {
-                    watch.last[i] = eligible;
-                    watch.push((at, core, eligible));
-                }
+            let all = CoreId::all_mask(self.config.n_cores);
+            let eligible = self.filter.eligible(all, at) & all;
+            for core in CoreId::in_mask(eligible ^ watch.last) {
+                watch.push((at, core, eligible & core.bit() != 0));
             }
+            watch.last = eligible;
         }
     }
 
@@ -396,10 +392,15 @@ impl Bus {
                 self.grant(req, now);
                 granted = Some(req.core());
             } else {
-                self.pending.candidates_into(&mut self.scratch);
-                let filter = &self.filter;
-                self.scratch.retain(|c| filter.is_eligible(c.core, now));
-                if let Some(winner) = self.policy.select(&self.scratch, now, self.rng.as_mut()) {
+                let pending = self.pending.mask();
+                let eligible = self.filter.eligible(pending, now) & pending;
+                let winner = if eligible == 0 {
+                    None
+                } else {
+                    self.policy
+                        .select(eligible, &self.pending, now, self.rng.as_mut())
+                };
+                if let Some(winner) = winner {
                     let req = self
                         .pending
                         .remove(winner)
@@ -574,10 +575,9 @@ impl BusModel for Bus {
                 // Which pending requests would pass the filter at the next
                 // arbitration (cycle now + 1, i.e. after this cycle's
                 // filter tick)?
-                self.pending.candidates_into(&mut self.scratch);
-                let filter = &self.filter;
-                self.scratch.retain(|c| filter.is_eligible(c.core, now + 1));
-                if !self.scratch.is_empty() && self.policy.is_work_conserving() {
+                let pending = self.pending.mask();
+                let eligible = self.filter.eligible(pending, now + 1) & pending;
+                if eligible != 0 && self.policy.is_work_conserving() {
                     // A work-conserving policy grants as soon as it sees an
                     // eligible candidate: no skipping.
                     return Some(now + 1);
@@ -587,13 +587,13 @@ impl BusModel for Bus {
                     crate::policy::FilterHorizon::Static => Cycle::MAX,
                     crate::policy::FilterHorizon::At(t) => t,
                 };
-                let window = if self.scratch.is_empty() {
+                let window = if eligible == 0 {
                     // Nobody to grant until a verdict flips.
                     Cycle::MAX
                 } else {
                     // Non-work-conserving policy (TDMA): its next window
                     // over the frozen eligible set, if it can predict one.
-                    self.policy.next_grant_at(&self.scratch, now)?
+                    self.policy.next_grant_at(eligible, &self.pending, now)?
                 };
                 Some(flip.min(window))
             }
@@ -700,7 +700,7 @@ impl RequestPort for Bus {
 mod tests {
     use super::*;
     use crate::policies::{RoundRobin, Tdma};
-    use crate::policy::EligibilityFilter;
+    use crate::policy::{EligibilityFilter, PolicyKind};
 
     fn c(i: usize) -> CoreId {
         CoreId::from_index(i)
@@ -839,8 +839,8 @@ mod tests {
         fn name(&self) -> &'static str {
             "veto"
         }
-        fn is_eligible(&self, core: CoreId, _now: Cycle) -> bool {
-            core != self.0
+        fn eligible(&self, cores: u64, _now: Cycle) -> u64 {
+            cores & !self.0.bit()
         }
     }
 
@@ -858,6 +858,31 @@ mod tests {
         }
         assert!(bus.has_pending(c(0)));
         assert_eq!(bus.trace().slots(c(0)), 0);
+    }
+
+    /// A filter that ignores the cores it is asked about and passes every
+    /// core, pending or not.
+    #[derive(Debug)]
+    struct Everyone;
+
+    impl EligibilityFilter for Everyone {
+        fn name(&self) -> &'static str {
+            "everyone"
+        }
+        fn eligible(&self, _cores: u64, _now: Cycle) -> u64 {
+            u64::MAX
+        }
+    }
+
+    #[test]
+    fn verdicts_on_cores_not_pending_are_dropped() {
+        for kind in PolicyKind::ALL {
+            let mut bus = Bus::new(BusConfig::new(4, 10).unwrap(), kind.build(4, 10));
+            bus.set_filter(Box::new(Everyone));
+            bus.post(req(2, 5, 0)).unwrap();
+            let granted = (0..40).find_map(|now| step(&mut bus, now).1);
+            assert_eq!(granted, Some(c(2)), "{kind:?}");
+        }
     }
 
     #[test]

@@ -852,8 +852,8 @@ mod tests {
         fn name(&self) -> &'static str {
             "veto"
         }
-        fn is_eligible(&self, core: CoreId, _now: Cycle) -> bool {
-            core != self.0
+        fn eligible(&self, cores: u64, _now: Cycle) -> u64 {
+            cores & !self.0.bit()
         }
     }
 

@@ -11,7 +11,7 @@ pub mod split;
 
 pub use bus::{Bus, BusConfig, BusState, CompletedTransaction, WaitStats};
 pub use fabric::{Fabric, FabricConfig};
-pub use pending::{Candidate, PendingSet};
+pub use pending::PendingSet;
 pub use policy::{
     ArbitrationPolicy, EligibilityFilter, FilterHorizon, NoFilter, PolicyKind, RandomSource,
 };

@@ -2,38 +2,18 @@
 //!
 //! Cores on the modeled platform are in-order and blocking: each core has at
 //! most one arbitrable request outstanding. [`PendingSet`] is therefore a
-//! fixed per-core slot array, and candidate lists handed to arbitration
-//! policies are small (`<= n_cores`) and ordered by core index.
+//! fixed per-core slot array, plus a core mask of the occupied slots that
+//! the arbitration path works on (bit `i` is core `i`).
 
 use crate::{BusError, BusRequest};
 use sim_core::{CoreId, Cycle};
-
-/// A lightweight view of one arbitrable request, handed to
-/// [`ArbitrationPolicy::select`](crate::ArbitrationPolicy::select).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Candidate {
-    /// The requesting core.
-    pub core: CoreId,
-    /// When the request became ready (FIFO arbitration orders by this).
-    pub issued_at: Cycle,
-    /// Bus hold time of the transaction.
-    pub duration: u32,
-}
-
-impl From<&BusRequest> for Candidate {
-    fn from(req: &BusRequest) -> Self {
-        Candidate {
-            core: req.core(),
-            issued_at: req.issued_at(),
-            duration: req.duration(),
-        }
-    }
-}
 
 /// Per-core pending-request slots (at most one per core).
 #[derive(Debug, Clone, Default)]
 pub struct PendingSet {
     slots: Vec<Option<BusRequest>>,
+    /// Bit `i` is set exactly when slot `i` holds a request.
+    mask: u64,
 }
 
 impl PendingSet {
@@ -41,6 +21,7 @@ impl PendingSet {
     pub fn new(n_cores: usize) -> Self {
         PendingSet {
             slots: vec![None; n_cores],
+            mask: 0,
         }
     }
 
@@ -65,12 +46,15 @@ impl PendingSet {
             return Err(BusError::AlreadyPending(req.core()));
         }
         *slot = Some(req);
+        self.mask |= req.core().bit();
         Ok(())
     }
 
     /// Removes and returns the pending request of `core`, if any.
     pub fn remove(&mut self, core: CoreId) -> Option<BusRequest> {
-        self.slots.get_mut(core.index()).and_then(Option::take)
+        let req = self.slots.get_mut(core.index()).and_then(Option::take);
+        self.mask &= !core.bit();
+        req
     }
 
     /// The pending request of `core`, if any.
@@ -80,31 +64,28 @@ impl PendingSet {
 
     /// Whether `core` has a pending request.
     pub fn contains(&self, core: CoreId) -> bool {
-        self.get(core).is_some()
+        self.mask & core.bit() != 0
+    }
+
+    /// The cores with a pending request, as a core mask.
+    #[inline]
+    pub fn mask(&self) -> u64 {
+        self.mask
     }
 
     /// Number of pending requests.
     pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.mask.count_ones() as usize
     }
 
     /// Whether no request is pending.
     pub fn is_empty(&self) -> bool {
-        self.slots.iter().all(Option::is_none)
+        self.mask == 0
     }
 
     /// Iterates over pending requests in core-index order.
     pub fn iter(&self) -> impl Iterator<Item = &BusRequest> {
         self.slots.iter().filter_map(Option::as_ref)
-    }
-
-    /// Collects candidates (core-index order) into `out`, clearing it first.
-    ///
-    /// Taking a scratch buffer keeps the per-cycle arbitration loop
-    /// allocation-free.
-    pub fn candidates_into(&self, out: &mut Vec<Candidate>) {
-        out.clear();
-        out.extend(self.iter().map(Candidate::from));
     }
 
     /// Appends each core's pending request to `state` for the bus's
@@ -126,6 +107,7 @@ impl PendingSet {
     /// Monte-Carlo runs).
     pub fn clear(&mut self) {
         self.slots.iter_mut().for_each(|s| *s = None);
+        self.mask = 0;
     }
 }
 
@@ -172,16 +154,20 @@ mod tests {
 
     #[test]
     fn candidates_are_core_ordered() {
-        let mut p = PendingSet::new(4);
+        let mut p = PendingSet::new(64);
         p.insert(req(3, 7, 30)).unwrap();
         p.insert(req(0, 5, 50)).unwrap();
-        p.insert(req(2, 6, 10)).unwrap();
-        let mut out = Vec::new();
-        p.candidates_into(&mut out);
-        let cores: Vec<usize> = out.iter().map(|c| c.core.index()).collect();
-        assert_eq!(cores, vec![0, 2, 3]);
-        assert_eq!(out[1].issued_at, 10);
-        assert_eq!(out[2].duration, 7);
+        p.insert(req(63, 6, 10)).unwrap();
+        assert_eq!(p.mask(), 1 << 63 | 0b1001);
+        let cores: Vec<usize> = p.iter().map(|r| r.core().index()).collect();
+        assert_eq!(cores, vec![0, 3, 63]);
+        assert_eq!(p.len(), 3);
+        p.remove(CoreId::from_index(3));
+        p.remove(CoreId::from_index(5));
+        assert_eq!(p.mask(), 1 << 63 | 1);
+        assert!(!p.contains(CoreId::from_index(3)));
+        p.clear();
+        assert_eq!(p.mask(), 0);
     }
 
     #[test]

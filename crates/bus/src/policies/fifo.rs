@@ -1,7 +1,8 @@
 //! FIFO (arrival-order) arbitration.
 
-use crate::pending::Candidate;
+use crate::pending::PendingSet;
 use crate::policy::{ArbitrationPolicy, RandomSource};
+use crate::BusRequest;
 use sim_core::{CoreId, Cycle};
 
 /// First-in-first-out arbitration: the pending request that became ready
@@ -28,14 +29,18 @@ impl ArbitrationPolicy for Fifo {
 
     fn select(
         &mut self,
-        candidates: &[Candidate],
+        eligible: u64,
+        pending: &PendingSet,
         _now: Cycle,
         _rng: &mut dyn RandomSource,
     ) -> Option<CoreId> {
-        candidates
+        // The pending set iterates in core order and `min_by_key` keeps the
+        // first of equal keys, so ties break by core index.
+        pending
             .iter()
-            .min_by_key(|c| (c.issued_at, c.core.index()))
-            .map(|c| c.core)
+            .filter(|req| eligible & req.core().bit() != 0)
+            .min_by_key(|req| req.issued_at())
+            .map(BusRequest::core)
     }
 
     fn limit_cycle_state(&self, _state: &mut Vec<u64>) -> bool {
@@ -46,37 +51,32 @@ impl ArbitrationPolicy for Fifo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policies::testing::pending_at;
     use sim_core::rng::SimRng;
 
-    fn cand(core: usize, at: Cycle) -> Candidate {
-        Candidate {
-            core: CoreId::from_index(core),
-            issued_at: at,
-            duration: 5,
-        }
+    fn select(f: &mut Fifo, requests: &[(usize, Cycle)], now: Cycle) -> Option<CoreId> {
+        let pending = pending_at(requests);
+        let mut rng = SimRng::seed_from(0);
+        f.select(pending.mask(), &pending, now, &mut rng)
     }
 
     #[test]
     fn grants_oldest_request() {
         let mut f = Fifo::new();
-        let mut rng = SimRng::seed_from(0);
-        let cands = [cand(0, 30), cand(1, 10), cand(2, 20)];
-        assert_eq!(f.select(&cands, 40, &mut rng).unwrap().index(), 1);
+        let requests = [(0, 30), (1, 10), (2, 20)];
+        assert_eq!(select(&mut f, &requests, 40).unwrap().index(), 1);
     }
 
     #[test]
     fn ties_break_by_core_index() {
         let mut f = Fifo::new();
-        let mut rng = SimRng::seed_from(0);
-        let cands = [cand(2, 10), cand(3, 10)];
-        assert_eq!(f.select(&cands, 40, &mut rng).unwrap().index(), 2);
+        assert_eq!(select(&mut f, &[(2, 10), (3, 10)], 40).unwrap().index(), 2);
     }
 
     #[test]
     fn empty_yields_none() {
         let mut f = Fifo::new();
-        let mut rng = SimRng::seed_from(0);
-        assert_eq!(f.select(&[], 0, &mut rng), None);
+        assert_eq!(select(&mut f, &[], 0), None);
     }
 
     #[test]
@@ -85,13 +85,12 @@ mod tests {
         // rotating order: each service makes that core's next request the
         // youngest.
         let mut f = Fifo::new();
-        let mut rng = SimRng::seed_from(0);
         let mut issued = [0u64, 0, 0, 0];
         let mut order = Vec::new();
         let mut now = 0u64;
         for _ in 0..12 {
-            let cands: Vec<Candidate> = (0..4).map(|i| cand(i, issued[i])).collect();
-            let w = f.select(&cands, now, &mut rng).unwrap();
+            let requests: Vec<(usize, Cycle)> = (0..4).map(|i| (i, issued[i])).collect();
+            let w = select(&mut f, &requests, now).unwrap();
             order.push(w.index());
             now += 5;
             issued[w.index()] = now;

@@ -1,6 +1,6 @@
 //! Lottery arbitration (LOTTERYBUS-style).
 
-use crate::pending::Candidate;
+use crate::pending::PendingSet;
 use crate::policy::{ArbitrationPolicy, RandomSource};
 use sim_core::{CoreId, Cycle};
 
@@ -70,22 +70,21 @@ impl ArbitrationPolicy for Lottery {
 
     fn select(
         &mut self,
-        candidates: &[Candidate],
+        eligible: u64,
+        _pending: &PendingSet,
         _now: Cycle,
         rng: &mut dyn RandomSource,
     ) -> Option<CoreId> {
-        if candidates.is_empty() {
+        if eligible == 0 {
             return None;
         }
-        let total: u64 = candidates
-            .iter()
-            .map(|c| self.tickets(c.core.index()) as u64)
-            .sum();
+        let tickets = |core: CoreId| u64::from(self.tickets(core.index()));
+        let total: u64 = CoreId::in_mask(eligible).map(tickets).sum();
         let mut draw = rng.next_below(total);
-        for c in candidates {
-            let t = self.tickets(c.core.index()) as u64;
+        for core in CoreId::in_mask(eligible) {
+            let t = tickets(core);
             if draw < t {
-                return Some(c.core);
+                return Some(core);
             }
             draw -= t;
         }
@@ -96,27 +95,17 @@ impl ArbitrationPolicy for Lottery {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policies::testing::pending;
     use sim_core::rng::SimRng;
-
-    fn cands(cores: &[usize]) -> Vec<Candidate> {
-        cores
-            .iter()
-            .map(|&i| Candidate {
-                core: CoreId::from_index(i),
-                issued_at: 0,
-                duration: 5,
-            })
-            .collect()
-    }
 
     #[test]
     fn uniform_covers_all_candidates() {
         let mut l = Lottery::uniform();
         let mut rng = SimRng::seed_from(1);
-        let all = cands(&[0, 1, 2, 3]);
+        let all = pending(&[0, 1, 2, 3]);
         let mut counts = [0u32; 4];
         for t in 0..4000 {
-            let w = l.select(&all, t, &mut rng).unwrap();
+            let w = l.select(all.mask(), &all, t, &mut rng).unwrap();
             counts[w.index()] += 1;
         }
         for &c in &counts {
@@ -128,11 +117,11 @@ mod tests {
     fn weighted_skews_slot_probability() {
         let mut l = Lottery::with_tickets(vec![3, 1]).unwrap();
         let mut rng = SimRng::seed_from(2);
-        let all = cands(&[0, 1]);
+        let all = pending(&[0, 1]);
         let mut wins0 = 0u32;
         let n = 8000;
         for t in 0..n {
-            if l.select(&all, t, &mut rng).unwrap().index() == 0 {
+            if l.select(all.mask(), &all, t, &mut rng).unwrap().index() == 0 {
                 wins0 += 1;
             }
         }
@@ -150,16 +139,17 @@ mod tests {
     fn empty_candidates_none() {
         let mut l = Lottery::uniform();
         let mut rng = SimRng::seed_from(3);
-        assert_eq!(l.select(&[], 0, &mut rng), None);
+        let none = pending(&[]);
+        assert_eq!(l.select(0, &none, 0, &mut rng), None);
     }
 
     #[test]
     fn single_candidate_always_wins() {
         let mut l = Lottery::uniform();
         let mut rng = SimRng::seed_from(4);
-        let one = cands(&[2]);
+        let one = pending(&[2]);
         for t in 0..100 {
-            assert_eq!(l.select(&one, t, &mut rng).unwrap().index(), 2);
+            assert_eq!(l.select(one.mask(), &one, t, &mut rng).unwrap().index(), 2);
         }
     }
 }

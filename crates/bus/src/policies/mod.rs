@@ -14,7 +14,7 @@
 //!
 //! The paper's credit-based arbitration composes with any of them — it
 //! filters the candidate set *before* these policies choose (see the `cba`
-//! crate).
+//! crate). Each policy picks one core of the eligible core mask.
 
 pub mod fifo;
 pub mod lottery;
@@ -29,3 +29,28 @@ pub use priority::FixedPriority;
 pub use random_perm::RandomPermutation;
 pub use round_robin::RoundRobin;
 pub use tdma::Tdma;
+
+/// Pending sets for the policies' unit tests.
+#[cfg(test)]
+pub(crate) mod testing {
+    use crate::{BusRequest, PendingSet, RequestKind};
+    use sim_core::{CoreId, Cycle};
+
+    /// A pending set holding one 5-cycle request per `(core, issued_at)`.
+    pub fn pending_at(requests: &[(usize, Cycle)]) -> PendingSet {
+        let mut pending = PendingSet::new(CoreId::MAX_CORES);
+        for &(core, at) in requests {
+            let core = CoreId::from_index(core);
+            pending
+                .insert(BusRequest::new(core, 5, RequestKind::Synthetic, at))
+                .unwrap();
+        }
+        pending
+    }
+
+    /// A pending set holding one request, issued at cycle 0, per core.
+    pub fn pending(cores: &[usize]) -> PendingSet {
+        let requests: Vec<(usize, Cycle)> = cores.iter().map(|&core| (core, 0)).collect();
+        pending_at(&requests)
+    }
+}

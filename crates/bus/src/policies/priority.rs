@@ -1,6 +1,6 @@
 //! Fixed-priority arbitration — the anti-example.
 
-use crate::pending::Candidate;
+use crate::pending::PendingSet;
 use crate::policy::{ArbitrationPolicy, RandomSource};
 use sim_core::{CoreId, Cycle};
 
@@ -29,12 +29,12 @@ impl ArbitrationPolicy for FixedPriority {
 
     fn select(
         &mut self,
-        candidates: &[Candidate],
+        eligible: u64,
+        _pending: &PendingSet,
         _now: Cycle,
         _rng: &mut dyn RandomSource,
     ) -> Option<CoreId> {
-        // candidates are ordered by core index, so the first is the winner.
-        candidates.first().map(|c| c.core)
+        CoreId::in_mask(eligible).next()
     }
 
     fn limit_cycle_state(&self, _state: &mut Vec<u64>) -> bool {
@@ -45,28 +45,20 @@ impl ArbitrationPolicy for FixedPriority {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policies::testing::pending;
     use sim_core::rng::SimRng;
 
-    fn cands(cores: &[usize]) -> Vec<Candidate> {
-        cores
-            .iter()
-            .map(|&i| Candidate {
-                core: CoreId::from_index(i),
-                issued_at: 0,
-                duration: 5,
-            })
-            .collect()
+    fn select(p: &mut FixedPriority, cores: &[usize], now: Cycle) -> Option<CoreId> {
+        let pending = pending(cores);
+        let mut rng = SimRng::seed_from(0);
+        p.select(pending.mask(), &pending, now, &mut rng)
     }
 
     #[test]
     fn lowest_index_always_wins() {
         let mut p = FixedPriority::new();
-        let mut rng = SimRng::seed_from(0);
-        assert_eq!(
-            p.select(&cands(&[1, 2, 3]), 0, &mut rng).unwrap().index(),
-            1
-        );
-        assert_eq!(p.select(&cands(&[0, 3]), 0, &mut rng).unwrap().index(), 0);
+        assert_eq!(select(&mut p, &[1, 2, 3], 0).unwrap().index(), 1);
+        assert_eq!(select(&mut p, &[0, 3], 0).unwrap().index(), 0);
     }
 
     #[test]
@@ -74,17 +66,14 @@ mod tests {
         // With core 0 always pending, no other core is ever granted: the
         // property that disqualifies fixed priority for real-time buses.
         let mut p = FixedPriority::new();
-        let mut rng = SimRng::seed_from(0);
-        let all = cands(&[0, 1, 2, 3]);
         for t in 0..1000 {
-            assert_eq!(p.select(&all, t, &mut rng).unwrap().index(), 0);
+            assert_eq!(select(&mut p, &[0, 1, 2, 3], t).unwrap().index(), 0);
         }
     }
 
     #[test]
     fn empty_yields_none() {
         let mut p = FixedPriority::new();
-        let mut rng = SimRng::seed_from(0);
-        assert_eq!(p.select(&[], 0, &mut rng), None);
+        assert_eq!(select(&mut p, &[], 0), None);
     }
 }

@@ -1,6 +1,6 @@
 //! Random-permutations arbitration — the paper's baseline policy ("RP").
 
-use crate::pending::Candidate;
+use crate::pending::PendingSet;
 use crate::policy::{ArbitrationPolicy, RandomSource};
 use sim_core::{CoreId, Cycle};
 
@@ -25,31 +25,33 @@ use sim_core::{CoreId, Cycle};
 ///
 /// ```
 /// use cba_bus::policies::RandomPermutation;
-/// use cba_bus::{ArbitrationPolicy, Candidate};
+/// use cba_bus::{ArbitrationPolicy, BusRequest, PendingSet, RequestKind};
 /// use sim_core::{CoreId, rng::SimRng};
 ///
 /// let mut rp = RandomPermutation::new(4);
 /// let mut rng = SimRng::seed_from(7);
-/// let all: Vec<Candidate> = (0..4)
-///     .map(|i| Candidate { core: CoreId::from_index(i), issued_at: 0, duration: 5 })
-///     .collect();
-/// // One full round grants each core exactly once.
-/// let mut served = [false; 4];
-/// for t in 0..4 {
-///     let w = rp.select(&all, t, &mut rng).unwrap();
-///     rp.on_grant(w, t);
-///     assert!(!served[w.index()], "core granted twice in a round");
-///     served[w.index()] = true;
+/// let mut pending = PendingSet::new(4);
+/// for core in CoreId::all(4) {
+///     pending.insert(BusRequest::new(core, 5, RequestKind::Synthetic, 0)).unwrap();
 /// }
-/// assert!(served.iter().all(|&s| s));
+/// let all = pending.mask(); // every core eligible
+/// // One full round grants each core exactly once.
+/// let mut served = 0u64;
+/// for t in 0..4 {
+///     let w = rp.select(all, &pending, t, &mut rng).unwrap();
+///     rp.on_grant(w, t);
+///     assert_eq!(served & w.bit(), 0, "core granted twice in a round");
+///     served |= w.bit();
+/// }
+/// assert_eq!(served, all);
 /// ```
 #[derive(Debug, Clone)]
 pub struct RandomPermutation {
     n_cores: usize,
     /// Current round's permutation (core indices).
     order: Vec<usize>,
-    /// Cores already granted in this round.
-    served: Vec<bool>,
+    /// Cores already granted in this round, as a core mask.
+    served: u64,
     /// Whether a round is in progress.
     round_active: bool,
 }
@@ -65,7 +67,7 @@ impl RandomPermutation {
         RandomPermutation {
             n_cores,
             order: (0..n_cores).collect(),
-            served: vec![false; n_cores],
+            served: 0,
             round_active: false,
         }
     }
@@ -80,23 +82,21 @@ impl RandomPermutation {
             let j = rng.next_below(i as u64 + 1) as usize;
             self.order.swap(i, j);
         }
-        self.served.iter_mut().for_each(|s| *s = false);
+        self.served = 0;
         self.round_active = true;
     }
 
-    /// The first not-yet-served core in permutation order that has a
-    /// pending candidate.
-    fn pick(&self, candidates: &[Candidate]) -> Option<CoreId> {
-        self.order
-            .iter()
-            .filter(|&&idx| !self.served[idx])
-            .find_map(|&idx| candidates.iter().find(|c| c.core.index() == idx))
-            .map(|c| c.core)
+    /// The first not-yet-served core of `eligible` in permutation order.
+    fn pick(&self, eligible: u64) -> Option<CoreId> {
+        let open = eligible & !self.served;
+        let first = self.order.iter().find(|&&idx| open >> idx & 1 != 0)?;
+        Some(CoreId::from_index(*first))
     }
 
-    /// Cores already served in the current round (for tests/inspection).
-    pub fn served(&self) -> &[bool] {
-        &self.served
+    /// Cores already served in the current round, as a core mask (for
+    /// tests/inspection).
+    pub fn served(&self) -> u64 {
+        self.served
     }
 }
 
@@ -107,63 +107,63 @@ impl ArbitrationPolicy for RandomPermutation {
 
     fn select(
         &mut self,
-        candidates: &[Candidate],
+        eligible: u64,
+        _pending: &PendingSet,
         _now: Cycle,
         rng: &mut dyn RandomSource,
     ) -> Option<CoreId> {
-        if candidates.is_empty() {
+        if eligible == 0 {
             return None;
         }
         if self.round_active {
-            if let Some(core) = self.pick(candidates) {
+            if let Some(core) = self.pick(eligible) {
                 return Some(core);
             }
-            // All pending cores were already served this round: start the
+            // All eligible cores were already served this round: start the
             // next round (work conservation).
         }
         self.new_round(rng);
-        self.pick(candidates)
+        self.pick(eligible)
     }
 
     fn on_grant(&mut self, core: CoreId, _now: Cycle) {
-        self.served[core.index()] = true;
-        if self.served.iter().all(|&s| s) {
+        self.served |= core.bit();
+        if self.served == CoreId::all_mask(self.n_cores) {
             self.round_active = false;
         }
     }
 
     fn reset(&mut self) {
         self.round_active = false;
-        self.served.iter_mut().for_each(|s| *s = false);
+        self.served = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policies::testing::pending;
     use sim_core::lfsr::LfsrBank;
     use sim_core::rng::SimRng;
 
-    fn cands(cores: &[usize]) -> Vec<Candidate> {
-        cores
-            .iter()
-            .map(|&i| Candidate {
-                core: CoreId::from_index(i),
-                issued_at: 0,
-                duration: 5,
-            })
-            .collect()
+    fn select(
+        rp: &mut RandomPermutation,
+        cores: &[usize],
+        now: Cycle,
+        rng: &mut dyn RandomSource,
+    ) -> Option<CoreId> {
+        let pending = pending(cores);
+        rp.select(pending.mask(), &pending, now, rng)
     }
 
     #[test]
     fn each_round_grants_each_core_once() {
         let mut rp = RandomPermutation::new(4);
         let mut rng = SimRng::seed_from(11);
-        let all = cands(&[0, 1, 2, 3]);
         for round in 0..50 {
             let mut seen = [false; 4];
             for k in 0..4 {
-                let w = rp.select(&all, (round * 4 + k) as Cycle, &mut rng).unwrap();
+                let w = select(&mut rp, &[0, 1, 2, 3], (round * 4 + k) as Cycle, &mut rng).unwrap();
                 rp.on_grant(w, 0);
                 assert!(!seen[w.index()], "double grant in round {round}");
                 seen[w.index()] = true;
@@ -175,12 +175,11 @@ mod tests {
     fn permutations_vary_across_rounds() {
         let mut rp = RandomPermutation::new(4);
         let mut rng = SimRng::seed_from(13);
-        let all = cands(&[0, 1, 2, 3]);
         let mut first_winners = Vec::new();
         for _ in 0..64 {
             let mut round = Vec::new();
             for _ in 0..4 {
-                let w = rp.select(&all, 0, &mut rng).unwrap();
+                let w = select(&mut rp, &[0, 1, 2, 3], 0, &mut rng).unwrap();
                 rp.on_grant(w, 0);
                 round.push(w.index());
             }
@@ -196,11 +195,10 @@ mod tests {
     fn work_conserving_when_only_served_cores_pend() {
         let mut rp = RandomPermutation::new(2);
         let mut rng = SimRng::seed_from(5);
-        let only0 = cands(&[0]);
         // Core 0 is served, then immediately pends again; a new round must
         // start rather than leaving the bus idle.
         for t in 0..10 {
-            let w = rp.select(&only0, t, &mut rng).unwrap();
+            let w = select(&mut rp, &[0], t, &mut rng).unwrap();
             assert_eq!(w.index(), 0);
             rp.on_grant(w, t);
         }
@@ -210,10 +208,9 @@ mod tests {
     fn skips_idle_cores_within_round() {
         let mut rp = RandomPermutation::new(4);
         let mut rng = SimRng::seed_from(17);
-        let some = cands(&[1, 2]);
-        let w1 = rp.select(&some, 0, &mut rng).unwrap();
+        let w1 = select(&mut rp, &[1, 2], 0, &mut rng).unwrap();
         rp.on_grant(w1, 0);
-        let w2 = rp.select(&some, 1, &mut rng).unwrap();
+        let w2 = select(&mut rp, &[1, 2], 1, &mut rng).unwrap();
         assert_ne!(w1, w2);
         assert!(matches!(w2.index(), 1 | 2));
     }
@@ -222,10 +219,9 @@ mod tests {
     fn uniform_slot_shares_under_saturation() {
         let mut rp = RandomPermutation::new(4);
         let mut rng = SimRng::seed_from(23);
-        let all = cands(&[0, 1, 2, 3]);
         let mut counts = [0u32; 4];
         for t in 0..4000 {
-            let w = rp.select(&all, t, &mut rng).unwrap();
+            let w = select(&mut rp, &[0, 1, 2, 3], t, &mut rng).unwrap();
             rp.on_grant(w, t);
             counts[w.index()] += 1;
         }
@@ -239,10 +235,9 @@ mod tests {
     fn works_with_hardware_bit_bank() {
         let mut rp = RandomPermutation::new(4);
         let mut bank = LfsrBank::new(8, 0xBEEF).unwrap();
-        let all = cands(&[0, 1, 2, 3]);
         let mut counts = [0u32; 4];
         for t in 0..400 {
-            let w = rp.select(&all, t, &mut bank).unwrap();
+            let w = select(&mut rp, &[0, 1, 2, 3], t, &mut bank).unwrap();
             rp.on_grant(w, t);
             counts[w.index()] += 1;
         }
@@ -253,10 +248,10 @@ mod tests {
     fn reset_cancels_round() {
         let mut rp = RandomPermutation::new(2);
         let mut rng = SimRng::seed_from(31);
-        let all = cands(&[0, 1]);
-        let w = rp.select(&all, 0, &mut rng).unwrap();
+        let w = select(&mut rp, &[0, 1], 0, &mut rng).unwrap();
         rp.on_grant(w, 0);
+        assert_eq!(rp.served(), w.bit());
         rp.reset();
-        assert!(rp.served().iter().all(|&s| !s));
+        assert_eq!(rp.served(), 0);
     }
 }

@@ -1,6 +1,6 @@
 //! Round-robin arbitration.
 
-use crate::pending::Candidate;
+use crate::pending::PendingSet;
 use crate::policy::{ArbitrationPolicy, RandomSource};
 use sim_core::{CoreId, Cycle};
 
@@ -17,18 +17,20 @@ use sim_core::{CoreId, Cycle};
 ///
 /// ```
 /// use cba_bus::policies::RoundRobin;
-/// use cba_bus::{ArbitrationPolicy, Candidate};
+/// use cba_bus::{ArbitrationPolicy, BusRequest, PendingSet, RequestKind};
 /// use sim_core::CoreId;
 /// use sim_core::rng::SimRng;
 ///
 /// let mut rr = RoundRobin::new(4);
 /// let mut rng = SimRng::seed_from(0);
-/// let all: Vec<Candidate> = (0..4)
-///     .map(|i| Candidate { core: CoreId::from_index(i), issued_at: 0, duration: 5 })
-///     .collect();
-/// let first = rr.select(&all, 0, &mut rng).unwrap();
+/// let mut pending = PendingSet::new(4);
+/// for core in CoreId::all(4) {
+///     pending.insert(BusRequest::new(core, 5, RequestKind::Synthetic, 0)).unwrap();
+/// }
+/// let all = pending.mask(); // every core eligible
+/// let first = rr.select(all, &pending, 0, &mut rng).unwrap();
 /// rr.on_grant(first, 0);
-/// let second = rr.select(&all, 5, &mut rng).unwrap();
+/// let second = rr.select(all, &pending, 5, &mut rng).unwrap();
 /// assert_eq!(second.index(), (first.index() + 1) % 4);
 /// ```
 #[derive(Debug, Clone)]
@@ -62,20 +64,19 @@ impl ArbitrationPolicy for RoundRobin {
 
     fn select(
         &mut self,
-        candidates: &[Candidate],
+        eligible: u64,
+        _pending: &PendingSet,
         _now: Cycle,
         _rng: &mut dyn RandomSource,
     ) -> Option<CoreId> {
-        if candidates.is_empty() {
-            return None;
-        }
-        // candidates are ordered by core index; find the first candidate at
-        // or after the cursor, wrapping around.
-        candidates
-            .iter()
-            .find(|c| c.core.index() >= self.next)
-            .or_else(|| candidates.first())
-            .map(|c| c.core)
+        // The lowest eligible core at or after the cursor, wrapping around.
+        let from_cursor = eligible & (u64::MAX << self.next);
+        let pick = if from_cursor != 0 {
+            from_cursor
+        } else {
+            eligible
+        };
+        CoreId::in_mask(pick).next()
     }
 
     fn on_grant(&mut self, core: CoreId, _now: Cycle) {
@@ -95,27 +96,21 @@ impl ArbitrationPolicy for RoundRobin {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policies::testing::pending;
     use sim_core::rng::SimRng;
 
-    fn cands(cores: &[usize]) -> Vec<Candidate> {
-        cores
-            .iter()
-            .map(|&i| Candidate {
-                core: CoreId::from_index(i),
-                issued_at: 0,
-                duration: 5,
-            })
-            .collect()
+    fn select(rr: &mut RoundRobin, cores: &[usize], now: Cycle) -> Option<CoreId> {
+        let pending = pending(cores);
+        let mut rng = SimRng::seed_from(0);
+        rr.select(pending.mask(), &pending, now, &mut rng)
     }
 
     #[test]
     fn cycles_through_all_pending() {
         let mut rr = RoundRobin::new(4);
-        let mut rng = SimRng::seed_from(0);
-        let all = cands(&[0, 1, 2, 3]);
         let mut order = Vec::new();
         for t in 0..8 {
-            let w = rr.select(&all, t, &mut rng).unwrap();
+            let w = select(&mut rr, &[0, 1, 2, 3], t).unwrap();
             rr.on_grant(w, t);
             order.push(w.index());
         }
@@ -125,34 +120,30 @@ mod tests {
     #[test]
     fn skips_idle_cores() {
         let mut rr = RoundRobin::new(4);
-        let mut rng = SimRng::seed_from(0);
-        let some = cands(&[1, 3]);
-        let w = rr.select(&some, 0, &mut rng).unwrap();
+        let some = [1, 3];
+        let w = select(&mut rr, &some, 0).unwrap();
         assert_eq!(w.index(), 1);
         rr.on_grant(w, 0);
-        let w = rr.select(&some, 1, &mut rng).unwrap();
+        let w = select(&mut rr, &some, 1).unwrap();
         assert_eq!(w.index(), 3);
         rr.on_grant(w, 1);
         // wraps around
-        let w = rr.select(&some, 2, &mut rng).unwrap();
+        let w = select(&mut rr, &some, 2).unwrap();
         assert_eq!(w.index(), 1);
     }
 
     #[test]
     fn empty_candidates_yield_none() {
         let mut rr = RoundRobin::new(4);
-        let mut rng = SimRng::seed_from(0);
-        assert_eq!(rr.select(&[], 0, &mut rng), None);
+        assert_eq!(select(&mut rr, &[], 0), None);
     }
 
     #[test]
     fn slot_counts_differ_by_at_most_one_under_saturation() {
         let mut rr = RoundRobin::new(4);
-        let mut rng = SimRng::seed_from(0);
-        let all = cands(&[0, 1, 2, 3]);
         let mut counts = [0u32; 4];
         for t in 0..1003 {
-            let w = rr.select(&all, t, &mut rng).unwrap();
+            let w = select(&mut rr, &[0, 1, 2, 3], t).unwrap();
             rr.on_grant(w, t);
             counts[w.index()] += 1;
         }

@@ -1,6 +1,6 @@
 //! TDMA (time-division multiple access) arbitration.
 
-use crate::pending::Candidate;
+use crate::pending::PendingSet;
 use crate::policy::{ArbitrationPolicy, RandomSource};
 use sim_core::{CoreId, Cycle};
 
@@ -73,7 +73,8 @@ impl ArbitrationPolicy for Tdma {
 
     fn select(
         &mut self,
-        candidates: &[Candidate],
+        eligible: u64,
+        _pending: &PendingSet,
         now: Cycle,
         _rng: &mut dyn RandomSource,
     ) -> Option<CoreId> {
@@ -81,7 +82,7 @@ impl ArbitrationPolicy for Tdma {
             return None;
         }
         let owner = self.slot_owner(now);
-        candidates.iter().find(|c| c.core == owner).map(|c| c.core)
+        (eligible & owner.bit() != 0).then_some(owner)
     }
 
     fn is_work_conserving(&self) -> bool {
@@ -89,12 +90,11 @@ impl ArbitrationPolicy for Tdma {
     }
 
     /// TDMA's grant opportunities are pure functions of time: for a frozen
-    /// candidate set the next possible grant is the earliest upcoming slot
+    /// eligible set the next possible grant is the earliest upcoming slot
     /// start owned by any waiting core.
-    fn next_grant_at(&self, candidates: &[Candidate], now: Cycle) -> Option<Cycle> {
-        candidates
-            .iter()
-            .map(|c| self.next_slot_start_of(c.core, now))
+    fn next_grant_at(&self, eligible: u64, _pending: &PendingSet, now: Cycle) -> Option<Cycle> {
+        CoreId::in_mask(eligible)
+            .map(|core| self.next_slot_start_of(core, now))
             .min()
     }
 }
@@ -102,17 +102,13 @@ impl ArbitrationPolicy for Tdma {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policies::testing::pending;
     use sim_core::rng::SimRng;
 
-    fn cands(cores: &[usize]) -> Vec<Candidate> {
-        cores
-            .iter()
-            .map(|&i| Candidate {
-                core: CoreId::from_index(i),
-                issued_at: 0,
-                duration: 5,
-            })
-            .collect()
+    fn select(t: &mut Tdma, cores: &[usize], now: Cycle) -> Option<CoreId> {
+        let pending = pending(cores);
+        let mut rng = SimRng::seed_from(0);
+        t.select(pending.mask(), &pending, now, &mut rng)
     }
 
     #[test]
@@ -127,13 +123,12 @@ mod tests {
     #[test]
     fn grants_only_at_slot_start() {
         let mut t = Tdma::new(4, 56);
-        let mut rng = SimRng::seed_from(0);
-        let all = cands(&[0, 1, 2, 3]);
-        assert_eq!(t.select(&all, 0, &mut rng).unwrap().index(), 0);
+        let all = [0, 1, 2, 3];
+        assert_eq!(select(&mut t, &all, 0).unwrap().index(), 0);
         for now in 1..56 {
-            assert_eq!(t.select(&all, now, &mut rng), None, "granted at {now}");
+            assert_eq!(select(&mut t, &all, now), None, "granted at {now}");
         }
-        assert_eq!(t.select(&all, 56, &mut rng).unwrap().index(), 1);
+        assert_eq!(select(&mut t, &all, 56).unwrap().index(), 1);
     }
 
     #[test]
@@ -141,10 +136,9 @@ mod tests {
         // Non-work-conserving: if the slot owner has no request, the bus
         // idles even though other cores wait.
         let mut t = Tdma::new(4, 56);
-        let mut rng = SimRng::seed_from(0);
-        let others = cands(&[1, 2, 3]);
-        assert_eq!(t.select(&others, 0, &mut rng), None);
-        assert_eq!(t.select(&others, 56, &mut rng).unwrap().index(), 1);
+        let others = [1, 2, 3];
+        assert_eq!(select(&mut t, &others, 0), None);
+        assert_eq!(select(&mut t, &others, 56).unwrap().index(), 1);
     }
 
     #[test]
@@ -178,16 +172,20 @@ mod tests {
     #[test]
     fn next_grant_at_matches_select() {
         let mut t = Tdma::new(4, 56);
-        let mut rng = SimRng::seed_from(0);
-        let waiting = cands(&[1, 3]);
-        let predicted = t.next_grant_at(&waiting, 10).unwrap();
+        let waiting = pending(&[1, 3]);
+        let predicted = t.next_grant_at(waiting.mask(), &waiting, 10).unwrap();
         assert_eq!(predicted, 56, "core 1's slot is the nearest");
         // No grant strictly before the prediction, a grant exactly at it.
         for now in 11..predicted {
-            assert_eq!(t.select(&waiting, now, &mut rng), None, "at {now}");
+            assert_eq!(select(&mut t, &[1, 3], now), None, "at {now}");
         }
-        assert_eq!(t.select(&waiting, predicted, &mut rng).unwrap().index(), 1);
-        assert_eq!(t.next_grant_at(&[], 10), None, "no waiters, no windows");
+        assert_eq!(select(&mut t, &[1, 3], predicted).unwrap().index(), 1);
+        let none = pending(&[]);
+        assert_eq!(
+            t.next_grant_at(0, &none, 10),
+            None,
+            "no waiters, no windows"
+        );
     }
 
     #[test]

@@ -10,10 +10,15 @@
 //! 2. an [`ArbitrationPolicy`] picks one winner among the eligible
 //!    candidates ("then, any arbitration policy can be applied").
 //!
-//! Both stages are trait objects so that platforms can be assembled from
-//! configuration; both are sequential state machines driven by the bus.
+//! Both stages work on core masks, `u64`s where bit `i` stands for core `i`
+//! ([`CoreId::bit`]): the filter maps the mask of pending cores to the
+//! mask of eligible ones, and the policy picks one core of that mask. A
+//! mask holds the whole arbitration input in one register, as the request
+//! and eligibility lines do on the FPGA. Both stages are trait objects so
+//! that platforms can be assembled from configuration; both are sequential
+//! state machines driven by the bus.
 
-use crate::pending::{Candidate, PendingSet};
+use crate::pending::PendingSet;
 use sim_core::lfsr::LfsrBank;
 use sim_core::rng::SimRng;
 use sim_core::{CoreId, Cycle};
@@ -48,13 +53,16 @@ impl RandomSource for LfsrBank {
 /// An arbitration policy: picks the winner among eligible candidates.
 ///
 /// Implementations are sequential machines; the bus calls [`select`] on
-/// every cycle where the bus is free and re-arbitration is possible, and
-/// [`on_grant`] exactly when a candidate returned by `select` is granted.
+/// every cycle where the bus is free and some pending request is eligible,
+/// and [`on_grant`] exactly when a core returned by `select` is granted.
 ///
-/// `candidates` is always ordered by core index and contains only requests
-/// that passed the eligibility filter. Returning `None` leaves the bus idle
-/// for the cycle (work-conserving policies return `Some` whenever
-/// `candidates` is non-empty; TDMA legitimately returns `None` mid-slot).
+/// `eligible` is the core mask (bit `i` is core `i`) of the requests that
+/// passed the eligibility filter: never empty when the bus calls, and
+/// always a subset of `pending.mask()`. A policy that orders by request
+/// (FIFO reads issue times) looks the requests up in `pending`. Returning
+/// `None` leaves the bus idle for the cycle (work-conserving policies
+/// return `Some` whenever `eligible` is non-empty; TDMA legitimately
+/// returns `None` mid-slot).
 ///
 /// [`select`]: ArbitrationPolicy::select
 /// [`on_grant`]: ArbitrationPolicy::on_grant
@@ -62,11 +70,12 @@ pub trait ArbitrationPolicy: std::fmt::Debug {
     /// Short stable name used in reports ("RR", "FIFO", "RP", ...).
     fn name(&self) -> &'static str;
 
-    /// Picks a winner among `candidates` at cycle `now`, or `None` to leave
-    /// the bus idle this cycle.
+    /// Picks a winner among the cores of `eligible` at cycle `now`, or
+    /// `None` to leave the bus idle this cycle.
     fn select(
         &mut self,
-        candidates: &[Candidate],
+        eligible: u64,
+        pending: &PendingSet,
         now: Cycle,
         rng: &mut dyn RandomSource,
     ) -> Option<CoreId>;
@@ -87,9 +96,9 @@ pub trait ArbitrationPolicy: std::fmt::Debug {
 
     /// Event hook for the fast-forward engine, consulted only for
     /// non-work-conserving policies: given that [`select`] just returned
-    /// `None` at `now` for this (non-empty) eligible candidate set, the
-    /// earliest future cycle at which `select` could return a winner for
-    /// the **same frozen set**.
+    /// `None` at `now` for this (non-empty) `eligible` mask, the earliest
+    /// future cycle at which `select` could return a winner for the **same
+    /// frozen mask and pending set**.
     ///
     /// Returning `None` means "cannot predict", which disables cycle
     /// skipping while candidates wait — always safe, and the default.
@@ -98,8 +107,8 @@ pub trait ArbitrationPolicy: std::fmt::Debug {
     /// next owned slot boundary.
     ///
     /// [`select`]: ArbitrationPolicy::select
-    fn next_grant_at(&self, candidates: &[Candidate], now: Cycle) -> Option<Cycle> {
-        let _ = (candidates, now);
+    fn next_grant_at(&self, eligible: u64, pending: &PendingSet, now: Cycle) -> Option<Cycle> {
+        let _ = (eligible, pending, now);
         None
     }
 
@@ -143,22 +152,25 @@ pub enum FilterHorizon {
 /// This is the hook the paper's credit-based arbitration (crate `cba`)
 /// implements. The bus drives the filter as follows, every cycle:
 ///
-/// 1. during arbitration (bus free), [`is_eligible`] is consulted for each
-///    pending request;
+/// 1. during arbitration (bus free), [`eligible`] maps the mask of the
+///    pending cores to the mask of those that may be arbitrated;
 /// 2. when a request is granted, [`on_grant`] fires;
 /// 3. at the end of the cycle, [`tick`] fires with the core occupying the
 ///    bus during that cycle (if any) and the pending set — this is where
 ///    budget counters advance.
 ///
-/// [`is_eligible`]: EligibilityFilter::is_eligible
+/// [`eligible`]: EligibilityFilter::eligible
 /// [`on_grant`]: EligibilityFilter::on_grant
 /// [`tick`]: EligibilityFilter::tick
 pub trait EligibilityFilter: std::fmt::Debug {
     /// Short stable name used in reports ("none", "CBA", "H-CBA", ...).
     fn name(&self) -> &'static str;
 
-    /// Whether the pending request of `core` may enter arbitration at `now`.
-    fn is_eligible(&self, core: CoreId, now: Cycle) -> bool;
+    /// The cores of the mask `cores` (bit `i` is core `i`) whose pending
+    /// requests may enter arbitration at `now`: a subset of `cores` (the
+    /// bus drops any other bit of the answer). A core's verdict does not
+    /// depend on which other cores the mask holds.
+    fn eligible(&self, cores: u64, now: Cycle) -> u64;
 
     /// Notifies the filter that `core` was granted at `now` for a
     /// transaction of `duration` cycles.
@@ -237,8 +249,8 @@ impl EligibilityFilter for NoFilter {
         "none"
     }
 
-    fn is_eligible(&self, _core: CoreId, _now: Cycle) -> bool {
-        true
+    fn eligible(&self, cores: u64, _now: Cycle) -> u64 {
+        cores
     }
 
     fn advance(&mut self, _now: Cycle, _k: u64, _owner: Option<CoreId>, _pending: &PendingSet) {}
@@ -340,8 +352,8 @@ mod tests {
     #[test]
     fn no_filter_accepts_everything() {
         let f = NoFilter::new();
-        assert!(f.is_eligible(CoreId::from_index(0), 0));
-        assert!(f.is_eligible(CoreId::from_index(63), 1_000_000));
+        assert_eq!(f.eligible(CoreId::from_index(0).bit(), 0), 1);
+        assert_eq!(f.eligible(u64::MAX, 1_000_000), u64::MAX);
         assert_eq!(f.name(), "none");
     }
 

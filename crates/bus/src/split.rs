@@ -503,9 +503,12 @@ mod tests {
             fn name(&self) -> &'static str {
                 "alt"
             }
-            fn is_eligible(&self, core: CoreId, now: u64) -> bool {
+            fn eligible(&self, cores: u64, now: u64) -> u64 {
                 // Core 1 only eligible in even 100-cycle windows.
-                core.index() != 1 || (now / 100) % 2 == 0
+                match (now / 100) % 2 {
+                    0 => cores,
+                    _ => cores & !c(1).bit(),
+                }
             }
         }
         let mut bus = mk();

@@ -36,7 +36,10 @@ pub enum Mode {
 /// Credit-based arbitration as a bus eligibility filter.
 ///
 /// Holds one [`CreditCounter`] per core plus, in WCET-estimation mode, one
-/// latched `COMP` bit per contender core.
+/// latched `COMP` bit per contender core, kept as a core mask. Verdicts
+/// are core masks too: [`EligibilityFilter::eligible`] tests each asked
+/// core's counter against the `MaxL` threshold, which the filter caches at
+/// construction.
 ///
 /// # Example
 ///
@@ -48,23 +51,27 @@ pub enum Mode {
 /// let cfg = CreditConfig::homogeneous(4, 56)?;
 /// let mut filter = CreditFilter::new(cfg);
 /// let c0 = CoreId::from_index(0);
+/// let all = CoreId::all_mask(4);
 /// // Fresh operation-mode filter: everyone starts with a full budget.
-/// assert!(filter.is_eligible(c0, 0));
+/// assert_eq!(filter.eligible(all, 0), all);
 ///
 /// // After a grant the core drains and is ineligible until recovered.
 /// filter.on_grant(c0, 8, 0);
 /// let empty = PendingSet::new(4);
 /// for now in 0..8 { filter.tick(now, Some(c0), &empty); }
-/// assert!(!filter.is_eligible(c0, 8));
+/// assert_eq!(filter.eligible(all, 8), all & !c0.bit());
 /// for now in 8..32 { filter.tick(now, None, &empty); }
-/// assert!(filter.is_eligible(c0, 32)); // (N-1)*8 = 24 cycles later
+/// assert_eq!(filter.eligible(all, 32), all); // (N-1)*8 = 24 cycles later
 /// # Ok::<(), cba::CbaError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct CreditFilter {
     config: CreditConfig,
     counters: Vec<CreditCounter>,
-    comp: Vec<bool>,
+    /// The latched `COMP` bits of the contenders, as a core mask.
+    comp: u64,
+    /// `config.scaled_threshold()`: the budget that makes a core eligible.
+    threshold: u64,
     mode: Mode,
     name: &'static str,
 }
@@ -101,7 +108,8 @@ impl CreditFilter {
             .collect();
         CreditFilter {
             counters,
-            comp: vec![false; n],
+            comp: 0,
+            threshold: config.scaled_threshold(),
             mode,
             name,
             config,
@@ -128,14 +136,21 @@ impl CreditFilter {
     pub fn comp(&self, core: CoreId) -> bool {
         match self.mode {
             Mode::Operation => true,
-            Mode::WcetEstimation { tua } => core == tua || self.comp[core.index()],
+            Mode::WcetEstimation { tua } => core == tua || self.comp & core.bit() != 0,
         }
     }
 
     /// Whether `core`'s budget has reached the `MaxL` eligibility
     /// threshold.
     pub fn budget_full(&self, core: CoreId) -> bool {
-        self.counters[core.index()].is_at_least(self.config.scaled_threshold())
+        self.counters[core.index()].is_at_least(self.threshold)
+    }
+
+    /// The cores of `cores` whose budget has reached the threshold.
+    fn full_budgets(&self, cores: u64) -> u64 {
+        CoreId::in_mask(cores).fold(0, |mask, core| {
+            mask | u64::from(self.budget_full(core)) << core.index()
+        })
     }
 
     fn is_tua(&self, core: CoreId) -> bool {
@@ -149,7 +164,7 @@ impl CreditFilter {
     /// `None` when the budget already passes.
     fn budget_pass_at(&self, core: CoreId, now: Cycle) -> Option<Cycle> {
         self.counters[core.index()]
-            .cycles_to_reach(self.config.scaled_threshold())
+            .cycles_to_reach(self.threshold)
             .map(|k| now + 1 + k)
     }
 }
@@ -159,17 +174,14 @@ impl EligibilityFilter for CreditFilter {
         self.name
     }
 
-    fn is_eligible(&self, core: CoreId, _now: Cycle) -> bool {
+    fn eligible(&self, cores: u64, _now: Cycle) -> u64 {
         match self.mode {
-            Mode::Operation => self.budget_full(core),
+            Mode::Operation => self.full_budgets(cores),
+            // Contenders compete only while their latched COMP bit is set
+            // (budget was full while the TuA had a request); the TuA's
+            // own verdict is its budget test.
             Mode::WcetEstimation { tua } => {
-                if core == tua {
-                    self.budget_full(core)
-                } else {
-                    // Contenders compete only while their latched COMP bit
-                    // is set (budget was full while the TuA had a request).
-                    self.comp[core.index()]
-                }
+                cores & self.comp | self.full_budgets(cores & tua.bit())
             }
         }
     }
@@ -177,13 +189,14 @@ impl EligibilityFilter for CreditFilter {
     fn on_grant(&mut self, core: CoreId, _duration: u32, _now: Cycle) {
         // "COMPi is reset whenever core i is granted access to the bus."
         if !self.is_tua(core) {
-            self.comp[core.index()] = false;
+            self.comp &= !core.bit();
         }
     }
 
     fn tick(&mut self, _now: Cycle, owner: Option<CoreId>, pending: &PendingSet) {
+        let holder = owner.map_or(usize::MAX, CoreId::index);
         for (i, counter) in self.counters.iter_mut().enumerate() {
-            counter.tick(owner.map(CoreId::index) == Some(i));
+            counter.tick(i == holder);
         }
         if let Mode::WcetEstimation { tua } = self.mode {
             // "The COMPi bit is set when BUDGi is [full] and REQ1 is set."
@@ -193,13 +206,8 @@ impl EligibilityFilter for CreditFilter {
             // served).
             let req1 = pending.contains(tua) || owner == Some(tua);
             if req1 {
-                let threshold = self.config.scaled_threshold();
-                for i in 0..self.comp.len() {
-                    let core = CoreId::from_index(i);
-                    if core != tua && self.counters[i].is_at_least(threshold) {
-                        self.comp[i] = true;
-                    }
-                }
+                let contenders = CoreId::all_mask(self.counters.len()) & !tua.bit();
+                self.comp |= self.full_budgets(contenders & !self.comp);
             }
         }
     }
@@ -217,20 +225,16 @@ impl EligibilityFilter for CreditFilter {
         if let Mode::WcetEstimation { tua } = self.mode {
             let req1 = pending.contains(tua) || owner == Some(tua);
             if req1 {
-                let threshold = self.config.scaled_threshold();
-                for i in 0..self.comp.len() {
-                    let core = CoreId::from_index(i);
-                    if core == tua || self.comp[i] {
-                        continue;
-                    }
-                    let mut peak = self.counters[i];
+                let unlatched = CoreId::all_mask(self.counters.len()) & !tua.bit() & !self.comp;
+                for core in CoreId::in_mask(unlatched) {
+                    let mut peak = self.counters[core.index()];
                     if owner == Some(core) {
                         peak.advance_holding(1);
                     } else {
                         peak.advance_idle(k);
                     }
-                    if peak.is_at_least(threshold) {
-                        self.comp[i] = true;
+                    if peak.is_at_least(self.threshold) {
+                        self.comp |= core.bit();
                     }
                 }
             }
@@ -253,11 +257,8 @@ impl EligibilityFilter for CreditFilter {
     /// while `REQ1` is low.
     fn next_eligibility_flip(&self, now: Cycle, pending: &PendingSet) -> FilterHorizon {
         let mut earliest: Option<Cycle> = None;
-        for req in pending.iter() {
-            let core = req.core();
-            if self.is_eligible(core, now + 1) {
-                continue;
-            }
+        let waiting = pending.mask() & !self.eligible(pending.mask(), now + 1);
+        for core in CoreId::in_mask(waiting) {
             let flip = match self.mode {
                 Mode::Operation => self.budget_pass_at(core, now),
                 Mode::WcetEstimation { tua } => {
@@ -295,7 +296,7 @@ impl EligibilityFilter for CreditFilter {
     /// here reads the cycle number, so the filter is time-invariant.
     fn limit_cycle_state(&self, state: &mut Vec<u64>) -> bool {
         state.extend(self.counters.iter().map(CreditCounter::value));
-        state.extend(self.comp.iter().map(|&c| c as u64));
+        state.extend(CoreId::all(self.counters.len()).map(|core| self.comp >> core.index() & 1));
         true
     }
 }
@@ -322,7 +323,7 @@ mod tests {
     fn operation_mode_initially_all_eligible() {
         let f = CreditFilter::new(CreditConfig::homogeneous(4, 56).unwrap());
         for i in 0..4 {
-            assert!(f.is_eligible(c(i), 0));
+            assert!(f.verdict(c(i), 0));
             assert!(f.comp(c(i)), "operation mode: COMP always 1");
         }
     }
@@ -336,19 +337,19 @@ mod tests {
             f.tick(now, Some(c(0)), &empty);
         }
         assert_eq!(f.budget(c(0)), 224 - 30);
-        assert!(!f.is_eligible(c(0), 10));
+        assert!(!f.verdict(c(0), 10));
         // Others untouched.
         for i in 1..4 {
-            assert!(f.is_eligible(c(i), 10));
+            assert!(f.verdict(c(i), 10));
             assert_eq!(f.budget(c(i)), 224);
         }
         // Recovery takes (N-1)*10 = 30 idle cycles.
         for now in 10..39 {
             f.tick(now, None, &empty);
-            assert!(!f.is_eligible(c(0), now + 1), "eligible too early at {now}");
+            assert!(!f.verdict(c(0), now + 1), "eligible too early at {now}");
         }
         f.tick(39, None, &empty);
-        assert!(f.is_eligible(c(0), 40));
+        assert!(f.verdict(c(0), 40));
     }
 
     #[test]
@@ -356,7 +357,7 @@ mod tests {
         let cfg = CreditConfig::homogeneous(4, 56).unwrap();
         let f = CreditFilter::with_mode(cfg, Mode::WcetEstimation { tua: c(0) });
         assert_eq!(f.budget(c(0)), 0);
-        assert!(!f.is_eligible(c(0), 0));
+        assert!(!f.verdict(c(0), 0));
         for i in 1..4 {
             assert_eq!(f.budget(c(i)), 224, "contenders start full");
         }
@@ -373,14 +374,14 @@ mod tests {
             f.tick(now, None, &no_tua);
         }
         for i in 1..4 {
-            assert!(!f.is_eligible(c(i), 50), "contender {i} must wait for REQ1");
+            assert!(!f.verdict(c(i), 50), "contender {i} must wait for REQ1");
             assert!(!f.comp(c(i)));
         }
         // The TuA posts a request: COMP latches for full-budget contenders.
         let with_tua = pending_with(4, &[0, 1, 2, 3]);
         f.tick(50, None, &with_tua);
         for i in 1..4 {
-            assert!(f.is_eligible(c(i), 51), "contender {i} competes now");
+            assert!(f.verdict(c(i), 51), "contender {i} competes now");
             assert!(f.comp(c(i)));
         }
     }
@@ -399,7 +400,7 @@ mod tests {
         // ...and clears exactly on grant.
         f.on_grant(c(1), 56, 2);
         assert!(!f.comp(c(1)));
-        assert!(!f.is_eligible(c(1), 2));
+        assert!(!f.verdict(c(1), 2));
     }
 
     #[test]
@@ -411,7 +412,7 @@ mod tests {
         for now in 0..224 {
             f.tick(now, None, &empty);
         }
-        assert!(f.is_eligible(c(0), 224));
+        assert!(f.verdict(c(0), 224));
         f.on_grant(c(0), 6, 224);
         // TuA eligibility is budget-based; on_grant must not latch anything
         // weird for it.
@@ -452,6 +453,11 @@ mod tests {
     }
 
     impl CreditFilter {
+        /// Test helper: one core's verdict.
+        fn verdict(&self, core: CoreId, now: Cycle) -> bool {
+            self.eligible(core.bit(), now) != 0
+        }
+
         /// Test helper: tick without tracking cycle numbers.
         fn tick_helper(&mut self, owner: Option<CoreId>, pending: &PendingSet) {
             // Safe: `tick` ignores `now`.
@@ -477,14 +483,14 @@ mod tests {
             f.tick_helper(Some(c(0)), &empty);
         }
         assert!(
-            f.is_eligible(c(0), 0),
+            f.verdict(c(0), 0),
             "banked budget permits a back-to-back MaxL transaction"
         );
         // A second one in a row exhausts the bank below the threshold.
         for _ in 0..56 {
             f.tick_helper(Some(c(0)), &empty);
         }
-        assert!(!f.is_eligible(c(0), 0));
+        assert!(!f.verdict(c(0), 0));
     }
 
     #[test]
@@ -586,7 +592,7 @@ mod tests {
             let pending = pending_with(4, &cores);
             let now = 1000u64;
             let verdicts = |f: &CreditFilter, t: Cycle| -> Vec<bool> {
-                (0..4).map(|i| f.is_eligible(c(i), t)).collect()
+                (0..4).map(|i| f.verdict(c(i), t)).collect()
             };
             match f.next_eligibility_flip(now, &pending) {
                 FilterHorizon::Unknown => panic!("credit filter must predict"),
@@ -597,7 +603,7 @@ mod tests {
                         EligibilityFilter::tick(&mut f, t, None, &pending);
                         for &i in &cores {
                             assert_eq!(
-                                f.is_eligible(c(i), t + 1),
+                                f.verdict(c(i), t + 1),
                                 before[i],
                                 "seed {seed}: pending core {i} flipped at {t} under Static"
                             );
@@ -614,7 +620,7 @@ mod tests {
                         EligibilityFilter::tick(&mut f, cyc, None, &pending);
                         for &i in &cores {
                             assert_eq!(
-                                f.is_eligible(c(i), cyc + 1),
+                                f.verdict(c(i), cyc + 1),
                                 before[i],
                                 "seed {seed}: pending core {i} flipped early at {}",
                                 cyc + 1
@@ -624,9 +630,7 @@ mod tests {
                     // The tick of cycle flip-1 makes the flip visible to
                     // the arbitration of cycle `flip`.
                     EligibilityFilter::tick(&mut f, flip - 1, None, &pending);
-                    let changed = cores
-                        .iter()
-                        .any(|&i| f.is_eligible(c(i), flip) != before[i]);
+                    let changed = cores.iter().any(|&i| f.verdict(c(i), flip) != before[i]);
                     assert!(changed, "seed {seed}: no verdict changed at {flip}");
                 }
             }

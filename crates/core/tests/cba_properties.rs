@@ -219,3 +219,55 @@ fn wcet_mode_first_tua_grant_respects_fill_time() {
         );
     }
 }
+
+/// The mask verdict is the per-core rule: a core is eligible when its
+/// budget has reached the `MaxL` threshold, except that a WCET-mode
+/// contender is eligible exactly when its latched `COMP` bit is set.
+/// Checked over random counter states (random holders, pending sets and
+/// grants) and random sets of asked-for cores, in both modes.
+#[test]
+fn credit_verdicts_follow_the_per_core_rule() {
+    for seed in 0..16u64 {
+        let mut rng = SimRng::seed_from(300 + seed);
+        let n = rng.gen_range_usize(1..9);
+        let config = random_weighted_config(n, &mut rng);
+        let threshold = config.scaled_threshold();
+        let tua = CoreId::from_index(rng.gen_range_usize(0..n));
+        for mode in [Mode::Operation, Mode::WcetEstimation { tua }] {
+            let mut filter = CreditFilter::with_mode(config.clone(), mode);
+            let mut now = 0u64;
+            while now < 20_000 {
+                // A grant, then its transaction (or an idle stretch).
+                let owner = rng
+                    .gen_bool(0.7)
+                    .then(|| CoreId::from_index(rng.gen_range_usize(0..n)));
+                if let Some(core) = owner {
+                    filter.on_grant(core, MAXL, now);
+                }
+                let mut pending = PendingSet::new(n);
+                for core in CoreId::all(n) {
+                    if Some(core) != owner && rng.gen_bool(0.5) {
+                        let req = BusRequest::new(core, 5, RequestKind::Synthetic, now);
+                        pending.insert(req).unwrap();
+                    }
+                }
+                for _ in 0..rng.gen_range_u64(1..MAXL as u64 + 1) {
+                    filter.tick(now, owner, &pending);
+                    now += 1;
+                    let cores = rng.next_u64() & CoreId::all_mask(n);
+                    let rule = CoreId::in_mask(cores)
+                        .filter(|&core| match mode {
+                            Mode::WcetEstimation { tua } if core != tua => filter.comp(core),
+                            _ => filter.budget(core) >= threshold,
+                        })
+                        .fold(0, |mask, core| mask | core.bit());
+                    assert_eq!(
+                        filter.eligible(cores, now),
+                        rule,
+                        "seed {seed}, {mode:?}, cycle {now}, cores {cores:#b}"
+                    );
+                }
+            }
+        }
+    }
+}

@@ -24,11 +24,14 @@
 //! * the lanes that output a 1 take the polynomial's other taps, as
 //!   `plane ^= output` on three planes.
 //!
-//! The health monitors count ones and transitions per lane in bit-sliced
-//! vertical counters, so nothing branches on a lane's random bit. The
-//! output stream is unchanged by the layout: lane `i` produces exactly the
-//! bits of a single-lane [`Lfsr`] with the same seed. The tests step the
-//! bank beside such single-lane oracles and pin hashes of its stream.
+//! That is all a draw does. The health monitors are evaluated on demand:
+//! the bank keeps a copy of its planes as the current window's first
+//! cycle found them, and [`LfsrBank::health`] replays the window from
+//! that copy, counting ones and transitions per lane in bit-sliced
+//! vertical counters. The output stream is unchanged by the layout: lane
+//! `i` produces exactly the bits of a single-lane [`Lfsr`] with the same
+//! seed. The tests step the bank beside such single-lane oracles, compare
+//! its monitors with theirs, and pin hashes of its stream.
 
 use crate::SimError;
 
@@ -104,10 +107,11 @@ pub enum LfsrHealth {
 /// cycle, with online health monitoring.
 ///
 /// The lanes are stored bit-sliced (see the [module docs](self)): one
-/// cycle of every lane, and of every health counter, is a fixed handful of
-/// word operations with no branch per lane. The layout does not change the
-/// output stream: lane `i` produces exactly the bits of a single-lane
-/// [`Lfsr`] seeded with its own seed.
+/// cycle of every lane is a fixed handful of word operations with no
+/// branch per lane, and the health monitors cost nothing until
+/// [`LfsrBank::health`] is called. The layout does not change the output
+/// stream: lane `i` produces exactly the bits of a single-lane [`Lfsr`]
+/// seeded with its own seed.
 ///
 /// # Example
 ///
@@ -123,22 +127,18 @@ pub enum LfsrHealth {
 #[derive(Debug, Clone)]
 pub struct LfsrBank {
     /// The lanes' states as a ring of bit-planes: bit `i` of logical plane
-    /// `j`, `planes[(head + j) % 32]`, is bit `j` of lane `i`'s state.
+    /// `j`, `planes[(observed + j) % 32]`, is bit `j` of lane `i`'s state.
     /// Built from `seed` on the first draw, so a bank that is never drawn
     /// from (a round-robin platform still builds one) skips the transpose.
     planes: Option<[u64; STATE_BITS]>,
-    head: usize,
+    /// The ring as the current window's first cycle found it (its head at
+    /// index 0); [`LfsrBank::health`] replays the window from here.
+    window: [u64; STATE_BITS],
+    /// Cycles drawn in the current window. The window is a multiple of 32
+    /// cycles long, so this is also the ring's head, mod 32.
+    observed: u32,
     width: usize,
     seed: u64,
-    /// Lane outputs of the previous cycle.
-    last: u64,
-    /// Per-lane ones and transition counts over the current window, as
-    /// vertical counters: bit `i` of `ones[k]` is bit `k` of lane `i`'s
-    /// count.
-    ones: [u64; COUNT_BITS],
-    transitions: [u64; COUNT_BITS],
-    /// Cycles observed in the current window.
-    observed: u32,
 }
 
 /// Bits of one lane's state.
@@ -155,6 +155,7 @@ const COUNT_BITS: usize = (u32::BITS - (LfsrBank::HEALTH_WINDOW - 1).leading_zer
 const LOW_TAPS: [usize; 3] = [0, 1, 21];
 
 const _: () = assert!(POLY_32_DEFAULT == 1 << 31 | 1 << 21 | 1 << 1 | 1 << 0);
+const _: () = assert!(LfsrBank::HEALTH_WINDOW % STATE_BITS as u32 == 0);
 
 /// The lanes' non-zero seeds, derived from `seed` by splitmix-style
 /// mixing.
@@ -199,9 +200,26 @@ fn bit_planes(lanes: impl Iterator<Item = u32>) -> [u64; STATE_BITS] {
     rows
 }
 
+/// Advances every lane of a plane ring whose head is at `head` (mod 32)
+/// one cycle and returns the output word. Each lane outputs its state's
+/// bit 0 and shifts right, so logical plane `j + 1` becomes plane `j`;
+/// then the lanes that output a 1 take the polynomial.
+#[inline]
+fn step(planes: &mut [u64; STATE_BITS], head: u32) -> u64 {
+    let head = head as usize % STATE_BITS;
+    let word = planes[head];
+    for tap in LOW_TAPS {
+        planes[(head + 1 + tap) % STATE_BITS] ^= word;
+    }
+    word
+}
+
 /// Adds one bit per lane to a vertical counter.
 fn count(counter: &mut [u64; COUNT_BITS], mut carry: u64) {
     for plane in counter {
+        if carry == 0 {
+            break;
+        }
         let next = *plane & carry;
         *plane ^= carry;
         carry = next;
@@ -237,13 +255,10 @@ impl LfsrBank {
         }
         Ok(LfsrBank {
             planes: None,
-            head: 0,
+            window: [0; STATE_BITS],
+            observed: 0,
             width,
             seed,
-            last: 0,
-            ones: [0; COUNT_BITS],
-            transitions: [0; COUNT_BITS],
-            observed: 0,
         })
     }
 
@@ -262,30 +277,13 @@ impl LfsrBank {
     /// Advances every lane one cycle and returns the fresh bits packed into
     /// the low `width` bits of a `u64` (lane 0 is bit 0).
     pub fn next_bits(&mut self) -> u64 {
-        // Each lane outputs its state's bit 0 and shifts right, so logical
-        // plane `j + 1` becomes plane `j`; then the lanes that output a 1
-        // take the polynomial.
-        let head = self.head;
-        let planes = self.planes();
-        let word = planes[head];
-        let head = (head + 1) % STATE_BITS;
-        for tap in LOW_TAPS {
-            planes[(head + tap) % STATE_BITS] ^= word;
+        let observed = self.observed;
+        if observed == 0 {
+            // A health window starts: keep its first state for `health`.
+            self.window = *self.planes();
         }
-        self.head = head;
-
-        // The first cycle of a window counts no transition.
-        let counted = u64::from(self.observed != 0).wrapping_neg();
-        count(&mut self.ones, word);
-        count(&mut self.transitions, (word ^ self.last) & counted);
-        self.last = word;
-        self.observed += 1;
-        if self.observed >= Self::HEALTH_WINDOW {
-            // Monitors are evaluated lazily via `health`; reset the window.
-            self.observed = 0;
-            self.ones = [0; COUNT_BITS];
-            self.transitions = [0; COUNT_BITS];
-        }
+        let word = step(self.planes(), observed);
+        self.observed = (observed + 1) % Self::HEALTH_WINDOW;
         word
     }
 
@@ -302,12 +300,7 @@ impl LfsrBank {
         let mut got = 0u32;
         while got < bits {
             let take = (bits - got).min(w);
-            let mask = if take >= 64 {
-                u64::MAX
-            } else {
-                (1u64 << take) - 1
-            };
-            acc |= (self.next_bits() & mask) << got;
+            acc |= (self.next_bits() & (u64::MAX >> (64 - take))) << got;
             got += take;
         }
         acc
@@ -332,22 +325,50 @@ impl LfsrBank {
         }
     }
 
-    /// Evaluates the health monitors over the bits observed in the current
+    /// Per-lane ones and transition counts over the bits drawn in the
+    /// current window so far, replayed from the window's first state, as
+    /// vertical counters: bit `i` of `ones[k]` is bit `k` of lane `i`'s
+    /// count. The window's first cycle counts no transition.
+    fn monitors(&self) -> ([u64; COUNT_BITS], [u64; COUNT_BITS]) {
+        let mut planes = self.window;
+        let mut ones = [0; COUNT_BITS];
+        let mut transitions = [0; COUNT_BITS];
+        let mut last = None;
+        for cycle in 0..self.observed {
+            let word = step(&mut planes, cycle);
+            count(&mut ones, word);
+            if let Some(last) = last {
+                count(&mut transitions, word ^ last);
+            }
+            last = Some(word);
+        }
+        (ones, transitions)
+    }
+
+    /// Evaluates the health monitors over the bits drawn in the current
     /// window so far.
     ///
     /// Following the safety-PRNG design of the paper's reference \[3\], two
-    /// online checks run continuously: a stuck-at detector (no transitions in
-    /// the window once enough bits were observed) and a ones-density monitor.
+    /// checks judge every window: a stuck-at detector (no transitions in
+    /// the window once enough bits were observed) and a ones-density
+    /// monitor. Draws do not count; this call replays the window, which
+    /// costs up to [`LfsrBank::HEALTH_WINDOW`] bank cycles.
+    ///
+    /// The replay starts from the window's first state and assumes the
+    /// lanes changed only by stepping since: a lane state altered any
+    /// other way mid-window (the tests' fault injection) is judged from
+    /// the next window on, whose first state holds it.
     pub fn health(&self) -> LfsrHealth {
         // Need a minimum of observations before judging.
         if self.observed < 256 {
             return LfsrHealth::Ok;
         }
+        let (ones, transitions) = self.monitors();
         for lane in 0..self.width {
-            if lane_count(&self.transitions, lane) == 0 {
+            if lane_count(&transitions, lane) == 0 {
                 return LfsrHealth::StuckAt { lane };
             }
-            let density = lane_count(&self.ones, lane) as f64 / self.observed as f64;
+            let density = lane_count(&ones, lane) as f64 / self.observed as f64;
             if !(0.40..=0.60).contains(&density) {
                 return LfsrHealth::Imbalanced { lane, density };
             }
@@ -364,13 +385,9 @@ mod tests {
     impl LfsrBank {
         /// Per-lane `(ones, transitions)` of the current window.
         fn window_counts(&self) -> Vec<(u32, u32)> {
+            let (ones, transitions) = self.monitors();
             (0..self.width)
-                .map(|lane| {
-                    (
-                        lane_count(&self.ones, lane),
-                        lane_count(&self.transitions, lane),
-                    )
-                })
+                .map(|lane| (lane_count(&ones, lane), lane_count(&transitions, lane)))
                 .collect()
         }
 
@@ -461,6 +478,40 @@ mod tests {
                 .zip(self.transitions.iter().copied())
                 .collect()
         }
+
+        /// The bank's health rule on the per-lane counters.
+        fn health(&self) -> LfsrHealth {
+            if self.observed < 256 {
+                return LfsrHealth::Ok;
+            }
+            for (lane, (ones, transitions)) in self.window_counts().into_iter().enumerate() {
+                if transitions == 0 {
+                    return LfsrHealth::StuckAt { lane };
+                }
+                let density = ones as f64 / self.observed as f64;
+                if !(0.40..=0.60).contains(&density) {
+                    return LfsrHealth::Imbalanced { lane, density };
+                }
+            }
+            LfsrHealth::Ok
+        }
+    }
+
+    #[test]
+    fn health_matches_the_oracle_at_every_cycle() {
+        for width in [1, 16, 64] {
+            let mut bank = LfsrBank::new(width, 2017).unwrap();
+            let mut oracle = Oracle::new(width, 2017);
+            for draw in 1..=2 * LfsrBank::HEALTH_WINDOW {
+                assert_eq!(bank.next_bits(), oracle.next_bits());
+                assert_eq!(
+                    bank.window_counts(),
+                    oracle.window_counts(),
+                    "width {width} draw {draw}"
+                );
+                assert_eq!(bank.health(), oracle.health(), "width {width} draw {draw}");
+            }
+        }
     }
 
     #[test]
@@ -539,8 +590,10 @@ mod tests {
                 assert_eq!(bank.health(), LfsrHealth::Ok, "healthy bank, draw {draw}");
             }
         }
-        // A lane that fails late in a window still has that window's
-        // transitions; the reset clears them, and the fault shows.
+        // A lane that fails late in a window is judged on the replay of
+        // that window, which starts before the fault and still sees the
+        // lane toggle; the next window starts from the faulted state, and
+        // the fault shows.
         for _ in 0..window - 256 {
             bank.next_bits();
         }

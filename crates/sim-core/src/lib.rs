@@ -98,6 +98,37 @@ impl CoreId {
         assert!(n_cores <= Self::MAX_CORES);
         (0..n_cores).map(|i| CoreId(i as u8))
     }
+
+    /// This core's bit in a core mask, where bit `i` stands for core `i`
+    /// ([`MAX_CORES`](Self::MAX_CORES) cores fit one `u64`).
+    #[inline]
+    pub fn bit(self) -> u64 {
+        1 << self.0
+    }
+
+    /// The mask of every core of an `n_cores` platform.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_cores > MAX_CORES`.
+    #[inline]
+    pub fn all_mask(n_cores: usize) -> u64 {
+        assert!(n_cores <= Self::MAX_CORES);
+        u64::MAX
+            .checked_shr((Self::MAX_CORES - n_cores) as u32)
+            .unwrap_or(0)
+    }
+
+    /// Iterates over the cores of a core mask, lowest index first.
+    #[inline]
+    pub fn in_mask(mask: u64) -> impl Iterator<Item = CoreId> + Clone {
+        let mut rest = mask;
+        std::iter::from_fn(move || {
+            let index = rest.trailing_zeros();
+            rest &= rest.wrapping_sub(1);
+            (index < u64::BITS).then_some(CoreId(index as u8))
+        })
+    }
 }
 
 impl fmt::Display for CoreId {
@@ -161,6 +192,19 @@ mod tests {
     fn core_id_all_enumerates_in_order() {
         let ids: Vec<usize> = CoreId::all(4).map(|c| c.index()).collect();
         assert_eq!(ids, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn core_masks_round_trip() {
+        assert_eq!(CoreId::all_mask(0), 0);
+        assert_eq!(CoreId::all_mask(4), 0b1111);
+        assert_eq!(CoreId::all_mask(CoreId::MAX_CORES), u64::MAX);
+        let mask = CoreId::from_index(0).bit() | CoreId::from_index(5).bit() | 1 << 63;
+        let cores: Vec<usize> = CoreId::in_mask(mask).map(CoreId::index).collect();
+        assert_eq!(cores, vec![0, 5, 63]);
+        assert_eq!(CoreId::in_mask(0).count(), 0);
+        let all: Vec<CoreId> = CoreId::in_mask(CoreId::all_mask(7)).collect();
+        assert_eq!(all, CoreId::all(7).collect::<Vec<_>>());
     }
 
     #[test]

@@ -111,6 +111,11 @@ impl SimRng {
     pub fn gen_range_u64(&mut self, range: std::ops::Range<u64>) -> u64 {
         assert!(range.start < range.end, "empty range");
         let span = range.end - range.start;
+        if span.is_power_of_two() {
+            // 2^64 is a multiple of `span`: the zone below is `u64::MAX`,
+            // so the first draw is kept, and `v % span` is a mask.
+            return range.start + (self.next_u64() & (span - 1));
+        }
         // Rejection-sample the top multiple of `span` to avoid modulo bias.
         let zone = u64::MAX - (u64::MAX - span + 1) % span;
         loop {
@@ -231,6 +236,37 @@ mod tests {
             seen[rng.gen_range_usize(0..8)] = true;
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn power_of_two_spans_keep_the_rejection_formula() {
+        // The rejection path as it stands for every other span.
+        fn rejection(rng: &mut SimRng, range: std::ops::Range<u64>) -> u64 {
+            let span = range.end - range.start;
+            let zone = u64::MAX - (u64::MAX - span + 1) % span;
+            loop {
+                let v = rng.next_u64();
+                if v <= zone {
+                    return range.start + v % span;
+                }
+            }
+        }
+        for seed in [0, 1, 7, 2017, u64::MAX] {
+            let mut masked = SimRng::seed_from(seed);
+            let mut reference = SimRng::seed_from(seed);
+            for k in 0..u64::BITS {
+                let span = 1u64 << k;
+                for start in [0, 3, u64::MAX - span] {
+                    for _ in 0..8 {
+                        assert_eq!(
+                            masked.gen_range_u64(start..start + span),
+                            rejection(&mut reference, start..start + span),
+                            "seed {seed} span 2^{k} start {start}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
