@@ -17,22 +17,40 @@
 
 use cba::{CreditConfig, CreditFilter};
 use cba_bench::{print_row, rule, seed_from_env};
-use cba_bus::split::{SplitBus, SplitBusConfig, SplitRequest};
-use cba_bus::{BusModel, PolicyKind};
+use cba_bus::split::{SplitBus, SplitBusConfig};
+use cba_bus::{BusModel, BusRequest, CompletedTransaction, PolicyKind, RequestKind, RequestPort};
+use cba_cpu::Contender;
+use sim_core::agent::FnAgent;
 use sim_core::rng::SimRng;
-use sim_core::CoreId;
+use sim_core::{BoxedAgent, Control, CoreId, Cycle, Simulation, StopWhen};
 
 /// Arbitration streams per row, forked from the master seed.
 const STREAMS: u64 = 8;
 
-#[derive(Clone, Copy)]
-enum ContenderTraffic {
-    SplitMisses,
-    Atomics,
+/// The traffic of one contender core.
+type Traffic = fn(CoreId) -> BoxedAgent<'static, SplitBus>;
+
+/// A saturating stream of clean L2 misses on `core`, which the split bus
+/// runs as command, memory and response phases.
+fn split_misses(core: CoreId) -> BoxedAgent<'static, SplitBus> {
+    Box::new(FnAgent(
+        move |bus: &mut SplitBus, now: Cycle, _: Option<&CompletedTransaction>| {
+            if bus.can_accept(core) {
+                bus.post(BusRequest::new(core, 28, RequestKind::L2MissClean, now))
+                    .expect("idle core accepts");
+            }
+            Control::Sleep(Cycle::MAX)
+        },
+    ))
+}
+
+/// A saturating stream of unsplittable 56-cycle requests on `core`.
+fn atomics(core: CoreId) -> BoxedAgent<'static, SplitBus> {
+    Box::new(Contender::new(core, 56))
 }
 
 /// Returns (short-core completions, short-core absolute cycle share).
-fn run(traffic: ContenderTraffic, with_cba: bool, horizon: u64, rng: SimRng) -> (u64, f64) {
+fn run(traffic: Traffic, with_cba: bool, horizon: u64, rng: SimRng) -> (u64, f64) {
     let mut bus = SplitBus::new(
         SplitBusConfig::paper(),
         PolicyKind::RandomPermutation.build(4, 56),
@@ -45,29 +63,14 @@ fn run(traffic: ContenderTraffic, with_cba: bool, horizon: u64, rng: SimRng) -> 
         )));
     }
     let c0 = CoreId::from_index(0);
-    let mut completions = 0u64;
-    for now in 0..horizon {
-        if bus.is_idle(c0) {
-            bus.post(c0, SplitRequest::Immediate { duration: 5 })
-                .expect("idle core accepts");
-        }
-        for i in 1..4 {
-            let c = CoreId::from_index(i);
-            if bus.is_idle(c) {
-                let req = match traffic {
-                    ContenderTraffic::SplitMisses => SplitRequest::Split,
-                    ContenderTraffic::Atomics => SplitRequest::Atomic { duration: 56 },
-                };
-                bus.post(c, req).expect("idle core accepts");
-            }
-        }
-        if bus.begin_cycle(now).is_some_and(|comp| comp.core == c0) {
-            completions += 1;
-        }
-        bus.end_cycle(now);
-    }
-    let share = bus.inner().trace().busy_cycles(c0) as f64 / horizon as f64;
-    (completions, share)
+    let sim = Simulation::builder()
+        .model(bus)
+        .agent(Contender::new(c0, 5))
+        .agents((1..4).map(CoreId::from_index).map(traffic))
+        .stop(StopWhen::Horizon(horizon))
+        .run();
+    let share = sim.model().trace().busy_cycles(c0) as f64 / horizon as f64;
+    (sim.agent(0).stats().completed, share)
 }
 
 /// Mean and min–max of `values`, each printed by `show`.
@@ -98,8 +101,8 @@ fn main() {
     rule(90);
     let master = SimRng::seed_from(seed);
     for (label, traffic) in [
-        ("split misses", ContenderTraffic::SplitMisses),
-        ("unsplittable atomics", ContenderTraffic::Atomics),
+        ("split misses", split_misses as Traffic),
+        ("unsplittable atomics", atomics),
     ] {
         for with_cba in [false, true] {
             let (grants, shares): (Vec<f64>, Vec<f64>) = (0..STREAMS)

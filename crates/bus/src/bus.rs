@@ -325,7 +325,7 @@ impl Bus {
     /// Checks what every post checks: the core is on the platform and the
     /// duration is in `1..=MaxL` (the credit mechanism requires
     /// `duration <= MaxL`).
-    fn check(&self, req: &BusRequest) -> Result<(), BusError> {
+    pub(crate) fn check(&self, req: &BusRequest) -> Result<(), BusError> {
         if req.core().index() >= self.config.n_cores {
             return Err(BusError::UnknownCore(req.core()));
         }

@@ -180,13 +180,14 @@ impl fmt::Display for BusError {
 impl std::error::Error for BusError {}
 
 /// The client-side request port shared by every interconnect variant that
-/// addresses requests by [`CoreId`] — the flat [`Bus`] and the hierarchical
+/// addresses requests by [`CoreId`] — the flat [`Bus`], the
+/// split-transaction [`SplitBus`](split::SplitBus) and the hierarchical
 /// [`Fabric`].
 ///
 /// Client models (cores, contenders, fixed-request tasks) are written
-/// against this trait so the *same* client drives a single shared bus or a
-/// clustered fabric unchanged; only the interconnect behind the port
-/// differs. The port is the client half of the cycle protocol, and
+/// against this trait so the *same* client drives a single shared bus, a
+/// split bus or a clustered fabric unchanged; only the interconnect behind
+/// the port differs. The port is the client half of the cycle protocol, and
 /// [`BusModel`] the driver's half: clients post and probe whether they may
 /// post — they never drive cycles.
 pub trait RequestPort {
@@ -231,20 +232,41 @@ mod tests {
             PolicyKind::RoundRobin.build(2, maxl),
         )
         .unwrap();
+        let mut split = split::SplitBus::new(
+            split::SplitBusConfig {
+                n_cores: 2,
+                max_latency: maxl,
+                phase_cycles: 5,
+                mem_latency: 28,
+            },
+            PolicyKind::RoundRobin.build(2, maxl),
+        )
+        .unwrap();
+        // A split kind holds the bus for its phases, not its duration, but
+        // its duration is checked all the same.
+        let miss = |d| BusRequest::new(CoreId::from_index(1), d, RequestKind::L2MissClean, 0);
         for d in [0, maxl + 1] {
             assert_eq!(plain.post(req(d)), out_of_range(d));
             assert_eq!(privileged.post_privileged(req(d)), out_of_range(d));
             assert_eq!(fabric.post(req(d)), out_of_range(d));
+            assert_eq!(split.post(req(d)), out_of_range(d));
+            assert_eq!(split.post(miss(d)), out_of_range(d));
         }
-        let c0 = CoreId::from_index(0);
+        let (c0, c1) = (CoreId::from_index(0), CoreId::from_index(1));
         assert!(plain.can_accept(c0), "nothing pending");
         assert!(fabric.can_accept(c0), "nothing in flight");
+        assert!(
+            split.can_accept(c0) && split.can_accept(c1),
+            "nothing in flight"
+        );
         // Nothing privileged was queued: the first cycle grants nobody.
         privileged.begin_cycle(0);
         assert_eq!(privileged.end_cycle(0), None);
         assert_eq!(plain.post(req(maxl)), Ok(()));
         assert_eq!(privileged.post_privileged(req(maxl)), Ok(()));
         assert_eq!(fabric.post(req(maxl)), Ok(()));
+        assert_eq!(split.post(req(maxl)), Ok(()));
+        assert_eq!(split.post(miss(maxl)), Ok(()));
         privileged.begin_cycle(1);
         assert_eq!(privileged.end_cycle(1), Some(c0));
     }

@@ -5,47 +5,34 @@
 //! bus is released while memory works), "but the worst-case situation,
 //! having very long and very short requests, is possible since atomic
 //! operations by definition cannot be split". This module implements that
-//! substrate so the claim can be tested instead of asserted:
+//! substrate so the claim can be tested instead of asserted.
 //!
-//! * [`SplitRequest::Immediate`] — short transaction served on the bus
-//!   (L2 hit): holds the bus for its duration, like the non-split model;
-//! * [`SplitRequest::Split`] — memory-bound transaction: a command phase
-//!   holds the bus briefly, the bus is *released* during the memory
-//!   access (a single-channel memory controller serializes these), and a
-//!   response phase re-acquires the bus with response priority;
-//! * [`SplitRequest::Atomic`] — unsplittable read-modify-write: occupies
-//!   the bus end-to-end for two memory accesses, exactly like the
-//!   non-split worst case.
+//! [`SplitBus`] takes the platform's [`BusRequest`]s through
+//! [`RequestPort`], and the request's kind decides how it uses the bus:
+//!
+//! * [`RequestKind::L2MissClean`] and [`RequestKind::L2MissDirty`] are
+//!   split: a command phase holds the bus briefly, the bus is *released*
+//!   during the memory access (a single-channel memory controller
+//!   serializes these), and a response phase re-acquires the bus with
+//!   response priority. Each phase carries the posted kind;
+//! * every other kind — L2 hits and writes, coherence traffic, and the
+//!   unsplittable [`RequestKind::Atomic`] — holds the bus from start to
+//!   end for its own duration, exactly like the non-split model.
+//!
+//! A request's completion is the [`CompletedTransaction`] of its last bus
+//! phase, so the platform's agents drive a split bus unchanged.
 //!
 //! [`SplitBus`] composes the existing [`Bus`] (arbitration policy +
 //! eligibility filter apply to bus *acquisitions*, so CBA budgets drain
 //! only for cycles actually held — the correct bandwidth notion on a
 //! split bus) with a FIFO memory channel.
 
-use crate::bus::{Bus, BusConfig};
+use crate::bus::{Bus, BusConfig, CompletedTransaction};
 use crate::policy::{ArbitrationPolicy, RandomSource};
 use crate::{BusError, BusRequest, RequestKind, RequestPort};
 use sim_core::trace::GrantTrace;
 use sim_core::{BusModel, CoreId, Cycle};
 use std::collections::VecDeque;
-
-/// One request on the split bus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SplitRequest {
-    /// Served entirely on the bus (e.g. an L2 hit of `duration` cycles).
-    Immediate {
-        /// Bus hold time.
-        duration: u32,
-    },
-    /// Command phase + off-bus memory access + response phase.
-    Split,
-    /// Unsplittable atomic: holds the bus for `duration` cycles
-    /// (command + two memory accesses + response, fused).
-    Atomic {
-        /// Total bus hold time.
-        duration: u32,
-    },
-}
 
 /// Configuration of the split bus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,46 +59,38 @@ impl SplitBusConfig {
         }
     }
 
-    /// Validates the configuration.
+    /// Validates the configuration and returns the configuration of the
+    /// underlying bus.
     ///
     /// # Errors
     ///
-    /// Returns [`BusError::InvalidConfig`] if any field is zero or the
-    /// phase exceeds MaxL.
-    pub fn validate(&self) -> Result<(), BusError> {
-        if self.n_cores == 0 {
-            return Err(BusError::InvalidConfig("n_cores must be positive".into()));
-        }
-        if self.phase_cycles == 0 || self.mem_latency == 0 || self.max_latency == 0 {
+    /// Returns [`BusError::InvalidConfig`] if [`BusConfig::new`] rejects
+    /// the core count or MaxL, if the phase or the memory latency is
+    /// zero, or if the phase exceeds MaxL.
+    pub fn validate(&self) -> Result<BusConfig, BusError> {
+        let bus = BusConfig::new(self.n_cores, self.max_latency)?;
+        if self.phase_cycles == 0 || self.mem_latency == 0 {
             return Err(BusError::InvalidConfig(
-                "phase, memory and max latencies must be positive".into(),
+                "phase and memory latencies must be positive".into(),
             ));
         }
         if self.phase_cycles > self.max_latency {
             return Err(BusError::InvalidConfig("phase cannot exceed MaxL".into()));
         }
-        Ok(())
+        Ok(bus)
     }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CoreState {
     Idle,
-    /// Waiting for / holding the bus for an immediate or atomic request.
-    OnBus,
-    /// Command phase posted or in flight.
+    /// The request's last bus phase is posted or holds the bus: an
+    /// unsplit request, or a split request's response.
+    LastPhase,
+    /// A split request's command phase is posted or holds the bus.
     Command,
-    /// Queued at / being served by the memory channel (`done_at`).
+    /// A split request's memory access is queued or in service.
     Memory,
-    /// Response phase pending arbitration or in flight.
-    Response,
-}
-
-/// Completion report: the split request of `core` fully finished.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SplitCompletion {
-    /// The requesting core.
-    pub core: CoreId,
 }
 
 /// The split-transaction bus.
@@ -119,14 +98,15 @@ pub struct SplitCompletion {
 /// # Example
 ///
 /// ```
-/// use cba_bus::split::{SplitBus, SplitBusConfig, SplitRequest};
-/// use cba_bus::{BusModel, PolicyKind};
+/// use cba_bus::split::{SplitBus, SplitBusConfig};
+/// use cba_bus::{BusModel, BusRequest, PolicyKind, RequestKind, RequestPort};
 /// use sim_core::CoreId;
 ///
 /// let mut bus = SplitBus::new(SplitBusConfig::paper(),
 ///                             PolicyKind::RoundRobin.build(4, 56))?;
 /// let c0 = CoreId::from_index(0);
-/// bus.post(c0, SplitRequest::Split)?;
+/// // A clean L2 miss, which holds a non-split bus for 28 cycles.
+/// bus.post(BusRequest::new(c0, 28, RequestKind::L2MissClean, 0))?;
 /// let mut done_at = None;
 /// for now in 0..200u64 {
 ///     if bus.begin_cycle(now).is_some_and(|c| c.core == c0) {
@@ -145,15 +125,11 @@ pub struct SplitBus {
     config: SplitBusConfig,
     inner: Bus,
     states: Vec<CoreState>,
-    /// Memory channel: FIFO of cores whose access is queued; head is in
-    /// service until `mem_done_at`.
-    mem_queue: VecDeque<CoreId>,
+    /// Memory channel: FIFO of the split requests (core and posted kind)
+    /// whose access is queued; the head is in service until
+    /// `mem_done_at`.
+    mem_queue: VecDeque<(CoreId, RequestKind)>,
     mem_done_at: Option<Cycle>,
-    /// Responses waiting for the bus (served with priority, FIFO).
-    resp_queue: VecDeque<CoreId>,
-    /// Requests accepted by `post` awaiting submission at the next
-    /// `end_cycle`.
-    pending_posts: Vec<(CoreId, u32, RequestKind)>,
 }
 
 impl SplitBus {
@@ -166,14 +142,11 @@ impl SplitBus {
         config: SplitBusConfig,
         policy: Box<dyn ArbitrationPolicy>,
     ) -> Result<Self, BusError> {
-        config.validate()?;
         Ok(SplitBus {
-            inner: Bus::new(BusConfig::new(config.n_cores, config.max_latency)?, policy),
+            inner: Bus::new(config.validate()?, policy),
             states: vec![CoreState::Idle; config.n_cores],
             mem_queue: VecDeque::new(),
             mem_done_at: None,
-            resp_queue: VecDeque::new(),
-            pending_posts: Vec::new(),
             config,
         })
     }
@@ -201,86 +174,41 @@ impl SplitBus {
         &self.inner
     }
 
-    /// Whether `core` can accept a new request.
-    pub fn is_idle(&self, core: CoreId) -> bool {
-        self.states[core.index()] == CoreState::Idle
-    }
-
-    /// Posts a request for `core`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BusError::AlreadyPending`] if the core's previous request
-    /// has not completed, or duration/core validation errors from the
-    /// underlying bus model.
-    pub fn post(&mut self, core: CoreId, request: SplitRequest) -> Result<(), BusError> {
-        if core.index() >= self.config.n_cores {
-            return Err(BusError::UnknownCore(core));
-        }
-        if !self.is_idle(core) {
-            return Err(BusError::AlreadyPending(core));
-        }
-        // The actual bus posting happens inside `end_cycle` (we need
-        // `now`); store intent in the state machine.
-        self.states[core.index()] = match request {
-            SplitRequest::Immediate { duration } => {
-                validate_duration(duration, self.config.max_latency)?;
-                self.pending_posts
-                    .push((core, duration, RequestKind::L2ReadHit));
-                CoreState::OnBus
-            }
-            SplitRequest::Atomic { duration } => {
-                validate_duration(duration, self.config.max_latency)?;
-                self.pending_posts
-                    .push((core, duration, RequestKind::Atomic));
-                CoreState::OnBus
-            }
-            SplitRequest::Split => {
-                self.pending_posts
-                    .push((core, self.config.phase_cycles, RequestKind::L2MissClean));
-                CoreState::Command
-            }
-        };
-        Ok(())
-    }
-
     /// Resets the split bus for a fresh run, reusing the underlying bus's
-    /// trace/statistics buffers and this layer's queues (see
+    /// trace/statistics buffers and this layer's queue (see
     /// [`Bus::reset`]).
     pub fn reset(&mut self) {
         self.inner.reset();
         self.states.fill(CoreState::Idle);
         self.mem_queue.clear();
         self.mem_done_at = None;
-        self.resp_queue.clear();
-        self.pending_posts.clear();
     }
 }
 
-/// The split bus speaks the same cycle protocol as [`Bus`]; its clients
-/// post per core through [`SplitBus::post`].
+/// The split bus speaks the same cycle protocol as [`Bus`] and reports
+/// the same [`CompletedTransaction`]s.
 impl BusModel for SplitBus {
-    type Completion = SplitCompletion;
+    type Completion = CompletedTransaction;
 
-    /// Phase 1 of cycle `now`: reports the split request (if any) that
-    /// fully completed at `now`, advances the memory channel, and turns
-    /// finished memory accesses into privileged response-phase
-    /// reservations.
-    fn begin_cycle(&mut self, now: Cycle) -> Option<SplitCompletion> {
+    /// Phase 1 of cycle `now`: reports the request (if any) whose last
+    /// bus phase completed at `now`, queues the memory access of a
+    /// finished command phase, advances the memory channel, and turns a
+    /// finished memory access into a privileged response-phase
+    /// reservation.
+    fn begin_cycle(&mut self, now: Cycle) -> Option<CompletedTransaction> {
         let mut completion = None;
 
         // Bus completion drives the per-core state machine.
         if let Some(done) = self.inner.begin_cycle(now) {
-            let idx = done.core.index();
-            match self.states[idx] {
-                CoreState::OnBus | CoreState::Response => {
-                    self.states[idx] = CoreState::Idle;
-                    completion = Some(SplitCompletion { core: done.core });
+            let state = &mut self.states[done.core.index()];
+            match *state {
+                CoreState::LastPhase => {
+                    *state = CoreState::Idle;
+                    completion = Some(done);
                 }
                 CoreState::Command => {
-                    // Command phase finished: queue the memory access.
-                    self.states[idx] = CoreState::Memory;
-                    self.mem_queue.push_back(done.core);
+                    *state = CoreState::Memory;
+                    self.mem_queue.push_back((done.core, done.kind));
                 }
                 CoreState::Memory | CoreState::Idle => {
                     unreachable!("bus completion for a core not on the bus")
@@ -288,49 +216,29 @@ impl BusModel for SplitBus {
             }
         }
 
-        // Memory channel: start/finish accesses (single channel, FIFO).
-        if let Some(done_at) = self.mem_done_at {
-            if now >= done_at {
-                let core = self.mem_queue.pop_front().expect("head in service");
-                self.mem_done_at = None;
-                // Response phase needs the bus again.
-                self.resp_queue.push_back(core);
-            }
+        // Memory channel (single channel, FIFO). A finished access
+        // re-acquires the bus through the privileged port: it already won
+        // arbitration for the transfer during its command phase, so its
+        // response is served ahead of fresh requests and is not
+        // budget-gated (budgets still drain while it holds the bus).
+        if self.mem_done_at.is_some_and(|done_at| now >= done_at) {
+            let (core, kind) = self.mem_queue.pop_front().expect("head in service");
+            self.mem_done_at = None;
+            self.inner
+                .post_privileged(BusRequest::new(core, self.config.phase_cycles, kind, now))
+                .expect("validated core and phase");
+            self.states[core.index()] = CoreState::LastPhase;
         }
         if self.mem_done_at.is_none() && !self.mem_queue.is_empty() {
             self.mem_done_at = Some(now + self.config.mem_latency as Cycle);
         }
 
-        // Responses re-acquire the bus through the privileged port: they
-        // already won arbitration for the transfer during their command
-        // phase, so they are served FIFO ahead of fresh requests and are
-        // not budget-gated (budgets still drain while they hold the bus).
-        while let Some(core) = self.resp_queue.pop_front() {
-            self.inner
-                .post_privileged(BusRequest::new(
-                    core,
-                    self.config.phase_cycles,
-                    RequestKind::L2MissClean,
-                    now,
-                ))
-                .expect("validated core and phase");
-            self.states[core.index()] = CoreState::Response;
-        }
-
         completion
     }
 
-    /// Phase 3 of cycle `now`: submits the requests accepted by
-    /// [`SplitBus::post`] since the last cycle and runs the underlying
-    /// bus's arbitration. Returns the core granted the bus at `now`, if
-    /// any.
+    /// Phase 3 of cycle `now`: the underlying bus's arbitration. Returns
+    /// the core granted the bus at `now`, if any.
     fn end_cycle(&mut self, now: Cycle) -> Option<CoreId> {
-        let posts = std::mem::take(&mut self.pending_posts);
-        for (core, duration, kind) in posts {
-            self.inner
-                .post(BusRequest::new(core, duration, kind, now))
-                .expect("state machine enforces one outstanding request");
-        }
         self.inner.end_cycle(now)
     }
 
@@ -341,22 +249,11 @@ impl BusModel for SplitBus {
 
     /// The split bus's event horizon (see [`BusModel::next_event`]): the
     /// earlier of the underlying bus's event and the memory channel's
-    /// completion. Any queued hand-off (an accepted post awaiting
-    /// submission, a response awaiting its privileged reservation, or a
-    /// memory access awaiting service) resolves next cycle, so those
-    /// states report `now + 1` (no skipping).
+    /// completion. `begin_cycle` starts a queued access at once, so the
+    /// channel is in service whenever its queue is not empty.
     fn next_event(&mut self, now: Cycle) -> Option<Cycle> {
-        if !self.pending_posts.is_empty() || !self.resp_queue.is_empty() {
-            return Some(now + 1);
-        }
-        if self.mem_done_at.is_none() && !self.mem_queue.is_empty() {
-            return Some(now + 1);
-        }
         let inner = self.inner.next_event(now)?;
-        Some(match self.mem_done_at {
-            Some(t) => inner.min(t),
-            None => inner,
-        })
+        Some(self.mem_done_at.map_or(inner, |t| inner.min(t)))
     }
 
     /// Bulk-advances the uneventful range on the underlying bus; the split
@@ -371,14 +268,40 @@ impl BusModel for SplitBus {
     }
 }
 
-fn validate_duration(duration: u32, maxl: u32) -> Result<(), BusError> {
-    if duration == 0 || duration > maxl {
-        Err(BusError::DurationOutOfRange {
-            got: duration,
-            max: maxl,
-        })
-    } else {
+impl RequestPort for SplitBus {
+    /// Posts a request (phase 2 of the cycle protocol) straight to the
+    /// underlying bus: a split kind as its command phase, any other kind
+    /// as it is.
+    ///
+    /// # Errors
+    ///
+    /// * [`BusError::UnknownCore`] — request core outside the platform;
+    /// * [`BusError::DurationOutOfRange`] — duration 0 or above MaxL,
+    ///   checked for every kind, split or not;
+    /// * [`BusError::AlreadyPending`] — the core's previous request has
+    ///   not completed.
+    fn post(&mut self, req: BusRequest) -> Result<(), BusError> {
+        self.inner.check(&req)?;
+        let core = req.core();
+        if !self.can_accept(core) {
+            return Err(BusError::AlreadyPending(core));
+        }
+        let (phase, state) = match req.kind() {
+            RequestKind::L2MissClean | RequestKind::L2MissDirty => (
+                BusRequest::new(core, self.config.phase_cycles, req.kind(), req.issued_at()),
+                CoreState::Command,
+            ),
+            _ => (req, CoreState::LastPhase),
+        };
+        self.inner.post(phase)?;
+        self.states[core.index()] = state;
         Ok(())
+    }
+
+    /// Whether `core` may post: its previous request, in whatever phase,
+    /// has completed.
+    fn can_accept(&self, core: CoreId) -> bool {
+        self.states[core.index()] == CoreState::Idle
     }
 }
 
@@ -395,8 +318,18 @@ mod tests {
         SplitBus::new(SplitBusConfig::paper(), PolicyKind::RoundRobin.build(4, 56)).unwrap()
     }
 
+    /// A clean L2 miss of `core` issued at `now`: a split request.
+    fn miss(core: usize, now: Cycle) -> BusRequest {
+        BusRequest::new(c(core), 28, RequestKind::L2MissClean, now)
+    }
+
+    /// An unsplit request of `core` holding the bus for `duration` cycles.
+    fn held(core: usize, duration: u32, kind: RequestKind, now: Cycle) -> BusRequest {
+        BusRequest::new(c(core), duration, kind, now)
+    }
+
     /// One cycle with no posts between its phases; returns the completion.
-    fn step(bus: &mut SplitBus, now: Cycle) -> Option<SplitCompletion> {
+    fn step(bus: &mut SplitBus, now: Cycle) -> Option<CompletedTransaction> {
         let completed = bus.begin_cycle(now);
         bus.end_cycle(now);
         completed
@@ -410,19 +343,28 @@ mod tests {
         cfg = SplitBusConfig::paper();
         cfg.phase_cycles = 57;
         assert!(cfg.validate().is_err());
-        assert!(SplitBusConfig::paper().validate().is_ok());
+        // The bus-level bounds are `BusConfig::new`'s: what `validate`
+        // accepts, `SplitBus::new` builds.
+        cfg = SplitBusConfig::paper();
+        cfg.n_cores = CoreId::MAX_CORES + 1;
+        assert!(cfg.validate().is_err());
+        cfg = SplitBusConfig::paper();
+        cfg.max_latency = BusRequest::MAX_DURATION + 1;
+        assert!(cfg.validate().is_err());
+        let paper = SplitBusConfig::paper();
+        assert_eq!(paper.validate(), BusConfig::new(4, 56));
     }
 
     #[test]
     fn split_transaction_releases_the_bus_during_memory() {
         let mut bus = mk();
-        bus.post(c(0), SplitRequest::Split).unwrap();
+        bus.post(miss(0, 0)).unwrap();
         let mut done = None;
         for now in 0..200u64 {
             if let Some(comp) = step(&mut bus, now) {
-                if comp.core == c(0) {
-                    done = Some(now);
-                }
+                assert_eq!(comp.kind, RequestKind::L2MissClean, "the posted kind");
+                assert_eq!(comp.duration, 5, "the response phase");
+                done = Some(now);
             }
         }
         let done = done.expect("split request completes");
@@ -436,17 +378,21 @@ mod tests {
     #[test]
     fn immediate_and_atomic_hold_end_to_end() {
         let mut bus = mk();
-        bus.post(c(0), SplitRequest::Immediate { duration: 5 })
-            .unwrap();
-        bus.post(c(1), SplitRequest::Atomic { duration: 56 })
-            .unwrap();
+        bus.post(held(0, 5, RequestKind::L2ReadHit, 0)).unwrap();
+        bus.post(held(1, 56, RequestKind::Atomic, 0)).unwrap();
+        let mut completions = Vec::new();
         for now in 0..200u64 {
-            step(&mut bus, now);
+            completions.extend(step(&mut bus, now));
         }
         assert_eq!(bus.inner().trace().busy_cycles(c(0)), 5);
         assert_eq!(bus.inner().trace().slots(c(0)), 1);
         assert_eq!(bus.inner().trace().busy_cycles(c(1)), 56);
         assert_eq!(bus.inner().trace().slots(c(1)), 1);
+        let kinds: Vec<_> = completions.iter().map(|t| (t.kind, t.duration)).collect();
+        assert_eq!(
+            kinds,
+            [(RequestKind::L2ReadHit, 5), (RequestKind::Atomic, 56)]
+        );
     }
 
     #[test]
@@ -454,8 +400,9 @@ mod tests {
         // Two split requests back to back: their memory accesses overlap on
         // the bus side but serialize at the single memory channel.
         let mut bus = mk();
-        bus.post(c(0), SplitRequest::Split).unwrap();
-        bus.post(c(1), SplitRequest::Split).unwrap();
+        bus.post(miss(0, 0)).unwrap();
+        bus.post(BusRequest::new(c(1), 56, RequestKind::L2MissDirty, 0))
+            .unwrap();
         let mut done = [None, None];
         for now in 0..300u64 {
             if let Some(comp) = step(&mut bus, now) {
@@ -469,34 +416,39 @@ mod tests {
         // But both commands were on the bus within the first ~15 cycles:
         // the split bus overlaps command phases with memory service.
         assert!(d1.min(d0) <= 45);
+        // The dirty miss splits too: two 5-cycle phases on the bus.
+        assert_eq!(bus.inner().trace().busy_cycles(c(1)), 10);
     }
 
     #[test]
     fn double_post_rejected_until_completion() {
         let mut bus = mk();
-        bus.post(c(0), SplitRequest::Split).unwrap();
+        bus.post(miss(0, 0)).unwrap();
+        assert!(!bus.can_accept(c(0)));
         assert!(matches!(
-            bus.post(c(0), SplitRequest::Split),
+            bus.post(held(0, 5, RequestKind::L2ReadHit, 0)),
             Err(BusError::AlreadyPending(_))
         ));
         for now in 0..100u64 {
+            if now == 20 {
+                // In the memory phase the core holds nothing on the bus,
+                // but its request has not completed.
+                assert!(!bus.inner().has_pending(c(0)));
+                assert!(!bus.can_accept(c(0)));
+            }
             step(&mut bus, now);
         }
-        assert!(bus.is_idle(c(0)));
-        assert!(bus.post(c(0), SplitRequest::Split).is_ok());
+        assert!(bus.can_accept(c(0)));
+        assert!(bus.post(miss(0, 100)).is_ok());
     }
 
     #[test]
     fn cba_filter_composes_with_the_split_bus() {
-        // The credit filter applies to bus acquisitions: with three
-        // atomic-hammering cores and one short-request core, no core may
-        // exceed 1/N of the *bus* cycles.
+        // The credit filter applies to bus acquisitions; the integration
+        // tests run the real one. Here, verify the filter hook works at
+        // all on the split bus with a throttling filter.
         use crate::policy::EligibilityFilter;
 
-        /// Minimal credit filter reimplementation is not needed — use a
-        /// veto-free budget check through the real `cba` crate in the
-        /// integration tests; here, verify the filter hook works at all on
-        /// the split bus with a throttling filter.
         #[derive(Debug)]
         struct EveryOtherHundred;
         impl EligibilityFilter for EveryOtherHundred {
@@ -513,17 +465,16 @@ mod tests {
         }
         let mut bus = mk();
         bus.set_filter(Box::new(EveryOtherHundred));
-        bus.post(c(1), SplitRequest::Atomic { duration: 56 })
-            .unwrap();
+        bus.post(held(1, 56, RequestKind::Atomic, 0)).unwrap();
         // Posted at cycle 0 (eligible window), so it runs; repost in an
         // odd window and it must wait for the next even one.
         let mut completed_at = None;
         for now in 0..500u64 {
-            if now == 130 && bus.is_idle(c(1)) {
-                bus.post(c(1), SplitRequest::Atomic { duration: 56 })
-                    .unwrap();
+            let done = bus.begin_cycle(now);
+            if now == 130 && bus.can_accept(c(1)) {
+                bus.post(held(1, 56, RequestKind::Atomic, now)).unwrap();
             }
-            let done = step(&mut bus, now);
+            bus.end_cycle(now);
             if done.is_some() && now > 130 {
                 completed_at = completed_at.or(Some(now));
             }
@@ -538,10 +489,9 @@ mod tests {
     #[test]
     fn next_event_covers_the_memory_channel() {
         let mut bus = mk();
-        bus.post(c(0), SplitRequest::Split).unwrap();
-        // The accepted post is submitted at the next tick: no skipping.
-        assert_eq!(bus.next_event(0), Some(1));
-        step(&mut bus, 0); // command phase granted: bus busy [0, 5)
+        bus.begin_cycle(0);
+        bus.post(miss(0, 0)).unwrap();
+        bus.end_cycle(0); // command phase granted: bus busy [0, 5)
         assert_eq!(bus.next_event(0), Some(5));
         for now in 1..=5u64 {
             step(&mut bus, now);
@@ -550,31 +500,30 @@ mod tests {
         // the same begin_cycle: the 28-cycle memory completion bounds the
         // horizon while the bus itself is idle.
         assert_eq!(bus.next_event(5), Some(5 + 28));
-        // At the memory completion the response queues; the privileged
-        // reservation then forbids skipping until it is granted.
+        // The memory completion reserves the response phase, which the
+        // idle bus grants the same cycle.
         for now in 6..=33u64 {
             step(&mut bus, now);
         }
         assert_eq!(bus.inner().trace().slots(c(0)), 2, "response granted");
+        assert_eq!(bus.next_event(33), Some(33 + 5));
     }
 
     #[test]
     fn reset_clears_split_state_and_reuses_buffers() {
         let mut bus = mk();
-        bus.post(c(0), SplitRequest::Split).unwrap();
-        bus.post(c(1), SplitRequest::Atomic { duration: 56 })
-            .unwrap();
+        bus.post(miss(0, 0)).unwrap();
+        bus.post(held(1, 56, RequestKind::Atomic, 0)).unwrap();
         for now in 0..20u64 {
             step(&mut bus, now);
         }
         bus.reset();
-        assert!(bus.is_idle(c(0)));
-        assert!(bus.is_idle(c(1)));
+        assert!(bus.can_accept(c(0)));
+        assert!(bus.can_accept(c(1)));
         assert_eq!(bus.inner().trace().total_slots(), 0);
         assert_eq!(bus.inner().total_cycles(), 0);
         // A fresh run from cycle 0 behaves like a new bus.
-        bus.post(c(0), SplitRequest::Immediate { duration: 5 })
-            .unwrap();
+        bus.post(held(0, 5, RequestKind::L2ReadHit, 0)).unwrap();
         for now in 0..10u64 {
             step(&mut bus, now);
         }
@@ -590,21 +539,18 @@ mod tests {
         let horizon = 50_000u64;
         let mut short_done = 0u64;
         for now in 0..horizon {
-            if bus.is_idle(c(0)) {
-                bus.post(c(0), SplitRequest::Immediate { duration: 5 })
-                    .unwrap();
+            if bus.begin_cycle(now).is_some_and(|comp| comp.core == c(0)) {
+                short_done += 1;
+            }
+            if bus.can_accept(c(0)) {
+                bus.post(held(0, 5, RequestKind::L2ReadHit, now)).unwrap();
             }
             for i in 1..4 {
-                if bus.is_idle(c(i)) {
-                    bus.post(c(i), SplitRequest::Atomic { duration: 56 })
-                        .unwrap();
+                if bus.can_accept(c(i)) {
+                    bus.post(held(i, 56, RequestKind::Atomic, now)).unwrap();
                 }
             }
-            if let Some(comp) = step(&mut bus, now) {
-                if comp.core == c(0) {
-                    short_done += 1;
-                }
-            }
+            bus.end_cycle(now);
         }
         let share = bus.inner().trace().busy_cycles(c(0)) as f64 / horizon as f64;
         assert!(

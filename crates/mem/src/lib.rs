@@ -6,14 +6,12 @@ pub mod access;
 pub mod cache;
 pub mod coherence;
 pub mod hierarchy;
-pub mod l2;
 pub mod latency;
 
 pub use access::{AccessKind, MemAccess};
 pub use cache::{CacheConfig, CacheOutcome, Placement, Replacement, SetAssocCache, WritePolicy};
 pub use coherence::{shared_hub, CoherenceHub, MemoryConfig, MesiState, SharedHub};
 pub use hierarchy::{AccessOutcome, BusTransaction, CoreMemory, HierarchyConfig};
-pub use l2::PartitionedL2;
 pub use latency::LatencyModel;
 
 use std::fmt;

@@ -11,8 +11,8 @@
 //! random mixed traffic — across random seeds.
 
 use cba::{CreditConfig, CreditFilter};
-use cba_bus::split::{SplitBus, SplitBusConfig, SplitRequest};
-use cba_bus::PolicyKind;
+use cba_bus::split::{SplitBus, SplitBusConfig};
+use cba_bus::{BusRequest, CompletedTransaction, PolicyKind, RequestKind, RequestPort};
 use cba_platform::scenario::ScenarioDef;
 use cba_platform::{run_once, RunResult, RunSpec};
 use sim_core::agent::FnAgent;
@@ -261,26 +261,29 @@ struct SplitRunView {
     total_cycles: u64,
 }
 
-/// Random mixed traffic (immediate / split / atomic) on the
+/// Random mixed traffic (L2 hits / split misses / atomics) on the
 /// split-transaction bus: completions, traces, wait statistics and cycle
-/// counters agree under every policy and with a credit filter attached.
+/// counters agree under every policy, with no filter, CBA and H-CBA.
 #[test]
 fn split_bus_runs_are_bit_identical() {
+    let filters = [
+        ("none", None),
+        ("CBA", Some(CreditConfig::homogeneous(4, 56).unwrap())),
+        ("H-CBA", Some(CreditConfig::paper_hcba(56).unwrap())),
+    ];
     for policy in [
         PolicyKind::RandomPermutation,
         PolicyKind::RoundRobin,
         PolicyKind::Tdma,
         PolicyKind::Lottery,
     ] {
-        for with_cba in [false, true] {
+        for (filter, credits) in &filters {
             for seed in [5u64, 99] {
                 let run = |engine: Engine| -> SplitRunView {
                     let mut bus =
                         SplitBus::new(SplitBusConfig::paper(), policy.build(4, 56)).unwrap();
-                    if with_cba {
-                        bus.set_filter(Box::new(CreditFilter::new(
-                            CreditConfig::homogeneous(4, 56).unwrap(),
-                        )));
+                    if let Some(credits) = credits {
+                        bus.set_filter(Box::new(CreditFilter::new(credits.clone())));
                     }
                     let mut rngs: Vec<SimRng> = (0..4)
                         .map(|i| SimRng::seed_from(seed).fork(i as u64))
@@ -288,22 +291,21 @@ fn split_bus_runs_are_bit_identical() {
                     let mut completions: Vec<(Cycle, usize)> = Vec::new();
                     let cycle_fn = |bus: &mut SplitBus,
                                     now: Cycle,
-                                    completed: Option<&cba_bus::split::SplitCompletion>|
+                                    completed: Option<&CompletedTransaction>|
                      -> Control {
                         if let Some(c) = completed {
                             completions.push((now, c.core.index()));
                         }
                         for (i, rng) in rngs.iter_mut().enumerate() {
                             let core = CoreId::from_index(i);
-                            if bus.is_idle(core) {
-                                let req = match rng.gen_range_u64(0..4) {
-                                    0 => SplitRequest::Immediate {
-                                        duration: rng.gen_range_u64(1..11) as u32,
-                                    },
-                                    1 | 2 => SplitRequest::Split,
-                                    _ => SplitRequest::Atomic { duration: 56 },
+                            if bus.can_accept(core) {
+                                let (kind, duration) = match rng.gen_range_u64(0..4) {
+                                    0 => (RequestKind::L2ReadHit, rng.gen_range_u64(1..11) as u32),
+                                    1 | 2 => (RequestKind::L2MissClean, 28),
+                                    _ => (RequestKind::Atomic, 56),
                                 };
-                                bus.post(core, req).unwrap();
+                                bus.post(BusRequest::new(core, duration, kind, now))
+                                    .unwrap();
                             }
                         }
                         // Every core now has a request in flight; only bus
@@ -332,7 +334,7 @@ fn split_bus_runs_are_bit_identical() {
                 let fast = run(Engine::Events);
                 assert_eq!(
                     naive, fast,
-                    "split-bus divergence: policy {policy:?}, cba {with_cba}, seed {seed}"
+                    "split-bus divergence: policy {policy:?}, filter {filter}, seed {seed}"
                 );
             }
         }

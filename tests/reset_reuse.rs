@@ -14,12 +14,16 @@ use std::sync::Arc;
 
 use cba::{CreditConfig, CreditFilter};
 use cba_bus::fabric::{Fabric, FabricConfig};
-use cba_bus::split::{SplitBus, SplitBusConfig, SplitRequest};
-use cba_bus::{Bus, BusConfig, BusModel, BusRequest, PolicyKind, RequestKind, RequestPort};
-use cba_cpu::{Contender, FixedRequestTask};
+use cba_bus::split::{SplitBus, SplitBusConfig};
+use cba_bus::{
+    Bus, BusConfig, BusModel, BusRequest, CompletedTransaction, PolicyKind, RequestKind,
+    RequestPort,
+};
+use cba_cpu::{Contender, FixedRequestTask, PeriodicContender};
+use sim_core::agent::FnAgent;
 use sim_core::lfsr::LfsrBank;
 use sim_core::rng::SimRng;
-use sim_core::{BoxedAgent, CoreId, Cycle, Engine, Simulation, StopWhen};
+use sim_core::{BoxedAgent, Control, CoreId, Cycle, Engine, Simulation, StopWhen};
 
 mod common;
 use common::{fabric_print, CountedContender};
@@ -116,35 +120,44 @@ fn bus_reset_reuse_equals_fresh_model() {
 fn split_bus_reset_reuse_equals_fresh_model() {
     let mk =
         || SplitBus::new(SplitBusConfig::paper(), PolicyKind::RoundRobin.build(4, 56)).unwrap();
-    let drive = |bus: &mut SplitBus| -> (Vec<(Cycle, usize)>, Fingerprint) {
+    // Each core posts at the multiples of its own period when it can:
+    // 6-cycle requests on cores 0 and 3, split misses on core 1 and
+    // unsplittable 56-cycle requests on core 2.
+    let drive = |bus: SplitBus| -> (SplitBus, Vec<(Cycle, usize)>, Fingerprint) {
         let mut completions = Vec::new();
-        for now in 0..5_000u64 {
-            if let Some(done) = bus.begin_cycle(now) {
-                completions.push((now, done.core.index()));
+        let misses = |bus: &mut SplitBus, now: Cycle, done: Option<&CompletedTransaction>| {
+            completions.extend(done.map(|done| (now, done.core.index())));
+            if now % 37 == 0 && bus.can_accept(c(1)) {
+                bus.post(BusRequest::new(c(1), 28, RequestKind::L2MissClean, now))
+                    .unwrap();
             }
-            bus.end_cycle(now);
-            for i in 0..4 {
-                if bus.is_idle(c(i)) && now % (30 + 7 * i as u64) == 0 {
-                    let req = match i % 3 {
-                        0 => SplitRequest::Immediate { duration: 6 },
-                        1 => SplitRequest::Split,
-                        _ => SplitRequest::Atomic { duration: 56 },
-                    };
-                    bus.post(c(i), req).unwrap();
-                }
-            }
-        }
+            Control::Continue
+        };
+        let sim = Simulation::builder()
+            .model(bus)
+            .agent(PeriodicContender::new(c(0), 6, 30, 0))
+            .agent(FnAgent(misses))
+            .agent(PeriodicContender::new(c(2), 56, 44, 0))
+            .agent(PeriodicContender::new(c(3), 6, 51, 0))
+            .stop(StopWhen::Horizon(5_000))
+            .run();
+        let (bus, ..) = sim.into_parts();
         let print = bus_fingerprint(bus.inner(), 4);
-        (completions, print)
+        (bus, completions, print)
     };
 
-    let mut fresh = mk();
-    let expected = drive(&mut fresh);
+    let (_, completions, print) = drive(mk());
+    let expected = (completions, print);
 
     let mut reused = mk();
     for round in 0..2 {
-        let got = drive(&mut reused);
-        assert_eq!(got, expected, "split bus round {round} diverged");
+        let (bus, completions, print) = drive(reused);
+        assert_eq!(
+            (completions, print),
+            expected,
+            "split bus round {round} diverged"
+        );
+        reused = bus;
         reused.reset();
     }
 }

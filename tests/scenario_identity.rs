@@ -19,6 +19,7 @@ use std::sync::Arc;
 
 use cba::{CreditConfig, CreditFilter};
 use cba_bus::fabric::{Fabric, FabricConfig};
+use cba_bus::split::{SplitBus, SplitBusConfig};
 use cba_bus::{Bus, BusConfig, BusModel, CompletedTransaction, PolicyKind, RequestPort};
 use cba_cpu::{Contender, FixedRequestTask, PeriodicContender};
 use cba_platform::agents::default_registry;
@@ -545,8 +546,9 @@ where
 
 /// `RunResult` carries no busy or stall counters, so the cases above
 /// cannot see an agent's accounting diverge; this compares every agent's
-/// `stats()` directly, on an 8-core bus (RP with CBA) and on a 4×4
-/// fabric (round robin with CBA on every segment).
+/// `stats()` directly, on an 8-core bus and an 8-core split bus (RP with
+/// CBA on an LFSR bank) and on a 4×4 fabric (round robin with CBA on
+/// every segment).
 #[test]
 fn naive_matches_events_on_every_agents_stats() {
     every_agents_stats_match(
@@ -563,6 +565,23 @@ fn naive_matches_events_on_every_agents_stats() {
             bus
         },
         |bus| [bus.idle_cycles(), bus.total_cycles()],
+    );
+    every_agents_stats_match(
+        8,
+        |seed| {
+            let config = SplitBusConfig {
+                n_cores: 8,
+                ..SplitBusConfig::paper()
+            };
+            let mut bus =
+                SplitBus::new(config, PolicyKind::RandomPermutation.build(8, 56)).unwrap();
+            bus.set_filter(Box::new(CreditFilter::new(
+                CreditConfig::homogeneous(8, 56).unwrap(),
+            )));
+            bus.set_random_source(Box::new(LfsrBank::new(16, seed).unwrap()));
+            bus
+        },
+        |bus| [bus.inner().idle_cycles(), bus.inner().total_cycles()],
     );
     every_agents_stats_match(
         16,
