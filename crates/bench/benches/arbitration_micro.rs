@@ -111,36 +111,31 @@ fn bench_decision() {
 }
 
 fn bench_bus_cycle() {
-    // Timed through the naive engine of `Simulation::run`, so every cycle
-    // is stepped: each call drives a bus saturated by four 28-cycle
-    // contenders for CYCLES_PER_ITER cycles, so divide the reported time
+    // Timed through the naive engine of `SimulationBuilder::run`, so every
+    // cycle is stepped: each call builds a 4-core bus and four 28-cycle
+    // contenders (far cheaper than the cycles) and drives the saturated
+    // bus for CYCLES_PER_ITER cycles, so divide the reported time
     // accordingly for the per-cycle cost.
     const CYCLES_PER_ITER: u64 = 4096;
     for (label, with_cba) in [("rp_x4096", false), ("rp_cba_x4096", true)] {
-        let mut bus = Bus::new(
-            BusConfig::new(4, 56).unwrap(),
-            PolicyKind::RandomPermutation.build(4, 56),
-        );
-        if with_cba {
-            bus.set_filter(Box::new(CreditFilter::new(
-                CreditConfig::homogeneous(4, 56).unwrap(),
-            )));
-        }
-        let mut builder = Simulation::builder()
-            .model(bus)
-            .engine(Engine::Naive)
-            .max_cycles(CYCLES_PER_ITER);
-        for i in 0..4 {
-            builder = builder.agent(Contender::new(CoreId::from_index(i), 28));
-        }
-        let mut sim = builder.build();
-        let mut rng = SimRng::seed_from(0);
         bench(&format!("bus_cycle/{label}"), || {
-            sim.model_mut().reset();
-            for agent in sim.agents_mut() {
-                agent.reset(&mut rng);
+            let mut bus = Bus::new(
+                BusConfig::new(4, 56).unwrap(),
+                PolicyKind::RandomPermutation.build(4, 56),
+            );
+            if with_cba {
+                bus.set_filter(Box::new(CreditFilter::new(
+                    CreditConfig::homogeneous(4, 56).unwrap(),
+                )));
             }
-            sim.run()
+            let mut builder = Simulation::builder()
+                .model(bus)
+                .engine(Engine::Naive)
+                .max_cycles(CYCLES_PER_ITER);
+            for i in 0..4 {
+                builder = builder.agent(Contender::new(CoreId::from_index(i), 28));
+            }
+            builder.run().outcome()
         });
     }
 }

@@ -64,16 +64,11 @@ impl BusConfig {
     pub fn n_cores(&self) -> usize {
         self.n_cores
     }
-
-    /// MaxL: the longest transaction duration the bus accepts.
-    pub fn max_latency(&self) -> u32 {
-        self.max_latency
-    }
 }
 
 /// Occupancy state of the bus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BusState {
+enum BusState {
     /// No transaction in flight.
     Idle,
     /// A non-split transaction holds the bus for cycles
@@ -123,12 +118,6 @@ impl WaitStats {
         self.granted[i] += 1;
         self.total_wait[i] += wait;
         self.max_wait[i] = self.max_wait[i].max(wait);
-    }
-
-    fn reset(&mut self) {
-        self.granted.iter_mut().for_each(|x| *x = 0);
-        self.total_wait.iter_mut().for_each(|x| *x = 0);
-        self.max_wait.iter_mut().for_each(|x| *x = 0);
     }
 
     /// Requests granted to `core`.
@@ -249,7 +238,7 @@ impl Bus {
         let all = CoreId::all_mask(self.config.n_cores);
         let last = self.filter.eligible(all, at) & all;
         match &mut self.flip_watch {
-            // Already watching (filter swap / reset): re-baseline the
+            // Already watching (filter swap): re-baseline the
             // verdicts but keep any buffered, not-yet-drained events.
             Some(watch) => watch.last = last,
             None => {
@@ -287,11 +276,6 @@ impl Bus {
     /// The static configuration.
     pub fn config(&self) -> &BusConfig {
         &self.config
-    }
-
-    /// Current occupancy state.
-    pub fn state(&self) -> BusState {
-        self.state
     }
 
     /// The core currently holding the bus, if any.
@@ -435,31 +419,6 @@ impl Bus {
         self.wait
             .record(req.core(), now.saturating_sub(req.issued_at()));
         self.filter.on_grant(req.core(), req.duration(), now);
-    }
-
-    /// Resets the bus (state, pending requests, statistics, policy and
-    /// filter state) for a fresh run, reusing the trace and statistics
-    /// buffers instead of reallocating them. The random source is *not*
-    /// reseeded — replace it via [`Bus::set_random_source`] for seed
-    /// control.
-    pub fn reset(&mut self) {
-        self.state = BusState::Idle;
-        self.pending.clear();
-        self.privileged.clear();
-        self.policy.reset();
-        self.filter.reset();
-        self.trace.clear();
-        self.wait.reset();
-        self.idle_cycles = 0;
-        self.total_cycles = 0;
-        self.in_cycle = false;
-        self.last_cycle = None;
-        if let Some(watch) = &mut self.flip_watch {
-            // Stale events belong to the finished run; re-baseline
-            // against the freshly reset filter.
-            watch.events.clear();
-            self.enable_flip_probe();
-        }
     }
 
     /// The bus's [`BusModel::limit_cycle_jump`]:
@@ -729,7 +688,7 @@ mod tests {
         assert!(BusConfig::new(4, BusRequest::MAX_DURATION + 1).is_err());
         let ok = BusConfig::new(4, 56).unwrap();
         assert_eq!(ok.n_cores(), 4);
-        assert_eq!(ok.max_latency(), 56);
+        assert_eq!(ok.max_latency, 56);
     }
 
     #[test]
@@ -900,20 +859,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_everything() {
-        let mut bus = rr_bus(2);
-        bus.post(req(0, 5, 0)).unwrap();
-        step(&mut bus, 0);
-        bus.reset();
-        assert_eq!(bus.owner(), None);
-        assert!(!bus.has_pending(c(0)));
-        assert_eq!(bus.total_cycles(), 0);
-        assert_eq!(bus.trace().total_slots(), 0);
-        // Cycle counter restarts from anywhere after reset.
-        step(&mut bus, 0);
-    }
-
-    #[test]
     #[should_panic(expected = "strictly increase")]
     fn non_monotonic_cycles_panic() {
         let mut bus = rr_bus(1);
@@ -1023,19 +968,6 @@ mod tests {
         step(&mut bus, 100);
         assert_eq!(bus.total_cycles(), 101);
         assert_eq!(bus.idle_cycles(), 101);
-    }
-
-    #[test]
-    fn reset_keeps_the_recording_mode_without_reallocating() {
-        let mut bus = rr_bus(2);
-        bus.enable_recording_trace();
-        bus.post(req(0, 5, 0)).unwrap();
-        step(&mut bus, 0);
-        assert_eq!(bus.trace().records().unwrap().len(), 1);
-        bus.reset();
-        assert!(bus.trace().records().is_some(), "still recording");
-        assert_eq!(bus.trace().records().unwrap().len(), 0);
-        assert_eq!(bus.trace().total_slots(), 0);
     }
 
     #[test]

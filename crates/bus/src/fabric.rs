@@ -173,21 +173,6 @@ impl FabricConfig {
     pub fn n_cores(&self) -> usize {
         self.clusters * self.cores_per_cluster
     }
-
-    /// MaxL: the longest transaction duration any segment accepts.
-    pub fn max_latency(&self) -> u32 {
-        self.max_latency
-    }
-
-    /// Store-and-forward delay of a bridge crossing, per direction.
-    pub fn bridge_latency(&self) -> u32 {
-        self.bridge_latency
-    }
-
-    /// Capacity of each bridge's request and response queues.
-    pub fn bridge_depth(&self) -> usize {
-        self.bridge_depth
-    }
 }
 
 /// A transaction crossing a bridge (either direction).
@@ -355,7 +340,7 @@ impl Fabric {
     }
 
     /// The cluster index of a global core.
-    pub fn cluster_of(&self, core: CoreId) -> usize {
+    fn cluster_of(&self, core: CoreId) -> usize {
         core.index() / self.config.cores_per_cluster
     }
 
@@ -365,7 +350,7 @@ impl Fabric {
     }
 
     /// Whether `core` has a transaction anywhere in the pipeline.
-    pub fn is_in_flight(&self, core: CoreId) -> bool {
+    fn is_in_flight(&self, core: CoreId) -> bool {
         self.in_flight.get(core.index()).copied().unwrap_or(false)
     }
 
@@ -385,17 +370,6 @@ impl Fabric {
         self.backbone.total_cycles()
     }
 
-    /// The originating core of the transaction holding the backbone, if
-    /// any.
-    pub fn owner(&self) -> Option<CoreId> {
-        self.backbone.owner().map(|bridge| {
-            self.bridges[bridge.index()]
-                .outstanding
-                .expect("busy bridge has an outstanding request")
-                .core
-        })
-    }
-
     /// Starts watching every cluster bus's eligibility filter for
     /// verdict flips (see [`Bus::enable_flip_probe`]); flips stream
     /// through [`BusModel::drain_events`] with cluster-local cores
@@ -405,25 +379,6 @@ impl Fabric {
         for bus in &mut self.clusters {
             bus.enable_flip_probe();
         }
-    }
-
-    /// Resets every segment, bridge and statistic for a fresh run, reusing
-    /// the trace buffers (see [`Bus::reset`]). Random sources are *not*
-    /// reseeded — replace them for seed control.
-    pub fn reset(&mut self) {
-        for bus in &mut self.clusters {
-            bus.reset();
-        }
-        self.backbone.reset();
-        for bridge in &mut self.bridges {
-            bridge.requests.clear();
-            bridge.outstanding = None;
-            bridge.responses.clear();
-        }
-        self.in_flight.iter_mut().for_each(|f| *f = false);
-        self.trace.clear();
-        self.in_cycle = false;
-        self.last_cycle = None;
     }
 }
 
@@ -747,7 +702,7 @@ mod tests {
         assert!(FabricConfig::new(2, 4, 56, 2, 0).is_err());
         let ok = FabricConfig::new(4, 4, 56, 3, 2).unwrap();
         assert_eq!(ok.n_cores(), 16);
-        assert_eq!(ok.bridge_latency(), 3);
+        assert_eq!(ok.bridge_latency, 3);
     }
 
     #[test]
@@ -946,44 +901,19 @@ mod tests {
     #[test]
     fn events_engine_matches_naive_bit_for_bit() {
         let run = |engine: Engine| -> (Vec<u64>, Vec<u64>, u64, u64) {
-            let mut sim = Simulation::builder()
+            let sim = Simulation::builder()
                 .model(rr_fabric(2, 3, 2, 2))
                 .agent(FnAgent(mixed_traffic()))
                 .engine(engine)
                 .max_cycles(20_000)
-                .build();
-            assert_eq!(sim.run().cycles, 20_000);
+                .run();
+            assert_eq!(sim.outcome().cycles, 20_000);
             let fabric = sim.model();
             let slots = (0..6).map(|i| fabric.trace().slots(c(i))).collect();
             let busy = (0..6).map(|i| fabric.trace().busy_cycles(c(i))).collect();
             (slots, busy, fabric.idle_cycles(), fabric.total_cycles())
         };
         assert_eq!(run(Engine::Naive), run(Engine::Events));
-    }
-
-    #[test]
-    fn reset_restores_a_fresh_fabric() {
-        let mut fabric = rr_fabric(2, 2, 2, 2);
-        fabric.post(req(0, 10, 0)).unwrap();
-        fabric.post(req(2, 56, 0)).unwrap();
-        for now in 0..15u64 {
-            step(&mut fabric, now);
-        }
-        fabric.reset();
-        assert_eq!(fabric.trace().total_slots(), 0);
-        assert_eq!(fabric.total_cycles(), 0);
-        assert!(!fabric.is_in_flight(c(0)));
-        assert!(!fabric.is_in_flight(c(2)));
-        // A fresh run from cycle 0 behaves like a new fabric.
-        fabric.post(req(3, 10, 0)).unwrap();
-        let mut done = None;
-        for now in 0..100u64 {
-            if fabric.begin_cycle(now).is_some() {
-                done = Some(now);
-            }
-            fabric.end_cycle(now);
-        }
-        assert_eq!(done, Some(10 + 2 + 10 + 2));
     }
 
     #[test]

@@ -9,7 +9,7 @@ pub mod policies;
 pub mod policy;
 pub mod split;
 
-pub use bus::{Bus, BusConfig, BusState, CompletedTransaction, WaitStats};
+pub use bus::{Bus, BusConfig, CompletedTransaction, WaitStats};
 pub use fabric::{Fabric, FabricConfig};
 pub use pending::PendingSet;
 pub use policy::{

@@ -25,11 +25,6 @@ impl PendingSet {
         }
     }
 
-    /// Number of cores this set was sized for.
-    pub fn n_cores(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Inserts a request.
     ///
     /// # Errors
@@ -57,11 +52,6 @@ impl PendingSet {
         req
     }
 
-    /// The pending request of `core`, if any.
-    pub fn get(&self, core: CoreId) -> Option<&BusRequest> {
-        self.slots.get(core.index()).and_then(Option::as_ref)
-    }
-
     /// Whether `core` has a pending request.
     pub fn contains(&self, core: CoreId) -> bool {
         self.mask & core.bit() != 0
@@ -71,11 +61,6 @@ impl PendingSet {
     #[inline]
     pub fn mask(&self) -> u64 {
         self.mask
-    }
-
-    /// Number of pending requests.
-    pub fn len(&self) -> usize {
-        self.mask.count_ones() as usize
     }
 
     /// Whether no request is pending.
@@ -102,13 +87,6 @@ impl PendingSet {
             req.issued_at += shift;
         }
     }
-
-    /// Clears all pending requests (used when resetting a platform between
-    /// Monte-Carlo runs).
-    pub fn clear(&mut self) {
-        self.slots.iter_mut().for_each(|s| *s = None);
-        self.mask = 0;
-    }
 }
 
 #[cfg(test)]
@@ -126,7 +104,7 @@ mod tests {
         assert!(p.is_empty());
         p.insert(req(2, 5, 10)).unwrap();
         assert!(p.contains(CoreId::from_index(2)));
-        assert_eq!(p.len(), 1);
+        assert_eq!(p.mask.count_ones(), 1);
         let r = p.remove(CoreId::from_index(2)).unwrap();
         assert_eq!(r.duration(), 5);
         assert!(p.is_empty());
@@ -161,21 +139,10 @@ mod tests {
         assert_eq!(p.mask(), 1 << 63 | 0b1001);
         let cores: Vec<usize> = p.iter().map(|r| r.core().index()).collect();
         assert_eq!(cores, vec![0, 3, 63]);
-        assert_eq!(p.len(), 3);
+        assert_eq!(p.mask.count_ones(), 3);
         p.remove(CoreId::from_index(3));
         p.remove(CoreId::from_index(5));
         assert_eq!(p.mask(), 1 << 63 | 1);
         assert!(!p.contains(CoreId::from_index(3)));
-        p.clear();
-        assert_eq!(p.mask(), 0);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut p = PendingSet::new(2);
-        p.insert(req(0, 5, 0)).unwrap();
-        p.insert(req(1, 5, 0)).unwrap();
-        p.clear();
-        assert!(p.is_empty());
     }
 }

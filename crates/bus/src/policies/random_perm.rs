@@ -92,12 +92,6 @@ impl RandomPermutation {
         let first = self.order.iter().find(|&&idx| open >> idx & 1 != 0)?;
         Some(CoreId::from_index(*first))
     }
-
-    /// Cores already served in the current round, as a core mask (for
-    /// tests/inspection).
-    pub fn served(&self) -> u64 {
-        self.served
-    }
 }
 
 impl ArbitrationPolicy for RandomPermutation {
@@ -131,11 +125,6 @@ impl ArbitrationPolicy for RandomPermutation {
         if self.served == CoreId::all_mask(self.n_cores) {
             self.round_active = false;
         }
-    }
-
-    fn reset(&mut self) {
-        self.round_active = false;
-        self.served = 0;
     }
 }
 
@@ -242,16 +231,5 @@ mod tests {
             counts[w.index()] += 1;
         }
         assert_eq!(counts, [100, 100, 100, 100]);
-    }
-
-    #[test]
-    fn reset_cancels_round() {
-        let mut rp = RandomPermutation::new(2);
-        let mut rng = SimRng::seed_from(31);
-        let w = select(&mut rp, &[0, 1], 0, &mut rng).unwrap();
-        rp.on_grant(w, 0);
-        assert_eq!(rp.served(), w.bit());
-        rp.reset();
-        assert_eq!(rp.served(), 0);
     }
 }

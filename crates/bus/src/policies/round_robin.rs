@@ -50,11 +50,6 @@ impl RoundRobin {
         assert!(n_cores > 0, "n_cores must be positive");
         RoundRobin { n_cores, next: 0 }
     }
-
-    /// The core index at which the next search will start.
-    pub fn cursor(&self) -> usize {
-        self.next
-    }
 }
 
 impl ArbitrationPolicy for RoundRobin {
@@ -81,10 +76,6 @@ impl ArbitrationPolicy for RoundRobin {
 
     fn on_grant(&mut self, core: CoreId, _now: Cycle) {
         self.next = (core.index() + 1) % self.n_cores;
-    }
-
-    fn reset(&mut self) {
-        self.next = 0;
     }
 
     fn limit_cycle_state(&self, state: &mut Vec<u64>) -> bool {
@@ -150,14 +141,5 @@ mod tests {
         let min = counts.iter().min().unwrap();
         let max = counts.iter().max().unwrap();
         assert!(max - min <= 1, "counts: {counts:?}");
-    }
-
-    #[test]
-    fn reset_restores_cursor() {
-        let mut rr = RoundRobin::new(2);
-        rr.on_grant(CoreId::from_index(0), 0);
-        assert_eq!(rr.cursor(), 1);
-        rr.reset();
-        assert_eq!(rr.cursor(), 0);
     }
 }

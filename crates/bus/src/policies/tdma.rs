@@ -35,11 +35,6 @@ impl Tdma {
         Tdma { n_cores, slot_len }
     }
 
-    /// The slot length in cycles.
-    pub fn slot_len(&self) -> u32 {
-        self.slot_len
-    }
-
     /// The core owning the slot that contains cycle `now`.
     pub fn slot_owner(&self, now: Cycle) -> CoreId {
         let slot = now / self.slot_len as Cycle;
@@ -47,7 +42,7 @@ impl Tdma {
     }
 
     /// Whether `now` is the first cycle of a slot (the only grant point).
-    pub fn is_slot_start(&self, now: Cycle) -> bool {
+    fn is_slot_start(&self, now: Cycle) -> bool {
         now % self.slot_len as Cycle == 0
     }
 

@@ -85,9 +85,6 @@ pub trait ArbitrationPolicy: std::fmt::Debug {
         let _ = (core, now);
     }
 
-    /// Resets internal state for a fresh run.
-    fn reset(&mut self) {}
-
     /// Whether the policy is work-conserving (grants whenever a candidate
     /// exists). TDMA is the one built-in policy that is not.
     fn is_work_conserving(&self) -> bool {
@@ -215,9 +212,6 @@ pub trait EligibilityFilter: std::fmt::Debug {
         let _ = (now, pending);
         FilterHorizon::Unknown
     }
-
-    /// Resets internal state for a fresh run.
-    fn reset(&mut self) {}
 
     /// Limit-cycle hook of the bus (see
     /// [`Bus`](crate::Bus)'s `limit_cycle_state`): appends the filter's

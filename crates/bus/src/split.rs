@@ -163,25 +163,9 @@ impl SplitBus {
         self.inner.set_random_source(rng);
     }
 
-    /// Starts watching the underlying bus's eligibility filter for
-    /// verdict flips (see [`Bus::enable_flip_probe`]).
-    pub fn enable_flip_probe(&mut self) {
-        self.inner.enable_flip_probe();
-    }
-
     /// The underlying bus (occupancy trace, wait statistics).
     pub fn inner(&self) -> &Bus {
         &self.inner
-    }
-
-    /// Resets the split bus for a fresh run, reusing the underlying bus's
-    /// trace/statistics buffers and this layer's queue (see
-    /// [`Bus::reset`]).
-    pub fn reset(&mut self) {
-        self.inner.reset();
-        self.states.fill(CoreState::Idle);
-        self.mem_queue.clear();
-        self.mem_done_at = None;
     }
 }
 
@@ -507,27 +491,6 @@ mod tests {
         }
         assert_eq!(bus.inner().trace().slots(c(0)), 2, "response granted");
         assert_eq!(bus.next_event(33), Some(33 + 5));
-    }
-
-    #[test]
-    fn reset_clears_split_state_and_reuses_buffers() {
-        let mut bus = mk();
-        bus.post(miss(0, 0)).unwrap();
-        bus.post(held(1, 56, RequestKind::Atomic, 0)).unwrap();
-        for now in 0..20u64 {
-            step(&mut bus, now);
-        }
-        bus.reset();
-        assert!(bus.can_accept(c(0)));
-        assert!(bus.can_accept(c(1)));
-        assert_eq!(bus.inner().trace().total_slots(), 0);
-        assert_eq!(bus.inner().total_cycles(), 0);
-        // A fresh run from cycle 0 behaves like a new bus.
-        bus.post(held(0, 5, RequestKind::L2ReadHit, 0)).unwrap();
-        for now in 0..10u64 {
-            step(&mut bus, now);
-        }
-        assert_eq!(bus.inner().trace().busy_cycles(c(0)), 5);
     }
 
     #[test]

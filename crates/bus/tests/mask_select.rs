@@ -32,8 +32,6 @@ trait Reference {
 
     fn on_grant(&mut self, _core: CoreId) {}
 
-    fn reset(&mut self) {}
-
     fn next_grant_at(&self, _candidates: &[Candidate], _now: Cycle) -> Option<Cycle> {
         None
     }
@@ -67,10 +65,6 @@ impl Reference for RoundRobin {
 
     fn on_grant(&mut self, core: CoreId) {
         self.next = (core.index() + 1) % self.n_cores;
-    }
-
-    fn reset(&mut self) {
-        self.next = 0;
     }
 }
 
@@ -189,11 +183,6 @@ impl Reference for RandomPermutation {
             self.round_active = false;
         }
     }
-
-    fn reset(&mut self) {
-        self.round_active = false;
-        self.served.iter_mut().for_each(|s| *s = false);
-    }
 }
 
 struct FixedPriority;
@@ -304,10 +293,6 @@ fn mask_select_matches_the_slice_reference() {
                             "next grant: {at}"
                         ),
                         None => {}
-                    }
-                    if setup.gen_bool(0.002) {
-                        policy.reset();
-                        reference.reset();
                     }
                     now += setup.gen_range_u64(1..4);
                 }

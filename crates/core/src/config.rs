@@ -82,7 +82,7 @@ pub struct CreditConfig {
 impl CreditConfig {
     /// Largest accepted cap multiplier (a 16-burst allowance is already far
     /// beyond anything the paper discusses).
-    pub const MAX_CAP_MULTIPLIER: u32 = 16;
+    const MAX_CAP_MULTIPLIER: u32 = 16;
 
     /// Base CBA: `n_cores` cores with equal `1/N` recovery and caps at
     /// `MaxL`.
@@ -157,8 +157,7 @@ impl CreditConfig {
     /// # Errors
     ///
     /// Returns [`CbaError::InvalidConfig`] if the vector length differs
-    /// from the core count or any multiplier is 0 or above
-    /// [`Self::MAX_CAP_MULTIPLIER`].
+    /// from the core count or any multiplier is 0 or above 16.
     pub fn with_cap_multipliers(mut self, multipliers: Vec<u32>) -> Result<Self, CbaError> {
         if multipliers.len() != self.n_cores {
             return Err(CbaError::InvalidConfig(format!(
@@ -203,11 +202,6 @@ impl CreditConfig {
     /// MaxL: the longest possible bus transaction, in cycles.
     pub fn max_latency(&self) -> u32 {
         self.max_latency
-    }
-
-    /// The recovery weights.
-    pub fn weights(&self) -> &BandwidthWeights {
-        &self.weights
     }
 
     /// The common denominator of the scaled-integer scheme (`N` for
@@ -256,18 +250,6 @@ impl CreditConfig {
     pub fn scaled_cap(&self, core: CoreId) -> u64 {
         assert!(core.index() < self.n_cores, "{core} outside platform");
         self.cap_multipliers[core.index()] as u64 * self.scaled_threshold()
-    }
-
-    /// Core `i`'s cap multiplier `k_i`.
-    pub fn cap_multiplier(&self, core: CoreId) -> u32 {
-        self.cap_multipliers[core.index()]
-    }
-
-    /// Whether this is the base (homogeneous weights, unit caps)
-    /// configuration.
-    pub fn is_homogeneous(&self) -> bool {
-        matches!(self.weights, BandwidthWeights::Homogeneous)
-            && self.cap_multipliers.iter().all(|&k| k == 1)
     }
 
     /// Width in bits of the per-core hardware budget counter:
@@ -329,7 +311,6 @@ mod tests {
         assert_eq!(cfg.scaled_threshold(), 224);
         assert_eq!(cfg.scaled_cap(c(0)), 224);
         assert_eq!(cfg.counter_bits(), 8, "paper: 8-bit budget counter");
-        assert!(cfg.is_homogeneous());
         assert_eq!(cfg.scheme_name(), "CBA");
     }
 
@@ -343,7 +324,6 @@ mod tests {
         assert!((cfg.bandwidth_fraction(c(1)) - 1.0 / 6.0).abs() < 1e-12);
         assert_eq!(cfg.scaled_threshold(), 336);
         assert_eq!(cfg.scheme_name(), "H-CBA");
-        assert!(!cfg.is_homogeneous());
     }
 
     #[test]

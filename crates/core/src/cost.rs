@@ -9,7 +9,7 @@
 //!
 //! * per core: one saturating budget counter (`counter_bits` flip-flops,
 //!   one adder, one subtractor, one saturation comparator), one threshold
-//!   comparator, and one `COMP` latch with its set/reset gating;
+//!   comparator, and one `COMP` latch with its set/clear gating;
 //! * shared: mode register and the `REQ`-forcing gates of WCET mode.
 //!
 //! The LUT estimate uses the standard 1 LUT ≈ 1 bit of ripple
@@ -47,7 +47,7 @@ impl HardwareCost {
         let flip_flops = n * bits + n + 1;
         // LUTs per core: saturating increment adder (bits), conditional
         // subtractor (bits), saturation mux (bits), threshold comparator
-        // (bits), COMP set/reset gating (~2).
+        // (bits), COMP set/clear gating (~2).
         let per_core = 4 * bits + 2;
         // Shared control: eligibility masking into the arbiter (~1 LUT per
         // core) and WCET-mode REQ forcing (~1 per core).

@@ -75,11 +75,6 @@ impl CreditCounter {
         self.value
     }
 
-    /// The saturation cap.
-    pub fn cap(&self) -> u64 {
-        self.cap
-    }
-
     /// Whether the budget has reached `threshold` (the eligibility test;
     /// `threshold` is `den * MaxL`).
     #[inline]
@@ -132,11 +127,6 @@ impl CreditCounter {
         self.value = self
             .value
             .saturating_sub((self.den - self.num).saturating_mul(k));
-    }
-
-    /// Resets to `initial` (clamped to the cap).
-    pub fn reset(&mut self, initial: u64) {
-        self.value = initial.min(self.cap);
     }
 
     /// Cycles until the budget reaches `threshold` with no bus use

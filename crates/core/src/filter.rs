@@ -66,7 +66,6 @@ pub enum Mode {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CreditFilter {
-    config: CreditConfig,
     counters: Vec<CreditCounter>,
     /// The latched `COMP` bits of the contenders, as a core mask.
     comp: u64,
@@ -112,18 +111,7 @@ impl CreditFilter {
             threshold: config.scaled_threshold(),
             mode,
             name,
-            config,
         }
-    }
-
-    /// The filter's configuration.
-    pub fn config(&self) -> &CreditConfig {
-        &self.config
-    }
-
-    /// The operating mode.
-    pub fn mode(&self) -> Mode {
-        self.mode
     }
 
     /// Current scaled budget of `core` (the `BUDGi` register).
@@ -142,7 +130,7 @@ impl CreditFilter {
 
     /// Whether `core`'s budget has reached the `MaxL` eligibility
     /// threshold.
-    pub fn budget_full(&self, core: CoreId) -> bool {
+    fn budget_full(&self, core: CoreId) -> bool {
         self.counters[core.index()].is_at_least(self.threshold)
     }
 
@@ -284,12 +272,6 @@ impl EligibilityFilter for CreditFilter {
             Some(t) => FilterHorizon::At(t),
             None => FilterHorizon::Static,
         }
-    }
-
-    fn reset(&mut self) {
-        let config = self.config.clone();
-        let mode = self.mode;
-        *self = CreditFilter::with_mode(config, mode);
     }
 
     /// Budgets and latched `COMP` bits are the whole state, and nothing
@@ -491,21 +473,6 @@ mod tests {
             f.tick_helper(Some(c(0)), &empty);
         }
         assert!(!f.verdict(c(0), 0));
-    }
-
-    #[test]
-    fn reset_restores_mode_specific_initial_budgets() {
-        let cfg = CreditConfig::homogeneous(4, 56).unwrap();
-        let mut f = CreditFilter::with_mode(cfg, Mode::WcetEstimation { tua: c(0) });
-        let with_tua = pending_with(4, &[0]);
-        for now in 0..300 {
-            f.tick(now, None, &with_tua);
-        }
-        assert!(f.budget_full(c(0)));
-        f.reset();
-        assert_eq!(f.budget(c(0)), 0, "TuA back to zero budget");
-        assert_eq!(f.budget(c(1)), 224);
-        assert!(!f.comp(c(1)));
     }
 
     /// Bulk advance must equal iterated ticks — budgets *and* COMP bits —

@@ -14,14 +14,14 @@ use std::fmt;
 
 /// One row of the signal summary.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SignalRow {
+struct SignalRow {
     /// Signal name, e.g. `BUDG0` or `COMP1..3`.
-    pub signal: String,
+    signal: String,
     /// Update rule in the first column context (every cycle / WCET mode).
-    pub first: String,
+    first: String,
     /// Update rule in the second column context (when using bus /
     /// operation mode).
-    pub second: String,
+    second: String,
 }
 
 /// The generated Table I.
@@ -41,7 +41,6 @@ pub struct SignalRow {
 pub struct SignalTable {
     budget_rows: Vec<SignalRow>,
     mode_rows: Vec<SignalRow>,
-    threshold: u64,
     paper_threshold_note: Option<String>,
 }
 
@@ -120,29 +119,8 @@ impl SignalTable {
         SignalTable {
             budget_rows,
             mode_rows,
-            threshold,
             paper_threshold_note,
         }
-    }
-
-    /// Budget-register rows (`BUDGi`: every cycle / when using bus).
-    pub fn budget_rows(&self) -> &[SignalRow] {
-        &self.budget_rows
-    }
-
-    /// Mode rows (`COMPi`, `REQi`: WCET mode / operation mode).
-    pub fn mode_rows(&self) -> &[SignalRow] {
-        &self.mode_rows
-    }
-
-    /// The scaled eligibility threshold shown in the table.
-    pub fn threshold(&self) -> u64 {
-        self.threshold
-    }
-
-    /// The footnote flagging the paper's 228-vs-224 slip, when applicable.
-    pub fn paper_threshold_note(&self) -> Option<&str> {
-        self.paper_threshold_note.as_deref()
     }
 }
 
@@ -194,19 +172,18 @@ mod tests {
     fn paper_platform_table() {
         let cfg = CreditConfig::homogeneous(4, 56).unwrap();
         let t = SignalTable::new(&cfg);
-        assert_eq!(t.threshold(), 224);
-        assert_eq!(t.budget_rows().len(), 1, "homogeneous cores share one row");
-        assert_eq!(t.budget_rows()[0].signal, "BUDG0..3");
-        assert_eq!(t.budget_rows()[0].first, "min(BUDGi + 1, 224)");
-        assert_eq!(t.budget_rows()[0].second, "BUDGi - 4");
-        assert!(t.paper_threshold_note().is_some(), "flags the 228 slip");
+        assert_eq!(t.budget_rows.len(), 1, "homogeneous cores share one row");
+        assert_eq!(t.budget_rows[0].signal, "BUDG0..3");
+        assert_eq!(t.budget_rows[0].first, "min(BUDGi + 1, 224)");
+        assert_eq!(t.budget_rows[0].second, "BUDGi - 4");
+        assert!(t.paper_threshold_note.is_some(), "flags the 228 slip");
     }
 
     #[test]
     fn mode_rows_match_table_i() {
         let cfg = CreditConfig::homogeneous(4, 56).unwrap();
         let t = SignalTable::new(&cfg);
-        let rows = t.mode_rows();
+        let rows = &t.mode_rows;
         assert_eq!(rows[0].signal, "COMP0");
         assert_eq!(rows[0].first, "----");
         assert_eq!(rows[1].signal, "COMP1..3");
@@ -223,19 +200,19 @@ mod tests {
     fn hcba_table_splits_budget_rows() {
         let cfg = CreditConfig::paper_hcba(56).unwrap();
         let t = SignalTable::new(&cfg);
-        assert_eq!(t.budget_rows().len(), 2, "TuA has its own weight row");
-        assert_eq!(t.budget_rows()[0].signal, "BUDG0");
-        assert_eq!(t.budget_rows()[0].first, "min(BUDGi + 3, 336)");
-        assert_eq!(t.budget_rows()[0].second, "BUDGi - 6");
-        assert_eq!(t.budget_rows()[1].signal, "BUDG1..3");
-        assert_eq!(t.budget_rows()[1].first, "min(BUDGi + 1, 336)");
+        assert_eq!(t.budget_rows.len(), 2, "TuA has its own weight row");
+        assert_eq!(t.budget_rows[0].signal, "BUDG0");
+        assert_eq!(t.budget_rows[0].first, "min(BUDGi + 3, 336)");
+        assert_eq!(t.budget_rows[0].second, "BUDGi - 6");
+        assert_eq!(t.budget_rows[1].signal, "BUDG1..3");
+        assert_eq!(t.budget_rows[1].first, "min(BUDGi + 1, 336)");
     }
 
     #[test]
     fn no_note_for_other_platforms() {
         let cfg = CreditConfig::homogeneous(8, 40).unwrap();
         let t = SignalTable::new(&cfg);
-        assert!(t.paper_threshold_note().is_none());
+        assert!(t.paper_threshold_note.is_none());
     }
 
     #[test]
@@ -260,7 +237,7 @@ mod tests {
     fn two_core_platform_table() {
         let cfg = CreditConfig::homogeneous(2, 10).unwrap();
         let t = SignalTable::new(&cfg);
-        assert_eq!(t.threshold(), 20);
-        assert_eq!(t.mode_rows()[1].signal, "COMP1");
+        assert_eq!(t.mode_rows[1].signal, "COMP1");
+        assert_eq!(t.mode_rows[1].first, "BUDGi == 20 AND REQ0 == 1");
     }
 }

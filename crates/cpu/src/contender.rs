@@ -3,7 +3,6 @@
 
 use cba_bus::{BusRequest, CompletedTransaction, RequestKind, RequestPort};
 use sim_core::agent::{AgentStats, SimAgent};
-use sim_core::rng::SimRng;
 use sim_core::{Control, CoreId, Cycle};
 
 /// A worst-case contender: always has a `duration`-cycle request posted,
@@ -56,20 +55,10 @@ impl Contender {
             grants: 0,
         }
     }
-
-    /// The contender's core.
-    pub fn core(&self) -> CoreId {
-        self.core
-    }
-
-    /// Requests granted so far.
-    pub fn grants(&self) -> u64 {
-        self.grants
-    }
 }
 
 /// The open client-side interface: a saturating contender never
-/// finishes, sleeps until bus events, and resets to zero grants. Generic
+/// finishes and sleeps until bus events. Generic
 /// over the [`RequestPort`], so the same contender saturates a flat bus or
 /// one cluster of a hierarchical fabric.
 impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for Contender {
@@ -107,10 +96,6 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for Contender {
         false
     }
 
-    fn reset(&mut self, _rng: &mut SimRng) {
-        self.grants = 0;
-    }
-
     fn stats(&self) -> AgentStats {
         AgentStats {
             completed: self.grants,
@@ -141,7 +126,6 @@ pub struct PeriodicContender {
     core: CoreId,
     duration: u32,
     period: Cycle,
-    phase: Cycle,
     next_issue: Cycle,
     grants: u64,
 }
@@ -160,25 +144,14 @@ impl PeriodicContender {
             core,
             duration,
             period,
-            phase,
             next_issue: phase,
             grants: 0,
         }
     }
-
-    /// The contender's core.
-    pub fn core(&self) -> CoreId {
-        self.core
-    }
-
-    /// Requests granted so far.
-    pub fn grants(&self) -> u64 {
-        self.grants
-    }
 }
 
 /// The open client-side interface: a periodic contender never finishes
-/// and resets to its construction-time phase.
+/// and sleeps until its next issue boundary.
 impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for PeriodicContender {
     /// Posts at each issue boundary. The contender must be ticked at its
     /// next boundary (the issue is *skipped*, not deferred, when its
@@ -216,11 +189,6 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for PeriodicCont
 
     fn is_done(&self) -> bool {
         false
-    }
-
-    fn reset(&mut self, _rng: &mut SimRng) {
-        self.next_issue = self.phase;
-        self.grants = 0;
     }
 
     fn stats(&self) -> AgentStats {
@@ -265,7 +233,7 @@ mod tests {
             bus.end_cycle(now);
         }
         assert_eq!(bus.idle_cycles(), 0);
-        assert_eq!(k.grants(), 5600 / 56 - 1, "back-to-back MaxL grants");
+        assert_eq!(k.grants, 5600 / 56 - 1, "back-to-back MaxL grants");
     }
 
     #[test]
@@ -303,14 +271,6 @@ mod tests {
         }
         assert_eq!(bus.trace().slots(c(0)), 10, "one request per 100 cycles");
         assert_eq!(bus.trace().busy_cycles(c(0)), 50);
-    }
-
-    #[test]
-    fn reset_clears_grants() {
-        let mut k = Contender::new(c(0), 56);
-        k.grants = 5;
-        SimAgent::<Bus, _>::reset(&mut k, &mut SimRng::seed_from(0));
-        assert_eq!(k.grants(), 0);
     }
 
     #[test]

@@ -279,7 +279,7 @@ impl Core {
 }
 
 /// The open client-side interface: the full core model, with exact
-/// stall accounting under skipped stretches and an RNG-reseeding reset.
+/// stall accounting under skipped stretches.
 impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for Core {
     /// Advances the core by one cycle; the core may post a new bus
     /// request during the call.
@@ -398,24 +398,6 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for Core {
             }
             _ => {}
         }
-    }
-
-    /// Starts a fresh run: resets program position, reseeds the caches,
-    /// clears the store buffer and statistics.
-    ///
-    /// The caller must also reset/replace the bus; a pending request left
-    /// on the old bus is forgotten by the core.
-    fn reset(&mut self, rng: &mut SimRng) {
-        let mut mem_rng = rng.fork(0x11 + self.id.index() as u64);
-        self.mem.reseed(&mut mem_rng);
-        self.rng = rng.fork(0x1000 + self.id.index() as u64);
-        self.program.reset(&mut self.rng);
-        self.store_buffer.clear();
-        self.state = ExecState::Ready;
-        self.pending = None;
-        self.stats = CoreStats::default();
-        self.done_at = None;
-        self.cursor = 0;
     }
 
     fn stats(&self) -> AgentStats {
@@ -573,44 +555,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_reproduces_solo_runs_identically() {
-        let ops = vec![
-            Op::Compute(5),
-            Op::Access(MemAccess::load(0x100)),
-            Op::Access(MemAccess::store(0x200)),
-            Op::Compute(3),
-        ];
-        let mut rng = SimRng::seed_from(123);
-        let mut core = Core::new(
-            CoreId::from_index(0),
-            Box::new(ScriptProgram::new("t", ops)),
-            &HierarchyConfig::paper(),
-            LatencyModel::paper(),
-            &mut rng,
-        );
-        let mut durations = Vec::new();
-        for run in 0..2 {
-            let mut bus = Bus::new(
-                BusConfig::new(1, 56).unwrap(),
-                PolicyKind::RoundRobin.build(1, 56),
-            );
-            if run > 0 {
-                let mut run_rng = SimRng::seed_from(123);
-                SimAgent::<Bus, _>::reset(&mut core, &mut run_rng);
-            }
-            let mut now = 0;
-            while done_at(&core).is_none() && now < 1000 {
-                let completed = bus.begin_cycle(now);
-                core.tick(now, completed.as_ref(), &mut bus);
-                bus.end_cycle(now);
-                now += 1;
-            }
-            durations.push(done_at(&core).unwrap());
-        }
-        assert_eq!(durations[0], durations[1], "same seed, same timing");
-    }
-
-    #[test]
     fn private_ops_fold_into_one_stretch_that_ends_with_a_miss() {
         let ops = vec![
             Op::Compute(4),
@@ -655,7 +599,6 @@ mod tests {
         fn next_op(&mut self, _rng: &mut SimRng) -> Option<Op> {
             Some(Op::Compute(1))
         }
-        fn reset(&mut self, _rng: &mut SimRng) {}
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use cba_bus::{BusRequest, CompletedTransaction, RequestKind, RequestPort};
 use sim_core::agent::{AgentStats, SimAgent};
-use sim_core::rng::SimRng;
 use sim_core::{Control, CoreId, Cycle};
 
 /// A task issuing exactly `n_requests` bus transactions of a fixed
@@ -80,16 +79,6 @@ impl FixedRequestTask {
             done_at: None,
         }
     }
-
-    /// The task's core.
-    pub fn core(&self) -> CoreId {
-        self.core
-    }
-
-    /// Requests completed so far.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
 }
 
 /// The open client-side interface: the fixed-request task sleeps through
@@ -144,14 +133,6 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for FixedRequest
 
     fn is_done(&self) -> bool {
         matches!(self.state, FixedState::Done)
-    }
-
-    fn reset(&mut self, _rng: &mut SimRng) {
-        self.state = FixedState::Computing {
-            post_at: self.gap as Cycle,
-        };
-        self.completed = 0;
-        self.done_at = None;
     }
 
     fn stats(&self) -> AgentStats {
@@ -249,20 +230,8 @@ mod tests {
     fn completion_counting() {
         let mut tua = FixedRequestTask::new(c(0), 3, 7, 2);
         run(&mut tua, &mut rr_bus(), 100);
-        assert_eq!(tua.completed(), 3);
+        assert_eq!(tua.completed, 3);
         assert_eq!(done_at(&tua), Some(3 * 9));
-    }
-
-    #[test]
-    fn reset_restores_initial_state() {
-        let mut tua = FixedRequestTask::new(c(0), 5, 6, 4);
-        run(&mut tua, &mut rr_bus(), 1_000);
-        assert!(SimAgent::<Bus, _>::is_done(&tua));
-        SimAgent::<Bus, _>::reset(&mut tua, &mut SimRng::seed_from(0));
-        assert!(!SimAgent::<Bus, _>::is_done(&tua));
-        assert_eq!((tua.completed(), done_at(&tua)), (0, None));
-        run(&mut tua, &mut rr_bus(), 1_000);
-        assert_eq!(done_at(&tua), Some(50));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! The agent follows the same engine contract as [`Core`](crate::Core):
 //! absolute-time states, an exact sleep horizon in each tick's verdict and
 //! an `absorb_skipped` replay, so the naive and event-horizon engines agree
-//! bit for bit, and its `reset` is seed-equivalent to fresh construction.
+//! bit for bit.
 
 use cba_bus::{BusRequest, CompletedTransaction, RequestKind, RequestPort};
 use cba_mem::coherence::SHARED_LINE_BYTES;
@@ -111,21 +111,6 @@ impl MemAgent {
             rng: gen_rng,
             config,
         }
-    }
-
-    /// This agent's core identity.
-    pub fn id(&self) -> CoreId {
-        self.id
-    }
-
-    /// The memory-side counters.
-    pub fn mem_stats(&self) -> MemStats {
-        self.mstats
-    }
-
-    /// The private hierarchy (for inspection).
-    pub fn memory(&self) -> &CoreMemory {
-        &self.mem
     }
 
     /// Draws and executes the next access of the stream.
@@ -230,7 +215,7 @@ impl MemAgent {
 }
 
 /// The open client-side interface: miss-stream traffic with exact
-/// accounting under skipped stretches and an RNG-reseeding reset.
+/// accounting under skipped stretches.
 impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for MemAgent {
     /// Advances the agent by one cycle (the same protocol as the core
     /// model's).
@@ -311,28 +296,6 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for MemAgent {
         }
     }
 
-    /// Starts a fresh run: re-forks the RNG streams exactly as
-    /// construction does, resets the hierarchy, drops this core's shared
-    /// copies in the hub and clears all counters. Seed-equivalent to a
-    /// fresh [`MemAgent::new`] given the same `rng` stream.
-    fn reset(&mut self, rng: &mut SimRng) {
-        let mut mem_rng = rng.fork(0x11 + self.id.index() as u64);
-        self.mem.reset(&mut mem_rng);
-        self.rng = rng.fork(0x2000 + self.id.index() as u64);
-        if let Some(hub) = &self.hub {
-            hub.borrow_mut().reset_core(self.id);
-        }
-        self.state = State::Ready;
-        self.queue.clear();
-        self.issued = 0;
-        self.walk = 0;
-        self.mstats = MemStats::default();
-        self.busy_cycles = 0;
-        self.bus_stall_cycles = 0;
-        self.completed = 0;
-        self.done_at = None;
-    }
-
     fn stats(&self) -> AgentStats {
         AgentStats {
             completed: self.completed,
@@ -391,7 +354,7 @@ mod tests {
         );
         let (bus, _) = run_solo(&mut agent, 200_000);
         assert!(SimAgent::<Bus, _>::is_done(&agent));
-        let s = agent.mem_stats();
+        let s = agent.mstats;
         assert_eq!(s.accesses, 300);
         assert!(s.misses > 0, "cold caches must miss");
         assert!(s.misses <= s.accesses);
@@ -412,7 +375,7 @@ mod tests {
         );
         run_solo(&mut agent, 200_000);
         assert!(SimAgent::<Bus, _>::is_done(&agent));
-        let s = agent.mem_stats();
+        let s = agent.mstats;
         assert!(s.coherence > 0, "shared accesses must fetch coherently");
         assert!(s.coherence <= s.bus_txns);
         hub.borrow().check_invariants().expect("MESI safety");
@@ -434,7 +397,7 @@ mod tests {
             let mut agent = MemAgent::new(CoreId::from_index(0), config, lat, None, &mut rng);
             run_solo(&mut agent, 2_000_000);
             assert!(SimAgent::<Bus, _>::is_done(&agent));
-            let s = agent.mem_stats();
+            let s = agent.mstats;
             s.misses as f64 / s.accesses as f64
         };
         let small = miss_rate(512);
@@ -443,29 +406,5 @@ mod tests {
             small < large,
             "fitting working set must hit more: {small} vs {large}"
         );
-    }
-
-    #[test]
-    fn reset_is_seed_equivalent_to_fresh() {
-        let config = small_config();
-        let lat = LatencyModel::paper();
-        let mut rng = SimRng::seed_from(42);
-        let hub = shared_hub(1, 16);
-        let mut agent = MemAgent::new(
-            CoreId::from_index(0),
-            config.clone(),
-            lat,
-            Some(hub),
-            &mut rng,
-        );
-        let (_, cycles_a) = run_solo(&mut agent, 200_000);
-        let stats_a = agent.mem_stats();
-
-        let mut reset_rng = SimRng::seed_from(42);
-        // Consume the same prefix a fresh construction would have.
-        SimAgent::<Bus, _>::reset(&mut agent, &mut reset_rng);
-        let (_, cycles_b) = run_solo(&mut agent, 200_000);
-        assert_eq!(cycles_a, cycles_b, "reset must reproduce the run");
-        assert_eq!(stats_a, agent.mem_stats());
     }
 }

@@ -16,18 +16,15 @@ pub enum Op {
 /// A program: a (possibly randomized) generator of [`Op`]s.
 ///
 /// Programs are driven pull-style by a [`Core`](crate::Core); they may use
-/// the per-run RNG stream for randomized address patterns. A program must
-/// be restartable: [`Program::reset`] begins a statistically independent
-/// fresh run (the Monte-Carlo campaigns reset programs between runs).
+/// the per-run RNG stream for randomized address patterns. A program
+/// serves one run: the Monte-Carlo campaigns build a new program for
+/// every run.
 pub trait Program: std::fmt::Debug {
     /// Stable benchmark name (reports and plots key on it).
     fn name(&self) -> &str;
 
     /// The next operation, or `None` when the program completes.
     fn next_op(&mut self, rng: &mut SimRng) -> Option<Op>;
-
-    /// Restarts the program for a fresh run.
-    fn reset(&mut self, rng: &mut SimRng);
 }
 
 /// A fixed, scripted operation sequence — the simplest [`Program`].
@@ -50,8 +47,6 @@ pub trait Program: std::fmt::Debug {
 /// assert_eq!(p.next_op(&mut rng), Some(Op::Compute(3)));
 /// assert!(matches!(p.next_op(&mut rng), Some(Op::Access(_))));
 /// assert_eq!(p.next_op(&mut rng), None);
-/// p.reset(&mut rng);
-/// assert_eq!(p.next_op(&mut rng), Some(Op::Compute(3)));
 /// ```
 #[derive(Debug, Clone)]
 pub struct ScriptProgram {
@@ -78,16 +73,6 @@ impl ScriptProgram {
             pos: 0,
         }
     }
-
-    /// Number of operations in the script.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether the script is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
 }
 
 impl Program for ScriptProgram {
@@ -102,10 +87,6 @@ impl Program for ScriptProgram {
         }
         op
     }
-
-    fn reset(&mut self, _rng: &mut SimRng) {
-        self.pos = 0;
-    }
 }
 
 #[cfg(test)]
@@ -113,7 +94,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn script_yields_in_order_and_resets() {
+    fn script_yields_in_order() {
         let ops = vec![
             Op::Compute(1),
             Op::Access(MemAccess::store(0x10)),
@@ -126,8 +107,6 @@ mod tests {
         }
         assert_eq!(p.next_op(&mut rng), None);
         assert_eq!(p.next_op(&mut rng), None, "stays exhausted");
-        p.reset(&mut rng);
-        assert_eq!(p.next_op(&mut rng), Some(ops[0]));
     }
 
     #[test]
@@ -140,7 +119,6 @@ mod tests {
     fn empty_script_finishes_immediately() {
         let mut p = ScriptProgram::new("empty", vec![]);
         let mut rng = SimRng::seed_from(0);
-        assert!(p.is_empty());
         assert_eq!(p.next_op(&mut rng), None);
     }
 }

@@ -31,10 +31,6 @@ use std::collections::VecDeque;
 pub struct StoreBuffer {
     entries: VecDeque<BusTransaction>,
     capacity: usize,
-    /// High-water mark (for reports).
-    max_occupancy: usize,
-    /// Stores that found the buffer full (pipeline stalls).
-    full_stalls: u64,
 }
 
 impl StoreBuffer {
@@ -49,19 +45,7 @@ impl StoreBuffer {
         StoreBuffer {
             entries: VecDeque::with_capacity(capacity),
             capacity,
-            max_occupancy: 0,
-            full_stalls: 0,
         }
-    }
-
-    /// Capacity in entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Current occupancy.
-    pub fn len(&self) -> usize {
-        self.entries.len()
     }
 
     /// Whether the buffer is empty.
@@ -70,18 +54,16 @@ impl StoreBuffer {
     }
 
     /// Whether the buffer is full.
-    pub fn is_full(&self) -> bool {
+    fn is_full(&self) -> bool {
         self.entries.len() == self.capacity
     }
 
-    /// Enqueues a store; returns `false` (and counts a stall) if full.
+    /// Enqueues a store; returns `false` if full.
     pub fn push(&mut self, tx: BusTransaction) -> bool {
         if self.is_full() {
-            self.full_stalls += 1;
             return false;
         }
         self.entries.push_back(tx);
-        self.max_occupancy = self.max_occupancy.max(self.entries.len());
         true
     }
 
@@ -93,23 +75,6 @@ impl StoreBuffer {
     /// Removes the oldest store (after its bus transaction completed).
     pub fn pop(&mut self) -> Option<BusTransaction> {
         self.entries.pop_front()
-    }
-
-    /// High-water mark since creation/clear.
-    pub fn max_occupancy(&self) -> usize {
-        self.max_occupancy
-    }
-
-    /// Number of pushes rejected because the buffer was full.
-    pub fn full_stalls(&self) -> u64 {
-        self.full_stalls
-    }
-
-    /// Empties the buffer and statistics for a fresh run.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.max_occupancy = 0;
-        self.full_stalls = 0;
     }
 }
 
@@ -134,37 +99,6 @@ mod tests {
         assert_eq!(sb.pop().unwrap().duration, 1);
         assert_eq!(sb.pop().unwrap().duration, 2);
         assert_eq!(sb.front().unwrap().duration, 3);
-    }
-
-    #[test]
-    fn full_rejection_counts_stalls() {
-        let mut sb = StoreBuffer::new(1);
-        assert!(sb.push(tx(1)));
-        assert!(!sb.push(tx(2)));
-        assert!(!sb.push(tx(3)));
-        assert_eq!(sb.full_stalls(), 2);
-        assert_eq!(sb.len(), 1);
-    }
-
-    #[test]
-    fn high_water_mark() {
-        let mut sb = StoreBuffer::new(3);
-        sb.push(tx(1));
-        sb.push(tx(2));
-        sb.pop();
-        sb.push(tx(3));
-        assert_eq!(sb.max_occupancy(), 2);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut sb = StoreBuffer::new(1);
-        sb.push(tx(1));
-        let _ = sb.push(tx(2));
-        sb.clear();
-        assert!(sb.is_empty());
-        assert_eq!(sb.full_stalls(), 0);
-        assert_eq!(sb.max_occupancy(), 0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::MbptaError;
 
 /// Euler–Mascheroni constant (mean of the standard Gumbel).
-pub const EULER_GAMMA: f64 = 0.577_215_664_901_532_9;
+const EULER_GAMMA: f64 = 0.577_215_664_901_532_9;
 
 /// A Gumbel distribution `G(x) = exp(-exp(-(x - mu)/beta))`.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -35,7 +35,7 @@ impl TestResult {
 ///
 /// Returns [`MbptaError::TooFewSamples`] if either sample has fewer than 8
 /// observations.
-pub fn ks_two_sample(a: &[f64], b: &[f64]) -> Result<TestResult, MbptaError> {
+fn ks_two_sample(a: &[f64], b: &[f64]) -> Result<TestResult, MbptaError> {
     const MIN: usize = 8;
     if a.len() < MIN || b.len() < MIN {
         return Err(MbptaError::TooFewSamples {
@@ -76,13 +76,13 @@ pub fn ks_two_sample(a: &[f64], b: &[f64]) -> Result<TestResult, MbptaError> {
 /// # Errors
 ///
 /// See [`ks_two_sample`].
-pub fn ks_split_half(samples: &[f64]) -> Result<TestResult, MbptaError> {
+fn ks_split_half(samples: &[f64]) -> Result<TestResult, MbptaError> {
     let mid = samples.len() / 2;
     ks_two_sample(&samples[..mid], &samples[mid..])
 }
 
 /// Sample autocorrelation at lags `1..=max_lag`.
-pub fn autocorrelations(samples: &[f64], max_lag: usize) -> Vec<f64> {
+fn autocorrelations(samples: &[f64], max_lag: usize) -> Vec<f64> {
     let n = samples.len();
     let mean = samples.iter().sum::<f64>() / n as f64;
     let denom: f64 = samples.iter().map(|&x| (x - mean) * (x - mean)).sum();
@@ -140,7 +140,7 @@ pub fn ljung_box(samples: &[f64], lags: usize) -> Result<TestResult, MbptaError>
 ///
 /// Returns [`MbptaError::TooFewSamples`] if fewer than 20 samples, or
 /// [`MbptaError::DegenerateSamples`] if one side of the median is empty.
-pub fn runs_test(samples: &[f64]) -> Result<TestResult, MbptaError> {
+fn runs_test(samples: &[f64]) -> Result<TestResult, MbptaError> {
     if samples.len() < 20 {
         return Err(MbptaError::TooFewSamples {
             got: samples.len(),

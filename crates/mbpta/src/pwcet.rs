@@ -33,7 +33,7 @@ impl Default for MbptaConfig {
 /// Campaign latency samples are `u64` cycle counts end-to-end; the
 /// conversion to the fit's `f64` domain happens at the [`PWcetModel`]
 /// boundary, and anything above this bound would round silently.
-pub const MAX_EXACT_CYCLES: u64 = 1 << 53;
+const MAX_EXACT_CYCLES: u64 = 1 << 53;
 
 /// Converts `u64` cycle samples to `f64` exactly, for fitting.
 ///
@@ -43,7 +43,7 @@ pub const MAX_EXACT_CYCLES: u64 = 1 << 53;
 /// [`MAX_EXACT_CYCLES`]: above 2^53 the conversion rounds, which would
 /// break the bit-exact reproducibility campaigns rely on. (2^53 cycles
 /// is ~104 days at 1 GHz, so rejecting is safe for any plausible run.)
-pub fn cycles_to_f64(samples: &[u64]) -> Result<Vec<f64>, MbptaError> {
+fn cycles_to_f64(samples: &[u64]) -> Result<Vec<f64>, MbptaError> {
     if let Some(&big) = samples.iter().find(|&&s| s > MAX_EXACT_CYCLES) {
         return Err(MbptaError::InvalidParameter(format!(
             "sample {big} exceeds 2^53 and does not convert to f64 exactly"
@@ -63,7 +63,6 @@ pub fn cycles_to_f64(samples: &[u64]) -> Result<Vec<f64>, MbptaError> {
 pub struct PWcetModel {
     gumbel: Gumbel,
     block_size: usize,
-    n_samples: usize,
     n_blocks: usize,
     max_observed: f64,
 }
@@ -105,7 +104,6 @@ impl PWcetModel {
         Ok(PWcetModel {
             gumbel,
             block_size: config.block_size,
-            n_samples: samples.len(),
             n_blocks: maxima.len(),
             max_observed,
         })
@@ -119,11 +117,6 @@ impl PWcetModel {
     /// Largest observed sample.
     pub fn max_observed(&self) -> f64 {
         self.max_observed
-    }
-
-    /// Number of raw samples used.
-    pub fn n_samples(&self) -> usize {
-        self.n_samples
     }
 
     /// Number of block maxima behind the fit.
@@ -187,7 +180,7 @@ impl PWcetModel {
     /// # Errors
     ///
     /// As [`PWcetModel::fit`], plus [`MbptaError::InvalidParameter`] for
-    /// samples above [`MAX_EXACT_CYCLES`] (see [`cycles_to_f64`]).
+    /// samples above 2^53, which an `f64` cannot hold exactly.
     pub fn fit_u64(samples: &[u64], config: MbptaConfig) -> Result<Self, MbptaError> {
         Self::fit(&cycles_to_f64(samples)?, config)
     }
@@ -200,7 +193,7 @@ impl PWcetModel {
     /// # Errors
     ///
     /// As [`PWcetModel::analyze`], plus [`MbptaError::InvalidParameter`]
-    /// for samples above [`MAX_EXACT_CYCLES`] (see [`cycles_to_f64`]).
+    /// for samples above 2^53, which an `f64` cannot hold exactly.
     pub fn analyze_u64(
         samples: &[u64],
         config: MbptaConfig,
@@ -305,9 +298,8 @@ mod tests {
     #[test]
     fn analyze_bundles_iid_report() {
         let samples = exec_times(1_000, 28);
-        let (model, report) = PWcetModel::analyze(&samples, MbptaConfig::default()).unwrap();
+        let (_, report) = PWcetModel::analyze(&samples, MbptaConfig::default()).unwrap();
         assert!(report.passes(0.05), "iid data must pass");
-        assert!(model.n_samples() == 1_000);
     }
 
     #[test]

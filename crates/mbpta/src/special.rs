@@ -7,7 +7,7 @@
 
 /// Natural log of the gamma function (Lanczos approximation, |err| < 2e-10
 /// for x > 0).
-pub fn ln_gamma(x: f64) -> f64 {
+fn ln_gamma(x: f64) -> f64 {
     assert!(x > 0.0, "ln_gamma requires x > 0");
     // Lanczos coefficients (g = 7, n = 9).
     const COEF: [f64; 9] = [
@@ -43,7 +43,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `a <= 0` or `x < 0`.
-pub fn gamma_p(a: f64, x: f64) -> f64 {
+fn gamma_p(a: f64, x: f64) -> f64 {
     assert!(a > 0.0, "gamma_p requires a > 0");
     assert!(x >= 0.0, "gamma_p requires x >= 0");
     if x == 0.0 {
@@ -125,11 +125,6 @@ pub fn erfc(x: f64) -> f64 {
     }
 }
 
-/// Standard normal CDF.
-pub fn normal_cdf(x: f64) -> f64 {
-    0.5 * erfc(-x / std::f64::consts::SQRT_2)
-}
-
 /// Two-sided p-value for a standard normal statistic.
 pub fn normal_two_sided_p(z: f64) -> f64 {
     erfc(z.abs() / std::f64::consts::SQRT_2)
@@ -202,13 +197,6 @@ mod tests {
         assert!(close(erfc(1.0), 0.157_299_2, 1e-6));
         assert!(close(erfc(-1.0), 2.0 - 0.157_299_2, 1e-6));
         assert!(close(erfc(2.0), 0.004_677_73, 1e-7));
-    }
-
-    #[test]
-    fn normal_cdf_reference_values() {
-        assert!(close(normal_cdf(0.0), 0.5, 1e-7));
-        assert!(close(normal_cdf(1.96), 0.975, 1e-4));
-        assert!(close(normal_cdf(-1.96), 0.025, 1e-4));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! A set-associative cache with the MBPTA-style randomization of the
-//! paper's platform: random placement (randomized index hash, reseeded per
-//! run) and random replacement.
+//! paper's platform: random placement (a randomized index hash whose seed
+//! is drawn when the cache is built) and random replacement.
 
 use crate::MemError;
 use sim_core::rng::SimRng;
@@ -11,8 +11,8 @@ pub enum Placement {
     /// Conventional modulo indexing (`line_addr % sets`).
     Modulo,
     /// Random placement: a per-seed hash of the line address picks the set.
-    /// Reseeding ([`SetAssocCache::reseed`]) re-randomizes the mapping, the
-    /// per-run randomization MBPTA requires.
+    /// Each cache draws its seed when built, so building the caches afresh
+    /// for every run gives the per-run randomization MBPTA requires.
     Random,
 }
 
@@ -79,11 +79,6 @@ impl CacheConfig {
             return Err(MemError::InvalidConfig("ways must be at least 1".into()));
         }
         Ok(())
-    }
-
-    /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> usize {
-        self.sets * self.ways * self.line_bytes
     }
 
     /// The platform L1 (4 KiB, 4-way, 16-byte lines, random placement and
@@ -201,28 +196,6 @@ impl SetAssocCache {
     /// Misses observed so far.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Hit rate over all accesses so far (0 if none).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Invalidates all lines and re-draws the placement seed: the start of
-    /// a fresh MBPTA run.
-    pub fn reseed(&mut self, rng: &mut SimRng) {
-        self.tags.fill(0);
-        self.dirty.fill(false);
-        self.stamps.fill(0);
-        self.seed = rng.next_u64();
-        self.tick = 0;
-        self.hits = 0;
-        self.misses = 0;
     }
 
     /// The tag `addr`'s line is stored under (never 0: validation keeps
@@ -355,11 +328,6 @@ impl SetAssocCache {
     pub fn contains(&self, addr: u64) -> bool {
         self.probe(addr).2.is_some()
     }
-
-    /// Number of valid lines (for capacity assertions).
-    pub fn valid_lines(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != 0).count()
-    }
 }
 
 #[cfg(test)]
@@ -401,11 +369,9 @@ mod tests {
 
     #[test]
     fn paper_geometries() {
-        assert_eq!(CacheConfig::paper_l1().capacity_bytes(), 4 * 1024);
-        assert_eq!(
-            CacheConfig::paper_l2_partition().capacity_bytes(),
-            32 * 1024
-        );
+        let bytes = |c: CacheConfig| c.sets * c.ways * c.line_bytes;
+        assert_eq!(bytes(CacheConfig::paper_l1()), 4 * 1024);
+        assert_eq!(bytes(CacheConfig::paper_l2_partition()), 32 * 1024);
     }
 
     #[test]
@@ -511,24 +477,12 @@ mod tests {
     }
 
     #[test]
-    fn reseed_invalidates_and_rerandomizes() {
-        let (mut c, mut rng) = mk(CacheConfig::paper_l1(), 9);
-        c.read(0x1000, &mut rng);
-        assert!(c.contains(0x1000));
-        c.reseed(&mut rng);
-        assert!(!c.contains(0x1000));
-        assert_eq!(c.valid_lines(), 0);
-        assert_eq!(c.hits() + c.misses(), 0);
-    }
-
-    #[test]
     fn hit_rate_accounting() {
         let (mut c, mut rng) = mk(CacheConfig::paper_l1(), 11);
-        assert_eq!(c.hit_rate(), 0.0);
         c.read(0x0, &mut rng);
         c.read(0x0, &mut rng);
         c.read(0x0, &mut rng);
-        assert!((c.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!((c.hits(), c.misses()), (2, 1));
     }
 
     /// Valid lines never exceed capacity, and immediate re-reads always
@@ -569,7 +523,8 @@ mod tests {
                 } else {
                     c.read(a, &mut rng);
                 }
-                assert!(c.valid_lines() <= cfg.sets * cfg.ways, "seed {seed}");
+                let valid = c.tags.iter().filter(|&&t| t != 0).count();
+                assert!(valid <= cfg.sets * cfg.ways, "seed {seed}");
                 // A line present after the access must hit on re-read.
                 if c.contains(a) {
                     assert!(c.read(a, &mut rng).hit, "seed {seed}, addr {a:#x}");

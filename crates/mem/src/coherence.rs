@@ -172,7 +172,7 @@ pub enum MesiState {
 
 impl MesiState {
     /// Whether this state holds a valid copy of the line.
-    pub fn has_copy(self) -> bool {
+    fn has_copy(self) -> bool {
         self != MesiState::Invalid
     }
 }
@@ -244,7 +244,7 @@ impl CoherenceHub {
 
     /// Cores currently holding `line` in Modified state (the MESI
     /// invariant suite asserts this never exceeds 1).
-    pub fn modified_copies(&self, line: usize) -> usize {
+    fn modified_copies(&self, line: usize) -> usize {
         self.line_states(line)
             .iter()
             .filter(|s| **s == MesiState::Modified)
@@ -348,21 +348,6 @@ impl CoherenceHub {
         self.states[at] = MesiState::Modified;
         self.versions[line] += 1;
         self.observed[at] = self.versions[line];
-    }
-
-    /// Drops every copy `core` holds (its private cache of the shared
-    /// segment goes cold), for agent reset. Versions are observational
-    /// and keep counting; once every agent of a run has reset, the
-    /// directory's *behavior-relevant* state equals a fresh hub's.
-    pub fn reset_core(&mut self, core: CoreId) {
-        for s in self
-            .states
-            .iter_mut()
-            .skip(core.index())
-            .step_by(self.n_cores)
-        {
-            *s = MesiState::Invalid;
-        }
     }
 
     /// Checks the two-core MESI safety invariants over every line:
@@ -575,18 +560,5 @@ mod tests {
                 hub.check_invariants().expect("MESI safety");
             }
         }
-    }
-
-    #[test]
-    fn reset_core_drops_only_that_cores_copies() {
-        let mut hub = CoherenceHub::new(2, 2);
-        read(&mut hub, c(0), 0);
-        read(&mut hub, c(1), 0);
-        write(&mut hub, c(1), 1);
-        hub.reset_core(c(1));
-        assert_eq!(hub.state(c(1), 0), MesiState::Invalid);
-        assert_eq!(hub.state(c(1), 1), MesiState::Invalid);
-        assert_eq!(hub.state(c(0), 0), MesiState::Shared);
-        hub.check_invariants().expect("reset keeps safety");
     }
 }

@@ -240,24 +240,6 @@ impl CoreMemory {
     pub fn l2(&self) -> &SetAssocCache {
         &self.l2
     }
-
-    /// Starts a fresh run: invalidates everything, re-randomizes placement
-    /// and clears counters.
-    pub fn reseed(&mut self, rng: &mut SimRng) {
-        self.l1i.reseed(rng);
-        self.l1d.reseed(rng);
-        self.l2.reseed(rng);
-        self.stats = HierarchyStats::default();
-    }
-
-    /// Restores the hierarchy to fresh-construction state: given the same
-    /// `rng` stream a fresh [`CoreMemory::new`] would have consumed, the
-    /// reset hierarchy behaves bit-identically to a newly built one (the
-    /// seed-equivalence contract the `reset_reuse` conformance suite
-    /// pins for every agent).
-    pub fn reset(&mut self, rng: &mut SimRng) {
-        self.reseed(rng);
-    }
 }
 
 #[cfg(test)]
@@ -432,17 +414,5 @@ mod tests {
         assert_eq!(s.misses_clean, 1);
         assert_eq!(s.l2_writes, 1);
         assert_eq!(s.atomics, 1);
-    }
-
-    #[test]
-    fn reseed_starts_cold() {
-        let (mut mem, mut rng) = mk(9);
-        mem.access(MemAccess::load(0x100), &mut rng);
-        mem.reseed(&mut rng);
-        assert_eq!(mem.stats().total(), 0);
-        assert_eq!(
-            mem.access(MemAccess::load(0x100), &mut rng),
-            AccessOutcome::L2MissClean
-        );
     }
 }

@@ -49,7 +49,7 @@ pub struct AgentCtx<'a> {
     /// store-buffer depth).
     pub platform: &'a PlatformConfig,
     /// This agent's private random stream, already forked per core from
-    /// the run seed. Fork sub-streams from it; never reseed it.
+    /// the run seed. Fork sub-streams from it; never replace its seed.
     pub rng: &'a mut SimRng,
     /// The run's MESI coherence hub, present when the run spec placed at
     /// least one `shared` load (the engines create one hub per run).
@@ -332,10 +332,6 @@ impl<M: RequestPort + 'static> SimAgent<M, CompletedTransaction> for PortAgent {
         self.0.absorb_skipped(skipped);
     }
 
-    fn reset(&mut self, rng: &mut SimRng) {
-        self.0.reset(rng);
-    }
-
     fn stats(&self) -> AgentStats {
         self.0.stats()
     }
@@ -523,7 +519,6 @@ mod tests {
             fn is_done(&self) -> bool {
                 self.left == 0
             }
-            fn reset(&mut self, _rng: &mut SimRng) {}
         }
 
         let mut reg = AgentRegistry::builtin();

@@ -51,7 +51,7 @@ pub const JOURNAL_FILE: &str = "campaign.journal";
 /// coherence fraction, writebacks); version 4 records every column by
 /// name with a tagged value, so later columns change the records but not
 /// the version. Older journals are discarded with a notice on resume.
-pub const JOURNAL_VERSION: u32 = 4;
+const JOURNAL_VERSION: u32 = 4;
 
 const MAGIC: &[u8; 8] = b"CBACKPT\n";
 /// magic + version + scenario hash + total cells + runs per cell.
@@ -80,7 +80,7 @@ pub struct JournalReplay {
 
 impl Journal {
     /// The journal path inside `dir`.
-    pub fn path_in(dir: &Path) -> PathBuf {
+    fn path_in(dir: &Path) -> PathBuf {
         dir.join(JOURNAL_FILE)
     }
 
@@ -306,7 +306,7 @@ impl Journal {
 /// Floats are written as raw bits, so `decode(encode(r))` reproduces every
 /// statistic bit-for-bit — the property the resume determinism contract
 /// rests on.
-pub fn encode_cell_report(r: &CellReport) -> Vec<u8> {
+fn encode_cell_report(r: &CellReport) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u32(r.labels.len() as u32);
     for (k, v) in &r.labels {
@@ -329,7 +329,7 @@ pub fn encode_cell_report(r: &CellReport) -> Vec<u8> {
 ///
 /// A short or malformed buffer, or a column list that differs from this
 /// build's (the replay loop stops the valid prefix there).
-pub fn decode_cell_report(bytes: &[u8]) -> Result<CellReport, String> {
+fn decode_cell_report(bytes: &[u8]) -> Result<CellReport, String> {
     let mut r = ByteReader::new(bytes);
     let mut report = CellReport::default();
     for _ in 0..r.u32()? {

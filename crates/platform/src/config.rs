@@ -153,11 +153,6 @@ impl PlatformConfig {
         }
         config
     }
-
-    /// Whether this configuration carries a credit filter.
-    pub fn has_cba(&self) -> bool {
-        self.cba.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -172,9 +167,9 @@ mod tests {
             assert_eq!(c.latency.max_latency(), 56);
             assert_eq!(c.policy, PolicyKind::RandomPermutation);
         }
-        assert!(!PlatformConfig::paper(&BusSetup::Rp).has_cba());
-        assert!(PlatformConfig::paper(&BusSetup::Cba).has_cba());
-        assert!(PlatformConfig::paper(&BusSetup::HCba).has_cba());
+        assert!(PlatformConfig::paper(&BusSetup::Rp).cba.is_none());
+        assert!(PlatformConfig::paper(&BusSetup::Cba).cba.is_some());
+        assert!(PlatformConfig::paper(&BusSetup::HCba).cba.is_some());
     }
 
     #[test]

@@ -214,10 +214,11 @@ pub struct RunSpec {
     /// Record the full grant trace (burst/starvation metrics).
     pub record_trace: bool,
     /// Which cycle loop executes the run: the events engine of
-    /// [`Simulation::run`] (the default; the scenario key accepts `fast`
-    /// and `fluid` as aliases) or the naive per-cycle reference loop,
-    /// selectable per scenario (`engine = naive`) or via `cba_sim --engine
-    /// naive`. Both produce **bit-identical** results.
+    /// [`SimulationBuilder::run`](sim_core::SimulationBuilder::run) (the
+    /// default; the scenario key accepts `fast` and `fluid` as aliases) or
+    /// the naive per-cycle reference loop, selectable per scenario
+    /// (`engine = naive`) or via `cba_sim --engine naive`. Both produce
+    /// **bit-identical** results.
     pub drive: Engine,
     /// Attach a [`WindowedFairnessProbe`] splitting the run into this
     /// many equal windows (scenario key `[report] windows = N`).
@@ -736,7 +737,7 @@ fn extract<M: SimModel, P: Probe<CompletedTransaction>>(
     spec: &RunSpec,
     windows: Option<WindowedFairness>,
 ) -> RunResult {
-    let outcome = sim.outcome().expect("simulation ran");
+    let outcome = sim.outcome();
     let bus = sim.model();
     let trace = bus.trace();
     let ids: Vec<CoreId> = (0..spec.platform.n_cores).map(CoreId::from_index).collect();

@@ -47,13 +47,6 @@ pub struct WindowedFairness {
     pub jain: Vec<f64>,
 }
 
-impl WindowedFairness {
-    /// Number of windows.
-    pub fn n_windows(&self) -> usize {
-        self.jain.len()
-    }
-}
-
 /// Streams completions into per-window per-core busy-cycle counters (see
 /// the [module documentation](self)).
 #[derive(Debug, Clone)]
@@ -155,7 +148,7 @@ mod tests {
         assert_eq!(snap.shares[2], vec![0.0, 0.0]);
         assert_eq!(snap.jain[2], 1.0, "idle window reports perfect fairness");
         assert!(snap.jain[1] < 1.0, "skewed window is unfair");
-        assert_eq!(snap.n_windows(), 3);
+        assert_eq!(snap.jain.len(), 3);
     }
 
     #[test]

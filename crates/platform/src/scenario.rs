@@ -2264,7 +2264,7 @@ pwcet = 1e-9,1e-12
         let axes = axes();
         let unique: std::collections::HashSet<_> = axes.iter().collect();
         assert_eq!(unique.len(), axes.len(), "duplicate axis in {axes:?}");
-        // `expand` resets only the template per cell: every axis must set
+        // `expand` rebuilds only the template per cell: every axis must set
         // a template key.
         let template = [
             "platform",

@@ -22,10 +22,10 @@
 //! An agent is a sequential state machine driven between the model's
 //! `begin_cycle` and `end_cycle` of an *executed* cycle, but only of the
 //! executed cycles that concern it: the events engine of
-//! [`Simulation::run`](crate::Simulation::run) ticks an agent when it is
-//! **due** (its last verdict asked for this cycle) or **addressed** (the
-//! cycle's completion is its own), and leaves it asleep while other
-//! agents act.
+//! [`SimulationBuilder::run`](crate::SimulationBuilder::run) ticks an
+//! agent when it is **due** (its last verdict asked for this cycle) or
+//! **addressed** (the cycle's completion is its own), and leaves it
+//! asleep while other agents act.
 //!
 //! 1. [`tick`](SimAgent::tick) receives the cycle number, the cycle's
 //!    completion report (if any) and the request port, may post traffic,
@@ -42,15 +42,14 @@
 //!    accounting for every cycle the agent was not ticked, whether the
 //!    engine skipped the cycle or ticked only other agents at it, so
 //!    statistics stay bit-identical to per-cycle execution;
-//! 5. [`reset`](SimAgent::reset) must restore the agent to a
-//!    fresh-construction state (the workspace's conformance suite asserts
-//!    `reset` ≡ fresh construction for every shipped agent);
-//! 6. optionally, the `limit_cycle_*` hooks expose the agent's state so
+//! 5. optionally, the `limit_cycle_*` hooks expose the agent's state so
 //!    the events engine can jump whole periods of a steady run (see
-//!    [`Simulation::run`](crate::Simulation::run)).
+//!    [`SimulationBuilder::run`](crate::SimulationBuilder::run)).
+//!
+//! An agent serves one run: a harness that wants a fresh run builds fresh
+//! agents, as the platform's `run_once` does for every Monte-Carlo run.
 
 use crate::engine::Control;
-use crate::rng::SimRng;
 use crate::Cycle;
 
 /// Snapshot of an agent's execution statistics, uniform across agent
@@ -167,12 +166,6 @@ pub trait SimAgent<P: ?Sized, C = ()> {
         false
     }
 
-    /// Restores the agent to a fresh-construction state for a new run.
-    /// Agents with internal randomness must re-fork their streams from
-    /// `rng` exactly as their constructor did; deterministic agents
-    /// ignore it.
-    fn reset(&mut self, rng: &mut SimRng);
-
     /// A uniform snapshot of the agent's execution statistics; a finite
     /// agent reports its completion cycle as [`AgentStats::done_at`].
     fn stats(&self) -> AgentStats {
@@ -242,8 +235,6 @@ impl<P: ?Sized, C> SimAgent<P, C> for Idle {
     fn is_inert(&self) -> bool {
         true
     }
-
-    fn reset(&mut self, _rng: &mut SimRng) {}
 }
 
 /// A closure as an agent: each tick calls the closure with the model, the
@@ -251,10 +242,9 @@ impl<P: ?Sized, C> SimAgent<P, C> for Idle {
 ///
 /// This is the client of a harness that posts traffic by hand. It is never
 /// done (end its run with [`Control::Stop`], a
-/// [`StopWhen::Horizon`](crate::StopWhen::Horizon) or `max_cycles`),
-/// ignores [`reset`](SimAgent::reset) and keeps every other default: it
-/// wakes on every completion and keeps its run out of the limit-cycle
-/// jump. The closure may borrow the caller's locals for as long as the
+/// [`StopWhen::Horizon`](crate::StopWhen::Horizon) or `max_cycles`) and
+/// keeps every other default: it wakes on every completion and keeps its
+/// run out of the limit-cycle jump. The closure may borrow the caller's locals for as long as the
 /// [`Simulation`](crate::Simulation) holding it lives.
 pub struct FnAgent<F>(pub F);
 
@@ -269,8 +259,6 @@ where
     fn is_done(&self) -> bool {
         false
     }
-
-    fn reset(&mut self, _rng: &mut SimRng) {}
 }
 
 #[cfg(test)]
@@ -301,13 +289,13 @@ mod tests {
             }
             Control::Sleep(Cycle::MAX)
         };
-        let mut sim = Simulation::builder()
+        let sim = Simulation::builder()
             .model(OneShot::new())
             .agent(FnAgent(record))
             .engine(Engine::Events)
             .max_cycles(20)
-            .build();
-        let outcome = sim.run();
+            .run();
+        let outcome = sim.outcome();
         // The closure's borrow of `grants` ends with the agents it lives in.
         let (bus, ..) = sim.into_parts();
         assert_eq!((outcome.cycles, outcome.stopped), (20, false));

@@ -18,9 +18,9 @@
 //!    and per-cycle filter state (credit counters) advances.
 //!
 //! The one loop that drives a model is
-//! [`Simulation::run`](crate::Simulation::run): it owns the `while` loop,
-//! the stop condition and the cycle counter, and ticks the model's
-//! clients, which are [`SimAgent`](crate::SimAgent)s — a harness that
+//! [`SimulationBuilder::run`](crate::SimulationBuilder::run): it owns the
+//! `while` loop, the stop condition and the cycle counter, and ticks the
+//! model's clients, which are [`SimAgent`](crate::SimAgent)s — a harness that
 //! only posts traffic wraps its closure in
 //! [`FnAgent`](crate::agent::FnAgent). The [`sim`](crate::sim) module
 //! documentation shows a model written against this protocol, end to end.
@@ -61,10 +61,11 @@ pub trait BusModel {
     /// Returning `Some(e)` is a guarantee: for every cycle `t` in
     /// `(now, e)`, `begin_cycle(t)` would report nothing and `end_cycle(t)`
     /// would grant nothing, so the events engine of
-    /// [`Simulation::run`](crate::Simulation::run) may replace those
-    /// per-cycle calls with one `advance` and jump straight to `e` (or to
-    /// any earlier cycle — resuming early is always safe). `Some(Cycle::MAX)` means "no
-    /// bus-side event at all until a client acts".
+    /// [`SimulationBuilder::run`](crate::SimulationBuilder::run) may
+    /// replace those per-cycle calls with one `advance` and jump straight
+    /// to `e` (or to any earlier cycle — resuming early is always safe).
+    /// `Some(Cycle::MAX)` means "no bus-side event at all until a client
+    /// acts".
     ///
     /// The default returns `None` — "cannot predict" — which disables
     /// skipping entirely, so implementations that never override this (or
@@ -84,9 +85,10 @@ pub trait BusModel {
     /// next.
     ///
     /// Only called by the events engine of
-    /// [`Simulation::run`](crate::Simulation::run) for ranges validated by
-    /// [`next_event`](BusModel::next_event); the default is a no-op, which
-    /// pairs with the default `next_event` of `None` (never invoked).
+    /// [`SimulationBuilder::run`](crate::SimulationBuilder::run) for
+    /// ranges validated by [`next_event`](BusModel::next_event); the
+    /// default is a no-op, which pairs with the default `next_event` of
+    /// `None` (never invoked).
     fn advance(&mut self, from: Cycle, to: Cycle) {
         let _ = (from, to);
     }
@@ -106,11 +108,12 @@ pub trait BusModel {
     }
 
     /// Limit-cycle hook of the events engine (see
-    /// [`Simulation::run`](crate::Simulation::run)): appends the model's
-    /// complete dynamic state at the end of executed cycle `now` to
-    /// `state`, every absolute time written as an offset from `now`, and
-    /// its statistics counters (values that only accumulate; the same
-    /// number of them at every call) to `counters`, then returns `true`.
+    /// [`SimulationBuilder::run`](crate::SimulationBuilder::run)): appends
+    /// the model's complete dynamic state at the end of executed cycle
+    /// `now` to `state`, every absolute time written as an offset from
+    /// `now`, and its statistics counters (values that only accumulate;
+    /// the same number of them at every call) to `counters`, then returns
+    /// `true`.
     ///
     /// Equal `state` sequences at two cycles must mean the model evolves
     /// identically from both, given the same client behaviour; counters
@@ -144,15 +147,15 @@ pub enum Control {
     Stop,
     /// The client guarantees it will not post before cycle `until`, and
     /// does not need to observe any cycle before it either — the events engine of
-    /// [`Simulation::run`](crate::Simulation::run) may fast-forward to
-    /// `min(until, bus event horizon)`. [`Engine::Naive`](crate::Engine::Naive)
+    /// [`SimulationBuilder::run`](crate::SimulationBuilder::run) may
+    /// fast-forward to `min(until, bus event horizon)`. [`Engine::Naive`](crate::Engine::Naive)
     /// treats this exactly like [`Control::Continue`], so a client written
     /// for the fast path runs unchanged (and bit-identically) under the
     /// naive loop.
     Sleep(Cycle),
 }
 
-/// Result of a [`Simulation::run`](crate::Simulation::run).
+/// Result of a [`SimulationBuilder::run`](crate::SimulationBuilder::run).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DriveOutcome {
     /// Cycles simulated (the loop ran cycles `0..cycles`).
@@ -249,14 +252,13 @@ pub(crate) mod tests {
         max_cycles: Cycle,
         client: impl FnMut(&mut OneShot, Cycle, Option<&Cycle>) -> Control,
     ) -> (DriveOutcome, OneShot) {
-        let mut sim = Simulation::builder()
+        let sim = Simulation::builder()
             .model(bus)
             .agent(FnAgent(client))
             .engine(engine)
             .max_cycles(max_cycles)
-            .build();
-        let outcome = sim.run();
-        (outcome, sim.into_parts().0)
+            .run();
+        (sim.outcome(), sim.into_parts().0)
     }
 
     #[test]
@@ -399,13 +401,13 @@ pub(crate) mod tests {
         }
         let sleeper =
             FnAgent(|_: &mut Opaque, _: Cycle, _: Option<&Cycle>| Control::Sleep(Cycle::MAX));
-        let mut sim = Simulation::builder()
+        let sim = Simulation::builder()
             .model(Opaque(OneShot::new()))
             .agent(sleeper)
             .engine(Engine::Events)
             .max_cycles(30)
-            .build();
-        let out = sim.run();
+            .run();
+        let out = sim.outcome();
         assert_eq!(out.cycles, 30);
         // The model is stepped through every cycle, while the agent
         // sleeps through all of them after its first tick.

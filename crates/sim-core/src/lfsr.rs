@@ -37,7 +37,7 @@ use crate::SimError;
 
 /// Default polynomial: x^32 + x^22 + x^2 + x + 1 (maximal length, taps as a
 /// Galois feedback mask).
-pub const POLY_32_DEFAULT: u32 = 0x8020_0003;
+const POLY_32_DEFAULT: u32 = 0x8020_0003;
 
 /// A single 32-bit Galois LFSR.
 ///
@@ -237,7 +237,7 @@ fn lane_count(counter: &[u64; COUNT_BITS], lane: usize) -> u32 {
 
 impl LfsrBank {
     /// Observation window (cycles) for the health monitors.
-    pub const HEALTH_WINDOW: u32 = 4096;
+    const HEALTH_WINDOW: u32 = 4096;
 
     /// Creates a bank of `width` lanes seeded (non-zero, distinct) from
     /// `seed`.
@@ -352,7 +352,7 @@ impl LfsrBank {
     /// checks judge every window: a stuck-at detector (no transitions in
     /// the window once enough bits were observed) and a ones-density
     /// monitor. Draws do not count; this call replays the window, which
-    /// costs up to [`LfsrBank::HEALTH_WINDOW`] bank cycles.
+    /// costs up to one window (4,096 bank cycles).
     ///
     /// The replay starts from the window's first state and assumes the
     /// lanes changed only by stepping since: a lane state altered any

@@ -1,11 +1,12 @@
 //! The [`Simulation`] facade: model + agents + stop condition + engine +
 //! probe, runnable as a library call.
 //!
-//! [`Simulation::run`] is the one cycle loop of the workspace: it ticks
-//! every client, evaluates the stop condition, aggregates sleep horizons
-//! and absorbs skipped cycles, for any [`BusModel`] and any set of
-//! [`SimAgent`]s (a harness that posts traffic by hand hands its closure
-//! to the builder as an [`FnAgent`](crate::agent::FnAgent)):
+//! [`SimulationBuilder::run`] is the one cycle loop of the workspace: it
+//! ticks every client, evaluates the stop condition, aggregates sleep
+//! horizons and absorbs skipped cycles, for any [`BusModel`] and any set
+//! of [`SimAgent`]s (a harness that posts traffic by hand hands its
+//! closure to the builder as an [`FnAgent`](crate::agent::FnAgent)). It
+//! consumes the builder, so a [`Simulation`] is one finished run:
 //!
 //! ```
 //! use sim_core::agent::{Idle, SimAgent};
@@ -51,21 +52,17 @@
 //!         Control::Sleep(self.next)
 //!     }
 //!     fn is_done(&self) -> bool { self.left == 0 }
-//!     fn reset(&mut self, _rng: &mut sim_core::rng::SimRng) {
-//!         *self = Pulser { left: 5, next: 0 };
-//!     }
 //! }
 //!
-//! let mut sim = Simulation::builder()
+//! let sim = Simulation::builder()
 //!     .model(ToyBus::new())
 //!     .agent(Pulser { left: 5, next: 0 })
 //!     .agent(Idle::new())
 //!     .stop(StopWhen::AllAgentsDone)
 //!     .engine(Engine::Events)
 //!     .max_cycles(1_000)
-//!     .build();
-//! let outcome = sim.run();
-//! assert!(outcome.stopped, "all five pulses posted");
+//!     .run();
+//! assert!(sim.outcome().stopped, "all five pulses posted");
 //! assert_eq!(sim.model().trace().total_slots(), 5);
 //! ```
 //!
@@ -74,8 +71,9 @@
 //! ranges in which neither the model nor any agent can act, ticks an
 //! agent only when it is due or addressed by the cycle's completion (its
 //! wake calendar), and fast-forwards whole periods of runs that settle
-//! into a limit cycle (see [`Simulation::run`]). The workspace's identity
-//! tests pin this across every bus variant, policy and agent kind.
+//! into a limit cycle (see [`SimulationBuilder::run`]). The workspace's
+//! identity tests pin this across every bus variant, policy and agent
+//! kind.
 
 use crate::agent::SimAgent;
 use crate::engine::{BusModel, Control, DriveOutcome};
@@ -104,7 +102,7 @@ pub enum StopWhen {
 
 /// Which cycle loop executes the run. [`Engine::Events`] and
 /// [`Engine::Naive`] produce bit-identical results; see
-/// [`Simulation::run`].
+/// [`SimulationBuilder::run`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// The event-horizon fast path: skips provably uneventful cycle
@@ -125,7 +123,7 @@ impl std::fmt::Display for Engine {
     }
 }
 
-/// How much work the last [`Simulation::run`] did, as opposed to what it
+/// How much work a [`Simulation`]'s run did, as opposed to what it
 /// simulated: the cycles its loop executed and skipped, and how often it
 /// ticked each agent.
 ///
@@ -144,18 +142,16 @@ pub struct EngineCounters {
     pub ticks: Vec<u64>,
 }
 
-/// A fully assembled simulation: one model, its agents, a stop
-/// condition, an engine and a probe. Built by [`Simulation::builder`];
-/// see the [module documentation](self) for an end-to-end example. Its
-/// agents may borrow data that lives for `'a`.
+/// A finished simulation run: the model, the agents and the probe as the
+/// run left them, with its outcome and work counters. Assembled by
+/// [`Simulation::builder`] and run by [`SimulationBuilder::run`]; see the
+/// [module documentation](self) for an end-to-end example. Its agents may
+/// borrow data that lives for `'a`.
 pub struct Simulation<'a, M: BusModel, P: Probe<M::Completion> = NoProbe> {
     model: M,
     agents: Vec<BoxedAgent<'a, M>>,
-    stop: StopWhen,
-    engine: Engine,
-    max_cycles: Cycle,
     probe: P,
-    outcome: Option<DriveOutcome>,
+    outcome: DriveOutcome,
     counters: EngineCounters,
 }
 
@@ -175,234 +171,14 @@ impl<'a, M: BusModel> Simulation<'a, M, NoProbe> {
 }
 
 impl<'a, M: BusModel, P: Probe<M::Completion>> Simulation<'a, M, P> {
-    /// Drives the simulation to its stop condition (or the `max_cycles`
-    /// safety limit) and returns the outcome.
-    ///
-    /// Each executed cycle runs the model's three phases around the
-    /// agents' ticks: [`begin_cycle`](BusModel::begin_cycle), the ticks
-    /// (which post), [`end_cycle`](BusModel::end_cycle). The stop
-    /// condition is checked after each executed cycle; an agent's
-    /// [`Control::Stop`] ends the run after the cycle it was returned in.
-    ///
-    /// # Event horizon
-    ///
-    /// After an executed cycle, when every active agent sleeps past the
-    /// next cycle and the model bounds its own next event through
-    /// [`next_event`](BusModel::next_event), the events engine
-    /// bulk-advances the model with [`advance`](BusModel::advance) and
-    /// resumes at the earliest of the agents' due cycles, the model's
-    /// event, `max_cycles` and a [`StopWhen::Horizon`] stop's last cycle.
-    /// Whenever either side declines (an agent wants the next cycle, or
-    /// `next_event` returns `None`) it steps one cycle, so it degrades to
-    /// the per-cycle loop of [`Engine::Naive`], which reads every verdict
-    /// as [`Control::Continue`]. Skipped ranges contain, by contract, no
-    /// completion, grant, post or RNG draw, so both engines produce the
-    /// same grant trace, statistics, cycle counters and stop cycle.
-    ///
-    /// # Wake calendar
-    ///
-    /// The events engine ticks an agent only at the executed cycles that
-    /// concern it: when it is **due**, or when the cycle's completion is
-    /// [addressed](SimAgent::is_addressed) to it. An agent's due cycle
-    /// comes from its last verdict: `Sleep(t)` makes it due at `t` (and
-    /// never before the next cycle), `Continue` and `Stop` at the next
-    /// cycle. Each agent's unticked cycles are replayed through
-    /// [`absorb_skipped`](SimAgent::absorb_skipped) just before its next
-    /// tick, before a limit-cycle sample and at the end of the run. The
-    /// earliest due cycle bounds how far the engine may skip. Platform
-    /// runs have one agent per core (at most 64), so the calendar is two
-    /// flat vectors scanned once per executed cycle, not a priority
-    /// queue. The naive engine reads every verdict as `Continue`, so it
-    /// ticks every agent on every cycle and stays the dense reference.
-    ///
-    /// # Limit-cycle fast-forward
-    ///
-    /// Saturated runs often settle into a **limit cycle**: the whole
-    /// simulation returns to an earlier state, shifted in time, and then
-    /// repeats. At rotation marks (grants of the first core ever granted)
-    /// the events engine samples every component's
-    /// [`limit_cycle_state`](BusModel::limit_cycle_state) and compares it
-    /// with one checkpoint sample (Brent's cycle detection, in O(1)
-    /// memory; once a few dozen samples found no repeat, samples thin out
-    /// so a run that never recurs pays for few). When a sample repeats one
-    /// taken `p` cycles earlier, every component applies `k` whole periods
-    /// at once through [`limit_cycle_jump`](BusModel::limit_cycle_jump),
-    /// `k` as large as keeps the run short of any agent's final completion
-    /// (its [`limit_cycle_bound`](SimAgent::limit_cycle_bound)), of a
-    /// [`StopWhen::Horizon`] stop and of `max_cycles`. The jump runs only
-    /// without an active probe and when the model and every active agent
-    /// accept the hooks, which decline by default. That is decided once
-    /// before the first cycle; a run that declines pays one branch per
-    /// executed cycle.
-    ///
-    /// Running consumes the workload: call it once per assembled run
-    /// (reset the model and agents before reusing the same `Simulation`).
-    pub fn run(&mut self) -> DriveOutcome {
-        let events = self.engine == Engine::Events;
-        let model = &mut self.model;
-        let agents = &mut self.agents;
-        let probe = &mut self.probe;
-        let stop_when = self.stop;
-        let max_cycles = self.max_cycles;
-
-        // Inert agents (permanently-done no-ops, e.g. idle cores) are
-        // dropped from the per-cycle loop up front: their tick/absorb
-        // are no-ops and their sleep horizon is unbounded by contract.
-        let active: Vec<usize> = (0..agents.len())
-            .filter(|&i| !agents[i].is_inert())
-            .collect();
-        // The wake calendar, one entry per active agent: the cycle it is
-        // next due at, and the first cycle whose accounting it has not
-        // absorbed.
-        let mut due: Vec<Cycle> = vec![0; active.len()];
-        let mut seen: Vec<Cycle> = vec![0; active.len()];
-        // The work counters: ticks per agent (by agent index), executed
-        // and skipped cycles.
-        let mut ticks: Vec<u64> = vec![0; agents.len()];
-        let (mut executed, mut skipped) = (0u64, 0u64);
-        let mut detector = (events && !P::ACTIVE)
-            .then(|| LimitCycles::new(model, agents, &active))
-            .flatten();
-        // A jump may land on any cycle that keeps the run going: before
-        // the horizon stop fires (at cycle h - 1) and before max_cycles.
-        let last_landing = match stop_when {
-            StopWhen::Horizon(h) => h.saturating_sub(2),
-            _ => Cycle::MAX,
-        }
-        .min(max_cycles.saturating_sub(1));
-        let mut now: Cycle = 0;
-        let mut stopped = false;
-        while now < max_cycles {
-            executed += 1;
-            let completed = model.begin_cycle(now);
-            if P::ACTIVE {
-                if let Some(c) = &completed {
-                    probe.on_completion(now, c);
-                }
-            }
-            let mut agent_stop = false;
-            let mut until = Cycle::MAX;
-            for ((&i, due), seen) in zip(zip(&active, &mut due), &mut seen) {
-                let agent = &mut agents[i];
-                // Asleep and not addressed: this cycle cannot concern it,
-                // and its last verdict still bounds the skip.
-                if *due > now && !completed.as_ref().is_some_and(|c| agent.is_addressed(c)) {
-                    until = until.min(*due);
-                    continue;
-                }
-                if *seen < now {
-                    agent.absorb_skipped(now - *seen);
-                }
-                *seen = now + 1;
-                ticks[i] += 1;
-                *due = match agent.tick(now, completed.as_ref(), model) {
-                    Control::Sleep(t) if events => t.max(now + 1),
-                    Control::Stop => {
-                        agent_stop = true;
-                        now + 1
-                    }
-                    _ => now + 1,
-                };
-                until = until.min(*due);
-            }
-            let granted = model.end_cycle(now);
-            if P::ACTIVE {
-                if let Some(core) = granted {
-                    probe.on_grant(now, core);
-                }
-                model.drain_events(&mut |event| forward_event(probe, event));
-            }
-            let stop = agent_stop
-                || match stop_when {
-                    StopWhen::AgentDone(i) => agents[i].is_done(),
-                    // Inert agents are done by contract: checking the
-                    // active set is equivalent.
-                    StopWhen::AllAgentsDone => active.iter().all(|&i| agents[i].is_done()),
-                    StopWhen::Horizon(h) => now + 1 >= h,
-                };
-            if stop {
-                now += 1;
-                stopped = true;
-                break;
-            }
-            if let (Some(lc), Some(core)) = (&mut detector, granted) {
-                if lc.due(core) {
-                    // The sample reads every agent's counters as of now.
-                    absorb_until(now + 1, agents, &active, &mut seen);
-                    if let Some(shift) = lc.sample(now, last_landing, model, agents, &active) {
-                        // The landing cycle stands in for this one, whole
-                        // periods later; resume stepping right after it.
-                        for t in due.iter_mut().chain(&mut seen) {
-                            *t = t.saturating_add(shift);
-                        }
-                        skipped += shift;
-                        now += shift + 1;
-                        continue;
-                    }
-                }
-            }
-            if events {
-                if let StopWhen::Horizon(h) = stop_when {
-                    // The stop fires from the tick at cycle h - 1; never
-                    // skip it.
-                    until = until.min(h - 1);
-                }
-                if until > now + 1 {
-                    if let Some(event) = model.next_event(now) {
-                        let jump = event.min(until).min(max_cycles);
-                        if jump > now + 1 {
-                            model.advance(now, jump);
-                            skipped += jump - now - 1;
-                            now = jump;
-                            continue;
-                        }
-                    }
-                }
-            }
-            now += 1;
-        }
-        // The run ends without ticking everyone at its last cycle (or
-        // mid-skip at max_cycles): absorb each agent's tail so agent
-        // statistics stay bit-identical to the per-cycle loop.
-        absorb_until(now, agents, &active, &mut seen);
-        if P::ACTIVE {
-            // A run truncated mid-skip leaves events buffered by the
-            // final `advance` (e.g. coalesced credit flips); drain them
-            // before closing the stream.
-            model.drain_events(&mut |event| forward_event(probe, event));
-            probe.on_finish(now);
-        }
-        let outcome = DriveOutcome {
-            cycles: now,
-            stopped,
-        };
-        self.outcome = Some(outcome);
-        self.counters = EngineCounters {
-            executed_cycles: executed,
-            skipped_cycles: skipped,
-            ticks,
-        };
-        outcome
-    }
-
     /// The model, for post-run extraction (traces, statistics).
     pub fn model(&self) -> &M {
         &self.model
     }
 
-    /// Mutable access to the model (e.g. to reset it between runs).
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
-    }
-
     /// The agents, in the order they were added.
     pub fn agents(&self) -> &[BoxedAgent<'a, M>] {
         &self.agents
-    }
-
-    /// Mutable access to the agents (e.g. to reset them between runs).
-    pub fn agents_mut(&mut self) -> &mut [BoxedAgent<'a, M>] {
-        &mut self.agents
     }
 
     /// The agent at `index`.
@@ -419,13 +195,12 @@ impl<'a, M: BusModel, P: Probe<M::Completion>> Simulation<'a, M, P> {
         &self.probe
     }
 
-    /// The outcome of the last [`run`](Simulation::run), if any.
-    pub fn outcome(&self) -> Option<DriveOutcome> {
+    /// The run's outcome.
+    pub fn outcome(&self) -> DriveOutcome {
         self.outcome
     }
 
-    /// The work counters of the last [`run`](Simulation::run) (all zero
-    /// before the first).
+    /// The run's work counters.
     pub fn counters(&self) -> &EngineCounters {
         &self.counters
     }
@@ -466,7 +241,7 @@ fn absorb_until<M: BusModel>(
 const DENSE_SAMPLES: u64 = 16;
 
 /// The events engine's limit-cycle detector and jump (see
-/// [`Simulation::run`]). Detection is Brent's algorithm: each sample is
+/// [`SimulationBuilder::run`]). Detection is Brent's algorithm: each sample is
 /// compared with one checkpoint sample, which the current sample
 /// replaces after `budget` comparisons, doubling the budget.
 #[derive(Default)]
@@ -672,31 +447,221 @@ impl<'a, M: BusModel, P: Probe<M::Completion>> SimulationBuilder<'a, M, P> {
         }
     }
 
-    /// Finishes assembly.
+    /// Assembles the simulation and drives it to its stop condition (or
+    /// the `max_cycles` safety limit), returning the finished run for
+    /// result extraction.
+    ///
+    /// Each executed cycle runs the model's three phases around the
+    /// agents' ticks: [`begin_cycle`](BusModel::begin_cycle), the ticks
+    /// (which post), [`end_cycle`](BusModel::end_cycle). The stop
+    /// condition is checked after each executed cycle; an agent's
+    /// [`Control::Stop`] ends the run after the cycle it was returned in.
+    ///
+    /// # Event horizon
+    ///
+    /// After an executed cycle, when every active agent sleeps past the
+    /// next cycle and the model bounds its own next event through
+    /// [`next_event`](BusModel::next_event), the events engine
+    /// bulk-advances the model with [`advance`](BusModel::advance) and
+    /// resumes at the earliest of the agents' due cycles, the model's
+    /// event, `max_cycles` and a [`StopWhen::Horizon`] stop's last cycle.
+    /// Whenever either side declines (an agent wants the next cycle, or
+    /// `next_event` returns `None`) it steps one cycle, so it degrades to
+    /// the per-cycle loop of [`Engine::Naive`], which reads every verdict
+    /// as [`Control::Continue`]. Skipped ranges contain, by contract, no
+    /// completion, grant, post or RNG draw, so both engines produce the
+    /// same grant trace, statistics, cycle counters and stop cycle.
+    ///
+    /// # Wake calendar
+    ///
+    /// The events engine ticks an agent only at the executed cycles that
+    /// concern it: when it is **due**, or when the cycle's completion is
+    /// [addressed](SimAgent::is_addressed) to it. An agent's due cycle
+    /// comes from its last verdict: `Sleep(t)` makes it due at `t` (and
+    /// never before the next cycle), `Continue` and `Stop` at the next
+    /// cycle. Each agent's unticked cycles are replayed through
+    /// [`absorb_skipped`](SimAgent::absorb_skipped) just before its next
+    /// tick, before a limit-cycle sample and at the end of the run. The
+    /// earliest due cycle bounds how far the engine may skip. Platform
+    /// runs have one agent per core (at most 64), so the calendar is two
+    /// flat vectors scanned once per executed cycle, not a priority
+    /// queue. The naive engine reads every verdict as `Continue`, so it
+    /// ticks every agent on every cycle and stays the dense reference.
+    ///
+    /// # Limit-cycle fast-forward
+    ///
+    /// Saturated runs often settle into a **limit cycle**: the whole
+    /// simulation returns to an earlier state, shifted in time, and then
+    /// repeats. At rotation marks (grants of the first core ever granted)
+    /// the events engine samples every component's
+    /// [`limit_cycle_state`](BusModel::limit_cycle_state) and compares it
+    /// with one checkpoint sample (Brent's cycle detection, in O(1)
+    /// memory; once a few dozen samples found no repeat, samples thin out
+    /// so a run that never recurs pays for few). When a sample repeats one
+    /// taken `p` cycles earlier, every component applies `k` whole periods
+    /// at once through [`limit_cycle_jump`](BusModel::limit_cycle_jump),
+    /// `k` as large as keeps the run short of any agent's final completion
+    /// (its [`limit_cycle_bound`](SimAgent::limit_cycle_bound)), of a
+    /// [`StopWhen::Horizon`] stop and of `max_cycles`. The jump runs only
+    /// without an active probe and when the model and every active agent
+    /// accept the hooks, which decline by default. That is decided once
+    /// before the first cycle; a run that declines pays one branch per
+    /// executed cycle.
     ///
     /// # Panics
     ///
     /// Panics if no model was set.
-    pub fn build(self) -> Simulation<'a, M, P> {
-        Simulation {
-            model: self.model.expect("Simulation::builder needs a model"),
-            agents: self.agents,
-            stop: self.stop,
-            engine: self.engine,
-            max_cycles: self.max_cycles,
-            probe: self.probe,
-            outcome: None,
-            counters: EngineCounters::default(),
-        }
-    }
-
-    /// Convenience: [`build`](SimulationBuilder::build) then
-    /// [`run`](Simulation::run), returning the finished simulation for
-    /// result extraction (its [`outcome`](Simulation::outcome) is set).
     pub fn run(self) -> Simulation<'a, M, P> {
-        let mut sim = self.build();
-        sim.run();
-        sim
+        let events = self.engine == Engine::Events;
+        let mut model = self.model.expect("Simulation::builder needs a model");
+        let mut agents = self.agents;
+        let mut probe = self.probe;
+        let stop_when = self.stop;
+        let max_cycles = self.max_cycles;
+
+        // Inert agents (permanently-done no-ops, e.g. idle cores) are
+        // dropped from the per-cycle loop up front: their tick/absorb
+        // are no-ops and their sleep horizon is unbounded by contract.
+        let active: Vec<usize> = (0..agents.len())
+            .filter(|&i| !agents[i].is_inert())
+            .collect();
+        // The wake calendar, one entry per active agent: the cycle it is
+        // next due at, and the first cycle whose accounting it has not
+        // absorbed.
+        let mut due: Vec<Cycle> = vec![0; active.len()];
+        let mut seen: Vec<Cycle> = vec![0; active.len()];
+        // The work counters: ticks per agent (by agent index), executed
+        // and skipped cycles.
+        let mut ticks: Vec<u64> = vec![0; agents.len()];
+        let (mut executed, mut skipped) = (0u64, 0u64);
+        let mut detector = (events && !P::ACTIVE)
+            .then(|| LimitCycles::new(&model, &agents, &active))
+            .flatten();
+        // A jump may land on any cycle that keeps the run going: before
+        // the horizon stop fires (at cycle h - 1) and before max_cycles.
+        let last_landing = match stop_when {
+            StopWhen::Horizon(h) => h.saturating_sub(2),
+            _ => Cycle::MAX,
+        }
+        .min(max_cycles.saturating_sub(1));
+        let mut now: Cycle = 0;
+        let mut stopped = false;
+        while now < max_cycles {
+            executed += 1;
+            let completed = model.begin_cycle(now);
+            if P::ACTIVE {
+                if let Some(c) = &completed {
+                    probe.on_completion(now, c);
+                }
+            }
+            let mut agent_stop = false;
+            let mut until = Cycle::MAX;
+            for ((&i, due), seen) in zip(zip(&active, &mut due), &mut seen) {
+                let agent = &mut agents[i];
+                // Asleep and not addressed: this cycle cannot concern it,
+                // and its last verdict still bounds the skip.
+                if *due > now && !completed.as_ref().is_some_and(|c| agent.is_addressed(c)) {
+                    until = until.min(*due);
+                    continue;
+                }
+                if *seen < now {
+                    agent.absorb_skipped(now - *seen);
+                }
+                *seen = now + 1;
+                ticks[i] += 1;
+                *due = match agent.tick(now, completed.as_ref(), &mut model) {
+                    Control::Sleep(t) if events => t.max(now + 1),
+                    Control::Stop => {
+                        agent_stop = true;
+                        now + 1
+                    }
+                    _ => now + 1,
+                };
+                until = until.min(*due);
+            }
+            let granted = model.end_cycle(now);
+            if P::ACTIVE {
+                if let Some(core) = granted {
+                    probe.on_grant(now, core);
+                }
+                model.drain_events(&mut |event| forward_event(&mut probe, event));
+            }
+            let stop = agent_stop
+                || match stop_when {
+                    StopWhen::AgentDone(i) => agents[i].is_done(),
+                    // Inert agents are done by contract: checking the
+                    // active set is equivalent.
+                    StopWhen::AllAgentsDone => active.iter().all(|&i| agents[i].is_done()),
+                    StopWhen::Horizon(h) => now + 1 >= h,
+                };
+            if stop {
+                now += 1;
+                stopped = true;
+                break;
+            }
+            if let (Some(lc), Some(core)) = (&mut detector, granted) {
+                if lc.due(core) {
+                    // The sample reads every agent's counters as of now.
+                    absorb_until(now + 1, &mut agents, &active, &mut seen);
+                    if let Some(shift) =
+                        lc.sample(now, last_landing, &mut model, &mut agents, &active)
+                    {
+                        // The landing cycle stands in for this one, whole
+                        // periods later; resume stepping right after it.
+                        for t in due.iter_mut().chain(&mut seen) {
+                            *t = t.saturating_add(shift);
+                        }
+                        skipped += shift;
+                        now += shift + 1;
+                        continue;
+                    }
+                }
+            }
+            if events {
+                if let StopWhen::Horizon(h) = stop_when {
+                    // The stop fires from the tick at cycle h - 1; never
+                    // skip it.
+                    until = until.min(h - 1);
+                }
+                if until > now + 1 {
+                    if let Some(event) = model.next_event(now) {
+                        let jump = event.min(until).min(max_cycles);
+                        if jump > now + 1 {
+                            model.advance(now, jump);
+                            skipped += jump - now - 1;
+                            now = jump;
+                            continue;
+                        }
+                    }
+                }
+            }
+            now += 1;
+        }
+        // The run ends without ticking everyone at its last cycle (or
+        // mid-skip at max_cycles): absorb each agent's tail so agent
+        // statistics stay bit-identical to the per-cycle loop.
+        absorb_until(now, &mut agents, &active, &mut seen);
+        if P::ACTIVE {
+            // A run truncated mid-skip leaves events buffered by the
+            // final `advance` (e.g. coalesced credit flips); drain them
+            // before closing the stream.
+            model.drain_events(&mut |event| forward_event(&mut probe, event));
+            probe.on_finish(now);
+        }
+        Simulation {
+            model,
+            agents,
+            probe,
+            outcome: DriveOutcome {
+                cycles: now,
+                stopped,
+            },
+            counters: EngineCounters {
+                executed_cycles: executed,
+                skipped_cycles: skipped,
+                ticks,
+            },
+        }
     }
 }
 
@@ -705,7 +670,6 @@ mod tests {
     use super::*;
     use crate::agent::{AgentStats, Idle};
     use crate::engine::tests::OneShot;
-    use crate::rng::SimRng;
     use crate::trace::GrantTrace;
     use std::cell::{Cell, RefCell};
     use std::rc::Rc;
@@ -760,10 +724,6 @@ mod tests {
             self.skipped_seen += skipped;
         }
 
-        fn reset(&mut self, _rng: &mut SimRng) {
-            *self = Periodic::new(5);
-        }
-
         fn stats(&self) -> AgentStats {
             AgentStats {
                 done_at: self.done_at,
@@ -772,24 +732,22 @@ mod tests {
         }
     }
 
-    fn run_with(engine: Engine) -> (Simulation<'static, OneShot>, DriveOutcome) {
-        let mut sim = Simulation::builder()
+    fn run_with(engine: Engine) -> Simulation<'static, OneShot> {
+        Simulation::builder()
             .model(OneShot::new())
             .agent(Periodic::new(5))
             .agent(Idle::new())
             .stop(StopWhen::AllAgentsDone)
             .engine(engine)
             .max_cycles(10_000)
-            .build();
-        let outcome = sim.run();
-        (sim, outcome)
+            .run()
     }
 
     #[test]
     fn engines_agree_bit_for_bit() {
-        let (naive_sim, naive) = run_with(Engine::Naive);
-        let (fast_sim, fast) = run_with(Engine::Events);
-        assert_eq!(naive, fast);
+        let naive_sim = run_with(Engine::Naive);
+        let fast_sim = run_with(Engine::Events);
+        assert_eq!(naive_sim.outcome(), fast_sim.outcome());
         assert_eq!(
             naive_sim.model().trace().total_slots(),
             fast_sim.model().trace().total_slots()
@@ -797,32 +755,30 @@ mod tests {
         assert_eq!(naive_sim.agent(0).stats(), fast_sim.agent(0).stats());
         assert!(fast_sim.model().skipped > 0, "fast path must skip");
         assert_eq!(naive_sim.model().skipped, 0, "naive path never skips");
-        // Skipped-cycle accounting reaches the agents.
-        assert!(fast_sim.outcome().is_some());
     }
 
     #[test]
     fn horizon_stop_is_exact() {
-        let mut sim = Simulation::builder()
+        let sim = Simulation::builder()
             .model(OneShot::new())
             .agent(Periodic::new(1_000))
             .stop(StopWhen::Horizon(137))
             .max_cycles(10_000)
-            .build();
-        let outcome = sim.run();
+            .run();
+        let outcome = sim.outcome();
         assert!(outcome.stopped);
         assert_eq!(outcome.cycles, 137);
     }
 
     #[test]
     fn agent_done_stop_uses_the_indexed_agent() {
-        let mut sim = Simulation::builder()
+        let sim = Simulation::builder()
             .model(OneShot::new())
             .agent(Periodic::new(2))
             .stop(StopWhen::AgentDone(0))
             .max_cycles(10_000)
-            .build();
-        let outcome = sim.run();
+            .run();
+        let outcome = sim.outcome();
         assert!(outcome.stopped);
         let done_at = sim.agent(0).stats().done_at;
         assert_eq!(done_at, Some(27), "second grant at 20+7");
@@ -830,12 +786,12 @@ mod tests {
 
     #[test]
     fn max_cycles_bounds_the_run() {
-        let mut sim = Simulation::builder()
+        let sim = Simulation::builder()
             .model(OneShot::new())
             .agent(Periodic::new(u32::MAX))
             .max_cycles(100)
-            .build();
-        let outcome = sim.run();
+            .run();
+        let outcome = sim.outcome();
         assert!(!outcome.stopped);
         assert_eq!(outcome.cycles, 100);
     }
@@ -871,14 +827,14 @@ mod tests {
         let probe = sim.probe();
         assert_eq!(probe.grants, 5);
         assert_eq!(probe.completions, 5);
-        assert_eq!(probe.finish, sim.outcome().map(|o| o.cycles));
+        assert_eq!(probe.finish, Some(sim.outcome().cycles));
         assert_eq!(sim.model().trace().total_slots(), 5);
     }
 
     #[test]
     #[should_panic(expected = "needs a model")]
     fn building_without_a_model_panics() {
-        let _ = Simulation::<OneShot>::builder().build();
+        let _ = Simulation::<OneShot>::builder().run();
     }
 
     /// A round-robin toy bus that implements the limit-cycle hooks and
@@ -1058,8 +1014,6 @@ mod tests {
             self.stalled += self.waiting() as u64 * skipped;
         }
 
-        fn reset(&mut self, _rng: &mut SimRng) {}
-
         fn stats(&self) -> AgentStats {
             AgentStats {
                 completed: self.completed,
@@ -1152,7 +1106,7 @@ mod tests {
         // Jumped periods count as skipped cycles.
         let counters = events.counters();
         assert_eq!(counters.executed_cycles, events.model().executed);
-        let cycles = events.outcome().unwrap().cycles;
+        let cycles = events.outcome().cycles;
         assert_eq!(counters.executed_cycles + counters.skipped_cycles, cycles);
         (events.model().jumps, FEEDER_JUMPS.with(Cell::get))
     }
@@ -1248,10 +1202,6 @@ mod tests {
             self.feeder.absorb_skipped(skipped);
         }
 
-        fn reset(&mut self, rng: &mut SimRng) {
-            self.feeder.reset(rng);
-        }
-
         fn stats(&self) -> AgentStats {
             self.feeder.stats()
         }
@@ -1296,7 +1246,7 @@ mod tests {
         assert_eq!(observed(&events), observed(&naive));
         // The dense reference ticks every active agent on every cycle.
         let cycles = naive.model().executed;
-        assert_eq!(Some(cycles), naive.outcome().map(|o| o.cycles));
+        assert_eq!(cycles, naive.outcome().cycles);
         for log in &naive_logs {
             assert_eq!(log.borrow().ticks, cycles);
         }
@@ -1313,7 +1263,7 @@ mod tests {
             let ticks: Vec<u64> = logs.iter().map(|log| log.borrow().ticks).collect();
             assert_eq!(counters.ticks, [&[0][..], &ticks].concat());
             assert_eq!(counters.executed_cycles, sim.model().executed);
-            let cycles = sim.outcome().unwrap().cycles;
+            let cycles = sim.outcome().cycles;
             assert_eq!(counters.executed_cycles + counters.skipped_cycles, cycles);
         }
     }

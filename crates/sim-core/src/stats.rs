@@ -25,7 +25,7 @@ use std::fmt;
 /// }
 /// assert_eq!(s.count(), 8);
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
-/// assert!((s.population_std_dev() - 2.0).abs() < 1e-12);
+/// assert_eq!((s.min(), s.max()), (2.0, 9.0));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Summary {
@@ -77,17 +77,8 @@ impl Summary {
         }
     }
 
-    /// Population variance (0 if fewer than 1 observation).
-    pub fn population_variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
     /// Sample variance with Bessel's correction (0 if fewer than 2).
-    pub fn sample_variance(&self) -> f64 {
+    fn sample_variance(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {
@@ -95,13 +86,8 @@ impl Summary {
         }
     }
 
-    /// Population standard deviation.
-    pub fn population_std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
     /// Sample standard deviation.
-    pub fn sample_std_dev(&self) -> f64 {
+    fn sample_std_dev(&self) -> f64 {
         self.sample_variance().sqrt()
     }
 
@@ -116,7 +102,7 @@ impl Summary {
     }
 
     /// Standard error of the mean.
-    pub fn std_error(&self) -> f64 {
+    fn std_error(&self) -> f64 {
         if self.n == 0 {
             0.0
         } else {
@@ -214,7 +200,6 @@ mod tests {
             .collect();
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.population_variance() - 4.0).abs() < 1e-12);
         assert!((s.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
@@ -225,7 +210,6 @@ mod tests {
         let s = Summary::new();
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.population_variance(), 0.0);
         assert_eq!(s.std_error(), 0.0);
     }
 

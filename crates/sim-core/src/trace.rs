@@ -75,11 +75,6 @@ impl GrantTrace {
         }
     }
 
-    /// Number of cores this trace was sized for.
-    pub fn n_cores(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Records a grant.
     ///
     /// # Panics
@@ -105,19 +100,6 @@ impl GrantTrace {
     /// The stored records, if this trace is recording.
     pub fn records(&self) -> Option<&[GrantRecord]> {
         self.records.as_deref()
-    }
-
-    /// Clears all recorded grants and totals while keeping the allocated
-    /// buffers (and the recording/counting mode), so a trace can be reused
-    /// across Monte-Carlo runs without reallocating.
-    pub fn clear(&mut self) {
-        if let Some(records) = &mut self.records {
-            records.clear();
-        }
-        self.slots.fill(0);
-        self.busy_cycles.fill(0);
-        self.first_start = None;
-        self.last_end = 0;
     }
 
     /// Appends the per-core grant counts, then the per-core busy cycles, to
@@ -338,27 +320,6 @@ mod tests {
         );
         assert_eq!(t.first_start(), Some(3));
         assert_eq!(t.last_end(), 12);
-    }
-
-    #[test]
-    fn clear_resets_totals_but_keeps_the_mode() {
-        let mut t = GrantTrace::recording(2);
-        t.record(0, c(0), 5);
-        t.record(5, c(1), 45);
-        t.clear();
-        assert_eq!(t.records().unwrap().len(), 0, "still recording");
-        assert_eq!(t.total_slots(), 0);
-        assert_eq!(t.total_busy_cycles(), 0);
-        assert_eq!(t.first_start(), None);
-        assert_eq!(t.last_end(), 0);
-        t.record(3, c(1), 7);
-        assert_eq!(t.records().unwrap().len(), 1);
-
-        let mut counting = GrantTrace::counting(2);
-        counting.record(0, c(0), 4);
-        counting.clear();
-        assert!(counting.records().is_none(), "still counting-only");
-        assert_eq!(counting.slots(c(0)), 0);
     }
 
     #[test]

@@ -175,11 +175,6 @@ impl SyntheticEembc {
         }
     }
 
-    /// The profile driving this generator.
-    pub fn profile(&self) -> &EembcProfile {
-        &self.profile
-    }
-
     fn draw_access(&mut self, rng: &mut SimRng) -> MemAccess {
         let p = &self.profile;
         let roll = rng.gen_f64();
@@ -269,16 +264,6 @@ impl Program for SyntheticEembc {
             }
         }
         Some(Op::Access(self.draw_access(rng)))
-    }
-
-    fn reset(&mut self, _rng: &mut SimRng) {
-        self.warmup_left = self.profile.warmup_accesses();
-        self.remaining = self.profile.accesses;
-        self.burst_left = 0;
-        self.walk = 0;
-        self.code_walk = 0;
-        self.pending_gap = None;
-        self.need_burst_start = true;
     }
 }
 
@@ -416,25 +401,6 @@ mod tests {
                 (4..=12).contains(&r),
                 "burst of {r} exceeds a merged pair: {runs:?}"
             );
-        }
-    }
-
-    #[test]
-    fn reset_reproduces_stream_with_same_rng_seed() {
-        let p = suite::cacheb();
-        let mut gen = SyntheticEembc::new(p);
-        let mut rng1 = SimRng::seed_from(9);
-        let mut first = Vec::new();
-        for _ in 0..200 {
-            match gen.next_op(&mut rng1) {
-                Some(op) => first.push(op),
-                None => break,
-            }
-        }
-        let mut rng2 = SimRng::seed_from(9);
-        gen.reset(&mut rng2);
-        for (i, expect) in first.iter().enumerate() {
-            assert_eq!(gen.next_op(&mut rng2).as_ref(), Some(expect), "op {i}");
         }
     }
 

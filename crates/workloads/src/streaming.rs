@@ -15,7 +15,6 @@ use sim_core::rng::SimRng;
 /// bypass the cache model entirely.
 #[derive(Debug, Clone)]
 pub struct Streaming {
-    accesses: u64,
     remaining: u64,
     ptr: u64,
 }
@@ -34,7 +33,6 @@ impl Streaming {
     pub fn new(accesses: u64) -> Self {
         assert!(accesses > 0, "accesses must be positive");
         Streaming {
-            accesses,
             remaining: accesses,
             ptr: 0,
         }
@@ -54,11 +52,6 @@ impl Program for Streaming {
         let addr = STREAM_BASE + self.ptr;
         self.ptr = (self.ptr + LINE) % STREAM_BYTES;
         Some(Op::Access(MemAccess::load(addr)))
-    }
-
-    fn reset(&mut self, _rng: &mut SimRng) {
-        self.remaining = self.accesses;
-        self.ptr = 0;
     }
 }
 
@@ -98,19 +91,6 @@ mod tests {
         // Effectively saturating: ~29-30 cycles per 28-cycle transaction.
         let per_access = done_at(&core).expect("done") as f64 / 200.0;
         assert!(per_access < 32.0, "{per_access} cycles per access");
-    }
-
-    #[test]
-    fn reset_restarts() {
-        let mut s = Streaming::new(5);
-        let mut rng = SimRng::seed_from(0);
-        let mut count = 0;
-        while s.next_op(&mut rng).is_some() {
-            count += 1;
-        }
-        assert_eq!(count, 5);
-        s.reset(&mut rng);
-        assert!(s.next_op(&mut rng).is_some());
     }
 
     #[test]

@@ -131,7 +131,7 @@ pub fn rspeed() -> EembcProfile {
 
 /// `puwmod` — pulse-width modulation: store-dominated control loop
 /// (write-through traffic) with moderate density.
-pub fn puwmod() -> EembcProfile {
+fn puwmod() -> EembcProfile {
     EembcProfile {
         name: "puwmod",
         accesses: 3_000,
@@ -150,7 +150,7 @@ pub fn puwmod() -> EembcProfile {
 /// `aifftr` — FFT: strided sweeps over a data set larger than the L2
 /// partition, producing genuine 28/56-cycle memory transactions; the
 /// heaviest long-request workload (useful for pWCET experiments).
-pub fn aifftr() -> EembcProfile {
+fn aifftr() -> EembcProfile {
     EembcProfile {
         name: "aifftr",
         accesses: 2_000,

@@ -1,5 +1,5 @@
 //! `SimAgent` conformance suite: every shipped agent implementation must
-//! honor the three contracts the open client API rests on.
+//! honor the two contracts the open client API rests on.
 //!
 //! 1. **Verdict honesty** — an agent sleeping until the cycle its tick's
 //!    [`Control::Sleep`] verdict names never posts earlier: ticking it
@@ -8,10 +8,7 @@
 //!    sparse run is driven by the verdicts alone, as the events engine
 //!    is. This is the property the event-horizon engine's bit-identity
 //!    guarantee reduces to on the client side.
-//! 2. **Reset ≡ fresh** — [`reset`](sim_core::SimAgent::reset) through
-//!    the trait restores a fresh-construction agent: re-running the same
-//!    workload yields identical post streams and statistics.
-//! 3. **Wake calendar** — beside another agent, a completion is
+//! 2. **Wake calendar** — beside another agent, a completion is
 //!    [addressed](sim_core::SimAgent::is_addressed) to the agent exactly
 //!    when it is its own, and ticking the agent only when its last
 //!    verdict made it due or such a completion arrives, absorbing every
@@ -232,7 +229,7 @@ fn drive_beside_a_contender(
     (port.posts, agent.stats(), ticks)
 }
 
-/// Contract 3: ticking an agent only when it is due or addressed loses
+/// Contract 2: ticking an agent only when it is due or addressed loses
 /// nothing while another agent keeps the bus busy.
 #[test]
 fn ticking_only_when_due_or_addressed_reproduces_the_dense_run() {
@@ -252,29 +249,6 @@ fn ticking_only_when_due_or_addressed_reproduces_the_dense_run() {
             "'{load}': stats must survive the cycles the calendar absorbed"
         );
         assert!(ticks < HORIZON, "'{load}': never left asleep");
-    }
-}
-
-/// Contract 2: `reset` through the trait ≡ fresh construction.
-#[test]
-fn reset_under_the_trait_equals_fresh_construction() {
-    const HORIZON: Cycle = 4_000;
-    for load in shipped_loads() {
-        let mut fresh = build(&load, 77);
-        let expected = drive_dense(&mut fresh, HORIZON);
-
-        let mut reused = build(&load, 77);
-        for round in 0..2 {
-            let got = drive_dense(&mut reused, HORIZON);
-            assert_eq!(
-                got, expected,
-                "'{load}': round {round} diverged from a fresh agent"
-            );
-            // Reset with the same stream the registry consumed at build
-            // time, exactly as a fresh run would seed it.
-            let mut rng = SimRng::seed_from(77).fork(0xC0);
-            reused.reset(&mut rng);
-        }
     }
 }
 

@@ -15,7 +15,6 @@ use cba_bus::{Bus, BusModel, CompletedTransaction, RequestPort};
 use cba_cpu::Contender;
 use cba_platform::CellReport;
 use sim_core::agent::{AgentStats, SimAgent};
-use sim_core::rng::SimRng;
 use sim_core::{Control, CoreId, Cycle};
 
 /// A saturating contender that counts the limit-cycle jumps it takes part
@@ -36,9 +35,6 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for CountedConte
     }
     fn is_done(&self) -> bool {
         false
-    }
-    fn reset(&mut self, rng: &mut SimRng) {
-        SimAgent::<P, _>::reset(&mut self.inner, rng);
     }
     fn stats(&self) -> AgentStats {
         SimAgent::<P, _>::stats(&self.inner)

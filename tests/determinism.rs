@@ -71,7 +71,7 @@ fn randomness_sources_differ_from_each_other() {
 fn campaign_seed_schedule_is_stable() {
     // A run's seed depends on the master seed and its index alone, not
     // on execution order (guards the parallel scheduler against
-    // accidental reseeding-by-completion-order).
+    // seeds that follow completion order).
     let early = run_seed(42, 3);
     let late = run_seed(42, 97);
     assert_ne!(early, late);

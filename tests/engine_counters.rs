@@ -44,7 +44,7 @@ fn matrix_run(contenders: usize, engine: Engine) -> Simulation<'static, Bus> {
     builder.run()
 }
 
-fn observed(sim: &Simulation<Bus>) -> (Option<sim_core::DriveOutcome>, Vec<AgentStats>) {
+fn observed(sim: &Simulation<Bus>) -> (sim_core::DriveOutcome, Vec<AgentStats>) {
     let stats = sim.agents().iter().map(|a| a.stats()).collect();
     (sim.outcome(), stats)
 }
@@ -62,7 +62,7 @@ fn the_core_model_is_ticked_about_twice_per_transaction() {
 
         // The dense reference executes every cycle and ticks every agent
         // at each; the counts describe work, not the simulated run.
-        let cycles = naive.outcome().unwrap().cycles;
+        let cycles = naive.outcome().cycles;
         let dense = naive.counters();
         assert_eq!(
             *dense,

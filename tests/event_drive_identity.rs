@@ -1,6 +1,6 @@
 //! Bit-identity of the event-horizon fast path against the naive
 //! per-cycle loop — the workspace-level contract of the two engines of
-//! `sim_core::Simulation::run`.
+//! `sim_core::SimulationBuilder::run`.
 //!
 //! The fast path may only skip cycles in which *nothing observable*
 //! happens, so every run must agree with the reference loop bit for bit:
@@ -312,13 +312,13 @@ fn split_bus_runs_are_bit_identical() {
                         // events (completions) can create client work.
                         Control::Sleep(Cycle::MAX)
                     };
-                    let mut sim = Simulation::builder()
+                    let sim = Simulation::builder()
                         .model(bus)
                         .agent(FnAgent(cycle_fn))
                         .engine(engine)
                         .max_cycles(40_000)
-                        .build();
-                    assert_eq!(sim.run().cycles, 40_000);
+                        .run();
+                    assert_eq!(sim.outcome().cycles, 40_000);
                     let (bus, ..) = sim.into_parts();
                     let inner = bus.inner();
                     let ids: Vec<CoreId> = (0..4).map(CoreId::from_index).collect();

@@ -379,9 +379,6 @@ impl SimAgent<dyn RequestPort, CompletedTransaction> for Recorded {
     fn is_inert(&self) -> bool {
         self.inner.is_inert()
     }
-    fn reset(&mut self, rng: &mut SimRng) {
-        self.inner.reset(rng);
-    }
     fn stats(&self) -> AgentStats {
         self.inner.stats()
     }

@@ -343,7 +343,7 @@ fn run_by_hand(
     spec: &RunSpec,
     registry: &AgentRegistry,
     engine: Engine,
-) -> (Option<DriveOutcome>, Vec<AgentStats>, FabricPrint) {
+) -> (DriveOutcome, Vec<AgentStats>, FabricPrint) {
     let agents = spec.loads.iter().enumerate().map(|(i, load)| {
         let mut rng = SimRng::seed_from(3).fork(0xC0 + i as u64);
         let core = CoreId::from_index(i);
@@ -352,14 +352,13 @@ fn run_by_hand(
             .unwrap();
         Box::new(PortAgent::new(agent)) as BoxedAgent<Fabric>
     });
-    let mut sim = Simulation::builder()
+    let sim = Simulation::builder()
         .model(fabric)
         .agents(agents)
         .stop(StopWhen::AgentDone(0))
         .engine(engine)
         .max_cycles(10_000_000)
-        .build();
-    sim.run();
+        .run();
     let stats = sim.agents().iter().map(|a| a.stats()).collect();
     (sim.outcome(), stats, fabric_print(sim.model()))
 }
