@@ -153,9 +153,6 @@ pub struct SetAssocCache {
     stamps: Vec<u64>,
     seed: u64,
     tick: u64,
-    // Statistics.
-    hits: u64,
-    misses: u64,
 }
 
 impl SetAssocCache {
@@ -177,8 +174,6 @@ impl SetAssocCache {
             stamps: vec![0; if lru { n } else { 0 }],
             seed: rng.next_u64(),
             tick: 0,
-            hits: 0,
-            misses: 0,
             config,
         })
     }
@@ -186,16 +181,6 @@ impl SetAssocCache {
     /// The cache geometry.
     pub fn config(&self) -> &CacheConfig {
         &self.config
-    }
-
-    /// Hits observed so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Misses observed so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 
     /// The tag `addr`'s line is stored under (never 0: validation keeps
@@ -276,20 +261,16 @@ impl SetAssocCache {
         let (tag, base, slot) = self.probe(addr);
         match slot {
             Some(slot) => {
-                self.hits += 1;
                 self.touch(slot);
                 CacheOutcome {
                     hit: true,
                     victim_dirty: false,
                 }
             }
-            None => {
-                self.misses += 1;
-                CacheOutcome {
-                    hit: false,
-                    victim_dirty: self.fill(tag, base, false, rng),
-                }
-            }
+            None => CacheOutcome {
+                hit: false,
+                victim_dirty: self.fill(tag, base, false, rng),
+            },
         }
     }
 
@@ -305,7 +286,6 @@ impl SetAssocCache {
         let write_back = self.config.write_policy == WritePolicy::WriteBack;
         match slot {
             Some(slot) => {
-                self.hits += 1;
                 self.touch(slot);
                 self.dirty[slot] |= write_back;
                 CacheOutcome {
@@ -313,13 +293,10 @@ impl SetAssocCache {
                     victim_dirty: false,
                 }
             }
-            None => {
-                self.misses += 1;
-                CacheOutcome {
-                    hit: false,
-                    victim_dirty: write_back && self.fill(tag, base, true, rng),
-                }
-            }
+            None => CacheOutcome {
+                hit: false,
+                victim_dirty: write_back && self.fill(tag, base, true, rng),
+            },
         }
     }
 
@@ -380,8 +357,6 @@ mod tests {
         assert!(!c.read(0x100, &mut rng).hit);
         assert!(c.read(0x10f, &mut rng).hit, "same 16-byte line");
         assert!(!c.read(0x110, &mut rng).hit, "next line misses");
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 2);
     }
 
     #[test]
@@ -479,10 +454,8 @@ mod tests {
     #[test]
     fn hit_rate_accounting() {
         let (mut c, mut rng) = mk(CacheConfig::paper_l1(), 11);
-        c.read(0x0, &mut rng);
-        c.read(0x0, &mut rng);
-        c.read(0x0, &mut rng);
-        assert_eq!((c.hits(), c.misses()), (2, 1));
+        let hits: Vec<bool> = (0..3).map(|_| c.read(0x0, &mut rng).hit).collect();
+        assert_eq!(hits, [false, true, true]);
     }
 
     /// Valid lines never exceed capacity, and immediate re-reads always

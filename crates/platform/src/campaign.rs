@@ -21,6 +21,11 @@ pub fn run_seed(master_seed: u64, index: usize) -> u64 {
 }
 
 /// A batch of independent runs of one spec.
+///
+/// A spec whose runs make no random draw (a round-robin bus with
+/// synthetic loads, say; see [`RunResult::draws`]) gives the same run
+/// under every seed: the campaign computes it once and copies it into
+/// every run.
 #[derive(Debug, Clone)]
 pub struct Campaign {
     spec: RunSpec,

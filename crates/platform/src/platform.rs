@@ -6,7 +6,7 @@ use crate::config::{FabricTopology, PlatformConfig};
 use crate::probes::{WindowedFairness, WindowedFairnessProbe};
 use cba::{CreditFilter, Mode};
 use cba_bus::fabric::{Fabric, FabricConfig};
-use cba_bus::{Bus, BusConfig, CompletedTransaction, RequestPort};
+use cba_bus::{Bus, BusConfig, CompletedTransaction, RandomSource, RequestPort};
 use cba_mem::shared_hub;
 use cba_workloads::EembcProfile;
 use sim_core::agent::MemStats;
@@ -472,6 +472,11 @@ pub struct RunResult {
     /// (`None` when no load placed one, so baseline reports keep their
     /// exact column set). Exact integer sums, so thread-count-independent.
     pub mem: Option<MemStats>,
+    /// Random draws the run made, its build included (see
+    /// [`sim_core::rng::draws`]). The seed reaches a run only through its
+    /// draws, so a run with none gives the same result under every seed.
+    /// Equal under both engines: a skipped cycle range makes no draw.
+    pub draws: u64,
 }
 
 impl RunResult {
@@ -537,7 +542,8 @@ impl SimModel for Fabric {
 
 /// Executes one run of `spec` under `seed`, fully deterministically,
 /// building agents through the shared
-/// [`default_registry`].
+/// [`default_registry`]. [`RunResult::draws`] counts the random draws of
+/// the build and the run.
 ///
 /// # Panics
 ///
@@ -558,10 +564,15 @@ pub fn run_once_with(spec: &RunSpec, seed: u64, registry: &AgentRegistry) -> Run
     if let Err(why) = spec.validate() {
         panic!("invalid run spec: {why}");
     }
+    let start = sim_core::rng::draws();
     let rng = SimRng::seed_from(seed);
-    match &spec.platform.topology {
+    let result = match &spec.platform.topology {
         None => execute(build_bus(spec, &rng), spec, &rng, registry),
         Some(topo) => execute(build_fabric(spec, topo, &rng), spec, &rng, registry),
+    };
+    RunResult {
+        draws: sim_core::rng::draws() - start,
+        ..result
     }
 }
 
@@ -585,8 +596,9 @@ fn build_bus(spec: &RunSpec, rng: &SimRng) -> Bus {
         bus.set_filter(Box::new(CreditFilter::with_mode(credit.clone(), mode)));
     }
     if platform.lfsr_randbank {
-        let bank_seed = rng.fork(0xA9).next_u64();
-        bus.set_random_source(Box::new(LfsrBank::new(16, bank_seed).expect("valid width")));
+        bus.set_random_source(Box::new(
+            LfsrBank::from_rng(16, rng.fork(0xA9)).expect("valid width"),
+        ));
     } else {
         bus.set_random_source(Box::new(rng.fork(0xA9)));
     }
@@ -637,27 +649,19 @@ fn build_fabric(spec: &RunSpec, topo: &FabricTopology, rng: &SimRng) -> Fabric {
         fabric.set_backbone_filter(Box::new(CreditFilter::new(credit.clone())));
     }
     // One independent random stream per arbitration point, all forked off
-    // the run seed (segment 0 = backbone, 1.. = clusters).
+    // the run seed (segment 0 = backbone, 1.. = clusters). A bank draws its
+    // segment's seed at its first step; a software stream is seeded here.
     let arb = rng.fork(0xA9);
-    let segment_seed = |i: u64| arb.fork(i).next_u64();
-    if spec.platform.lfsr_randbank {
-        fabric.set_backbone_random_source(Box::new(
-            LfsrBank::new(16, segment_seed(0)).expect("valid width"),
-        ));
-        for k in 0..topo.clusters {
-            fabric.set_cluster_random_source(
-                k,
-                Box::new(LfsrBank::new(16, segment_seed(1 + k as u64)).expect("valid width")),
-            );
+    let source = |i: u64| -> Box<dyn RandomSource> {
+        if spec.platform.lfsr_randbank {
+            Box::new(LfsrBank::from_rng(16, arb.fork(i)).expect("valid width"))
+        } else {
+            Box::new(SimRng::seed_from(arb.fork(i).next_u64()))
         }
-    } else {
-        fabric.set_backbone_random_source(Box::new(SimRng::seed_from(segment_seed(0))));
-        for k in 0..topo.clusters {
-            fabric.set_cluster_random_source(
-                k,
-                Box::new(SimRng::seed_from(segment_seed(1 + k as u64))),
-            );
-        }
+    };
+    fabric.set_backbone_random_source(source(0));
+    for k in 0..topo.clusters {
+        fabric.set_cluster_random_source(k, source(1 + k as u64));
     }
     if spec.record_trace {
         fabric.enable_recording_trace();
@@ -761,6 +765,8 @@ fn extract<M: SimModel, P: Probe<CompletedTransaction>>(
         max_burst: ids.iter().map(|&c| trace.max_burst_len(c)).collect(),
         windows,
         mem,
+        // The draws bracket the build too: `run_once_with` counts them.
+        draws: 0,
     }
 }
 

@@ -28,6 +28,7 @@ use sim_core::export::{csv_field, fmt_number, Json};
 use sim_core::stats::{percentile_sorted, Summary};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
+use std::sync::OnceLock;
 
 /// How a cell's campaign ended: the per-cell fault-containment status.
 ///
@@ -782,7 +783,10 @@ pub struct ScenarioReport {
 /// thread), so a multi-cell campaign scales with the thread count well
 /// beyond a single cell's run count. Every run's seed depends only on
 /// `(cell seed, run index)`, so results are deterministic — bit-identical
-/// for any thread count or scheduling.
+/// for any thread count or scheduling. A run that makes no random draw
+/// ([`RunResult::draws`]) is the same under every seed, so each cell's
+/// first such run is computed once and copied into the cell's other
+/// runs; the report is the one of computing them all.
 ///
 /// # Errors
 ///
@@ -825,7 +829,7 @@ pub struct RunControls<'a> {
 /// [`CheckpointSpec`](crate::scenario::CheckpointSpec).
 #[derive(Debug, Default)]
 struct CellClock {
-    started: std::sync::OnceLock<std::time::Instant>,
+    started: OnceLock<std::time::Instant>,
 }
 
 impl CellClock {
@@ -871,6 +875,12 @@ impl Batch<'_> {
     /// and each cell's report goes to `on_cell` with the cell's index as
     /// its last run lands. Once `on_cell` returns `false`, the remaining
     /// results are drained without being folded or reported.
+    ///
+    /// A run that made no random draw ([`RunResult::draws`] `== 0`) is
+    /// the same under every seed, so the first such run of a cell is kept
+    /// and every later run of that cell copies it instead of simulating,
+    /// once its own budget checks and injected faults have had their
+    /// turn. A cell whose runs draw is computed run by run.
     pub(crate) fn run(
         &self,
         cells: &[Cell],
@@ -882,6 +892,7 @@ impl Batch<'_> {
         let mut pending: Vec<CellAccumulator> =
             work.iter().map(|_| CellAccumulator::new(runs)).collect();
         let clocks: Vec<CellClock> = work.iter().map(|_| CellClock::default()).collect();
+        let seed_free: Vec<OnceLock<RunTally>> = work.iter().map(|_| OnceLock::new()).collect();
         let mut live = true;
         run_indexed_streamed(
             work.len() * runs,
@@ -899,16 +910,24 @@ impl Batch<'_> {
                     }
                 }
                 clocks[wi].begin();
-                let seed = run_seed(cell.seed, run);
                 match catch_unwind(AssertUnwindSafe(|| {
                     if self.plan.panics_at(ci, run) {
                         panic!("injected fault (cell {ci}, run {run})");
                     }
-                    run_once(&cell.spec, seed)
-                })) {
-                    Ok(r) => {
-                        RunOutcome::Done(Box::new(RunTally::from_run(r, &cell.spec, run_budget)))
+                    if let Some(tally) = seed_free[wi].get() {
+                        return tally.clone();
                     }
+                    let r = run_once(&cell.spec, run_seed(cell.seed, run));
+                    let drew = r.draws > 0;
+                    let tally = RunTally::from_run(r, &cell.spec, run_budget);
+                    if !drew {
+                        // A concurrent run of the cell may have kept its
+                        // own copy first; both are the same tally.
+                        let _ = seed_free[wi].set(tally.clone());
+                    }
+                    tally
+                })) {
+                    Ok(tally) => RunOutcome::Done(Box::new(tally)),
                     Err(payload) => RunOutcome::Panicked(panic_message(payload)),
                 }
             },

@@ -33,6 +33,7 @@
 //! seed. The tests step the bank beside such single-lane oracles, compare
 //! its monitors with theirs, and pin hashes of its stream.
 
+use crate::rng::{count_draw, SimRng};
 use crate::SimError;
 
 /// Default polynomial: x^32 + x^22 + x^2 + x + 1 (maximal length, taps as a
@@ -129,7 +130,8 @@ pub struct LfsrBank {
     /// The lanes' states as a ring of bit-planes: bit `i` of logical plane
     /// `j`, `planes[(observed + j) % 32]`, is bit `j` of lane `i`'s state.
     /// Built from `seed` on the first draw, so a bank that is never drawn
-    /// from (a round-robin platform still builds one) skips the transpose.
+    /// from (a round-robin platform still builds one) skips the transpose
+    /// and, seeded from a stream, draws nothing from it.
     planes: Option<[u64; STATE_BITS]>,
     /// The ring as the current window's first cycle found it (its head at
     /// index 0); [`LfsrBank::health`] replays the window from here.
@@ -138,7 +140,26 @@ pub struct LfsrBank {
     /// cycles long, so this is also the ring's head, mod 32.
     observed: u32,
     width: usize,
-    seed: u64,
+    seed: BankSeed,
+}
+
+/// Where a bank's seed comes from.
+#[derive(Debug, Clone)]
+enum BankSeed {
+    /// A seed given at construction ([`LfsrBank::new`]).
+    Value(u64),
+    /// A stream whose first value seeds the bank at its first step
+    /// ([`LfsrBank::from_rng`]).
+    Stream(SimRng),
+}
+
+impl BankSeed {
+    fn value(&mut self) -> u64 {
+        match self {
+            BankSeed::Value(seed) => *seed,
+            BankSeed::Stream(rng) => rng.next_u64(),
+        }
+    }
 }
 
 /// Bits of one lane's state.
@@ -247,6 +268,22 @@ impl LfsrBank {
     /// Returns [`SimError::InvalidConfig`] if `width == 0` or
     /// `width > 64`.
     pub fn new(width: usize, seed: u64) -> Result<Self, SimError> {
+        Self::with_seed(width, BankSeed::Value(seed))
+    }
+
+    /// Creates a bank of `width` lanes seeded by the first value of `rng`,
+    /// drawn at the bank's first step: the bank of [`LfsrBank::new`] with
+    /// that value as its seed, but one that is never stepped draws
+    /// nothing (see [`rng::draws`](crate::rng::draws)).
+    ///
+    /// # Errors
+    ///
+    /// As [`LfsrBank::new`].
+    pub fn from_rng(width: usize, rng: SimRng) -> Result<Self, SimError> {
+        Self::with_seed(width, BankSeed::Stream(rng))
+    }
+
+    fn with_seed(width: usize, seed: BankSeed) -> Result<Self, SimError> {
         if width == 0 || width > 64 {
             return Err(SimError::InvalidConfig {
                 what: "lfsr bank width",
@@ -269,14 +306,15 @@ impl LfsrBank {
 
     /// The lanes' bit-planes, built on first use.
     fn planes(&mut self) -> &mut [u64; STATE_BITS] {
-        let (width, seed) = (self.width, self.seed);
+        let (width, seed) = (self.width, &mut self.seed);
         self.planes
-            .get_or_insert_with(|| bit_planes(lane_seeds(width, seed)))
+            .get_or_insert_with(|| bit_planes(lane_seeds(width, seed.value())))
     }
 
     /// Advances every lane one cycle and returns the fresh bits packed into
-    /// the low `width` bits of a `u64` (lane 0 is bit 0).
+    /// the low `width` bits of a `u64` (lane 0 is bit 0). Counts as a draw.
     pub fn next_bits(&mut self) -> u64 {
+        count_draw();
         let observed = self.observed;
         if observed == 0 {
             // A health window starts: keep its first state for `health`.
@@ -546,6 +584,23 @@ mod tests {
                 assert_eq!(bank.window_counts(), oracle.window_counts());
             }
         }
+    }
+
+    #[test]
+    fn a_stream_seeded_bank_draws_its_seed_at_its_first_step() {
+        use crate::rng::draws;
+        let stream = SimRng::seed_from(41);
+        let start = draws();
+        let idle = LfsrBank::from_rng(16, stream.clone()).unwrap();
+        assert_eq!(idle.health(), LfsrHealth::Ok);
+        assert_eq!(draws(), start, "an unstepped bank draws nothing");
+        let mut lazy = LfsrBank::from_rng(16, stream.clone()).unwrap();
+        let mut eager = LfsrBank::new(16, stream.clone().next_u64()).unwrap();
+        let start = draws();
+        for _ in 0..100 {
+            assert_eq!(lazy.next_bits(), eager.next_bits());
+        }
+        assert_eq!(draws(), start + 1 + 2 * 100, "the seed, then one per step");
     }
 
     #[test]

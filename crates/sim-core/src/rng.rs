@@ -12,6 +12,37 @@
 //! `rand::rngs::SmallRng` on 64-bit targets) seeded through SplitMix64, so
 //! the crate carries no external dependencies and streams are stable across
 //! toolchains.
+//!
+//! # Counting draws
+//!
+//! A seed's value leaves its stream in exactly three ways: a
+//! [`SimRng::next_u64`] (every other draw method is built on it), a
+//! [`SimRng::seed`] read, and a step of an [`LfsrBank`](crate::lfsr::LfsrBank).
+//! Each of them adds one to a per-thread count, [`draws`]. Creating or
+//! forking a stream draws nothing: the child's values leave it through its
+//! own draws. So a piece of work that leaves the count unchanged computed
+//! nothing from any seed, and repeats exactly under every seed; the
+//! platform's campaign executor uses this to compute such a run once.
+//! Draws made on another thread, and `Debug` output, are not counted.
+
+use std::cell::Cell;
+
+thread_local! {
+    static DRAWS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Random draws made on the calling thread so far (see the
+/// [module docs](self#counting-draws)): the difference of two reads
+/// brackets the draws of the work between them.
+pub fn draws() -> u64 {
+    DRAWS.with(Cell::get)
+}
+
+/// Counts one draw on the calling thread.
+#[inline]
+pub(crate) fn count_draw() {
+    DRAWS.with(|d| d.set(d.get() + 1));
+}
 
 /// SplitMix64 step, used to derive independent seeds from `(seed, tag)` and
 /// to expand a 64-bit seed into the 256-bit xoshiro state.
@@ -66,8 +97,9 @@ impl SimRng {
         SimRng { seed, state }
     }
 
-    /// The seed this stream was created from.
+    /// The seed this stream was created from. Counts as a draw.
     pub fn seed(&self) -> u64 {
+        count_draw();
         self.seed
     }
 
@@ -85,6 +117,7 @@ impl SimRng {
     /// Next 64 random bits (xoshiro256++ step).
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
+        count_draw();
         let [s0, s1, s2, s3] = self.state;
         let result = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);
         let t = s1 << 17;
@@ -318,6 +351,24 @@ mod tests {
         for &c in &counts {
             assert!((700..1300).contains(&c), "counts skewed: {counts:?}");
         }
+    }
+
+    #[test]
+    fn draws_count_values_that_leave_a_stream() {
+        let start = draws();
+        let mut rng = SimRng::seed_from(9);
+        let child = rng.fork(3);
+        let _copy = rng.clone();
+        assert_eq!(draws(), start, "creating, forking and cloning draw nothing");
+        rng.next_u64();
+        rng.gen_range_u64(0..8);
+        rng.gen_f64();
+        assert_eq!(draws(), start + 3);
+        child.seed();
+        assert_eq!(draws(), start + 4, "a seed read is a draw");
+        let other = std::thread::spawn(|| SimRng::seed_from(1).next_u64());
+        other.join().unwrap();
+        assert_eq!(draws(), start + 4, "another thread's draws are its own");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! randomized runs* per configuration (cache placement and arbitration are
 //! randomized, so a single run is meaningless). This module provides the
 //! aggregation tools: numerically-stable running summaries ([`Summary`])
-//! and exact percentiles over stored samples ([`percentile`]).
+//! and exact percentiles over sorted samples ([`percentile_sorted`]).
 
 use std::fmt;
 
@@ -175,20 +175,6 @@ pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Sorts a copy of `samples` and returns the `q`-quantile.
-///
-/// NaNs sort after `+inf` (IEEE total order) instead of panicking, so a
-/// stray NaN inflates only the top quantiles rather than aborting a
-/// whole campaign. Callers evaluating several quantiles of one sample
-/// set should sort once and use [`percentile_sorted`] per quantile.
-///
-/// See [`percentile_sorted`] for conventions and panics.
-pub fn percentile(samples: &[f64], q: f64) -> f64 {
-    let mut v = samples.to_vec();
-    v.sort_by(f64::total_cmp);
-    percentile_sorted(&v, q)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,30 +202,30 @@ mod tests {
     #[test]
     fn percentile_interpolates() {
         let v = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&v, 0.0), 1.0);
-        assert_eq!(percentile(&v, 1.0), 4.0);
-        assert!((percentile(&v, 0.5) - 2.5).abs() < 1e-12);
-        assert!((percentile(&v, 1.0 / 3.0) - 2.0).abs() < 1e-12);
+        assert_eq!(percentile_sorted(&v, 0.0), 1.0);
+        assert_eq!(percentile_sorted(&v, 1.0), 4.0);
+        assert!((percentile_sorted(&v, 0.5) - 2.5).abs() < 1e-12);
+        assert!((percentile_sorted(&v, 1.0 / 3.0) - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn percentile_single_element() {
-        assert_eq!(percentile(&[42.0], 0.7), 42.0);
+        assert_eq!(percentile_sorted(&[42.0], 0.7), 42.0);
     }
 
     #[test]
     #[should_panic(expected = "empty")]
     fn percentile_empty_panics() {
-        let _ = percentile(&[], 0.5);
+        let _ = percentile_sorted(&[], 0.5);
     }
 
     #[test]
     fn percentile_tolerates_nan() {
-        // NaN sorts last under total_cmp: low quantiles stay usable,
-        // and nothing panics.
-        let v = [3.0, f64::NAN, 1.0, 2.0];
-        assert_eq!(percentile(&v, 0.0), 1.0);
-        assert!((percentile(&v, 1.0 / 3.0) - 2.0).abs() < 1e-12);
-        assert!(percentile(&v, 1.0).is_nan());
+        // Sorted by total_cmp, a NaN comes last: low quantiles stay
+        // usable, and nothing panics.
+        let v = [1.0, 2.0, 3.0, f64::NAN];
+        assert_eq!(percentile_sorted(&v, 0.0), 1.0);
+        assert!((percentile_sorted(&v, 1.0 / 3.0) - 2.0).abs() < 1e-12);
+        assert!(percentile_sorted(&v, 1.0).is_nan());
     }
 }

@@ -1,7 +1,7 @@
 //! Engine identity on the shipped scenarios: for run 0 of every cell of
 //! every `scenarios/*.scn`, the per-cycle reference loop (`engine =
 //! naive`) and the default events engine return identical `RunResult`s,
-//! bit for bit.
+//! bit for bit, random-draw counts included.
 //!
 //! The events engine skips uneventful cycle ranges and, once a run settles
 //! into a limit cycle, jumps whole periods (`fairness_sweep`,
@@ -76,6 +76,12 @@ fn naive_matches_events_on_every_shipped_scenario() {
     let check = |i: usize| {
         let (name, cell) = &cells[i];
         let (naive, events) = both(&cell.spec, run_seed(cell.seed, 0));
+        // A skipped cycle range makes no random draw.
+        assert_eq!(
+            naive.draws, events.draws,
+            "{name} {:?}: engines drew differently",
+            cell.labels
+        );
         assert_eq!(naive, events, "{name} {:?}: engines diverged", cell.labels);
     };
     run_indexed_streamed(cells.len(), default_threads(), check, |_, ()| {});
