@@ -12,7 +12,7 @@ use cba_bus::{
     Bus, BusConfig, BusRequest, EligibilityFilter, PendingSet, PolicyKind, RandomSource,
     RequestKind,
 };
-use cba_cpu::Contender;
+use cba_cpu::FixedRequestTask;
 use sim_core::lfsr::LfsrBank;
 use sim_core::rng::SimRng;
 use sim_core::{CoreId, Engine, Simulation};
@@ -53,9 +53,9 @@ fn bench_select(name: &str, kind: PolicyKind, rng: &mut dyn RandomSource) {
     });
 }
 
-/// The hardware-faithful random source (`lfsr = on`, the platform
-/// default): RP and lottery drawing from a 16-lane bank, one bank cycle,
-/// and building a bank, which every run does whether it draws or not.
+/// The platform's random source: RP and lottery drawing from a 16-lane
+/// bank, one bank cycle, and building a bank, which every run does
+/// whether it draws or not.
 fn bench_lfsr_bank() {
     for kind in [PolicyKind::RandomPermutation, PolicyKind::Lottery] {
         let name = format!("lfsr_bank/{}_select", kind.name());
@@ -133,7 +133,7 @@ fn bench_bus_cycle() {
                 .engine(Engine::Naive)
                 .max_cycles(CYCLES_PER_ITER);
             for i in 0..4 {
-                builder = builder.agent(Contender::new(CoreId::from_index(i), 28));
+                builder = builder.agent(FixedRequestTask::saturating(CoreId::from_index(i), 28));
             }
             builder.run().outcome()
         });

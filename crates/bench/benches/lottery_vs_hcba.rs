@@ -11,15 +11,15 @@
 use cba_bench::{print_row, rule, runs_from_env, seed_from_env};
 use cba_bus::policies::Lottery;
 use cba_bus::{Bus, BusConfig, BusModel};
-use cba_cpu::Contender;
+use cba_cpu::FixedRequestTask;
 use cba_platform::{run_once, BusSetup, CoreLoad, RunSpec, Scenario, StopCondition};
 use sim_core::{CoreId, Simulation, StopWhen};
 
 /// Favored core issues 5-cycle requests, three contenders issue 56-cycle
 /// requests, all saturating; returns the favored core's absolute cycle
 /// share under the given raw-bus assembly. Built on the `Simulation`
-/// facade: the saturating traffic *is* the `Contender` agent, no
-/// hand-rolled drive closure needed.
+/// facade: the saturating traffic *is* the `FixedRequestTask::saturating`
+/// agent, no hand-rolled drive closure needed.
 fn lottery_share(tickets: Vec<u32>, horizon: u64) -> f64 {
     let bus = Bus::new(
         BusConfig::new(4, 56).unwrap(),
@@ -28,7 +28,7 @@ fn lottery_share(tickets: Vec<u32>, horizon: u64) -> f64 {
     let mut builder = Simulation::builder().model(bus);
     for i in 0..4 {
         let d = if i == 0 { 5 } else { 56 };
-        builder = builder.agent(Contender::new(CoreId::from_index(i), d));
+        builder = builder.agent(FixedRequestTask::saturating(CoreId::from_index(i), d));
     }
     let sim = builder.stop(StopWhen::Horizon(horizon)).run();
     sim.model().trace().busy_cycles(CoreId::from_index(0)) as f64 / horizon as f64

@@ -19,7 +19,7 @@ use cba::{CreditConfig, CreditFilter};
 use cba_bench::{print_row, rule, seed_from_env};
 use cba_bus::split::{SplitBus, SplitBusConfig};
 use cba_bus::{BusModel, BusRequest, CompletedTransaction, PolicyKind, RequestKind, RequestPort};
-use cba_cpu::Contender;
+use cba_cpu::FixedRequestTask;
 use sim_core::agent::FnAgent;
 use sim_core::rng::SimRng;
 use sim_core::{BoxedAgent, Control, CoreId, Cycle, Simulation, StopWhen};
@@ -46,7 +46,7 @@ fn split_misses(core: CoreId) -> BoxedAgent<'static, SplitBus> {
 
 /// A saturating stream of unsplittable 56-cycle requests on `core`.
 fn atomics(core: CoreId) -> BoxedAgent<'static, SplitBus> {
-    Box::new(Contender::new(core, 56))
+    Box::new(FixedRequestTask::saturating(core, 56))
 }
 
 /// Returns (short-core completions, short-core absolute cycle share).
@@ -65,7 +65,7 @@ fn run(traffic: Traffic, with_cba: bool, horizon: u64, rng: SimRng) -> (u64, f64
     let c0 = CoreId::from_index(0);
     let sim = Simulation::builder()
         .model(bus)
-        .agent(Contender::new(c0, 5))
+        .agent(FixedRequestTask::saturating(c0, 5))
         .agents((1..4).map(CoreId::from_index).map(traffic))
         .stop(StopWhen::Horizon(horizon))
         .run();

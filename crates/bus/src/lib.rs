@@ -39,10 +39,10 @@ pub enum RequestKind {
     /// (56 cycles). The paper highlights atomics as the reason very long and
     /// very short requests coexist even on buses with split transactions.
     Atomic,
-    /// A WCET-estimation-mode contender transaction (always MaxL cycles).
+    /// A periodic co-runner's transaction (`cba_cpu::PeriodicContender`).
     Contender,
-    /// Synthetic workload transaction (used by the illustrative example and
-    /// fairness sweeps).
+    /// Synthetic workload transaction: a fixed-request task's, including
+    /// the saturating contenders of WCET-estimation mode.
     Synthetic,
     /// Coherent read (MESI BusRd): fetch a shared-segment line for
     /// reading, leaving remote copies in S.

@@ -12,7 +12,8 @@ use sim_core::{Control, CoreId, Cycle};
 /// Unlike [`Core`](crate::Core) it bypasses the cache model so the request
 /// stream is exactly the one the paper's arithmetic assumes; use it
 /// wherever an experiment's analytic prediction must be checkable to the
-/// cycle.
+/// cycle. [`FixedRequestTask::saturating`] is the endless, gap-free
+/// variant: the worst-case contender of WCET-estimation mode.
 ///
 /// # Example
 ///
@@ -78,6 +79,43 @@ impl FixedRequestTask {
             completed: 0,
             done_at: None,
         }
+    }
+
+    /// A worst-case contender: always has a `duration`-cycle request
+    /// posted, re-posting the same cycle the previous one completes, and
+    /// never finishes (`new(core, u64::MAX, duration, 0)`).
+    ///
+    /// This is the paper's WCET-estimation-mode core model (Table I:
+    /// `REQi` always set, the bus kept busy for `MaxL = 56` cycles per
+    /// grant). Whether the contender actually *competes* each cycle is
+    /// decided by the bus's eligibility filter: under plain RP it always
+    /// does; under CBA its `COMP` bit gates it (budget full ∧ TuA request
+    /// pending). With `duration = 28` it models the streaming applications
+    /// of the paper's Section II illustrative example.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use cba_bus::{Bus, BusConfig, PolicyKind};
+    /// use cba_cpu::FixedRequestTask;
+    /// use sim_core::{CoreId, Simulation, StopWhen};
+    ///
+    /// let bus = Bus::new(BusConfig::new(2, 56)?, PolicyKind::RoundRobin.build(2, 56));
+    /// let sim = Simulation::builder()
+    ///     .model(bus)
+    ///     .agent(FixedRequestTask::saturating(CoreId::from_index(1), 56))
+    ///     .stop(StopWhen::Horizon(1_000))
+    ///     .run();
+    /// // Alone against nobody, it saturates the bus completely.
+    /// assert_eq!(sim.model().idle_cycles(), 0);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `duration == 0`.
+    pub fn saturating(core: CoreId, duration: u32) -> Self {
+        Self::new(core, u64::MAX, duration, 0)
     }
 }
 
@@ -238,6 +276,47 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_requests_rejected() {
         let _ = FixedRequestTask::new(c(0), 0, 6, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn zero_duration_rejected() {
+        let _ = FixedRequestTask::saturating(c(0), 0);
+    }
+
+    #[test]
+    fn saturating_task_saturates_alone() {
+        let mut bus = rr_bus();
+        let mut k = FixedRequestTask::saturating(c(0), 56);
+        for now in 0..5600u64 {
+            cycle(&mut k, &mut bus, now);
+        }
+        assert_eq!(bus.idle_cycles(), 0);
+        assert_eq!(k.completed, 5600 / 56 - 1, "back-to-back MaxL grants");
+        assert!(!SimAgent::<Bus, _>::is_done(&k));
+    }
+
+    #[test]
+    fn three_saturating_tasks_share_slots_fairly_under_rr() {
+        let mut bus = Bus::new(
+            BusConfig::new(3, 56).unwrap(),
+            PolicyKind::RoundRobin.build(3, 56),
+        );
+        let mut ks: Vec<_> = (0..3)
+            .map(|i| FixedRequestTask::saturating(c(i), 28))
+            .collect();
+        for now in 0..8400u64 {
+            let done = bus.begin_cycle(now);
+            for k in &mut ks {
+                k.tick(now, done.as_ref(), &mut bus);
+            }
+            bus.end_cycle(now);
+        }
+        assert_eq!(bus.idle_cycles(), 0);
+        let slots: Vec<u64> = (0..3).map(|i| bus.trace().slots(c(i))).collect();
+        let min = slots.iter().min().unwrap();
+        let max = slots.iter().max().unwrap();
+        assert!(max - min <= 1, "slots: {slots:?}");
     }
 
     #[test]

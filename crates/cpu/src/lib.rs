@@ -9,7 +9,7 @@ pub mod mem_agent;
 pub mod program;
 pub mod store_buffer;
 
-pub use contender::{Contender, PeriodicContender};
+pub use contender::PeriodicContender;
 pub use core::{Core, CoreStats};
 pub use fixed_task::FixedRequestTask;
 pub use mem_agent::MemAgent;

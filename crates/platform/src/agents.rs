@@ -22,7 +22,7 @@
 use crate::config::PlatformConfig;
 use crate::platform::CoreLoad;
 use cba_bus::{CompletedTransaction, RequestPort};
-use cba_cpu::{Contender, Core, FixedRequestTask, MemAgent, PeriodicContender};
+use cba_cpu::{Core, FixedRequestTask, MemAgent, PeriodicContender};
 use cba_mem::{shared_hub, SharedHub};
 use cba_workloads::{Streaming, SyntheticEembc};
 use sim_core::agent::{AgentStats, SimAgent};
@@ -114,7 +114,7 @@ impl AgentRegistry {
             if *duration > maxl {
                 return Err(format!("contender duration {duration} exceeds MaxL {maxl}"));
             }
-            Ok(Box::new(Contender::new(ctx.core, *duration)))
+            Ok(Box::new(FixedRequestTask::saturating(ctx.core, *duration)))
         });
         reg.register("per", |ctx: &mut AgentCtx<'_>| {
             let CoreLoad::Periodic {
@@ -170,29 +170,15 @@ impl AgentRegistry {
         self.builders.contains_key(kind)
     }
 
-    /// Builds the agent for `load` on `core`.
+    /// Builds the agent for `load` on `core`, handing shared-state
+    /// builders (the `shared` memory kind) the run's coherence hub, if
+    /// any (see [`AgentCtx::hub`]).
     ///
     /// # Errors
     ///
     /// Returns a description when the load's kind is unregistered or its
     /// arguments are invalid.
     pub fn build(
-        &self,
-        load: &CoreLoad,
-        core: CoreId,
-        platform: &PlatformConfig,
-        rng: &mut SimRng,
-    ) -> Result<BoxedPortAgent, String> {
-        self.build_shared(load, core, platform, None, rng)
-    }
-
-    /// Builds the agent for `load` on `core`, handing shared-state
-    /// builders (the `shared` memory kind) the run's coherence hub.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`AgentRegistry::build`].
-    pub fn build_shared(
         &self,
         load: &CoreLoad,
         core: CoreId,
@@ -395,7 +381,7 @@ mod tests {
             },
         ];
         for load in &loads {
-            reg.build(load, CoreId::from_index(0), &platform, &mut rng)
+            reg.build(load, CoreId::from_index(0), &platform, None, &mut rng)
                 .unwrap_or_else(|e| panic!("{load}: {e}"));
         }
     }
@@ -410,6 +396,7 @@ mod tests {
                 &CoreLoad::Saturating { duration: 28 },
                 CoreId::from_index(2),
                 &ctx_platform(),
+                None,
                 &mut SimRng::seed_from(3),
             )
             .expect("builtin kind");
@@ -440,6 +427,7 @@ mod tests {
                 &load,
                 CoreId::from_index(0),
                 &platform,
+                None,
                 &mut SimRng::seed_from(1),
             ) {
                 Err(e) => e,
@@ -459,6 +447,7 @@ mod tests {
             &load,
             CoreId::from_index(0),
             &with_mem,
+            None,
             &mut SimRng::seed_from(1),
         ) {
             Err(e) => e,
@@ -478,6 +467,7 @@ mod tests {
             &load,
             CoreId::from_index(0),
             &ctx_platform(),
+            None,
             &mut SimRng::seed_from(0),
         ) {
             Err(e) => e,
@@ -541,6 +531,7 @@ mod tests {
                 &load,
                 CoreId::from_index(0),
                 &ctx_platform(),
+                None,
                 &mut SimRng::seed_from(1),
             )
             .expect("custom kind builds");

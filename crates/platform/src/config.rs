@@ -94,10 +94,6 @@ pub struct PlatformConfig {
     pub cba: Option<CreditConfig>,
     /// Store-buffer depth per core.
     pub store_buffer: usize,
-    /// Drive randomized arbitration from the hardware-faithful LFSR bank
-    /// (true) or the fast software RNG (false). Both are deterministic per
-    /// seed.
-    pub lfsr_randbank: bool,
     /// Hierarchical-fabric topology; `None` = the flat single shared bus.
     pub topology: Option<FabricTopology>,
     /// Synthetic address-stream configuration for the `mem`/`shared`
@@ -130,7 +126,6 @@ impl PlatformConfig {
             policy,
             cba,
             store_buffer: cba_cpu::core::DEFAULT_STORE_BUFFER,
-            lfsr_randbank: true,
             topology: None,
             memory: None,
         }

@@ -6,7 +6,7 @@ use crate::config::{FabricTopology, PlatformConfig};
 use crate::probes::{WindowedFairness, WindowedFairnessProbe};
 use cba::{CreditFilter, Mode};
 use cba_bus::fabric::{Fabric, FabricConfig};
-use cba_bus::{Bus, BusConfig, CompletedTransaction, RandomSource, RequestPort};
+use cba_bus::{Bus, BusConfig, CompletedTransaction, RequestPort};
 use cba_mem::shared_hub;
 use cba_workloads::EembcProfile;
 use sim_core::agent::MemStats;
@@ -388,17 +388,21 @@ impl RunSpec {
             }
         }
         if let Some(topo) = &self.platform.topology {
-            if topo.clusters == 0 || topo.cores_per_cluster == 0 {
-                return Err("topology needs at least one cluster and one core each".into());
-            }
+            // Rejects what `build_fabric`'s `FabricConfig::new` would; this
+            // also bounds the core count, so `n_cores` below cannot overflow.
+            FabricConfig::new(
+                topo.clusters,
+                topo.cores_per_cluster,
+                maxl,
+                topo.bridge_latency,
+                topo.bridge_depth,
+            )
+            .map_err(|e| e.to_string())?;
             if topo.n_cores() != self.platform.n_cores {
                 return Err(format!(
                     "topology has {} x {} cores but the platform declares {}",
                     topo.clusters, topo.cores_per_cluster, self.platform.n_cores
                 ));
-            }
-            if topo.bridge_latency == 0 || topo.bridge_depth == 0 {
-                return Err("bridge latency and depth must be positive".into());
             }
             if self.platform.cba.is_some() {
                 return Err(
@@ -595,13 +599,9 @@ fn build_bus(spec: &RunSpec, rng: &SimRng) -> Bus {
         };
         bus.set_filter(Box::new(CreditFilter::with_mode(credit.clone(), mode)));
     }
-    if platform.lfsr_randbank {
-        bus.set_random_source(Box::new(
-            LfsrBank::from_rng(16, rng.fork(0xA9)).expect("valid width"),
-        ));
-    } else {
-        bus.set_random_source(Box::new(rng.fork(0xA9)));
-    }
+    bus.set_random_source(Box::new(
+        LfsrBank::from_rng(16, rng.fork(0xA9)).expect("valid width"),
+    ));
     if spec.record_trace {
         bus.enable_recording_trace();
     }
@@ -648,17 +648,12 @@ fn build_fabric(spec: &RunSpec, topo: &FabricTopology, rng: &SimRng) -> Fabric {
     if let Some(credit) = &topo.backbone_cba {
         fabric.set_backbone_filter(Box::new(CreditFilter::new(credit.clone())));
     }
-    // One independent random stream per arbitration point, all forked off
-    // the run seed (segment 0 = backbone, 1.. = clusters). A bank draws its
-    // segment's seed at its first step; a software stream is seeded here.
+    // One independent LFSR bank per arbitration point, each on its own
+    // stream forked off the run seed (segment 0 = backbone, 1.. =
+    // clusters). A bank draws its segment's seed at its first step, so a
+    // fabric whose policies never draw makes no draw.
     let arb = rng.fork(0xA9);
-    let source = |i: u64| -> Box<dyn RandomSource> {
-        if spec.platform.lfsr_randbank {
-            Box::new(LfsrBank::from_rng(16, arb.fork(i)).expect("valid width"))
-        } else {
-            Box::new(SimRng::seed_from(arb.fork(i).next_u64()))
-        }
-    };
+    let source = |i: u64| Box::new(LfsrBank::from_rng(16, arb.fork(i)).expect("valid width"));
     fabric.set_backbone_random_source(source(0));
     for k in 0..topo.clusters {
         fabric.set_cluster_random_source(k, source(1 + k as u64));
@@ -696,7 +691,7 @@ fn execute<M: SimModel + 'static>(
         .map(|(i, load)| {
             let mut agent_rng = rng.fork(0xC0 + i as u64);
             let agent = registry
-                .build_shared(
+                .build(
                     load,
                     CoreId::from_index(i),
                     platform,
@@ -888,6 +883,38 @@ mod tests {
         assert_eq!(spec(&per(28, 90)).validate(), Ok(()));
     }
 
+    /// `validate` rejects every topology `build_fabric` cannot build. The
+    /// first one's `clusters * cores_per_cluster` wraps to the platform's
+    /// 4 cores in unchecked arithmetic.
+    #[test]
+    fn topologies_the_fabric_cannot_build_are_rejected() {
+        let topology = |clusters, bridge_depth| FabricTopology {
+            clusters,
+            cores_per_cluster: 4,
+            bridge_latency: 2,
+            bridge_depth,
+            cluster_policy: cba_bus::PolicyKind::RoundRobin,
+            cluster_cba: None,
+            backbone_policy: cba_bus::PolicyKind::RoundRobin,
+            backbone_cba: None,
+        };
+        for (topo, why) in [
+            (topology(usize::MAX / 4 + 2, 2), "exceed the 64-core limit"),
+            (topology(0, 2), "must be positive"),
+            (topology(1, 0), "bridge_depth must be at least 1"),
+        ] {
+            let mut spec = RunSpec::paper(
+                BusSetup::Rp,
+                Scenario::Isolation,
+                CoreLoad::Saturating { duration: 5 },
+            );
+            spec.stop = StopCondition::Horizon(100);
+            spec.platform.topology = Some(topo);
+            let err = spec.validate().unwrap_err();
+            assert!(err.contains(why), "{err}");
+        }
+    }
+
     #[test]
     fn unknown_benchmark_panics_with_context() {
         let spec = RunSpec::paper(
@@ -974,19 +1001,5 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.finished);
         assert_eq!(a.total_cycles, 20_000, "horizon must not be overshot");
-    }
-
-    #[test]
-    fn lfsr_and_software_rng_both_work() {
-        for lfsr in [true, false] {
-            let mut spec = RunSpec::paper(
-                BusSetup::Rp,
-                Scenario::MaxContention,
-                CoreLoad::named("rspeed"),
-            );
-            spec.platform.lfsr_randbank = lfsr;
-            let r = run_once(&spec, 11);
-            assert!(r.finished, "lfsr={lfsr}");
-        }
     }
 }

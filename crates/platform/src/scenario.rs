@@ -215,8 +215,6 @@ pub struct Template {
     pub cba: String,
     /// Optional per-core budget-cap multipliers, `2:1:1:1` style.
     pub caps: Option<String>,
-    /// Drive arbitration randomness from the LFSR bank (default on).
-    pub lfsr: bool,
     /// Cycle engine: `events` (fast path, default; `fluid` is an alias)
     /// or `naive` (per-cycle reference loop, for debugging — results are
     /// bit-identical).
@@ -250,7 +248,6 @@ impl Default for Template {
             policy: "rp".into(),
             cba: "none".into(),
             caps: None,
-            lfsr: true,
             engine: "events".into(),
             tua: TuaSpec::Load("bench:rspeed".into()),
             contenders: ContenderSpec::MaxContention,
@@ -815,9 +812,6 @@ pub static KEYS: &[Key] = &[
         .set(|d, _, v| put(&mut d.template.caps, Some(v.to_string()), v))
         .render(|d, _| d.template.caps.clone())
         .sweep(),
-    key("platform", "lfsr")
-        .set(|d, k, v| put(&mut d.template.lfsr, switch(k, v)?, v))
-        .render(|d, _| on_off(d.template.lfsr)),
     key("platform", "engine")
         .set(|d, _, v| put(&mut d.template.engine, checked(parse_engine(v), v)?, v))
         .render(|d, _| Some(d.template.engine.clone())),
@@ -1481,7 +1475,15 @@ impl Template {
         // With a [topology] the core count is derived from it; the flat
         // `cores` key is ignored (axes reshape the topology directly).
         let n = match &self.topology {
-            Some(topo) => topo.clusters * topo.cores_per_cluster,
+            Some(topo) => topo
+                .clusters
+                .checked_mul(topo.cores_per_cluster)
+                .ok_or_else(|| {
+                    format!(
+                        "core count {} x {} overflows",
+                        topo.clusters, topo.cores_per_cluster
+                    )
+                })?,
             None => self.cores,
         };
         if n == 0 || n > sim_core::CoreId::MAX_CORES {
@@ -1549,7 +1551,6 @@ impl Template {
             policy,
             cba,
             store_buffer: cba_cpu::core::DEFAULT_STORE_BUFFER,
-            lfsr_randbank: self.lfsr,
             topology,
             memory: self.memory.clone(),
         };
@@ -1615,7 +1616,6 @@ load = fixed:10:6:4
         assert_eq!(def.template.cores, 4);
         assert_eq!(def.template.policy, "rp");
         assert_eq!(def.template.cba, "none");
-        assert!(def.template.lfsr);
         assert_eq!(def.template.contenders, ContenderSpec::MaxContention);
         assert_eq!(def.n_cells(), 1);
         let cells = def.expand().unwrap();
@@ -1879,7 +1879,6 @@ threads = 2
 cores = 8
 policy = rr
 cba = w:1:1:1:1:1:1:1:1
-lfsr = off
 [tua]
 profile = matrix
 accesses = 500
@@ -2323,7 +2322,7 @@ pwcet = 1e-9,1e-12
         assert_eq!(def.set("sweep", "bridge_depth", "0").unwrap_err(), by_key);
         let err = def.set("platform", "speed", "9").unwrap_err();
         assert!(
-            err.contains("(expected cores, policy, cba, caps, lfsr, engine)"),
+            err.contains("(expected cores, policy, cba, caps, engine)"),
             "{err}"
         );
     }

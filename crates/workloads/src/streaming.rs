@@ -11,8 +11,8 @@ use sim_core::rng::SimRng;
 /// This is the paper's Section-II co-runner archetype ("streaming
 /// applications issuing constantly read requests to memory that take 28
 /// cycles") in [`Program`] form — use
-/// [`Contender`](cba_cpu::Contender) instead when the co-runner should
-/// bypass the cache model entirely.
+/// [`FixedRequestTask::saturating`](cba_cpu::FixedRequestTask::saturating)
+/// instead when the co-runner should bypass the cache model entirely.
 #[derive(Debug, Clone)]
 pub struct Streaming {
     remaining: u64,

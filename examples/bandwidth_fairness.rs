@@ -4,11 +4,11 @@
 //! short-request core 10% of the bandwidth. The credit filter fixes the
 //! bandwidth split.
 //!
-//! Where PR 1's version hand-rolled a `drive` closure, the traffic here
-//! is two [`Contender`] agents plugged into the [`Simulation`] builder —
-//! the same agents `run_once` builds through the registry — and a tiny
-//! custom [`Probe`] counts grants live, showing how observers subscribe
-//! to a run without touching the harness.
+//! Instead of a hand-rolled `drive` closure, the traffic here is two
+//! [`FixedRequestTask::saturating`] agents plugged into the
+//! [`Simulation`] builder — the same agents `run_once` builds through the
+//! registry — and a tiny custom [`Probe`] counts grants live, showing how
+//! observers subscribe to a run without touching the harness.
 //!
 //! ```text
 //! cargo run --release --example bandwidth_fairness
@@ -16,7 +16,7 @@
 
 use cba::{CreditConfig, CreditFilter};
 use cba_bus::{Bus, BusConfig, BusModel, CompletedTransaction, PolicyKind};
-use cba_cpu::Contender;
+use cba_cpu::FixedRequestTask;
 use sim_core::{CoreId, Cycle, Probe, Simulation, StopWhen};
 
 /// A minimal streaming observer: counts grants per core as they happen.
@@ -46,8 +46,8 @@ fn run(with_cba: bool) -> (f64, f64, f64, f64, [u64; 2]) {
     let c1 = CoreId::from_index(1);
     let sim = Simulation::builder()
         .model(bus)
-        .agent(Contender::new(c0, 5))
-        .agent(Contender::new(c1, 45))
+        .agent(FixedRequestTask::saturating(c0, 5))
+        .agent(FixedRequestTask::saturating(c1, 45))
         .stop(StopWhen::Horizon(200_000))
         .observe(GrantCounter::default())
         .run();

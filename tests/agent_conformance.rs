@@ -19,7 +19,7 @@
 //! pins the registry's kind coverage.
 
 use cba_bus::{Bus, BusConfig, BusError, BusModel, BusRequest, PolicyKind, RequestPort};
-use cba_cpu::Contender;
+use cba_cpu::FixedRequestTask;
 use cba_platform::agents::{default_registry, BoxedPortAgent};
 use cba_platform::{BusSetup, CoreLoad, PlatformConfig};
 use sim_core::rng::SimRng;
@@ -102,7 +102,7 @@ fn build(load: &CoreLoad, seed: u64) -> BoxedPortAgent {
     platform.memory = Some(memory_config());
     let mut rng = SimRng::seed_from(seed).fork(0xC0);
     default_registry()
-        .build(load, CoreId::from_index(0), &platform, &mut rng)
+        .build(load, CoreId::from_index(0), &platform, None, &mut rng)
         .unwrap_or_else(|e| panic!("{load}: {e}"))
 }
 
@@ -200,7 +200,7 @@ fn drive_beside_a_contender(
     calendar: bool,
 ) -> (Vec<(Cycle, usize, u32)>, AgentStats, u64) {
     let mut port = SpyPort::new(2);
-    let mut contender = Contender::new(CoreId::from_index(1), 28);
+    let mut contender = FixedRequestTask::saturating(CoreId::from_index(1), 28);
     let (mut due, mut seen, mut ticks) = (0, 0, 0);
     for now in 0..horizon {
         let done = port.bus.begin_cycle(now);

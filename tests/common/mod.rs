@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use cba_bus::fabric::Fabric;
 use cba_bus::{Bus, BusModel, CompletedTransaction, RequestPort};
-use cba_cpu::Contender;
+use cba_cpu::FixedRequestTask;
 use cba_platform::CellReport;
 use sim_core::agent::{AgentStats, SimAgent};
 use sim_core::{Control, CoreId, Cycle};
@@ -20,7 +20,7 @@ use sim_core::{Control, CoreId, Cycle};
 /// A saturating contender that counts the limit-cycle jumps it takes part
 /// in, so a test can see the jump fire on the real bus or fabric.
 pub struct CountedContender {
-    pub inner: Contender,
+    pub inner: FixedRequestTask,
     pub jumps: Arc<AtomicU64>,
 }
 

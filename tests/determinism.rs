@@ -1,6 +1,5 @@
 //! Reproducibility guarantees: every run is a pure function of
-//! `(spec, seed)`, campaigns are order- and thread-count-independent, and
-//! the two arbiter randomness sources are each deterministic.
+//! `(spec, seed)`, and campaigns are order- and thread-count-independent.
 
 use cba_platform::{run_once, run_seed, BusSetup, Campaign, CoreLoad, RunSpec, Scenario};
 
@@ -42,29 +41,6 @@ fn campaigns_reproduce_across_thread_counts() {
     let s16 = Campaign::new(spec(), 12, 77).with_threads(16).run();
     assert_cells_identical(&s1, &s4, "4 threads");
     assert_cells_identical(&s1, &s16, "16 threads");
-}
-
-#[test]
-fn lfsr_and_software_randomness_are_each_deterministic() {
-    for lfsr in [false, true] {
-        let mut s = spec();
-        s.platform.lfsr_randbank = lfsr;
-        let a = run_once(&s, 9);
-        let b = run_once(&s, 9);
-        assert_eq!(a.tua_cycles, b.tua_cycles, "lfsr={lfsr}");
-    }
-}
-
-#[test]
-fn randomness_sources_differ_from_each_other() {
-    let mut hw = spec();
-    hw.platform.lfsr_randbank = true;
-    let mut sw = spec();
-    sw.platform.lfsr_randbank = false;
-    // Same seed, different generators: almost surely different traces.
-    let a: Vec<_> = (0..6).map(|s| run_once(&hw, s).tua_cycles).collect();
-    let b: Vec<_> = (0..6).map(|s| run_once(&sw, s).tua_cycles).collect();
-    assert_ne!(a, b, "generators should not coincide on every seed");
 }
 
 #[test]

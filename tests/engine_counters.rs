@@ -8,7 +8,7 @@
 //! to post (or at the completion that unblocks it).
 
 use cba_bus::{Bus, BusConfig, PolicyKind};
-use cba_cpu::{Contender, Core};
+use cba_cpu::{Core, FixedRequestTask};
 use cba_mem::{HierarchyConfig, LatencyModel};
 use sim_core::agent::AgentStats;
 use sim_core::rng::SimRng;
@@ -39,7 +39,7 @@ fn matrix_run(contenders: usize, engine: Engine) -> Simulation<'static, Bus> {
         .engine(engine)
         .max_cycles(50_000_000);
     for i in 1..n {
-        builder = builder.agent(Contender::new(CoreId::from_index(i), 56));
+        builder = builder.agent(FixedRequestTask::saturating(CoreId::from_index(i), 56));
     }
     builder.run()
 }

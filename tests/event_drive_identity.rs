@@ -56,7 +56,7 @@ scenario = iso,con
 }
 
 /// Core-model TuAs (caches, store buffers, random placement) against
-/// saturating contenders, every policy family, both RNG backends.
+/// saturating contenders, every policy family.
 #[test]
 fn core_model_runs_are_bit_identical() {
     let text = "\
@@ -73,12 +73,8 @@ scenario = iso,con
     let cells = def.expand().expect("expands");
     assert_eq!(cells.len(), 14);
     for cell in cells {
-        let mut spec = cell.spec.clone();
-        for lfsr in [true, false] {
-            spec.platform.lfsr_randbank = lfsr;
-            let (a, b) = both_engines(&spec, 42);
-            assert_eq!(a, b, "cell {:?} lfsr={lfsr}", cell.labels);
-        }
+        let (a, b) = both_engines(&cell.spec, 42);
+        assert_eq!(a, b, "cell {:?}", cell.labels);
     }
 }
 
@@ -126,8 +122,8 @@ backbone_cba = none,homog
 }
 
 /// Cache-driven core clients on the fabric (the full stack: caches and
-/// store buffers posting through cluster buses and bridges), both RNG
-/// backends, plus a horizon-stopped recording run for the trace metrics.
+/// store buffers posting through cluster buses and bridges), plus a
+/// horizon-stopped recording run for the trace metrics.
 #[test]
 fn fabric_core_model_and_trace_runs_are_bit_identical() {
     let text = "\
@@ -151,13 +147,9 @@ wcet = off
 ";
     let def = ScenarioDef::parse(text).expect("parses");
     let cells = def.expand().expect("expands");
-    let mut spec = cells[0].spec.clone();
-    for lfsr in [true, false] {
-        spec.platform.lfsr_randbank = lfsr;
-        let (a, b) = both_engines(&spec, 42);
-        assert_eq!(a, b, "fabric core-model lfsr={lfsr}");
-        assert!(a.finished);
-    }
+    let (a, b) = both_engines(&cells[0].spec, 42);
+    assert_eq!(a, b, "fabric core-model");
+    assert!(a.finished);
     // Horizon-stopped recording run: burst/starvation metrics too.
     let mut spec = cells[0].spec.clone();
     spec.loads[0] = cba_platform::CoreLoad::Saturating { duration: 5 };

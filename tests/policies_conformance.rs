@@ -3,7 +3,7 @@
 //! uphold its documented invariants.
 
 use cba_bus::{Bus, BusConfig, BusModel, PolicyKind};
-use cba_cpu::Contender;
+use cba_cpu::FixedRequestTask;
 use sim_core::{CoreId, Engine, Simulation};
 
 fn c(i: usize) -> CoreId {
@@ -12,7 +12,7 @@ fn c(i: usize) -> CoreId {
 
 /// Drives `clients` against `bus` for `cycles` on the per-cycle engine;
 /// returns the bus.
-fn run_clients(bus: Bus, clients: Vec<Contender>, cycles: u64) -> Bus {
+fn run_clients(bus: Bus, clients: Vec<FixedRequestTask>, cycles: u64) -> Bus {
     let mut builder = Simulation::builder()
         .model(bus)
         .engine(Engine::Naive)
@@ -26,7 +26,9 @@ fn run_clients(bus: Bus, clients: Vec<Contender>, cycles: u64) -> Bus {
 /// Runs 4 saturating contenders with equal request durations for `cycles`.
 fn run_saturated(kind: PolicyKind, duration: u32, cycles: u64) -> Bus {
     let bus = Bus::new(BusConfig::new(4, 56).unwrap(), kind.build(4, 56));
-    let clients: Vec<Contender> = (0..4).map(|i| Contender::new(c(i), duration)).collect();
+    let clients: Vec<FixedRequestTask> = (0..4)
+        .map(|i| FixedRequestTask::saturating(c(i), duration))
+        .collect();
     run_clients(bus, clients, cycles)
 }
 
@@ -107,8 +109,8 @@ fn slot_fairness_is_not_cycle_fairness_with_mixed_durations() {
     // Core 0 issues 5-cycle requests, cores 1..3 issue 56-cycle requests.
     for kind in [PolicyKind::RoundRobin, PolicyKind::RandomPermutation] {
         let bus = Bus::new(BusConfig::new(4, 56).unwrap(), kind.build(4, 56));
-        let clients: Vec<Contender> = (0..4)
-            .map(|i| Contender::new(c(i), if i == 0 { 5 } else { 56 }))
+        let clients: Vec<FixedRequestTask> = (0..4)
+            .map(|i| FixedRequestTask::saturating(c(i), if i == 0 { 5 } else { 56 }))
             .collect();
         let bus = run_clients(bus, clients, 50_000);
         let report = bus.trace().share_report();
@@ -139,8 +141,8 @@ fn cba_filter_composes_with_every_policy() {
         bus.set_filter(Box::new(CreditFilter::new(
             CreditConfig::homogeneous(4, 56).unwrap(),
         )));
-        let clients: Vec<Contender> = (0..4)
-            .map(|i| Contender::new(c(i), if i == 0 { 5 } else { 56 }))
+        let clients: Vec<FixedRequestTask> = (0..4)
+            .map(|i| FixedRequestTask::saturating(c(i), if i == 0 { 5 } else { 56 }))
             .collect();
         let horizon = 100_000u64;
         let bus = run_clients(bus, clients, horizon);

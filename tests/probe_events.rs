@@ -13,7 +13,7 @@
 
 use cba::{CreditConfig, CreditFilter};
 use cba_bus::{Bus, BusConfig, CompletedTransaction, PolicyKind};
-use cba_cpu::Contender;
+use cba_cpu::FixedRequestTask;
 use sim_core::{CoreId, Cycle, Engine, Probe, Simulation, StopWhen};
 
 #[derive(Default, Debug, PartialEq, Clone)]
@@ -50,8 +50,8 @@ fn run(engine: Engine) -> EventLog {
     bus.enable_flip_probe();
     let sim = Simulation::builder()
         .model(bus)
-        .agent(Contender::new(CoreId::from_index(0), 5))
-        .agent(Contender::new(CoreId::from_index(1), 45))
+        .agent(FixedRequestTask::saturating(CoreId::from_index(0), 5))
+        .agent(FixedRequestTask::saturating(CoreId::from_index(1), 45))
         .stop(StopWhen::Horizon(10_000))
         .engine(engine)
         .observe(EventLog::default())

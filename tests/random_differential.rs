@@ -104,7 +104,6 @@ fn gen_flat_spec(rng: &mut SimRng) -> RunSpec {
     let maxl = platform.latency.max_latency();
     platform.policy = *rng.choose(&PolicyKind::ALL);
     platform.cba = gen_cba(rng, n, maxl);
-    platform.lfsr_randbank = rng.gen_bool(0.5);
 
     let tua = gen_tua(rng, maxl);
     let rest: Vec<CoreLoad> = (1..n).map(|_| gen_corunner(rng, maxl)).collect();
@@ -132,7 +131,6 @@ fn gen_fabric_spec(rng: &mut SimRng) -> RunSpec {
     let mut platform = PlatformConfig::paper_n_cores(&BusSetup::Rp, n);
     let maxl = platform.latency.max_latency();
     platform.cba = None;
-    platform.lfsr_randbank = rng.gen_bool(0.5);
     platform.topology = Some(FabricTopology {
         clusters,
         cores_per_cluster,
@@ -238,7 +236,6 @@ fn gen_mem_spec(rng: &mut SimRng) -> RunSpec {
     let maxl = platform.latency.max_latency();
     platform.policy = *rng.choose(&PolicyKind::ALL);
     platform.cba = gen_cba(rng, n, maxl);
-    platform.lfsr_randbank = rng.gen_bool(0.5);
     platform.memory = Some(gen_memory_config(rng));
 
     let agent = |kind: &str| CoreLoad::Custom {
@@ -320,7 +317,6 @@ fn gen_core_spec(rng: &mut SimRng) -> RunSpec {
     let maxl = platform.latency.max_latency();
     platform.policy = *rng.choose(&PolicyKind::ALL);
     platform.cba = gen_cba(rng, n, maxl);
-    platform.lfsr_randbank = rng.gen_bool(0.5);
     let horizon = rng.gen_bool(0.5).then(|| rng.gen_range_u64(500..30_000));
     let tua = gen_core_load(rng, horizon.is_some());
     let rest: Vec<CoreLoad> = (1..n)
@@ -403,7 +399,7 @@ fn run_recorded(spec: &RunSpec, seed: u64) -> (RunResult, Vec<AgentStats>) {
         let (builtin, sink) = (builtin.clone(), sink.clone());
         registry.register(kind, move |ctx| {
             let inner =
-                builtin.build_shared(ctx.load, ctx.core, ctx.platform, ctx.hub.clone(), ctx.rng)?;
+                builtin.build(ctx.load, ctx.core, ctx.platform, ctx.hub.clone(), ctx.rng)?;
             let (core, sink) = (ctx.core.index(), sink.clone());
             Ok(Box::new(Recorded { inner, core, sink }) as BoxedPortAgent)
         });

@@ -21,7 +21,7 @@ use cba::{CreditConfig, CreditFilter};
 use cba_bus::fabric::{Fabric, FabricConfig};
 use cba_bus::split::{SplitBus, SplitBusConfig};
 use cba_bus::{Bus, BusConfig, BusModel, CompletedTransaction, PolicyKind, RequestPort};
-use cba_cpu::{Contender, FixedRequestTask, PeriodicContender};
+use cba_cpu::{FixedRequestTask, PeriodicContender};
 use cba_platform::agents::default_registry;
 use cba_platform::campaign::run_seed;
 use cba_platform::config::{FabricTopology, PlatformConfig};
@@ -204,7 +204,7 @@ fn naive_matches_events_on_a_fabric() {
 fn the_jump_fires_on_the_real_bus() {
     let jumps = Arc::new(AtomicU64::new(0));
     let counted = |jumps: &Arc<AtomicU64>, core| CountedContender {
-        inner: Contender::new(core, 56),
+        inner: FixedRequestTask::saturating(core, 56),
         jumps: jumps.clone(),
     };
     let registry = counting_registry(&jumps);
@@ -234,7 +234,7 @@ fn the_jump_fires_on_the_real_bus() {
             Simulation::builder()
                 .model(bus)
                 .agent(FixedRequestTask::new(c(0), 500, 6, 0))
-                .agent(Contender::new(c(1), 28))
+                .agent(FixedRequestTask::saturating(c(1), 28))
                 .agent(PeriodicContender::new(c(2), 8, 100, 13))
                 .agent(counted(&jumps, c(3)))
                 .stop(StopWhen::AgentDone(0))
@@ -270,7 +270,7 @@ fn counting_registry(jumps: &Arc<AtomicU64>) -> AgentRegistry {
     let jumps = jumps.clone();
     registry.register("counted", move |ctx: &mut AgentCtx<'_>| {
         Ok(Box::new(CountedContender {
-            inner: Contender::new(ctx.core, 56),
+            inner: FixedRequestTask::saturating(ctx.core, 56),
             jumps: jumps.clone(),
         }))
     });
@@ -354,7 +354,7 @@ fn run_by_hand(
         let mut rng = SimRng::seed_from(3).fork(0xC0 + i as u64);
         let core = CoreId::from_index(i);
         let agent = registry
-            .build(load, core, &spec.platform, &mut rng)
+            .build(load, core, &spec.platform, None, &mut rng)
             .unwrap();
         Box::new(PortAgent::new(agent)) as BoxedAgent<Fabric>
     });
@@ -516,7 +516,7 @@ where
             let mut rng = SimRng::seed_from(seed).fork(0xC0 + i as u64);
             let core = CoreId::from_index(i);
             let inner = default_registry()
-                .build_shared(load, core, &platform, Some(hub.clone()), &mut rng)
+                .build(load, core, &platform, Some(hub.clone()), &mut rng)
                 .unwrap_or_else(|e| panic!("{load}: {e}"));
             Box::new(PortAgent::new(inner)) as BoxedAgent<M>
         })

@@ -189,6 +189,13 @@ const CASES: &[(&str, &str)] = &[
         "bad_cores_axis",
         "[campaign]\nname = x\n[sweep]\ncores = 4,x\n",
     ),
+    // 4611686018427387905 x 4 wraps to 4 cores in unchecked arithmetic.
+    (
+        "topology_core_count_overflow",
+        "[campaign]\nruns = 1\n[platform]\npolicy = rr\n\
+         [topology]\nclusters = 4611686018427387905\ncores_per_cluster = 4\n\
+         [tua]\nload = fixed:10:5:0\n[contenders]\nfill = sat:5\nwcet = off\n",
+    ),
 ];
 
 /// The error a case produces: the parse error if parsing fails, else the

@@ -7,7 +7,7 @@
 use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
 
-use cba_cpu::Contender;
+use cba_cpu::FixedRequestTask;
 use cba_platform::campaign::run_seed;
 use cba_platform::executor::{default_threads, run_indexed_streamed};
 use cba_platform::scenario::ScenarioDef;
@@ -43,26 +43,25 @@ fn synthetic(platform: &str) -> RunSpec {
     flat(platform, "fixed:200:6:4", "sat:28", "")
 }
 
-/// `fabric_fairness.scn` at a shorter horizon, with `lfsr` on or off.
-fn fabric(lfsr: &str) -> RunSpec {
-    one_cell(&format!(
+/// `fabric_fairness.scn` at a shorter horizon.
+fn fabric() -> RunSpec {
+    one_cell(
         "[campaign]\nname = t\nruns = 3\nseed = 7\n\
-         [platform]\npolicy = rr\nlfsr = {lfsr}\n\
+         [platform]\npolicy = rr\n\
          [topology]\nclusters = 4\ncores_per_cluster = 2\nbridge_latency = 2\n\
          bridge_depth = 2\ncluster_cba = none\nbackbone_cba = w:4:2:1:1\n\
          backbone_caps = 4:4:4:4\n\
          [tua]\nload = sat:5\n\
-         [contenders]\nfill = sat:5\nwcet = off\nstop = horizon:20000\n"
-    ))
+         [contenders]\nfill = sat:5\nwcet = off\nstop = horizon:20000\n",
+    )
 }
 
 #[test]
 fn seed_free_specs_make_no_draw_and_repeat_under_every_seed() {
     for (what, spec) in [
-        ("rr, lfsr on", synthetic("policy = rr")),
-        ("rr, lfsr off", synthetic("policy = rr\nlfsr = off")),
+        ("rr", synthetic("policy = rr")),
         ("fifo + cba", synthetic("policy = fifo\ncba = homog")),
-        ("fabric, lfsr on", fabric("on")),
+        ("fabric", fabric()),
     ] {
         let first = run_once(&spec, 1);
         assert_eq!(first.draws, 0, "{what}");
@@ -77,7 +76,6 @@ fn randomized_specs_draw() {
     let memory = "[memory]\nworking_set = 4096\naccesses = 100\nshared_lines = 16";
     for (what, spec) in [
         ("rp", synthetic("policy = rp")),
-        ("rp, lfsr off", synthetic("policy = rp\nlfsr = off")),
         ("lottery", synthetic("policy = lot")),
         (
             "core model",
@@ -87,7 +85,6 @@ fn randomized_specs_draw() {
             "memory agent",
             flat("policy = rr", "fixed:200:6:4", "agent:mem", memory),
         ),
-        ("fabric, lfsr off", fabric("off")),
     ] {
         assert!(run_once(&spec, 1).draws > 0, "{what}");
     }
@@ -189,7 +186,7 @@ fn drawing_registry() -> AgentRegistry {
     let mut registry = AgentRegistry::builtin();
     registry.register("draw1", |ctx: &mut AgentCtx<'_>| {
         let duration = ctx.rng.gen_range_u64(1..29) as u32;
-        Ok(Box::new(Contender::new(ctx.core, duration)))
+        Ok(Box::new(FixedRequestTask::saturating(ctx.core, duration)))
     });
     registry
 }

@@ -6,7 +6,7 @@
 use cba::{CreditConfig, CreditFilter};
 use cba_bus::split::{SplitBus, SplitBusConfig};
 use cba_bus::{BusModel, BusRequest, CompletedTransaction, PolicyKind, RequestKind, RequestPort};
-use cba_cpu::Contender;
+use cba_cpu::FixedRequestTask;
 use sim_core::agent::{FnAgent, SimAgent};
 use sim_core::{BoxedAgent, Control, CoreId, Cycle, Simulation, StopWhen};
 
@@ -41,8 +41,11 @@ fn run(bus: SplitBus, horizon: u64, agents: Vec<BoxedAgent<'_, SplitBus>>) -> Sp
 /// Core 0 saturates the bus with 5-cycle requests, cores 1-3 with
 /// unsplittable 56-cycle ones.
 fn saturate_with_atomics(bus: SplitBus, horizon: u64) -> SplitBus {
-    let mut agents: Vec<BoxedAgent<SplitBus>> = vec![Box::new(Contender::new(c(0), 5))];
-    agents.extend((1..4).map(|i| Box::new(Contender::new(c(i), 56)) as BoxedAgent<SplitBus>));
+    let mut agents: Vec<BoxedAgent<SplitBus>> =
+        vec![Box::new(FixedRequestTask::saturating(c(0), 5))];
+    agents.extend(
+        (1..4).map(|i| Box::new(FixedRequestTask::saturating(c(i), 56)) as BoxedAgent<SplitBus>),
+    );
     run(bus, horizon, agents)
 }
 

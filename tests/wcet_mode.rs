@@ -3,7 +3,7 @@
 
 use cba::{CreditConfig, CreditFilter, Mode};
 use cba_bus::{Bus, BusConfig, BusModel, PolicyKind};
-use cba_cpu::{Contender, FixedRequestTask};
+use cba_cpu::FixedRequestTask;
 use sim_core::{BoxedAgent, CoreId, Cycle, Engine, Simulation, StopWhen};
 
 fn c(i: usize) -> CoreId {
@@ -12,7 +12,7 @@ fn c(i: usize) -> CoreId {
 
 /// The three MaxL contenders on cores 1..3.
 fn maxl_contenders() -> impl Iterator<Item = BoxedAgent<'static, Bus>> {
-    (1..4).map(|i| Box::new(Contender::new(c(i), 56)) as BoxedAgent<Bus>)
+    (1..4).map(|i| Box::new(FixedRequestTask::saturating(c(i), 56)) as BoxedAgent<Bus>)
 }
 
 /// Assembles the paper platform in WCET-estimation mode with a
