@@ -1,5 +1,5 @@
 //! Microbenchmarks of the arbitration-path primitives: policy selection
-//! over a core mask, the LFSR bank the platform draws from by default,
+//! over a core mask drawing from the LFSR bank, one bank cycle,
 //! credit-filter verdicts and tick, one whole filter+select+tick decision
 //! and a full bus cycle. These quantify the software cost of the "one clock cycle"
 //! hardware decision (EXPERIMENTS.md E5 (b)). Every row is timed by
@@ -8,13 +8,9 @@
 
 use cba::{CreditConfig, CreditFilter};
 use cba_bench::timing::{host, time};
-use cba_bus::{
-    Bus, BusConfig, BusRequest, EligibilityFilter, PendingSet, PolicyKind, RandomSource,
-    RequestKind,
-};
+use cba_bus::{Bus, BusConfig, BusRequest, EligibilityFilter, PendingSet, PolicyKind, RequestKind};
 use cba_cpu::FixedRequestTask;
 use sim_core::lfsr::LfsrBank;
-use sim_core::rng::SimRng;
 use sim_core::{CoreId, Engine, Simulation};
 use std::hint::black_box;
 
@@ -37,14 +33,20 @@ fn all_pending(n: usize) -> PendingSet {
     pending
 }
 
+/// The platform's random-bit bank: 16 lanes, as every run builds it.
+fn bank() -> LfsrBank {
+    LfsrBank::new(16, 7).unwrap()
+}
+
 /// Times one select-and-grant round of `kind` with all four cores
-/// eligible.
-fn bench_select(name: &str, kind: PolicyKind, rng: &mut dyn RandomSource) {
+/// eligible, drawing from a [`bank`].
+fn bench_select(kind: PolicyKind) {
     let pending = all_pending(4);
     let mut policy = kind.build(4, 56);
+    let mut rng = bank();
     let mut t = 0u64;
-    bench(name, || {
-        let w = policy.select(black_box(pending.mask()), &pending, t, rng);
+    bench(&format!("policy_select/{}", kind.name()), || {
+        let w = policy.select(black_box(pending.mask()), &pending, t, &mut rng);
         if let Some(core) = w {
             policy.on_grant(core, t);
         }
@@ -53,15 +55,10 @@ fn bench_select(name: &str, kind: PolicyKind, rng: &mut dyn RandomSource) {
     });
 }
 
-/// The platform's random source: RP and lottery drawing from a 16-lane
-/// bank, one bank cycle, and building a bank, which every run does
-/// whether it draws or not.
+/// The platform's random-bit bank: one bank cycle, and building a bank,
+/// which every run does whether it draws or not.
 fn bench_lfsr_bank() {
-    for kind in [PolicyKind::RandomPermutation, PolicyKind::Lottery] {
-        let name = format!("lfsr_bank/{}_select", kind.name());
-        bench_select(&name, kind, &mut LfsrBank::new(16, 7).unwrap());
-    }
-    let mut bank = LfsrBank::new(16, 7).unwrap();
+    let mut bank = bank();
     bench("lfsr_bank/next_bits", || bank.next_bits());
     let mut seed = 0u64;
     bench("lfsr_bank/new_16", || {
@@ -92,7 +89,7 @@ fn bench_decision() {
     let pending = all_pending(4);
     let mut policy = PolicyKind::RandomPermutation.build(4, 56);
     let mut filter = CreditFilter::new(CreditConfig::homogeneous(4, 56).unwrap());
-    let mut rng = SimRng::seed_from(1);
+    let mut rng = bank();
     let mut t = 0u64;
     bench("decision/rp_cba", || {
         let eligible = filter.eligible(black_box(pending.mask()), t);
@@ -143,8 +140,7 @@ fn bench_bus_cycle() {
 fn main() {
     println!("{}", host());
     for kind in PolicyKind::ALL {
-        let name = format!("policy_select/{}", kind.name());
-        bench_select(&name, kind, &mut SimRng::seed_from(7));
+        bench_select(kind);
     }
     bench_lfsr_bank();
     bench_credit_filter();

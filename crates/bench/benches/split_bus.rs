@@ -10,10 +10,11 @@
 //! unsplittable atomics and the non-split pathology returns — and the CBA
 //! filter restores the bandwidth split.
 //!
-//! Each row runs once per arbitration stream forked from `CBA_SEED` and
-//! prints the mean and the min–max: the CBA-with-atomics row lands in one
-//! of two modes depending on the stream, so one run would show one mode
-//! as the result.
+//! Each row runs once per arbitration stream forked from `CBA_SEED`, each
+//! seeding the bus's random-bit bank as a platform run does, and prints
+//! the mean and the min–max: the CBA-with-atomics row lands in one of two
+//! modes depending on the stream, so one run would show one mode as the
+//! result.
 
 use cba::{CreditConfig, CreditFilter};
 use cba_bench::{print_row, rule, seed_from_env};
@@ -21,6 +22,7 @@ use cba_bus::split::{SplitBus, SplitBusConfig};
 use cba_bus::{BusModel, BusRequest, CompletedTransaction, PolicyKind, RequestKind, RequestPort};
 use cba_cpu::FixedRequestTask;
 use sim_core::agent::FnAgent;
+use sim_core::lfsr::LfsrBank;
 use sim_core::rng::SimRng;
 use sim_core::{BoxedAgent, Control, CoreId, Cycle, Simulation, StopWhen};
 
@@ -56,7 +58,7 @@ fn run(traffic: Traffic, with_cba: bool, horizon: u64, rng: SimRng) -> (u64, f64
         PolicyKind::RandomPermutation.build(4, 56),
     )
     .expect("paper config");
-    bus.set_random_source(Box::new(rng));
+    bus.set_random_source(LfsrBank::from_rng(16, rng).expect("valid width"));
     if with_cba {
         bus.set_filter(Box::new(CreditFilter::new(
             CreditConfig::homogeneous(4, 56).expect("paper config"),

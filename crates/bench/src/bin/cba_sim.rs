@@ -462,7 +462,8 @@ mod tests {
                     "con" => Scenario::MaxContention,
                     other => panic!("unknown scenario '{other}'"),
                 };
-                RunSpec::with_platform(platform, scenario, CoreLoad::named(name))
+                let tua = parse_load_spec(&format!("bench:{name}")).unwrap();
+                RunSpec::with_platform(platform, scenario, tua)
             }
             (None, Some(loads)) => {
                 let all: Vec<CoreLoad> = loads

@@ -27,7 +27,7 @@ impl Timing {
     }
 
     /// The first and third quartiles.
-    pub fn quartiles(&self) -> (f64, f64) {
+    pub(crate) fn quartiles(&self) -> (f64, f64) {
         let q = |p| percentile_sorted(&self.secs, p);
         (q(0.25), q(0.75))
     }

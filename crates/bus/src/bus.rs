@@ -18,9 +18,9 @@
 //!    finally the filter's per-cycle state (credit counters) advances.
 
 use crate::pending::PendingSet;
-use crate::policy::{ArbitrationPolicy, EligibilityFilter, NoFilter, RandomSource};
+use crate::policy::{ArbitrationPolicy, EligibilityFilter, NoFilter};
 use crate::{BusError, BusRequest, RequestKind, RequestPort};
-use sim_core::rng::SimRng;
+use sim_core::lfsr::LfsrBank;
 use sim_core::trace::GrantTrace;
 use sim_core::{BusModel, CoreId, Cycle};
 use std::collections::VecDeque;
@@ -40,7 +40,7 @@ impl BusConfig {
     ///
     /// Returns [`BusError::InvalidConfig`] if `n_cores` is 0 or above
     /// [`CoreId::MAX_CORES`], or if `max_latency` is 0 or above
-    /// [`BusRequest::MAX_DURATION`].
+    /// `BusRequest::MAX_DURATION`.
     pub fn new(n_cores: usize, max_latency: u32) -> Result<Self, BusError> {
         if n_cores == 0 || n_cores > CoreId::MAX_CORES {
             return Err(BusError::InvalidConfig(format!(
@@ -153,7 +153,7 @@ pub struct Bus {
     pending: PendingSet,
     policy: Box<dyn ArbitrationPolicy>,
     filter: Box<dyn EligibilityFilter>,
-    rng: Box<dyn RandomSource>,
+    rng: LfsrBank,
     trace: GrantTrace,
     wait: WaitStats,
     idle_cycles: u64,
@@ -191,7 +191,7 @@ impl FlipWatch {
 
 impl Bus {
     /// Creates a bus with the given arbitration policy, no eligibility
-    /// filter, a deterministic default random source (seed 0) and a
+    /// filter, a 16-lane random-bit bank with the fixed seed 0 and a
     /// counting-only grant trace.
     pub fn new(config: BusConfig, policy: Box<dyn ArbitrationPolicy>) -> Self {
         Bus {
@@ -199,7 +199,7 @@ impl Bus {
             pending: PendingSet::new(config.n_cores),
             policy,
             filter: Box::new(NoFilter::new()),
-            rng: Box::new(SimRng::seed_from(0)),
+            rng: LfsrBank::new(16, 0).expect("valid width"),
             trace: GrantTrace::counting(config.n_cores),
             wait: WaitStats::new(config.n_cores),
             idle_cycles: 0,
@@ -263,8 +263,8 @@ impl Bus {
         }
     }
 
-    /// Replaces the random-bit source used by randomized policies.
-    pub fn set_random_source(&mut self, rng: Box<dyn RandomSource>) {
+    /// Replaces the random-bit bank randomized policies draw from.
+    pub fn set_random_source(&mut self, rng: LfsrBank) {
         self.rng = rng;
     }
 
@@ -337,7 +337,7 @@ impl Bus {
     /// Returns the same validation errors as [`RequestPort::post`];
     /// multiple privileged requests (even per core) are allowed and served
     /// in FIFO order.
-    pub fn post_privileged(&mut self, req: BusRequest) -> Result<(), BusError> {
+    pub(crate) fn post_privileged(&mut self, req: BusRequest) -> Result<(), BusError> {
         self.check(&req)?;
         self.privileged.push_back(req);
         Ok(())
@@ -357,7 +357,7 @@ impl Bus {
     /// # Panics
     ///
     /// Panics if called without a matching [`BusModel::begin_cycle`].
-    pub fn end_cycle_gated(&mut self, now: Cycle, allow_grant: bool) -> Option<CoreId> {
+    pub(crate) fn end_cycle_gated(&mut self, now: Cycle, allow_grant: bool) -> Option<CoreId> {
         assert!(self.in_cycle, "end_cycle without begin_cycle");
         assert_eq!(
             self.last_cycle,
@@ -382,7 +382,7 @@ impl Bus {
                     None
                 } else {
                     self.policy
-                        .select(eligible, &self.pending, now, self.rng.as_mut())
+                        .select(eligible, &self.pending, now, &mut self.rng)
                 };
                 if let Some(winner) = winner {
                     let req = self

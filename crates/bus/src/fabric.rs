@@ -89,8 +89,9 @@
 //! ```
 
 use crate::bus::{Bus, BusConfig, CompletedTransaction, WaitStats};
-use crate::policy::{ArbitrationPolicy, EligibilityFilter, RandomSource};
+use crate::policy::{ArbitrationPolicy, EligibilityFilter};
 use crate::{BusError, BusRequest, RequestKind, RequestPort};
+use sim_core::lfsr::LfsrBank;
 use sim_core::trace::GrantTrace;
 use sim_core::{BusModel, CoreId, Cycle};
 use std::collections::VecDeque;
@@ -165,7 +166,7 @@ impl FabricConfig {
     }
 
     /// Cores on each cluster bus.
-    pub fn cores_per_cluster(&self) -> usize {
+    pub(crate) fn cores_per_cluster(&self) -> usize {
         self.cores_per_cluster
     }
 
@@ -259,8 +260,8 @@ pub struct Fabric {
 
 impl Fabric {
     /// Creates a fabric with one arbitration policy per cluster bus plus
-    /// the backbone's, no eligibility filters and deterministic default
-    /// random sources. Filters and random sources are installed per
+    /// the backbone's, no eligibility filters and each segment's bus's
+    /// default random-bit bank. Filters and banks are installed per
     /// segment via the `set_*` methods.
     ///
     /// # Errors
@@ -313,13 +314,13 @@ impl Fabric {
         self.backbone.set_filter(filter);
     }
 
-    /// Replaces cluster `k`'s random-bit source.
-    pub fn set_cluster_random_source(&mut self, k: usize, rng: Box<dyn RandomSource>) {
+    /// Replaces cluster `k`'s random-bit bank.
+    pub fn set_cluster_random_source(&mut self, k: usize, rng: LfsrBank) {
         self.clusters[k].set_random_source(rng);
     }
 
-    /// Replaces the backbone's random-bit source.
-    pub fn set_backbone_random_source(&mut self, rng: Box<dyn RandomSource>) {
+    /// Replaces the backbone's random-bit bank.
+    pub fn set_backbone_random_source(&mut self, rng: LfsrBank) {
         self.backbone.set_random_source(rng);
     }
 

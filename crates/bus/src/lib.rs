@@ -12,9 +12,7 @@ pub mod split;
 pub use bus::{Bus, BusConfig, CompletedTransaction, WaitStats};
 pub use fabric::{Fabric, FabricConfig};
 pub use pending::PendingSet;
-pub use policy::{
-    ArbitrationPolicy, EligibilityFilter, FilterHorizon, NoFilter, PolicyKind, RandomSource,
-};
+pub use policy::{ArbitrationPolicy, EligibilityFilter, FilterHorizon, NoFilter, PolicyKind};
 pub use sim_core::{BusModel, Control, DriveOutcome};
 
 use sim_core::{CoreId, Cycle};
@@ -87,7 +85,7 @@ impl fmt::Display for RequestKind {
 ///
 /// The duration is checked once, when the request is posted: a [`Bus`]
 /// (and so every segment of a [`Fabric`]) accepts `1..=` its MaxL, which
-/// [`BusConfig`] bounds by [`BusRequest::MAX_DURATION`]. A request whose
+/// [`BusConfig`] bounds by `BusRequest::MAX_DURATION`. A request whose
 /// duration could exceed the platform MaxL would break the
 /// credit-arbitration invariants, so this is enforced, not assumed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,7 +98,7 @@ pub struct BusRequest {
 
 impl BusRequest {
     /// Upper bound on any transaction duration accepted by the model.
-    pub const MAX_DURATION: u32 = 4096;
+    pub(crate) const MAX_DURATION: u32 = 4096;
 
     /// Creates a request by `core` to hold the bus for `duration` cycles,
     /// issued (became ready) at cycle `issued_at`. The bus it is posted
@@ -125,7 +123,7 @@ impl BusRequest {
     }
 
     /// Transaction classification.
-    pub fn kind(&self) -> RequestKind {
+    pub(crate) fn kind(&self) -> RequestKind {
         self.kind
     }
 

@@ -46,7 +46,7 @@ impl PendingSet {
     }
 
     /// Removes and returns the pending request of `core`, if any.
-    pub fn remove(&mut self, core: CoreId) -> Option<BusRequest> {
+    pub(crate) fn remove(&mut self, core: CoreId) -> Option<BusRequest> {
         let req = self.slots.get_mut(core.index()).and_then(Option::take);
         self.mask &= !core.bit();
         req
@@ -64,12 +64,12 @@ impl PendingSet {
     }
 
     /// Whether no request is pending.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.mask == 0
     }
 
     /// Iterates over pending requests in core-index order.
-    pub fn iter(&self) -> impl Iterator<Item = &BusRequest> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &BusRequest> {
         self.slots.iter().filter_map(Option::as_ref)
     }
 

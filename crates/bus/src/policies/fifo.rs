@@ -1,8 +1,9 @@
 //! FIFO (arrival-order) arbitration.
 
 use crate::pending::PendingSet;
-use crate::policy::{ArbitrationPolicy, RandomSource};
+use crate::policy::ArbitrationPolicy;
 use crate::BusRequest;
+use sim_core::lfsr::LfsrBank;
 use sim_core::{CoreId, Cycle};
 
 /// First-in-first-out arbitration: the pending request that became ready
@@ -17,7 +18,7 @@ pub struct Fifo;
 
 impl Fifo {
     /// Creates the FIFO arbiter.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Fifo
     }
 }
@@ -32,7 +33,7 @@ impl ArbitrationPolicy for Fifo {
         eligible: u64,
         pending: &PendingSet,
         _now: Cycle,
-        _rng: &mut dyn RandomSource,
+        _rng: &mut LfsrBank,
     ) -> Option<CoreId> {
         // The pending set iterates in core order and `min_by_key` keeps the
         // first of equal keys, so ties break by core index.
@@ -52,11 +53,10 @@ impl ArbitrationPolicy for Fifo {
 mod tests {
     use super::*;
     use crate::policies::testing::pending_at;
-    use sim_core::rng::SimRng;
 
     fn select(f: &mut Fifo, requests: &[(usize, Cycle)], now: Cycle) -> Option<CoreId> {
         let pending = pending_at(requests);
-        let mut rng = SimRng::seed_from(0);
+        let mut rng = LfsrBank::new(16, 0).unwrap();
         f.select(pending.mask(), &pending, now, &mut rng)
     }
 

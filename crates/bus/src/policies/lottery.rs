@@ -1,7 +1,8 @@
 //! Lottery arbitration (LOTTERYBUS-style).
 
 use crate::pending::PendingSet;
-use crate::policy::{ArbitrationPolicy, RandomSource};
+use crate::policy::ArbitrationPolicy;
+use sim_core::lfsr::LfsrBank;
 use sim_core::{CoreId, Cycle};
 
 /// Lottery arbitration: each arbitration, every candidate holds a number of
@@ -73,7 +74,7 @@ impl ArbitrationPolicy for Lottery {
         eligible: u64,
         _pending: &PendingSet,
         _now: Cycle,
-        rng: &mut dyn RandomSource,
+        rng: &mut LfsrBank,
     ) -> Option<CoreId> {
         if eligible == 0 {
             return None;
@@ -96,12 +97,11 @@ impl ArbitrationPolicy for Lottery {
 mod tests {
     use super::*;
     use crate::policies::testing::pending;
-    use sim_core::rng::SimRng;
 
     #[test]
     fn uniform_covers_all_candidates() {
         let mut l = Lottery::uniform();
-        let mut rng = SimRng::seed_from(1);
+        let mut rng = LfsrBank::new(16, 1).unwrap();
         let all = pending(&[0, 1, 2, 3]);
         let mut counts = [0u32; 4];
         for t in 0..4000 {
@@ -116,7 +116,7 @@ mod tests {
     #[test]
     fn weighted_skews_slot_probability() {
         let mut l = Lottery::with_tickets(vec![3, 1]).unwrap();
-        let mut rng = SimRng::seed_from(2);
+        let mut rng = LfsrBank::new(16, 2).unwrap();
         let all = pending(&[0, 1]);
         let mut wins0 = 0u32;
         let n = 8000;
@@ -138,7 +138,7 @@ mod tests {
     #[test]
     fn empty_candidates_none() {
         let mut l = Lottery::uniform();
-        let mut rng = SimRng::seed_from(3);
+        let mut rng = LfsrBank::new(16, 3).unwrap();
         let none = pending(&[]);
         assert_eq!(l.select(0, &none, 0, &mut rng), None);
     }
@@ -146,7 +146,7 @@ mod tests {
     #[test]
     fn single_candidate_always_wins() {
         let mut l = Lottery::uniform();
-        let mut rng = SimRng::seed_from(4);
+        let mut rng = LfsrBank::new(16, 4).unwrap();
         let one = pending(&[2]);
         for t in 0..100 {
             assert_eq!(l.select(one.mask(), &one, t, &mut rng).unwrap().index(), 2);

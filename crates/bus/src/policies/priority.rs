@@ -1,7 +1,8 @@
 //! Fixed-priority arbitration — the anti-example.
 
 use crate::pending::PendingSet;
-use crate::policy::{ArbitrationPolicy, RandomSource};
+use crate::policy::ArbitrationPolicy;
+use sim_core::lfsr::LfsrBank;
 use sim_core::{CoreId, Cycle};
 
 /// Fixed-priority arbitration: the candidate with the lowest core index
@@ -17,7 +18,7 @@ pub struct FixedPriority;
 
 impl FixedPriority {
     /// Creates the fixed-priority arbiter (priority = core index order).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FixedPriority
     }
 }
@@ -32,7 +33,7 @@ impl ArbitrationPolicy for FixedPriority {
         eligible: u64,
         _pending: &PendingSet,
         _now: Cycle,
-        _rng: &mut dyn RandomSource,
+        _rng: &mut LfsrBank,
     ) -> Option<CoreId> {
         CoreId::in_mask(eligible).next()
     }
@@ -46,11 +47,10 @@ impl ArbitrationPolicy for FixedPriority {
 mod tests {
     use super::*;
     use crate::policies::testing::pending;
-    use sim_core::rng::SimRng;
 
     fn select(p: &mut FixedPriority, cores: &[usize], now: Cycle) -> Option<CoreId> {
         let pending = pending(cores);
-        let mut rng = SimRng::seed_from(0);
+        let mut rng = LfsrBank::new(16, 0).unwrap();
         p.select(pending.mask(), &pending, now, &mut rng)
     }
 

@@ -1,7 +1,8 @@
 //! Random-permutations arbitration — the paper's baseline policy ("RP").
 
 use crate::pending::PendingSet;
-use crate::policy::{ArbitrationPolicy, RandomSource};
+use crate::policy::ArbitrationPolicy;
+use sim_core::lfsr::LfsrBank;
 use sim_core::{CoreId, Cycle};
 
 /// Random-permutations arbitration (Jalle et al., DATE 2014).
@@ -26,10 +27,10 @@ use sim_core::{CoreId, Cycle};
 /// ```
 /// use cba_bus::policies::RandomPermutation;
 /// use cba_bus::{ArbitrationPolicy, BusRequest, PendingSet, RequestKind};
-/// use sim_core::{CoreId, rng::SimRng};
+/// use sim_core::{lfsr::LfsrBank, CoreId};
 ///
 /// let mut rp = RandomPermutation::new(4);
-/// let mut rng = SimRng::seed_from(7);
+/// let mut rng = LfsrBank::new(16, 7).unwrap();
 /// let mut pending = PendingSet::new(4);
 /// for core in CoreId::all(4) {
 ///     pending.insert(BusRequest::new(core, 5, RequestKind::Synthetic, 0)).unwrap();
@@ -74,7 +75,7 @@ impl RandomPermutation {
 
     /// Draws a fresh permutation with Fisher–Yates using the arbiter's
     /// random source (bit-bank or software RNG).
-    fn new_round(&mut self, rng: &mut dyn RandomSource) {
+    fn new_round(&mut self, rng: &mut LfsrBank) {
         for i in 0..self.n_cores {
             self.order[i] = i;
         }
@@ -104,7 +105,7 @@ impl ArbitrationPolicy for RandomPermutation {
         eligible: u64,
         _pending: &PendingSet,
         _now: Cycle,
-        rng: &mut dyn RandomSource,
+        rng: &mut LfsrBank,
     ) -> Option<CoreId> {
         if eligible == 0 {
             return None;
@@ -132,14 +133,12 @@ impl ArbitrationPolicy for RandomPermutation {
 mod tests {
     use super::*;
     use crate::policies::testing::pending;
-    use sim_core::lfsr::LfsrBank;
-    use sim_core::rng::SimRng;
 
     fn select(
         rp: &mut RandomPermutation,
         cores: &[usize],
         now: Cycle,
-        rng: &mut dyn RandomSource,
+        rng: &mut LfsrBank,
     ) -> Option<CoreId> {
         let pending = pending(cores);
         rp.select(pending.mask(), &pending, now, rng)
@@ -148,7 +147,7 @@ mod tests {
     #[test]
     fn each_round_grants_each_core_once() {
         let mut rp = RandomPermutation::new(4);
-        let mut rng = SimRng::seed_from(11);
+        let mut rng = LfsrBank::new(16, 11).unwrap();
         for round in 0..50 {
             let mut seen = [false; 4];
             for k in 0..4 {
@@ -163,7 +162,7 @@ mod tests {
     #[test]
     fn permutations_vary_across_rounds() {
         let mut rp = RandomPermutation::new(4);
-        let mut rng = SimRng::seed_from(13);
+        let mut rng = LfsrBank::new(16, 13).unwrap();
         let mut first_winners = Vec::new();
         for _ in 0..64 {
             let mut round = Vec::new();
@@ -183,7 +182,7 @@ mod tests {
     #[test]
     fn work_conserving_when_only_served_cores_pend() {
         let mut rp = RandomPermutation::new(2);
-        let mut rng = SimRng::seed_from(5);
+        let mut rng = LfsrBank::new(16, 5).unwrap();
         // Core 0 is served, then immediately pends again; a new round must
         // start rather than leaving the bus idle.
         for t in 0..10 {
@@ -196,7 +195,7 @@ mod tests {
     #[test]
     fn skips_idle_cores_within_round() {
         let mut rp = RandomPermutation::new(4);
-        let mut rng = SimRng::seed_from(17);
+        let mut rng = LfsrBank::new(16, 17).unwrap();
         let w1 = select(&mut rp, &[1, 2], 0, &mut rng).unwrap();
         rp.on_grant(w1, 0);
         let w2 = select(&mut rp, &[1, 2], 1, &mut rng).unwrap();
@@ -207,7 +206,7 @@ mod tests {
     #[test]
     fn uniform_slot_shares_under_saturation() {
         let mut rp = RandomPermutation::new(4);
-        let mut rng = SimRng::seed_from(23);
+        let mut rng = LfsrBank::new(16, 23).unwrap();
         let mut counts = [0u32; 4];
         for t in 0..4000 {
             let w = select(&mut rp, &[0, 1, 2, 3], t, &mut rng).unwrap();

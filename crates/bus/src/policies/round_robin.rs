@@ -1,7 +1,8 @@
 //! Round-robin arbitration.
 
 use crate::pending::PendingSet;
-use crate::policy::{ArbitrationPolicy, RandomSource};
+use crate::policy::ArbitrationPolicy;
+use sim_core::lfsr::LfsrBank;
 use sim_core::{CoreId, Cycle};
 
 /// Classic round-robin: after granting core `i`, the search for the next
@@ -19,10 +20,10 @@ use sim_core::{CoreId, Cycle};
 /// use cba_bus::policies::RoundRobin;
 /// use cba_bus::{ArbitrationPolicy, BusRequest, PendingSet, RequestKind};
 /// use sim_core::CoreId;
-/// use sim_core::rng::SimRng;
+/// use sim_core::lfsr::LfsrBank;
 ///
 /// let mut rr = RoundRobin::new(4);
-/// let mut rng = SimRng::seed_from(0);
+/// let mut rng = LfsrBank::new(16, 0).unwrap();
 /// let mut pending = PendingSet::new(4);
 /// for core in CoreId::all(4) {
 ///     pending.insert(BusRequest::new(core, 5, RequestKind::Synthetic, 0)).unwrap();
@@ -62,7 +63,7 @@ impl ArbitrationPolicy for RoundRobin {
         eligible: u64,
         _pending: &PendingSet,
         _now: Cycle,
-        _rng: &mut dyn RandomSource,
+        _rng: &mut LfsrBank,
     ) -> Option<CoreId> {
         // The lowest eligible core at or after the cursor, wrapping around.
         let from_cursor = eligible & (u64::MAX << self.next);
@@ -88,11 +89,10 @@ impl ArbitrationPolicy for RoundRobin {
 mod tests {
     use super::*;
     use crate::policies::testing::pending;
-    use sim_core::rng::SimRng;
 
     fn select(rr: &mut RoundRobin, cores: &[usize], now: Cycle) -> Option<CoreId> {
         let pending = pending(cores);
-        let mut rng = SimRng::seed_from(0);
+        let mut rng = LfsrBank::new(16, 0).unwrap();
         rr.select(pending.mask(), &pending, now, &mut rng)
     }
 

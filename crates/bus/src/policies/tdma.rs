@@ -1,7 +1,8 @@
 //! TDMA (time-division multiple access) arbitration.
 
 use crate::pending::PendingSet;
-use crate::policy::{ArbitrationPolicy, RandomSource};
+use crate::policy::ArbitrationPolicy;
+use sim_core::lfsr::LfsrBank;
 use sim_core::{CoreId, Cycle};
 
 /// TDMA arbitration with homogeneous slots.
@@ -29,14 +30,14 @@ impl Tdma {
     /// # Panics
     ///
     /// Panics if `n_cores == 0` or `slot_len == 0`.
-    pub fn new(n_cores: usize, slot_len: u32) -> Self {
+    pub(crate) fn new(n_cores: usize, slot_len: u32) -> Self {
         assert!(n_cores > 0, "n_cores must be positive");
         assert!(slot_len > 0, "slot_len must be positive");
         Tdma { n_cores, slot_len }
     }
 
     /// The core owning the slot that contains cycle `now`.
-    pub fn slot_owner(&self, now: Cycle) -> CoreId {
+    pub(crate) fn slot_owner(&self, now: Cycle) -> CoreId {
         let slot = now / self.slot_len as Cycle;
         CoreId::from_index((slot % self.n_cores as Cycle) as usize)
     }
@@ -49,7 +50,7 @@ impl Tdma {
     /// The first slot-start cycle strictly after `now` whose slot belongs
     /// to `core` — the next cycle at which a pending request by `core`
     /// could possibly be granted.
-    pub fn next_slot_start_of(&self, core: CoreId, now: Cycle) -> Cycle {
+    pub(crate) fn next_slot_start_of(&self, core: CoreId, now: Cycle) -> Cycle {
         let len = self.slot_len as Cycle;
         let n = self.n_cores as Cycle;
         // First whole slot strictly after `now`, then round up to the next
@@ -71,7 +72,7 @@ impl ArbitrationPolicy for Tdma {
         eligible: u64,
         _pending: &PendingSet,
         now: Cycle,
-        _rng: &mut dyn RandomSource,
+        _rng: &mut LfsrBank,
     ) -> Option<CoreId> {
         if !self.is_slot_start(now) {
             return None;
@@ -98,11 +99,10 @@ impl ArbitrationPolicy for Tdma {
 mod tests {
     use super::*;
     use crate::policies::testing::pending;
-    use sim_core::rng::SimRng;
 
     fn select(t: &mut Tdma, cores: &[usize], now: Cycle) -> Option<CoreId> {
         let pending = pending(cores);
-        let mut rng = SimRng::seed_from(0);
+        let mut rng = LfsrBank::new(16, 0).unwrap();
         t.select(pending.mask(), &pending, now, &mut rng)
     }
 

@@ -1,5 +1,4 @@
-//! The arbiter interfaces: arbitration policies, eligibility filters, and
-//! the random-bit source they draw from.
+//! The arbiter interfaces: arbitration policies and eligibility filters.
 //!
 //! Arbitration on the modeled platform is a two-stage decision, mirroring
 //! the paper's Section III.A:
@@ -20,35 +19,7 @@
 
 use crate::pending::PendingSet;
 use sim_core::lfsr::LfsrBank;
-use sim_core::rng::SimRng;
 use sim_core::{CoreId, Cycle};
-
-/// Source of uniform random draws for randomized arbitration policies.
-///
-/// On the FPGA prototype the arbiter consumes bits from the APRANDBANK
-/// hardware PRNG; in simulation either the faithful LFSR-bank model
-/// ([`sim_core::lfsr::LfsrBank`]) or a fast software stream
-/// ([`sim_core::rng::SimRng`]) can be used — both implement this trait.
-pub trait RandomSource: std::fmt::Debug {
-    /// Uniform draw in `0..n`.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if `n == 0`.
-    fn next_below(&mut self, n: u64) -> u64;
-}
-
-impl RandomSource for SimRng {
-    fn next_below(&mut self, n: u64) -> u64 {
-        self.gen_range_u64(0..n)
-    }
-}
-
-impl RandomSource for LfsrBank {
-    fn next_below(&mut self, n: u64) -> u64 {
-        LfsrBank::next_below(self, n)
-    }
-}
 
 /// An arbitration policy: picks the winner among eligible candidates.
 ///
@@ -62,7 +33,8 @@ impl RandomSource for LfsrBank {
 /// (FIFO reads issue times) looks the requests up in `pending`. Returning
 /// `None` leaves the bus idle for the cycle (work-conserving policies
 /// return `Some` whenever `eligible` is non-empty; TDMA legitimately
-/// returns `None` mid-slot).
+/// returns `None` mid-slot). Randomized policies draw from `rng`, the
+/// bus's model of the APRANDBANK random-bit bank.
 ///
 /// [`select`]: ArbitrationPolicy::select
 /// [`on_grant`]: ArbitrationPolicy::on_grant
@@ -77,7 +49,7 @@ pub trait ArbitrationPolicy: std::fmt::Debug {
         eligible: u64,
         pending: &PendingSet,
         now: Cycle,
-        rng: &mut dyn RandomSource,
+        rng: &mut LfsrBank,
     ) -> Option<CoreId>;
 
     /// Notifies the policy that `core` was granted the bus at `now`.
@@ -233,7 +205,7 @@ pub struct NoFilter;
 
 impl NoFilter {
     /// Creates the identity filter.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         NoFilter
     }
 }
@@ -364,17 +336,5 @@ mod tests {
         use std::collections::HashSet;
         let names: HashSet<&str> = PolicyKind::ALL.iter().map(|k| k.name()).collect();
         assert_eq!(names.len(), PolicyKind::ALL.len());
-    }
-
-    #[test]
-    fn random_sources_are_interchangeable() {
-        let mut sim = SimRng::seed_from(1);
-        let mut lfsr = LfsrBank::new(8, 1).unwrap();
-        for n in 1..=16u64 {
-            let a = RandomSource::next_below(&mut sim, n);
-            let b = RandomSource::next_below(&mut lfsr, n);
-            assert!(a < n);
-            assert!(b < n);
-        }
     }
 }

@@ -28,8 +28,9 @@
 //! split bus) with a FIFO memory channel.
 
 use crate::bus::{Bus, BusConfig, CompletedTransaction};
-use crate::policy::{ArbitrationPolicy, RandomSource};
+use crate::policy::ArbitrationPolicy;
 use crate::{BusError, BusRequest, RequestKind, RequestPort};
+use sim_core::lfsr::LfsrBank;
 use sim_core::trace::GrantTrace;
 use sim_core::{BusModel, CoreId, Cycle};
 use std::collections::VecDeque;
@@ -67,7 +68,7 @@ impl SplitBusConfig {
     /// Returns [`BusError::InvalidConfig`] if [`BusConfig::new`] rejects
     /// the core count or MaxL, if the phase or the memory latency is
     /// zero, or if the phase exceeds MaxL.
-    pub fn validate(&self) -> Result<BusConfig, BusError> {
+    pub(crate) fn validate(&self) -> Result<BusConfig, BusError> {
         let bus = BusConfig::new(self.n_cores, self.max_latency)?;
         if self.phase_cycles == 0 || self.mem_latency == 0 {
             return Err(BusError::InvalidConfig(
@@ -157,9 +158,9 @@ impl SplitBus {
         self.inner.set_filter(filter);
     }
 
-    /// Replaces the random-bit source of the underlying bus's randomized
+    /// Replaces the random-bit bank of the underlying bus's randomized
     /// policies (see [`Bus::set_random_source`]).
-    pub fn set_random_source(&mut self, rng: Box<dyn RandomSource>) {
+    pub fn set_random_source(&mut self, rng: LfsrBank) {
         self.inner.set_random_source(rng);
     }
 

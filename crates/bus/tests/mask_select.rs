@@ -3,13 +3,12 @@
 //! core order, filtered by eligibility, with each request's issue time.
 //!
 //! Every policy and its reference see the same seeded random pending
-//! sets, eligible subsets, issue times, cycles and random streams (the
-//! software RNG and the LFSR bank), and must pick the same winner, ask
-//! for the same next grant window and leave the random stream in the same
-//! place.
+//! sets, eligible subsets, issue times, cycles and random-bit banks, and
+//! must pick the same winner, ask for the same next grant window and
+//! leave the bank in the same place.
 
 use cba_bus::policies::Lottery;
-use cba_bus::{ArbitrationPolicy, BusRequest, PendingSet, PolicyKind, RandomSource, RequestKind};
+use cba_bus::{ArbitrationPolicy, BusRequest, PendingSet, PolicyKind, RequestKind};
 use sim_core::lfsr::LfsrBank;
 use sim_core::rng::SimRng;
 use sim_core::{CoreId, Cycle};
@@ -27,7 +26,7 @@ trait Reference {
         &mut self,
         candidates: &[Candidate],
         now: Cycle,
-        rng: &mut dyn RandomSource,
+        rng: &mut LfsrBank,
     ) -> Option<CoreId>;
 
     fn on_grant(&mut self, _core: CoreId) {}
@@ -40,7 +39,7 @@ trait Reference {
 struct Fifo;
 
 impl Reference for Fifo {
-    fn select(&mut self, c: &[Candidate], _: Cycle, _: &mut dyn RandomSource) -> Option<CoreId> {
+    fn select(&mut self, c: &[Candidate], _: Cycle, _: &mut LfsrBank) -> Option<CoreId> {
         c.iter()
             .min_by_key(|c| (c.issued_at, c.core.index()))
             .map(|c| c.core)
@@ -53,7 +52,7 @@ struct RoundRobin {
 }
 
 impl Reference for RoundRobin {
-    fn select(&mut self, c: &[Candidate], _: Cycle, _: &mut dyn RandomSource) -> Option<CoreId> {
+    fn select(&mut self, c: &[Candidate], _: Cycle, _: &mut LfsrBank) -> Option<CoreId> {
         if c.is_empty() {
             return None;
         }
@@ -90,7 +89,7 @@ impl Tdma {
 }
 
 impl Reference for Tdma {
-    fn select(&mut self, c: &[Candidate], now: Cycle, _: &mut dyn RandomSource) -> Option<CoreId> {
+    fn select(&mut self, c: &[Candidate], now: Cycle, _: &mut LfsrBank) -> Option<CoreId> {
         if now % self.slot_len as Cycle != 0 {
             return None;
         }
@@ -117,7 +116,7 @@ impl Lotto {
 }
 
 impl Reference for Lotto {
-    fn select(&mut self, c: &[Candidate], _: Cycle, rng: &mut dyn RandomSource) -> Option<CoreId> {
+    fn select(&mut self, c: &[Candidate], _: Cycle, rng: &mut LfsrBank) -> Option<CoreId> {
         if c.is_empty() {
             return None;
         }
@@ -142,7 +141,7 @@ struct RandomPermutation {
 }
 
 impl RandomPermutation {
-    fn new_round(&mut self, rng: &mut dyn RandomSource) {
+    fn new_round(&mut self, rng: &mut LfsrBank) {
         for i in 0..self.n_cores {
             self.order[i] = i;
         }
@@ -164,7 +163,7 @@ impl RandomPermutation {
 }
 
 impl Reference for RandomPermutation {
-    fn select(&mut self, c: &[Candidate], _: Cycle, rng: &mut dyn RandomSource) -> Option<CoreId> {
+    fn select(&mut self, c: &[Candidate], _: Cycle, rng: &mut LfsrBank) -> Option<CoreId> {
         if c.is_empty() {
             return None;
         }
@@ -188,7 +187,7 @@ impl Reference for RandomPermutation {
 struct FixedPriority;
 
 impl Reference for FixedPriority {
-    fn select(&mut self, c: &[Candidate], _: Cycle, _: &mut dyn RandomSource) -> Option<CoreId> {
+    fn select(&mut self, c: &[Candidate], _: Cycle, _: &mut LfsrBank) -> Option<CoreId> {
         c.first().map(|c| c.core)
     }
 }
@@ -231,22 +230,6 @@ fn policies(n: usize, rng: &mut SimRng) -> Vec<(Box<dyn ArbitrationPolicy>, Box<
     out
 }
 
-/// Two copies of one random stream: the software RNG or the LFSR bank.
-fn streams(seed: u64, bank: bool) -> (Box<dyn RandomSource>, Box<dyn RandomSource>) {
-    if bank {
-        let width = 1 + seed as usize % 64;
-        (
-            Box::new(LfsrBank::new(width, seed).unwrap()),
-            Box::new(LfsrBank::new(width, seed).unwrap()),
-        )
-    } else {
-        (
-            Box::new(SimRng::seed_from(seed)),
-            Box::new(SimRng::seed_from(seed)),
-        )
-    }
-}
-
 #[test]
 fn mask_select_matches_the_slice_reference() {
     for n in [1, 2, 4, 5, 16, 63, 64] {
@@ -256,8 +239,10 @@ fn mask_select_matches_the_slice_reference() {
                 policies(n, &mut setup).into_iter().enumerate()
             {
                 let name = policy.name();
-                let bank = index % 2 == 1;
-                let (mut rng, mut ref_rng) = streams(seed * 7 + index as u64, bank);
+                let stream = seed * 7 + index as u64;
+                let width = 1 + stream as usize % 64;
+                let mut rng = LfsrBank::new(width, stream).unwrap();
+                let mut ref_rng = rng.clone();
                 // Dense or sparse request lines, with issue times close
                 // enough together that FIFO sees ties.
                 let density = setup.gen_f64();
@@ -278,8 +263,8 @@ fn mask_select_matches_the_slice_reference() {
                             candidates.push(Candidate { core, issued_at });
                         }
                     }
-                    let want = reference.select(&candidates, now, ref_rng.as_mut());
-                    let got = policy.select(eligible, &pending, now, rng.as_mut());
+                    let want = reference.select(&candidates, now, &mut ref_rng);
+                    let got = policy.select(eligible, &pending, now, &mut rng);
                     let at = format!("{name}, n {n}, seed {seed}, step {step}, now {now}");
                     assert_eq!(got, want, "winner: {at}, eligible {eligible:#x}");
                     match got {
@@ -299,7 +284,7 @@ fn mask_select_matches_the_slice_reference() {
                 assert_eq!(
                     rng.next_below(u64::MAX),
                     ref_rng.next_below(u64::MAX),
-                    "random stream out of step: {name}, n {n}, seed {seed}"
+                    "random bank out of step: {name}, n {n}, seed {seed}"
                 );
             }
         }

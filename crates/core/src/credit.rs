@@ -108,7 +108,7 @@ impl CreditCounter {
     /// Recovery is monotone and the cap applies per step, so the closed
     /// form is a single saturating add-and-clamp.
     #[inline]
-    pub fn advance_idle(&mut self, k: u64) {
+    pub(crate) fn advance_idle(&mut self, k: u64) {
         self.value = self
             .value
             .saturating_add(self.num.saturating_mul(k))
@@ -123,7 +123,7 @@ impl CreditCounter {
     /// stays — which is a single saturating subtraction of `k * (den -
     /// num)` (the cap never engages because `num <= den`).
     #[inline]
-    pub fn advance_holding(&mut self, k: u64) {
+    pub(crate) fn advance_holding(&mut self, k: u64) {
         self.value = self
             .value
             .saturating_sub((self.den - self.num).saturating_mul(k));
@@ -131,7 +131,7 @@ impl CreditCounter {
 
     /// Cycles until the budget reaches `threshold` with no bus use
     /// (`None` if already there).
-    pub fn cycles_to_reach(&self, threshold: u64) -> Option<u64> {
+    pub(crate) fn cycles_to_reach(&self, threshold: u64) -> Option<u64> {
         if self.value >= threshold {
             None
         } else {

@@ -201,8 +201,8 @@ impl EligibilityFilter for CreditFilter {
     }
 
     /// O(1) bulk tick: `k` cycles of unchanged occupancy. Counters move by
-    /// their closed forms ([`CreditCounter::advance_idle`] /
-    /// [`CreditCounter::advance_holding`]); WCET-mode `COMP` bits latch
+    /// their closed forms (`CreditCounter::advance_idle` /
+    /// `CreditCounter::advance_holding`); WCET-mode `COMP` bits latch
     /// exactly when the per-cycle loop would have latched them, using the
     /// peak value each counter attains during the stretch (idle counters
     /// peak at the end, a draining owner peaks after its first tick).

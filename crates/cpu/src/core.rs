@@ -145,11 +145,6 @@ impl Core {
         }
     }
 
-    /// This core's identity.
-    pub fn id(&self) -> CoreId {
-        self.id
-    }
-
     /// Execution statistics.
     pub fn stats(&self) -> &CoreStats {
         &self.stats

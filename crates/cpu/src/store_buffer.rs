@@ -49,7 +49,7 @@ impl StoreBuffer {
     }
 
     /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 

@@ -27,7 +27,7 @@ impl Gumbel {
     ///
     /// Returns [`MbptaError::InvalidParameter`] unless `beta > 0` and both
     /// parameters are finite.
-    pub fn new(mu: f64, beta: f64) -> Result<Self, MbptaError> {
+    pub(crate) fn new(mu: f64, beta: f64) -> Result<Self, MbptaError> {
         if !mu.is_finite() || !beta.is_finite() || beta <= 0.0 {
             return Err(MbptaError::InvalidParameter(format!(
                 "Gumbel requires finite mu and beta > 0 (got mu={mu}, beta={beta})"
@@ -83,7 +83,7 @@ impl Gumbel {
     /// Propagates the moment-fit errors and returns
     /// [`MbptaError::NoConvergence`] if the iteration stalls (does not
     /// happen for non-degenerate data).
-    pub fn fit_mle(samples: &[f64]) -> Result<Self, MbptaError> {
+    pub(crate) fn fit_mle(samples: &[f64]) -> Result<Self, MbptaError> {
         let seed = Self::fit_moments(samples)?;
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
         // Work with shifted values for numerical stability of exp().

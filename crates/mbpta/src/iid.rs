@@ -24,7 +24,7 @@ pub struct TestResult {
 
 impl TestResult {
     /// Whether the null hypothesis survives at significance `alpha`.
-    pub fn passes(&self, alpha: f64) -> bool {
+    pub(crate) fn passes(&self, alpha: f64) -> bool {
         self.p_value > alpha
     }
 }
@@ -109,7 +109,7 @@ fn autocorrelations(samples: &[f64], max_lag: usize) -> Vec<f64> {
 ///
 /// Returns [`MbptaError::TooFewSamples`] if `samples.len() <= lags + 1` or
 /// [`MbptaError::InvalidParameter`] if `lags == 0`.
-pub fn ljung_box(samples: &[f64], lags: usize) -> Result<TestResult, MbptaError> {
+pub(crate) fn ljung_box(samples: &[f64], lags: usize) -> Result<TestResult, MbptaError> {
     if lags == 0 {
         return Err(MbptaError::InvalidParameter("lags must be positive".into()));
     }
@@ -191,7 +191,7 @@ impl IidReport {
     /// # Errors
     ///
     /// Propagates the individual tests' sample-size requirements.
-    pub fn analyze(samples: &[f64]) -> Result<Self, MbptaError> {
+    pub(crate) fn analyze(samples: &[f64]) -> Result<Self, MbptaError> {
         Ok(IidReport {
             ks: ks_split_half(samples)?,
             ljung_box: ljung_box(samples, 20)?,

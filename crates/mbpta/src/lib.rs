@@ -6,7 +6,6 @@ pub mod gumbel;
 pub mod iid;
 pub mod pwcet;
 pub mod special;
-pub mod tail;
 
 use std::fmt;
 

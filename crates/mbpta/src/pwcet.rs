@@ -169,7 +169,10 @@ impl PWcetModel {
     /// # Errors
     ///
     /// Propagates fit and test errors.
-    pub fn analyze(samples: &[f64], config: MbptaConfig) -> Result<(Self, IidReport), MbptaError> {
+    pub(crate) fn analyze(
+        samples: &[f64],
+        config: MbptaConfig,
+    ) -> Result<(Self, IidReport), MbptaError> {
         let report = IidReport::analyze(samples)?;
         let model = Self::fit(samples, config)?;
         Ok((model, report))
@@ -185,14 +188,14 @@ impl PWcetModel {
         Self::fit(&cycles_to_f64(samples)?, config)
     }
 
-    /// [`PWcetModel::analyze`] over native `u64` cycle counts.
+    /// `PWcetModel::analyze` over native `u64` cycle counts.
     ///
     /// The iid battery is order-sensitive, so `samples` must be in
     /// observation (run-index) order, not sorted.
     ///
     /// # Errors
     ///
-    /// As [`PWcetModel::analyze`], plus [`MbptaError::InvalidParameter`]
+    /// As `PWcetModel::analyze`, plus [`MbptaError::InvalidParameter`]
     /// for samples above 2^53, which an `f64` cannot hold exactly.
     pub fn analyze_u64(
         samples: &[u64],

@@ -97,14 +97,14 @@ fn gamma_p(a: f64, x: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `k == 0` or `x < 0`.
-pub fn chi2_cdf(x: f64, k: u32) -> f64 {
+pub(crate) fn chi2_cdf(x: f64, k: u32) -> f64 {
     assert!(k > 0, "chi2_cdf requires k > 0");
     gamma_p(k as f64 / 2.0, x / 2.0)
 }
 
 /// Complementary error function (rational approximation, |rel err| <
 /// 1.2e-7 — Numerical Recipes `erfcc`).
-pub fn erfc(x: f64) -> f64 {
+pub(crate) fn erfc(x: f64) -> f64 {
     let z = x.abs();
     let t = 1.0 / (1.0 + 0.5 * z);
     let ans = t
@@ -126,13 +126,13 @@ pub fn erfc(x: f64) -> f64 {
 }
 
 /// Two-sided p-value for a standard normal statistic.
-pub fn normal_two_sided_p(z: f64) -> f64 {
+pub(crate) fn normal_two_sided_p(z: f64) -> f64 {
     erfc(z.abs() / std::f64::consts::SQRT_2)
 }
 
 /// Asymptotic Kolmogorov distribution tail `Q_KS(lambda) =
 /// 2 Σ (-1)^{k-1} e^{-2 k² λ²}` (the KS-test p-value helper).
-pub fn kolmogorov_q(lambda: f64) -> f64 {
+pub(crate) fn kolmogorov_q(lambda: f64) -> f64 {
     if lambda <= 0.0 {
         return 1.0;
     }

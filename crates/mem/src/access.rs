@@ -37,7 +37,7 @@ pub struct MemAccess {
 
 impl MemAccess {
     /// Creates an access of the given kind.
-    pub fn new(addr: u64, kind: AccessKind) -> Self {
+    pub(crate) fn new(addr: u64, kind: AccessKind) -> Self {
         MemAccess { addr, kind }
     }
 

@@ -1,30 +1,14 @@
 //! A set-associative cache with the MBPTA-style randomization of the
 //! paper's platform: random placement (a randomized index hash whose seed
 //! is drawn when the cache is built) and random replacement.
+//!
+//! Each cache draws its placement seed when built, so building the caches
+//! afresh for every run gives the per-run randomization MBPTA requires.
+//! A miss in a full set evicts a uniformly random way: the choice is
+//! memoryless, so a hit updates no state.
 
 use crate::MemError;
 use sim_core::rng::SimRng;
-
-/// Placement (indexing) function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Placement {
-    /// Conventional modulo indexing (`line_addr % sets`).
-    Modulo,
-    /// Random placement: a per-seed hash of the line address picks the set.
-    /// Each cache draws its seed when built, so building the caches afresh
-    /// for every run gives the per-run randomization MBPTA requires.
-    Random,
-}
-
-/// Replacement victim selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Replacement {
-    /// Uniform random way (the platform's policy; memoryless, so no
-    /// history state is needed).
-    Random,
-    /// Least-recently-used (provided for comparison experiments).
-    Lru,
-}
 
 /// Write handling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,10 +30,6 @@ pub struct CacheConfig {
     pub ways: usize,
     /// Line size in bytes (power of two, at least 2).
     pub line_bytes: usize,
-    /// Placement function.
-    pub placement: Placement,
-    /// Replacement policy.
-    pub replacement: Replacement,
     /// Write policy.
     pub write_policy: WritePolicy,
 }
@@ -62,7 +42,7 @@ impl CacheConfig {
     /// Returns [`MemError::InvalidConfig`] unless `sets` is a non-zero
     /// power of two, `line_bytes` a power of two of at least 2, and
     /// `ways >= 1`.
-    pub fn validate(&self) -> Result<(), MemError> {
+    pub(crate) fn validate(&self) -> Result<(), MemError> {
         if self.sets == 0 || !self.sets.is_power_of_two() {
             return Err(MemError::InvalidConfig(format!(
                 "sets must be a power of two, got {}",
@@ -88,21 +68,17 @@ impl CacheConfig {
             sets: 64,
             ways: 4,
             line_bytes: 16,
-            placement: Placement::Random,
-            replacement: Replacement::Random,
             write_policy: WritePolicy::WriteThrough,
         }
     }
 
     /// One core's partition of the platform L2 (32 KiB, 4-way, 16-byte
     /// lines, random placement and replacement, write-back).
-    pub fn paper_l2_partition() -> Self {
+    pub(crate) fn paper_l2_partition() -> Self {
         CacheConfig {
             sets: 512,
             ways: 4,
             line_bytes: 16,
-            placement: Placement::Random,
-            replacement: Replacement::Random,
             write_policy: WritePolicy::WriteBack,
         }
     }
@@ -121,9 +97,8 @@ pub struct CacheOutcome {
 /// A set-associative cache.
 ///
 /// Lines live in flat per-way vectors: a tag (the line address plus one,
-/// so 0 marks an invalid way), a dirty bit, and an LRU stamp only under
-/// LRU replacement. Sets and line size are powers of two, so indexing is
-/// a shift and a mask.
+/// so 0 marks an invalid way) and a dirty bit. Sets and line size are
+/// powers of two, so indexing is a shift and a mask.
 ///
 /// # Example
 ///
@@ -149,38 +124,26 @@ pub struct SetAssocCache {
     /// Per way: line address + 1, or 0 when invalid.
     tags: Vec<u64>,
     dirty: Vec<bool>,
-    /// Per way under LRU replacement (empty otherwise).
-    stamps: Vec<u64>,
     seed: u64,
-    tick: u64,
 }
 
 impl SetAssocCache {
-    /// Creates an empty cache; random placement draws its hash seed from
-    /// `rng`.
+    /// Creates an empty cache; placement draws its hash seed from `rng`.
     ///
     /// # Errors
     ///
-    /// Propagates [`CacheConfig::validate`] failures.
+    /// Propagates `CacheConfig::validate` failures.
     pub fn new(config: CacheConfig, rng: &mut SimRng) -> Result<Self, MemError> {
         config.validate()?;
         let n = config.sets * config.ways;
-        let lru = config.replacement == Replacement::Lru;
         Ok(SetAssocCache {
             line_shift: config.line_bytes.trailing_zeros(),
             set_mask: config.sets as u64 - 1,
             tags: vec![0; n],
             dirty: vec![false; n],
-            stamps: vec![0; if lru { n } else { 0 }],
             seed: rng.next_u64(),
-            tick: 0,
             config,
         })
-    }
-
-    /// The cache geometry.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
     }
 
     /// The tag `addr`'s line is stored under (never 0: validation keeps
@@ -190,23 +153,16 @@ impl SetAssocCache {
         (addr >> self.line_shift) + 1
     }
 
-    /// The first way of the set `tag`'s line maps to.
+    /// The first way of the set `tag`'s line maps to: a splitmix-style
+    /// hash of the line address under the cache's seed, so a different
+    /// seed yields an (effectively) independent placement function.
     #[inline]
     fn set_base(&self, tag: u64) -> usize {
-        let line_addr = tag - 1;
-        let set = match self.config.placement {
-            Placement::Modulo => line_addr & self.set_mask,
-            Placement::Random => {
-                // splitmix-style seeded hash: a different seed yields an
-                // (effectively) independent placement function.
-                let mut z = line_addr ^ self.seed;
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                z ^= z >> 31;
-                z & self.set_mask
-            }
-        };
-        set as usize * self.config.ways
+        let mut z = (tag - 1) ^ self.seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        (z & self.set_mask) as usize * self.config.ways
     }
 
     /// The set base for `addr` and the slot holding its line, if cached.
@@ -222,51 +178,29 @@ impl SetAssocCache {
         )
     }
 
-    /// Records a use of `slot` for LRU replacement.
-    #[inline]
-    fn touch(&mut self, slot: usize) {
-        if let Some(stamp) = self.stamps.get_mut(slot) {
-            *stamp = self.tick;
-        }
-    }
-
-    fn victim_slot(&self, base: usize, rng: &mut SimRng) -> usize {
-        let ways = base..base + self.config.ways;
-        // Prefer an invalid way.
-        if let Some(slot) = ways.clone().find(|&i| self.tags[i] == 0) {
-            return slot;
-        }
-        match self.config.replacement {
-            Replacement::Random => base + rng.gen_range_usize(0..self.config.ways),
-            Replacement::Lru => ways.min_by_key(|&i| self.stamps[i]).expect("ways >= 1"),
-        }
-    }
-
-    /// Allocates `tag`'s line in its set (base `base`), evicting per the
-    /// replacement policy; returns whether the victim was dirty.
+    /// Allocates `tag`'s line in its set (base `base`), in an invalid way
+    /// if the set has one and in a uniformly random way otherwise; returns
+    /// whether the victim was dirty.
     fn fill(&mut self, tag: u64, base: usize, dirty: bool, rng: &mut SimRng) -> bool {
-        let slot = self.victim_slot(base, rng);
+        let slot = (base..base + self.config.ways)
+            .find(|&i| self.tags[i] == 0)
+            .unwrap_or_else(|| base + rng.gen_range_usize(0..self.config.ways));
         let victim_dirty = self.tags[slot] != 0 && self.dirty[slot];
         self.tags[slot] = tag;
         self.dirty[slot] = dirty;
-        self.touch(slot);
         victim_dirty
     }
 
-    /// Reads `addr`. On a miss the line is allocated (victimizing per the
-    /// replacement policy); the outcome reports whether the victim was
+    /// Reads `addr`. On a miss the line is allocated (evicting a random
+    /// way of a full set); the outcome reports whether the victim was
     /// dirty.
     pub fn read(&mut self, addr: u64, rng: &mut SimRng) -> CacheOutcome {
-        self.tick += 1;
         let (tag, base, slot) = self.probe(addr);
         match slot {
-            Some(slot) => {
-                self.touch(slot);
-                CacheOutcome {
-                    hit: true,
-                    victim_dirty: false,
-                }
-            }
+            Some(_) => CacheOutcome {
+                hit: true,
+                victim_dirty: false,
+            },
             None => CacheOutcome {
                 hit: false,
                 victim_dirty: self.fill(tag, base, false, rng),
@@ -280,13 +214,11 @@ impl SetAssocCache {
     ///   propagates downstream anyway); a miss does not allocate.
     /// * Write-back: a hit dirties the line; a miss allocates and dirties
     ///   it, reporting a dirty victim if one was evicted.
-    pub fn write(&mut self, addr: u64, rng: &mut SimRng) -> CacheOutcome {
-        self.tick += 1;
+    pub(crate) fn write(&mut self, addr: u64, rng: &mut SimRng) -> CacheOutcome {
         let (tag, base, slot) = self.probe(addr);
         let write_back = self.config.write_policy == WritePolicy::WriteBack;
         match slot {
             Some(slot) => {
-                self.touch(slot);
                 self.dirty[slot] |= write_back;
                 CacheOutcome {
                     hit: true,
@@ -317,14 +249,14 @@ mod tests {
         (c, rng)
     }
 
-    fn small(placement: Placement, replacement: Replacement, wp: WritePolicy) -> CacheConfig {
+    /// One set of one way: placement and the victim are forced, so every
+    /// miss evicts the one line the cache holds.
+    fn single_line(write_policy: WritePolicy) -> CacheConfig {
         CacheConfig {
-            sets: 4,
-            ways: 2,
+            sets: 1,
+            ways: 1,
             line_bytes: 16,
-            placement,
-            replacement,
-            write_policy: wp,
+            write_policy,
         }
     }
 
@@ -361,61 +293,36 @@ mod tests {
 
     #[test]
     fn write_through_does_not_allocate() {
-        let cfg = small(
-            Placement::Modulo,
-            Replacement::Lru,
-            WritePolicy::WriteThrough,
-        );
-        let (mut c, mut rng) = mk(cfg, 3);
+        let (mut c, mut rng) = mk(single_line(WritePolicy::WriteThrough), 3);
         assert!(!c.write(0x40, &mut rng).hit);
         assert!(!c.contains(0x40), "WT miss must not allocate");
         // After a read allocates, a write hits and leaves the line clean.
         c.read(0x40, &mut rng);
         assert!(c.write(0x40, &mut rng).hit);
         // Evicting it must not report dirty.
-        // Fill the set: modulo placement, sets=4, line 16 -> stride 64.
-        let conflicting = [0x40 + 64, 0x40 + 128];
-        for a in conflicting {
-            c.read(a, &mut rng);
-        }
-        // 2 ways: 0x40 got evicted by LRU on the second conflict.
+        let out = c.read(0x80, &mut rng);
+        assert!(!out.hit);
+        assert!(!out.victim_dirty, "a WT line is never dirty");
         assert!(!c.contains(0x40));
     }
 
     #[test]
     fn write_back_allocates_and_dirty_eviction_reports() {
-        let cfg = small(Placement::Modulo, Replacement::Lru, WritePolicy::WriteBack);
-        let (mut c, mut rng) = mk(cfg, 3);
+        let (mut c, mut rng) = mk(single_line(WritePolicy::WriteBack), 3);
         assert!(!c.write(0x40, &mut rng).hit);
         assert!(c.contains(0x40), "WB miss allocates");
-        // Fill both ways of the set, then evict the dirty line.
-        c.read(0x40 + 64, &mut rng);
-        let out = c.read(0x40 + 128, &mut rng);
+        let out = c.read(0x80, &mut rng);
         assert!(!out.hit);
         assert!(out.victim_dirty, "evicted line was dirtied by the write");
     }
 
     #[test]
     fn clean_eviction_not_reported_dirty() {
-        let cfg = small(Placement::Modulo, Replacement::Lru, WritePolicy::WriteBack);
-        let (mut c, mut rng) = mk(cfg, 3);
+        let (mut c, mut rng) = mk(single_line(WritePolicy::WriteBack), 3);
         c.read(0x40, &mut rng);
-        c.read(0x40 + 64, &mut rng);
-        let out = c.read(0x40 + 128, &mut rng);
+        let out = c.read(0x80, &mut rng);
         assert!(!out.hit);
         assert!(!out.victim_dirty);
-    }
-
-    #[test]
-    fn lru_evicts_least_recent() {
-        let cfg = small(Placement::Modulo, Replacement::Lru, WritePolicy::WriteBack);
-        let (mut c, mut rng) = mk(cfg, 3);
-        c.read(0x40, &mut rng); // way A
-        c.read(0x40 + 64, &mut rng); // way B
-        c.read(0x40, &mut rng); // touch A -> B is LRU
-        c.read(0x40 + 128, &mut rng); // evicts B
-        assert!(c.contains(0x40));
-        assert!(!c.contains(0x40 + 64));
     }
 
     #[test]
@@ -427,8 +334,6 @@ mod tests {
             sets: 16,
             ways: 1,
             line_bytes: 16,
-            placement: Placement::Random,
-            replacement: Replacement::Random,
             write_policy: WritePolicy::WriteBack,
         };
         let addrs: Vec<u64> = (0..32u64).map(|i| i * 256).collect();
@@ -459,7 +364,7 @@ mod tests {
     }
 
     /// Valid lines never exceed capacity, and immediate re-reads always
-    /// hit, under randomized access streams and every policy combination.
+    /// hit, under randomized access streams and both write policies.
     /// (Seed-driven in place of proptest; each case reproducible from its
     /// seed.)
     #[test]
@@ -470,16 +375,6 @@ mod tests {
                 sets: 8,
                 ways: 2,
                 line_bytes: 16,
-                placement: if gen.gen_bool(0.5) {
-                    Placement::Random
-                } else {
-                    Placement::Modulo
-                },
-                replacement: if gen.gen_bool(0.5) {
-                    Replacement::Random
-                } else {
-                    Replacement::Lru
-                },
                 write_policy: if gen.gen_bool(0.5) {
                     WritePolicy::WriteBack
                 } else {

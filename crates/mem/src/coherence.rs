@@ -55,6 +55,12 @@ use std::rc::Rc;
 /// Line size of the shared segment (matches the private caches).
 pub const SHARED_LINE_BYTES: u64 = 16;
 
+/// Most lines one private L1 may hold (`l1_sets × l1_ways`).
+const MAX_L1_LINES: usize = 1 << 16;
+
+/// Most lines the shared segment may hold.
+const MAX_SHARED_LINES: usize = 1 << 20;
+
 /// Configuration of the memory-agent subsystem: the synthetic address
 /// stream, the private L1 geometry and the shared coherent segment.
 ///
@@ -135,6 +141,18 @@ impl MemoryConfig {
                 "shared_lines must be positive".into(),
             ));
         }
+        if self.shared_lines > MAX_SHARED_LINES {
+            return Err(MemError::InvalidConfig(format!(
+                "shared_lines must be at most {MAX_SHARED_LINES}, got {}",
+                self.shared_lines
+            )));
+        }
+        if !matches!(self.l1_sets.checked_mul(self.l1_ways), Some(lines) if lines <= MAX_L1_LINES) {
+            return Err(MemError::InvalidConfig(format!(
+                "an L1 holds at most {MAX_L1_LINES} lines, got l1_sets {} x l1_ways {}",
+                self.l1_sets, self.l1_ways
+            )));
+        }
         self.hierarchy().validate()
     }
 
@@ -198,7 +216,7 @@ pub struct CoherenceHub {
 
 impl CoherenceHub {
     /// A cold directory: `n_lines` shared lines, every copy Invalid.
-    pub fn new(n_cores: usize, n_lines: usize) -> Self {
+    pub(crate) fn new(n_cores: usize, n_lines: usize) -> Self {
         CoherenceHub {
             n_cores,
             states: vec![MesiState::Invalid; n_lines * n_cores],
@@ -208,13 +226,8 @@ impl CoherenceHub {
     }
 
     /// Number of shared lines tracked.
-    pub fn n_lines(&self) -> usize {
+    pub(crate) fn n_lines(&self) -> usize {
         self.versions.len()
-    }
-
-    /// Number of cores tracked.
-    pub fn n_cores(&self) -> usize {
-        self.n_cores
     }
 
     /// The index of `core`'s entry for `line` in `states` and `observed`.
@@ -443,10 +456,31 @@ mod tests {
                 l1_sets: 3, // not a power of two
                 ..Default::default()
             },
+            MemoryConfig {
+                shared_lines: MAX_SHARED_LINES + 1,
+                ..Default::default()
+            },
+            MemoryConfig {
+                l1_sets: MAX_L1_LINES * 2,
+                l1_ways: 1,
+                ..Default::default()
+            },
+            MemoryConfig {
+                l1_sets: 1 << 32,
+                l1_ways: 1 << 32, // the product overflows
+                ..Default::default()
+            },
         ];
         for m in cases {
             assert!(m.validate().is_err(), "{m:?} must be rejected");
         }
+        let largest = MemoryConfig {
+            shared_lines: MAX_SHARED_LINES,
+            l1_sets: MAX_L1_LINES / 4,
+            l1_ways: 4,
+            ..Default::default()
+        };
+        assert!(largest.validate().is_ok());
     }
 
     #[test]

@@ -34,7 +34,7 @@ impl HierarchyConfig {
     /// # Errors
     ///
     /// Propagates the first [`MemError::InvalidConfig`] found.
-    pub fn validate(&self) -> Result<(), MemError> {
+    pub(crate) fn validate(&self) -> Result<(), MemError> {
         self.l1i.validate()?;
         self.l1d.validate()?;
         self.l2_partition.validate()
@@ -155,7 +155,7 @@ impl CoreMemory {
     /// # Panics
     ///
     /// Panics if `config` is invalid; validate with
-    /// [`HierarchyConfig::validate`] first when the geometry is
+    /// `HierarchyConfig::validate` first when the geometry is
     /// user-supplied.
     pub fn new(config: &HierarchyConfig, rng: &mut SimRng) -> Self {
         config.validate().expect("invalid hierarchy configuration");
@@ -229,11 +229,6 @@ impl CoreMemory {
     /// The L1 data cache (for inspection).
     pub fn l1d(&self) -> &SetAssocCache {
         &self.l1d
-    }
-
-    /// The L1 instruction cache (for inspection).
-    pub fn l1i(&self) -> &SetAssocCache {
-        &self.l1i
     }
 
     /// This core's L2 partition (for inspection).

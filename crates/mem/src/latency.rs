@@ -34,7 +34,11 @@ impl LatencyModel {
     /// Returns [`MemError::InvalidConfig`] unless
     /// `0 < l2_read_hit <= l2_write_hit <= mem_access` (the platform
     /// invariant that makes `2 * mem_access` the overall MaxL).
-    pub fn new(l2_read_hit: u32, l2_write_hit: u32, mem_access: u32) -> Result<Self, MemError> {
+    pub(crate) fn new(
+        l2_read_hit: u32,
+        l2_write_hit: u32,
+        mem_access: u32,
+    ) -> Result<Self, MemError> {
         if l2_read_hit == 0 || l2_read_hit > l2_write_hit || l2_write_hit > mem_access {
             return Err(MemError::InvalidConfig(format!(
                 "need 0 < l2_read_hit <= l2_write_hit <= mem_access, \
@@ -62,17 +66,17 @@ impl LatencyModel {
     }
 
     /// L2 miss with a clean victim.
-    pub fn miss_clean(&self) -> u32 {
+    pub(crate) fn miss_clean(&self) -> u32 {
         self.mem_access
     }
 
     /// L2 miss evicting a dirty line.
-    pub fn miss_dirty(&self) -> u32 {
+    pub(crate) fn miss_dirty(&self) -> u32 {
         self.two_mem_accesses
     }
 
     /// Atomic read-modify-write.
-    pub fn atomic(&self) -> u32 {
+    pub(crate) fn atomic(&self) -> u32 {
         self.two_mem_accesses
     }
 }

@@ -9,7 +9,7 @@ pub mod hierarchy;
 pub mod latency;
 
 pub use access::{AccessKind, MemAccess};
-pub use cache::{CacheConfig, CacheOutcome, Placement, Replacement, SetAssocCache, WritePolicy};
+pub use cache::{CacheConfig, CacheOutcome, SetAssocCache, WritePolicy};
 pub use coherence::{shared_hub, CoherenceHub, MemoryConfig, MesiState, SharedHub};
 pub use hierarchy::{AccessOutcome, BusTransaction, CoreMemory, HierarchyConfig};
 pub use latency::LatencyModel;

@@ -5,13 +5,13 @@
 //! opens the *client* side the same way. Every workload kind the
 //! platform can place on a core — the full core model running a
 //! benchmark, saturating/periodic contenders, fixed-request tasks, the
-//! idle slot — is registered under a **kind name** (the prefix of the
-//! scenario load-spec mini-language: `bench`, `profile`, `stream`,
-//! `sat`, `per`, `fixed`, `idle`), and `run_once` builds agents purely
-//! through the registry. Downstream users register new kinds with
-//! [`AgentRegistry::register`] and reference them from scenario files as
-//! `agent:KIND:ARGS...` ([`CoreLoad::Custom`]) — no edit to
-//! `cba-platform` required.
+//! idle slot — is registered under a **kind name** (`profile`, `stream`,
+//! `sat`, `per`, `fixed`, `idle`: the prefix of the scenario load-spec
+//! mini-language, where `bench:NAME` is a catalog `profile`), and
+//! `run_once` builds agents purely through the registry. Downstream
+//! users register new kinds with [`AgentRegistry::register`] and
+//! reference them from scenario files as `agent:KIND:ARGS...`
+//! ([`CoreLoad::Custom`]) — no edit to `cba-platform` required.
 //!
 //! Agents are built against the *port* trait object
 //! (`dyn RequestPort`), so one registration drives the flat [`Bus`](cba_bus::Bus)
@@ -94,13 +94,13 @@ impl AgentRegistry {
         }
     }
 
-    /// The built-in kinds: `bench`, `profile`, `stream` (the full core
+    /// The built-in kinds: `profile`, `stream` (the full core
     /// model), `sat`, `per`, `fixed` (the synthetic clients), `idle`, and
     /// the miss-stream memory agents `mem` (private hierarchy only) and
     /// `shared` (coherent through the run's MESI hub).
     pub fn builtin() -> Self {
         let mut reg = Self::empty();
-        for kind in ["bench", "profile", "stream"] {
+        for kind in ["profile", "stream"] {
             reg.register(kind, build_core_agent);
         }
         for kind in ["mem", "shared"] {
@@ -244,14 +244,11 @@ fn build_mem_agent(ctx: &mut AgentCtx<'_>) -> Result<BoxedPortAgent, String> {
     )))
 }
 
-/// Builds the full core model for the `bench` / `profile` / `stream`
+/// Builds the full core model for the `profile` / `stream`
 /// kinds (one builder: they differ only in the program fed to the core).
 fn build_core_agent(ctx: &mut AgentCtx<'_>) -> Result<BoxedPortAgent, String> {
     let program: Box<dyn cba_cpu::Program> = match ctx.load {
         CoreLoad::Profile(profile) => Box::new(SyntheticEembc::new(profile.clone())),
-        CoreLoad::Named(name) => {
-            cba_workloads::by_name(name).ok_or_else(|| format!("unknown benchmark '{name}'"))?
-        }
         CoreLoad::Streaming { accesses } => Box::new(Streaming::new(*accesses)),
         other => return Err(format!("core-model kinds cannot build '{other}'")),
     };
@@ -284,11 +281,6 @@ impl PortAgent {
     /// Wraps a registry-built agent.
     pub fn new(inner: BoxedPortAgent) -> Self {
         PortAgent(inner)
-    }
-
-    /// The wrapped agent.
-    pub fn inner(&self) -> &dyn SimAgent<dyn RequestPort, CompletedTransaction> {
-        &*self.0
     }
 }
 
@@ -349,7 +341,7 @@ mod tests {
     fn builtin_registry_covers_every_shipped_kind() {
         let reg = AgentRegistry::builtin();
         for kind in [
-            "bench", "profile", "stream", "sat", "per", "fixed", "idle", "mem", "shared",
+            "profile", "stream", "sat", "per", "fixed", "idle", "mem", "shared",
         ] {
             assert!(reg.contains(kind), "missing builtin kind '{kind}'");
         }
@@ -357,7 +349,7 @@ mod tests {
         platform.memory = Some(cba_mem::MemoryConfig::default());
         let mut rng = SimRng::seed_from(7);
         let loads = [
-            CoreLoad::named("rspeed"),
+            CoreLoad::Profile(cba_workloads::suite::rspeed()),
             CoreLoad::Streaming { accesses: 10 },
             CoreLoad::Saturating { duration: 56 },
             CoreLoad::Periodic {

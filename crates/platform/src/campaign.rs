@@ -107,7 +107,11 @@ mod tests {
     use crate::{run_once, BusSetup, CoreLoad, Scenario};
 
     fn small_spec() -> RunSpec {
-        RunSpec::paper(BusSetup::Rp, Scenario::Isolation, CoreLoad::named("rspeed"))
+        RunSpec::paper(
+            BusSetup::Rp,
+            Scenario::Isolation,
+            CoreLoad::Profile(cba_workloads::suite::rspeed()),
+        )
     }
 
     #[test]

@@ -113,8 +113,8 @@ impl Journal {
         let mut header = ByteWriter::new();
         header.u32(JOURNAL_VERSION);
         header.u64(scenario_hash);
-        header.u32(total_cells as u32);
-        header.u32(runs as u32);
+        header.u32(field("cell count", total_cells)?);
+        header.u32(field("runs", runs)?);
         let write = |file: &mut File| -> std::io::Result<()> {
             file.write_all(MAGIC)?;
             file.write_all(&header.clone().into_bytes())?;
@@ -281,7 +281,7 @@ impl Journal {
     pub fn append(&mut self, cell: usize, report: &CellReport) -> Result<(), String> {
         let payload = encode_cell_report(report);
         let mut rec = ByteWriter::new();
-        rec.u32(cell as u32);
+        rec.u32(field("cell index", cell)?);
         rec.u32(payload.len() as u32);
         rec.u32(crc32(&payload));
         let bytes = rec.into_bytes();
@@ -299,6 +299,17 @@ impl Journal {
         self.records += 1;
         Ok(())
     }
+}
+
+/// A count or index as the journal's `u32` field, or an error naming it
+/// when it does not fit.
+fn field(what: &str, n: usize) -> Result<u32, String> {
+    u32::try_from(n).map_err(|_| {
+        format!(
+            "cannot journal {what} {n}: the checkpoint journal holds at most {}",
+            u32::MAX
+        )
+    })
 }
 
 /// Encodes a [`CellReport`] as a self-describing record: its labels, then
@@ -500,22 +511,22 @@ impl FaultPlan {
     }
 
     /// Does run `run` of cell `cell` panic?
-    pub fn panics_at(&self, cell: usize, run: usize) -> bool {
+    pub(crate) fn panics_at(&self, cell: usize, run: usize) -> bool {
         self.panics.contains(&(cell, run))
     }
 
     /// Is run `run` of cell `cell` skipped by a forced budget trip?
-    pub fn forces_budget_trip(&self, cell: usize, run: usize) -> bool {
+    pub(crate) fn forces_budget_trip(&self, cell: usize, run: usize) -> bool {
         self.budget_from.get(&cell).is_some_and(|&from| run >= from)
     }
 
     /// Does the campaign die once `records` journal records exist?
-    pub fn kills_after(&self, records: usize) -> bool {
+    pub(crate) fn kills_after(&self, records: usize) -> bool {
         self.kill_after_records.is_some_and(|k| records >= k)
     }
 
     /// Whether the kill-point aborts the process instead of returning.
-    pub fn is_hard_kill(&self) -> bool {
+    pub(crate) fn is_hard_kill(&self) -> bool {
         self.hard_kill
     }
 }

@@ -25,10 +25,9 @@ use std::fmt;
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub enum CoreLoad {
-    /// A synthetic benchmark profile through the full core + cache model.
+    /// A synthetic benchmark profile through the full core + cache model
+    /// (scenario syntax `bench:NAME` for a catalog profile).
     Profile(EembcProfile),
-    /// A catalog benchmark by name (see [`cba_workloads::by_name`]).
-    Named(String),
     /// The streaming workload (sequential always-missing loads).
     Streaming {
         /// Number of loads.
@@ -75,15 +74,10 @@ pub enum CoreLoad {
 }
 
 impl CoreLoad {
-    /// Convenience constructor for a catalog benchmark.
-    pub fn named(name: &str) -> Self {
-        CoreLoad::Named(name.to_string())
-    }
-
     /// Whether this load finishes on its own. [`CoreLoad::Custom`] kinds
     /// are assumed finite (an infinite custom agent under a `TuaDone` /
     /// `AllDone` stop runs into the `max_cycles` safety limit).
-    pub fn is_finite(&self) -> bool {
+    pub(crate) fn is_finite(&self) -> bool {
         !matches!(
             self,
             CoreLoad::Saturating { .. } | CoreLoad::Periodic { .. }
@@ -91,10 +85,9 @@ impl CoreLoad {
     }
 
     /// The agent-registry kind name this load resolves through.
-    pub fn kind(&self) -> &str {
+    pub(crate) fn kind(&self) -> &str {
         match self {
             CoreLoad::Profile(_) => "profile",
-            CoreLoad::Named(_) => "bench",
             CoreLoad::Streaming { .. } => "stream",
             CoreLoad::Saturating { .. } => "sat",
             CoreLoad::Periodic { .. } => "per",
@@ -112,7 +105,6 @@ impl fmt::Display for CoreLoad {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CoreLoad::Profile(p) => write!(f, "bench:{}", p.name),
-            CoreLoad::Named(name) => write!(f, "bench:{name}"),
             CoreLoad::Streaming { accesses } => write!(f, "stream:{accesses}"),
             CoreLoad::Saturating { duration } => write!(f, "sat:{duration}"),
             CoreLoad::Periodic {
@@ -494,7 +486,7 @@ impl RunResult {
     }
 
     /// Bus utilization (busy cycles / total).
-    pub fn utilization(&self) -> f64 {
+    pub(crate) fn utilization(&self) -> f64 {
         if self.total_cycles == 0 {
             0.0
         } else {
@@ -580,7 +572,7 @@ pub fn run_once_with(spec: &RunSpec, seed: u64, registry: &AgentRegistry) -> Run
     }
 }
 
-/// Assembles the flat shared bus: policy, filter, random source, trace.
+/// Assembles the flat shared bus: policy, filter, random-bit bank, trace.
 fn build_bus(spec: &RunSpec, rng: &SimRng) -> Bus {
     let platform = &spec.platform;
     let n = platform.n_cores;
@@ -599,9 +591,7 @@ fn build_bus(spec: &RunSpec, rng: &SimRng) -> Bus {
         };
         bus.set_filter(Box::new(CreditFilter::with_mode(credit.clone(), mode)));
     }
-    bus.set_random_source(Box::new(
-        LfsrBank::from_rng(16, rng.fork(0xA9)).expect("valid width"),
-    ));
+    bus.set_random_source(LfsrBank::from_rng(16, rng.fork(0xA9)).expect("valid width"));
     if spec.record_trace {
         bus.enable_recording_trace();
     }
@@ -609,7 +599,7 @@ fn build_bus(spec: &RunSpec, rng: &SimRng) -> Bus {
 }
 
 /// Assembles the hierarchical fabric: per-cluster policies and filters,
-/// the backbone's, and one random source per segment. In WCET-estimation
+/// the backbone's, and one random-bit bank per segment. In WCET-estimation
 /// mode the TuA's cluster (cluster 0, local core 0) runs its filter in
 /// `WcetEstimation` mode; every other segment arbitrates in operation
 /// mode — contenders on remote clusters never share the TuA's segment, so
@@ -653,7 +643,7 @@ fn build_fabric(spec: &RunSpec, topo: &FabricTopology, rng: &SimRng) -> Fabric {
     // clusters). A bank draws its segment's seed at its first step, so a
     // fabric whose policies never draw makes no draw.
     let arb = rng.fork(0xA9);
-    let source = |i: u64| Box::new(LfsrBank::from_rng(16, arb.fork(i)).expect("valid width"));
+    let source = |i: u64| LfsrBank::from_rng(16, arb.fork(i)).expect("valid width");
     fabric.set_backbone_random_source(source(0));
     for k in 0..topo.clusters {
         fabric.set_cluster_random_source(k, source(1 + k as u64));
@@ -772,7 +762,11 @@ mod tests {
 
     #[test]
     fn isolation_run_finishes_deterministically() {
-        let spec = RunSpec::paper(BusSetup::Rp, Scenario::Isolation, CoreLoad::named("rspeed"));
+        let spec = RunSpec::paper(
+            BusSetup::Rp,
+            Scenario::Isolation,
+            CoreLoad::Profile(cba_workloads::suite::rspeed()),
+        );
         let a = run_once(&spec, 7);
         let b = run_once(&spec, 7);
         assert!(a.finished);
@@ -787,11 +781,15 @@ mod tests {
 
     #[test]
     fn contention_slows_the_tua_down() {
-        let iso = RunSpec::paper(BusSetup::Rp, Scenario::Isolation, CoreLoad::named("matrix"));
+        let iso = RunSpec::paper(
+            BusSetup::Rp,
+            Scenario::Isolation,
+            CoreLoad::Profile(cba_workloads::suite::matrix()),
+        );
         let con = RunSpec::paper(
             BusSetup::Rp,
             Scenario::MaxContention,
-            CoreLoad::named("matrix"),
+            CoreLoad::Profile(cba_workloads::suite::matrix()),
         );
         let iso_t = run_once(&iso, 1).tua_cycles.unwrap();
         let con_t = run_once(&con, 1).tua_cycles.unwrap();
@@ -836,7 +834,11 @@ mod tests {
 
     #[test]
     fn invalid_specs_rejected() {
-        let mut spec = RunSpec::paper(BusSetup::Rp, Scenario::Isolation, CoreLoad::named("rspeed"));
+        let mut spec = RunSpec::paper(
+            BusSetup::Rp,
+            Scenario::Isolation,
+            CoreLoad::Profile(cba_workloads::suite::rspeed()),
+        );
         spec.loads.pop();
         assert!(spec.validate().is_err());
 
@@ -920,10 +922,14 @@ mod tests {
         let spec = RunSpec::paper(
             BusSetup::Rp,
             Scenario::Isolation,
-            CoreLoad::named("not-a-benchmark"),
+            CoreLoad::Custom {
+                kind: "not-a-benchmark".into(),
+                args: Vec::new(),
+            },
         );
-        let result = std::panic::catch_unwind(|| run_once(&spec, 0));
-        assert!(result.is_err());
+        let panic = std::panic::catch_unwind(|| run_once(&spec, 0)).unwrap_err();
+        let message = panic.downcast_ref::<String>().expect("formatted panic");
+        assert!(message.contains("cannot build agent"), "{message}");
     }
 
     #[test]
@@ -931,7 +937,7 @@ mod tests {
         let mut spec = RunSpec::paper(
             BusSetup::Cba,
             Scenario::MaxContention,
-            CoreLoad::named("matrix"),
+            CoreLoad::Profile(cba_workloads::suite::matrix()),
         );
         spec.record_trace = true;
         let r = run_once(&spec, 5);
@@ -952,11 +958,15 @@ mod tests {
     #[test]
     fn naive_and_event_loops_are_bit_identical() {
         let specs = [
-            RunSpec::paper(BusSetup::Rp, Scenario::Isolation, CoreLoad::named("rspeed")),
+            RunSpec::paper(
+                BusSetup::Rp,
+                Scenario::Isolation,
+                CoreLoad::Profile(cba_workloads::suite::rspeed()),
+            ),
             RunSpec::paper(
                 BusSetup::Cba,
                 Scenario::MaxContention,
-                CoreLoad::named("matrix"),
+                CoreLoad::Profile(cba_workloads::suite::matrix()),
             ),
             RunSpec::paper(
                 BusSetup::HCba,

@@ -65,7 +65,7 @@ impl WindowedFairnessProbe {
     /// # Panics
     ///
     /// Panics if any dimension is zero.
-    pub fn new(n_cores: usize, window_len: Cycle, n_windows: usize) -> Self {
+    pub(crate) fn new(n_cores: usize, window_len: Cycle, n_windows: usize) -> Self {
         assert!(n_cores > 0, "n_cores must be positive");
         assert!(window_len > 0, "window_len must be positive");
         assert!(n_windows > 0, "n_windows must be positive");
@@ -78,20 +78,14 @@ impl WindowedFairnessProbe {
     }
 
     /// Snapshots the accumulated counters into shares and Jain indices.
-    pub fn snapshot(&self) -> WindowedFairness {
+    pub(crate) fn snapshot(&self) -> WindowedFairness {
         let mut shares = Vec::with_capacity(self.n_windows);
         let mut jain = Vec::with_capacity(self.n_windows);
         for w in 0..self.n_windows {
             let row: Vec<f64> = (0..self.n_cores)
                 .map(|c| self.busy[w * self.n_cores + c] as f64 / self.window_len as f64)
                 .collect();
-            let sum: f64 = row.iter().sum();
-            let sq: f64 = row.iter().map(|s| s * s).sum();
-            jain.push(if sq > 0.0 {
-                (sum * sum) / (self.n_cores as f64 * sq)
-            } else {
-                1.0
-            });
+            jain.push(sim_core::stats::jain(&row));
             shares.push(row);
         }
         WindowedFairness {

@@ -52,7 +52,7 @@ pub enum CellOutcome {
 
 impl CellOutcome {
     /// The stable machine-readable label (`ok` / `panicked` / `budget`).
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             CellOutcome::Ok => "ok",
             CellOutcome::Panicked(_) => "panicked",
@@ -236,7 +236,7 @@ impl CellReport {
     }
 
     /// Mean of the per-window Jain indices (windowed cells only).
-    pub fn window_jain_mean(&self) -> Option<f64> {
+    pub(crate) fn window_jain_mean(&self) -> Option<f64> {
         let jain = self.window_jain.as_ref()?;
         if jain.is_empty() {
             return None;
@@ -245,14 +245,14 @@ impl CellReport {
     }
 
     /// Worst (smallest) per-window Jain index (windowed cells only).
-    pub fn window_jain_min(&self) -> Option<f64> {
+    pub(crate) fn window_jain_min(&self) -> Option<f64> {
         let jain = self.window_jain.as_ref()?;
         jain.iter().copied().reduce(f64::min)
     }
 
     /// Every column this build knows, in export order, with this cell's
     /// values. JSON, CSV and the checkpoint journal are written from this
-    /// list, and [`restore`](Self::restore) reads it back.
+    /// list, and `restore` reads it back.
     pub fn columns(&self) -> Vec<Column> {
         use Show::{Always, Both, JsonOnly, Split};
         use Value::*;
@@ -332,7 +332,7 @@ impl CellReport {
     /// An unknown column, a value of the wrong type for the column, an
     /// unknown outcome label, or a pWCET fit column without the fitted
     /// `pwcet@P` bounds before it.
-    pub fn restore(&mut self, name: &str, value: Option<Value>) -> Result<(), String> {
+    pub(crate) fn restore(&mut self, name: &str, value: Option<Value>) -> Result<(), String> {
         use Value::*;
         let Some(value) = value else {
             return Ok(());
@@ -514,28 +514,35 @@ pub(crate) enum RunOutcome {
 /// reduces them **in run-index order** — f64 accumulation is
 /// order-sensitive, so index-order reduction is what keeps cell
 /// statistics bit-identical across thread counts and across
-/// interrupted-and-resumed executions.
+/// interrupted-and-resumed executions. The slots grow as runs land, so
+/// a cell allocates nothing for runs that have not landed.
 #[derive(Debug, Default)]
 pub(crate) struct CellAccumulator {
     slots: Vec<Option<RunOutcome>>,
     received: usize,
+    runs: usize,
 }
 
 impl CellAccumulator {
     pub(crate) fn new(runs: usize) -> CellAccumulator {
-        let mut slots = Vec::with_capacity(runs);
-        slots.resize_with(runs, || None);
-        CellAccumulator { slots, received: 0 }
+        CellAccumulator {
+            slots: Vec::new(),
+            received: 0,
+            runs,
+        }
     }
 
     pub(crate) fn record(&mut self, run: usize, outcome: RunOutcome) {
+        if run >= self.slots.len() {
+            self.slots.resize_with(run + 1, || None);
+        }
         debug_assert!(self.slots[run].is_none(), "run {run} delivered twice");
         self.slots[run] = Some(outcome);
         self.received += 1;
     }
 
     pub(crate) fn is_complete(&self) -> bool {
-        self.received == self.slots.len()
+        self.received == self.runs
     }
 
     pub(crate) fn finish(
@@ -658,13 +665,7 @@ impl CellAccumulator {
             None => (None, None),
             Some(mut shares) => {
                 shares.iter_mut().for_each(|s| *s /= denom);
-                let sum: f64 = shares.iter().sum();
-                let sq: f64 = shares.iter().map(|s| s * s).sum();
-                let jain = if sq > 0.0 {
-                    (sum * sum) / (shares.len() as f64 * sq)
-                } else {
-                    1.0
-                };
+                let jain = sim_core::stats::jain(&shares);
                 (Some(shares), Some(jain))
             }
         };
@@ -1387,6 +1388,25 @@ mod tests {
             "[campaign]\nname = tiny\nruns = 2\nseed = 5\n[tua]\nload = fixed:40:6:4\n{extra}"
         );
         ScenarioDef::parse(&text).unwrap()
+    }
+
+    #[test]
+    fn an_accumulator_grows_as_runs_land_in_any_order() {
+        assert_eq!(CellAccumulator::new(u32::MAX as usize).slots.capacity(), 0);
+        let spec = tiny_def("").expand().unwrap().remove(0).spec;
+        let tallies: Vec<RunTally> = (0..3)
+            .map(|run| RunTally::from_run(run_once(&spec, run), &spec, None))
+            .collect();
+        let fold = |order: [usize; 3]| {
+            let mut acc = CellAccumulator::new(3);
+            for run in order {
+                assert!(!acc.is_complete());
+                acc.record(run, RunOutcome::Done(Box::new(tallies[run].clone())));
+            }
+            assert!(acc.is_complete());
+            format!("{:?}", acc.finish(Vec::new(), 5, &[0.5], &[], &spec))
+        };
+        assert_eq!(fold([2, 0, 1]), fold([0, 1, 2]));
     }
 
     #[test]

@@ -577,7 +577,7 @@ impl ScenarioDef {
     /// are mixed in with a splitmix64 hash of `(axis, index)` instead of
     /// a shift, so deep grids cannot systematically collide with the
     /// packed fields.
-    pub fn cell_seed(&self, indices: &[usize]) -> u64 {
+    pub(crate) fn cell_seed(&self, indices: &[usize]) -> u64 {
         let a = indices.len();
         let mut packed = 0u64;
         for (k, &i) in indices.iter().enumerate() {
@@ -614,7 +614,17 @@ impl ScenarioDef {
             }
         }
         let sizes: Vec<usize> = self.axes.iter().map(|a| a.values.len()).collect();
-        let total: usize = sizes.iter().product();
+        let total = sizes
+            .iter()
+            .try_fold(1usize, |n, &size| n.checked_mul(size))
+            .filter(|&n| n <= MAX_COUNT)
+            .ok_or_else(|| {
+                let shape: Vec<String> = sizes.iter().map(usize::to_string).collect();
+                ScenarioError::new(format!(
+                    "the sweep grid has {} cells, more than {MAX_COUNT}",
+                    shape.join(" x ")
+                ))
+            })?;
         // Each axis's key is looked up once per grid, not once per cell.
         let keys: Vec<&Key> = self
             .axes
@@ -774,6 +784,10 @@ pub fn axes() -> Vec<&'static str> {
     KEYS.iter().filter_map(|k| k.axis).collect()
 }
 
+/// The most runs per cell and cells per grid a campaign takes: the
+/// checkpoint journal stores both counts, and every cell index, as `u32`.
+const MAX_COUNT: usize = u32::MAX as usize;
+
 /// Every scenario key, in render order. Parsing, sweep expansion,
 /// [`ScenarioDef::render`], the key lists of unknown-key errors and the
 /// `cba_sim` usage text all read this one table; `scenarios/README.md`
@@ -783,7 +797,13 @@ pub static KEYS: &[Key] = &[
         .set(|d, _, v| put(&mut d.name, v.to_string(), v))
         .render(|d, _| Some(d.name.clone())),
     key("campaign", "runs")
-        .set(|d, k, v| put(&mut d.runs, positive(k, v)?, v))
+        .set(|d, k, v| {
+            let runs = positive(k, v)?;
+            if runs > MAX_COUNT {
+                return Err(format!("runs must be at most {MAX_COUNT}, got {runs}"));
+            }
+            put(&mut d.runs, runs, v)
+        })
         .render(|d, _| Some(d.runs.to_string())),
     key("campaign", "seed")
         .set(|d, k, v| put(&mut d.seed, num(k, v)?, v))
@@ -1319,6 +1339,7 @@ pub fn parse_cba_spec(
 ///
 /// ```text
 /// bench:NAME             catalog benchmark through the core model
+///                        (bench:streaming is stream:20000)
 /// fixed:REQS:DUR:GAP     fixed-request task
 /// sat:DUR                saturating contender
 /// per:DUR:PERIOD:PHASE   periodic contender
@@ -1330,10 +1351,10 @@ pub fn parse_cba_spec(
 ///
 /// # Errors
 ///
-/// An unknown shape, a field that does not parse at its width (`REQS`,
-/// `PERIOD`, `PHASE` and `ACCESSES` are `u64`, `DUR` and `GAP` `u32`), or
-/// a zero `REQS`, `DUR`, `PERIOD` or `ACCESSES`. A `DUR` above MaxL is
-/// left to [`RunSpec::validate`], which knows the platform.
+/// An unknown shape or benchmark name, a field that does not parse at its
+/// width (`REQS`, `PERIOD`, `PHASE` and `ACCESSES` are `u64`, `DUR` and
+/// `GAP` `u32`), or a zero `REQS`, `DUR`, `PERIOD` or `ACCESSES`. A `DUR`
+/// above MaxL is left to [`RunSpec::validate`], which knows the platform.
 pub fn parse_load_spec(s: &str) -> Result<CoreLoad, String> {
     /// Field `p` of load `s` at its own width; `REQS`, `DUR`, `PERIOD`
     /// and `ACCESSES` (`positive`) must be at least 1.
@@ -1354,7 +1375,10 @@ pub fn parse_load_spec(s: &str) -> Result<CoreLoad, String> {
     let parts: Vec<&str> = s.split(':').collect();
     match parts.as_slice() {
         ["idle"] => Ok(CoreLoad::Idle),
-        ["bench", name] => Ok(CoreLoad::named(name)),
+        ["bench", "streaming"] => Ok(CoreLoad::Streaming { accesses: 20_000 }),
+        ["bench", name] => profile_by_name(name)
+            .map(CoreLoad::Profile)
+            .ok_or_else(|| format!("unknown benchmark '{name}' in load '{s}'")),
         ["agent", kind, args @ ..] if !kind.is_empty() => Ok(CoreLoad::Custom {
             kind: kind.to_string(),
             args: args.iter().map(|a| a.to_string()).collect(),
@@ -1443,7 +1467,7 @@ fn apply_profile_knob(p: &mut EembcProfile, knob: &str, value: &str) -> Result<(
 
 impl TuaSpec {
     /// Resolves this spec into a core-0 [`CoreLoad`].
-    pub fn build(&self) -> Result<CoreLoad, String> {
+    pub(crate) fn build(&self) -> Result<CoreLoad, String> {
         match self {
             TuaSpec::Load(spec) => parse_load_spec(spec),
             TuaSpec::Profile { name, overrides } => {
@@ -1469,7 +1493,7 @@ impl Template {
     /// Returns a description of the first invalid field combination
     /// (unknown policy, weight/core-count mismatch, infinite TuA with a
     /// `tua` stop condition, ...).
-    pub fn build(&self) -> Result<RunSpec, String> {
+    pub(crate) fn build(&self) -> Result<RunSpec, String> {
         let latency = LatencyModel::paper();
         let maxl = latency.max_latency();
         // With a [topology] the core count is derived from it; the flat
@@ -2117,6 +2141,34 @@ stop = horizon:1000
         assert!(parse_cba_spec("hcba", 8, 56).is_err(), "hcba is 4-core");
         assert!(parse_policy("best").is_err());
         assert!(parse_stop("never").is_err());
+    }
+
+    #[test]
+    fn bench_loads_resolve_to_the_catalog_at_parse() {
+        assert!(matches!(
+            parse_load_spec("bench:streaming"),
+            Ok(CoreLoad::Streaming { accesses: 20_000 })
+        ));
+        let def = ScenarioDef::parse("[campaign]\nname = x\n[tua]\nprofile = matrix\n").unwrap();
+        let tua = def.template.tua.build().unwrap();
+        let bench = parse_load_spec("bench:matrix").unwrap();
+        assert_eq!(format!("{bench:?}"), format!("{tua:?}"));
+        let err = parse_load_spec("bench:nope").unwrap_err();
+        assert_eq!(err, "unknown benchmark 'nope' in load 'bench:nope'");
+    }
+
+    #[test]
+    fn a_grid_of_more_than_u32_max_cells_fails_before_expansion() {
+        // 1,700^3 cells: 4.9e9, above u32::MAX.
+        let axis = vec!["2"; 1_700].join(",");
+        let text = format!(
+            "[campaign]\nname = x\n[sweep]\ncores = {axis}\naccesses = {axis}\nbetween = {axis}\n"
+        );
+        let err = ScenarioDef::parse(&text).unwrap().expand().unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "the sweep grid has 1700 x 1700 x 1700 cells, more than 4294967295"
+        );
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! The evaluation of the paper reports *average execution times over 1,000
 //! randomized runs* per configuration (cache placement and arbitration are
 //! randomized, so a single run is meaningless). This module provides the
-//! aggregation tools: numerically-stable running summaries ([`Summary`])
-//! and exact percentiles over sorted samples ([`percentile_sorted`]).
+//! aggregation tools: numerically-stable running summaries ([`Summary`]),
+//! exact percentiles over sorted samples ([`percentile_sorted`]) and
+//! Jain's fairness index ([`jain`]).
 
 use std::fmt;
 
@@ -175,6 +176,19 @@ pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
+/// Jain's fairness index of `xs`, `J = (Σx)² / (n·Σx²)`, in `(0, 1]`: 1
+/// means every entry is equal, `1/n` that one entry holds everything. An
+/// all-zero input is vacuously fair (1).
+pub fn jain(xs: &[f64]) -> f64 {
+    let sum: f64 = xs.iter().sum();
+    let sq: f64 = xs.iter().map(|x| x * x).sum();
+    if sq > 0.0 {
+        sum * sum / (xs.len() as f64 * sq)
+    } else {
+        1.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,6 +220,13 @@ mod tests {
         assert_eq!(percentile_sorted(&v, 1.0), 4.0);
         assert!((percentile_sorted(&v, 0.5) - 2.5).abs() < 1e-12);
         assert!((percentile_sorted(&v, 1.0 / 3.0) - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn jain_spans_equal_to_monopolized() {
+        assert_eq!(jain(&[0.25; 4]), 1.0);
+        assert_eq!(jain(&[0.5, 0.0, 0.0, 0.0]), 0.25);
+        assert_eq!(jain(&[0.0, 0.0]), 1.0, "no traffic is vacuously fair");
     }
 
     #[test]

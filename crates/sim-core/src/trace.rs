@@ -263,15 +263,11 @@ impl ShareReport {
     }
 }
 
+/// [`stats::jain`](crate::stats::jain) of integer counts (no traffic is
+/// vacuously fair).
 fn jain(xs: &[u64]) -> f64 {
-    let n = xs.len() as f64;
-    let sum: f64 = xs.iter().map(|&x| x as f64).sum();
-    let sq_sum: f64 = xs.iter().map(|&x| (x as f64) * (x as f64)).sum();
-    if sq_sum == 0.0 {
-        1.0 // no traffic: vacuously fair
-    } else {
-        sum * sum / (n * sq_sum)
-    }
+    let xs: Vec<f64> = xs.iter().map(|&x| x as f64).collect();
+    crate::stats::jain(&xs)
 }
 
 #[cfg(test)]

@@ -10,24 +10,12 @@ pub use profile::{EembcProfile, SyntheticEembc};
 pub use streaming::Streaming;
 pub use suite::{all_profiles, fig1_suite};
 
-use cba_cpu::Program;
-
-/// Instantiates a catalog benchmark by name (see [`suite`] for the list).
+/// Looks up a catalog benchmark's [`EembcProfile`] by name (see [`suite`]
+/// for the list).
 ///
-/// Returns `None` for unknown names.
-pub fn by_name(name: &str) -> Option<Box<dyn Program>> {
-    if name == "streaming" {
-        return Some(Box::new(Streaming::new(20_000)));
-    }
-    profile_by_name(name).map(|p| Box::new(SyntheticEembc::new(p)) as Box<dyn Program>)
-}
-
-/// Looks up a catalog benchmark's [`EembcProfile`] by name.
-///
-/// Unlike [`by_name`] this returns the raw parameterization, so callers
-/// (e.g. scenario files sweeping burstiness knobs) can override fields
-/// before instantiating the generator. Returns `None` for unknown names,
-/// including `"streaming"` (which has no profile).
+/// Callers (e.g. scenario files sweeping burstiness knobs) can override
+/// fields before instantiating the generator. Returns `None` for unknown
+/// names, including `"streaming"` (which has no profile).
 pub fn profile_by_name(name: &str) -> Option<EembcProfile> {
     suite::all_profiles().into_iter().find(|p| p.name == name)
 }
@@ -39,10 +27,13 @@ mod tests {
     #[test]
     fn catalog_lookup() {
         for p in all_profiles() {
-            assert!(by_name(p.name).is_some(), "missing {}", p.name);
+            assert_eq!(
+                profile_by_name(p.name),
+                Some(p.clone()),
+                "missing {}",
+                p.name
+            );
         }
-        assert!(by_name("streaming").is_some());
-        assert!(by_name("nonexistent").is_none());
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::profile::EembcProfile;
 /// `cacheb` — the Autobench "cache buster": pointer-walks a buffer well
 /// beyond L1 with frequent updates; most accesses reach the bus as L2
 /// hits.
-pub fn cacheb() -> EembcProfile {
+pub(crate) fn cacheb() -> EembcProfile {
     EembcProfile {
         name: "cacheb",
         accesses: 6_000,
@@ -38,7 +38,7 @@ pub fn cacheb() -> EembcProfile {
 
 /// `canrdr` — CAN bus remote-data-request processing: small L1-resident
 /// message buffers, light bus traffic from write-through stores.
-pub fn canrdr() -> EembcProfile {
+pub(crate) fn canrdr() -> EembcProfile {
     EembcProfile {
         name: "canrdr",
         accesses: 3_500,
@@ -77,7 +77,7 @@ pub fn matrix() -> EembcProfile {
 /// `tblook` — table lookup: isolated random probes into a table nearly
 /// filling the L2 partition; sparse in time and highly sensitive to the
 /// random cache placement (large run-to-run variance).
-pub fn tblook() -> EembcProfile {
+pub(crate) fn tblook() -> EembcProfile {
     EembcProfile {
         name: "tblook",
         accesses: 1_800,
@@ -95,7 +95,7 @@ pub fn tblook() -> EembcProfile {
 
 /// `a2time` — angle-to-time conversion: small hot loop with a visible
 /// instruction-fetch component (exercises the L1I path).
-pub fn a2time() -> EembcProfile {
+pub(crate) fn a2time() -> EembcProfile {
     EembcProfile {
         name: "a2time",
         accesses: 3_000,

@@ -24,7 +24,11 @@ fn main() {
                     "CON"
                 }
             );
-            let spec = RunSpec::paper(setup.clone(), scenario, CoreLoad::named("matrix"));
+            let spec = RunSpec::paper(
+                setup.clone(),
+                scenario,
+                CoreLoad::Profile(cba_workloads::suite::matrix()),
+            );
             let mean = Campaign::new(spec, runs, 2017).run().mean;
             results.push((label, mean));
         }

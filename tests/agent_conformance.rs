@@ -64,7 +64,7 @@ fn shipped_loads() -> Vec<CoreLoad> {
         args: Vec::new(),
     };
     vec![
-        CoreLoad::named("rspeed"),
+        CoreLoad::Profile(cba_workloads::suite::rspeed()),
         CoreLoad::Streaming { accesses: 60 },
         CoreLoad::Saturating { duration: 28 },
         CoreLoad::Periodic {

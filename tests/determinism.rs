@@ -10,7 +10,7 @@ fn spec() -> RunSpec {
     RunSpec::paper(
         BusSetup::Cba,
         Scenario::MaxContention,
-        CoreLoad::named("rspeed"),
+        CoreLoad::Profile(cba_workloads::suite::rspeed()),
     )
 }
 

@@ -10,7 +10,9 @@
 use cba_bus::{Bus, BusConfig, PolicyKind};
 use cba_cpu::{Core, FixedRequestTask};
 use cba_mem::{HierarchyConfig, LatencyModel};
+use cba_workloads::{suite, SyntheticEembc};
 use sim_core::agent::AgentStats;
+use sim_core::lfsr::LfsrBank;
 use sim_core::rng::SimRng;
 use sim_core::{CoreId, Engine, EngineCounters, Simulation, StopWhen};
 
@@ -19,10 +21,9 @@ use sim_core::{CoreId, Engine, EngineCounters, Simulation, StopWhen};
 fn matrix_run(contenders: usize, engine: Engine) -> Simulation<'static, Bus> {
     let n = 1 + contenders;
     let mut rng = SimRng::seed_from(2017);
-    let program = cba_workloads::by_name("matrix").expect("catalog benchmark");
     let tua = Core::new(
         CoreId::from_index(0),
-        program,
+        Box::new(SyntheticEembc::new(suite::matrix())),
         &HierarchyConfig::paper(),
         LatencyModel::paper(),
         &mut rng,
@@ -31,7 +32,7 @@ fn matrix_run(contenders: usize, engine: Engine) -> Simulation<'static, Bus> {
         BusConfig::new(n, 56).unwrap(),
         PolicyKind::RandomPermutation.build(n, 56),
     );
-    bus.set_random_source(Box::new(rng.fork(0xA9)));
+    bus.set_random_source(LfsrBank::from_rng(16, rng.fork(0xA9)).unwrap());
     let mut builder = Simulation::builder()
         .model(bus)
         .agent(tua)

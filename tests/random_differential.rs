@@ -303,7 +303,7 @@ fn gen_core_load(rng: &mut SimRng, long: bool) -> CoreLoad {
         1 => CoreLoad::Streaming {
             accesses: rng.gen_range_u64(20..200),
         },
-        _ => CoreLoad::named(rng.choose(&suite::all_profiles()).name),
+        _ => CoreLoad::Profile(rng.choose(&suite::all_profiles()).clone()),
     }
 }
 

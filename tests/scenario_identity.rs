@@ -163,7 +163,7 @@ fn naive_matches_events_on_recording_runs() {
     let mut spec = RunSpec::paper(
         BusSetup::Cba,
         Scenario::MaxContention,
-        CoreLoad::named("matrix"),
+        CoreLoad::Profile(cba_workloads::suite::matrix()),
     );
     spec.record_trace = true;
     let (naive, events) = both(&spec, 5);
@@ -493,7 +493,7 @@ where
         args: Vec::new(),
     };
     let loads = [
-        CoreLoad::named("rspeed"),
+        CoreLoad::Profile(cba_workloads::suite::rspeed()),
         CoreLoad::Streaming { accesses: 200 },
         CoreLoad::Saturating { duration: 28 },
         CoreLoad::Periodic {
@@ -566,7 +566,7 @@ fn naive_matches_events_on_every_agents_stats() {
             bus.set_filter(Box::new(CreditFilter::new(
                 CreditConfig::homogeneous(8, 56).unwrap(),
             )));
-            bus.set_random_source(Box::new(LfsrBank::new(16, seed).unwrap()));
+            bus.set_random_source(LfsrBank::new(16, seed).unwrap());
             bus
         },
         |bus| [bus.idle_cycles(), bus.total_cycles()],
@@ -583,7 +583,7 @@ fn naive_matches_events_on_every_agents_stats() {
             bus.set_filter(Box::new(CreditFilter::new(
                 CreditConfig::homogeneous(8, 56).unwrap(),
             )));
-            bus.set_random_source(Box::new(LfsrBank::new(16, seed).unwrap()));
+            bus.set_random_source(LfsrBank::new(16, seed).unwrap());
             bus
         },
         |bus| [bus.inner().idle_cycles(), bus.inner().total_cycles()],

@@ -133,8 +133,28 @@ const CASES: &[(&str, &str)] = &[
          [topology]\nclusters = 2\ncores_per_cluster = 2\n\
          [tua]\nload = agent:shared\n[contenders]\nstop = horizon:1000\n",
     ),
+    // One L1 or the shared segment past its line bound would allocate
+    // 16 GiB or more per agent.
+    (
+        "l1_sets_past_the_line_bound",
+        "[campaign]\nname = x\n[memory]\nl1_sets = 4294967296\n",
+    ),
+    (
+        "l1_ways_past_the_line_bound",
+        "[campaign]\nname = x\n[memory]\nl1_ways = 4294967296\n",
+    ),
+    (
+        "shared_lines_past_the_line_bound",
+        "[campaign]\nname = x\n[memory]\nshared_lines = 4294967296\n",
+    ),
     // -- assorted out-of-range scalars --------------------------------------
     ("zero_runs", "[campaign]\nname = x\nruns = 0\n"),
+    // The checkpoint journal stores the run count as a u32.
+    (
+        "runs_at_u64_max",
+        "[campaign]\nname = x\nruns = 18446744073709551615\n",
+    ),
+    ("runs_past_u32", "[campaign]\nname = x\nruns = 4294967296\n"),
     (
         "unknown_policy",
         "[campaign]\nname = x\n[platform]\npolicy = lifo\n",
@@ -159,6 +179,10 @@ const CASES: &[(&str, &str)] = &[
     (
         "load_duration_over_maxl",
         "[campaign]\nname = x\n[contenders]\nfill = sat:57\n",
+    ),
+    (
+        "unknown_bench_load",
+        "[campaign]\nname = x\n[tua]\nload = bench:nope\n",
     ),
     // -- a key and its sweep axis share one setter and one message ----------
     (

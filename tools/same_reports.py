@@ -3,21 +3,27 @@
 
     python3 tools/same_reports.py PARENT_TREE CHANGE_TREE
 
-Builds each tree's ``cba_sim`` into that tree's own ``.bench_build`` (the
-target directory ``campaign_bench/run.py``, and so ``tools/ab.py``, builds
-into; an inherited ``CARGO_TARGET_DIR`` is dropped), then runs both
-binaries on the same inputs, all taken from the parent tree:
+Builds each tree's ``cba_sim`` and ``paper_repro`` into that tree's own
+``.bench_build`` (the target directory ``campaign_bench/run.py``, and so
+``tools/ab.py``, builds into; an inherited ``CARGO_TARGET_DIR`` is
+dropped), then runs both trees' binaries on the same inputs, all taken
+from the parent tree:
 
 * every ``scenarios/*.scn`` at ``--runs 3``, under ``--engine naive`` and
   ``events``, at ``--threads 1`` and ``2``, exported as JSON and as CSV;
 * every workload of ``campaign_bench/run.py``'s ``WORKLOADS`` at seeds 1
   and 7, at one thread under ``events`` and at two threads under
-  ``naive``, exported as JSON.
+  ``naive``, exported as JSON;
+* ``paper_repro`` at ``CBA_RUNS=10``.
 
-Each pair of reports is compared byte for byte. The tool prints
-"N of M identical", lists every report that differs (or that one side
-failed to write), and exits 1 if any does. It only reads the trees: the
-reports go to a temporary directory, and the workload texts are read from
+Each pair of exported reports is compared byte for byte, and so is what
+a user reads: the table ``cba_sim`` prints on stdout for each of those
+jobs, and ``paper_repro``'s report without its ``total wall time`` line.
+The tool prints "N of M identical" for the exported reports, then the
+same count for the stdout tables and whether ``paper_repro``'s report
+matches; it lists everything that differs (or that one side failed to
+write) and exits 1 if anything does. It only reads the trees: the reports
+go to a temporary directory, and the workload texts are read from
 ``run.py`` without running it.
 """
 
@@ -40,15 +46,15 @@ def fail(message):
 
 
 def build(tree):
-    """Builds `tree`'s cba_sim into `tree/.bench_build`; returns its path."""
+    """Builds `tree`'s cba_sim and paper_repro into `tree/.bench_build`; returns their directory."""
     env = {k: v for k, v in os.environ.items() if k != "CARGO_TARGET_DIR"}
     env["CARGO_TARGET_DIR"] = str(tree / ".bench_build")
-    command = ["cargo", "build", "--release", "--offline", "-p", "cba-bench", "--bin", "cba_sim"]
+    command = ["cargo", "build", "--release", "--offline", "-p", "cba-bench", "--bin", "cba_sim", "--bin", "paper_repro"]
     done = subprocess.run(command, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     if done.returncode != 0:
         sys.stderr.write(done.stderr)
         fail(f"{tree}: {' '.join(command)} failed")
-    return tree / ".bench_build" / "release" / "cba_sim"
+    return tree / ".bench_build" / "release"
 
 
 def workloads(tree):
@@ -78,17 +84,29 @@ def jobs(parent, scratch):
                 yield name, scenario, ["--engine", engine, "--threads", threads, "--format", "json"]
 
 
-def report(cba_sim, scenario, flags, out):
-    """Runs one campaign; returns its report bytes, or None if it wrote none."""
+def report(binaries, scenario, flags, out):
+    """Runs one campaign; returns its report bytes (None if it wrote none) and its stdout."""
     done = subprocess.run(
-        [str(cba_sim), "--scenario-file", str(scenario), "--out", str(out), *flags],
-        cwd=out.parent, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        [str(binaries / "cba_sim"), "--scenario-file", str(scenario), "--out", str(out), *flags],
+        cwd=out.parent, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
     )
     if done.returncode != 0 or not out.exists():
-        return None
+        return None, done.stdout
     data = out.read_bytes()
     out.unlink()
-    return data
+    return data, done.stdout
+
+
+def paper_repro(binaries, scratch):
+    """paper_repro's report at CBA_RUNS=10 without its wall-time line, or None if it failed."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("CBA_")}
+    env["CBA_RUNS"] = "10"
+    done = subprocess.run(
+        [str(binaries / "paper_repro")], cwd=scratch, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+    )
+    if done.returncode != 0:
+        return None
+    return b"".join(line for line in done.stdout.splitlines(keepends=True) if not line.startswith(b"total wall time"))
 
 
 def main():
@@ -103,22 +121,35 @@ def main():
     binaries = [build(tree) for tree in trees]
 
     differing = []
+    tables_differing = []
     total = 0
     with tempfile.TemporaryDirectory(prefix="same_reports-") as scratch:
         scratch = Path(scratch)
         for name, scenario, flags in jobs(trees[0], scratch):
             total += 1
             out = scratch / "report"
-            parent, change = (report(cba_sim, scenario, flags, out) for cba_sim in binaries)
+            (parent, parent_table), (change, change_table) = (
+                report(tree_binaries, scenario, flags, out) for tree_binaries in binaries
+            )
             if parent is None or change is None:
                 differing.append(f"{name}: no report from {'the parent' if parent is None else 'the change'}")
             elif parent != change:
                 differing.append(name)
+            if parent_table != change_table:
+                tables_differing.append(name)
+        repro = [paper_repro(tree_binaries, scratch) for tree_binaries in binaries]
 
     print(f"{total - len(differing)} of {total} identical")
+    print(f"{total - len(tables_differing)} of {total} stdout tables identical")
+    repro_same = None not in repro and repro[0] == repro[1]
+    print(f"paper_repro report {'identical' if repro_same else 'differs'}")
     for name in differing:
         print(f"differs: {name}")
-    sys.exit(1 if differing else 0)
+    for name in tables_differing:
+        print(f"stdout table differs: {name}")
+    if None in repro:
+        print(f"no paper_repro report from {'the parent' if repro[0] is None else 'the change'}")
+    sys.exit(1 if differing or tables_differing or not repro_same else 0)
 
 
 if __name__ == "__main__":
