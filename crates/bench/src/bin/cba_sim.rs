@@ -47,7 +47,9 @@ usage: cba_sim --scenario-file FILE [--runs N] [--seed S] [--threads N]
               are bit-identical to events)
 --checkpoint  journal each finished cell to DIR/campaign.journal, fsynced
               per record, so a crashed campaign loses at most the cells
-              in flight (scenario-file mode only)
+              in flight (cells are journaled in cell order, so that
+              includes a finished cell behind a still-running earlier
+              one; scenario-file mode only)
 --resume      skip the cells already journaled in the --checkpoint DIR;
               the resumed report is bit-identical to an uninterrupted run
               at any thread count (the journal refuses to resume a

@@ -96,51 +96,6 @@ pub struct CompletedTransaction {
     pub duration: u32,
 }
 
-/// Per-core request waiting-time statistics (request-ready to grant).
-#[derive(Debug, Clone, Default)]
-pub struct WaitStats {
-    granted: Vec<u64>,
-    total_wait: Vec<u64>,
-    max_wait: Vec<u64>,
-}
-
-impl WaitStats {
-    fn new(n_cores: usize) -> Self {
-        WaitStats {
-            granted: vec![0; n_cores],
-            total_wait: vec![0; n_cores],
-            max_wait: vec![0; n_cores],
-        }
-    }
-
-    fn record(&mut self, core: CoreId, wait: Cycle) {
-        let i = core.index();
-        self.granted[i] += 1;
-        self.total_wait[i] += wait;
-        self.max_wait[i] = self.max_wait[i].max(wait);
-    }
-
-    /// Requests granted to `core`.
-    pub fn granted(&self, core: CoreId) -> u64 {
-        self.granted[core.index()]
-    }
-
-    /// Mean grant latency of `core` in cycles (0 if no grants).
-    pub fn mean_wait(&self, core: CoreId) -> f64 {
-        let i = core.index();
-        if self.granted[i] == 0 {
-            0.0
-        } else {
-            self.total_wait[i] as f64 / self.granted[i] as f64
-        }
-    }
-
-    /// Worst observed grant latency of `core` in cycles.
-    pub fn max_wait(&self, core: CoreId) -> u64 {
-        self.max_wait[core.index()]
-    }
-}
-
 /// The shared non-split bus: pending slots, eligibility filter, arbitration
 /// policy, occupancy state and statistics.
 ///
@@ -155,7 +110,6 @@ pub struct Bus {
     filter: Box<dyn EligibilityFilter>,
     rng: LfsrBank,
     trace: GrantTrace,
-    wait: WaitStats,
     idle_cycles: u64,
     total_cycles: u64,
     privileged: VecDeque<BusRequest>,
@@ -201,7 +155,6 @@ impl Bus {
             filter: Box::new(NoFilter::new()),
             rng: LfsrBank::new(16, 0).expect("valid width"),
             trace: GrantTrace::counting(config.n_cores),
-            wait: WaitStats::new(config.n_cores),
             idle_cycles: 0,
             total_cycles: 0,
             privileged: VecDeque::new(),
@@ -289,11 +242,6 @@ impl Bus {
     /// Whether `core` has a posted, not-yet-granted request.
     pub fn has_pending(&self, core: CoreId) -> bool {
         self.pending.contains(core)
-    }
-
-    /// Grant-latency statistics accumulated so far.
-    pub fn wait_stats(&self) -> &WaitStats {
-        &self.wait
     }
 
     /// Cycles (among those ticked) in which the bus carried no transaction.
@@ -416,8 +364,6 @@ impl Bus {
             kind: req.kind(),
         };
         self.trace.record(now, req.core(), req.duration());
-        self.wait
-            .record(req.core(), now.saturating_sub(req.issued_at()));
         self.filter.on_grant(req.core(), req.duration(), now);
     }
 
@@ -431,12 +377,7 @@ impl Bus {
         shift: Cycle,
         deltas: &'d [u64],
     ) -> &'d [u64] {
-        let deltas = self.trace.limit_cycle_jump(periods, shift, deltas);
-        let (granted, waited) = (&mut self.wait.granted, &mut self.wait.total_wait);
-        for (total, d) in granted.iter_mut().chain(waited).zip(deltas) {
-            *total += periods * d;
-        }
-        let rest = &deltas[2 * self.config.n_cores..];
+        let rest = self.trace.limit_cycle_jump(periods, shift, deltas);
         self.idle_cycles += periods * rest[0];
         self.total_cycles += periods * rest[1];
         if let BusState::Busy {
@@ -564,7 +505,7 @@ impl BusModel for Bus {
     /// evolves under fixed occupancy, and the monotonic-cycle cursor moves
     /// so the next `begin_cycle(to)` is accepted. Grants, completions and
     /// RNG draws cannot occur in such a range by the `next_event`
-    /// contract, so traces and wait statistics are untouched.
+    /// contract, so the trace is untouched.
     fn advance(&mut self, from: Cycle, to: Cycle) {
         debug_assert!(!self.in_cycle, "advance between cycles only");
         let k = (to - from).saturating_sub(1);
@@ -597,9 +538,7 @@ impl BusModel for Bus {
     /// credit filter), its trace only counts, and no flip watcher needs
     /// individual cycles. State: the transaction in flight, the pending
     /// and privileged requests, then the policy's and the filter's state.
-    /// Counters: grants and busy cycles per core, grant latency sums per
-    /// core, idle and total cycles. The worst grant latency needs no
-    /// jump: a repeated period repeats latencies already seen.
+    /// Counters: grants and busy cycles per core, idle and total cycles.
     fn limit_cycle_state(&self, now: Cycle, state: &mut Vec<u64>, counters: &mut Vec<u64>) -> bool {
         state.extend(match self.state {
             BusState::Idle => [0; 4],
@@ -621,8 +560,6 @@ impl BusModel for Bus {
             state.extend(r.limit_cycle_words(now));
         }
         let counting = self.trace.limit_cycle_counters(counters);
-        counters.extend(&self.wait.granted);
-        counters.extend(&self.wait.total_wait);
         counters.extend([self.idle_cycles, self.total_cycles]);
         counting
             && self.flip_watch.is_none()
@@ -772,22 +709,6 @@ mod tests {
         assert!(completed > 20);
         assert_eq!(bus.idle_cycles(), 0);
         assert_eq!(bus.total_cycles(), 1000);
-    }
-
-    #[test]
-    fn wait_stats_account_grant_latency() {
-        let mut bus = rr_bus(2);
-        bus.post(req(0, 10, 0)).unwrap();
-        bus.post(req(1, 5, 0)).unwrap();
-        step(&mut bus, 0); // grants core 0 (RR cursor at 0)
-        for now in 1..=10 {
-            step(&mut bus, now);
-        } // completion at 10 grants core 1, which waited 10 cycles
-        assert_eq!(bus.wait_stats().granted(c(0)), 1);
-        assert_eq!(bus.wait_stats().mean_wait(c(0)), 0.0);
-        assert_eq!(bus.wait_stats().granted(c(1)), 1);
-        assert_eq!(bus.wait_stats().mean_wait(c(1)), 10.0);
-        assert_eq!(bus.wait_stats().max_wait(c(1)), 10);
     }
 
     /// A filter that permanently vetoes one core (to test the filter hook).
@@ -979,6 +900,8 @@ mod tests {
         }
         assert_eq!(bus.trace().slots(c(0)), 1);
         assert_eq!(bus.trace().busy_cycles(c(0)), 25);
+        // The idle cycles are the rest of the run.
+        assert_eq!(bus.idle_cycles(), 25);
         assert!((bus.trace().utilization(50) - 0.5).abs() < 1e-12);
     }
 }

@@ -88,7 +88,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::bus::{Bus, BusConfig, CompletedTransaction, WaitStats};
+use crate::bus::{Bus, BusConfig, CompletedTransaction};
 use crate::policy::{ArbitrationPolicy, EligibilityFilter};
 use crate::{BusError, BusRequest, RequestKind, RequestPort};
 use sim_core::lfsr::LfsrBank;
@@ -330,7 +330,7 @@ impl Fabric {
         self.trace = GrantTrace::recording(self.config.n_cores());
     }
 
-    /// Cluster bus `k` (local traces, wait statistics, occupancy).
+    /// Cluster bus `k` (local traces, occupancy).
     pub fn cluster_bus(&self, k: usize) -> &Bus {
         &self.clusters[k]
     }
@@ -346,19 +346,13 @@ impl Fabric {
     }
 
     /// The local (cluster-bus) id of a global core.
-    pub fn local_id(&self, core: CoreId) -> CoreId {
+    fn local_id(&self, core: CoreId) -> CoreId {
         CoreId::from_index(core.index() % self.config.cores_per_cluster)
     }
 
     /// Whether `core` has a transaction anywhere in the pipeline.
     fn is_in_flight(&self, core: CoreId) -> bool {
         self.in_flight.get(core.index()).copied().unwrap_or(false)
-    }
-
-    /// Cluster-bus grant-latency statistics for `core`'s cluster (query
-    /// with [`Fabric::local_id`]).
-    pub fn local_wait_stats(&self, core: CoreId) -> &WaitStats {
-        self.clusters[self.cluster_of(core)].wait_stats()
     }
 
     /// Backbone cycles carrying no transaction (among those ticked).

@@ -9,7 +9,7 @@ pub mod policies;
 pub mod policy;
 pub mod split;
 
-pub use bus::{Bus, BusConfig, CompletedTransaction, WaitStats};
+pub use bus::{Bus, BusConfig, CompletedTransaction};
 pub use fabric::{Fabric, FabricConfig};
 pub use pending::PendingSet;
 pub use policy::{ArbitrationPolicy, EligibilityFilter, FilterHorizon, NoFilter, PolicyKind};

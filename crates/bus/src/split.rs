@@ -164,7 +164,7 @@ impl SplitBus {
         self.inner.set_random_source(rng);
     }
 
-    /// The underlying bus (occupancy trace, wait statistics).
+    /// The underlying bus (occupancy trace, idle and total cycles).
     pub fn inner(&self) -> &Bus {
         &self.inner
     }

@@ -66,17 +66,6 @@ enum ExecState {
 /// Per-core execution statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreStats {
-    /// Operations consumed from the program. The core fetches a compute
-    /// stretch's ops, and the op that ends it, when the stretch begins,
-    /// so this count (like the hierarchy's counters) runs ahead of the
-    /// cycle: a run cut mid-stretch has counted them already.
-    pub ops: u64,
-    /// Cycles spent on pipeline work (compute ops and L1 hits).
-    pub busy_cycles: u64,
-    /// Cycles stalled on the bus (waiting to post, posted, or in service).
-    pub bus_stall_cycles: u64,
-    /// Cycles stalled because the store buffer was full.
-    pub store_stall_cycles: u64,
     /// Blocking bus transactions issued.
     pub blocking_transactions: u64,
     /// Store (write-through) transactions issued.
@@ -99,10 +88,6 @@ pub struct Core {
     pending: Option<PendingWhat>,
     stats: CoreStats,
     done_at: Option<Cycle>,
-    /// The first cycle whose accounting is not yet done: a tick at `now`
-    /// moves it to `now + 1`, and `absorb_skipped` moves it past the
-    /// cycles it accounts.
-    cursor: Cycle,
     rng: SimRng,
 }
 
@@ -139,7 +124,6 @@ impl Core {
             pending: None,
             stats: CoreStats::default(),
             done_at: None,
-            cursor: 0,
             rng: core_rng,
             program,
         }
@@ -148,11 +132,6 @@ impl Core {
     /// Execution statistics.
     pub fn stats(&self) -> &CoreStats {
         &self.stats
-    }
-
-    /// The private memory hierarchy (for inspection of hit/miss counts).
-    pub fn memory(&self) -> &CoreMemory {
-        &self.mem
     }
 
     fn post(&mut self, bus: &mut (impl RequestPort + ?Sized), tx: BusTransaction, now: Cycle) {
@@ -177,7 +156,6 @@ impl Core {
             let Some(op) = self.program.next_op(&mut self.rng) else {
                 break Then::End;
             };
-            self.stats.ops += 1;
             match op {
                 Op::Compute(n) => until += Cycle::from(n.max(1)),
                 Op::Access(access) => {
@@ -194,7 +172,6 @@ impl Core {
             // Nothing private ahead of it: the op runs now.
             self.end_stretch(then, now);
         } else {
-            self.stats.busy_cycles += 1;
             self.state = ExecState::Computing { until, then };
         }
     }
@@ -202,16 +179,11 @@ impl Core {
     /// Runs the op that ends a stretch, at cycle `now`.
     fn end_stretch(&mut self, then: Then, now: Cycle) {
         match then {
-            Then::Blocking(tx) => {
-                self.state = ExecState::AwaitPost(tx);
-                self.stats.bus_stall_cycles += 1;
-            }
+            Then::Blocking(tx) => self.state = ExecState::AwaitPost(tx),
             Then::Store(tx) => {
                 self.state = if self.store_buffer.push(tx) {
-                    self.stats.busy_cycles += 1;
                     ExecState::Ready
                 } else {
-                    self.stats.store_stall_cycles += 1;
                     ExecState::StoreStall(tx)
                 };
             }
@@ -247,9 +219,8 @@ impl Core {
     /// * `Continue` when it must be ticked next cycle (about to fetch or
     ///   to post).
     ///
-    /// In every `Sleep` state the per-cycle tick is pure busy or stall
-    /// accounting; `absorb_skipped` replays it for cycles the engine
-    /// skipped.
+    /// In every `Sleep` state a tick before the named cycle is a no-op, so
+    /// the engine may skip it.
     fn verdict(&self) -> Control {
         match self.state {
             ExecState::Done => Control::Sleep(Cycle::MAX),
@@ -273,8 +244,7 @@ impl Core {
     }
 }
 
-/// The open client-side interface: the full core model, with exact
-/// stall accounting under skipped stretches.
+/// The open client-side interface: the full core model.
 impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for Core {
     /// Advances the core by one cycle; the core may post a new bus
     /// request during the call.
@@ -289,7 +259,6 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for Core {
         completed: Option<&CompletedTransaction>,
         port: &mut P,
     ) -> Control {
-        self.cursor = now + 1;
         // 1. Absorb a completion addressed to this core.
         if let Some(ct) = completed {
             if ct.core == self.id {
@@ -335,29 +304,16 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for Core {
 
         // 3. Execute.
         match self.state {
-            ExecState::Done => {}
-            ExecState::Blocked | ExecState::AwaitPost(_) => {
-                self.stats.bus_stall_cycles += 1;
-            }
-            ExecState::Draining => {
-                self.try_finish(now);
-            }
+            ExecState::Done | ExecState::Blocked | ExecState::AwaitPost(_) => {}
+            ExecState::Draining => self.try_finish(now),
             ExecState::StoreStall(tx) => {
-                self.stats.store_stall_cycles += 1;
                 if self.store_buffer.push(tx) {
                     self.state = ExecState::Ready;
                 }
             }
-            ExecState::Computing { until, then } => {
-                if now < until {
-                    self.stats.busy_cycles += 1;
-                } else {
-                    self.end_stretch(then, now);
-                }
-            }
-            ExecState::Ready => {
-                self.fetch_and_start(now);
-            }
+            ExecState::Computing { until, .. } if now < until => {}
+            ExecState::Computing { then, .. } => self.end_stretch(then, now),
+            ExecState::Ready => self.fetch_and_start(now),
         }
         self.verdict()
     }
@@ -371,42 +327,14 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for Core {
         matches!(self.state, ExecState::Done)
     }
 
-    /// Accounts `k` cycles the engine skipped while this core slept (see
-    /// its verdict): the stall counters advance exactly as `k`
-    /// unchanged ticks would have advanced them. The engine hands over
-    /// the cycles in order and without gaps, so the core knows where
-    /// they fall: in a stretch, cycles before `until` are busy, and a
-    /// blocking op's fetch cycle `until` and its wait after it are bus
-    /// stalls.
-    fn absorb_skipped(&mut self, k: u64) {
-        let from = self.cursor;
-        self.cursor += k;
-        match self.state {
-            ExecState::Blocked | ExecState::AwaitPost(_) => self.stats.bus_stall_cycles += k,
-            ExecState::StoreStall(_) => self.stats.store_stall_cycles += k,
-            ExecState::Computing { until, then } => {
-                let busy = until.saturating_sub(from).min(k);
-                self.stats.busy_cycles += busy;
-                if let Then::Blocking(_) = then {
-                    self.stats.bus_stall_cycles += k - busy;
-                }
-            }
-            _ => {}
-        }
-    }
-
     fn stats(&self) -> AgentStats {
         let s = &self.stats;
         AgentStats {
             completed: s.blocking_transactions + s.store_transactions,
-            busy_cycles: s.busy_cycles,
-            bus_stall_cycles: s.bus_stall_cycles,
-            store_stall_cycles: s.store_stall_cycles,
             done_at: self.done_at,
-            // The core's private hierarchy counters stay on `CoreStats` /
-            // `HierarchyStats`; the uniform mem columns are reserved for
-            // the dedicated memory agents so baseline reports keep their
-            // exact column set.
+            // The uniform mem columns are reserved for the dedicated
+            // memory agents so baseline reports keep their exact column
+            // set.
             mem: None,
         }
     }
@@ -452,8 +380,6 @@ mod tests {
         let (core, _bus, _) = run_solo(vec![Op::Compute(10), Op::Compute(5)], 100);
         // 15 compute cycles; done detected the cycle after the last one.
         assert_eq!(done_at(&core), Some(15));
-        assert_eq!(core.stats().busy_cycles, 15);
-        assert_eq!(core.stats().ops, 2);
     }
 
     #[test]
@@ -478,7 +404,6 @@ mod tests {
             200,
         );
         assert_eq!(bus.trace().total_slots(), 1, "only the miss hits the bus");
-        assert_eq!(core.memory().stats().l1_hits, 2);
         // 29 (miss, as above) + 2 hit cycles
         assert_eq!(done_at(&core), Some(31));
     }
@@ -525,13 +450,15 @@ mod tests {
             Op::Access(MemAccess::store(0x2000)),
             Op::Access(MemAccess::store(0x3000)),
             Op::Access(MemAccess::store(0x4000)),
+            Op::Compute(100),
         ];
         let (core, _bus, _) = run_solo(ops, 500);
-        assert!(done_at(&core).is_some());
-        assert!(
-            core.stats().store_stall_cycles > 0,
-            "expected SB-full stalls"
-        );
+        // The 28-cycle drains run [1, 29), [29, 57), [57, 85) and
+        // [85, 113). The third store enters the buffer when the first
+        // drains, at 29, and the fourth when the second drains, at 57, so
+        // the compute op runs [58, 158). Without the stalls it would run
+        // [4, 104) and the last drain would end the run at 113.
+        assert_eq!(done_at(&core), Some(158));
         assert_eq!(core.stats().store_transactions, 4);
     }
 
@@ -572,11 +499,7 @@ mod tests {
         let verdict = core.tick(0, None, &mut bus);
         // All three ops are fetched at cycle 0. Cycles 0..6 are busy, 6 is
         // the miss's fetch cycle and 7 its post.
-        assert_eq!(core.stats().ops, 3);
         assert_eq!(verdict, Control::Sleep(7));
-        SimAgent::<Bus, _>::absorb_skipped(&mut core, 6);
-        assert_eq!(core.stats().busy_cycles, 6);
-        assert_eq!(core.stats().bus_stall_cycles, 1);
         let verdict = core.tick(7, None, &mut bus);
         assert!(bus.has_pending(id), "the miss posts at its wake cycle");
         assert_eq!(core.stats().blocking_transactions, 1);
@@ -612,28 +535,7 @@ mod tests {
         );
         let stretch = Cycle::from(MAX_STRETCH_OPS);
         assert_eq!(core.tick(0, None, &mut bus), Control::Sleep(stretch));
-        SimAgent::<Bus, _>::absorb_skipped(&mut core, stretch - 1);
         let verdict = core.tick(stretch, None, &mut bus);
         assert_eq!(verdict, Control::Sleep(2 * stretch));
-        assert_eq!(core.stats().busy_cycles, stretch + 1);
-    }
-
-    #[test]
-    fn stats_cycles_partition_execution() {
-        let (core, _bus, _) = run_solo(
-            vec![Op::Compute(7), Op::Access(MemAccess::load(0x500))],
-            300,
-        );
-        let s = core.stats();
-        // busy + bus stalls ≈ done_at (store stalls zero here).
-        let total = s.busy_cycles + s.bus_stall_cycles;
-        let done = done_at(&core).unwrap();
-        assert!(
-            (total as i64 - done as i64).abs() <= 2,
-            "cycle accounting: busy {} + stall {} vs done {}",
-            s.busy_cycles,
-            s.bus_stall_cycles,
-            done
-        );
     }
 }

@@ -12,9 +12,8 @@
 //! comes from working-set dynamics, not profile knobs.
 //!
 //! The agent follows the same engine contract as [`Core`](crate::Core):
-//! absolute-time states, an exact sleep horizon in each tick's verdict and
-//! an `absorb_skipped` replay, so the naive and event-horizon engines agree
-//! bit for bit.
+//! absolute-time states and an exact sleep horizon in each tick's verdict,
+//! so the naive and event-horizon engines agree bit for bit.
 
 use cba_bus::{BusRequest, CompletedTransaction, RequestKind, RequestPort};
 use cba_mem::coherence::SHARED_LINE_BYTES;
@@ -66,8 +65,6 @@ pub struct MemAgent {
     /// Sequential-walk position in the private working set.
     walk: u64,
     mstats: MemStats,
-    busy_cycles: u64,
-    bus_stall_cycles: u64,
     completed: u64,
     done_at: Option<Cycle>,
     rng: SimRng,
@@ -104,8 +101,6 @@ impl MemAgent {
             issued: 0,
             walk: 0,
             mstats: MemStats::default(),
-            busy_cycles: 0,
-            bus_stall_cycles: 0,
             completed: 0,
             done_at: None,
             rng: gen_rng,
@@ -154,7 +149,6 @@ impl MemAgent {
         }
         if self.queue.is_empty() {
             // Cache/ownership hit: one busy cycle, no bus traffic.
-            self.busy_cycles += 1;
             self.after_access(now);
         } else {
             self.mstats.misses += 1;
@@ -174,7 +168,6 @@ impl MemAgent {
                 }
             }
             self.state = State::AwaitPost;
-            self.bus_stall_cycles += 1;
         }
     }
 
@@ -203,8 +196,8 @@ impl MemAgent {
     /// when only a bus completion can unblock the agent (or it is done),
     /// `Sleep(until)` through a think stretch, `Continue` when it must be
     /// ticked every cycle (about to generate or to post). In every `Sleep`
-    /// state the per-cycle tick is pure stall/busy accounting;
-    /// `absorb_skipped` replays it for skipped cycles.
+    /// state a tick before the named cycle is a no-op, so the engine may
+    /// skip it.
     fn verdict(&self) -> Control {
         match self.state {
             State::Done | State::Blocked => Control::Sleep(Cycle::MAX),
@@ -214,8 +207,7 @@ impl MemAgent {
     }
 }
 
-/// The open client-side interface: miss-stream traffic with exact
-/// accounting under skipped stretches.
+/// The open client-side interface: miss-stream traffic.
 impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for MemAgent {
     /// Advances the agent by one cycle (the same protocol as the core
     /// model's).
@@ -252,27 +244,11 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for MemAgent {
             self.state = State::Blocked;
         }
 
-        // 3. Execute.
+        // 3. Execute: the next access starts once the think gap is over.
         match self.state {
-            State::Done => {}
-            State::Blocked | State::AwaitPost => {
-                self.bus_stall_cycles += 1;
-            }
-            State::Thinking { until } => {
-                if now >= until {
-                    // The engine skipped the tail of the think stretch:
-                    // this is the access cycle.
-                    self.start_access(now);
-                } else {
-                    self.busy_cycles += 1;
-                    if now + 1 >= until {
-                        self.state = State::Ready;
-                    }
-                }
-            }
-            State::Ready => {
-                self.start_access(now);
-            }
+            State::Done | State::Blocked | State::AwaitPost => {}
+            State::Thinking { until } if now < until => {}
+            State::Thinking { .. } | State::Ready => self.start_access(now),
         }
         self.verdict()
     }
@@ -286,22 +262,9 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for MemAgent {
         matches!(self.state, State::Done)
     }
 
-    /// Accounts `k` cycles the engine skipped while this agent slept (see
-    /// its verdict).
-    fn absorb_skipped(&mut self, k: u64) {
-        match self.state {
-            State::Blocked => self.bus_stall_cycles += k,
-            State::Thinking { .. } => self.busy_cycles += k,
-            _ => {}
-        }
-    }
-
     fn stats(&self) -> AgentStats {
         AgentStats {
             completed: self.completed,
-            busy_cycles: self.busy_cycles,
-            bus_stall_cycles: self.bus_stall_cycles,
-            store_stall_cycles: 0,
             done_at: self.done_at,
             mem: Some(self.mstats),
         }

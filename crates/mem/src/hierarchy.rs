@@ -104,35 +104,6 @@ impl AccessOutcome {
     }
 }
 
-/// Per-outcome access counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HierarchyStats {
-    /// L1 hits (no bus traffic).
-    pub l1_hits: u64,
-    /// L2 read hits.
-    pub l2_read_hits: u64,
-    /// L2 write (write-through) transactions.
-    pub l2_writes: u64,
-    /// Clean L2 misses.
-    pub misses_clean: u64,
-    /// Dirty-victim L2 misses.
-    pub misses_dirty: u64,
-    /// Atomic operations.
-    pub atomics: u64,
-}
-
-impl HierarchyStats {
-    /// Total accesses classified.
-    pub fn total(&self) -> u64 {
-        self.l1_hits
-            + self.l2_read_hits
-            + self.l2_writes
-            + self.misses_clean
-            + self.misses_dirty
-            + self.atomics
-    }
-}
-
 /// One core's private memory hierarchy: L1I, L1D, and its L2 partition.
 ///
 /// Because the L2 is partitioned, the entire hierarchy is private state —
@@ -146,7 +117,6 @@ pub struct CoreMemory {
     l1i: SetAssocCache,
     l1d: SetAssocCache,
     l2: SetAssocCache,
-    stats: HierarchyStats,
 }
 
 impl CoreMemory {
@@ -163,13 +133,12 @@ impl CoreMemory {
             l1i: SetAssocCache::new(config.l1i, rng).expect("validated"),
             l1d: SetAssocCache::new(config.l1d, rng).expect("validated"),
             l2: SetAssocCache::new(config.l2_partition, rng).expect("validated"),
-            stats: HierarchyStats::default(),
         }
     }
 
     /// Classifies (and performs) one memory access.
     pub fn access(&mut self, access: MemAccess, rng: &mut SimRng) -> AccessOutcome {
-        let outcome = match access.kind() {
+        match access.kind() {
             AccessKind::Atomic => AccessOutcome::Atomic,
             AccessKind::IFetch => {
                 if self.l1i.read(access.addr(), rng).hit {
@@ -198,16 +167,7 @@ impl CoreMemory {
                     AccessOutcome::L2MissClean
                 }
             }
-        };
-        match outcome {
-            AccessOutcome::L1Hit => self.stats.l1_hits += 1,
-            AccessOutcome::L2ReadHit => self.stats.l2_read_hits += 1,
-            AccessOutcome::L2WriteHit => self.stats.l2_writes += 1,
-            AccessOutcome::L2MissClean => self.stats.misses_clean += 1,
-            AccessOutcome::L2MissDirty => self.stats.misses_dirty += 1,
-            AccessOutcome::Atomic => self.stats.atomics += 1,
         }
-        outcome
     }
 
     fn l2_fill(&mut self, addr: u64, rng: &mut SimRng) -> AccessOutcome {
@@ -219,11 +179,6 @@ impl CoreMemory {
         } else {
             AccessOutcome::L2MissClean
         }
-    }
-
-    /// The classification counters.
-    pub fn stats(&self) -> &HierarchyStats {
-        &self.stats
     }
 
     /// The L1 data cache (for inspection).
@@ -399,15 +354,13 @@ mod tests {
     #[test]
     fn stats_accounting() {
         let (mut mem, mut rng) = mk(8);
-        mem.access(MemAccess::load(0x100), &mut rng); // miss clean
-        mem.access(MemAccess::load(0x100), &mut rng); // l1 hit
-        mem.access(MemAccess::store(0x100), &mut rng); // l2 write hit
-        mem.access(MemAccess::atomic(0x200), &mut rng);
-        let s = mem.stats();
-        assert_eq!(s.total(), 4);
-        assert_eq!(s.l1_hits, 1);
-        assert_eq!(s.misses_clean, 1);
-        assert_eq!(s.l2_writes, 1);
-        assert_eq!(s.atomics, 1);
+        for (access, outcome) in [
+            (MemAccess::load(0x100), AccessOutcome::L2MissClean),
+            (MemAccess::load(0x100), AccessOutcome::L1Hit),
+            (MemAccess::store(0x100), AccessOutcome::L2WriteHit),
+            (MemAccess::atomic(0x200), AccessOutcome::Atomic),
+        ] {
+            assert_eq!(mem.access(access, &mut rng), outcome, "{access}");
+        }
     }
 }

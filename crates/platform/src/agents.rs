@@ -306,10 +306,6 @@ impl<M: RequestPort + 'static> SimAgent<M, CompletedTransaction> for PortAgent {
         self.0.is_inert()
     }
 
-    fn absorb_skipped(&mut self, skipped: u64) {
-        self.0.absorb_skipped(skipped);
-    }
-
     fn stats(&self) -> AgentStats {
         self.0.stats()
     }

@@ -13,28 +13,31 @@
 //!   pool per cell;
 //! * **work stealing by atomic counter** — workers claim the next task
 //!   index with a single `fetch_add`; no queues, no per-task locks;
-//! * **streamed, lock-free result placement** — workers hand `(index,
-//!   result)` pairs to the caller's thread over a channel as they finish;
-//!   no shared results vector, no per-run `Mutex`, and consumers
-//!   aggregate and report incrementally (the scenario engine folds each
-//!   run into its cell the moment it lands and emits the cell's progress
-//!   line when its last run does). Consumers place results by index, so
-//!   ordered output stays deterministic regardless of thread count or
-//!   scheduling.
+//! * **streamed results in index order** — workers hand `(index, result)`
+//!   pairs to the caller's thread over a channel as they finish, and the
+//!   caller passes them on in index order; no shared results vector, no
+//!   per-run `Mutex`, and consumers aggregate and report incrementally
+//!   (the scenario engine folds each run into its cell as it arrives and
+//!   emits the cell's progress line when its last run does). The order
+//!   of everything a consumer sees is therefore the same for any thread
+//!   count or scheduling.
+
+use std::collections::BTreeMap;
 
 /// Runs `task(0..n_tasks)` across `threads` workers, delivering each
-/// `(index, result)` to `on_result` **on the caller's thread** as soon as
-/// it is produced.
+/// `(index, result)` to `on_result` **on the caller's thread**, in index
+/// order.
 ///
-/// Results arrive in scheduling order (not index order); callers that
-/// need determinism place them by index — which also means streamed
-/// consumers (the scenario engine's per-cell aggregation and progress
-/// lines) see work as it completes instead of waiting for the whole
-/// batch. `task` must be deterministic per index for the overall output
-/// to be reproducible — which holds for simulation runs, whose
-/// randomness is derived from per-index seeds. With `threads <= 1` (or a
-/// single task) everything runs inline on the caller's thread, in index
-/// order, which keeps single-run latency free of any thread overhead.
+/// Workers finish tasks in scheduling order; a result that lands before
+/// a lower index has been delivered waits in a map until it has. So
+/// `on_result` sees index 0, 1, 2, … whatever the thread count, and a
+/// streamed consumer (the scenario engine's per-cell aggregation and
+/// progress lines) sees each result as soon as every earlier one is in.
+/// `task` must be deterministic per index for the overall output to be
+/// reproducible — which holds for simulation runs, whose randomness is
+/// derived from per-index seeds. With `threads <= 1` (or a single task)
+/// everything runs inline on the caller's thread, which keeps single-run
+/// latency free of any thread overhead.
 ///
 /// # Panics
 ///
@@ -80,8 +83,14 @@ pub fn run_indexed_streamed<T, F>(
         }
         // The receive loop ends when the last worker drops its sender.
         drop(sender);
+        let mut early = BTreeMap::new();
+        let mut next_out = 0;
         for (i, result) in receiver {
-            on_result(i, result);
+            early.insert(i, result);
+            while let Some(result) = early.remove(&next_out) {
+                on_result(next_out, result);
+                next_out += 1;
+            }
         }
     });
 }
@@ -99,30 +108,39 @@ pub fn default_threads() -> usize {
 mod tests {
     use super::*;
 
-    /// Runs the tasks on the streamed executor and places every result
-    /// by its index.
+    /// Runs the tasks on the streamed executor and collects the results,
+    /// checking that they arrive in index order.
     fn ordered<T: Send>(
         n_tasks: usize,
         threads: usize,
         task: impl Fn(usize) -> T + Sync,
     ) -> Vec<T> {
-        let mut slots: Vec<Option<T>> = (0..n_tasks).map(|_| None).collect();
+        let mut out = Vec::new();
         run_indexed_streamed(n_tasks, threads, task, |i, result| {
-            assert!(
-                slots[i].replace(result).is_none(),
-                "index {i} delivered twice"
-            );
+            assert_eq!(i, out.len(), "index {i} out of order");
+            out.push(result);
         });
-        slots
-            .into_iter()
-            .map(|r| r.expect("every index delivered"))
-            .collect()
+        assert_eq!(out.len(), n_tasks, "every index delivered");
+        out
     }
 
     #[test]
     fn results_are_in_index_order() {
         let out = ordered(100, 8, |i| i * 3);
         assert_eq!(out, (0..100).map(|i| i * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn results_arrive_in_index_order_at_two_threads() {
+        // Every fourth task is slow, so the other worker finishes the
+        // indices after it first.
+        let out = ordered(32, 2, |i| {
+            if i % 4 == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
+            i
+        });
+        assert_eq!(out, (0..32).collect::<Vec<_>>());
     }
 
     #[test]

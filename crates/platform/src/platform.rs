@@ -449,12 +449,6 @@ pub struct RunResult {
     pub bus_slots: Vec<u64>,
     /// Bus-busy cycles per core.
     pub bus_busy: Vec<u64>,
-    /// Idle bus cycles.
-    pub bus_idle: u64,
-    /// Mean grant latency of core 0's requests.
-    pub tua_mean_wait: f64,
-    /// Worst grant latency of core 0's requests.
-    pub tua_max_wait: u64,
     /// Per-core longest start-to-start grant gap (recording runs only).
     pub max_grant_gap: Vec<Option<Cycle>>,
     /// Per-core longest back-to-back grant burst (recording runs only).
@@ -492,47 +486,6 @@ impl RunResult {
         } else {
             self.bus_busy.iter().sum::<u64>() as f64 / self.total_cycles as f64
         }
-    }
-}
-
-/// The simulation models [`run_once`] can drive: the workspace-wide cycle
-/// protocol plus the client request port and the per-run statistics the
-/// result extraction needs. Implemented by the flat [`Bus`] and the
-/// hierarchical [`Fabric`].
-trait SimModel: BusModel<Completion = CompletedTransaction> + RequestPort {
-    /// Idle cycles of the shared resource (the bus / the backbone).
-    fn model_idle_cycles(&self) -> u64;
-    /// `(mean, max)` grant latency of core 0's requests at its first
-    /// arbitration point.
-    fn tua_wait(&self) -> (f64, u64);
-}
-
-impl SimModel for Bus {
-    fn model_idle_cycles(&self) -> u64 {
-        self.idle_cycles()
-    }
-
-    fn tua_wait(&self) -> (f64, u64) {
-        let c0 = CoreId::from_index(0);
-        (
-            self.wait_stats().mean_wait(c0),
-            self.wait_stats().max_wait(c0),
-        )
-    }
-}
-
-impl SimModel for Fabric {
-    fn model_idle_cycles(&self) -> u64 {
-        self.idle_cycles()
-    }
-
-    fn tua_wait(&self) -> (f64, u64) {
-        // Core 0 lives on cluster 0 as local core 0: its first arbitration
-        // point is that cluster bus.
-        let c0 = CoreId::from_index(0);
-        let stats = self.local_wait_stats(c0);
-        let local = self.local_id(c0);
-        (stats.mean_wait(local), stats.max_wait(local))
     }
 }
 
@@ -658,7 +611,7 @@ fn build_fabric(spec: &RunSpec, topo: &FabricTopology, rng: &SimRng) -> Fabric {
 /// [`Simulation`] over `bus` and extracts the [`RunResult`] — shared
 /// verbatim by the flat-bus and fabric paths, so both run the exact same
 /// engine and accounting.
-fn execute<M: SimModel + 'static>(
+fn execute<M: BusModel<Completion = CompletedTransaction> + RequestPort + 'static>(
     bus: M,
     spec: &RunSpec,
     rng: &SimRng,
@@ -721,7 +674,7 @@ fn execute<M: SimModel + 'static>(
 }
 
 /// Pulls the [`RunResult`] out of a finished [`Simulation`].
-fn extract<M: SimModel, P: Probe<CompletedTransaction>>(
+fn extract<M: BusModel, P: Probe<M::Completion>>(
     sim: &Simulation<M, P>,
     spec: &RunSpec,
     windows: Option<WindowedFairness>,
@@ -730,7 +683,6 @@ fn extract<M: SimModel, P: Probe<CompletedTransaction>>(
     let bus = sim.model();
     let trace = bus.trace();
     let ids: Vec<CoreId> = (0..spec.platform.n_cores).map(CoreId::from_index).collect();
-    let (tua_mean_wait, tua_max_wait) = bus.tua_wait();
     let mut mem: Option<MemStats> = None;
     for i in 0..spec.platform.n_cores {
         if let Some(m) = sim.agent(i).stats().mem {
@@ -743,9 +695,6 @@ fn extract<M: SimModel, P: Probe<CompletedTransaction>>(
         total_cycles: outcome.cycles,
         bus_slots: ids.iter().map(|&c| trace.slots(c)).collect(),
         bus_busy: ids.iter().map(|&c| trace.busy_cycles(c)).collect(),
-        bus_idle: bus.model_idle_cycles(),
-        tua_mean_wait,
-        tua_max_wait,
         max_grant_gap: ids.iter().map(|&c| trace.max_grant_gap(c)).collect(),
         max_burst: ids.iter().map(|&c| trace.max_burst_len(c)).collect(),
         windows,
@@ -946,15 +895,14 @@ mod tests {
         // Busy cycles are recorded at grant time for the full transaction,
         // so a transaction in flight when the TuA finishes can overhang the
         // simulated horizon by up to MaxL cycles.
-        assert!(busy + r.bus_idle >= r.total_cycles);
-        assert!(busy + r.bus_idle <= r.total_cycles + 56);
+        assert!(busy <= r.total_cycles + 56);
         assert!(r.utilization() > 0.0 && r.utilization() <= 1.0);
         // Recording traces expose burst metrics.
         assert!(r.max_burst.iter().any(|b| b.is_some()));
     }
 
     /// The two cycle loops must agree exactly — whole `RunResult`s,
-    /// including traces, wait statistics and cycle counters.
+    /// including traces and cycle counters.
     #[test]
     fn naive_and_event_loops_are_bit_identical() {
         let specs = [

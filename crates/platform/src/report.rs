@@ -417,22 +417,19 @@ impl CellReport {
         qs: &[f64],
         spec: &RunSpec,
     ) -> CellReport {
-        let mut acc = CellAccumulator::new(result.runs.len());
-        for (i, r) in result.runs.iter().enumerate() {
-            acc.record(
-                i,
-                RunOutcome::Done(Box::new(RunTally::from_run(r.clone(), spec, None))),
-            );
+        let mut acc = CellAccumulator::new(spec);
+        for r in &result.runs {
+            acc.fold(RunOutcome::Done(RunTally::from_run(r.clone(), spec, None)));
         }
         acc.finish(labels, seed, qs, &[], spec)
     }
 }
 
 /// One finished run, reduced to the few scalars (and small window/cluster
-/// vectors) the cell-level statistics need. Folding each [`RunResult`]
-/// into a `RunTally` the moment it lands lets the engine drop the per-core
-/// trace vectors immediately instead of retaining every raw run of every
-/// in-flight cell.
+/// vectors) the cell-level statistics need. Reducing each [`RunResult`]
+/// to a `RunTally` on the worker that ran it lets the engine drop the
+/// per-core trace vectors immediately instead of retaining every raw run
+/// of every in-flight cell.
 #[derive(Debug, Clone)]
 pub(crate) struct RunTally {
     /// The execution-time sample (cycles); `None` for unfinished runs.
@@ -501,7 +498,7 @@ impl RunTally {
 #[derive(Debug, Clone)]
 pub(crate) enum RunOutcome {
     /// The run executed (finished or hit a cycle limit).
-    Done(Box<RunTally>),
+    Done(RunTally),
     /// The run panicked; the payload message was captured.
     Panicked(String),
     /// The run was skipped by a wall-clock budget or a forced fault-plan
@@ -509,40 +506,105 @@ pub(crate) enum RunOutcome {
     BudgetSkipped,
 }
 
-/// Streaming per-cell aggregation: run outcomes land in per-run slots in
-/// any order, and once the last one arrives [`finish`](Self::finish)
-/// reduces them **in run-index order** — f64 accumulation is
-/// order-sensitive, so index-order reduction is what keeps cell
-/// statistics bit-identical across thread counts and across
-/// interrupted-and-resumed executions. The slots grow as runs land, so
-/// a cell allocates nothing for runs that have not landed.
+/// Streaming per-cell aggregation: each run's outcome is folded in as it
+/// lands, and runs land in run-index order (the executor hands results on
+/// in index order). f64 accumulation is order-sensitive, so index-order
+/// folding is what keeps cell statistics bit-identical across thread
+/// counts and across interrupted-and-resumed executions. Of each run the
+/// accumulator keeps only its `u64` sample, which the percentiles and the
+/// pWCET fit need.
 #[derive(Debug, Default)]
 pub(crate) struct CellAccumulator {
-    slots: Vec<Option<RunOutcome>>,
-    received: usize,
-    runs: usize,
+    // Samples stay u64 (exact) until each consumer's conversion point:
+    // the Welford summary converts per value (exact below 2^53, same as
+    // the simulator's own cycle arithmetic), the percentile sort runs on
+    // u64, and the pWCET fit guards the conversion explicitly.
+    samples: Vec<u64>,
+    summary: Summary,
+    unfinished: usize,
+    panicked: usize,
+    first_panic: Option<String>,
+    budget_trips: usize,
+    n_done: usize,
+    util_sum: f64,
+    burst_sum: f64,
+    gap_sum: f64,
+    cluster_sum: Option<Vec<f64>>,
+    // Memory counters accumulate as exact u64 sums (not per-run floats),
+    // so the derived ratios are thread-count-independent.
+    mem_sum: Option<MemStats>,
+    mem_runs: usize,
+    window_jain_sum: Option<Vec<f64>>,
+    window_share_sum: Option<Vec<Vec<f64>>>,
+    windows_counted: usize,
 }
 
 impl CellAccumulator {
-    pub(crate) fn new(runs: usize) -> CellAccumulator {
+    /// An empty accumulator for a cell of `spec`.
+    pub(crate) fn new(spec: &RunSpec) -> CellAccumulator {
+        let topology = spec.platform.topology.as_ref();
+        let windows = spec.windows.map(|w| w as usize);
         CellAccumulator {
-            slots: Vec::new(),
-            received: 0,
-            runs,
+            cluster_sum: topology.map(|topo| vec![0.0; topo.clusters]),
+            window_jain_sum: windows.map(|w| vec![0.0; w]),
+            window_share_sum: windows.map(|w| vec![vec![0.0; spec.platform.n_cores]; w]),
+            ..CellAccumulator::default()
         }
     }
 
-    pub(crate) fn record(&mut self, run: usize, outcome: RunOutcome) {
-        if run >= self.slots.len() {
-            self.slots.resize_with(run + 1, || None);
+    /// Folds in the cell's next run.
+    pub(crate) fn fold(&mut self, outcome: RunOutcome) {
+        match outcome {
+            RunOutcome::Done(t) => {
+                self.n_done += 1;
+                match t.sample {
+                    Some(s) => {
+                        self.samples.push(s);
+                        self.summary.record(s as f64);
+                    }
+                    None => self.unfinished += 1,
+                }
+                if t.budget_tripped {
+                    self.budget_trips += 1;
+                }
+                self.util_sum += t.utilization;
+                if let Some(b) = t.burst {
+                    self.burst_sum += b;
+                }
+                self.gap_sum += t.gap;
+                if let (Some(acc), Some(c)) = (&mut self.cluster_sum, &t.cluster_busy) {
+                    for (a, x) in acc.iter_mut().zip(c) {
+                        *a += x;
+                    }
+                }
+                if let Some(m) = t.mem {
+                    self.mem_sum
+                        .get_or_insert_with(MemStats::default)
+                        .accumulate(m);
+                    self.mem_runs += 1;
+                }
+                if let Some(wf) = &t.windows {
+                    self.windows_counted += 1;
+                    if let Some(jain) = &mut self.window_jain_sum {
+                        for (a, j) in jain.iter_mut().zip(&wf.jain) {
+                            *a += j;
+                        }
+                    }
+                    if let Some(shares) = &mut self.window_share_sum {
+                        for (row, wrow) in shares.iter_mut().zip(&wf.shares) {
+                            for (a, s) in row.iter_mut().zip(wrow) {
+                                *a += s;
+                            }
+                        }
+                    }
+                }
+            }
+            RunOutcome::Panicked(msg) => {
+                self.panicked += 1;
+                self.first_panic.get_or_insert(msg);
+            }
+            RunOutcome::BudgetSkipped => self.budget_trips += 1,
         }
-        debug_assert!(self.slots[run].is_none(), "run {run} delivered twice");
-        self.slots[run] = Some(outcome);
-        self.received += 1;
-    }
-
-    pub(crate) fn is_complete(&self) -> bool {
-        self.received == self.runs
     }
 
     pub(crate) fn finish(
@@ -553,99 +615,16 @@ impl CellAccumulator {
         pwcet_probs: &[f64],
         spec: &RunSpec,
     ) -> CellReport {
-        // Samples stay u64 (exact) until each consumer's conversion
-        // point: the Welford summary converts per value (exact below
-        // 2^53, same as the simulator's own cycle arithmetic), the
-        // percentile sort runs on u64, and the pWCET fit guards the
-        // conversion explicitly.
-        let mut samples: Vec<u64> = Vec::new();
-        let mut summary = Summary::new();
-        let mut unfinished = 0usize;
-        let mut panicked = 0usize;
-        let mut first_panic: Option<String> = None;
-        let mut budget_trips = 0usize;
-        let mut n_done = 0usize;
-        let mut util_sum = 0.0f64;
-        let mut burst_sum = 0.0f64;
-        let mut gap_sum = 0.0f64;
-        let mut cluster_sum: Option<Vec<f64>> = spec
-            .platform
-            .topology
-            .as_ref()
-            .map(|topo| vec![0.0f64; topo.clusters]);
-        // Memory counters accumulate as exact u64 sums (not per-run
-        // floats), so the derived ratios are thread-count-independent.
-        let mut mem_sum: Option<MemStats> = None;
-        let mut mem_runs = 0usize;
-        let (mut window_jain_sum, mut window_share_sum, mut windows_counted) = match spec.windows {
-            None => (None, None, 0usize),
-            Some(w) => (
-                Some(vec![0.0f64; w as usize]),
-                Some(vec![vec![0.0f64; spec.platform.n_cores]; w as usize]),
-                0usize,
-            ),
-        };
-        for slot in self.slots {
-            match slot.expect("every run delivered before finish()") {
-                RunOutcome::Done(t) => {
-                    n_done += 1;
-                    match t.sample {
-                        Some(s) => {
-                            samples.push(s);
-                            summary.record(s as f64);
-                        }
-                        None => unfinished += 1,
-                    }
-                    if t.budget_tripped {
-                        budget_trips += 1;
-                    }
-                    util_sum += t.utilization;
-                    if let Some(b) = t.burst {
-                        burst_sum += b;
-                    }
-                    gap_sum += t.gap;
-                    if let (Some(acc), Some(c)) = (&mut cluster_sum, &t.cluster_busy) {
-                        for (a, x) in acc.iter_mut().zip(c) {
-                            *a += x;
-                        }
-                    }
-                    if let Some(m) = t.mem {
-                        mem_sum.get_or_insert_with(MemStats::default).accumulate(m);
-                        mem_runs += 1;
-                    }
-                    if let Some(wf) = &t.windows {
-                        windows_counted += 1;
-                        if let Some(jain) = &mut window_jain_sum {
-                            for (a, j) in jain.iter_mut().zip(&wf.jain) {
-                                *a += j;
-                            }
-                        }
-                        if let Some(shares) = &mut window_share_sum {
-                            for (row, wrow) in shares.iter_mut().zip(&wf.shares) {
-                                for (a, s) in row.iter_mut().zip(wrow) {
-                                    *a += s;
-                                }
-                            }
-                        }
-                    }
-                }
-                RunOutcome::Panicked(msg) => {
-                    panicked += 1;
-                    first_panic.get_or_insert(msg);
-                }
-                RunOutcome::BudgetSkipped => budget_trips += 1,
-            }
-        }
         // Denominator: runs that actually executed. With no faults this is
         // every run, matching the pre-containment aggregation exactly.
-        let denom = (n_done as f64).max(1.0);
-        let percentiles = if samples.is_empty() {
+        let denom = (self.n_done as f64).max(1.0);
+        let percentiles = if self.samples.is_empty() {
             Vec::new()
         } else {
             // Sort once per cell (u64 sort: exact, total order, no NaN
             // edge cases) and interpolate every requested quantile on
             // the same sorted view.
-            let mut sorted = samples.clone();
+            let mut sorted = self.samples.clone();
             sorted.sort_unstable();
             let sorted: Vec<f64> = sorted.iter().map(|&s| s as f64).collect();
             qs.iter()
@@ -655,13 +634,14 @@ impl CellAccumulator {
         // The pWCET fit consumes the samples in run-index order — the
         // iid battery is order-sensitive, and index order is what stays
         // bit-identical across thread counts and resumes.
-        let pwcet = (!pwcet_probs.is_empty()).then(|| fit_pwcet_columns(&samples, pwcet_probs));
+        let pwcet =
+            (!pwcet_probs.is_empty()).then(|| fit_pwcet_columns(&self.samples, pwcet_probs));
         let (tua_max_burst, contender_max_gap) = if spec.record_trace {
-            (Some(burst_sum / denom), Some(gap_sum / denom))
+            (Some(self.burst_sum / denom), Some(self.gap_sum / denom))
         } else {
             (None, None)
         };
-        let (cluster_shares, cluster_fairness) = match cluster_sum {
+        let (cluster_shares, cluster_fairness) = match self.cluster_sum {
             None => (None, None),
             Some(mut shares) => {
                 shares.iter_mut().for_each(|s| *s /= denom);
@@ -669,18 +649,18 @@ impl CellAccumulator {
                 (Some(shares), Some(jain))
             }
         };
-        let wdenom = (windows_counted as f64).max(1.0);
-        let window_jain = window_jain_sum.map(|mut jain| {
+        let wdenom = (self.windows_counted as f64).max(1.0);
+        let window_jain = self.window_jain_sum.map(|mut jain| {
             jain.iter_mut().for_each(|j| *j /= wdenom);
             jain
         });
-        let window_shares = window_share_sum.map(|mut shares| {
+        let window_shares = self.window_share_sum.map(|mut shares| {
             shares
                 .iter_mut()
                 .for_each(|row| row.iter_mut().for_each(|s| *s /= wdenom));
             shares
         });
-        let (mem_miss_rate, mem_coherence_frac, mem_writebacks) = match mem_sum {
+        let (mem_miss_rate, mem_coherence_frac, mem_writebacks) = match self.mem_sum {
             None => (None, None, None),
             Some(m) => {
                 let ratio = |num: u64, den: u64| {
@@ -693,13 +673,13 @@ impl CellAccumulator {
                 (
                     Some(ratio(m.misses, m.accesses)),
                     Some(ratio(m.coherence, m.bus_txns)),
-                    Some(m.writebacks as f64 / (mem_runs as f64).max(1.0)),
+                    Some(m.writebacks as f64 / (self.mem_runs as f64).max(1.0)),
                 )
             }
         };
-        let outcome = if let Some(msg) = first_panic {
+        let outcome = if let Some(msg) = self.first_panic {
             CellOutcome::Panicked(msg)
-        } else if budget_trips > 0 {
+        } else if self.budget_trips > 0 {
             CellOutcome::Budget
         } else {
             CellOutcome::Ok
@@ -707,17 +687,17 @@ impl CellAccumulator {
         CellReport {
             labels,
             seed,
-            runs: samples.len(),
-            unfinished,
+            runs: self.samples.len(),
+            unfinished: self.unfinished,
             outcome,
-            panicked,
-            budget_trips,
-            mean: summary.mean(),
-            ci95: summary.ci95_half_width(),
-            min: summary.min(),
-            max: summary.max(),
+            panicked: self.panicked,
+            budget_trips: self.budget_trips,
+            mean: self.summary.mean(),
+            ci95: self.summary.ci95_half_width(),
+            min: self.summary.min(),
+            max: self.summary.max(),
             percentiles,
-            utilization: util_sum / denom,
+            utilization: self.util_sum / denom,
             normalized: None,
             normalized_ci95: None,
             tua_max_burst,
@@ -798,10 +778,11 @@ pub fn run_scenario(def: &ScenarioDef) -> Result<ScenarioReport, ScenarioError> 
 }
 
 /// [`run_scenario`] with a progress callback `(cells done, total, just
-/// finished)` invoked per cell, for CLI progress lines. Cells are
-/// aggregated and reported as their last run completes (so the callback
-/// fires in completion order, live); the returned report is in cell
-/// (expansion) order regardless, and identical for any thread count.
+/// finished)` invoked per cell, for CLI progress lines. Runs are folded
+/// in task order, so a cell is reported once its last run and every run
+/// of the cells before it have completed: the callback fires in cell
+/// (expansion) order, live, and prints the same lines for any thread
+/// count. The returned report is in cell order too.
 pub fn run_scenario_with(
     def: &ScenarioDef,
     progress: impl FnMut(usize, usize, &CellReport),
@@ -871,11 +852,13 @@ impl Batch<'_> {
     /// Executes the runs of the cells indexed by `work` as one flat task
     /// list on the work-stealing pool (task `i` is run `i % runs` of
     /// `cells[work[i / runs]]`), each run seeded by [`run_seed`] from its
-    /// cell's seed and contained by [`catch_unwind`]. Every finished run
-    /// is folded into its cell's `CellAccumulator` the moment it lands,
+    /// cell's seed and contained by [`catch_unwind`]. The pool hands the
+    /// runs on in task order, so the cells' runs arrive one cell after
+    /// another: each run is folded into the one open `CellAccumulator`,
     /// and each cell's report goes to `on_cell` with the cell's index as
-    /// its last run lands. Once `on_cell` returns `false`, the remaining
-    /// results are drained without being folded or reported.
+    /// its last run arrives, in `work` order. Once `on_cell` returns
+    /// `false`, the remaining results are drained without being folded or
+    /// reported.
     ///
     /// A run that made no random draw ([`RunResult::draws`] `== 0`) is
     /// the same under every seed, so the first such run of a cell is kept
@@ -890,8 +873,8 @@ impl Batch<'_> {
     ) {
         let runs = self.runs;
         let run_budget = self.checkpoint.run_budget_cycles;
-        let mut pending: Vec<CellAccumulator> =
-            work.iter().map(|_| CellAccumulator::new(runs)).collect();
+        // The cell whose runs are arriving.
+        let mut open: Option<CellAccumulator> = None;
         let clocks: Vec<CellClock> = work.iter().map(|_| CellClock::default()).collect();
         let seed_free: Vec<OnceLock<RunTally>> = work.iter().map(|_| OnceLock::new()).collect();
         let mut live = true;
@@ -928,7 +911,7 @@ impl Batch<'_> {
                     }
                     tally
                 })) {
-                    Ok(tally) => RunOutcome::Done(Box::new(tally)),
+                    Ok(tally) => RunOutcome::Done(tally),
                     Err(payload) => RunOutcome::Panicked(panic_message(payload)),
                 }
             },
@@ -936,12 +919,13 @@ impl Batch<'_> {
                 if !live {
                     return;
                 }
-                let wi = i / runs;
-                pending[wi].record(i % runs, outcome);
-                if pending[wi].is_complete() {
-                    let ci = work[wi];
-                    let cell = &cells[ci];
-                    let report = std::mem::take(&mut pending[wi]).finish(
+                let (ci, run) = (work[i / runs], i % runs);
+                let cell = &cells[ci];
+                open.get_or_insert_with(|| CellAccumulator::new(&cell.spec))
+                    .fold(outcome);
+                if run + 1 == runs {
+                    let acc = open.take().expect("the cell's runs were folded");
+                    let report = acc.finish(
                         cell.labels.clone(),
                         cell.seed,
                         &self.report.percentiles,
@@ -959,9 +943,10 @@ impl Batch<'_> {
 /// checkpoint/resume journaling and per-cell fault containment.
 ///
 /// * **Streaming aggregation** — every finished `(cell, run)` is folded
-///   into its cell's `CellAccumulator` the moment it lands; raw
-///   [`RunResult`]s are never retained. Reduction happens in run-index
-///   order, so reports are bit-identical for any thread count.
+///   into its cell's `CellAccumulator` once every earlier run of the
+///   batch has been; raw [`RunResult`]s are never retained. Reduction
+///   happens in run-index order, so reports are bit-identical for any
+///   thread count.
 /// * **Checkpointing** — with `controls.checkpoint`, each completed cell
 ///   is appended (fsynced, CRC-guarded) to the journal before the next
 ///   result is consumed. With `controls.resume`, journaled cells are
@@ -1388,25 +1373,6 @@ mod tests {
             "[campaign]\nname = tiny\nruns = 2\nseed = 5\n[tua]\nload = fixed:40:6:4\n{extra}"
         );
         ScenarioDef::parse(&text).unwrap()
-    }
-
-    #[test]
-    fn an_accumulator_grows_as_runs_land_in_any_order() {
-        assert_eq!(CellAccumulator::new(u32::MAX as usize).slots.capacity(), 0);
-        let spec = tiny_def("").expand().unwrap().remove(0).spec;
-        let tallies: Vec<RunTally> = (0..3)
-            .map(|run| RunTally::from_run(run_once(&spec, run), &spec, None))
-            .collect();
-        let fold = |order: [usize; 3]| {
-            let mut acc = CellAccumulator::new(3);
-            for run in order {
-                assert!(!acc.is_complete());
-                acc.record(run, RunOutcome::Done(Box::new(tallies[run].clone())));
-            }
-            assert!(acc.is_complete());
-            format!("{:?}", acc.finish(Vec::new(), 5, &[0.5], &[], &spec))
-        };
-        assert_eq!(fold([2, 0, 1]), fold([0, 1, 2]));
     }
 
     #[test]

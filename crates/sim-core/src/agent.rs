@@ -32,17 +32,14 @@
 //!    and returns a [`Control`] verdict;
 //! 2. that verdict is the agent's one sleep horizon: [`Control::Sleep`]`(t)`
 //!    bounds the next cycle at which ticking the agent can have any effect
-//!    (absent a completion addressed to it), so neither other agents'
-//!    posts, grants and completions nor the bus's own progress may change
-//!    what the agent would do before `t`;
+//!    (absent a completion addressed to it): neither other agents' posts,
+//!    grants and completions nor the bus's own progress may change what
+//!    the agent would do before `t`, and a tick before `t` changes nothing
+//!    the agent later does or reports;
 //! 3. [`is_addressed`](SimAgent::is_addressed) tells the engine which
 //!    completions wake the agent early; the default `true` wakes it on
 //!    every completion, which is always safe;
-//! 4. [`absorb_skipped`](SimAgent::absorb_skipped) replays per-cycle
-//!    accounting for every cycle the agent was not ticked, whether the
-//!    engine skipped the cycle or ticked only other agents at it, so
-//!    statistics stay bit-identical to per-cycle execution;
-//! 5. optionally, the `limit_cycle_*` hooks expose the agent's state so
+//! 4. optionally, the `limit_cycle_*` hooks expose the agent's state so
 //!    the events engine can jump whole periods of a steady run (see
 //!    [`SimulationBuilder::run`](crate::SimulationBuilder::run)).
 //!
@@ -56,18 +53,12 @@ use crate::Cycle;
 /// kinds so harnesses can report on heterogeneous mixes.
 ///
 /// Agents fill the fields they track and leave the rest at zero/`None`
-/// (e.g. only the full core model accounts stall cycles); construct with
+/// (e.g. only the memory agents report [`MemStats`]); construct with
 /// `AgentStats { ..Default::default() }` and set what you have.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AgentStats {
     /// Bus transactions completed (grants absorbed) so far.
     pub completed: u64,
-    /// Cycles spent on useful (non-stalled) work, if tracked.
-    pub busy_cycles: u64,
-    /// Cycles stalled waiting on the interconnect, if tracked.
-    pub bus_stall_cycles: u64,
-    /// Cycles stalled on a full store buffer, if tracked.
-    pub store_stall_cycles: u64,
     /// Completion cycle, once the agent finished.
     pub done_at: Option<Cycle>,
     /// Memory-side counters, for agents that drive a cache hierarchy
@@ -146,18 +137,9 @@ pub trait SimAgent<P: ?Sized, C = ()> {
     /// (saturating/periodic contenders) return `false` forever.
     fn is_done(&self) -> bool;
 
-    /// Accounts `skipped` cycles at which the agent was not ticked (see
-    /// the verdict of [`SimAgent::tick`]): statistics must advance exactly
-    /// as that many unchanged ticks would have advanced them. The engine may
-    /// split one untouched stretch over several calls. Agents whose state
-    /// is already expressed in absolute cycles need nothing here.
-    fn absorb_skipped(&mut self, skipped: u64) {
-        let _ = skipped;
-    }
-
-    /// Whether the agent is **inert**: permanently done, with `tick` and
-    /// `absorb_skipped` guaranteed no-ops forever. Harnesses may drop
-    /// inert agents from their per-cycle loops entirely (the
+    /// Whether the agent is **inert**: permanently done, with `tick`
+    /// guaranteed a no-op forever. Harnesses may drop inert agents from
+    /// their per-cycle loops entirely (the
     /// [`Simulation`](crate::sim::Simulation) facade does), so only
     /// return `true` when the agent can never act again — [`Idle`] is
     /// the canonical case. Returning `true` while not done breaks stop

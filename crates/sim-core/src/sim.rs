@@ -2,11 +2,11 @@
 //! probe, runnable as a library call.
 //!
 //! [`SimulationBuilder::run`] is the one cycle loop of the workspace: it
-//! ticks every client, evaluates the stop condition, aggregates sleep
-//! horizons and absorbs skipped cycles, for any [`BusModel`] and any set
-//! of [`SimAgent`]s (a harness that posts traffic by hand hands its
-//! closure to the builder as an [`FnAgent`](crate::agent::FnAgent)). It
-//! consumes the builder, so a [`Simulation`] is one finished run:
+//! ticks every client, evaluates the stop condition and aggregates sleep
+//! horizons, for any [`BusModel`] and any set of [`SimAgent`]s (a harness
+//! that posts traffic by hand hands its closure to the builder as an
+//! [`FnAgent`](crate::agent::FnAgent)). It consumes the builder, so a
+//! [`Simulation`] is one finished run:
 //!
 //! ```
 //! use sim_core::agent::{Idle, SimAgent};
@@ -217,22 +217,6 @@ impl<'a, M: BusModel, P: Probe<M::Completion>> Simulation<'a, M, P> {
 fn forward_event<C, P: Probe<C>>(probe: &mut P, event: ModelEvent) {
     match event {
         ModelEvent::CreditFlip { at, core, eligible } => probe.on_credit_flip(at, core, eligible),
-    }
-}
-
-/// Absorbs each active agent's unticked cycles before `end` (the wake
-/// calendar's `seen` entries move up to `end`).
-fn absorb_until<M: BusModel>(
-    end: Cycle,
-    agents: &mut [BoxedAgent<'_, M>],
-    active: &[usize],
-    seen: &mut [Cycle],
-) {
-    for (&i, seen) in zip(active, seen) {
-        if *seen < end {
-            agents[i].absorb_skipped(end - *seen);
-            *seen = end;
-        }
     }
 }
 
@@ -479,14 +463,14 @@ impl<'a, M: BusModel, P: Probe<M::Completion>> SimulationBuilder<'a, M, P> {
     /// [addressed](SimAgent::is_addressed) to it. An agent's due cycle
     /// comes from its last verdict: `Sleep(t)` makes it due at `t` (and
     /// never before the next cycle), `Continue` and `Stop` at the next
-    /// cycle. Each agent's unticked cycles are replayed through
-    /// [`absorb_skipped`](SimAgent::absorb_skipped) just before its next
-    /// tick, before a limit-cycle sample and at the end of the run. The
-    /// earliest due cycle bounds how far the engine may skip. Platform
-    /// runs have one agent per core (at most 64), so the calendar is two
-    /// flat vectors scanned once per executed cycle, not a priority
-    /// queue. The naive engine reads every verdict as `Continue`, so it
-    /// ticks every agent on every cycle and stays the dense reference.
+    /// cycle. A tick before the due cycle changes nothing by the
+    /// [contract](crate::agent), so an agent left unticked needs no
+    /// catching up. The earliest due cycle bounds how far the engine may
+    /// skip. Platform runs have one agent per core (at most 64), so the
+    /// calendar is one flat vector of due cycles scanned once per executed
+    /// cycle, not a priority queue. The naive engine reads every verdict
+    /// as `Continue`, so it ticks every agent on every cycle and stays the
+    /// dense reference.
     ///
     /// # Limit-cycle fast-forward
     ///
@@ -520,16 +504,13 @@ impl<'a, M: BusModel, P: Probe<M::Completion>> SimulationBuilder<'a, M, P> {
         let max_cycles = self.max_cycles;
 
         // Inert agents (permanently-done no-ops, e.g. idle cores) are
-        // dropped from the per-cycle loop up front: their tick/absorb
-        // are no-ops and their sleep horizon is unbounded by contract.
+        // dropped from the per-cycle loop up front: their tick is a no-op
+        // and their sleep horizon is unbounded by contract.
         let active: Vec<usize> = (0..agents.len())
             .filter(|&i| !agents[i].is_inert())
             .collect();
-        // The wake calendar, one entry per active agent: the cycle it is
-        // next due at, and the first cycle whose accounting it has not
-        // absorbed.
+        // The wake calendar: the cycle each active agent is next due at.
         let mut due: Vec<Cycle> = vec![0; active.len()];
-        let mut seen: Vec<Cycle> = vec![0; active.len()];
         // The work counters: ticks per agent (by agent index), executed
         // and skipped cycles.
         let mut ticks: Vec<u64> = vec![0; agents.len()];
@@ -556,7 +537,7 @@ impl<'a, M: BusModel, P: Probe<M::Completion>> SimulationBuilder<'a, M, P> {
             }
             let mut agent_stop = false;
             let mut until = Cycle::MAX;
-            for ((&i, due), seen) in zip(zip(&active, &mut due), &mut seen) {
+            for (&i, due) in zip(&active, &mut due) {
                 let agent = &mut agents[i];
                 // Asleep and not addressed: this cycle cannot concern it,
                 // and its last verdict still bounds the skip.
@@ -564,10 +545,6 @@ impl<'a, M: BusModel, P: Probe<M::Completion>> SimulationBuilder<'a, M, P> {
                     until = until.min(*due);
                     continue;
                 }
-                if *seen < now {
-                    agent.absorb_skipped(now - *seen);
-                }
-                *seen = now + 1;
                 ticks[i] += 1;
                 *due = match agent.tick(now, completed.as_ref(), &mut model) {
                     Control::Sleep(t) if events => t.max(now + 1),
@@ -601,14 +578,12 @@ impl<'a, M: BusModel, P: Probe<M::Completion>> SimulationBuilder<'a, M, P> {
             }
             if let (Some(lc), Some(core)) = (&mut detector, granted) {
                 if lc.due(core) {
-                    // The sample reads every agent's counters as of now.
-                    absorb_until(now + 1, &mut agents, &active, &mut seen);
                     if let Some(shift) =
                         lc.sample(now, last_landing, &mut model, &mut agents, &active)
                     {
                         // The landing cycle stands in for this one, whole
                         // periods later; resume stepping right after it.
-                        for t in due.iter_mut().chain(&mut seen) {
+                        for t in &mut due {
                             *t = t.saturating_add(shift);
                         }
                         skipped += shift;
@@ -637,10 +612,6 @@ impl<'a, M: BusModel, P: Probe<M::Completion>> SimulationBuilder<'a, M, P> {
             }
             now += 1;
         }
-        // The run ends without ticking everyone at its last cycle (or
-        // mid-skip at max_cycles): absorb each agent's tail so agent
-        // statistics stay bit-identical to the per-cycle loop.
-        absorb_until(now, &mut agents, &active, &mut seen);
         if P::ACTIVE {
             // A run truncated mid-skip leaves events buffered by the
             // final `advance` (e.g. coalesced credit flips); drain them
@@ -680,7 +651,6 @@ mod tests {
         next: Cycle,
         waiting: bool,
         done_at: Option<Cycle>,
-        skipped_seen: u64,
     }
 
     impl Periodic {
@@ -690,7 +660,6 @@ mod tests {
                 next: 0,
                 waiting: false,
                 done_at: None,
-                skipped_seen: 0,
             }
         }
     }
@@ -718,10 +687,6 @@ mod tests {
 
         fn is_done(&self) -> bool {
             self.left == 0 && !self.waiting
-        }
-
-        fn absorb_skipped(&mut self, skipped: u64) {
-            self.skipped_seen += skipped;
         }
 
         fn stats(&self) -> AgentStats {
@@ -946,8 +911,7 @@ mod tests {
     }
 
     /// Posts `dur`-cycle requests, each `gap` cycles after the previous
-    /// one completed; finite when `total` is set. Counts the cycles it
-    /// stalls on the bus, ticked or absorbed.
+    /// one completed; finite when `total` is set.
     struct Feeder {
         core: CoreId,
         dur: u32,
@@ -956,37 +920,27 @@ mod tests {
         /// Next post cycle; `None` while waiting on the bus or done.
         post_at: Option<Cycle>,
         completed: u64,
-        stalled: u64,
         done_at: Option<Cycle>,
         opt_in: bool,
     }
 
     impl Feeder {
         fn new(core: usize, dur: u32, gap: Cycle, total: Option<u64>) -> Self {
-            let core = CoreId::from_index(core);
-            let (post_at, completed, stalled, done_at) = (Some(gap), 0, 0, None);
-            let opt_in = true;
             Feeder {
-                core,
+                core: CoreId::from_index(core),
                 dur,
                 gap,
                 total,
-                post_at,
-                completed,
-                stalled,
-                done_at,
-                opt_in,
+                post_at: Some(gap),
+                completed: 0,
+                done_at: None,
+                opt_in: true,
             }
-        }
-
-        fn waiting(&self) -> bool {
-            self.post_at.is_none() && self.done_at.is_none()
         }
     }
 
     impl SimAgent<Ring, CoreId> for Feeder {
         fn tick(&mut self, now: Cycle, done: Option<&CoreId>, bus: &mut Ring) -> Control {
-            self.stalled += self.waiting() as u64;
             if done == Some(&self.core) {
                 self.completed += 1;
                 if Some(self.completed) == self.total {
@@ -1010,14 +964,9 @@ mod tests {
             self.done_at.is_some()
         }
 
-        fn absorb_skipped(&mut self, skipped: u64) {
-            self.stalled += self.waiting() as u64 * skipped;
-        }
-
         fn stats(&self) -> AgentStats {
             AgentStats {
                 completed: self.completed,
-                bus_stall_cycles: self.stalled,
                 done_at: self.done_at,
                 ..Default::default()
             }
@@ -1034,7 +983,7 @@ mod tests {
                 (None, None) => [1, 0],
                 (None, Some(_)) => [2, 0],
             });
-            counters.extend([self.completed, self.stalled]);
+            counters.push(self.completed);
             self.opt_in
         }
 
@@ -1050,7 +999,6 @@ mod tests {
                 *t += shift;
             }
             self.completed += periods * deltas[0];
-            self.stalled += periods * deltas[1];
             FEEDER_JUMPS.with(|j| j.set(j.get() + 1));
         }
     }
@@ -1196,10 +1144,6 @@ mod tests {
 
         fn is_done(&self) -> bool {
             self.feeder.is_done()
-        }
-
-        fn absorb_skipped(&mut self, skipped: u64) {
-            self.feeder.absorb_skipped(skipped);
         }
 
         fn stats(&self) -> AgentStats {

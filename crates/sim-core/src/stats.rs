@@ -28,7 +28,7 @@ use std::fmt;
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
 /// assert_eq!((s.min(), s.max()), (2.0, 9.0));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
     n: u64,
     mean: f64,
@@ -116,6 +116,13 @@ impl Summary {
     /// here).
     pub fn ci95_half_width(&self) -> f64 {
         1.96 * self.std_error()
+    }
+}
+
+/// The empty summary, as [`Summary::new`].
+impl Default for Summary {
+    fn default() -> Self {
+        Summary::new()
     }
 }
 
@@ -211,6 +218,12 @@ mod tests {
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.std_error(), 0.0);
+        // The default is the same empty summary: its first observation is
+        // both its min and its max.
+        let mut d = Summary::default();
+        assert_eq!(d, s);
+        d.record(5.0);
+        assert_eq!((d.min(), d.max()), (5.0, 5.0));
     }
 
     #[test]

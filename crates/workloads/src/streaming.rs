@@ -85,9 +85,11 @@ mod tests {
             bus.end_cycle(now);
             now += 1;
         }
-        let stats = core.memory().stats();
-        assert_eq!(stats.l1_hits, 0, "streaming never re-touches a line");
-        assert_eq!(stats.misses_clean + stats.misses_dirty, 200);
+        // Every access posts, and every grant is a 28-cycle clean miss: an
+        // L1 hit would post nothing, an L2 hit a 5-cycle transaction.
+        let c0 = CoreId::from_index(0);
+        assert_eq!(bus.trace().slots(c0), 200);
+        assert_eq!(bus.trace().busy_cycles(c0), 200 * 28);
         // Effectively saturating: ~29-30 cycles per 28-cycle transaction.
         let per_access = done_at(&core).expect("done") as f64 / 200.0;
         assert!(per_access < 32.0, "{per_access} cycles per access");

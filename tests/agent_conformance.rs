@@ -4,16 +4,16 @@
 //! 1. **Verdict honesty** — an agent sleeping until the cycle its tick's
 //!    [`Control::Sleep`] verdict names never posts earlier: ticking it
 //!    only at those cycles (plus its completion cycles, which always wake
-//!    it) produces the *exact* post stream of ticking it every cycle. The
-//!    sparse run is driven by the verdicts alone, as the events engine
-//!    is. This is the property the event-horizon engine's bit-identity
-//!    guarantee reduces to on the client side.
+//!    it) produces the *exact* post stream and statistics of ticking it
+//!    every cycle. The sparse run is driven by the verdicts alone, as the
+//!    events engine is. This is the property the event-horizon engine's
+//!    bit-identity guarantee reduces to on the client side.
 //! 2. **Wake calendar** — beside another agent, a completion is
 //!    [addressed](sim_core::SimAgent::is_addressed) to the agent exactly
 //!    when it is its own, and ticking the agent only when its last
-//!    verdict made it due or such a completion arrives, absorbing every
-//!    other cycle, reproduces the dense run. This is what lets the events
-//!    engine leave an agent asleep while the others act.
+//!    verdict made it due or such a completion arrives reproduces the
+//!    dense run. This is what lets the events engine leave an agent
+//!    asleep while the others act.
 //!
 //! Agents are built through the [`AgentRegistry`], so the suite also
 //! pins the registry's kind coverage.
@@ -127,17 +127,9 @@ fn drive_dense(
 fn drive_sparse(agent: &mut BoxedPortAgent, horizon: Cycle) -> (Vec<(Cycle, usize, u32)>, u64) {
     let mut port = SpyPort::new(1);
     let mut now: Cycle = 0;
-    let mut prev: Option<Cycle> = None;
     let mut visited = 0u64;
     while now < horizon {
         let done = port.bus.begin_cycle(now);
-        if let Some(p) = prev {
-            let skipped = now - p - 1;
-            if skipped > 0 {
-                agent.absorb_skipped(skipped);
-            }
-        }
-        prev = Some(now);
         let verdict = agent.tick(now, done.as_ref(), &mut port);
         port.bus.end_cycle(now);
         visited += 1;
@@ -150,12 +142,6 @@ fn drive_sparse(agent: &mut BoxedPortAgent, horizon: Cycle) -> (Vec<(Cycle, usiz
             _ => now + 1,
         };
         now = next.min(horizon);
-    }
-    if let Some(p) = prev {
-        let tail = horizon.saturating_sub(1).saturating_sub(p);
-        if tail > 0 {
-            agent.absorb_skipped(tail);
-        }
     }
     (port.posts, visited)
 }
@@ -177,7 +163,7 @@ fn sleeping_until_wake_at_never_changes_the_post_stream() {
         assert_eq!(
             dense_stats,
             sparse.stats(),
-            "'{load}': stats must survive skipped-cycle absorption"
+            "'{load}': stats must not depend on the skipped ticks"
         );
         if !matches!(load, CoreLoad::Saturating { .. }) {
             assert!(
@@ -191,9 +177,9 @@ fn sleeping_until_wake_at_never_changes_the_post_stream() {
 /// Drives `agent` (core 0) for `horizon` cycles beside a saturating
 /// contender on core 1, checking at every completion that the agent is
 /// addressed exactly by its own. With `calendar` set, the agent is ticked
-/// only when its last verdict made it due or its own completion arrives,
-/// and absorbs every other cycle. Returns the post log of both cores, the
-/// agent's final stats and its tick count.
+/// only when its last verdict made it due or its own completion arrives.
+/// Returns the post log of both cores, the agent's final stats and its
+/// tick count.
 fn drive_beside_a_contender(
     agent: &mut BoxedPortAgent,
     horizon: Cycle,
@@ -201,7 +187,7 @@ fn drive_beside_a_contender(
 ) -> (Vec<(Cycle, usize, u32)>, AgentStats, u64) {
     let mut port = SpyPort::new(2);
     let mut contender = FixedRequestTask::saturating(CoreId::from_index(1), 28);
-    let (mut due, mut seen, mut ticks) = (0, 0, 0);
+    let (mut due, mut ticks) = (0, 0);
     for now in 0..horizon {
         let done = port.bus.begin_cycle(now);
         let addressed = done.as_ref().is_some_and(|ct| {
@@ -210,10 +196,6 @@ fn drive_beside_a_contender(
             own
         });
         if !calendar || now >= due || addressed {
-            if seen < now {
-                agent.absorb_skipped(now - seen);
-            }
-            seen = now + 1;
             ticks += 1;
             due = match agent.tick(now, done.as_ref(), &mut port) {
                 Control::Sleep(t) => t,
@@ -222,9 +204,6 @@ fn drive_beside_a_contender(
         }
         contender.tick(now, done.as_ref(), &mut port);
         port.bus.end_cycle(now);
-    }
-    if seen < horizon {
-        agent.absorb_skipped(horizon - seen);
     }
     (port.posts, agent.stats(), ticks)
 }
@@ -246,7 +225,7 @@ fn ticking_only_when_due_or_addressed_reproduces_the_dense_run() {
         );
         assert_eq!(
             dense_stats, sparse_stats,
-            "'{load}': stats must survive the cycles the calendar absorbed"
+            "'{load}': stats must not depend on the ticks the calendar left out"
         );
         assert!(ticks < HORIZON, "'{load}': never left asleep");
     }

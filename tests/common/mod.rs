@@ -49,28 +49,18 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for CountedConte
 }
 
 /// One bus segment's counters: per core its trace's grants and busy
-/// cycles, then its granted requests, mean and worst grant latency; then
-/// the segment's idle and total cycles.
-pub type SegmentPrint = (Vec<(u64, u64, u64, f64, u64)>, [u64; 2]);
+/// cycles, then the segment's idle and total cycles.
+pub type SegmentPrint = (Vec<(u64, u64)>, [u64; 2]);
 
 fn segment_print(bus: &Bus) -> SegmentPrint {
-    let (trace, wait) = (bus.trace(), bus.wait_stats());
-    let per_core = CoreId::all(bus.config().n_cores()).map(|c| {
-        let (slots, busy) = (trace.slots(c), trace.busy_cycles(c));
-        (
-            slots,
-            busy,
-            wait.granted(c),
-            wait.mean_wait(c),
-            wait.max_wait(c),
-        )
-    });
+    let trace = bus.trace();
+    let per_core =
+        CoreId::all(bus.config().n_cores()).map(|c| (trace.slots(c), trace.busy_cycles(c)));
     (per_core.collect(), [bus.idle_cycles(), bus.total_cycles()])
 }
 
 /// Every counter a fabric keeps. A `RunResult` sees only the fabric-wide
-/// trace, the backbone's idle cycles and cluster 0's waits, so a wrong
-/// jump on another segment shows only here.
+/// trace, so a wrong jump on a segment shows only here.
 #[derive(Debug, PartialEq)]
 pub struct FabricPrint {
     /// Each cluster bus's counters, then the backbone's.

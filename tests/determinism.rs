@@ -21,7 +21,6 @@ fn run_once_is_a_pure_function_of_seed() {
     assert_eq!(a.tua_cycles, b.tua_cycles);
     assert_eq!(a.bus_slots, b.bus_slots);
     assert_eq!(a.bus_busy, b.bus_busy);
-    assert_eq!(a.tua_max_wait, b.tua_max_wait);
 }
 
 #[test]

@@ -4,8 +4,8 @@
 //!
 //! The fast path may only skip cycles in which *nothing observable*
 //! happens, so every run must agree with the reference loop bit for bit:
-//! same samples, same grant traces, same wait statistics, same cycle
-//! counters, same stop cycle. These tests sweep the full mechanism grid —
+//! same samples, same grant traces, same cycle counters, same stop
+//! cycle. These tests sweep the full mechanism grid —
 //! {RP, RR, TDMA, lottery} × {no filter, CBA, H-CBA} × {isolation, max
 //! contention} on the non-split bus, plus the split-transaction bus with
 //! random mixed traffic — across random seeds.
@@ -204,7 +204,7 @@ cba = none,homog
         }
     }
     // Horizon-stopped recording run over the same mix: the trace-derived
-    // metrics and the absorb_skipped stall accounting must agree too.
+    // metrics and the agents' statistics must agree too.
     let mut spec = cells[0].spec.clone();
     spec.stop = cba_platform::StopCondition::Horizon(20_000);
     spec.record_trace = true;
@@ -254,8 +254,8 @@ struct SplitRunView {
 }
 
 /// Random mixed traffic (L2 hits / split misses / atomics) on the
-/// split-transaction bus: completions, traces, wait statistics and cycle
-/// counters agree under every policy, with no filter, CBA and H-CBA.
+/// split-transaction bus: completions, traces and cycle counters agree
+/// under every policy, with no filter, CBA and H-CBA.
 #[test]
 fn split_bus_runs_are_bit_identical() {
     let filters = [

@@ -369,9 +369,6 @@ impl SimAgent<dyn RequestPort, CompletedTransaction> for Recorded {
     fn is_done(&self) -> bool {
         self.inner.is_done()
     }
-    fn absorb_skipped(&mut self, skipped: u64) {
-        self.inner.absorb_skipped(skipped);
-    }
     fn is_inert(&self) -> bool {
         self.inner.is_inert()
     }

@@ -7,10 +7,10 @@
 //! into a limit cycle, jumps whole periods (`fairness_sweep`,
 //! `scaling_16core`, `fabric_fairness` and `clustered_16core` are where
 //! the jump fires). Both shortcuts must be invisible in every counter,
-//! wait statistic, trace metric and windowed sample. The spec-level cases
-//! below cover the shapes the jump must either reproduce exactly or
-//! decline: paper cells, a mixed round-robin run where it fires, windows,
-//! recording traces, and fabrics that jump or must decline.
+//! trace metric and windowed sample. The spec-level cases below cover the
+//! shapes the jump must either reproduce exactly or decline: paper cells,
+//! a mixed round-robin run where it fires, windows, recording traces,
+//! and fabrics that jump or must decline.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -243,13 +243,11 @@ fn the_jump_fires_on_the_real_bus() {
                 .run()
         };
         let observe = |sim: &Simulation<Bus>| {
-            let (bus, wait) = (sim.model(), sim.model().wait_stats());
+            let bus = sim.model();
             let trace = bus.trace();
-            let per_core = CoreId::all(4).map(|c| {
-                let totals = (trace.slots(c), trace.busy_cycles(c));
-                (totals, wait.granted(c), wait.mean_wait(c), wait.max_wait(c))
-            });
-            let per_core: Vec<_> = per_core.collect();
+            let per_core: Vec<_> = CoreId::all(4)
+                .map(|c| (trace.slots(c), trace.busy_cycles(c)))
+                .collect();
             let stats: Vec<AgentStats> = sim.agents().iter().map(|a| a.stats()).collect();
             let cycles = (bus.total_cycles(), bus.idle_cycles());
             let ends = (trace.first_start(), trace.last_end());
